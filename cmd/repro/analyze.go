@@ -28,11 +28,10 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: repro analyze [-requests] <trace.json>")
 	}
-	a := &app{stdout: stdout, stderr: stderr}
 	if *byRequest {
-		return a.analyzeRequests(fs.Arg(0))
+		return analyzeRequests(stdout, fs.Arg(0))
 	}
-	return a.analyze(fs.Arg(0))
+	return analyze(stdout, fs.Arg(0))
 }
 
 // loadTrace reads a raw-JSON trace file produced by -trace.
@@ -67,7 +66,7 @@ func loadTrace(path string) (*core.Trace, error) {
 // are built out of fabric ops), so it overlaps the other buckets rather than
 // adding to them. perturb is the injected-fault share of fabric-wait (the
 // perturb.extra spans): zero unless the run carried an active topo.Perturb.
-func (a *app) analyze(path string) error {
+func analyze(stdout io.Writer, path string) error {
 	tr, err := loadTrace(path)
 	if err != nil {
 		return fmt.Errorf("analyze: %w", err)
@@ -83,9 +82,9 @@ func (a *app) analyze(path string) error {
 		}
 		return fmt.Sprintf("%.1f%%", 100*float64(d)/float64(tr.ExecTime))
 	}
-	fmt.Fprintf(a.stdout, "\n== Delay attribution: %s (%d workers, exec %v) ==\n",
+	fmt.Fprintf(stdout, "\n== Delay attribution: %s (%d workers, exec %v) ==\n",
 		path, tr.Workers, tr.ExecTime)
-	w := experiments.NewTW(a.stdout)
+	w := experiments.NewTW(stdout)
 	fmt.Fprintln(w, "rank\tbusy\tsteal-search\tsteal-xfer\toj-wait\tother\tfabric-wait\tperturb\tsteals\tfails\tresumes")
 	var tot core.RankAttribution
 	for _, r := range att {
@@ -118,8 +117,8 @@ func (a *app) analyze(path string) error {
 	// The cross-check: every trace-derived total must equal its
 	// counter-derived Check value exactly.
 	ck := tr.Check
-	cw := experiments.NewTW(a.stdout)
-	fmt.Fprintln(a.stdout, "\nCross-check against run statistics (Table II counters):")
+	cw := experiments.NewTW(stdout)
+	fmt.Fprintln(stdout, "\nCross-check against run statistics (Table II counters):")
 	fmt.Fprintln(cw, "quantity\tfrom trace\tfrom counters")
 	fmt.Fprintf(cw, "busy time\t%v\t%v\n", tot.Busy, ck.BusyTime)
 	fmt.Fprintf(cw, "steal latency\t%v\t%v\n", tot.StealXfer, ck.StealLatency)
@@ -133,7 +132,7 @@ func (a *app) analyze(path string) error {
 	if err := tr.Verify(); err != nil {
 		return fmt.Errorf("analyze: %v", err)
 	}
-	fmt.Fprintln(a.stdout, "all totals agree exactly")
+	fmt.Fprintln(stdout, "all totals agree exactly")
 	return nil
 }
 
@@ -147,7 +146,7 @@ func (a *app) analyze(path string) error {
 // against the counter-derived ServeStats embedded in the trace; any
 // disagreement, down to a single tick or a single corrupted counter, is a
 // non-zero exit.
-func (a *app) analyzeRequests(path string) error {
+func analyzeRequests(stdout io.Writer, path string) error {
 	tr, err := loadTrace(path)
 	if err != nil {
 		return fmt.Errorf("analyze -requests: %w", err)
@@ -160,11 +159,11 @@ func (a *app) analyzeRequests(path string) error {
 	}
 	ck := tr.Serve
 	atts := tr.RequestAttribution()
-	fmt.Fprintf(a.stdout, "\n== Request attribution: %s (%d workers; %d completed, %d in flight) ==\n",
+	fmt.Fprintf(stdout, "\n== Request attribution: %s (%d workers; %d completed, %d in flight) ==\n",
 		path, tr.Workers, len(atts), ck.InFlight)
 
 	bands := experiments.ServeReqBands(atts)
-	w := experiments.NewTW(a.stdout)
+	w := experiments.NewTW(stdout)
 	fmt.Fprintln(w, "band\treqs\tsojourn\tadmit-wait\tqueue\tcompute\tsteal-xfer\tfabric-wait\tsched\tjoin-wait\tdominant")
 	for _, b := range bands {
 		pct := func(d sim.Time) string {
@@ -200,8 +199,8 @@ func (a *app) analyzeRequests(path string) error {
 	}
 	sortTimes(fromTrace)
 	sortTimes(fromStats)
-	cw := experiments.NewTW(a.stdout)
-	fmt.Fprintln(a.stdout, "\nCross-check against serve statistics:")
+	cw := experiments.NewTW(stdout)
+	fmt.Fprintln(stdout, "\nCross-check against serve statistics:")
 	fmt.Fprintln(cw, "quantity\tfrom trace\tfrom counters")
 	fmt.Fprintf(cw, "completed\t%d\t%d\n", len(atts), ck.Completed)
 	fmt.Fprintf(cw, "admitted = completed + in-flight\t%d\t%d\n", uint64(len(atts))+ck.InFlight, ck.Admitted)
@@ -217,7 +216,7 @@ func (a *app) analyzeRequests(path string) error {
 		}
 	}
 	cw.Flush()
-	fmt.Fprintln(a.stdout, "every request's components sum to its sojourn exactly; trace and counters agree")
+	fmt.Fprintln(stdout, "every request's components sum to its sojourn exactly; trace and counters agree")
 	return nil
 }
 

@@ -85,7 +85,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -123,24 +122,66 @@ func main() {
 	}
 }
 
-// app carries one invocation's output sinks and the structured rows
-// accumulated for the -json dump.
-type app struct {
-	stdout, stderr io.Writer
-	tsvDir         string
-	jsonPath       string
-	sections       []section
-}
-
-// section is one experiment's structured result in the JSON dump, in
-// emission order.
-type section struct {
-	Name string `json:"name"`
-	Rows any    `json:"rows"`
-}
-
 func usageErr() error {
 	return fmt.Errorf("usage: repro {fig6|table2|fig7|fig8|fig9|table3|fig12|resilience|enginebench|stealzoo|serve|all|run|validate|analyze} [flags]")
+}
+
+// listFlag registers a comma-separated list flag appending into dst; an
+// empty value keeps the default nil.
+func listFlag[T any](fs *flag.FlagSet, dst *[]T, name, usage string, parse func(string) (T, error)) {
+	fs.Func(name, usage, func(s string) error {
+		*dst = nil
+		if s == "" {
+			return nil
+		}
+		for _, part := range strings.Split(s, ",") {
+			v, err := parse(strings.TrimSpace(part))
+			if err != nil {
+				return err
+			}
+			*dst = append(*dst, v)
+		}
+		return nil
+	})
+}
+
+func parseName(s string) (string, error)   { return s, nil }
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+// bindParams registers every experiment parameter as a flag writing straight
+// into p. A zero Params field means "unset" (see manifest.Params), so the
+// flags default to zero and an unset flag leaves the spec's — or, under
+// `repro all`, the manifest entry's — value in force, while one given
+// explicitly overrides it everywhere. Each flag is named by its field's
+// JSON tag with "_" spelled "-" (TestParamsHaveFlags).
+func bindParams(fs *flag.FlagSet, p *manifest.Params) {
+	fs.StringVar(&p.Bench, "bench", "", "pfor or recpfor (default recpfor)")
+	fs.StringVar(&p.Machine, "machine", "", "itoa or wisteria (default itoa; fig9: wisteria; resilience, stealzoo: both)")
+	fs.IntVar(&p.Workers, "workers", 0, "simulated cores (0 = experiment default)")
+	fs.IntVar(&p.Scale, "scale", 0, "problem-size scale shift (+k doubles sizes k times)")
+	fs.StringVar(&p.Tree, "tree", "", "UTS tree: T1L, T1XXL or T1WL (default T1L)")
+	fs.IntVar(&p.SeqDepth, "seqdepth", 0, "UTS: serialize the bottom D tree levels per task (default 3)")
+	listFlag(fs, &p.WorkersList, "workers-list", "comma-separated worker counts for sweeps", strconv.Atoi)
+	fs.IntVar(&p.N, "n", 0, "problem size override")
+	fs.Int64Var(&p.Seed, "seed", 0, "RNG seed (default 42)")
+	fs.IntVar(&p.WorkScale, "workscale", 0, "UTS: multiply per-node work (one node stands for k)")
+	fs.IntVar(&p.DequeCap, "dequecap", 0, "per-worker deque capacity override")
+	fs.Func("shards", "per-node event-heap shards inside each engine, at least 1 (results identical for every value)", func(s string) (err error) {
+		if p.Shards, err = strconv.Atoi(s); err == nil && p.Shards < 1 {
+			err = fmt.Errorf("must be at least 1")
+		}
+		return err
+	})
+	fs.StringVar(&p.Perturb, "perturb", "", `deterministic fault injection, e.g. "jitter=0.5,straggler=0.25,drop=0.01,seed=1" (keys: jitter, straggler, sfactor, degraded, dfactor, drop, seed)`)
+	fs.IntVar(&p.Requests, "requests", 0, "serve: offered arrivals per grid cell (0 = default)")
+	listFlag(fs, &p.Loads, "loads", "serve: comma-separated offered-load multipliers (e.g. 0.1,0.5,1,2)", parseFloat)
+	listFlag(fs, &p.Systems, "systems", "serve: comma-separated systems (ours,saws,charm,glb)", parseName)
+	listFlag(fs, &p.Arrivals, "arrivals", "serve: comma-separated arrival processes (poisson,mmpp)", parseName)
+	listFlag(fs, &p.Admits, "admits", "serve: comma-separated admission policies (always,token)", parseName)
+	fs.Float64Var(&p.HorizonUs, "horizon-us", 0, "serve: cut every cell at this virtual time (µs; 0 = drain)")
+	fs.BoolVar(&p.NoReqTrace, "no-req-trace", false, "serve: skip request tracing and tail attribution (sojourn/goodput output is byte-identical either way)")
+	fs.StringVar(&p.Policy, "steal-policy", "", "steal policy for every core runtime: uniform, hier, locality, or their -half variants (\"\" = paper's uniform steal-one; stealzoo sweeps all and ignores this)")
+	fs.StringVar(&p.Shape, "shape", "", "stealzoo: dag workload shape, wavefront or stencil (default wavefront)")
 }
 
 // run executes one repro invocation against the given writers. All tables
@@ -158,24 +199,22 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	case "analyze":
 		return runAnalyze(args, stdout, stderr)
 	}
-	spec := manifest.Lookup(cmd)
-	if spec == nil && cmd != "all" {
+	// One subcommand is one entry with no params of its own; `all` is the
+	// manifest's paper grid. Either way the explicit flags overlay it.
+	entries := []manifest.Entry{{Experiment: cmd}}
+	if cmd == "all" {
+		var err error
+		if entries, err = manifest.Default().Entries("paper"); err != nil {
+			return err
+		}
+	} else if manifest.Lookup(cmd) == nil {
 		return usageErr()
 	}
 
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	bench := fs.String("bench", "recpfor", "pfor or recpfor")
-	machine := fs.String("machine", "itoa", "itoa or wisteria")
-	workers := fs.Int("workers", 0, "simulated cores (0 = experiment default)")
-	scale := fs.Int("scale", 0, "problem-size scale shift (+k doubles sizes k times)")
-	tree := fs.String("tree", "T1L", "UTS tree: T1L, T1XXL or T1WL")
-	seqDepth := fs.Int("seqdepth", 3, "UTS: serialize the bottom D tree levels per task")
-	workersList := fs.String("workers-list", "", "comma-separated worker counts for sweeps")
-	n := fs.Int("n", 0, "problem size override")
-	seed := fs.Int64("seed", 42, "RNG seed")
-	workScale := fs.Int("workscale", 1, "UTS: multiply per-node work (one node stands for k)")
-	dequeCap := fs.Int("dequecap", 0, "per-worker deque capacity override")
+	var fp manifest.Params
+	bindParams(fs, &fp)
 	tsvDir := fs.String("tsv", "", "also write the series as TSV files into this directory")
 	jsonPath := fs.String("json", "", `also dump all rows as JSON to this file ("-" = stdout)`)
 	tracePath := fs.String("trace", "", "record the event trace of the first simulated run to this file")
@@ -186,17 +225,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	engineStats := fs.Bool("engine-stats", false, "print per-job engine counters (events, handoffs, callbacks, events/s) on stderr")
-	shards := fs.Int("shards", 1, "per-node event-heap shards inside each engine (results identical for every value)")
-	perturbSpec := fs.String("perturb", "", `deterministic fault injection, e.g. "jitter=0.5,straggler=0.25,drop=0.01,seed=1" (keys: jitter, straggler, sfactor, degraded, dfactor, drop, seed)`)
-	requests := fs.Int("requests", 0, "serve: offered arrivals per grid cell (0 = default)")
-	loads := fs.String("loads", "", "serve: comma-separated offered-load multipliers (e.g. 0.1,0.5,1,2)")
-	systems := fs.String("systems", "", "serve: comma-separated systems (ours,saws,charm,glb)")
-	arrivals := fs.String("arrivals", "", "serve: comma-separated arrival processes (poisson,mmpp)")
-	admits := fs.String("admits", "", "serve: comma-separated admission policies (always,token)")
-	horizonUs := fs.Float64("horizon-us", 0, "serve: cut every cell at this virtual time (µs; 0 = drain)")
-	noReqTrace := fs.Bool("no-req-trace", false, "serve: skip request tracing and tail attribution (sojourn/goodput output is byte-identical either way)")
-	stealPolicy := fs.String("steal-policy", "", "steal policy for every core runtime: uniform, hier, locality, or their -half variants (\"\" = paper's uniform steal-one; stealzoo sweeps all and ignores this)")
-	shape := fs.String("shape", "wavefront", "stealzoo: dag workload shape (wavefront or stencil)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -217,14 +245,11 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if *memProfile != "" {
 		path := *memProfile
 		defer func() {
-			f, err := os.Create(path)
+			err := manifest.WriteFile(path, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			})
 			if err != nil {
-				fmt.Fprintln(stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintln(stderr, "memprofile:", err)
 			}
 		}()
@@ -236,80 +261,15 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		// parallel pool the engines need all host threads instead.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
-	}
-	sweep, err := parseList(*workersList)
-	if err != nil {
-		return err
-	}
-	loadList, err := parseFloats(*loads)
-	if err != nil {
-		return err
-	}
-	pb, err := topo.ParsePerturb(*perturbSpec)
-	if err != nil {
-		return err
-	}
 	if *traceFormat != "json" && *traceFormat != "chrome" {
 		return fmt.Errorf("unknown -trace-format %q (want json or chrome)", *traceFormat)
 	}
-
-	// Only explicitly-set flags enter the Params overlay, so spec defaults
-	// apply to everything else and an explicit flag wins everywhere — the
-	// old dispatch discarded e.g. `fig9 -machine itoa` and `all -tree ...`.
-	var fp manifest.Params
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "bench":
-			fp.Bench = *bench
-		case "machine":
-			fp.Machine = *machine
-		case "workers":
-			fp.Workers = *workers
-		case "scale":
-			fp.Scale = *scale
-		case "tree":
-			fp.Tree = *tree
-		case "seqdepth":
-			fp.SeqDepth = *seqDepth
-		case "workers-list":
-			fp.WorkersList = sweep
-		case "n":
-			fp.N = *n
-		case "seed":
-			fp.Seed = *seed
-		case "workscale":
-			fp.WorkScale = *workScale
-		case "dequecap":
-			fp.DequeCap = *dequeCap
-		case "requests":
-			fp.Requests = *requests
-		case "loads":
-			fp.Loads = loadList
-		case "systems":
-			fp.Systems = splitNames(*systems)
-		case "arrivals":
-			fp.Arrivals = splitNames(*arrivals)
-		case "admits":
-			fp.Admits = splitNames(*admits)
-		case "horizon-us":
-			fp.HorizonUs = *horizonUs
-		case "no-req-trace":
-			fp.NoReqTrace = *noReqTrace
-		case "steal-policy":
-			fp.Policy = *stealPolicy
-		case "shape":
-			fp.Shape = *shape
-		}
-	})
 
 	var obsCol *experiments.ObsCollector
 	if *tracePath != "" || *metricsPath != "" {
 		obsCol = &experiments.ObsCollector{Trace: *tracePath != "", Metrics: *metricsPath != ""}
 	}
-	exec := manifest.Exec{Parallel: *parallel, Shards: *shards, Perturb: pb, Obs: obsCol}
-	a := &app{stdout: stdout, stderr: stderr, tsvDir: *tsvDir, jsonPath: *jsonPath}
+	exec := manifest.Exec{Parallel: *parallel, Obs: obsCol}
 
 	if !*quiet {
 		experiments.Progress = func(done, total int, c experiments.Coord, wall time.Duration) {
@@ -321,53 +281,57 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		experiments.EngineStats = func(c experiments.Coord, es sim.EngineStats, cross uint64, wall time.Duration) {
 			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d callbacks=%d events/s=%.2fM\n",
 				c, es.Events, es.Handoffs, es.Callbacks, float64(es.Events)/wall.Seconds()/1e6)
-			if *shards > 1 {
+			if fp.Shards > 1 {
 				fmt.Fprintf(stderr, "engine [%s] shards=%d cross-shard=%d (%.1f%% of events)\n",
-					c, *shards, cross, 100*float64(cross)/float64(es.Events))
+					c, fp.Shards, cross, 100*float64(cross)/float64(es.Events))
 			}
 		}
 		defer func() { experiments.EngineStats = nil }()
 	}
 
-	switch {
-	case spec != nil:
-		r, err := spec.Run(fp, exec)
+	// Each result is recorded for the -json dump, printed as its aligned
+	// table, and written as TSV series when -tsv was given. An empty Section
+	// means an empty sweep — nothing to emit.
+	var sections []manifest.Section
+	for _, e := range entries {
+		r, err := manifest.Lookup(e.Experiment).Run(e.Params.Merge(fp), exec)
 		if err != nil {
 			return err
 		}
-		a.emit(spec, r)
-	case cmd == "all":
-		entries, err := manifest.Default().Entries("paper")
-		if err != nil {
-			return err
+		if r.Section() == "" {
+			continue
 		}
-		for _, e := range entries {
-			sp := manifest.Lookup(e.Experiment)
-			r, err := sp.Run(e.Params.Merge(fp), exec)
-			if err != nil {
-				return err
+		sections = append(sections, manifest.SectionOf(r))
+		r.Table(stdout)
+		if *tsvDir != "" {
+			series := r.Series()
+			if err := manifest.WriteSeries(*tsvDir, series); err != nil {
+				return fmt.Errorf("tsv: %w", err)
 			}
-			a.emit(sp, r)
+			for _, s := range series {
+				fmt.Fprintf(stdout, "(series written to %s/%s.tsv)\n", *tsvDir, s.Name)
+			}
 		}
 	}
-	if err := a.writeObs(obsCol, *tracePath, *traceFormat, *metricsPath); err != nil {
+	if err := writeObs(stdout, obsCol, *tracePath, *traceFormat, *metricsPath); err != nil {
 		return err
 	}
-	return a.writeJSON()
-}
-
-// emit renders one experiment result: record its rows for the JSON dump,
-// print the aligned table, and write each TSV series when -tsv was given.
-// An empty Section means an empty sweep — nothing to emit.
-func (a *app) emit(spec *manifest.Spec, r experiments.Rendering) {
-	if r.Section() == "" {
-		return
+	if *jsonPath == "" {
+		return nil
 	}
-	a.record(r.Section(), r.Rows())
-	spec.Print(a.stdout, r)
-	for _, s := range r.Series() {
-		a.writeSeries(s)
+	buf, err := manifest.EncodeJSON(sections)
+	if err != nil {
+		return fmt.Errorf("json: %w", err)
 	}
+	if *jsonPath == "-" {
+		_, err = stdout.Write(buf)
+		return err
+	}
+	if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
+		return fmt.Errorf("json: %w", err)
+	}
+	fmt.Fprintf(stdout, "(rows written to %s)\n", *jsonPath)
+	return nil
 }
 
 // runPipeline is `repro run`: execute the manifest at a scale into a
@@ -377,7 +341,8 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.String("scale", "smoke", "manifest scale to run (smoke or paper)")
-	only := fs.String("only", "", "comma-separated entry IDs or experiment names to run (default: all)")
+	var only []string
+	listFlag(fs, &only, "only", "comma-separated entry IDs or experiment names to run (default: all)", parseName)
 	out := fs.String("out", "paper_runs", "parent directory for run folders")
 	stamp := fs.String("stamp", "", "run folder name (default: UTC timestamp)")
 	manifestPath := fs.String("manifest", "", "manifest JSON file (default: the committed experiments.json built into the binary)")
@@ -413,7 +378,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	entries, err := m.Select(*scale, splitNames(*only))
+	entries, err := m.Select(*scale, only)
 	if err != nil {
 		return err
 	}
@@ -513,7 +478,7 @@ func runValidate(args []string, stdout, stderr io.Writer) error {
 }
 
 // writeObs writes the collected trace and/or metrics files.
-func (a *app) writeObs(oc *experiments.ObsCollector, tracePath, traceFormat, metricsPath string) error {
+func writeObs(stdout io.Writer, oc *experiments.ObsCollector, tracePath, traceFormat, metricsPath string) error {
 	if oc == nil {
 		return nil
 	}
@@ -524,129 +489,23 @@ func (a *app) writeObs(oc *experiments.ObsCollector, tracePath, traceFormat, met
 		if oc.Log == nil {
 			return fmt.Errorf("-trace: run %s recorded no trace", oc.Coord)
 		}
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
+		write := oc.Log.WriteJSON
 		if traceFormat == "chrome" {
-			err = oc.Log.WriteChromeTrace(f)
-		} else {
-			err = oc.Log.WriteJSON(f)
+			write = oc.Log.WriteChromeTrace
 		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := manifest.WriteFile(tracePath, write); err != nil {
 			return fmt.Errorf("-trace: %w", err)
 		}
-		fmt.Fprintf(a.stdout, "(trace of %s written to %s)\n", oc.Coord, tracePath)
+		fmt.Fprintf(stdout, "(trace of %s written to %s)\n", oc.Coord, tracePath)
 	}
 	if metricsPath != "" {
 		if oc.Stats.Obs == nil {
 			return fmt.Errorf("-metrics: run %s collected no registry", oc.Coord)
 		}
-		f, err := os.Create(metricsPath)
-		if err != nil {
+		if err := manifest.WriteFile(metricsPath, oc.Stats.Obs.WriteTSV); err != nil {
 			return fmt.Errorf("-metrics: %w", err)
 		}
-		err = oc.Stats.Obs.WriteTSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("-metrics: %w", err)
-		}
-		fmt.Fprintf(a.stdout, "(metrics of %s written to %s)\n", oc.Coord, metricsPath)
+		fmt.Fprintf(stdout, "(metrics of %s written to %s)\n", oc.Coord, metricsPath)
 	}
 	return nil
-}
-
-// record adds one experiment's structured rows to the JSON dump.
-func (a *app) record(name string, rows any) {
-	a.sections = append(a.sections, section{Name: name, Rows: rows})
-}
-
-// writeJSON dumps every recorded section when -json was given.
-func (a *app) writeJSON() error {
-	if a.jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(a.sections, "", "  ")
-	if err != nil {
-		return fmt.Errorf("json: %w", err)
-	}
-	buf = append(buf, '\n')
-	if a.jsonPath == "-" {
-		_, err = a.stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(a.jsonPath, buf, 0o644); err != nil {
-		return fmt.Errorf("json: %w", err)
-	}
-	fmt.Fprintf(a.stdout, "(rows written to %s)\n", a.jsonPath)
-	return nil
-}
-
-// writeSeries writes one TSV series for external plotting when -tsv was
-// given.
-func (a *app) writeSeries(s experiments.Series) {
-	if a.tsvDir == "" {
-		return
-	}
-	if err := os.MkdirAll(a.tsvDir, 0o755); err != nil {
-		fmt.Fprintln(a.stderr, "tsv:", err)
-		return
-	}
-	f, err := os.Create(a.tsvDir + "/" + s.Name + ".tsv")
-	if err != nil {
-		fmt.Fprintln(a.stderr, "tsv:", err)
-		return
-	}
-	defer f.Close()
-	s.Write(f)
-	fmt.Fprintf(a.stdout, "(series written to %s/%s.tsv)\n", a.tsvDir, s.Name)
-}
-
-// splitNames splits a comma-separated name list; "" keeps the default nil.
-// Validation happens in the experiment specs.
-func splitNames(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		out = append(out, strings.TrimSpace(part))
-	}
-	return out
-}
-
-// parseFloats parses a comma-separated float list; "" keeps the default nil.
-func parseFloats(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad workers list %q: %v", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -73,31 +73,64 @@ func TestGoldenFig9TSV(t *testing.T) {
 // column is the experiment's figure of merit; drops/retrans pin the
 // retransmission protocol's exact behaviour. 72 workers span two ITO-A
 // nodes, and seed 3 puts one node in the straggler set at level 0.1 and
-// both at 0.3, so every scenario level pins a distinct regime.
+// both at 0.3, so every scenario level pins a distinct regime. The slice is
+// the smoke manifest's resilience entry, asserted over the shared run folder.
 func TestGoldenResilienceTSV(t *testing.T) {
-	runGolden(t,
-		[]string{"resilience", "-machine", "itoa", "-tree", "T1L", "-workers", "72", "-seqdepth", "10", "-seed", "3"},
-		[]string{"resilience_T1L'_itoa.tsv"})
+	checkSmokeGolden(t, smokeBase, "resilience", "resilience_T1L'_itoa.tsv")
 }
 
 // TestResilienceParallelByteIdentical requires the perturbed sweep to stay
 // byte-identical at any host pool width: fault injection must not leak host
 // scheduling into virtual time (all perturbation RNG is per-job state).
 func TestResilienceParallelByteIdentical(t *testing.T) {
-	render := func(parallel string) string {
-		var stdout bytes.Buffer
-		err := run([]string{"resilience", "-machine", "itoa", "-tree", "T1L", "-workers", "72",
-			"-seqdepth", "10", "-seed", "3", "-json", "-", "-quiet", "-parallel", parallel}, &stdout, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String()
+	diffSnapshots(t, "resilience -parallel 8 vs 1",
+		entryFiles(t, smokeDir(t, smokeBase), "resilience"),
+		entryFiles(t, smokeDir(t, smokeSeq), "resilience"))
+}
+
+// traceOnGolden runs one golden slice through the CLI with -trace and
+// -metrics on and requires: the TSV series still byte-identical to the
+// committed (tracing-off) fixture — observability only observes — a trace
+// that `repro analyze` accepts (it decodes the file, rejects an empty trace
+// and runs Trace.Verify behind its delay-attribution cross-check), and a
+// non-empty metrics registry.
+func traceOnGolden(t *testing.T, argv []string, fixture string) {
+	t.Helper()
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	metricsPath := filepath.Join(dir, "metrics.tsv")
+	args := append(append([]string{}, argv...),
+		"-trace", tracePath, "-metrics", metricsPath, "-tsv", dir, "-quiet", "-parallel", "4")
+	if err := run(args, io.Discard, io.Discard); err != nil {
+		t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
 	}
-	seq := render("1")
-	par := render("8")
-	if seq != par {
-		t.Errorf("-parallel 8 resilience output differs from -parallel 1:\n--- 1 ---\n%s--- 8 ---\n%s", seq, par)
+	got, err := os.ReadFile(filepath.Join(dir, fixture))
+	if err != nil {
+		t.Fatal(err)
 	}
+	want, err := os.ReadFile(filepath.Join("testdata", fixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("TSV with tracing on diverges from the tracing-off fixture.\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if err := run([]string{"analyze", tracePath}, io.Discard, io.Discard); err != nil {
+		t.Errorf("analyze on produced trace: %v", err)
+	}
+	if m, err := os.ReadFile(metricsPath); err != nil || len(m) == 0 {
+		t.Errorf("metrics TSV missing or empty (err=%v, %d bytes)", err, len(m))
+	}
+}
+
+// TestResilienceTraceOn is the regression test for the resilience grid never
+// claiming the observability collector: -trace/-metrics ran the whole sweep
+// and then failed with "no fork-join runtime job ran". The first "ours" grid
+// point (the unperturbed baseline) is the one traced.
+func TestResilienceTraceOn(t *testing.T) {
+	traceOnGolden(t,
+		[]string{"resilience", "-machine", "itoa", "-tree", "T1L", "-workers", "72", "-seqdepth", "10", "-seed", "3"},
+		"resilience_T1L'_itoa.tsv")
 }
 
 // TestGoldenPerturbOffEquivalence reruns the fig6 golden slice with a
@@ -116,32 +149,9 @@ func TestGoldenPerturbOffEquivalence(t *testing.T) {
 // perturb virtual time. The produced trace must also pass the analyze
 // cross-check and the metrics TSV must be non-empty.
 func TestGoldenFig6TSVTraceOn(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	metricsPath := filepath.Join(dir, "metrics.tsv")
-	var stdout bytes.Buffer
-	args := []string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "128", "-seed", "7",
-		"-trace", tracePath, "-metrics", metricsPath, "-tsv", dir, "-quiet", "-parallel", "4"}
-	if err := run(args, &stdout, io.Discard); err != nil {
-		t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "fig6_pfor_itoa.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "fig6_pfor_itoa.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("TSV with tracing on diverges from the tracing-off fixture.\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if err := run([]string{"analyze", tracePath}, io.Discard, io.Discard); err != nil {
-		t.Errorf("analyze on produced trace: %v", err)
-	}
-	if m, err := os.ReadFile(metricsPath); err != nil || len(m) == 0 {
-		t.Errorf("metrics TSV missing or empty (err=%v, %d bytes)", err, len(m))
-	}
+	traceOnGolden(t,
+		[]string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "128", "-seed", "7"},
+		"fig6_pfor_itoa.tsv")
 }
 
 // TestGoldenTraceJSON pins the complete event log of a micro UTS run (the
@@ -368,13 +378,32 @@ func TestCLIParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestUsageErrors pins the bad-input contract: an unknown subcommand, a
+// malformed list and a non-positive count all fail before any simulation
+// runs, the latter naming the offending field and value.
 func TestUsageErrors(t *testing.T) {
-	for _, argv := range [][]string{nil, {"nosuch"}} {
+	for _, argv := range [][]string{nil, {"nosuch"}, {"fig9", "-workers-list", "1,x"}, {"serve", "-loads", "0.5,"}} {
 		if err := run(argv, io.Discard, io.Discard); err == nil {
 			t.Errorf("run(%v) did not fail", argv)
 		}
 	}
-	if _, err := parseList("1,x"); err == nil {
-		t.Error("parseList accepted a malformed list")
+	for _, tc := range []struct {
+		argv []string
+		want string
+	}{
+		{[]string{"fig9", "-workers-list", "0"}, "workers_list must be positive, got 0"},
+		{[]string{"fig12", "-workers-list", "18,-2"}, "workers_list must be positive, got -2"},
+		{[]string{"fig6", "-workers", "-3"}, "workers must be positive, got -3"},
+		{[]string{"table3", "-n", "-1024"}, "n must be positive, got -1024"},
+		{[]string{"all", "-workers", "-3"}, "workers must be positive, got -3"},
+	} {
+		var stdout bytes.Buffer
+		err := run(append(tc.argv, "-quiet"), &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error containing %q", tc.argv, err, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%v) printed results before rejecting its input:\n%s", tc.argv, stdout.String())
+		}
 	}
 }

@@ -2,27 +2,133 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"contsteal/internal/manifest"
 )
 
-// runSmoke executes `repro run -scale smoke` into a scratch directory with
-// the given extra flags and returns the run folder path.
-func runSmoke(t *testing.T, extra ...string) string {
-	t.Helper()
-	out := t.TempDir()
+// runSmoke executes `repro run -scale smoke` into out with the given extra
+// flags and returns the run folder path.
+func runSmoke(out string, extra ...string) (string, error) {
 	args := append([]string{"run", "-scale", "smoke", "-out", out, "-stamp", "t", "-quiet"}, extra...)
 	var stdout bytes.Buffer
 	if err := run(args, &stdout, io.Discard); err != nil {
-		t.Fatalf("repro %s: %v\n%s", strings.Join(args, " "), err, stdout.String())
+		return "", fmt.Errorf("repro %s: %v\n%s", strings.Join(args, " "), err, stdout.String())
 	}
-	return filepath.Join(out, "t")
+	return filepath.Join(out, "t"), nil
+}
+
+// smokeConfig is one execution configuration of the full smoke scale whose
+// run folder the suite shares: a run costs ~20 s, and a dozen tests assert
+// over the same three configurations (golden fixtures, -parallel
+// independence, -shards independence), so each is run once, on first use,
+// and kept for the life of the test binary. No test re-runs a kernel the
+// smoke scale already ran.
+type smokeConfig struct {
+	flags []string
+	once  sync.Once
+	dir   string
+	err   error
+}
+
+var (
+	smokeBase    = &smokeConfig{flags: []string{"-parallel", "8"}}
+	smokeSeq     = &smokeConfig{flags: []string{"-parallel", "1"}}
+	smokeSharded = &smokeConfig{flags: []string{"-parallel", "8", "-shards", "4"}}
+)
+
+// smokeRoot holds the shared run folders — outside any one test's TempDir,
+// so later tests can read them; TestMain owns its lifetime.
+var smokeRoot string
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	var err error
+	if smokeRoot, err = os.MkdirTemp("", "repro-smoke"); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(smokeRoot)
+	os.Exit(code)
+}
+
+// smokeDir returns c's run folder, running the pipeline the first time the
+// configuration is asked for.
+func smokeDir(t *testing.T, c *smokeConfig) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("asserts over the shared smoke-pipeline run folders, which are slow to build")
+	}
+	c.once.Do(func() {
+		var out string
+		if out, c.err = os.MkdirTemp(smokeRoot, "smoke"); c.err != nil {
+			return
+		}
+		flags := c.flags
+		if *update {
+			// The fixtures are about to be rewritten from this run.
+			flags = append(flags[:len(flags):len(flags)], "-no-validate")
+		}
+		c.dir, c.err = runSmoke(out, flags...)
+	})
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	return c.dir
+}
+
+// entryFiles collects one entry's deterministic outputs from a run folder:
+// its TSV series, JSON rows and metrics files, keyed by path relative to the
+// folder.
+func entryFiles(t *testing.T, dir, id string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	for rel, content := range snapshotRun(t, dir) {
+		if strings.HasPrefix(rel, filepath.Join("tsv", id)+string(filepath.Separator)) ||
+			rel == filepath.Join("json", id+".json") ||
+			strings.HasPrefix(rel, filepath.Join("metrics", id+".")) {
+			files[rel] = content
+		}
+	}
+	if len(files) == 0 {
+		t.Fatalf("run folder %s holds no outputs of entry %s", dir, id)
+	}
+	return files
+}
+
+// checkSmokeGolden asserts that entry id of the smoke run under c
+// reproduced the committed fixture byte-for-byte (or, under -update, rewrites
+// the fixture from it).
+func checkSmokeGolden(t *testing.T, c *smokeConfig, id, fixture string) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(smokeDir(t, c), "tsv", id, fixture))
+	if err != nil {
+		t.Fatalf("smoke entry %s did not produce %s: %v", id, fixture, err)
+	}
+	golden := filepath.Join("testdata", fixture)
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := manifest.Diff(got, want); d != "" {
+		t.Errorf("smoke %s entry %s: %s diverges from the golden fixture: %s", strings.Join(c.flags, " "), id, fixture, d)
+	}
 }
 
 // snapshotRun collects the deterministic portion of a run folder: every file
@@ -84,10 +190,7 @@ func diffSnapshots(t *testing.T, label string, a, b map[string]string) {
 // its deterministic outputs are identical across host-parallelism widths
 // and engine shard counts.
 func TestPipelineSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-configuration smoke pipeline is slow")
-	}
-	base := runSmoke(t, "-parallel", "8")
+	base := smokeDir(t, smokeBase)
 	snap := snapshotRun(t, base)
 
 	// Self-validation already ran inside `repro run` (a mismatch is a
@@ -138,26 +241,24 @@ func TestPipelineSmoke(t *testing.T) {
 			t.Errorf("fig9 event counts differ across shard ladder: %v", fig9Events)
 		}
 	}
-	for _, id := range []string{"serve_itoa", "serve_wisteria"} {
-		found := false
-		for _, e := range bench.Entries {
-			if e.ID == id {
-				found = true
-				if e.Summary["saturation_goodput_rps"] <= 0 {
-					t.Errorf("%s summary lacks saturation_goodput_rps: %v", id, e.Summary)
-				}
-			}
-		}
-		if !found {
-			t.Errorf("BENCH lacks entry %s", id)
+	for _, e := range bench.Entries {
+		if e.Experiment == "serve" && e.Summary["saturation_goodput_rps"] <= 0 {
+			t.Errorf("%s summary lacks saturation_goodput_rps: %v", e.ID, e.Summary)
 		}
 	}
 
 	// Byte-identity of the deterministic outputs across execution knobs.
-	seq := runSmoke(t, "-parallel", "1")
-	diffSnapshots(t, "parallel 8 vs 1", snap, snapshotRun(t, seq))
-	sharded := runSmoke(t, "-parallel", "8", "-shards", "4")
-	diffSnapshots(t, "shards 1 vs 4", snap, snapshotRun(t, sharded))
+	diffSnapshots(t, "parallel 8 vs 1", snap, snapshotRun(t, smokeDir(t, smokeSeq)))
+	diffSnapshots(t, "shards 1 vs 4", snap, snapshotRun(t, smokeDir(t, smokeSharded)))
+
+	// Every fork-join entry leaves its first run's metrics registry in the
+	// folder — including the resilience and stealzoo grids, which once
+	// never claimed the collector.
+	for _, id := range []string{"fig6_pfor", "fig9", "resilience", "stealzoo", "serve_itoa"} {
+		if snap[filepath.Join("metrics", id+".tsv")] == "" {
+			t.Errorf("run folder lacks a non-empty metrics/%s.tsv", id)
+		}
+	}
 }
 
 // TestValidateDetectsMismatch corrupts one byte of a produced series and
@@ -166,7 +267,10 @@ func TestValidateDetectsMismatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a pipeline entry")
 	}
-	dir := runSmoke(t, "-only", "fig6_pfor")
+	dir, err := runSmoke(t.TempDir(), "-only", "fig6_pfor")
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, "tsv", "fig6_pfor", "fig6_pfor_itoa.tsv")
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -218,34 +322,31 @@ func TestFig9MachineOverride(t *testing.T) {
 	}
 }
 
-// TestCommittedBench pins the BENCH artifacts committed at the repo root:
-// each must satisfy the strict schema (BENCH_0007 via the legacy v1 parse
-// path) and carry the fig9 shard ladder plus both serve saturation
-// summaries. BENCH_0008 onward must additionally carry the serve
-// tail-latency headline keys introduced with schema v2; BENCH_0009 onward
-// must record the host's GOMAXPROCS (schema v3) and the engine-bench
-// adaptive-vs-lock-step headline, so the throughput trajectory is readable
-// against the core budget it was measured under.
+// TestCommittedBench holds every BENCH artifact in sight — the one the shared
+// smoke run just produced, plus any committed at the repo root — to the one
+// schema and the smoke-scale headline: the fig9 shard ladder, both serve
+// saturation summaries with their tail-latency keys, and an enginebench
+// summary naming the GOMAXPROCS it was measured under, so a throughput
+// figure is always readable against its core budget. No artifact is
+// committed at present: BENCH_0007–0009 measured a warm memo (ROADMAP item
+// 1) and the cold trajectory lives in benchmark/results/.
 func TestCommittedBench(t *testing.T) {
-	for _, tc := range []struct {
-		file       string
-		headline   bool // v2 serve tail-latency summary keys required
-		enginebnch bool // v3 gomaxprocs + enginebench headline required
-	}{
-		{"BENCH_0007.json", false, false},
-		{"BENCH_0008.json", true, false},
-		{"BENCH_0009.json", true, true},
-	} {
-		data, err := os.ReadFile(filepath.Join("..", "..", tc.file))
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, filepath.Join(smokeDir(t, smokeBase), "bench", "BENCH_t.json"))
+	for _, file := range files {
+		data, err := os.ReadFile(file)
 		if err != nil {
-			t.Fatalf("committed BENCH artifact missing: %v", err)
+			t.Fatal(err)
 		}
 		b, err := manifest.ParseBench(data)
 		if err != nil {
-			t.Fatalf("%s: committed BENCH artifact invalid: %v", tc.file, err)
+			t.Fatalf("%s: BENCH artifact invalid: %v", file, err)
 		}
 		if b.Scale != "smoke" {
-			t.Errorf("%s: committed BENCH scale = %q, want smoke", tc.file, b.Scale)
+			t.Errorf("%s: BENCH scale = %q, want smoke", file, b.Scale)
 		}
 		serve := map[string]map[string]float64{}
 		ids := map[string]bool{}
@@ -261,42 +362,25 @@ func TestCommittedBench(t *testing.T) {
 		}
 		for _, id := range []string{"fig9", "fig9_shards2", "fig9_shards4", "serve_itoa", "serve_wisteria"} {
 			if !ids[id] {
-				t.Errorf("%s: committed BENCH lacks entry %s", tc.file, id)
+				t.Errorf("%s: BENCH lacks entry %s", file, id)
 			}
 		}
-		if tc.enginebnch {
-			if b.GoMaxProcs < 1 {
-				t.Errorf("%s: committed BENCH lacks a positive gomaxprocs (got %d)", tc.file, b.GoMaxProcs)
-			}
-			if eb == nil {
-				t.Fatalf("%s: committed BENCH lacks an enginebench entry", tc.file)
-			}
-			// The artifact must make its measurement conditions explicit
-			// (the adaptive win is a wall-clock claim, only meaningful
-			// against a stated core budget) and carry the headline: on a
-			// single core the speedup comes purely from halved barrier
-			// rounds, so anything at or above 1.0 is the committed floor;
-			// multi-core hosts are expected to clear 1.5.
-			if eb["gomaxprocs"] != float64(b.GoMaxProcs) {
-				t.Errorf("%s: enginebench summary gomaxprocs %g != artifact gomaxprocs %d",
-					tc.file, eb["gomaxprocs"], b.GoMaxProcs)
-			}
-			speedup := eb["stream_adaptive_speedup_shards4"]
-			floor := 1.0
-			if b.GoMaxProcs > 1 {
-				floor = 1.5
-			}
-			if speedup < floor {
-				t.Errorf("%s: stream_adaptive_speedup_shards4 = %g, want >= %g at gomaxprocs %d",
-					tc.file, speedup, floor, b.GoMaxProcs)
-			}
+		// The artifact must make its measurement conditions explicit: the
+		// adaptive-window speedup is a wall-clock claim, only meaningful
+		// against a stated core budget.
+		if eb == nil {
+			t.Fatalf("%s: BENCH lacks an enginebench entry", file)
 		}
-		if !tc.headline {
-			continue
+		if eb["gomaxprocs"] != float64(b.GoMaxProcs) {
+			t.Errorf("%s: enginebench summary gomaxprocs %g != artifact gomaxprocs %d",
+				file, eb["gomaxprocs"], b.GoMaxProcs)
+		}
+		if eb["stream_adaptive_speedup_shards4"] <= 0 {
+			t.Errorf("%s: enginebench summary lacks stream_adaptive_speedup_shards4: %v", file, eb)
 		}
 		for id, sum := range serve {
 			if sum["p999_sojourn_us"] <= 0 {
-				t.Errorf("%s: entry %s lacks a positive p999_sojourn_us headline", tc.file, id)
+				t.Errorf("%s: entry %s lacks a positive p999_sojourn_us headline", file, id)
 			}
 			dominant := false
 			for k, v := range sum {
@@ -305,8 +389,72 @@ func TestCommittedBench(t *testing.T) {
 				}
 			}
 			if !dominant {
-				t.Errorf("%s: entry %s lacks a p999_dominant_share_* headline in (0,1]", tc.file, id)
+				t.Errorf("%s: entry %s lacks a p999_dominant_share_* headline in (0,1]", file, id)
 			}
 		}
+	}
+}
+
+// TestParamsHaveFlags is the guard for "a parameter is declared once": every
+// manifest.Params field (ns excepted — it has never had a flag; -n covers the
+// one-size case) must be settable through a cmd/repro flag named by the
+// field's JSON tag with "_" spelled "-", that flag must write that field and
+// no other, and no experiment flag may exist without a field. Adding a
+// parameter is then one struct field plus the spec that reads it; forgetting
+// the flag fails here. (Merge's half of the contract is TestMerge in
+// internal/manifest.)
+func TestParamsHaveFlags(t *testing.T) {
+	sample := func(f reflect.Value) string {
+		kind := f.Kind()
+		if kind == reflect.Slice {
+			kind = f.Type().Elem().Kind()
+		}
+		switch kind {
+		case reflect.String:
+			return "v"
+		case reflect.Int, reflect.Int64:
+			return "3"
+		case reflect.Float64:
+			return "1.5"
+		case reflect.Bool:
+			return "true"
+		}
+		t.Fatalf("Params has a field of kind %s: teach this test a sample value for it", f.Kind())
+		return ""
+	}
+	typ := reflect.TypeOf(manifest.Params{})
+	bound := 0
+	for i := 0; i < typ.NumField(); i++ {
+		tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if tag == "ns" {
+			continue
+		}
+		bound++
+		name := strings.ReplaceAll(tag, "_", "-")
+		var p manifest.Params
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		bindParams(fs, &p)
+		if fs.Lookup(name) == nil {
+			t.Errorf("Params.%s (json %q) has no -%s flag", typ.Field(i).Name, tag, name)
+			continue
+		}
+		v := reflect.ValueOf(&p).Elem()
+		if err := fs.Parse([]string{"-" + name + "=" + sample(v.Field(i))}); err != nil {
+			t.Errorf("-%s: %v", name, err)
+			continue
+		}
+		for j := 0; j < typ.NumField(); j++ {
+			if set := !v.Field(j).IsZero(); set != (i == j) {
+				t.Errorf("-%s: Params.%s set = %v, want %v", name, typ.Field(j).Name, set, i == j)
+			}
+		}
+	}
+	var p manifest.Params
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	bindParams(fs, &p)
+	fs.VisitAll(func(*flag.Flag) { bound-- })
+	if bound != 0 {
+		t.Errorf("bindParams registers %d more flags than Params has fields: an experiment flag must be a Params field", -bound)
 	}
 }

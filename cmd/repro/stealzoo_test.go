@@ -19,31 +19,30 @@ func stealZooGoldenArgs() []string {
 	return []string{"stealzoo", "-machine", "itoa", "-workers", "72", "-n", "10", "-seed", "7"}
 }
 
+// TestGoldenStealZooTSV asserts the smoke manifest's stealzoo entry (the
+// same slice as stealZooGoldenArgs) reproduced the committed fixture.
 func TestGoldenStealZooTSV(t *testing.T) {
-	runGolden(t, stealZooGoldenArgs(), []string{"stealzoo_itoa.tsv"})
+	checkSmokeGolden(t, smokeBase, "stealzoo", "stealzoo_itoa.tsv")
 }
 
-// TestStealZooParallelShardsByteIdentical drives the zoo end-to-end at every
-// -parallel × -shards combination and requires byte-identical output: six
-// steal policies and three perturbation scenarios may not leak host
-// scheduling or event-heap sharding into virtual time.
+// TestStealZooParallelShardsByteIdentical requires the zoo's rows, series and
+// metrics registry to be byte-identical at every execution configuration the
+// shared smoke runs cover: six steal policies and three perturbation
+// scenarios may not leak host scheduling or event-heap sharding into virtual
+// time. (72 workers are two ITO-A nodes, so -shards 4 clamps to the same two
+// shards -shards 2 selects.)
 func TestStealZooParallelShardsByteIdentical(t *testing.T) {
-	render := func(parallel, shards string) string {
-		var stdout bytes.Buffer
-		args := append(stealZooGoldenArgs(), "-json", "-", "-quiet",
-			"-parallel", parallel, "-shards", shards)
-		if err := run(args, &stdout, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String()
-	}
-	base := render("1", "1")
-	for _, alt := range [][2]string{{"8", "1"}, {"1", "4"}, {"8", "4"}} {
-		if got := render(alt[0], alt[1]); got != base {
-			t.Errorf("-parallel %s -shards %s stealzoo output differs from -parallel 1 -shards 1:\n--- base ---\n%s--- got ---\n%s",
-				alt[0], alt[1], base, got)
-		}
-	}
+	base := entryFiles(t, smokeDir(t, smokeBase), "stealzoo")
+	diffSnapshots(t, "stealzoo -parallel 8 vs 1", base, entryFiles(t, smokeDir(t, smokeSeq), "stealzoo"))
+	diffSnapshots(t, "stealzoo -shards 1 vs 4", base, entryFiles(t, smokeDir(t, smokeSharded), "stealzoo"))
+}
+
+// TestStealZooTraceOn is the regression test for the stealzoo grid never
+// claiming the observability collector: -trace/-metrics ran all 18 cells and
+// then failed with "no fork-join runtime job ran". The first grid point
+// (uniform policy, unperturbed) is the one traced.
+func TestStealZooTraceOn(t *testing.T) {
+	traceOnGolden(t, stealZooGoldenArgs(), "stealzoo_itoa.tsv")
 }
 
 // TestStealPolicyDifferential is the policy-equivalence harness: an explicit

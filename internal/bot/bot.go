@@ -114,6 +114,20 @@ func (s Stats) Throughput() float64 {
 	return float64(s.Tasks) / s.Exec.Seconds()
 }
 
+// Run executes root under the runtime named system: "saws", "charm" or
+// "glb". Callers validate the name; an unknown one is a programming error.
+func Run(system string, cfg Config, root Task, expand Expand) Stats {
+	switch system {
+	case "saws":
+		return RunSAWS(cfg, root, expand)
+	case "charm":
+		return RunCharm(cfg, root, expand)
+	case "glb":
+		return RunGLB(cfg, root, expand)
+	}
+	panic("bot: unknown system " + system)
+}
+
 // localQueue is a simple LIFO work buffer used by all three runtimes.
 type localQueue struct {
 	tasks []Task

@@ -17,7 +17,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"time"
 
@@ -126,54 +125,33 @@ func engineBenchStream(s *sim.Sharded, shardOf func(int) int, delay func(a, b in
 	})
 }
 
-// EngineBenchOut renders the grid. Table, Series and Rows expose only the
+// EngineBenchLayout renders the grid. Table, Series and Rows expose only the
 // deterministic columns; host wall-clock appears solely in Summary.
-type EngineBenchOut []EngineBenchRow
-
-func (r EngineBenchOut) Section() string {
-	if len(r) == 0 {
-		return ""
-	}
-	return "enginebench_" + r[0].Machine
+var EngineBenchLayout = Layout[EngineBenchRow]{
+	Section: func(r []EngineBenchRow) string { return "enginebench_" + r[0].Machine },
+	Title: func(r []EngineBenchRow) string {
+		return "Engine bench: sharded-window rounds and traffic on " + r[0].Machine
+	},
+	Table:   engineBenchCols,
+	TSV:     engineBenchCols,
+	Summary: engineBenchSummary,
 }
 
-func (r EngineBenchOut) Rows() any { return []EngineBenchRow(r) }
-
-func (r EngineBenchOut) Table(w io.Writer) {
-	if len(r) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n== Engine bench: sharded-window rounds and traffic on %s ==\n", r[0].Machine)
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "workload\tmode\tshards\tevents\trounds\trouted")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\n",
-			row.Workload, row.Mode, row.Shards, row.Events, row.Rounds, row.Routed)
-	}
-	tw.Flush()
+var engineBenchCols = []Col[EngineBenchRow]{
+	{"workload", "%s", func(r EngineBenchRow) any { return r.Workload }},
+	{"mode", "%s", func(r EngineBenchRow) any { return r.Mode }},
+	{"shards", "%d", func(r EngineBenchRow) any { return r.Shards }},
+	{"events", "%d", func(r EngineBenchRow) any { return r.Events }},
+	{"rounds", "%d", func(r EngineBenchRow) any { return r.Rounds }},
+	{"routed", "%d", func(r EngineBenchRow) any { return r.Routed }},
 }
 
-func (r EngineBenchOut) Series() []Series {
-	if len(r) == 0 {
-		return nil
-	}
-	s := Series{Name: r.Section(), Header: []string{"workload", "mode", "shards", "events", "rounds", "routed"}}
-	for _, row := range r {
-		s.Cells = append(s.Cells, []string{
-			row.Workload, row.Mode, fmt.Sprint(row.Shards),
-			fmt.Sprint(row.Events), fmt.Sprint(row.Rounds), fmt.Sprint(row.Routed)})
-	}
-	return []Series{s}
-}
-
-// Summary reports the host-side headline: GOMAXPROCS at run time, the peak
-// events/sec any cell sustained, and per-workload adaptive-over-lock-step
-// wall-clock speedups at the widest shard count (event counts are identical
-// across modes, so the wall ratio is the events/sec ratio).
-func (r EngineBenchOut) Summary() map[string]float64 {
-	if len(r) == 0 {
-		return nil
-	}
+// engineBenchSummary reports the host-side headline: GOMAXPROCS at run time,
+// the peak events/sec any cell sustained, and per-workload
+// adaptive-over-lock-step wall-clock speedups at the widest shard count
+// (event counts are identical across modes, so the wall ratio is the
+// events/sec ratio).
+func engineBenchSummary(r []EngineBenchRow) map[string]float64 {
 	out := map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))}
 	maxShards := 0
 	wall := map[string]time.Duration{}

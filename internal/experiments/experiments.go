@@ -53,6 +53,10 @@ type Variant struct {
 	Free   remobj.Strategy
 }
 
+// greedy is the paper's full system: continuation stealing, greedy join,
+// local-collection frees. Every experiment outside Fig. 6/Table II/III runs it.
+var greedy = Variant{"greedy", core.ContGreedy, remobj.LocalCollection}
+
 // Variants returns the five configurations of Fig. 6, in the paper's order:
 // the MassiveThreads/DM baseline (stalling join, lock-queue frees), the
 // +local-collection version, the +greedy version (the paper's full system),
@@ -61,10 +65,19 @@ func Variants() []Variant {
 	return []Variant{
 		{"baseline", core.ContStalling, remobj.LockQueue},
 		{"localcollect", core.ContStalling, remobj.LocalCollection},
-		{"greedy", core.ContGreedy, remobj.LocalCollection},
+		greedy,
 		{"child-full", core.ChildFull, remobj.LocalCollection},
 		{"child-rtc", core.ChildRtC, remobj.LocalCollection},
 	}
+}
+
+// joinVariants are the four stealing/joining strategies of Table II (and,
+// without child-rtc, Table III), all with local collection.
+var joinVariants = []Variant{
+	{"cont-greedy", core.ContGreedy, remobj.LocalCollection},
+	{"cont-stalling", core.ContStalling, remobj.LocalCollection},
+	{"child-full", core.ChildFull, remobj.LocalCollection},
+	{"child-rtc", core.ChildRtC, remobj.LocalCollection},
 }
 
 // MachineByName resolves "itoa" or "wisteria".
@@ -118,7 +131,7 @@ type Options struct {
 	Steal string
 
 	// obsClaimed marks an Options copy whose job claimed Obs at
-	// grid-construction time (see utsJob).
+	// grid-construction time (see claimObs).
 	obsClaimed bool
 }
 
@@ -132,6 +145,16 @@ func (o *Options) defaults(workers int) {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
+}
+
+// claimObs returns o marked as the collector's owner if this call claimed
+// it. Sweeps call it while building their job grid — sequentially, before
+// the pool starts — so the first fork-join grid point is the one traced,
+// whatever -parallel is. Only our runtime produces traces: a baseline job
+// passes ours=false and never competes.
+func (o Options) claimObs(ours bool) Options {
+	o.obsClaimed = ours && o.Obs.claim()
+	return o
 }
 
 func runCfg(o Options, v Variant) core.Config {
@@ -148,8 +171,53 @@ func runCfg(o Options, v Variant) core.Config {
 		Perturb:    o.Perturb,
 		Shards:     o.Shards,
 		Steal:      steal,
+		DequeCap:   o.DequeCap,
 		MaxTime:    1800 * sim.Second,
 	}
+}
+
+// runCore is the one place this package builds and drives a fork-join
+// runtime: arm the collector if this job owns it (claimed at grid
+// construction, or here for a direct single run), build the runtime, time
+// the drive, deliver the claimed outputs and report the engine counters.
+// tune (may be nil) adjusts the config runCfg built; drive runs the workload
+// — Run or Serve — and returns its run statistics.
+func runCore(o Options, c Coord, v Variant, tune func(*core.Config), drive func(*core.Runtime) core.RunStats) *core.Runtime {
+	mine := o.obsClaimed || o.Obs.claim()
+	cfg := runCfg(o, v)
+	if tune != nil {
+		tune(&cfg)
+	}
+	if mine {
+		o.Obs.apply(&cfg)
+	}
+	rt := core.New(cfg)
+	start := time.Now()
+	st := drive(rt)
+	if mine {
+		o.Obs.deliver(c, rt, st)
+	}
+	reportEngine(c, st, time.Since(start))
+	return rt
+}
+
+// runTask drives one closed fork-join task through runCore.
+func runTask(o Options, c Coord, v Variant, tune func(*core.Config), task core.TaskFunc) (ret []byte, st core.RunStats) {
+	runCore(o, c, v, tune, func(rt *core.Runtime) core.RunStats {
+		ret, st = rt.Run(task)
+		return st
+	})
+	return ret, st
+}
+
+// pforTask builds the synthetic benchmark of §IV-C (K=5, M=10 µs) at size n
+// and its total work T1 on the reference machine.
+func pforTask(bench string, n int) (core.TaskFunc, sim.Time) {
+	p := workload.DefaultPForParams(n)
+	if bench == "pfor" {
+		return workload.PFor(p), p.T1PFor()
+	}
+	return workload.RecPFor(p), p.T1RecPFor()
 }
 
 // ---------------------------------------------------------------------------
@@ -168,8 +236,8 @@ type Fig6Row struct {
 }
 
 // Fig6 sweeps problem size N for both synthetic benchmarks over all five
-// scheduler variants. K=5 and M=10 µs as in §IV-C. The N×variant grid runs
-// on the sweep pool; rows come back in grid order.
+// scheduler variants. The N×variant grid runs on the sweep pool; rows come
+// back in grid order.
 func Fig6(o Options, bench string, ns []int) []Fig6Row {
 	o.defaults(72)
 	if ns == nil {
@@ -186,44 +254,57 @@ func Fig6(o Options, bench string, ns []int) []Fig6Row {
 	for _, n := range ns {
 		for _, v := range Variants() {
 			coord := Coord{Experiment: "fig6", Bench: bench, Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-			mine := o.Obs.claim()
-			jobs = append(jobs, Job{
-				Coord: coord,
-				Run: func() any {
-					p := workload.DefaultPForParams(n)
-					var task core.TaskFunc
-					var t1 sim.Time
-					if bench == "pfor" {
-						task, t1 = workload.PFor(p), p.T1PFor()
-					} else {
-						task, t1 = workload.RecPFor(p), p.T1RecPFor()
-					}
-					t1 = MachineByName(o.Machine).Compute(t1)
-					cfg := runCfg(o, v)
-					if mine {
-						o.Obs.apply(&cfg)
-					}
-					rt := core.New(cfg)
-					start := time.Now()
-					_, st := rt.Run(task)
-					if mine {
-						o.Obs.deliver(coord, rt, st)
-					}
-					reportEngine(coord, st, time.Since(start))
-					return Fig6Row{
-						Bench:      bench,
-						Machine:    o.Machine,
-						Variant:    v.Name,
-						N:          n,
-						IdealTime:  t1 / sim.Time(o.Workers),
-						ExecTime:   st.ExecTime,
-						Efficiency: st.Efficiency(t1),
-					}
-				},
-			})
+			oj := o.claimObs(true)
+			jobs = append(jobs, Job{Coord: coord, Run: func() any {
+				task, t1 := pforTask(bench, n)
+				t1 = MachineByName(o.Machine).Compute(t1)
+				_, st := runTask(oj, coord, v, nil, task)
+				return Fig6Row{
+					Bench:      bench,
+					Machine:    o.Machine,
+					Variant:    v.Name,
+					N:          n,
+					IdealTime:  t1 / sim.Time(o.Workers),
+					ExecTime:   st.ExecTime,
+					Efficiency: st.Efficiency(t1),
+				}
+			}})
 		}
 	}
 	return collect[Fig6Row](RunJobs(o.Parallel, jobs))
+}
+
+// Fig6Layout renders Fig. 6 rows.
+var Fig6Layout = Layout[Fig6Row]{
+	Section: func(r []Fig6Row) string { return "fig6_" + r[0].Bench + "_" + r[0].Machine },
+	Title: func(r []Fig6Row) string {
+		return fmt.Sprintf("Fig. 6: %s parallel efficiency on %s", r[0].Bench, r[0].Machine)
+	},
+	Table: []Col[Fig6Row]{
+		{"N", "%d", func(r Fig6Row) any { return r.N }},
+		{"variant", "%s", func(r Fig6Row) any { return r.Variant }},
+		{"ideal(T1/P)", "%v", func(r Fig6Row) any { return r.IdealTime }},
+		{"exec", "%v", func(r Fig6Row) any { return r.ExecTime }},
+		{"efficiency", "%.3f", func(r Fig6Row) any { return r.Efficiency }},
+	},
+	TSV: []Col[Fig6Row]{
+		{"N", "%d", func(r Fig6Row) any { return r.N }},
+		{"variant", "%s", func(r Fig6Row) any { return r.Variant }},
+		{"ideal_s", "%.6f", func(r Fig6Row) any { return r.IdealTime.Seconds() }},
+		{"exec_s", "%.6f", func(r Fig6Row) any { return r.ExecTime.Seconds() }},
+		{"efficiency", "%.4f", func(r Fig6Row) any { return r.Efficiency }},
+	},
+	// The parallel efficiency of the paper's full system (the greedy
+	// variant) at the largest problem size of the sweep.
+	Summary: func(rows []Fig6Row) map[string]float64 {
+		var out map[string]float64
+		for _, row := range rows {
+			if row.Variant == "greedy" {
+				out = map[string]float64{"greedy_efficiency": row.Efficiency}
+			}
+		}
+		return out
+	},
 }
 
 // ---------------------------------------------------------------------------
@@ -257,52 +338,48 @@ func Table2(o Options, bench string, n int) []Table2Row {
 		}
 		n <<= o.Scale
 	}
-	variants := []Variant{
-		{"cont-greedy", core.ContGreedy, remobj.LocalCollection},
-		{"cont-stalling", core.ContStalling, remobj.LocalCollection},
-		{"child-full", core.ChildFull, remobj.LocalCollection},
-		{"child-rtc", core.ChildRtC, remobj.LocalCollection},
-	}
 	var jobs []Job
-	for _, v := range variants {
+	for _, v := range joinVariants {
 		coord := Coord{Experiment: "table2", Bench: bench, Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-		mine := o.Obs.claim()
-		jobs = append(jobs, Job{
-			Coord: coord,
-			Run: func() any {
-				p := workload.DefaultPForParams(n)
-				task := workload.PFor(p)
-				if bench == "recpfor" {
-					task = workload.RecPFor(p)
-				}
-				cfg := runCfg(o, v)
-				if mine {
-					o.Obs.apply(&cfg)
-				}
-				rt := core.New(cfg)
-				start := time.Now()
-				_, st := rt.Run(task)
-				if mine {
-					o.Obs.deliver(coord, rt, st)
-				}
-				reportEngine(coord, st, time.Since(start))
-				return Table2Row{
-					Machine:            o.Machine,
-					Bench:              bench,
-					Variant:            v.Name,
-					ExecTime:           st.ExecTime,
-					OutstandingJoins:   st.Join.Outstanding,
-					AvgOutstandingTime: st.AvgOutstandingJoinTime(),
-					StealsOK:           st.Work.StealsOK,
-					AvgStealLatency:    st.AvgStealLatency(),
-					StealsFailed:       st.Work.StealsFail,
-					AvgStolenBytes:     st.AvgStolenBytes(),
-					AvgTaskCopyTime:    st.AvgTaskCopyTime(),
-				}
-			},
-		})
+		oj := o.claimObs(true)
+		jobs = append(jobs, Job{Coord: coord, Run: func() any {
+			task, _ := pforTask(bench, n)
+			_, st := runTask(oj, coord, v, nil, task)
+			return Table2Row{
+				Machine:            o.Machine,
+				Bench:              bench,
+				Variant:            v.Name,
+				ExecTime:           st.ExecTime,
+				OutstandingJoins:   st.Join.Outstanding,
+				AvgOutstandingTime: st.AvgOutstandingJoinTime(),
+				StealsOK:           st.Work.StealsOK,
+				AvgStealLatency:    st.AvgStealLatency(),
+				StealsFailed:       st.Work.StealsFail,
+				AvgStolenBytes:     st.AvgStolenBytes(),
+				AvgTaskCopyTime:    st.AvgTaskCopyTime(),
+			}
+		}})
 	}
 	return collect[Table2Row](RunJobs(o.Parallel, jobs))
+}
+
+// Table2Layout renders Table II rows.
+var Table2Layout = Layout[Table2Row]{
+	Section: func(r []Table2Row) string { return "table2_" + r[0].Bench + "_" + r[0].Machine },
+	Title: func(r []Table2Row) string {
+		return fmt.Sprintf("Table II: join/steal statistics, %s on %s", r[0].Bench, r[0].Machine)
+	},
+	Table: []Col[Table2Row]{
+		{"strategy", "%s", func(r Table2Row) any { return r.Variant }},
+		{"exec", "%v", func(r Table2Row) any { return r.ExecTime }},
+		{"#OJ", "%d", func(r Table2Row) any { return r.OutstandingJoins }},
+		{"avgOJtime", "%v", func(r Table2Row) any { return r.AvgOutstandingTime }},
+		{"#steals(ok)", "%d", func(r Table2Row) any { return r.StealsOK }},
+		{"avgLatency", "%v", func(r Table2Row) any { return r.AvgStealLatency }},
+		{"#steals(fail)", "%d", func(r Table2Row) any { return r.StealsFailed }},
+		{"avgStolen", "%.0fB", func(r Table2Row) any { return r.AvgStolenBytes }},
+		{"avgCopy", "%v", func(r Table2Row) any { return r.AvgTaskCopyTime }},
+	},
 }
 
 // ---------------------------------------------------------------------------
@@ -325,31 +402,14 @@ func Fig7(o Options, n int) Fig7Result {
 		n = (1 << 11) << o.Scale
 	}
 	var jobs []Job
-	for _, v := range []Variant{
-		{"greedy", core.ContGreedy, remobj.LocalCollection},
-		{"child-full", core.ChildFull, remobj.LocalCollection},
-	} {
+	for _, v := range []Variant{greedy, {"child-full", core.ChildFull, remobj.LocalCollection}} {
 		coord := Coord{Experiment: "fig7", Bench: "recpfor", Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-		mine := o.Obs.claim()
-		jobs = append(jobs, Job{
-			Coord: coord,
-			Run: func() any {
-				p := workload.DefaultPForParams(n)
-				cfg := runCfg(o, v)
-				cfg.Sample = 2 * sim.Millisecond
-				if mine {
-					o.Obs.apply(&cfg)
-				}
-				rt := core.New(cfg)
-				start := time.Now()
-				_, st := rt.Run(workload.RecPFor(p))
-				if mine {
-					o.Obs.deliver(coord, rt, st)
-				}
-				reportEngine(coord, st, time.Since(start))
-				return st.Series
-			},
-		})
+		oj := o.claimObs(true)
+		jobs = append(jobs, Job{Coord: coord, Run: func() any {
+			task, _ := pforTask("recpfor", n)
+			_, st := runTask(oj, coord, v, func(cfg *core.Config) { cfg.Sample = 2 * sim.Millisecond }, task)
+			return st.Series
+		}})
 	}
 	series := collect[[]core.Sample](RunJobs(o.Parallel, jobs))
 	return Fig7Result{Workers: o.Workers, ContGreedy: series[0], ChildFull: series[1]}
@@ -385,7 +445,7 @@ func TreeByName(name string) workload.UTSTree {
 	}
 }
 
-func botConfig(o Options, workers int) bot.Config {
+func botConfig(o Options) bot.Config {
 	work := sim.Time(190)
 	if o.WorkScale > 1 {
 		work *= sim.Time(o.WorkScale)
@@ -394,7 +454,7 @@ func botConfig(o Options, workers int) bot.Config {
 	mach.Perturb = o.Perturb
 	return bot.Config{
 		Machine: mach,
-		Workers: workers,
+		Workers: o.Workers,
 		Seed:    o.Seed,
 		Work:    work,
 		MaxTime: 1800 * sim.Second,
@@ -430,75 +490,52 @@ func UTSSerialTime(mach *topo.Machine, t workload.UTSTree, nodes int64) sim.Time
 	return sim.Time(nodes) * perNode
 }
 
+// utsTree resolves a UTS preset with its per-node work scaled by
+// o.WorkScale.
+func utsTree(o Options, name string) workload.UTSTree {
+	t := TreeByName(name)
+	if o.WorkScale > 1 {
+		t.NodeWork *= sim.Time(o.WorkScale)
+	}
+	return t
+}
+
+// utsRun traverses t on o.Workers cores under one system: "ours" on the
+// fork-join runtime, with seqDepth aggregating the bottom levels of the
+// traversal, the baselines on their bag-of-tasks models. Both report through
+// bot.Stats — Tasks is the node count (for ours the traversal's own result:
+// recounting the tree serially would redo millions of SHA-1s per grid point)
+// and Exec the virtual time; the message counters are the baselines' only.
+func utsRun(o Options, c Coord, system string, t workload.UTSTree, seqDepth int) bot.Stats {
+	if system != "ours" {
+		root, expand := botExpand(t)
+		return bot.Run(system, botConfig(o), root, expand)
+	}
+	ret, st := runTask(o, c, greedy, nil, workload.UTS(t, seqDepth))
+	return bot.Stats{Exec: st.ExecTime, Tasks: core.RetInt64(ret)}
+}
+
 // UTSOnce runs one UTS configuration under one system and returns its row.
 // system ∈ {ours, saws, charm, glb}; seqDepth aggregates the bottom levels
 // of the fork-join traversal (0 = one task per node).
 func UTSOnce(o Options, system, tree string, workers, seqDepth int) Fig8Row {
+	o.Workers = workers
 	o.defaults(workers)
-	t := TreeByName(tree)
-	if o.WorkScale > 1 {
-		t.NodeWork *= sim.Time(o.WorkScale)
+	t := utsTree(o, tree)
+	st := utsRun(o, Coord{Experiment: "uts", System: system, Tree: t.Name, Workers: workers, Seed: o.Seed},
+		system, t, seqDepth)
+	serial := UTSSerialTime(MachineByName(o.Machine), t, st.Tasks)
+	return Fig8Row{
+		System: system, Tree: t.Name, Machine: o.Machine, Workers: workers,
+		Nodes: st.Tasks, ExecTime: st.Exec,
+		Throughput: float64(st.Tasks) / st.Exec.Seconds(),
+		Efficiency: float64(serial) / float64(st.Exec) / float64(workers),
 	}
-	row := Fig8Row{System: system, Tree: t.Name, Machine: o.Machine, Workers: workers}
-	var nodes int64
-	switch system {
-	case "ours":
-		// Claimed either at grid-construction time (pooled sweeps, see
-		// utsJob) or right here for direct single runs.
-		mine := o.obsClaimed || o.Obs.claim()
-		cfg := runCfg(o, Variant{"greedy", core.ContGreedy, remobj.LocalCollection})
-		cfg.Workers = workers
-		cfg.DequeCap = o.DequeCap
-		if mine {
-			o.Obs.apply(&cfg)
-		}
-		rt := core.New(cfg)
-		start := time.Now()
-		ret, st := rt.Run(workload.UTS(t, seqDepth))
-		// The traversal's own result is the node count — recounting the
-		// tree serially here would redo millions of SHA-1s per grid point.
-		nodes = core.RetInt64(ret)
-		row.ExecTime = st.ExecTime
-		if mine {
-			o.Obs.deliver(Coord{Experiment: "uts", System: system, Tree: t.Name,
-				Workers: workers, Seed: o.Seed}, rt, st)
-		}
-		reportEngine(Coord{Experiment: "uts", System: system, Tree: t.Name,
-			Workers: workers, Seed: o.Seed}, st, time.Since(start))
-	default:
-		nodes = t.Count()
-		root, expand := botExpand(t)
-		cfg := botConfig(o, workers)
-		var st bot.Stats
-		switch system {
-		case "saws":
-			st = bot.RunSAWS(cfg, root, expand)
-		case "charm":
-			st = bot.RunCharm(cfg, root, expand)
-		case "glb":
-			st = bot.RunGLB(cfg, root, expand)
-		default:
-			panic(fmt.Sprintf("experiments: unknown system %q", system))
-		}
-		row.ExecTime = st.Exec
-	}
-	row.Nodes = nodes
-	serial := UTSSerialTime(MachineByName(o.Machine), t, nodes)
-	row.Throughput = float64(nodes) / row.ExecTime.Seconds()
-	row.Efficiency = float64(serial) / float64(row.ExecTime) / float64(workers)
-	return row
 }
 
-// utsJob wraps one UTSOnce configuration as a sweep job. The collector is
-// claimed here, at grid-construction time, by the first "ours" job — only
-// our runtime produces traces, so baseline grid points do not compete.
+// utsJob wraps one UTSOnce configuration as a sweep job.
 func utsJob(o Options, experiment, system, tree string, workers, seqDepth int) Job {
-	if o.Seed == 0 {
-		o.Seed = 42 // mirror defaults() so the coordinates name the real seed
-	}
-	if system == "ours" && o.Obs.claim() {
-		o.obsClaimed = true
-	}
+	o = o.claimObs(system == "ours")
 	return Job{
 		Coord: Coord{Experiment: experiment, Tree: tree, System: system, Workers: workers, Seed: o.Seed},
 		Run:   func() any { return UTSOnce(o, system, tree, workers, seqDepth) },
@@ -507,6 +544,7 @@ func utsJob(o Options, experiment, system, tree string, workers, seqDepth int) J
 
 // Fig8 sweeps worker counts for every system on the given tree.
 func Fig8(o Options, tree string, workerCounts []int, seqDepth int) []Fig8Row {
+	o.defaults(0)
 	if workerCounts == nil {
 		workerCounts = []int{36, 72, 144, 288, 576}
 	}
@@ -525,6 +563,7 @@ func Fig9(o Options, tree string, workerCounts []int, seqDepth int) []Fig8Row {
 	if o.Machine == "" {
 		o.Machine = "wisteria"
 	}
+	o.defaults(0)
 	if workerCounts == nil {
 		workerCounts = []int{48, 192, 768, 3072}
 	}
@@ -534,6 +573,54 @@ func Fig9(o Options, tree string, workerCounts []int, seqDepth int) []Fig8Row {
 	}
 	return collect[Fig8Row](RunJobs(o.Parallel, jobs))
 }
+
+// utsLayout renders the UTS strong-scaling rows under a figure's title.
+func utsLayout(title string) Layout[Fig8Row] {
+	return Layout[Fig8Row]{
+		Section: func(r []Fig8Row) string { return "uts_" + r[0].Tree + "_" + r[0].Machine },
+		Title: func(r []Fig8Row) string {
+			return fmt.Sprintf("%s on %s, tree %s (%d nodes)", title, r[0].Machine, r[0].Tree, r[0].Nodes)
+		},
+		Table: []Col[Fig8Row]{
+			{"system", "%s", func(r Fig8Row) any { return r.System }},
+			{"workers", "%d", func(r Fig8Row) any { return r.Workers }},
+			{"exec", "%v", func(r Fig8Row) any { return r.ExecTime }},
+			{"throughput(Mnodes/s)", "%.2f", func(r Fig8Row) any { return r.Throughput / 1e6 }},
+			{"efficiency", "%.3f", func(r Fig8Row) any { return r.Efficiency }},
+		},
+		TSV: []Col[Fig8Row]{
+			{"system", "%s", func(r Fig8Row) any { return r.System }},
+			{"workers", "%d", func(r Fig8Row) any { return r.Workers }},
+			{"exec_s", "%.6f", func(r Fig8Row) any { return r.ExecTime.Seconds() }},
+			{"Mnodes_per_s", "%.3f", func(r Fig8Row) any { return r.Throughput / 1e6 }},
+			{"efficiency", "%.4f", func(r Fig8Row) any { return r.Efficiency }},
+		},
+		// The peak virtual-time node throughput across the sweep and our
+		// runtime's efficiency at its largest worker count.
+		Summary: func(rows []Fig8Row) map[string]float64 {
+			out := map[string]float64{}
+			var peak float64
+			oursWorkers := -1
+			for _, row := range rows {
+				if row.Throughput > peak {
+					peak = row.Throughput
+				}
+				if row.System == "ours" && row.Workers > oursWorkers {
+					oursWorkers = row.Workers
+					out["ours_efficiency"] = row.Efficiency
+				}
+			}
+			out["peak_mnodes_per_s"] = peak / 1e6
+			return out
+		},
+	}
+}
+
+// Fig8Layout and Fig9Layout render the UTS rows of Fig. 8 and Fig. 9.
+var (
+	Fig8Layout = utsLayout("Fig. 8: UTS throughput")
+	Fig9Layout = utsLayout("Fig. 9: UTS throughput (ours)")
+)
 
 // ---------------------------------------------------------------------------
 // Table III / Fig. 12 — LCS with futures
@@ -546,6 +633,12 @@ type Table3Row struct {
 	ExecTime sim.Time
 }
 
+// runLCS runs the LCS benchmark p under v.
+func runLCS(o Options, c Coord, v Variant, p workload.LCSParams) core.RunStats {
+	_, st := runTask(o, c, v, func(cfg *core.Config) { cfg.RetvalBytes = p.RetvalBytes() }, workload.LCS(p))
+	return st
+}
+
 // Table3 measures LCS under the three schedulers of Table III.
 func Table3(o Options, ns []int) []Table3Row {
 	o.defaults(72)
@@ -554,35 +647,27 @@ func Table3(o Options, ns []int) []Table3Row {
 	}
 	var jobs []Job
 	for _, n := range ns {
-		for _, v := range []Variant{
-			{"cont-greedy", core.ContGreedy, remobj.LocalCollection},
-			{"cont-stalling", core.ContStalling, remobj.LocalCollection},
-			{"child-full", core.ChildFull, remobj.LocalCollection},
-		} {
+		for _, v := range joinVariants[:3] {
 			coord := Coord{Experiment: "table3", Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-			mine := o.Obs.claim()
-			jobs = append(jobs, Job{
-				Coord: coord,
-				Run: func() any {
-					p := workload.DefaultLCSParams(n)
-					cfg := runCfg(o, v)
-					cfg.RetvalBytes = p.RetvalBytes()
-					if mine {
-						o.Obs.apply(&cfg)
-					}
-					rt := core.New(cfg)
-					start := time.Now()
-					_, st := rt.Run(workload.LCS(p))
-					if mine {
-						o.Obs.deliver(coord, rt, st)
-					}
-					reportEngine(coord, st, time.Since(start))
-					return Table3Row{N: n, Variant: v.Name, ExecTime: st.ExecTime}
-				},
-			})
+			oj := o.claimObs(true)
+			jobs = append(jobs, Job{Coord: coord, Run: func() any {
+				st := runLCS(oj, coord, v, workload.DefaultLCSParams(n))
+				return Table3Row{N: n, Variant: v.Name, ExecTime: st.ExecTime}
+			}})
 		}
 	}
 	return collect[Table3Row](RunJobs(o.Parallel, jobs))
+}
+
+// Table3Layout renders Table III rows.
+var Table3Layout = Layout[Table3Row]{
+	Section: func([]Table3Row) string { return "table3" },
+	Title:   func([]Table3Row) string { return "Table III: LCS execution times" },
+	Table: []Col[Table3Row]{
+		{"N", "%d", func(r Table3Row) any { return r.N }},
+		{"scheduler", "%s", func(r Table3Row) any { return r.Variant }},
+		{"exec", "%v", func(r Table3Row) any { return r.ExecTime }},
+	},
 }
 
 // Fig12Row is one point of Fig. 12: measured time against the
@@ -610,43 +695,52 @@ func Fig12(o Options, ns []int, workerCounts []int) []Fig12Row {
 	for _, n := range ns {
 		for _, w := range workerCounts {
 			coord := Coord{Experiment: "fig12", Variant: "greedy", N: n, Workers: w, Seed: o.Seed}
-			mine := o.Obs.claim()
-			jobs = append(jobs, Job{
-				Coord: coord,
-				Run: func() any {
-					mach := MachineByName(o.Machine)
-					p := workload.DefaultLCSParams(n)
-					t1 := mach.Compute(p.T1())
-					tinf := mach.Compute(p.TInf())
-					v := Variant{"greedy", core.ContGreedy, remobj.LocalCollection}
-					cfg := runCfg(o, v)
-					cfg.Workers = w
-					cfg.RetvalBytes = p.RetvalBytes()
-					if mine {
-						o.Obs.apply(&cfg)
-					}
-					rt := core.New(cfg)
-					start := time.Now()
-					_, st := rt.Run(workload.LCS(p))
-					if mine {
-						o.Obs.deliver(coord, rt, st)
-					}
-					reportEngine(coord, st, time.Since(start))
-					lower := t1 / sim.Time(w)
-					if tinf > lower {
-						lower = tinf
-					}
-					upper := t1/sim.Time(w) + tinf
-					return Fig12Row{
-						N: n, Workers: w, ExecTime: st.ExecTime,
-						LowerBound: lower, UpperBound: upper,
-						// Real schedulers may exceed the zero-overhead bound
-						// slightly (§V-D); report band membership with 10% slack.
-						InBand: st.ExecTime >= lower && float64(st.ExecTime) <= 1.10*float64(upper),
-					}
-				},
-			})
+			oj := o.claimObs(true)
+			oj.Workers = w
+			jobs = append(jobs, Job{Coord: coord, Run: func() any {
+				mach := MachineByName(o.Machine)
+				p := workload.DefaultLCSParams(n)
+				t1 := mach.Compute(p.T1())
+				tinf := mach.Compute(p.TInf())
+				st := runLCS(oj, coord, greedy, p)
+				lower := t1 / sim.Time(w)
+				if tinf > lower {
+					lower = tinf
+				}
+				upper := t1/sim.Time(w) + tinf
+				return Fig12Row{
+					N: n, Workers: w, ExecTime: st.ExecTime,
+					LowerBound: lower, UpperBound: upper,
+					// Real schedulers may exceed the zero-overhead bound
+					// slightly (§V-D); report band membership with 10% slack.
+					InBand: st.ExecTime >= lower && float64(st.ExecTime) <= 1.10*float64(upper),
+				}
+			}})
 		}
 	}
 	return collect[Fig12Row](RunJobs(o.Parallel, jobs))
+}
+
+// Fig12Layout renders Fig. 12 rows.
+var Fig12Layout = Layout[Fig12Row]{
+	Section: func([]Fig12Row) string { return "fig12" },
+	Title:   func([]Fig12Row) string { return "Fig. 12: LCS vs greedy-scheduling-theorem bounds" },
+	Table: []Col[Fig12Row]{
+		{"N", "%d", func(r Fig12Row) any { return r.N }},
+		{"workers", "%d", func(r Fig12Row) any { return r.Workers }},
+		{"exec", "%v", func(r Fig12Row) any { return r.ExecTime }},
+		{"lower=max(T1/P,Tinf)", "%v", func(r Fig12Row) any { return r.LowerBound }},
+		{"upper=T1/P+Tinf", "%v", func(r Fig12Row) any { return r.UpperBound }},
+		{"in-band", "%v", func(r Fig12Row) any { return r.InBand }},
+	},
+	// The fraction of points inside the greedy-scheduling band.
+	Summary: func(rows []Fig12Row) map[string]float64 {
+		in := 0
+		for _, row := range rows {
+			if row.InBand {
+				in++
+			}
+		}
+		return map[string]float64{"in_band_frac": float64(in) / float64(len(rows))}
+	},
 }

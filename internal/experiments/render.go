@@ -1,18 +1,19 @@
-// Uniform result rendering: every experiment's row set implements Rendering,
-// the serialization surface shared by cmd/repro's table/TSV/JSON emission and
-// the manifest pipeline (internal/manifest). The formats here are
-// byte-for-byte the ones the committed golden TSV fixtures pin — moving them
-// out of cmd/repro's nine ad-hoc print* paths must not change a single byte.
+// Uniform result rendering: an experiment declares its output once, as a
+// Layout — section name, table title, one column list for the aligned text
+// table and one for the TSV series, and its summary metrics — and the one
+// generic Rendering implementation below derives Section/Rows/Table/Series
+// from it. The column formats are byte-for-byte the ones the committed golden
+// TSV fixtures pin. Fig. 7's two-run time-series dump is the only result that
+// is not a row table and keeps a hand-written Rendering (Fig7Out).
 
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
 	"text/tabwriter"
-
-	"contsteal/internal/sim"
 )
 
 // Series is one TSV series of an experiment result, ready for plotting and
@@ -25,11 +26,13 @@ type Series struct {
 
 // Write emits the series in the committed TSV format: a header line, then
 // one tab-joined line per row.
-func (s Series) Write(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(s.Header, "\t"))
+func (s Series) Write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, strings.Join(s.Header, "\t"))
 	for _, r := range s.Cells {
-		fmt.Fprintln(w, strings.Join(r, "\t"))
+		fmt.Fprintln(bw, strings.Join(r, "\t"))
 	}
+	return bw.Flush()
 }
 
 // Rendering is the uniform serialization surface of an experiment result:
@@ -50,105 +53,116 @@ func NewTW(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// ---------------------------------------------------------------------------
-// Fig. 6
-// ---------------------------------------------------------------------------
-
-// Fig6Out renders Fig. 6 rows.
-type Fig6Out []Fig6Row
-
-func (r Fig6Out) Section() string {
-	if len(r) == 0 {
-		return ""
-	}
-	return "fig6_" + r[0].Bench + "_" + r[0].Machine
+// Col is one column of a table or series: its header, the fmt verb a cell
+// is printed with, and the row's value for it.
+type Col[R any] struct {
+	Head, Verb string
+	Val        func(R) any
 }
 
-func (r Fig6Out) Rows() any { return []Fig6Row(r) }
+// Layout declares how one experiment's rows render. Section and Title see
+// the full (non-empty) row set, so they can name the machine, tree or
+// benchmark the sweep ran on.
+type Layout[R any] struct {
+	Section func(rows []R) string // JSON section and TSV series name
+	Title   func(rows []R) string // table heading, printed as "== title =="
+	Table   []Col[R]              // aligned text table
+	TSV     []Col[R]              // plot series; nil for table-only experiments
+	// Extra adds series that are not one line per row (serve's per-request
+	// tail bands).
+	Extra   func(rows []R) []Series
+	Summary func(rows []R) map[string]float64
+}
 
-func (r Fig6Out) Table(w io.Writer) {
-	if len(r) == 0 {
+// Of binds rows to the layout as a Rendering. An empty row set renders as
+// nothing: Section "", no table, no series, no summary.
+func (l *Layout[R]) Of(rows []R) Rendering { return rendered[R]{l, rows} }
+
+type rendered[R any] struct {
+	l    *Layout[R]
+	rows []R
+}
+
+func (r rendered[R]) Section() string {
+	if len(r.rows) == 0 {
+		return ""
+	}
+	return r.l.Section(r.rows)
+}
+
+func (r rendered[R]) Rows() any { return r.rows }
+
+func (r rendered[R]) Table(w io.Writer) {
+	if len(r.rows) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "\n== Fig. 6: %s parallel efficiency on %s ==\n", r[0].Bench, r[0].Machine)
+	fmt.Fprintf(w, "\n== %s ==\n", r.l.Title(r.rows))
 	tw := NewTW(w)
-	fmt.Fprintln(tw, "N\tvariant\tideal(T1/P)\texec\tefficiency")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%d\t%s\t%v\t%v\t%.3f\n", row.N, row.Variant, row.IdealTime, row.ExecTime, row.Efficiency)
+	fmt.Fprintln(tw, strings.Join(heads(r.l.Table), "\t"))
+	for _, row := range r.rows {
+		fmt.Fprintln(tw, strings.Join(cells(r.l.Table, row), "\t"))
 	}
 	tw.Flush()
 }
 
-func (r Fig6Out) Series() []Series {
-	if len(r) == 0 {
+func (r rendered[R]) Series() []Series {
+	if len(r.rows) == 0 || r.l.TSV == nil {
 		return nil
 	}
-	s := Series{Name: r.Section(), Header: []string{"N", "variant", "ideal_s", "exec_s", "efficiency"}}
-	for _, row := range r {
-		s.Cells = append(s.Cells, []string{
-			fmt.Sprint(row.N), row.Variant,
-			fmt.Sprintf("%.6f", row.IdealTime.Seconds()),
-			fmt.Sprintf("%.6f", row.ExecTime.Seconds()),
-			fmt.Sprintf("%.4f", row.Efficiency)})
+	s := Series{Name: r.Section(), Header: heads(r.l.TSV)}
+	for _, row := range r.rows {
+		s.Cells = append(s.Cells, cells(r.l.TSV, row))
 	}
-	return []Series{s}
-}
-
-// Summary reports the parallel efficiency of the paper's full system (the
-// greedy variant) at the largest problem size of the sweep.
-func (r Fig6Out) Summary() map[string]float64 {
-	var out map[string]float64
-	for _, row := range r {
-		if row.Variant == "greedy" {
-			out = map[string]float64{"greedy_efficiency": row.Efficiency}
-		}
+	out := []Series{s}
+	if r.l.Extra != nil {
+		out = append(out, r.l.Extra(r.rows)...)
 	}
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Table II
-// ---------------------------------------------------------------------------
-
-// Table2Out renders Table II rows.
-type Table2Out []Table2Row
-
-func (r Table2Out) Section() string {
-	if len(r) == 0 {
-		return ""
+func (r rendered[R]) Summary() map[string]float64 {
+	if len(r.rows) == 0 || r.l.Summary == nil {
+		return nil
 	}
-	return "table2_" + r[0].Bench + "_" + r[0].Machine
+	return r.l.Summary(r.rows)
 }
 
-func (r Table2Out) Rows() any { return []Table2Row(r) }
-
-func (r Table2Out) Table(w io.Writer) {
-	if len(r) == 0 {
-		return
+func heads[R any](cols []Col[R]) []string {
+	out := make([]string, len(cols))
+	for i, c := range cols {
+		out[i] = c.Head
 	}
-	fmt.Fprintf(w, "\n== Table II: join/steal statistics, %s on %s ==\n", r[0].Bench, r[0].Machine)
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "strategy\texec\t#OJ\tavgOJtime\t#steals(ok)\tavgLatency\t#steals(fail)\tavgStolen\tavgCopy")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%s\t%v\t%d\t%v\t%d\t%v\t%d\t%.0fB\t%v\n",
-			row.Variant, row.ExecTime, row.OutstandingJoins, row.AvgOutstandingTime,
-			row.StealsOK, row.AvgStealLatency, row.StealsFailed, row.AvgStolenBytes, row.AvgTaskCopyTime)
-	}
-	tw.Flush()
+	return out
 }
 
-func (r Table2Out) Series() []Series            { return nil }
-func (r Table2Out) Summary() map[string]float64 { return nil }
+func cells[R any](cols []Col[R], row R) []string {
+	out := make([]string, len(cols))
+	for i, c := range cols {
+		out[i] = fmt.Sprintf(c.Verb, c.Val(row))
+	}
+	return out
+}
 
-// ---------------------------------------------------------------------------
-// Fig. 7
-// ---------------------------------------------------------------------------
+// machLabel is the machine tag of a sweep that may span machines: its
+// single machine, or "all" when the rows cover several.
+func machLabel[R interface{ machine() string }](rows []R) string {
+	label := rows[0].machine()
+	for _, row := range rows {
+		if row.machine() != label {
+			return "all"
+		}
+	}
+	return label
+}
 
-// Fig7Out renders the Fig. 7 time-series pair.
+// Fig7Out renders the Fig. 7 time-series pair: two sampled runs of unequal
+// length side by side, dumped as raw tab-separated lines.
 type Fig7Out struct{ R Fig7Result }
 
-func (r Fig7Out) Section() string { return "fig7" }
-func (r Fig7Out) Rows() any       { return r.R }
+func (r Fig7Out) Section() string             { return "fig7" }
+func (r Fig7Out) Rows() any                   { return r.R }
+func (r Fig7Out) Series() []Series            { return nil }
+func (r Fig7Out) Summary() map[string]float64 { return nil }
 
 func (r Fig7Out) Table(w io.Writer) {
 	fmt.Fprintf(w, "\n== Fig. 7: RecPFor scheduler activity time series (%d workers) ==\n", r.R.Workers)
@@ -172,452 +186,4 @@ func (r Fig7Out) Table(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%.1f\t%s\t%s\t%s\t%s\n", t, bg, rg, bc, rc)
 	}
-}
-
-func (r Fig7Out) Series() []Series            { return nil }
-func (r Fig7Out) Summary() map[string]float64 { return nil }
-
-// ---------------------------------------------------------------------------
-// Fig. 8 / Fig. 9
-// ---------------------------------------------------------------------------
-
-// Fig8Out renders the UTS strong-scaling rows of Fig. 8 or Fig. 9 (the Fig
-// field selects the title).
-type Fig8Out struct {
-	Fig string // "fig8" or "fig9"
-	R   []Fig8Row
-}
-
-func (r Fig8Out) title() string {
-	m := ""
-	if len(r.R) > 0 {
-		m = r.R[0].Machine
-	}
-	if r.Fig == "fig9" {
-		return "Fig. 9: UTS throughput (ours) on " + m
-	}
-	return "Fig. 8: UTS throughput on " + m
-}
-
-func (r Fig8Out) Section() string {
-	if len(r.R) == 0 {
-		return ""
-	}
-	return "uts_" + r.R[0].Tree + "_" + r.R[0].Machine
-}
-
-func (r Fig8Out) Rows() any { return r.R }
-
-func (r Fig8Out) Table(w io.Writer) {
-	if len(r.R) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n== %s, tree %s (%d nodes) ==\n", r.title(), r.R[0].Tree, r.R[0].Nodes)
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "system\tworkers\texec\tthroughput(Mnodes/s)\tefficiency")
-	for _, row := range r.R {
-		fmt.Fprintf(tw, "%s\t%d\t%v\t%.2f\t%.3f\n",
-			row.System, row.Workers, row.ExecTime, row.Throughput/1e6, row.Efficiency)
-	}
-	tw.Flush()
-}
-
-func (r Fig8Out) Series() []Series {
-	if len(r.R) == 0 {
-		return nil
-	}
-	s := Series{Name: r.Section(), Header: []string{"system", "workers", "exec_s", "Mnodes_per_s", "efficiency"}}
-	for _, row := range r.R {
-		s.Cells = append(s.Cells, []string{
-			row.System, fmt.Sprint(row.Workers),
-			fmt.Sprintf("%.6f", row.ExecTime.Seconds()),
-			fmt.Sprintf("%.3f", row.Throughput/1e6),
-			fmt.Sprintf("%.4f", row.Efficiency)})
-	}
-	return []Series{s}
-}
-
-// Summary reports the peak virtual-time node throughput across the sweep and
-// our runtime's efficiency at its largest worker count.
-func (r Fig8Out) Summary() map[string]float64 {
-	if len(r.R) == 0 {
-		return nil
-	}
-	out := map[string]float64{}
-	var peak float64
-	oursWorkers := -1
-	for _, row := range r.R {
-		if row.Throughput > peak {
-			peak = row.Throughput
-		}
-		if row.System == "ours" && row.Workers > oursWorkers {
-			oursWorkers = row.Workers
-			out["ours_efficiency"] = row.Efficiency
-		}
-	}
-	out["peak_mnodes_per_s"] = peak / 1e6
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Table III
-// ---------------------------------------------------------------------------
-
-// Table3Out renders Table III rows.
-type Table3Out []Table3Row
-
-func (r Table3Out) Section() string { return "table3" }
-func (r Table3Out) Rows() any       { return []Table3Row(r) }
-
-func (r Table3Out) Table(w io.Writer) {
-	fmt.Fprintf(w, "\n== Table III: LCS execution times ==\n")
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "N\tscheduler\texec")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%d\t%s\t%v\n", row.N, row.Variant, row.ExecTime)
-	}
-	tw.Flush()
-}
-
-func (r Table3Out) Series() []Series            { return nil }
-func (r Table3Out) Summary() map[string]float64 { return nil }
-
-// ---------------------------------------------------------------------------
-// Fig. 12
-// ---------------------------------------------------------------------------
-
-// Fig12Out renders Fig. 12 rows.
-type Fig12Out []Fig12Row
-
-func (r Fig12Out) Section() string { return "fig12" }
-func (r Fig12Out) Rows() any       { return []Fig12Row(r) }
-
-func (r Fig12Out) Table(w io.Writer) {
-	fmt.Fprintf(w, "\n== Fig. 12: LCS vs greedy-scheduling-theorem bounds ==\n")
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "N\tworkers\texec\tlower=max(T1/P,Tinf)\tupper=T1/P+Tinf\tin-band")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%d\t%d\t%v\t%v\t%v\t%v\n",
-			row.N, row.Workers, row.ExecTime, row.LowerBound, row.UpperBound, row.InBand)
-	}
-	tw.Flush()
-}
-
-func (r Fig12Out) Series() []Series { return nil }
-
-// Summary reports the fraction of points inside the greedy-scheduling band.
-func (r Fig12Out) Summary() map[string]float64 {
-	if len(r) == 0 {
-		return nil
-	}
-	in := 0
-	for _, row := range r {
-		if row.InBand {
-			in++
-		}
-	}
-	return map[string]float64{"in_band_frac": float64(in) / float64(len(r))}
-}
-
-// ---------------------------------------------------------------------------
-// Resilience
-// ---------------------------------------------------------------------------
-
-// ResilienceOut renders resilience sweep rows.
-type ResilienceOut []ResilienceRow
-
-// machLabel is the machine tag of the output: the single machine of the
-// sweep, or "all" when the rows span both.
-func (r ResilienceOut) machLabel() string {
-	label := r[0].Machine
-	for _, row := range r {
-		if row.Machine != label {
-			return "all"
-		}
-	}
-	return label
-}
-
-func (r ResilienceOut) Section() string {
-	if len(r) == 0 {
-		return ""
-	}
-	return "resilience_" + r[0].Tree + "_" + r.machLabel()
-}
-
-func (r ResilienceOut) Rows() any { return []ResilienceRow(r) }
-
-func (r ResilienceOut) Table(w io.Writer) {
-	if len(r) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n== Resilience: UTS slowdown under fault injection (%s) ==\n", r.machLabel())
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "machine\tsystem\tscenario\tlevel\texec\tslowdown\tdrops\tretrans")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%g\t%v\t%.3f\t%d\t%d\n",
-			row.Machine, row.System, row.Scenario, row.Level, row.ExecTime, row.Slowdown, row.Drops, row.Retrans)
-	}
-	tw.Flush()
-}
-
-func (r ResilienceOut) Series() []Series {
-	if len(r) == 0 {
-		return nil
-	}
-	s := Series{Name: r.Section(), Header: []string{"machine", "system", "scenario", "level", "exec_s", "slowdown", "drops", "retrans"}}
-	for _, row := range r {
-		s.Cells = append(s.Cells, []string{
-			row.Machine, row.System, row.Scenario,
-			fmt.Sprintf("%g", row.Level),
-			fmt.Sprintf("%.6f", row.ExecTime.Seconds()),
-			fmt.Sprintf("%.4f", row.Slowdown),
-			fmt.Sprint(row.Drops), fmt.Sprint(row.Retrans)})
-	}
-	return []Series{s}
-}
-
-// Summary reports the worst slowdown any system exhibited under injection.
-func (r ResilienceOut) Summary() map[string]float64 {
-	if len(r) == 0 {
-		return nil
-	}
-	var max float64
-	for _, row := range r {
-		if row.Slowdown > max {
-			max = row.Slowdown
-		}
-	}
-	return map[string]float64{"max_slowdown": max}
-}
-
-// ---------------------------------------------------------------------------
-// Serve
-// ---------------------------------------------------------------------------
-
-// ServeOut renders open-system serving rows.
-type ServeOut []ServeRow
-
-func (r ServeOut) machLabel() string {
-	label := r[0].Machine
-	for _, row := range r {
-		if row.Machine != label {
-			return "all"
-		}
-	}
-	return label
-}
-
-func (r ServeOut) Section() string {
-	if len(r) == 0 {
-		return ""
-	}
-	return "serve_" + r.machLabel()
-}
-
-func (r ServeOut) Rows() any { return []ServeRow(r) }
-
-func (r ServeOut) Table(w io.Writer) {
-	if len(r) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n== Serving: open-system sojourn latency and goodput on %s ==\n", r.machLabel())
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "system\tarrivals\tadmit\tload\toffered(rps)\tadm\trej\tdone\tinflight\tp50\tp99\tp999\tgoodput(rps)")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%g\t%.0f\t%d\t%d\t%d\t%d\t%v\t%v\t%v\t%.0f\n",
-			row.System, row.Process, row.Admit, row.Load, row.OfferedRps,
-			row.Admitted, row.Rejected, row.Completed, row.InFlight,
-			row.P50, row.P99, row.P999, row.GoodputRps)
-	}
-	tw.Flush()
-}
-
-func (r ServeOut) Series() []Series {
-	if len(r) == 0 {
-		return nil
-	}
-	s := Series{Name: r.Section(), Header: []string{
-		"machine", "system", "process", "admit", "load", "offered_rps",
-		"requests", "admitted", "rejected", "injected", "completed", "inflight",
-		"p50_ns", "p99_ns", "p999_ns", "mean_ns", "max_ns", "makespan_s", "goodput_rps"}}
-	for _, row := range r {
-		s.Cells = append(s.Cells, []string{
-			row.Machine, row.System, row.Process, row.Admit,
-			fmt.Sprintf("%g", row.Load),
-			fmt.Sprintf("%.3f", row.OfferedRps),
-			fmt.Sprint(row.Requests), fmt.Sprint(row.Admitted), fmt.Sprint(row.Rejected),
-			fmt.Sprint(row.Injected), fmt.Sprint(row.Completed), fmt.Sprint(row.InFlight),
-			fmt.Sprint(int64(row.P50)), fmt.Sprint(int64(row.P99)), fmt.Sprint(int64(row.P999)),
-			fmt.Sprint(int64(row.MeanSojourn)), fmt.Sprint(int64(row.MaxSojourn)),
-			fmt.Sprintf("%.6f", row.Makespan.Seconds()),
-			fmt.Sprintf("%.3f", row.GoodputRps)})
-	}
-	out := []Series{s}
-	if rs, ok := r.RequestSeries(); ok {
-		out = append(out, rs)
-	}
-	return out
-}
-
-// RequestSeries renders the per-request tail-attribution bands of the sweep
-// as their own TSV series (one line per ours-cell × band). Component columns
-// partition sojourn_ns exactly on every line — the conservation contract is
-// visible in the fixture itself. ok is false when no row carries bands
-// (request tracing off, or a bot-only sweep).
-func (r ServeOut) RequestSeries() (Series, bool) {
-	s := Series{Name: "serve_requests_" + r.machLabel(), Header: []string{
-		"machine", "system", "process", "admit", "load", "band", "requests",
-		"sojourn_ns", "admit_wait_ns", "queue_ns", "compute_ns", "steal_ns",
-		"fabric_ns", "sched_ns", "join_ns", "dominant"}}
-	for _, row := range r {
-		for _, b := range row.Bands {
-			s.Cells = append(s.Cells, []string{
-				row.Machine, row.System, row.Process, row.Admit,
-				fmt.Sprintf("%g", row.Load), b.Band, fmt.Sprint(b.Requests),
-				fmt.Sprint(int64(b.Sojourn)), fmt.Sprint(int64(b.AdmitWait)),
-				fmt.Sprint(int64(b.Queue)), fmt.Sprint(int64(b.Compute)),
-				fmt.Sprint(int64(b.StealXfer)), fmt.Sprint(int64(b.FabricWait)),
-				fmt.Sprint(int64(b.Sched)), fmt.Sprint(int64(b.JoinWait)),
-				b.DominantDelay()})
-		}
-	}
-	return s, len(s.Cells) > 0
-}
-
-// Summary reports the saturation throughput (the best goodput any cell of
-// the sweep sustained) and, when request attribution ran, the tail-latency
-// headline: the worst p999 sojourn among "ours" cells plus the share of
-// that cell's p999-band sojourn going to its dominant delay component (the
-// component's name is embedded in the key).
-func (r ServeOut) Summary() map[string]float64 {
-	if len(r) == 0 {
-		return nil
-	}
-	var max float64
-	worst := -1
-	for i, row := range r {
-		if row.GoodputRps > max {
-			max = row.GoodputRps
-		}
-		if len(row.Bands) > 0 && (worst < 0 || row.P999 > r[worst].P999) {
-			worst = i
-		}
-	}
-	out := map[string]float64{"saturation_goodput_rps": max}
-	if worst >= 0 {
-		row := r[worst]
-		out["p999_sojourn_us"] = float64(row.P999) / 1e3
-		for _, b := range row.Bands {
-			if b.Band == "p999" && b.Sojourn > 0 {
-				out["p999_dominant_share_"+b.DominantDelay()] = dominantShare(b)
-			}
-		}
-	}
-	return out
-}
-
-// dominantShare is the fraction of the band's total sojourn spent in its
-// dominant delay component.
-func dominantShare(b ServeReqBand) float64 {
-	var v sim.Time
-	switch b.DominantDelay() {
-	case "admit_wait":
-		v = b.AdmitWait
-	case "queue":
-		v = b.Queue
-	case "steal":
-		v = b.StealXfer
-	case "fabric":
-		v = b.FabricWait
-	case "sched":
-		v = b.Sched
-	case "join":
-		v = b.JoinWait
-	}
-	return float64(v) / float64(b.Sojourn)
-}
-
-// ---------------------------------------------------------------------------
-// Steal-policy zoo
-// ---------------------------------------------------------------------------
-
-// StealZooOut renders steal-policy sweep rows.
-type StealZooOut []StealZooRow
-
-func (r StealZooOut) machLabel() string {
-	label := r[0].Machine
-	for _, row := range r {
-		if row.Machine != label {
-			return "all"
-		}
-	}
-	return label
-}
-
-func (r StealZooOut) Section() string {
-	if len(r) == 0 {
-		return ""
-	}
-	return "stealzoo_" + r.machLabel()
-}
-
-func (r StealZooOut) Rows() any { return []StealZooRow(r) }
-
-func (r StealZooOut) Table(w io.Writer) {
-	if len(r) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\n== Steal-policy zoo: %s DAG slowdown vs uniform stealing (%s) ==\n",
-		r[0].Shape, r.machLabel())
-	tw := NewTW(w)
-	fmt.Fprintln(tw, "machine\tpolicy\tscenario\tlevel\texec\tslowdown\tsteals\tfails\tmigr\tsurplus")
-	for _, row := range r {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%g\t%v\t%.3f\t%d\t%d\t%d\t%d\n",
-			row.Machine, row.Policy, row.Scenario, row.Level, row.ExecTime,
-			row.Slowdown, row.StealsOK, row.StealsFail, row.Migrations, row.Surplus)
-	}
-	tw.Flush()
-}
-
-func (r StealZooOut) Series() []Series {
-	if len(r) == 0 {
-		return nil
-	}
-	s := Series{Name: r.Section(), Header: []string{
-		"machine", "policy", "shape", "scenario", "level", "checksum",
-		"exec_s", "slowdown", "steals_ok", "steals_fail", "migrations", "surplus"}}
-	for _, row := range r {
-		s.Cells = append(s.Cells, []string{
-			row.Machine, row.Policy, row.Shape, row.Scenario,
-			fmt.Sprintf("%g", row.Level),
-			fmt.Sprint(row.Checksum),
-			fmt.Sprintf("%.6f", row.ExecTime.Seconds()),
-			fmt.Sprintf("%.4f", row.Slowdown),
-			fmt.Sprint(row.StealsOK), fmt.Sprint(row.StealsFail),
-			fmt.Sprint(row.Migrations), fmt.Sprint(row.Surplus)})
-	}
-	return []Series{s}
-}
-
-// Summary reports the best (lowest) slowdown any non-uniform policy reached
-// under perturbation, and the worst overall.
-func (r StealZooOut) Summary() map[string]float64 {
-	if len(r) == 0 {
-		return nil
-	}
-	best, worst := 0.0, 0.0
-	for _, row := range r {
-		if row.Slowdown == 0 {
-			continue
-		}
-		if row.Policy != "uniform" && row.Scenario != "baseline" &&
-			(best == 0 || row.Slowdown < best) {
-			best = row.Slowdown
-		}
-		if row.Slowdown > worst {
-			worst = row.Slowdown
-		}
-	}
-	return map[string]float64{"best_policy_slowdown": best, "max_slowdown": worst}
 }

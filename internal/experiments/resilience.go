@@ -10,14 +10,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"contsteal/internal/bot"
-	"contsteal/internal/core"
-	"contsteal/internal/remobj"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
-	"contsteal/internal/workload"
 )
 
 // ResilienceRow is one point of the resilience sweep: one system on one
@@ -110,20 +105,25 @@ func Resilience(o Options, tree string, seqDepth int) []ResilienceRow {
 				if sc.msgOnly && !system.msgBased {
 					continue
 				}
-				oj := o
+				sys := system.name
+				oj := o.claimObs(sys == "ours")
 				oj.Machine = machine
 				oj.Perturb = sc.make(o.Seed, sc.level)
-				sys, sc := system.name, sc
-				jobs = append(jobs, Job{
-					Coord: Coord{
-						Experiment: "resilience", Tree: tree, System: sys,
-						Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
-						Workers: oj.Workers, Seed: oj.Seed,
-					},
-					Run: func() any {
-						return resilienceOnce(oj, sys, tree, seqDepth, sc)
-					},
-				})
+				coord := Coord{
+					Experiment: "resilience", Tree: tree, System: sys,
+					Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
+					Workers: oj.Workers, Seed: oj.Seed,
+				}
+				jobs = append(jobs, Job{Coord: coord, Run: func() any {
+					t := utsTree(oj, tree)
+					st := utsRun(oj, coord, sys, t, seqDepth)
+					return ResilienceRow{
+						Machine: machine, System: sys, Tree: t.Name,
+						Scenario: sc.name, Level: sc.level, Workers: oj.Workers,
+						Nodes: st.Tasks, ExecTime: st.Exec,
+						Drops: st.Dropped, Retrans: st.Retransmits,
+					}
+				}})
 			}
 		}
 	}
@@ -145,49 +145,44 @@ func Resilience(o Options, tree string, seqDepth int) []ResilienceRow {
 	return rows
 }
 
-// resilienceOnce runs one grid point. oj.Perturb already carries the
-// scenario's perturbation (nil for baseline).
-func resilienceOnce(oj Options, system, tree string, seqDepth int, sc resilienceScenario) ResilienceRow {
-	t := TreeByName(tree)
-	if oj.WorkScale > 1 {
-		t.NodeWork *= sim.Time(oj.WorkScale)
-	}
-	row := ResilienceRow{
-		Machine: oj.Machine, System: system, Tree: t.Name,
-		Scenario: sc.name, Level: sc.level, Workers: oj.Workers,
-	}
-	switch system {
-	case "ours":
-		cfg := runCfg(oj, Variant{"greedy", core.ContGreedy, remobj.LocalCollection})
-		cfg.DequeCap = oj.DequeCap
-		rt := core.New(cfg)
-		start := time.Now()
-		ret, st := rt.Run(workload.UTS(t, seqDepth))
-		row.Nodes = core.RetInt64(ret)
-		row.ExecTime = st.ExecTime
-		reportEngine(Coord{
-			Experiment: "resilience", Tree: tree, System: system,
-			Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
-			Workers: oj.Workers, Seed: oj.Seed,
-		}, st, time.Since(start))
-	default:
-		root, expand := botExpand(t)
-		cfg := botConfig(oj, oj.Workers)
-		var st bot.Stats
-		switch system {
-		case "saws":
-			st = bot.RunSAWS(cfg, root, expand)
-		case "charm":
-			st = bot.RunCharm(cfg, root, expand)
-		case "glb":
-			st = bot.RunGLB(cfg, root, expand)
-		default:
-			panic(fmt.Sprintf("experiments: unknown system %q", system))
+func (r ResilienceRow) machine() string { return r.Machine }
+
+// ResilienceLayout renders resilience sweep rows.
+var ResilienceLayout = Layout[ResilienceRow]{
+	Section: func(r []ResilienceRow) string {
+		return "resilience_" + r[0].Tree + "_" + machLabel(r)
+	},
+	Title: func(r []ResilienceRow) string {
+		return fmt.Sprintf("Resilience: UTS slowdown under fault injection (%s)", machLabel(r))
+	},
+	Table: []Col[ResilienceRow]{
+		{"machine", "%s", func(r ResilienceRow) any { return r.Machine }},
+		{"system", "%s", func(r ResilienceRow) any { return r.System }},
+		{"scenario", "%s", func(r ResilienceRow) any { return r.Scenario }},
+		{"level", "%g", func(r ResilienceRow) any { return r.Level }},
+		{"exec", "%v", func(r ResilienceRow) any { return r.ExecTime }},
+		{"slowdown", "%.3f", func(r ResilienceRow) any { return r.Slowdown }},
+		{"drops", "%d", func(r ResilienceRow) any { return r.Drops }},
+		{"retrans", "%d", func(r ResilienceRow) any { return r.Retrans }},
+	},
+	TSV: []Col[ResilienceRow]{
+		{"machine", "%s", func(r ResilienceRow) any { return r.Machine }},
+		{"system", "%s", func(r ResilienceRow) any { return r.System }},
+		{"scenario", "%s", func(r ResilienceRow) any { return r.Scenario }},
+		{"level", "%g", func(r ResilienceRow) any { return r.Level }},
+		{"exec_s", "%.6f", func(r ResilienceRow) any { return r.ExecTime.Seconds() }},
+		{"slowdown", "%.4f", func(r ResilienceRow) any { return r.Slowdown }},
+		{"drops", "%d", func(r ResilienceRow) any { return r.Drops }},
+		{"retrans", "%d", func(r ResilienceRow) any { return r.Retrans }},
+	},
+	// The worst slowdown any system exhibited under injection.
+	Summary: func(rows []ResilienceRow) map[string]float64 {
+		var max float64
+		for _, row := range rows {
+			if row.Slowdown > max {
+				max = row.Slowdown
+			}
 		}
-		row.Nodes = st.Tasks
-		row.ExecTime = st.Exec
-		row.Drops = st.Dropped
-		row.Retrans = st.Retransmits
-	}
-	return row
+		return map[string]float64{"max_slowdown": max}
+	},
 }

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"contsteal/internal/bot"
 	"contsteal/internal/core"
-	"contsteal/internal/remobj"
 	"contsteal/internal/sim"
 	"contsteal/internal/workload"
 )
@@ -74,6 +72,12 @@ type ServeReqBand struct {
 // Returns "none" when the band has no delay at all. Ties break toward the
 // earlier name in the fixed order, so the label is deterministic.
 func (b ServeReqBand) DominantDelay() string {
+	name, _ := b.dominant()
+	return name
+}
+
+// dominant is DominantDelay plus the component's total over the band.
+func (b ServeReqBand) dominant() (string, sim.Time) {
 	names := [...]string{"admit_wait", "queue", "steal", "fabric", "sched", "join"}
 	vals := [...]sim.Time{b.AdmitWait, b.Queue, b.StealXfer, b.FabricWait, b.Sched, b.JoinWait}
 	best := 0
@@ -83,9 +87,9 @@ func (b ServeReqBand) DominantDelay() string {
 		}
 	}
 	if vals[best] == 0 {
-		return "none"
+		return "none", 0
 	}
-	return names[best]
+	return names[best], vals[best]
 }
 
 // ServeReqBands folds per-request attributions into the three tail bands.
@@ -224,14 +228,6 @@ func (p ServeParams) admission(name string, capacityRps float64) *workload.Admis
 	}
 }
 
-// percentile returns the exact q-quantile of sorted by the order-statistic
-// rule x_(⌈q·n⌉) — no interpolation, so goldens are byte-stable. It
-// delegates to core.Percentile so experiment rows and trace-side request
-// tables agree digit-for-digit.
-func percentile(sorted []sim.Time, q float64) sim.Time {
-	return core.Percentile(sorted, q)
-}
-
 // fillSojourns completes a row from per-request sojourn times and the run's
 // makespan.
 func (r *ServeRow) fillSojourns(sojourns []sim.Time, makespan sim.Time) {
@@ -244,9 +240,12 @@ func (r *ServeRow) fillSojourns(sojourns []sim.Time, makespan sim.Time) {
 	for _, s := range sojourns {
 		sum += s
 	}
-	r.P50 = percentile(sojourns, 0.50)
-	r.P99 = percentile(sojourns, 0.99)
-	r.P999 = percentile(sojourns, 0.999)
+	// core.Percentile is the order-statistic rule x_(⌈q·n⌉) — no
+	// interpolation, so goldens are byte-stable — shared with the trace-side
+	// request tables, which must agree digit-for-digit.
+	r.P50 = core.Percentile(sojourns, 0.50)
+	r.P99 = core.Percentile(sojourns, 0.99)
+	r.P999 = core.Percentile(sojourns, 0.999)
 	r.MeanSojourn = sum / sim.Time(len(sojourns))
 	r.MaxSojourn = sojourns[len(sojourns)-1]
 	if makespan > 0 {
@@ -279,8 +278,7 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 		Admitted: uint64(len(admitted)), Rejected: uint64(len(reqs) - len(admitted)),
 	}
 
-	switch system {
-	case "ours":
+	if system == "ours" {
 		coreReqs := make([]core.Request, len(admitted))
 		for i, r := range admitted {
 			coreReqs[i] = core.Request{
@@ -288,26 +286,17 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 				Fn: workload.ServeDAG(r.Fanout, r.Depth, spec.NodeWork),
 			}
 		}
-		mine := o.obsClaimed || o.Obs.claim()
-		cfg := runCfg(o, Variant{"greedy", core.ContGreedy, remobj.LocalCollection})
-		cfg.DequeCap = o.DequeCap
-		if mine {
-			o.Obs.apply(&cfg)
-		}
-		if !p.NoReqTrace {
-			// Request attribution needs the event trace; tracers only
-			// observe, so this cannot change a single simulated tick.
-			cfg.Trace = true
-		}
-		rt := core.New(cfg)
-		start := time.Now()
-		st := rt.Serve(coreReqs, p.Horizon)
 		coord := Coord{Experiment: "serve", System: system, Bench: process,
 			Variant: admit, N: int(load * 100), Workers: o.Workers, Seed: o.Seed}
-		if mine {
-			o.Obs.deliver(coord, rt, st.RunStats)
-		}
-		reportEngine(coord, st.RunStats, time.Since(start))
+		var st core.ServeStats
+		rt := runCore(o, coord, greedy, func(cfg *core.Config) {
+			// Request attribution needs the event trace; tracers only
+			// observe, so this cannot change a single simulated tick.
+			cfg.Trace = !p.NoReqTrace
+		}, func(rt *core.Runtime) core.RunStats {
+			st = rt.Serve(coreReqs, p.Horizon)
+			return st.RunStats
+		})
 		row.Injected = st.Injected
 		row.Completed = st.Completed
 		row.InFlight = st.InFlight
@@ -324,80 +313,52 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 			}
 			row.Bands = ServeReqBands(tlog.RequestAttribution())
 		}
-	case "saws", "charm", "glb":
-		arrivals := make([]bot.ServeArrival, len(admitted))
-		arrivedAt := make(map[int64]sim.Time, len(admitted))
-		outstanding := make(map[int64]int64, len(admitted))
-		var sojourns []sim.Time
-		var completed, injected uint64
-		for i, r := range admitted {
-			arrivals[i] = bot.ServeArrival{
-				At:   r.At,
-				Rank: i % o.Workers,
-				Task: bot.ServeTask(r.ID, r.Fanout, r.Depth),
-			}
-			arrivedAt[r.ID] = r.At
-			outstanding[r.ID] = 1 // the injected root task
+		return row
+	}
+
+	arrivals := make([]bot.ServeArrival, len(admitted))
+	arrivedAt := make(map[int64]sim.Time, len(admitted))
+	outstanding := make(map[int64]int64, len(admitted))
+	var sojourns []sim.Time
+	var completed uint64
+	for i, r := range admitted {
+		arrivals[i] = bot.ServeArrival{
+			At:   r.At,
+			Rank: i % o.Workers,
+			Task: bot.ServeTask(r.ID, r.Fanout, r.Depth),
 		}
-		cfg := botConfig(o, o.Workers)
-		cfg.Work = p.NodeWork
-		cfg.Serve = &bot.Serve{
-			Arrivals: arrivals,
-			Horizon:  p.Horizon,
-			OnTask: func(t bot.Task, children int, now sim.Time) {
-				id := bot.ServeTaskID(t)
-				outstanding[id] += int64(children) - 1
-				if outstanding[id] == 0 {
-					completed++
-					sojourns = append(sojourns, now-arrivedAt[id])
-				}
-			},
-		}
-		var st bot.Stats
-		switch system {
-		case "saws":
-			st = bot.RunSAWS(cfg, bot.Task{}, bot.ServeExpand)
-		case "charm":
-			st = bot.RunCharm(cfg, bot.Task{}, bot.ServeExpand)
-		case "glb":
-			st = bot.RunGLB(cfg, bot.Task{}, bot.ServeExpand)
-		}
+		arrivedAt[r.ID] = r.At
+		outstanding[r.ID] = 1 // the injected root task
 		// Every admitted arrival before the horizon fires exactly once; the
 		// rest stay in flight by definition (they never entered the system).
-		for _, a := range arrivals {
-			if p.Horizon <= 0 || a.At < p.Horizon {
-				injected++
-			}
+		if p.Horizon <= 0 || r.At < p.Horizon {
+			row.Injected++
 		}
-		row.Injected = injected
-		row.Completed = completed
-		row.InFlight = row.Admitted - completed
-		row.fillSojourns(sojourns, st.Exec)
-	default:
-		panic(fmt.Sprintf("experiments: unknown system %q", system))
 	}
+	cfg := botConfig(o)
+	cfg.Work = p.NodeWork
+	cfg.Serve = &bot.Serve{
+		Arrivals: arrivals,
+		Horizon:  p.Horizon,
+		OnTask: func(t bot.Task, children int, now sim.Time) {
+			id := bot.ServeTaskID(t)
+			outstanding[id] += int64(children) - 1
+			if outstanding[id] == 0 {
+				completed++
+				sojourns = append(sojourns, now-arrivedAt[id])
+			}
+		},
+	}
+	st := bot.Run(system, cfg, bot.Task{}, bot.ServeExpand)
+	row.Completed = completed
+	row.InFlight = row.Admitted - completed
+	row.fillSojourns(sojourns, st.Exec)
 	return row
 }
 
-// serveJob wraps one cell as a sweep job, claiming the observability
-// collector at grid-construction time for the first "ours" cell (only the
-// fork-join runtime produces traces).
-func serveJob(o Options, p ServeParams, system, process, admit string, load float64) Job {
-	if o.Seed == 0 {
-		o.Seed = 42 // mirror defaults() so the coordinates name the real seed
-	}
-	if system == "ours" && o.Obs.claim() {
-		o.obsClaimed = true
-	}
-	return Job{
-		Coord: Coord{Experiment: "serve", System: system, Bench: process,
-			Variant: admit, N: int(load * 100), Workers: o.Workers, Seed: o.Seed},
-		Run: func() any { return ServeOnce(o, p, system, process, admit, load) },
-	}
-}
-
 // Serve sweeps the full (system × process × admission × load) grid on the
-// sweep pool and returns rows in grid order.
+// sweep pool and returns rows in grid order. The first "ours" cell claims the
+// observability collector (only the fork-join runtime produces traces).
 func Serve(o Options, p ServeParams) []ServeRow {
 	o.defaults(36)
 	p.defaults()
@@ -406,10 +367,133 @@ func Serve(o Options, p ServeParams) []ServeRow {
 		for _, process := range p.Processes {
 			for _, admit := range p.Admits {
 				for _, load := range p.Loads {
-					jobs = append(jobs, serveJob(o, p, system, process, admit, load))
+					oj := o.claimObs(system == "ours")
+					jobs = append(jobs, Job{
+						Coord: Coord{Experiment: "serve", System: system, Bench: process,
+							Variant: admit, N: int(load * 100), Workers: o.Workers, Seed: o.Seed},
+						Run: func() any { return ServeOnce(oj, p, system, process, admit, load) },
+					})
 				}
 			}
 		}
 	}
 	return collect[ServeRow](RunJobs(o.Parallel, jobs))
+}
+
+func (r ServeRow) machine() string { return r.Machine }
+
+// ServeLayout renders open-system serving rows.
+var ServeLayout = Layout[ServeRow]{
+	Section: func(r []ServeRow) string { return "serve_" + machLabel(r) },
+	Title: func(r []ServeRow) string {
+		return "Serving: open-system sojourn latency and goodput on " + machLabel(r)
+	},
+	Table: []Col[ServeRow]{
+		{"system", "%s", func(r ServeRow) any { return r.System }},
+		{"arrivals", "%s", func(r ServeRow) any { return r.Process }},
+		{"admit", "%s", func(r ServeRow) any { return r.Admit }},
+		{"load", "%g", func(r ServeRow) any { return r.Load }},
+		{"offered(rps)", "%.0f", func(r ServeRow) any { return r.OfferedRps }},
+		{"adm", "%d", func(r ServeRow) any { return r.Admitted }},
+		{"rej", "%d", func(r ServeRow) any { return r.Rejected }},
+		{"done", "%d", func(r ServeRow) any { return r.Completed }},
+		{"inflight", "%d", func(r ServeRow) any { return r.InFlight }},
+		{"p50", "%v", func(r ServeRow) any { return r.P50 }},
+		{"p99", "%v", func(r ServeRow) any { return r.P99 }},
+		{"p999", "%v", func(r ServeRow) any { return r.P999 }},
+		{"goodput(rps)", "%.0f", func(r ServeRow) any { return r.GoodputRps }},
+	},
+	TSV: append(serveCellCols, []Col[ServeRow]{
+		{"offered_rps", "%.3f", func(r ServeRow) any { return r.OfferedRps }},
+		{"requests", "%d", func(r ServeRow) any { return r.Requests }},
+		{"admitted", "%d", func(r ServeRow) any { return r.Admitted }},
+		{"rejected", "%d", func(r ServeRow) any { return r.Rejected }},
+		{"injected", "%d", func(r ServeRow) any { return r.Injected }},
+		{"completed", "%d", func(r ServeRow) any { return r.Completed }},
+		{"inflight", "%d", func(r ServeRow) any { return r.InFlight }},
+		{"p50_ns", "%d", func(r ServeRow) any { return int64(r.P50) }},
+		{"p99_ns", "%d", func(r ServeRow) any { return int64(r.P99) }},
+		{"p999_ns", "%d", func(r ServeRow) any { return int64(r.P999) }},
+		{"mean_ns", "%d", func(r ServeRow) any { return int64(r.MeanSojourn) }},
+		{"max_ns", "%d", func(r ServeRow) any { return int64(r.MaxSojourn) }},
+		{"makespan_s", "%.6f", func(r ServeRow) any { return r.Makespan.Seconds() }},
+		{"goodput_rps", "%.3f", func(r ServeRow) any { return r.GoodputRps }},
+	}...),
+	Extra: func(rows []ServeRow) []Series {
+		if s, ok := ServeRequestSeries(rows); ok {
+			return []Series{s}
+		}
+		return nil
+	},
+	Summary: serveSummary,
+}
+
+// serveCellCols name a grid cell; both serve series start with them.
+var serveCellCols = []Col[ServeRow]{
+	{"machine", "%s", func(r ServeRow) any { return r.Machine }},
+	{"system", "%s", func(r ServeRow) any { return r.System }},
+	{"process", "%s", func(r ServeRow) any { return r.Process }},
+	{"admit", "%s", func(r ServeRow) any { return r.Admit }},
+	{"load", "%g", func(r ServeRow) any { return r.Load }},
+}
+
+// serveBandCols are the columns of the per-request tail-attribution series.
+// The component columns partition sojourn_ns exactly on every line — the
+// conservation contract is visible in the fixture itself.
+var serveBandCols = []Col[ServeReqBand]{
+	{"band", "%s", func(b ServeReqBand) any { return b.Band }},
+	{"requests", "%d", func(b ServeReqBand) any { return b.Requests }},
+	{"sojourn_ns", "%d", func(b ServeReqBand) any { return int64(b.Sojourn) }},
+	{"admit_wait_ns", "%d", func(b ServeReqBand) any { return int64(b.AdmitWait) }},
+	{"queue_ns", "%d", func(b ServeReqBand) any { return int64(b.Queue) }},
+	{"compute_ns", "%d", func(b ServeReqBand) any { return int64(b.Compute) }},
+	{"steal_ns", "%d", func(b ServeReqBand) any { return int64(b.StealXfer) }},
+	{"fabric_ns", "%d", func(b ServeReqBand) any { return int64(b.FabricWait) }},
+	{"sched_ns", "%d", func(b ServeReqBand) any { return int64(b.Sched) }},
+	{"join_ns", "%d", func(b ServeReqBand) any { return int64(b.JoinWait) }},
+	{"dominant", "%s", func(b ServeReqBand) any { return b.DominantDelay() }},
+}
+
+// ServeRequestSeries renders the per-request tail-attribution bands of the
+// sweep as their own TSV series: one line per ours-cell × band. ok is false
+// when no row carries bands (request tracing off, or a bot-only sweep).
+func ServeRequestSeries(rows []ServeRow) (Series, bool) {
+	s := Series{Name: "serve_requests_" + machLabel(rows),
+		Header: append(heads(serveCellCols), heads(serveBandCols)...)}
+	for _, row := range rows {
+		for _, b := range row.Bands {
+			s.Cells = append(s.Cells, append(cells(serveCellCols, row), cells(serveBandCols, b)...))
+		}
+	}
+	return s, len(s.Cells) > 0
+}
+
+// serveSummary reports the saturation throughput (the best goodput any cell
+// of the sweep sustained) and, when request attribution ran, the tail-latency
+// headline: the worst p999 sojourn among "ours" cells plus the share of that
+// cell's p999-band sojourn going to its dominant delay component (the
+// component's name is embedded in the key).
+func serveSummary(r []ServeRow) map[string]float64 {
+	var max float64
+	worst := -1
+	for i, row := range r {
+		if row.GoodputRps > max {
+			max = row.GoodputRps
+		}
+		if len(row.Bands) > 0 && (worst < 0 || row.P999 > r[worst].P999) {
+			worst = i
+		}
+	}
+	out := map[string]float64{"saturation_goodput_rps": max}
+	if worst >= 0 {
+		row := r[worst]
+		out["p999_sojourn_us"] = float64(row.P999) / 1e3
+		for _, b := range row.Bands {
+			if b.Band == "p999" && b.Sojourn > 0 {
+				name, v := b.dominant()
+				out["p999_dominant_share_"+name] = float64(v) / float64(b.Sojourn)
+			}
+		}
+	}
+	return out
 }

@@ -202,8 +202,8 @@ func TestServeNoReqTraceIdenticalRows(t *testing.T) {
 func TestServeRequestSeries(t *testing.T) {
 	p := tinyServeParams()
 	p.Systems = []string{"ours", "glb"}
-	rows := ServeOut(Serve(tinyOpts(), p))
-	s, ok := rows.RequestSeries()
+	rows := Serve(tinyOpts(), p)
+	s, ok := ServeRequestSeries(rows)
 	if !ok {
 		t.Fatal("no request series from a traced ours sweep")
 	}
@@ -215,7 +215,7 @@ func TestServeRequestSeries(t *testing.T) {
 	if s.Name != "serve_requests_itoa" {
 		t.Errorf("series name %q", s.Name)
 	}
-	all := rows.Series()
+	all := ServeLayout.Of(rows).Series()
 	if got := all[len(all)-1].Name; got != s.Name {
 		t.Errorf("Series() does not end with the request series (got %q)", got)
 	}
@@ -226,7 +226,7 @@ func TestServeRequestSeries(t *testing.T) {
 	}
 	// NoReqTrace sweeps render no request series.
 	p.NoReqTrace = true
-	if _, ok := ServeOut(Serve(tinyOpts(), p)).RequestSeries(); ok {
+	if _, ok := ServeRequestSeries(Serve(tinyOpts(), p)); ok {
 		t.Error("NoReqTrace sweep still renders a request series")
 	}
 }

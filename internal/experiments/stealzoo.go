@@ -11,10 +11,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"contsteal/internal/core"
-	"contsteal/internal/remobj"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
 	"contsteal/internal/workload"
@@ -85,22 +83,36 @@ func StealZoo(o Options, shape string, n int) []StealZooRow {
 		panic(err)
 	}
 
+	want := d.SerialChecksum()
 	var jobs []Job
 	for _, machine := range machines {
 		for _, policy := range core.StealPolicyNames() {
 			for _, sc := range stealZooScenarios() {
-				oj := o
+				oj := o.claimObs(true)
 				oj.Machine = machine
+				oj.Steal = policy
 				oj.Perturb = sc.make(o.Seed, sc.level)
-				policy, sc := policy, sc
-				jobs = append(jobs, Job{
-					Coord: Coord{
-						Experiment: "stealzoo", Tree: shape, System: policy,
-						Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
-						Workers: oj.Workers, Seed: oj.Seed,
-					},
-					Run: func() any { return stealZooOnce(oj, policy, d, sc) },
-				})
+				coord := Coord{
+					Experiment: "stealzoo", Tree: shape, System: policy,
+					Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
+					Workers: oj.Workers, Seed: oj.Seed,
+				}
+				jobs = append(jobs, Job{Coord: coord, Run: func() any {
+					ret, st := runTask(oj, coord, greedy, nil, d.Task())
+					row := StealZooRow{
+						Machine: machine, Policy: policy, Shape: d.Shape,
+						Scenario: sc.name, Level: sc.level, Workers: oj.Workers,
+						Checksum: core.RetInt64(ret), ExecTime: st.ExecTime,
+						StealsOK: st.Work.StealsOK, StealsFail: st.Work.StealsFail,
+						Migrations: st.Stack.MigrationsIn,
+						Surplus:    st.Work.SurplusStolen,
+					}
+					if row.Checksum != want {
+						panic(fmt.Sprintf("experiments: stealzoo %s/%s/%s checksum %d != oracle %d",
+							machine, policy, sc.name, row.Checksum, want))
+					}
+					return row
+				}})
 			}
 		}
 	}
@@ -122,37 +134,56 @@ func StealZoo(o Options, shape string, n int) []StealZooRow {
 	return rows
 }
 
-// stealZooOnce runs one grid point on the continuation-stealing greedy-join
-// runtime (the paper's system). oj.Perturb already carries the scenario.
-func stealZooOnce(oj Options, policy string, d workload.DAGParams, sc stealZooScenario) StealZooRow {
-	steal, err := core.ParseStealPolicy(policy)
-	if err != nil {
-		panic(err)
-	}
-	cfg := runCfg(oj, Variant{"greedy", core.ContGreedy, remobj.LocalCollection})
-	cfg.Steal = steal
-	if oj.DequeCap > 0 {
-		cfg.DequeCap = oj.DequeCap
-	}
-	rt := core.New(cfg)
-	start := time.Now()
-	ret, st := rt.Run(d.Task())
-	row := StealZooRow{
-		Machine: oj.Machine, Policy: policy, Shape: d.Shape,
-		Scenario: sc.name, Level: sc.level, Workers: oj.Workers,
-		Checksum: core.RetInt64(ret), ExecTime: st.ExecTime,
-		StealsOK: st.Work.StealsOK, StealsFail: st.Work.StealsFail,
-		Migrations: st.Stack.MigrationsIn,
-		Surplus:    st.Work.SurplusStolen,
-	}
-	if want := d.SerialChecksum(); row.Checksum != want {
-		panic(fmt.Sprintf("experiments: stealzoo %s/%s/%s checksum %d != oracle %d",
-			oj.Machine, policy, sc.name, row.Checksum, want))
-	}
-	reportEngine(Coord{
-		Experiment: "stealzoo", Tree: d.Shape, System: policy,
-		Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
-		Workers: oj.Workers, Seed: oj.Seed,
-	}, st, time.Since(start))
-	return row
+func (r StealZooRow) machine() string { return r.Machine }
+
+// StealZooLayout renders steal-policy sweep rows.
+var StealZooLayout = Layout[StealZooRow]{
+	Section: func(r []StealZooRow) string { return "stealzoo_" + machLabel(r) },
+	Title: func(r []StealZooRow) string {
+		return fmt.Sprintf("Steal-policy zoo: %s DAG slowdown vs uniform stealing (%s)", r[0].Shape, machLabel(r))
+	},
+	Table: []Col[StealZooRow]{
+		{"machine", "%s", func(r StealZooRow) any { return r.Machine }},
+		{"policy", "%s", func(r StealZooRow) any { return r.Policy }},
+		{"scenario", "%s", func(r StealZooRow) any { return r.Scenario }},
+		{"level", "%g", func(r StealZooRow) any { return r.Level }},
+		{"exec", "%v", func(r StealZooRow) any { return r.ExecTime }},
+		{"slowdown", "%.3f", func(r StealZooRow) any { return r.Slowdown }},
+		{"steals", "%d", func(r StealZooRow) any { return r.StealsOK }},
+		{"fails", "%d", func(r StealZooRow) any { return r.StealsFail }},
+		{"migr", "%d", func(r StealZooRow) any { return r.Migrations }},
+		{"surplus", "%d", func(r StealZooRow) any { return r.Surplus }},
+	},
+	TSV: []Col[StealZooRow]{
+		{"machine", "%s", func(r StealZooRow) any { return r.Machine }},
+		{"policy", "%s", func(r StealZooRow) any { return r.Policy }},
+		{"shape", "%s", func(r StealZooRow) any { return r.Shape }},
+		{"scenario", "%s", func(r StealZooRow) any { return r.Scenario }},
+		{"level", "%g", func(r StealZooRow) any { return r.Level }},
+		{"checksum", "%d", func(r StealZooRow) any { return r.Checksum }},
+		{"exec_s", "%.6f", func(r StealZooRow) any { return r.ExecTime.Seconds() }},
+		{"slowdown", "%.4f", func(r StealZooRow) any { return r.Slowdown }},
+		{"steals_ok", "%d", func(r StealZooRow) any { return r.StealsOK }},
+		{"steals_fail", "%d", func(r StealZooRow) any { return r.StealsFail }},
+		{"migrations", "%d", func(r StealZooRow) any { return r.Migrations }},
+		{"surplus", "%d", func(r StealZooRow) any { return r.Surplus }},
+	},
+	// The best (lowest) slowdown any non-uniform policy reached under
+	// perturbation, and the worst overall.
+	Summary: func(rows []StealZooRow) map[string]float64 {
+		best, worst := 0.0, 0.0
+		for _, row := range rows {
+			if row.Slowdown == 0 {
+				continue
+			}
+			if row.Policy != "uniform" && row.Scenario != "baseline" &&
+				(best == 0 || row.Slowdown < best) {
+				best = row.Slowdown
+			}
+			if row.Slowdown > worst {
+				worst = row.Slowdown
+			}
+		}
+		return map[string]float64{"best_policy_slowdown": best, "max_slowdown": worst}
+	},
 }

@@ -1,8 +1,8 @@
 // BENCH_<stamp>.json: the machine-checkable perf artifact every `repro run`
 // emits — host-side engine throughput (events/sec), protocol handoffs, and
 // cross-shard traffic per experiment, via the experiments.EngineStats hook,
-// plus each experiment's key summary metrics. Committed BENCH_*.json files
-// at the repo root form the host-throughput trajectory across PRs.
+// plus each experiment's key summary metrics. (The cold, repeated
+// host-throughput trajectory across PRs lives in benchmark/results/.)
 
 package manifest
 
@@ -17,32 +17,23 @@ import (
 	"contsteal/internal/sim"
 )
 
-// BenchSchema identifies the artifact format new runs emit. v2 added the
-// serve tail-latency headline summary keys (p999_sojourn_us and the
-// p999_dominant_share_<component> family); v3 adds the host's GOMAXPROCS at
-// run time, so throughput numbers carry the core count they were measured
-// under. Both are compatible growths: ParseBench still accepts v1 and v2
-// artifacts (the committed trajectory keeps validating), but a v3 artifact
-// must carry a positive gomaxprocs.
+// BenchSchema identifies the one artifact format: every artifact carries
+// the serve tail-latency headline summary keys and the host's GOMAXPROCS at
+// run time, so throughput numbers name the core count they were measured
+// under.
 const BenchSchema = "contsteal-bench/v3"
 
-// The previous artifact tags, accepted on parse.
-const (
-	benchSchemaV1 = "contsteal-bench/v1"
-	benchSchemaV2 = "contsteal-bench/v2"
-)
-
 // Bench is one run's perf artifact. HostCPUs is runtime.NumCPU and
-// GoMaxProcs is runtime.GOMAXPROCS at run time (v3+): events/sec figures
-// are only comparable between artifacts measured on the same core budget,
-// and `repro validate` warns when they differ.
+// GoMaxProcs is runtime.GOMAXPROCS at run time: events/sec figures are only
+// comparable between artifacts measured on the same core budget, and
+// `repro validate` warns when they differ.
 type Bench struct {
 	Schema     string       `json:"schema"`
 	Stamp      string       `json:"stamp"`
 	Scale      string       `json:"scale"`
 	Go         string       `json:"go"`
 	HostCPUs   int          `json:"host_cpus"`
-	GoMaxProcs int          `json:"gomaxprocs,omitempty"` // absent in v1/v2
+	GoMaxProcs int          `json:"gomaxprocs"`
 	Entries    []BenchEntry `json:"entries"`
 }
 
@@ -76,12 +67,11 @@ func ParseBench(data []byte) (*Bench, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("bench: trailing data after the top-level object")
 	}
-	if b.Schema != BenchSchema && b.Schema != benchSchemaV2 && b.Schema != benchSchemaV1 {
-		return nil, fmt.Errorf("bench: schema %q, want %q (or the legacy %q, %q)",
-			b.Schema, BenchSchema, benchSchemaV2, benchSchemaV1)
+	if b.Schema != BenchSchema {
+		return nil, fmt.Errorf("bench: schema %q, want %q", b.Schema, BenchSchema)
 	}
-	if b.Schema == BenchSchema && b.GoMaxProcs < 1 {
-		return nil, fmt.Errorf("bench: %s artifact with gomaxprocs %d, want >= 1", BenchSchema, b.GoMaxProcs)
+	if b.GoMaxProcs < 1 {
+		return nil, fmt.Errorf("bench: gomaxprocs %d, want >= 1", b.GoMaxProcs)
 	}
 	if b.Stamp == "" {
 		return nil, fmt.Errorf("bench: empty stamp")
@@ -104,26 +94,15 @@ func ParseBench(data []byte) (*Bench, error) {
 	return &b, nil
 }
 
-// Marshal renders the artifact in its committed form (indented, trailing
-// newline).
-func (b *Bench) Marshal() ([]byte, error) {
-	buf, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
 // HostMismatch reports why throughput comparisons between two artifacts
 // would be apples-to-oranges: differing host core counts or GOMAXPROCS.
-// An empty string means the hosts are comparable. Artifacts predating v3
-// carry no gomaxprocs; that dimension is skipped rather than flagged.
+// An empty string means the hosts are comparable.
 func (b *Bench) HostMismatch(other *Bench) string {
 	var why []string
 	if b.HostCPUs != other.HostCPUs {
 		why = append(why, fmt.Sprintf("host_cpus %d vs %d", b.HostCPUs, other.HostCPUs))
 	}
-	if b.GoMaxProcs > 0 && other.GoMaxProcs > 0 && b.GoMaxProcs != other.GoMaxProcs {
+	if b.GoMaxProcs != other.GoMaxProcs {
 		why = append(why, fmt.Sprintf("gomaxprocs %d vs %d", b.GoMaxProcs, other.GoMaxProcs))
 	}
 	return strings.Join(why, ", ")

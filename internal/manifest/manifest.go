@@ -21,6 +21,7 @@ import (
 	_ "embed"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -59,74 +60,11 @@ type Params struct {
 // Merge returns p with every set (non-zero) field of o overriding. List
 // fields override wholesale when non-nil.
 func (p Params) Merge(o Params) Params {
-	if o.Machine != "" {
-		p.Machine = o.Machine
-	}
-	if o.Bench != "" {
-		p.Bench = o.Bench
-	}
-	if o.Tree != "" {
-		p.Tree = o.Tree
-	}
-	if o.Workers != 0 {
-		p.Workers = o.Workers
-	}
-	if o.WorkersList != nil {
-		p.WorkersList = o.WorkersList
-	}
-	if o.SeqDepth != 0 {
-		p.SeqDepth = o.SeqDepth
-	}
-	if o.N != 0 {
-		p.N = o.N
-	}
-	if o.NS != nil {
-		p.NS = o.NS
-	}
-	if o.Seed != 0 {
-		p.Seed = o.Seed
-	}
-	if o.Scale != 0 {
-		p.Scale = o.Scale
-	}
-	if o.WorkScale != 0 {
-		p.WorkScale = o.WorkScale
-	}
-	if o.DequeCap != 0 {
-		p.DequeCap = o.DequeCap
-	}
-	if o.Shards != 0 {
-		p.Shards = o.Shards
-	}
-	if o.Perturb != "" {
-		p.Perturb = o.Perturb
-	}
-	if o.Requests != 0 {
-		p.Requests = o.Requests
-	}
-	if o.Loads != nil {
-		p.Loads = o.Loads
-	}
-	if o.Systems != nil {
-		p.Systems = o.Systems
-	}
-	if o.Arrivals != nil {
-		p.Arrivals = o.Arrivals
-	}
-	if o.Admits != nil {
-		p.Admits = o.Admits
-	}
-	if o.HorizonUs != 0 {
-		p.HorizonUs = o.HorizonUs
-	}
-	if o.NoReqTrace {
-		p.NoReqTrace = true
-	}
-	if o.Policy != "" {
-		p.Policy = o.Policy
-	}
-	if o.Shape != "" {
-		p.Shape = o.Shape
+	dst, src := reflect.ValueOf(&p).Elem(), reflect.ValueOf(o)
+	for i := 0; i < src.NumField(); i++ {
+		if f := src.Field(i); !f.IsZero() {
+			dst.Field(i).Set(f)
+		}
 	}
 	return p
 }
@@ -165,7 +103,8 @@ func Parse(data []byte) (*Manifest, error) {
 }
 
 // validate checks structural invariants: at least one scale, every entry
-// naming a registered experiment, and unique IDs within each scale.
+// naming a registered experiment with valid params, and unique IDs within
+// each scale.
 func (m *Manifest) validate() error {
 	if len(m.Scales) == 0 {
 		return fmt.Errorf("manifest: no scales defined")
@@ -182,6 +121,9 @@ func (m *Manifest) validate() error {
 			if Lookup(e.Experiment) == nil {
 				return fmt.Errorf("manifest: scale %q entry %d: unknown experiment %q (registered: %s)",
 					scale, i, e.Experiment, strings.Join(Names(), ", "))
+			}
+			if _, err := e.Params.options(Exec{}); err != nil {
+				return fmt.Errorf("manifest: scale %q entry %d: %w", scale, i, err)
 			}
 			id := e.ID
 			if id == "" {

@@ -2,6 +2,8 @@ package manifest
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -91,6 +93,25 @@ func TestParseRejects(t *testing.T) {
 		{"duplicate ids",
 			`{"scales":{"s":[{"experiment":"fig6"},{"experiment":"fig6"}]}}`,
 			"duplicate entry id"},
+		// Bad param values fail at parse time, naming field and value.
+		{"zero in workers_list",
+			`{"scales":{"s":[{"experiment":"fig9","params":{"workers_list":[12,0]}}]}}`,
+			"workers_list must be positive, got 0"},
+		{"negative workers",
+			`{"scales":{"s":[{"experiment":"fig6","params":{"workers":-3}}]}}`,
+			"workers must be positive, got -3"},
+		{"negative ns element",
+			`{"scales":{"s":[{"experiment":"table3","params":{"ns":[1024,-1]}}]}}`,
+			"ns must be positive, got -1"},
+		{"unknown machine",
+			`{"scales":{"s":[{"experiment":"fig6","params":{"machine":"summit"}}]}}`,
+			`unknown machine "summit"`},
+		{"unknown steal policy",
+			`{"scales":{"s":[{"experiment":"fig6","params":{"steal_policy":"round-robin"}}]}}`,
+			"steal policy"},
+		{"bad perturb spec",
+			`{"scales":{"s":[{"experiment":"fig6","params":{"perturb":"jitter"}}]}}`,
+			"perturb"},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.doc))
@@ -124,8 +145,8 @@ func TestRegistryCompleteness(t *testing.T) {
 		if s == nil {
 			t.Fatalf("Lookup(%q) = nil", name)
 		}
-		if s.Run == nil || s.Print == nil {
-			t.Errorf("spec %q missing Run or Print", name)
+		if s.Call == nil {
+			t.Errorf("spec %q missing Call", name)
 		}
 	}
 	owners := GoldenOwners()
@@ -171,17 +192,53 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestMerge pins the zero-is-unset overlay semantics Params relies on.
+// TestMerge pins the zero-is-unset overlay semantics Params relies on, by
+// reflection over every field: a set field of the overlay wins, a zero one
+// leaves the base alone. Adding a Params field needs no Merge edit, and a
+// field Merge cannot overlay fails here.
 func TestMerge(t *testing.T) {
-	base := Params{Machine: "itoa", Tree: "T1L", SeqDepth: 3, Systems: []string{"ours"}}
-	over := Params{Machine: "wisteria", Workers: 18, Loads: []float64{1}}
-	got := base.Merge(over)
-	if got.Machine != "wisteria" || got.Workers != 18 || got.Tree != "T1L" ||
-		got.SeqDepth != 3 || len(got.Systems) != 1 || len(got.Loads) != 1 {
-		t.Errorf("Merge = %+v", got)
+	// set fills field i of a fresh Params with a non-zero value derived
+	// from seed, so base and overlay values differ.
+	set := func(i, seed int) Params {
+		var p Params
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(fmt.Sprint("v", seed))
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(seed))
+		case reflect.Float64:
+			f.SetFloat(float64(seed))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), seed, seed))
+		default:
+			t.Fatalf("Params.%s has kind %s: teach this test (and check Merge) about it",
+				reflect.TypeOf(p).Field(i).Name, f.Kind())
+		}
+		return p
 	}
-	if got := base.Merge(Params{}); got.Machine != "itoa" || got.SeqDepth != 3 {
-		t.Errorf("Merge with zero overlay = %+v, want base unchanged", got)
+	for i := 0; i < reflect.TypeOf(Params{}).NumField(); i++ {
+		name := reflect.TypeOf(Params{}).Field(i).Name
+		base, over := set(i, 1), set(i, 2)
+		if got := base.Merge(over); !reflect.DeepEqual(got, over) {
+			t.Errorf("%s: Merge did not overlay a set field: got %+v, want %+v", name, got, over)
+		}
+		if got := base.Merge(Params{}); !reflect.DeepEqual(got, base) {
+			t.Errorf("%s: Merge with a zero overlay changed the base: %+v", name, got)
+		}
+		if got := (Params{}).Merge(over); !reflect.DeepEqual(got, over) {
+			t.Errorf("%s: Merge onto a zero base lost the overlay: %+v", name, got)
+		}
+	}
+	// Fields do not interfere: an overlay touches only what it sets.
+	base := Params{Machine: "itoa", Tree: "T1L", SeqDepth: 3, Systems: []string{"ours"}}
+	got := base.Merge(Params{Machine: "wisteria", Workers: 18, Loads: []float64{1}})
+	want := Params{Machine: "wisteria", Tree: "T1L", SeqDepth: 3, Systems: []string{"ours"},
+		Workers: 18, Loads: []float64{1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Merge = %+v, want %+v", got, want)
 	}
 }
 
@@ -205,49 +262,37 @@ func TestDiff(t *testing.T) {
 	}
 }
 
-// TestParseBench pins the BENCH artifact's strict schema validation.
+// TestParseBench pins the BENCH artifact's strict schema validation: one
+// schema tag, a positive gomaxprocs, and the structural invariants.
 func TestParseBench(t *testing.T) {
-	good := `{"schema":"contsteal-bench/v1","stamp":"t","scale":"smoke","go":"go1.x","host_cpus":1,
+	good := `{"schema":"contsteal-bench/v3","stamp":"t","scale":"smoke","go":"go1.x","host_cpus":1,"gomaxprocs":4,
 	  "entries":[{"id":"fig6","experiment":"fig6","shards":1,"jobs":2,"events":10,
 	  "handoffs":5,"callbacks":1,"cross_shard":0,"wall_s":0.1,"events_per_sec":100}]}`
 	b, err := ParseBench([]byte(good))
 	if err != nil {
 		t.Fatalf("valid artifact rejected: %v", err)
 	}
-	if b.Entries[0].EventsPerSec != 100 {
-		t.Errorf("events_per_sec = %g", b.Entries[0].EventsPerSec)
+	if b.Entries[0].EventsPerSec != 100 || b.GoMaxProcs != 4 {
+		t.Errorf("events_per_sec = %g, gomaxprocs = %d", b.Entries[0].EventsPerSec, b.GoMaxProcs)
 	}
-	// Marshal must round-trip through ParseBench.
-	buf, err := b.Marshal()
+	// The written form must round-trip through ParseBench.
+	buf, err := EncodeJSON(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ParseBench(buf); err != nil {
-		t.Errorf("Marshal output rejected: %v", err)
-	}
-	// All three schema generations parse; only v3 requires gomaxprocs.
-	v2 := strings.Replace(good, "contsteal-bench/v1", "contsteal-bench/v2", 1)
-	if _, err := ParseBench([]byte(v2)); err != nil {
-		t.Errorf("v2 artifact rejected: %v", err)
-	}
-	v3 := strings.Replace(
-		strings.Replace(good, "contsteal-bench/v1", "contsteal-bench/v3", 1),
-		`"host_cpus":1`, `"host_cpus":1,"gomaxprocs":4`, 1)
-	b3, err := ParseBench([]byte(v3))
-	if err != nil {
-		t.Fatalf("v3 artifact rejected: %v", err)
-	}
-	if b3.GoMaxProcs != 4 {
-		t.Errorf("v3 gomaxprocs = %d, want 4", b3.GoMaxProcs)
+		t.Errorf("EncodeJSON output rejected: %v", err)
 	}
 	bad := []struct{ name, doc string }{
-		{"wrong schema", strings.Replace(good, "contsteal-bench/v1", "v2", 1)},
+		{"retired v1 schema", strings.Replace(good, "contsteal-bench/v3", "contsteal-bench/v1", 1)},
+		{"retired v2 schema", strings.Replace(good, "contsteal-bench/v3", "contsteal-bench/v2", 1)},
+		{"wrong schema", strings.Replace(good, "contsteal-bench/v3", "v3", 1)},
 		{"unknown field", strings.Replace(good, `"stamp"`, `"stammp"`, 1)},
 		{"empty stamp", strings.Replace(good, `"stamp":"t"`, `"stamp":""`, 1)},
-		{"no entries", `{"schema":"contsteal-bench/v1","stamp":"t","scale":"s","go":"g","host_cpus":1,"entries":[]}`},
+		{"no entries", `{"schema":"contsteal-bench/v3","stamp":"t","scale":"s","go":"g","host_cpus":1,"gomaxprocs":1,"entries":[]}`},
 		{"jobs without events", strings.Replace(good, `"events":10`, `"events":0`, 1)},
 		{"shards zero", strings.Replace(good, `"shards":1`, `"shards":0`, 1)},
-		{"v3 without gomaxprocs", strings.Replace(good, "contsteal-bench/v1", "contsteal-bench/v3", 1)},
+		{"no gomaxprocs", strings.Replace(good, `"gomaxprocs":4,`, "", 1)},
 	}
 	for _, tc := range bad {
 		if _, err := ParseBench([]byte(tc.doc)); err == nil {
@@ -267,10 +312,6 @@ func TestBenchHostMismatch(t *testing.T) {
 	}
 	if why := a.HostMismatch(&Bench{HostCPUs: 4, GoMaxProcs: 2}); !strings.Contains(why, "gomaxprocs 4 vs 2") {
 		t.Errorf("gomaxprocs mismatch not flagged: %q", why)
-	}
-	// Pre-v3 artifacts carry no gomaxprocs — that dimension is skipped.
-	if why := a.HostMismatch(&Bench{HostCPUs: 4}); why != "" {
-		t.Errorf("legacy artifact without gomaxprocs flagged: %q", why)
 	}
 }
 

@@ -2,11 +2,14 @@ package manifest
 
 import (
 	"fmt"
-	"io"
+	"slices"
 	"sort"
+	"strings"
 
+	"contsteal/internal/core"
 	"contsteal/internal/experiments"
 	"contsteal/internal/topo"
+	"contsteal/internal/workload"
 )
 
 // Exec carries the invocation-level knobs shared by every spec run: host
@@ -20,15 +23,104 @@ type Exec struct {
 }
 
 // Spec is one registered experiment: its name (the cmd/repro subcommand and
-// the manifest's experiment key), default Params, the uniform Run
-// entrypoint, a table printer, and the committed golden fixture basenames
-// the experiment reproduces at its smoke-scale params.
+// the manifest's experiment key), default Params, the committed golden
+// fixture basenames the experiment reproduces at its smoke-scale params, and
+// the Call that turns resolved params into the experiment's entrypoint call
+// and wraps the rows in their Rendering.
 type Spec struct {
 	Name   string
 	Params Params
-	Run    func(p Params, x Exec) (experiments.Rendering, error)
-	Print  func(w io.Writer, r experiments.Rendering)
 	Golden []string
+	Call   func(p Params, o experiments.Options) experiments.Rendering
+}
+
+// Run executes the spec: the caller's params overlay the spec's defaults (so
+// callers only pass what they set), the result is validated and mapped onto
+// experiments.Options, and Call runs the experiment.
+func (s *Spec) Run(p Params, x Exec) (experiments.Rendering, error) {
+	p = s.Params.Merge(p)
+	o, err := p.options(x)
+	if err != nil {
+		return nil, err
+	}
+	return s.Call(p, o), nil
+}
+
+// options validates p and maps it, with the invocation knobs, onto
+// experiments.Options (entry-level shards/perturb win over Exec's). It
+// rejects values no experiment can run, naming the field by its JSON tag: a
+// name outside its set, a negative count, a non-positive element of a count
+// list, an unparsable steal policy or perturbation. Unset (zero) fields pass
+// — the experiments' defaults own them. Every spec run and every parsed
+// manifest entry goes through it, so a bad CLI flag and a bad manifest knob
+// fail with the same message before any simulation starts.
+func (p Params) options(x Exec) (experiments.Options, error) {
+	one := func(v string) []string {
+		if v == "" {
+			return nil
+		}
+		return []string{v}
+	}
+	for _, c := range []struct {
+		field   string
+		vals    []string
+		allowed []string
+	}{
+		{"machine", one(p.Machine), []string{"itoa", "wisteria"}},
+		{"bench", one(p.Bench), []string{"pfor", "recpfor"}},
+		{"tree", one(p.Tree), []string{"T1L", "T1XXL", "T1WL", "T1L'", "T1XXL'", "T1WL'"}},
+		{"shape", one(p.Shape), workload.DAGShapes()},
+		{"systems", p.Systems, []string{"ours", "saws", "charm", "glb"}},
+		{"arrivals", p.Arrivals, []string{"poisson", "mmpp"}},
+		{"admits", p.Admits, []string{"always", "token"}},
+	} {
+		for _, v := range c.vals {
+			if !slices.Contains(c.allowed, v) {
+				return experiments.Options{}, fmt.Errorf("params: unknown %s %q (want one of %s)",
+					c.field, v, strings.Join(c.allowed, ", "))
+			}
+		}
+	}
+	for _, c := range []struct {
+		field string
+		vals  []int
+		min   int // a scalar's 0 means unset; a list element has no such reading
+	}{
+		{"workers", []int{p.Workers}, 0},
+		{"n", []int{p.N}, 0},
+		{"shards", []int{p.Shards}, 0},
+		{"workers_list", p.WorkersList, 1},
+		{"ns", p.NS, 1},
+	} {
+		for _, v := range c.vals {
+			if v < c.min {
+				return experiments.Options{}, fmt.Errorf("params: %s must be positive, got %d", c.field, v)
+			}
+		}
+	}
+	if p.HorizonUs < 0 {
+		return experiments.Options{}, fmt.Errorf("params: horizon_us must be non-negative, got %g", p.HorizonUs)
+	}
+	if _, err := core.ParseStealPolicy(p.Policy); err != nil {
+		return experiments.Options{}, fmt.Errorf("params: %w", err)
+	}
+	o := experiments.Options{
+		Machine: p.Machine, Workers: p.Workers, Scale: p.Scale,
+		Seed: p.Seed, WorkScale: p.WorkScale, DequeCap: p.DequeCap,
+		Steal:    p.Policy,
+		Parallel: x.Parallel, Shards: max(1, x.Shards), Perturb: x.Perturb, Obs: x.Obs,
+	}
+	if p.Shards != 0 {
+		o.Shards = p.Shards
+	}
+	if p.Perturb != "" {
+		pb, err := topo.ParsePerturb(p.Perturb)
+		if err != nil {
+			return o, fmt.Errorf("params: %w", err)
+		}
+		o.Perturb = pb
+	}
+	return o, nil
 }
 
 var (
@@ -36,10 +128,8 @@ var (
 	order    []string
 )
 
-// Register adds a spec to the registry. The stored Run merges the spec's
-// default Params under the caller's, so callers only pass what they set.
-// Registration happens at package init; duplicate or unnamed specs are
-// programming errors.
+// Register adds a spec to the registry. Registration happens at package
+// init; duplicate or unnamed specs are programming errors.
 func Register(s Spec) {
 	if s.Name == "" {
 		panic("manifest: Register with empty name")
@@ -47,15 +137,7 @@ func Register(s Spec) {
 	if _, dup := registry[s.Name]; dup {
 		panic(fmt.Sprintf("manifest: duplicate spec %q", s.Name))
 	}
-	if s.Print == nil {
-		s.Print = func(w io.Writer, r experiments.Rendering) { r.Table(w) }
-	}
-	defaults, run := s.Params, s.Run
-	s.Run = func(p Params, x Exec) (experiments.Rendering, error) {
-		return run(defaults.Merge(p), x)
-	}
-	sp := s
-	registry[s.Name] = &sp
+	registry[s.Name] = &s
 	order = append(order, s.Name)
 }
 

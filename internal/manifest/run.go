@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"contsteal/internal/experiments"
@@ -76,7 +75,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 			return nil, err
 		}
 	}
-	if err := writeJSONFile(filepath.Join(dir, "manifest.json"),
+	if err := WriteJSON(filepath.Join(dir, "manifest.json"),
 		Manifest{Scales: map[string][]Entry{rn.Scale: entries}}); err != nil {
 		return nil, err
 	}
@@ -88,7 +87,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 
 	bench := Bench{
 		Schema: BenchSchema, Stamp: rn.Stamp, Scale: rn.Scale,
-		Go: goVersion(), HostCPUs: hostCPUs(), GoMaxProcs: runtime.GOMAXPROCS(0),
+		Go: runtime.Version(), HostCPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	for i, e := range entries {
 		spec := Lookup(e.Experiment)
@@ -108,7 +107,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 		if err := writeMetrics(dir, e, obs); err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
-		spec.Print(tables, r)
+		r.Table(tables)
 		bench.Entries = append(bench.Entries, be)
 	}
 
@@ -131,12 +130,8 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 		}
 	}
 
-	buf, err := bench.Marshal()
-	if err != nil {
-		return nil, err
-	}
 	benchPath := filepath.Join(dir, "bench", "BENCH_"+rn.Stamp+".json")
-	if err := os.WriteFile(benchPath, buf, 0o644); err != nil {
+	if err := WriteJSON(benchPath, bench); err != nil {
 		return nil, err
 	}
 	if err := rn.writeSummary(dir, entries, rep); err != nil {
@@ -183,60 +178,28 @@ func (rn *Runner) runEntry(e Entry, spec *Spec) (BenchEntry, experiments.Renderi
 	return be, r, obs, nil
 }
 
-// writeEntry persists one entry's series and rows.
+// writeEntry persists one entry's series, request bands and rows.
 func writeEntry(dir string, e Entry, r experiments.Rendering) error {
-	series := r.Series()
-	if len(series) > 0 {
-		sub := filepath.Join(dir, "tsv", e.ID)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return err
-		}
-		for _, s := range series {
-			f, err := os.Create(filepath.Join(sub, s.Name+".tsv"))
-			if err != nil {
-				return err
-			}
-			s.Write(f)
-			if err := f.Close(); err != nil {
+	if err := WriteSeries(filepath.Join(dir, "tsv", e.ID), r.Series()); err != nil {
+		return err
+	}
+	if rows, ok := r.Rows().([]experiments.ServeRow); ok {
+		if s, ok := experiments.ServeRequestSeries(rows); ok {
+			if err := WriteFile(filepath.Join(dir, "metrics", e.ID+".requests.tsv"), s.Write); err != nil {
 				return err
 			}
 		}
 	}
-	if rr, ok := r.(interface {
-		RequestSeries() (experiments.Series, bool)
-	}); ok {
-		if s, ok := rr.RequestSeries(); ok {
-			f, err := os.Create(filepath.Join(dir, "metrics", e.ID+".requests.tsv"))
-			if err != nil {
-				return err
-			}
-			s.Write(f)
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-	return writeJSONFile(filepath.Join(dir, "json", e.ID+".json"), struct {
-		Name string `json:"name"`
-		Rows any    `json:"rows"`
-	}{r.Section(), r.Rows()})
+	return WriteJSON(filepath.Join(dir, "json", e.ID+".json"), SectionOf(r))
 }
 
 // writeMetrics persists the claimed run's metrics registry, when one was
 // collected.
 func writeMetrics(dir string, e Entry, obs *experiments.ObsCollector) error {
-	if obs == nil || !obs.Done || obs.Stats.Obs == nil {
+	if !obs.Done || obs.Stats.Obs == nil {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(dir, "metrics", e.ID+".tsv"))
-	if err != nil {
-		return err
-	}
-	err = obs.Stats.Obs.WriteTSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return WriteFile(filepath.Join(dir, "metrics", e.ID+".tsv"), obs.Stats.Obs.WriteTSV)
 }
 
 // writeSummary emits the paper-ready summary table: one row per entry with
@@ -269,18 +232,12 @@ func (rn *Runner) writeSummary(dir string, entries []Entry, rep *Report) error {
 			fmt.Sprint(be.Events), fmt.Sprint(be.Handoffs), fmt.Sprint(be.CrossShard),
 			fmt.Sprintf("%.0f", be.EventsPerSec), v, summaryString(be.Summary)})
 	}
-	f, err := os.Create(filepath.Join(dir, "summary.tsv"))
-	if err != nil {
-		return err
-	}
-	s := experiments.Series{Name: "summary", Header: header, Cells: rows}
-	s.Write(f)
-	if err := f.Close(); err != nil {
+	if err := WriteSeries(dir, []experiments.Series{{Name: "summary", Header: header, Cells: rows}}); err != nil {
 		return err
 	}
 
 	fmt.Fprintf(rn.Stdout, "\n== repro run: %s scale, %d entries -> %s ==\n", rn.Scale, len(entries), dir)
-	tw := newSummaryTW(rn.Stdout)
+	tw := experiments.NewTW(rn.Stdout)
 	fmt.Fprintln(tw, strings.Join(header, "\t"))
 	for _, r := range rows {
 		fmt.Fprintln(tw, strings.Join(r, "\t"))
@@ -315,19 +272,62 @@ func summaryString(m map[string]float64) string {
 	return strings.Join(parts, " ")
 }
 
-// newSummaryTW aligns the stdout summary table like the experiment tables.
-func newSummaryTW(w io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// The output writers below are shared by the Runner and by cmd/repro's
+// subcommand path (-tsv, -json, -trace, -metrics), so a run folder and a
+// one-off invocation serialize a result through the same code.
+
+// Section is one experiment's structured result in a JSON dump: a run
+// folder's json/<id>.json, or one element of cmd/repro's -json array.
+type Section struct {
+	Name string `json:"name"`
+	Rows any    `json:"rows"`
 }
 
-func goVersion() string { return runtime.Version() }
-func hostCPUs() int     { return runtime.NumCPU() }
+// SectionOf extracts a rendering's JSON section.
+func SectionOf(r experiments.Rendering) Section { return Section{r.Section(), r.Rows()} }
 
-// writeJSONFile marshals v indented with a trailing newline.
-func writeJSONFile(path string, v any) error {
+// EncodeJSON marshals v in the committed form: indented, trailing newline.
+func EncodeJSON(v any) ([]byte, error) {
 	buf, err := json.MarshalIndent(v, "", "  ")
+	return append(buf, '\n'), err
+}
+
+// WriteJSON writes EncodeJSON(v) to path.
+func WriteJSON(path string, v any) error {
+	buf, err := EncodeJSON(v)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	return os.WriteFile(path, buf, 0o644)
+}
+
+// WriteFile creates path and streams write into it, returning the first
+// error of create, write and close.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// WriteSeries writes each series as <dir>/<name>.tsv, creating dir when
+// there is anything to write.
+func WriteSeries(dir string, series []experiments.Series) error {
+	if len(series) == 0 {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, s := range series {
+		if err := WriteFile(filepath.Join(dir, s.Name+".tsv"), s.Write); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,88 +1,20 @@
 // The eleven experiment specs: the registry entries cmd/repro's subcommand
-// dispatch, `repro all`, and the manifest Runner all execute through. Each
-// spec's Run converts the uniform Params bag into the experiment package's
-// entrypoint call and wraps the rows in their Rendering.
+// dispatch, `repro all`, and the manifest Runner all execute through. A spec
+// is the one place an experiment's Params are read: its Call maps them onto
+// the experiment package's entrypoint and binds the rows to their Layout.
+// Validation and the Params → Options mapping are Spec.Run's, not repeated
+// here.
 
 package manifest
 
 import (
-	"fmt"
-	"strings"
-
-	"contsteal/internal/core"
 	"contsteal/internal/experiments"
 	"contsteal/internal/sim"
-	"contsteal/internal/topo"
-	"contsteal/internal/workload"
 )
 
-// optionsFrom maps resolved Params plus invocation knobs onto
-// experiments.Options. Entry-level Shards/Perturb win over Exec's. The
-// steal_policy param reaches every experiment's core runtimes through
-// Options.Steal (stealzoo alone ignores it — its policy axis owns it).
-func optionsFrom(p Params, x Exec) (experiments.Options, error) {
-	o := experiments.Options{
-		Machine: p.Machine, Workers: p.Workers, Scale: p.Scale,
-		Seed: p.Seed, WorkScale: p.WorkScale, DequeCap: p.DequeCap,
-		Steal:    p.Policy,
-		Parallel: x.Parallel, Shards: x.Shards, Perturb: x.Perturb, Obs: x.Obs,
-	}
-	if _, err := core.ParseStealPolicy(p.Policy); err != nil {
-		return o, err
-	}
-	if p.Shards != 0 {
-		o.Shards = p.Shards
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if p.Perturb != "" {
-		pb, err := topo.ParsePerturb(p.Perturb)
-		if err != nil {
-			return o, err
-		}
-		o.Perturb = pb
-	}
-	if err := checkName("machine", p.Machine, true, "itoa", "wisteria"); err != nil {
-		return o, err
-	}
-	return o, nil
-}
-
-// checkName rejects a value outside the allowed set; optional "" passes.
-func checkName(what, v string, optional bool, allowed ...string) error {
-	if v == "" && optional {
-		return nil
-	}
-	for _, a := range allowed {
-		if v == a {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown %s %q (want one of %s)", what, v, strings.Join(allowed, ", "))
-}
-
-// checkNames validates every element of a list; nil passes (defaults apply).
-func checkNames(what string, vs []string, allowed ...string) error {
-	for _, v := range vs {
-		if err := checkName(what, v, false, allowed...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func checkTree(tree string) error {
-	return checkName("tree", tree, true, "T1L", "T1XXL", "T1WL", "T1L'", "T1XXL'", "T1WL'")
-}
-
-func checkBench(bench string) error {
-	return checkName("bench", bench, true, "pfor", "recpfor")
-}
-
-// nsFrom resolves the problem-size list of table3/fig12: an explicit list
-// wins, a single -n becomes a one-element list, otherwise the experiment's
-// default (nil) applies.
+// nsFrom resolves a problem-size list: an explicit ns list wins, a single n
+// becomes a one-element list, otherwise the experiment's default (nil)
+// applies.
 func nsFrom(p Params) []int {
 	if p.NS != nil {
 		return p.NS
@@ -98,98 +30,51 @@ func init() {
 		Name:   "fig6",
 		Params: Params{Bench: "recpfor"},
 		Golden: []string{"fig6_pfor_itoa.tsv"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkBench(p.Bench); err != nil {
-				return nil, err
-			}
-			var ns []int
-			if p.N != 0 {
-				ns = []int{p.N}
-			}
-			return experiments.Fig6Out(experiments.Fig6(o, p.Bench, ns)), nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.Fig6Layout.Of(experiments.Fig6(o, p.Bench, nsFrom(p)))
 		},
 	})
 	Register(Spec{
 		Name:   "table2",
 		Params: Params{Bench: "recpfor"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkBench(p.Bench); err != nil {
-				return nil, err
-			}
-			return experiments.Table2Out(experiments.Table2(o, p.Bench, p.N)), nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.Table2Layout.Of(experiments.Table2(o, p.Bench, p.N))
 		},
 	})
 	Register(Spec{
 		Name: "fig7",
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.Fig7Out{R: experiments.Fig7(o, p.N)}, nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.Fig7Out{R: experiments.Fig7(o, p.N)}
 		},
 	})
 	Register(Spec{
 		Name:   "fig8",
 		Params: Params{Tree: "T1L", SeqDepth: 3},
 		Golden: []string{"uts_T1L'_itoa.tsv"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkTree(p.Tree); err != nil {
-				return nil, err
-			}
-			rows := experiments.Fig8(o, p.Tree, p.WorkersList, p.SeqDepth)
-			return experiments.Fig8Out{Fig: "fig8", R: rows}, nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.Fig8Layout.Of(experiments.Fig8(o, p.Tree, p.WorkersList, p.SeqDepth))
 		},
 	})
 	Register(Spec{
 		// fig9 defaults to the wisteria machine (the paper ran our runtime
-		// alone on WISTERIA-O); an explicit machine param is honored — the
-		// old CLI silently flipped -machine itoa back to wisteria.
+		// alone on WISTERIA-O); an explicit machine param is honored.
 		Name:   "fig9",
 		Params: Params{Tree: "T1L", SeqDepth: 3},
 		Golden: []string{"uts_T1WL'_wisteria.tsv"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkTree(p.Tree); err != nil {
-				return nil, err
-			}
-			rows := experiments.Fig9(o, p.Tree, p.WorkersList, p.SeqDepth)
-			return experiments.Fig8Out{Fig: "fig9", R: rows}, nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.Fig9Layout.Of(experiments.Fig9(o, p.Tree, p.WorkersList, p.SeqDepth))
 		},
 	})
 	Register(Spec{
 		Name: "table3",
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.Table3Out(experiments.Table3(o, nsFrom(p))), nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.Table3Layout.Of(experiments.Table3(o, nsFrom(p)))
 		},
 	})
 	Register(Spec{
 		Name: "fig12",
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.Fig12Out(experiments.Fig12(o, nsFrom(p), p.WorkersList)), nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.Fig12Layout.Of(experiments.Fig12(o, nsFrom(p), p.WorkersList))
 		},
 	})
 	Register(Spec{
@@ -197,16 +82,8 @@ func init() {
 		Name:   "resilience",
 		Params: Params{Tree: "T1L", SeqDepth: 3},
 		Golden: []string{"resilience_T1L'_itoa.tsv"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkTree(p.Tree); err != nil {
-				return nil, err
-			}
-			rows := experiments.Resilience(o, p.Tree, p.SeqDepth)
-			return experiments.ResilienceOut(rows), nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.ResilienceLayout.Of(experiments.Resilience(o, p.Tree, p.SeqDepth))
 		},
 	})
 	Register(Spec{
@@ -217,12 +94,8 @@ func init() {
 		// its own shard ladder, so the runner's -shards knob is ignored.
 		Name:   "enginebench",
 		Golden: []string{"enginebench_itoa.tsv"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			return experiments.EngineBenchOut(experiments.EngineBench(o)), nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.EngineBenchLayout.Of(experiments.EngineBench(o))
 		},
 	})
 	Register(Spec{
@@ -232,45 +105,21 @@ func init() {
 		Name:   "stealzoo",
 		Params: Params{Shape: "wavefront"},
 		Golden: []string{"stealzoo_itoa.tsv"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkName("shape", p.Shape, true, workload.DAGShapes()...); err != nil {
-				return nil, err
-			}
-			return experiments.StealZooOut(experiments.StealZoo(o, p.Shape, p.N)), nil
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.StealZooLayout.Of(experiments.StealZoo(o, p.Shape, p.N))
 		},
 	})
 	Register(Spec{
 		Name: "serve",
 		Golden: []string{"serve_itoa.tsv", "serve_wisteria.tsv",
 			"serve_requests_itoa.tsv", "serve_requests_wisteria.tsv"},
-		Run: func(p Params, x Exec) (experiments.Rendering, error) {
-			o, err := optionsFrom(p, x)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkNames("system", p.Systems, "ours", "saws", "charm", "glb"); err != nil {
-				return nil, err
-			}
-			if err := checkNames("arrival process", p.Arrivals, "poisson", "mmpp"); err != nil {
-				return nil, err
-			}
-			if err := checkNames("admission policy", p.Admits, "always", "token"); err != nil {
-				return nil, err
-			}
-			if p.HorizonUs < 0 {
-				return nil, fmt.Errorf("horizon_us must be non-negative, got %g", p.HorizonUs)
-			}
-			sp := experiments.ServeParams{
+		Call: func(p Params, o experiments.Options) experiments.Rendering {
+			return experiments.ServeLayout.Of(experiments.Serve(o, experiments.ServeParams{
 				Requests: p.Requests, Loads: p.Loads, Systems: p.Systems,
 				Processes: p.Arrivals, Admits: p.Admits,
 				Horizon:    sim.Time(p.HorizonUs * float64(sim.Microsecond)),
 				NoReqTrace: p.NoReqTrace,
-			}
-			return experiments.ServeOut(experiments.Serve(o, sp)), nil
+			}))
 		},
 	})
 }
