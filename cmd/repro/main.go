@@ -96,9 +96,9 @@ import (
 	"strings"
 	"time"
 
+	"contsteal/internal/core"
 	"contsteal/internal/experiments"
 	"contsteal/internal/manifest"
-	"contsteal/internal/sim"
 	"contsteal/internal/topo"
 )
 
@@ -145,6 +145,28 @@ func listFlag[T any](fs *flag.FlagSet, dst *[]T, name, usage string, parse func(
 	})
 }
 
+// positiveFlag registers an int flag, defaulting to def, that rejects values
+// below 1 while parsing — so a typo fails with usage instead of running a
+// silently different configuration.
+func positiveFlag(fs *flag.FlagSet, dst *int, name string, def int, usage string) {
+	*dst = def
+	fs.Func(name, usage, func(s string) (err error) {
+		if *dst, err = strconv.Atoi(s); err == nil && *dst < 1 {
+			err = fmt.Errorf("must be at least 1")
+		}
+		return err
+	})
+}
+
+// perUnit is num/den, or 0 when there was nothing to divide by (a
+// zero-event job, a wall time below the clock's resolution).
+func perUnit(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
 func parseName(s string) (string, error)   { return s, nil }
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
@@ -166,14 +188,9 @@ func bindParams(fs *flag.FlagSet, p *manifest.Params) {
 	fs.Int64Var(&p.Seed, "seed", 0, "RNG seed (default 42)")
 	fs.IntVar(&p.WorkScale, "workscale", 0, "UTS: multiply per-node work (one node stands for k)")
 	fs.IntVar(&p.DequeCap, "dequecap", 0, "per-worker deque capacity override")
-	fs.Func("shards", "per-node event-heap shards inside each engine, at least 1 (results identical for every value)", func(s string) (err error) {
-		if p.Shards, err = strconv.Atoi(s); err == nil && p.Shards < 1 {
-			err = fmt.Errorf("must be at least 1")
-		}
-		return err
-	})
+	positiveFlag(fs, &p.Shards, "shards", 0, "per-node event-heap shards inside each engine, at least 1 (results identical for every value)")
 	fs.StringVar(&p.Perturb, "perturb", "", `deterministic fault injection, e.g. "jitter=0.5,straggler=0.25,drop=0.01,seed=1" (keys: jitter, straggler, sfactor, degraded, dfactor, drop, seed)`)
-	fs.IntVar(&p.Requests, "requests", 0, "serve: offered arrivals per grid cell (0 = default)")
+	positiveFlag(fs, &p.Requests, "requests", 0, "serve: offered arrivals per grid cell, at least 1 (default: the experiment's)")
 	listFlag(fs, &p.Loads, "loads", "serve: comma-separated offered-load multipliers (e.g. 0.1,0.5,1,2)", parseFloat)
 	listFlag(fs, &p.Systems, "systems", "serve: comma-separated systems (ours,saws,charm,glb)", parseName)
 	listFlag(fs, &p.Arrivals, "arrivals", "serve: comma-separated arrival processes (poisson,mmpp)", parseName)
@@ -220,11 +237,12 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	tracePath := fs.String("trace", "", "record the event trace of the first simulated run to this file")
 	traceFormat := fs.String("trace-format", "json", "trace file format: json (for `repro analyze`) or chrome (for ui.perfetto.dev)")
 	metricsPath := fs.String("metrics", "", "write the first run's deterministic metrics registry as TSV to this file")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "host worker pool for the sweep grid (1 = sequential)")
+	parallel := new(int)
+	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for the sweep grid, at least 1 (1 = sequential; default: all CPUs)")
 	quiet := fs.Bool("quiet", false, "suppress per-job progress lines on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	engineStats := fs.Bool("engine-stats", false, "print per-job engine counters (events, handoffs, callbacks, events/s) on stderr")
+	engineStats := fs.Bool("engine-stats", false, "print per-job engine counters (events, handoffs split into in-place and goroutine switches, callbacks, events/s) on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -278,12 +296,14 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		defer func() { experiments.Progress = nil }()
 	}
 	if *engineStats {
-		experiments.EngineStats = func(c experiments.Coord, es sim.EngineStats, cross uint64, wall time.Duration) {
-			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d callbacks=%d events/s=%.2fM\n",
-				c, es.Events, es.Handoffs, es.Callbacks, float64(es.Events)/wall.Seconds()/1e6)
+		experiments.EngineStats = func(c experiments.Coord, st core.RunStats, wall time.Duration) {
+			es := st.Engine
+			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d inplace=%d switches=%d callbacks=%d events/s=%.2fM\n",
+				c, es.Events, es.Handoffs, st.InPlace, es.Handoffs-st.InPlace, es.Callbacks,
+				perUnit(float64(es.Events), wall.Seconds())/1e6)
 			if fp.Shards > 1 {
 				fmt.Fprintf(stderr, "engine [%s] shards=%d cross-shard=%d (%.1f%% of events)\n",
-					c, fp.Shards, cross, 100*float64(cross)/float64(es.Events))
+					c, fp.Shards, st.CrossShard, 100*perUnit(float64(st.CrossShard), float64(es.Events)))
 			}
 		}
 		defer func() { experiments.EngineStats = nil }()
@@ -348,8 +368,9 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	manifestPath := fs.String("manifest", "", "manifest JSON file (default: the committed experiments.json built into the binary)")
 	goldensDir := fs.String("goldens", "", "golden fixtures directory (default: the committed fixtures built into the binary)")
 	noValidate := fs.Bool("no-validate", false, "skip golden validation")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "host worker pool for each entry's sweep grid")
-	shards := fs.Int("shards", 1, "per-node event-heap shards (entry params override; results identical)")
+	parallel, shards := new(int), new(int)
+	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for each entry's sweep grid, at least 1 (default: all CPUs)")
+	positiveFlag(fs, shards, "shards", 1, "per-node event-heap shards, at least 1 (default 1; entry params override; results identical)")
 	perturbSpec := fs.String("perturb", "", "deterministic fault injection overlay (see the experiment subcommands)")
 	quiet := fs.Bool("quiet", false, "suppress per-entry and per-job progress on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -357,9 +378,6 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: repro run [-scale smoke|paper] [-only ...] [flags]")
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1, got %d", *shards)
 	}
 	if *parallel == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

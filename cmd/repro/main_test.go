@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -378,9 +379,41 @@ func TestCLIParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineStatsLine pins the -engine-stats diagnostic: every job prints
+// its resumptions split into in-place and goroutine switches, the split adds
+// up, and a job with nothing to divide by prints 0, never NaN or +Inf.
+func TestEngineStatsLine(t *testing.T) {
+	var stderr bytes.Buffer
+	if err := run([]string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "64", "-shards", "2", "-engine-stats", "-quiet"}, io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	jobs := 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		var handoffs, inplace, switches uint64
+		i := strings.Index(line, "handoffs=")
+		if i < 0 {
+			continue
+		}
+		if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d switches=%d", &handoffs, &inplace, &switches); err != nil {
+			t.Fatalf("unparsable engine line %q: %v", line, err)
+		}
+		jobs++
+		if handoffs == 0 || inplace+switches != handoffs {
+			t.Errorf("inplace %d + switches %d != handoffs %d in %q", inplace, switches, handoffs, line)
+		}
+	}
+	if jobs == 0 || strings.Contains(stderr.String(), "NaN") || strings.Contains(stderr.String(), "Inf") {
+		t.Errorf("want one finite engine line per job, got:\n%s", stderr.String())
+	}
+	if perUnit(0, 0) != 0 || perUnit(5, 0) != 0 || perUnit(6, 3) != 2 {
+		t.Errorf("perUnit(0,0)=%v perUnit(5,0)=%v perUnit(6,3)=%v, want 0, 0, 2", perUnit(0, 0), perUnit(5, 0), perUnit(6, 3))
+	}
+}
+
 // TestUsageErrors pins the bad-input contract: an unknown subcommand, a
-// malformed list and a non-positive count all fail before any simulation
-// runs, the latter naming the offending field and value.
+// malformed list, an out-of-range count, depth or load and a pool or shard
+// width below 1 all fail before any simulation runs, naming the offending
+// field (or flag) and value.
 func TestUsageErrors(t *testing.T) {
 	for _, argv := range [][]string{nil, {"nosuch"}, {"fig9", "-workers-list", "1,x"}, {"serve", "-loads", "0.5,"}} {
 		if err := run(argv, io.Discard, io.Discard); err == nil {
@@ -396,6 +429,15 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"fig6", "-workers", "-3"}, "workers must be positive, got -3"},
 		{[]string{"table3", "-n", "-1024"}, "n must be positive, got -1024"},
 		{[]string{"all", "-workers", "-3"}, "workers must be positive, got -3"},
+		{[]string{"fig9", "-tree", "T1WL", "-workers-list", "12", "-seqdepth", "-1"}, "seqdepth must be non-negative, got -1"},
+		{[]string{"fig8", "-workscale", "-2"}, "workscale must be non-negative, got -2"},
+		{[]string{"fig6", "-dequecap", "-1"}, "dequecap must be non-negative, got -1"},
+		{[]string{"serve", "-loads", "0.5,0"}, "loads must be positive, got 0"},
+		{[]string{"serve", "-loads", "-1"}, "loads must be positive, got -1"},
+		{[]string{"serve", "-requests", "0"}, `invalid value "0" for flag -requests: must be at least 1`},
+		{[]string{"fig6", "-parallel", "-2"}, `invalid value "-2" for flag -parallel: must be at least 1`},
+		{[]string{"run", "-parallel", "0"}, `invalid value "0" for flag -parallel: must be at least 1`},
+		{[]string{"run", "-shards", "0"}, `invalid value "0" for flag -shards: must be at least 1`},
 	} {
 		var stdout bytes.Buffer
 		err := run(append(tc.argv, "-quiet"), &stdout, io.Discard)

@@ -415,6 +415,7 @@ func (rt *Runtime) collect(end sim.Time) RunStats {
 	}
 	rs.IsoVirtualBytes = rt.isoHigh
 	rs.Engine = rt.eng.Stats()
+	rs.InPlace = rt.eng.InPlace()
 	rs.CrossShard = rt.eng.CrossShard()
 	for _, w := range rt.workers {
 		rs.Work.add(&w.st)

@@ -69,9 +69,12 @@ type RunStats struct {
 	Stack  uniaddr.Stats
 
 	// Engine carries the host-side DES engine counters of the run (events
-	// dispatched, goroutine handoffs, completion callbacks) — the split-phase
+	// dispatched, proc resumptions, completion callbacks) — the split-phase
 	// engine's cost model, not a simulated quantity. See sim.EngineStats.
-	Engine sim.EngineStats
+	// InPlace is how many of Engine.Handoffs needed no goroutine switch
+	// (sim.Engine.InPlace).
+	Engine  sim.EngineStats
+	InPlace uint64
 
 	// CrossShard counts events scheduled onto a different engine shard than
 	// the one dispatching — the cross-node traffic a node-sharded engine

@@ -25,12 +25,13 @@ import (
 )
 
 // EngineStats, when non-nil, is invoked after each fork-join runtime job
-// finishes, with the job's coordinates, the DES engine's host-side counters
-// (see sim.EngineStats), the number of events that crossed engine shards
-// (0 under the single-heap engine) and the job's host wall time —
-// events/wall is the engine's host throughput. Calls are serialized across
-// pool workers, like Progress. cmd/repro wires it to -engine-stats.
-var EngineStats func(c Coord, es sim.EngineStats, crossShard uint64, wall time.Duration)
+// finishes, with the job's coordinates, its run statistics — of which the
+// host-side ones matter here: st.Engine (see sim.EngineStats), st.InPlace
+// and st.CrossShard (0 under the single-heap engine) — and the job's host
+// wall time; events/wall is the engine's host throughput. Calls are
+// serialized across pool workers, like Progress. cmd/repro wires it to
+// -engine-stats.
+var EngineStats func(c Coord, st core.RunStats, wall time.Duration)
 
 var engineStatsMu sync.Mutex
 
@@ -41,7 +42,7 @@ func reportEngine(c Coord, st core.RunStats, wall time.Duration) {
 		return
 	}
 	engineStatsMu.Lock()
-	hook(c, st.Engine, st.CrossShard, wall)
+	hook(c, st, wall)
 	engineStatsMu.Unlock()
 }
 

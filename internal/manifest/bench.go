@@ -13,8 +13,8 @@ import (
 	"strings"
 	"time"
 
+	"contsteal/internal/core"
 	"contsteal/internal/experiments"
-	"contsteal/internal/sim"
 )
 
 // BenchSchema identifies the one artifact format: every artifact carries
@@ -116,12 +116,12 @@ type benchAgg struct {
 }
 
 // add is wired to experiments.EngineStats; calls arrive serialized.
-func (a *benchAgg) add(_ experiments.Coord, es sim.EngineStats, cross uint64, wall time.Duration) {
+func (a *benchAgg) add(_ experiments.Coord, st core.RunStats, wall time.Duration) {
 	a.jobs++
-	a.events += es.Events
-	a.handoffs += es.Handoffs
-	a.callbacks += es.Callbacks
-	a.cross += cross
+	a.events += st.Engine.Events
+	a.handoffs += st.Engine.Handoffs
+	a.callbacks += st.Engine.Callbacks
+	a.cross += st.CrossShard
 	a.wall += wall
 }
 

@@ -103,6 +103,21 @@ func TestParseRejects(t *testing.T) {
 		{"negative ns element",
 			`{"scales":{"s":[{"experiment":"table3","params":{"ns":[1024,-1]}}]}}`,
 			"ns must be positive, got -1"},
+		{"negative seqdepth",
+			`{"scales":{"s":[{"experiment":"fig9","params":{"seqdepth":-1}}]}}`,
+			"seqdepth must be non-negative, got -1"},
+		{"negative workscale",
+			`{"scales":{"s":[{"experiment":"fig8","params":{"workscale":-2}}]}}`,
+			"workscale must be non-negative, got -2"},
+		{"negative dequecap",
+			`{"scales":{"s":[{"experiment":"fig6","params":{"dequecap":-1}}]}}`,
+			"dequecap must be non-negative, got -1"},
+		{"negative requests",
+			`{"scales":{"s":[{"experiment":"serve","params":{"requests":-5}}]}}`,
+			"requests must be non-negative, got -5"},
+		{"zero in loads",
+			`{"scales":{"s":[{"experiment":"serve","params":{"loads":[0.5,0]}}]}}`,
+			"loads must be positive, got 0"},
 		{"unknown machine",
 			`{"scales":{"s":[{"experiment":"fig6","params":{"machine":"summit"}}]}}`,
 			`unknown machine "summit"`},

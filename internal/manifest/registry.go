@@ -49,11 +49,11 @@ func (s *Spec) Run(p Params, x Exec) (experiments.Rendering, error) {
 // options validates p and maps it, with the invocation knobs, onto
 // experiments.Options (entry-level shards/perturb win over Exec's). It
 // rejects values no experiment can run, naming the field by its JSON tag: a
-// name outside its set, a negative count, a non-positive element of a count
-// list, an unparsable steal policy or perturbation. Unset (zero) fields pass
-// — the experiments' defaults own them. Every spec run and every parsed
-// manifest entry goes through it, so a bad CLI flag and a bad manifest knob
-// fail with the same message before any simulation starts.
+// name outside its set, a negative count or depth, a non-positive element of
+// a count or load list, an unparsable steal policy or perturbation. Unset
+// (zero) fields pass — the experiments' defaults own them. Every spec run and
+// every parsed manifest entry goes through it, so a bad CLI flag and a bad
+// manifest knob fail with the same message before any simulation starts.
 func (p Params) options(x Exec) (experiments.Options, error) {
 	one := func(v string) []string {
 		if v == "" {
@@ -85,17 +85,27 @@ func (p Params) options(x Exec) (experiments.Options, error) {
 		field string
 		vals  []int
 		min   int // a scalar's 0 means unset; a list element has no such reading
+		want  string
 	}{
-		{"workers", []int{p.Workers}, 0},
-		{"n", []int{p.N}, 0},
-		{"shards", []int{p.Shards}, 0},
-		{"workers_list", p.WorkersList, 1},
-		{"ns", p.NS, 1},
+		{"workers", []int{p.Workers}, 0, "positive"},
+		{"n", []int{p.N}, 0, "positive"},
+		{"shards", []int{p.Shards}, 0, "positive"},
+		{"workers_list", p.WorkersList, 1, "positive"},
+		{"ns", p.NS, 1, "positive"},
+		{"seqdepth", []int{p.SeqDepth}, 0, "non-negative"},
+		{"workscale", []int{p.WorkScale}, 0, "non-negative"},
+		{"dequecap", []int{p.DequeCap}, 0, "non-negative"},
+		{"requests", []int{p.Requests}, 0, "non-negative"},
 	} {
 		for _, v := range c.vals {
 			if v < c.min {
-				return experiments.Options{}, fmt.Errorf("params: %s must be positive, got %d", c.field, v)
+				return experiments.Options{}, fmt.Errorf("params: %s must be %s, got %d", c.field, c.want, v)
 			}
+		}
+	}
+	for _, l := range p.Loads {
+		if !(l > 0) {
+			return experiments.Options{}, fmt.Errorf("params: loads must be positive, got %g", l)
 		}
 	}
 	if p.HorizonUs < 0 {

@@ -69,14 +69,14 @@ import (
 //
 // Lineage nodes are refcounted and pooled per engine (see releaseKey): an
 // event's key holds one reference plus one per child key created during its
-// dispatch, and the dispatching engine releases the event's reference after
-// running it. A node whose count hits zero goes on the dispatching engine's
-// intrusive free list (the parent pointer doubles as the list link), so the
-// steady-state event path allocates nothing — the allocs/op gate in
-// BenchmarkEngineShardedSteadyState holds this at zero. Reference counts
-// are atomic because shards release concurrently and lineages cross
-// shards; comparisons are safe because every ancestor of a live key is
-// pinned by its descendants' references.
+// dispatch, and the dispatching engine releases the event's reference
+// before popping the next one. A node whose count hits zero goes on the
+// dispatching engine's intrusive free list (the parent pointer doubles as
+// the list link), so the steady-state event path allocates nothing — the
+// allocs/op gate in BenchmarkEngineShardedSteadyState holds this at zero.
+// Reference counts are atomic because shards release concurrently and
+// lineages cross shards; comparisons are safe because every ancestor of a
+// live key is pinned by its descendants' references.
 //
 // The ordered multi-heap mode inside Engine has none of these costs, which
 // is one reason core runtimes use that mode instead (the other: their
@@ -115,9 +115,9 @@ func (e *Engine) newKnode(t Time, parent *knode, idx uint64) *knode {
 
 // releaseKey drops the dispatched event's reference on its key, recycling
 // the node — and transitively any ancestors it was the last holder of —
-// onto this engine's free list. Runs on the goroutine executing the
-// engine's Run loop, so the free list needs no lock; the counts are atomic
-// because an ancestor may be released concurrently from another shard.
+// onto this engine's free list. Runs on the goroutine holding the engine's
+// baton, so the free list needs no lock; the counts are atomic because an
+// ancestor may be released concurrently from another shard.
 func (e *Engine) releaseKey(k *knode) {
 	for k != nil {
 		if atomic.AddInt32(&k.refs, -1) != 0 {

@@ -6,11 +6,12 @@
 // # Model
 //
 // An Engine owns a virtual clock and a priority queue of events. A Proc is a
-// goroutine that runs only when the engine hands it control; at any instant
-// at most one proc (or the engine itself) is executing, so a simulation is
-// fully sequential and deterministic: two runs with the same inputs produce
-// the same event order, the same virtual timestamps, and the same results,
-// regardless of GOMAXPROCS.
+// goroutine that runs only while it holds the engine's baton; at any instant
+// exactly one goroutine holds it — Run's caller, or one proc — and whoever
+// holds it dispatches the next event itself when it suspends, so a
+// simulation is fully sequential and deterministic: two runs with the same
+// inputs produce the same event order, the same virtual timestamps, and the
+// same results, regardless of GOMAXPROCS.
 //
 // Procs interact with virtual time through three primitives:
 //
@@ -19,7 +20,8 @@
 //   - Wake(p)/WakeAfter(p, d): make a parked proc runnable (now or later).
 //
 // The engine additionally supports plain callback events via At/After, which
-// run on the engine goroutine itself.
+// run inline on whichever goroutine is dispatching (never concurrently with
+// a proc body).
 //
 // # Determinism
 //
@@ -31,7 +33,7 @@
 // # Completion chains
 //
 // A Chain is the split-phase counterpart of a sequence of Sleeps: a state
-// machine of timed callbacks that runs entirely on the engine goroutine,
+// machine of timed callbacks that runs entirely inside event dispatch,
 // waking the issuing proc exactly once at the end. A multi-step protocol
 // (e.g. the five one-sided operations of a deque steal) issues its first
 // link, each link's callback performs its memory access and schedules the
@@ -42,29 +44,34 @@
 // the same scheduling instants as the Sleeps it replaces, so converting a
 // blocking protocol to a chain changes no virtual-time result: event order,
 // timestamps, and all derived statistics stay byte-identical. What changes
-// is host cost — one goroutine handoff per protocol instead of one per
+// is host cost — one proc resumption per protocol instead of one per
 // sub-operation. Chain objects are pooled on the engine (Wait releases
 // them), so steady-state chains allocate nothing.
 //
 // # Host performance
 //
-// The engine is two-tier: delay-only waits run as callbacks on the engine
-// goroutine (a heap pop plus a function call, ~10 ns), while a full proc
-// handoff — two rendezvous on the proc's single unbuffered channel — costs
-// hundreds of nanoseconds. Hot paths therefore avoid handoffs: multi-op
-// protocols use completion chains (one handoff per protocol), live procs
-// are kept on an intrusive list (no map operations on spawn/death), proc
-// names are formatted lazily (no fmt on the spawn path; see GoID), and
-// events are plain values in a slice-backed heap (no per-event allocation).
-// With a single OS thread available (GOMAXPROCS=1) the Go scheduler keeps
-// the remaining handoffs on-thread, which is ~4x cheaper than cross-thread
-// wakeups — the right setting when one simulation owns the whole process.
+// There is no driver goroutine between two procs. A suspending (or exiting)
+// proc runs the event loop itself: callbacks cost a heap pop plus a function
+// call (~25 ns); if the next proc to resume is the dispatcher itself it just
+// returns — an in-place clock advance, no channel operation, about the same
+// cost; otherwise it wakes that proc directly and blocks, one goroutine
+// switch (~270 ns). Only a Run per event still pays the old two-switch round
+// trip (~500 ns, BenchmarkEngineHandoff). Hot paths still avoid switches:
+// multi-op protocols use completion chains (one resumption per protocol,
+// usually in place), live procs are kept on an intrusive list (no map
+// operations on spawn/death), proc names are formatted lazily (no fmt on the
+// spawn path; see GoID), and events are plain values in a slice-backed heap
+// (no per-event allocation). With a single OS thread available
+// (GOMAXPROCS=1) the Go scheduler keeps the remaining switches on-thread,
+// which is cheaper than cross-thread wakeups — the right setting when one
+// simulation owns the whole process.
 // When many engines run concurrently (parallel experiment sweeps, one
 // engine per host goroutine), leave GOMAXPROCS alone: all host threads stay
 // busy and determinism is unaffected either way because each engine's event
 // order never depends on goroutine scheduling. EngineStats reports how many
-// events, handoffs and callbacks a run executed, so throughput (events/sec)
-// and the handoff-avoidance ratio are directly measurable.
+// events, proc resumptions and callbacks a run executed and InPlace how many
+// resumptions needed no switch, so throughput (events/sec) and the
+// switch-avoidance ratio are directly measurable.
 //
 // # Sharding
 //
@@ -85,8 +92,10 @@
 // from the Engine.Run call driving the simulation — i.e. on the caller's
 // goroutine, where it can be recovered per run. A panic inside a callback
 // (including a chain link) is wrapped the same way, attributed to the
-// pseudo-proc "callback". The engine shuts down its remaining procs first,
-// so no goroutines leak past the failure.
+// pseudo-proc "callback" — it is caught inside dispatch, because the
+// goroutine a callback happens to run on is usually some suspended proc's.
+// The engine shuts down its remaining procs first, so no goroutines leak
+// past the failure.
 package sim
 
 import (
@@ -163,9 +172,9 @@ func (s ProcState) String() string {
 type wakeSignal uint8
 
 const (
-	wakeRun  wakeSignal = iota // engine -> proc: run until the next suspension
-	wakeKill                   // engine -> proc: unwind and exit (Shutdown)
-	wakeDone                   // proc -> engine: suspended or finished
+	wakeRun  wakeSignal = iota // baton holder -> proc: run until the next suspension
+	wakeKill                   // Shutdown -> proc: unwind and exit
+	wakeDone                   // killed proc -> Shutdown: goroutine is exiting
 )
 
 // killed is the panic payload used to unwind a proc's goroutine during
@@ -175,7 +184,7 @@ type killed struct{}
 // ProcPanic is the payload Engine.Run re-panics with when a proc body
 // panicked: the proc's identity, the virtual time of the failure, the
 // original panic value, and the goroutine's stack at the point of the
-// panic. Panics inside engine callbacks carry the proc name "callback".
+// panic. Panics inside callbacks carry the proc name "callback".
 type ProcPanic struct {
 	Proc  string // name of the panicking proc
 	T     Time   // virtual time of the panic
@@ -198,8 +207,8 @@ func (pp *ProcPanic) String() string {
 // program dispatches the same events in the same order at any -shards N.
 type EngineStats struct {
 	Events    uint64 // events dispatched by Run
-	Handoffs  uint64 // goroutine handoffs to procs (the expensive path)
-	Callbacks uint64 // engine-loop callbacks executed (incl. chain links)
+	Handoffs  uint64 // proc resumptions (in place or by a goroutine switch; see InPlace)
+	Callbacks uint64 // callbacks executed (incl. chain links)
 }
 
 // ShardStats counts per-shard event traffic of a multi-heap engine. Inbound
@@ -247,9 +256,12 @@ type Engine struct {
 	nlive    int
 	parked   int
 	stopped  bool
-	fail     *ProcPanic   // set by a panicking proc, re-raised by Run
-	trace    func(string) // optional debug trace hook
+	until    Time          // horizon of the Run in progress
+	driver   chan struct{} // hands the baton back to the goroutine parked in Run
+	fail     *ProcPanic    // first panic of the run, re-raised by Run
+	trace    func(string)  // optional debug trace hook
 	stats    EngineStats
+	inplace  uint64 // resumptions served without a goroutine switch (see InPlace)
 	sstats   []ShardStats
 	chains   *Chain // free list of pooled Chain objects
 
@@ -281,6 +293,7 @@ func NewEngineShards(shards int) *Engine {
 	return &Engine{
 		heaps:  make([]eventHeap, shards),
 		sstats: make([]ShardStats, shards),
+		driver: make(chan struct{}),
 	}
 }
 
@@ -306,6 +319,15 @@ func (e *Engine) Pending() int {
 
 // Stats returns the engine's host-side work counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
+
+// InPlace returns how many of Stats().Handoffs were served in place: the
+// suspending proc found its own wake-up next in the queue and simply
+// returned, with no channel operation. The rest (Handoffs - InPlace) each
+// cost one goroutine switch. Deterministic for a given program and sequence
+// of Run calls, but — unlike EngineStats — dependent on Run(until) windowing
+// (a proc resumed by a fresh Run is always switched to), so it is kept out
+// of the struct that serial and sharded engines compare with ==.
+func (e *Engine) InPlace() uint64 { return e.inplace }
 
 // Shards returns the number of per-node event heaps (1 for a plain engine).
 func (e *Engine) Shards() int { return len(e.heaps) }
@@ -384,11 +406,11 @@ func (e *Engine) schedule(t Time, shard int, p *Proc, fn func()) {
 	e.heaps[shard].push(event{t: t, seq: e.seq, p: p, fn: fn, key: k})
 }
 
-// At schedules fn to run on the engine goroutine at virtual time t (which
-// must not be in the past).
+// At schedules fn to run inside event dispatch at virtual time t (which must
+// not be in the past).
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, e.curShard, nil, fn) }
 
-// After schedules fn to run on the engine goroutine d nanoseconds from now.
+// After schedules fn to run inside event dispatch d nanoseconds from now.
 // The event lands on the shard of the scheduling context.
 func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
@@ -456,32 +478,14 @@ func (e *Engine) spawn(d Time, shard int, name, prefix string, id int64, body fu
 	}
 	e.link(p)
 	go func() {
-		sig := <-p.ch
-		if sig != wakeKill {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(killed); ok {
-							return
-						}
-						// Real panic in simulation code: record it with the
-						// proc's identity and stack. The proc dies normally
-						// (yielding below); Engine.Run re-raises the failure
-						// on the goroutine driving the simulation, where it
-						// can be recovered per run.
-						buf := make([]byte, 64<<10)
-						pp := &ProcPanic{Proc: p.Name(), T: e.now, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
-						if e.fail == nil {
-							e.fail = pp
-						}
-					}
-				}()
-				body(p)
-			}()
-		}
+		finished := <-p.ch == wakeRun && p.run(body)
 		p.state = StateDead
 		e.unlink(p)
-		p.ch <- wakeDone
+		if finished {
+			e.pass(e.dispatch()) // exiting with the baton: hand it on
+		} else {
+			p.ch <- wakeDone // killed: Shutdown is waiting for the goroutine
+		}
 	}()
 	p.state = StateScheduled
 	e.schedule(e.now+d, p.shard, p, nil)
@@ -517,47 +521,63 @@ func (e *Engine) unlink(p *Proc) {
 // returns the virtual time at which it stopped. When a horizon is given and
 // events remain beyond it, the clock is advanced exactly to the horizon.
 //
-// A panic escaping an event — a proc body or an engine callback — is
-// re-raised from Run as a *ProcPanic after the remaining procs are torn
-// down, so no goroutines leak past a failed simulation.
+// Run dispatches on the caller's goroutine until the first proc must run,
+// hands it the baton, and parks; from then on each suspending or exiting
+// proc dispatches the next event itself (see dispatch), and the baton comes
+// back here only when dispatch has nothing left to do.
+//
+// A panic escaping an event — a proc body or a callback — is re-raised from
+// Run as a *ProcPanic after the remaining procs are torn down, so no
+// goroutines leak past a failed simulation.
 func (e *Engine) Run(until Time) Time {
+	e.until = until
+	if p := e.dispatch(); p != nil {
+		p.ch <- wakeRun
+		<-e.driver
+	}
+	e.releaseCur()
+	if pp := e.fail; pp != nil {
+		e.fail = nil
+		e.Shutdown()
+		panic(pp)
+	}
+	return e.now
+}
+
+// dispatch is the engine's one event loop, run by whichever goroutine holds
+// the baton: Run's caller at first, then every proc that suspends or exits.
+// It pops events in order, runs callbacks inline, and returns the next proc
+// to resume (already marked running and counted) — or nil when the run is
+// over for now (queue empty, Stop, horizon, recorded failure) and the baton
+// belongs back in Run. A panicking callback is recorded as the failure of
+// the pseudo-proc "callback" rather than unwinding the goroutine it happened
+// to execute on; the recovered dispatch returns nil.
+func (e *Engine) dispatch() *Proc {
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(*ProcPanic); ok {
-				panic(r) // proc failure, already wrapped and shut down
-			}
-			// A callback (chain link, timer, sampler) panicked on the engine
-			// goroutine. The stack is still intact here, so capture it, tear
-			// the procs down, and re-raise in the uniform shape.
-			buf := make([]byte, 64<<10)
-			pp := &ProcPanic{Proc: "callback", T: e.now, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
-			e.current = nil
-			e.ready = nil
-			e.Shutdown()
-			panic(pp)
+			e.failed("callback", r)
 		}
 	}()
+	e.current = nil
 	for !e.stopped {
-		// Merge point: pop the global minimum across the per-shard heaps.
-		// The comparison is (t, seq) — or (t, lineage key) in keyed mode —
-		// so the dispatch order is identical to a single-heap engine.
-		best := -1
-		for i := range e.heaps {
-			if len(e.heaps[i]) == 0 {
-				continue
-			}
-			if best < 0 || e.heaps[i].beats(e.heaps[best]) {
+		// The previous event's children hold their own key references by now.
+		e.releaseCur()
+		// Merge point: the global minimum across the per-shard heaps by
+		// (t, seq) — or (t, lineage key) in keyed mode — so the order is
+		// identical to a single-heap engine's, which skips the scan.
+		best := 0
+		for i := 1; i < len(e.heaps); i++ {
+			if len(e.heaps[i]) != 0 && (len(e.heaps[best]) == 0 || e.heaps[i].beats(e.heaps[best])) {
 				best = i
 			}
 		}
-		if best < 0 {
+		if len(e.heaps[best]) == 0 {
 			break
 		}
 		ev := e.heaps[best].peek()
-		if until >= 0 && ev.t > until {
-			e.now = until
-			e.curKey = nil
-			return e.now
+		if e.until >= 0 && ev.t > e.until {
+			e.now = e.until
+			break
 		}
 		e.heaps[best].pop()
 		e.now = ev.t
@@ -566,74 +586,68 @@ func (e *Engine) Run(until Time) Time {
 			e.curKey = ev.key
 			e.curIdx = 0
 		}
+		p, verb := ev.p, "run"
+		if ev.fn == nil && p.state == StateDead {
+			continue // a killed proc can leave a stale event behind
+		}
+		e.stats.Events++
+		e.sstats[best].Events++
 		if ev.fn != nil {
 			if e.trace != nil {
 				e.trace(fmt.Sprintf("t=%v callback", e.now))
 			}
-			e.stats.Events++
 			e.stats.Callbacks++
-			e.sstats[best].Events++
 			ev.fn()
-			if e.ready != nil {
-				// A chain completed inside the callback: hand the issuing
-				// proc control within this same event, so it resumes at
-				// exactly the (time, seq) instant of the final link.
-				p := e.ready
-				e.ready = nil
-				if e.trace != nil {
-					e.trace(fmt.Sprintf("t=%v resume %q", e.now, p.Name()))
-				}
-				e.runProc(p)
-			}
-		} else if p := ev.p; p != nil {
-			if p.state == StateDead {
-				// A killed proc can leave a stale event behind.
-				if ev.key != nil {
-					e.curKey = nil
-					e.releaseKey(ev.key)
-				}
-				continue
-			}
-			if e.trace != nil {
-				e.trace(fmt.Sprintf("t=%v run %q", e.now, p.Name()))
-			}
-			e.stats.Events++
-			e.sstats[best].Events++
-			e.runProc(p)
+			// A chain completed inside the callback resumes its proc within
+			// this same event, at exactly the (time, seq) of the final link.
+			p, e.ready, verb = e.ready, nil, "resume"
 		}
-		if ev.key != nil {
-			// The dispatched event's reference on its lineage key: children
-			// scheduled during the dispatch hold their own, so releasing here
-			// recycles exactly the nodes no live event can reach.
-			e.curKey = nil
-			e.releaseKey(ev.key)
+		if p == nil {
+			continue
 		}
+		if e.trace != nil {
+			e.trace(fmt.Sprintf("t=%v %s %q", e.now, verb, p.Name()))
+		}
+		p.state = StateRunning
+		e.current = p
+		// The proc may be resumed from an event on a foreign shard (a completion
+		// callback routed to the target node's heap finishing the proc's chain).
+		// Anything the proc schedules while running belongs to its own shard.
+		e.curShard = p.shard
+		e.stats.Handoffs++
+		return p
 	}
-	e.curKey = nil
-	return e.now
+	return nil
 }
 
-// runProc hands control to p and blocks until it suspends or finishes, then
-// propagates any failure its body recorded.
-func (e *Engine) runProc(p *Proc) {
-	p.state = StateRunning
-	e.current = p
-	// The proc may be resumed from an event on a foreign shard (a completion
-	// callback routed to the target node's heap finishing the proc's chain).
-	// Anything the proc schedules while running belongs to its own shard.
-	e.curShard = p.shard
-	e.stats.Handoffs++
-	p.ch <- wakeRun
-	<-p.ch
-	e.current = nil
-	if e.fail != nil {
-		// A proc body panicked. Tear the remaining procs down so no
-		// goroutine leaks, then re-raise on this (the caller's) goroutine.
-		pp := e.fail
-		e.fail = nil
-		e.Shutdown()
-		panic(pp)
+// pass hands the baton to next, or back to Run when dispatch ran dry.
+func (e *Engine) pass(next *Proc) {
+	if next != nil {
+		next.ch <- wakeRun
+	} else {
+		e.driver <- struct{}{}
 	}
+}
+
+// releaseCur drops the dispatched event's reference on its lineage key
+// (keyed engines only): children scheduled during the dispatch hold their
+// own, so this recycles exactly the nodes no live event can reach.
+func (e *Engine) releaseCur() {
+	if k := e.curKey; k != nil {
+		e.curKey = nil
+		e.releaseKey(k)
+	}
+}
+
+// failed records the run's first panic and stops dispatch; Run re-raises it
+// on its caller's goroutine. It must be called from the deferred recover
+// itself, while the panicking frames are still on the stack.
+func (e *Engine) failed(who string, r any) {
+	if e.fail == nil {
+		buf := make([]byte, 64<<10)
+		e.fail = &ProcPanic{Proc: who, T: e.now, Value: r, Stack: buf[:runtime.Stack(buf, false)]}
+	}
+	e.stopped = true
 }
 
 // Deadlocked reports whether the simulation has reached a state with no
@@ -677,10 +691,11 @@ type Proc struct {
 	name string // explicit name, or "" when prefix+id is formatted lazily
 	id   int64
 
-	// ch is the proc's single handoff channel, used in strict alternation:
-	// engine sends wakeRun/wakeKill, proc answers wakeDone when it suspends
-	// or finishes. Unbuffered, so every transfer is a direct rendezvous the
-	// Go scheduler can service without a queue round trip.
+	// ch is the proc's single wake-up channel: a suspended proc blocks on it
+	// until the baton holder sends wakeRun (or Shutdown sends wakeKill and
+	// reads the wakeDone acknowledgement). Unbuffered, so every transfer is
+	// a direct rendezvous the Go scheduler can service without a queue
+	// round trip.
 	ch chan wakeSignal
 
 	prefix             string
@@ -710,10 +725,34 @@ func (p *Proc) State() ProcState { return p.state }
 // Shard returns the shard that owns this proc (0 in a single-heap engine).
 func (p *Proc) Shard() int { return p.shard }
 
-// yield returns control to the engine and blocks until the next wake.
+// run executes body, reporting whether it ended by itself (returned or
+// panicked, the panic recorded for Run) rather than unwound by Shutdown.
+func (p *Proc) run(body func(p *Proc)) (finished bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				p.eng.failed(p.Name(), r)
+				finished = true
+			}
+		}
+	}()
+	body(p)
+	return true
+}
+
+// yield suspends the proc, which holds the baton and so dispatches what
+// comes next itself. If that is its own wake-up it just returns — the clock
+// advanced in place, no channel operation; otherwise it wakes the next proc
+// directly (one goroutine switch) and blocks until somebody wakes it.
 func (p *Proc) yield() {
-	p.ch <- wakeDone
-	if sig := <-p.ch; sig == wakeKill {
+	e := p.eng
+	next := e.dispatch()
+	if next == p {
+		e.inplace++
+		return
+	}
+	e.pass(next)
+	if <-p.ch == wakeKill {
 		panic(killed{})
 	}
 }
@@ -792,8 +831,8 @@ func (e *Engine) NewChain(p *Proc) *Chain {
 	return &Chain{eng: e, p: p}
 }
 
-// Then schedules the next link of the chain: fn runs on the engine
-// goroutine d nanoseconds from now — the split-phase equivalent of
+// Then schedules the next link of the chain: fn runs inside event dispatch
+// d nanoseconds from now — the split-phase equivalent of
 // Sleep(d) followed by fn inline. One link consumes exactly one event and
 // one sequence number, like the Sleep it replaces.
 func (c *Chain) Then(d Time, fn func()) { c.eng.After(d, fn) }

@@ -3,6 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +139,47 @@ func TestRunHorizon(t *testing.T) {
 	}
 }
 
+func TestRunHorizonHitByProc(t *testing.T) {
+	// With several procs in flight the goroutine that meets the horizon is a
+	// suspending proc, not Run's caller: every windowed Run must still return
+	// its horizon exactly, and the windows together must replay the unwindowed
+	// run — same order, same timestamps, same counters.
+	run := func(horizons ...Time) ([]string, EngineStats) {
+		e := NewEngine()
+		var log []string
+		for i := 0; i < 4; i++ {
+			i := i
+			e.GoID("w", int64(i), func(p *Proc) {
+				for j := 0; j < 25; j++ {
+					p.Sleep(Time(3 + 2*i))
+					log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
+				}
+			})
+		}
+		e.At(41, func() { log = append(log, "cb@41") })
+		for _, h := range horizons {
+			if end := e.Run(h); end != h {
+				t.Errorf("Run(%v) = %v, want the horizon exactly", h, end)
+			}
+			if e.Now() != h {
+				t.Errorf("Now() = %v after Run(%v)", e.Now(), h)
+			}
+		}
+		if end := e.Run(Forever); end != 225 || e.Live() != 0 {
+			t.Errorf("final Run = %v with %d live, want 225 and 0", end, e.Live())
+		}
+		return log, e.Stats()
+	}
+	wantLog, wantStats := run()
+	gotLog, gotStats := run(10, 40, 41, 42, 100)
+	if !slices.Equal(gotLog, wantLog) {
+		t.Errorf("windowed run diverges from the unwindowed one:\n got %v\nwant %v", gotLog, wantLog)
+	}
+	if gotStats != wantStats {
+		t.Errorf("windowed stats %+v, want %+v", gotStats, wantStats)
+	}
+}
+
 func TestRunHorizonAdvancesClockWithoutEvents(t *testing.T) {
 	e := NewEngine()
 	e.At(100, func() {})
@@ -159,6 +203,48 @@ func TestStop(t *testing.T) {
 	}
 	if !e.Stopped() {
 		t.Error("Stopped() = false after Stop")
+	}
+}
+
+func TestStopWhileProcHoldsBaton(t *testing.T) {
+	// Stop must end the run at the current event whoever is dispatching: a
+	// proc calling it directly, or a callback a suspending proc dispatched.
+	for _, from := range []string{"proc", "callback"} {
+		base := runtime.NumGoroutine()
+		e := NewEngine()
+		var log []string
+		for i := 0; i < 3; i++ {
+			i := i
+			e.GoID("w", int64(i), func(p *Proc) {
+				for {
+					p.Sleep(10)
+					log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
+					if from == "proc" && i == 1 && p.Now() == 30 {
+						e.Stop()
+					}
+				}
+			})
+		}
+		if from == "callback" {
+			// Due while all three procs sleep towards t=30, so w2 — the last to
+			// suspend at t=20 — is the goroutine that runs it.
+			e.At(25, func() { log = append(log, "stop@25"); e.Stop() })
+		}
+		end := e.Run(Forever)
+		want := map[string]struct {
+			end  Time
+			last string
+		}{"proc": {30, "1@30"}, "callback": {25, "stop@25"}}[from]
+		if end != want.end || len(log) == 0 || log[len(log)-1] != want.last {
+			t.Errorf("Stop from %s: Run = %v, log %v; want end %v right after %q", from, end, log, want.end, want.last)
+		}
+		if e.Live() != 3 {
+			t.Errorf("Stop from %s: Live = %d, want the 3 suspended procs", from, e.Live())
+		}
+		e.Shutdown()
+		if n := countGoroutines(base); n > base {
+			t.Errorf("Stop from %s: goroutines leaked: %d > %d", from, n, base)
+		}
 	}
 }
 
@@ -534,9 +620,9 @@ func TestShutdownWithPendingChain(t *testing.T) {
 }
 
 func TestProcPanicFromCompletionCallback(t *testing.T) {
-	// A panic inside a chain link runs on the engine goroutine; Run must
-	// re-raise it as a *ProcPanic attributed to "callback" and tear down the
-	// waiting proc.
+	// A panic inside a chain link (here on the waiting proc's own goroutine,
+	// which dispatches its links) must be re-raised by Run as a *ProcPanic
+	// attributed to "callback", with the waiting proc torn down.
 	e := NewEngine()
 	e.Go("issuer", func(p *Proc) {
 		c := e.NewChain(p)
@@ -563,29 +649,34 @@ func TestProcPanicFromCompletionCallback(t *testing.T) {
 
 func TestRunHorizonMidChain(t *testing.T) {
 	// A horizon that falls between two links must stop the engine with the
-	// proc still parked; resuming the run completes the chain normally.
+	// procs still parked; resuming the run completes the chains normally.
+	// Three issuers, so the links run on (and the horizon is met by) a proc
+	// parked in Wait rather than Run's caller.
 	e := NewEngine()
-	var resumed Time = -1
-	e.Go("issuer", func(p *Proc) {
-		c := e.NewChain(p)
-		c.Then(10, func() {
-			c.Then(90, c.Complete)
+	resumed := []Time{-1, -1, -1}
+	for i := range resumed {
+		i := i
+		e.GoID("issuer", int64(i), func(p *Proc) {
+			c := e.NewChain(p)
+			c.Then(Time(10+i), func() {
+				c.Then(90, c.Complete)
+			})
+			c.Wait()
+			resumed[i] = p.Now()
 		})
-		c.Wait()
-		resumed = p.Now()
-	})
+	}
 	if end := e.Run(50); end != 50 {
 		t.Errorf("Run(50) = %v, want 50", end)
 	}
-	if resumed != -1 {
-		t.Error("proc resumed before its final link fired")
+	if !slices.Equal(resumed, []Time{-1, -1, -1}) {
+		t.Errorf("procs resumed before their final links fired: %v", resumed)
 	}
-	if e.Parked() != 1 {
-		t.Errorf("Parked = %d at horizon, want 1", e.Parked())
+	if e.Parked() != 3 {
+		t.Errorf("Parked = %d at horizon, want 3", e.Parked())
 	}
 	e.Run(Forever)
-	if resumed != 100 {
-		t.Errorf("proc resumed at %v, want 100", resumed)
+	if !slices.Equal(resumed, []Time{100, 101, 102}) {
+		t.Errorf("procs resumed at %v, want [100 101 102]", resumed)
 	}
 	if e.Live() != 0 {
 		t.Errorf("Live = %d, want 0", e.Live())
@@ -614,10 +705,188 @@ func TestEngineStatsDeterministic(t *testing.T) {
 	}
 }
 
+//go:noinline
+func panickingTimer() { panic("timer boom") }
+
+func TestCallbackPanicOnProcGoroutine(t *testing.T) {
+	// The timer comes due while "sleeper" holds the baton (it is suspended in
+	// Sleep and dispatching), so the callback panics on a proc's goroutine.
+	// It must still surface from Run as the pseudo-proc "callback" with the
+	// callback's own frames, and every goroutine must be gone afterwards.
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	e.Go("bystander", func(p *Proc) { p.Park() })
+	e.Go("sleeper", func(p *Proc) { p.Sleep(100) })
+	e.At(50, panickingTimer)
+	defer func() {
+		pp, ok := recover().(*ProcPanic)
+		if !ok {
+			t.Fatalf("Run did not panic with a *ProcPanic")
+		}
+		if pp.Proc != "callback" || pp.T != 50 || pp.Value != "timer boom" {
+			t.Errorf("ProcPanic = %q t=%v value=%v, want callback/50/timer boom", pp.Proc, pp.T, pp.Value)
+		}
+		if stack := string(pp.Stack); !strings.Contains(stack, "panickingTimer") || !strings.Contains(stack, "(*Proc).Sleep") {
+			t.Errorf("stack lacks the callback's frames under the dispatching proc's Sleep:\n%s", stack)
+		}
+		if e.Live() != 0 {
+			t.Errorf("%d procs alive after failed run", e.Live())
+		}
+		if n := countGoroutines(base); n > base {
+			t.Errorf("goroutines leaked: %d > %d baseline", n, base)
+		}
+	}()
+	e.Run(Forever)
+	t.Fatal("Run returned normally despite callback panic")
+}
+
+func TestExitHandsBatonOn(t *testing.T) {
+	// A proc that returns still holds the baton and must pass it on: waves of
+	// short-lived procs, spawned by procs, exiting while others are scheduled.
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	finished := 0
+	for i := 0; i < 16; i++ {
+		i := i
+		e.GoID("parent", int64(i), func(p *Proc) {
+			for j := 0; j < 64; j++ {
+				e.Go("child", func(c *Proc) {
+					if (i+j)%3 != 0 { // a third exit without ever suspending
+						c.Sleep(Time((i + j) % 5))
+					}
+					finished++
+				})
+				p.Sleep(Time(1 + i%4))
+			}
+		})
+	}
+	e.Run(Forever)
+	if finished != 16*64 || e.Live() != 0 || e.Pending() != 0 {
+		t.Errorf("finished=%d live=%d pending=%d, want %d, 0, 0", finished, e.Live(), e.Pending(), 16*64)
+	}
+	if n := countGoroutines(base); n > base {
+		t.Errorf("goroutines leaked: %d > %d baseline", n, base)
+	}
+}
+
+// batonProgram runs a seeded 64-proc mix of every suspension primitive —
+// Sleep, Park woken by a peer or by a timer, chains of one to three links,
+// short-lived children — and returns its event log and counters.
+func batonProgram(seed int64) (log []string, st EngineStats, inplace uint64) {
+	e := NewEngine()
+	var parked []*Proc // FIFO of procs that announced a Park
+	for i := 0; i < 64; i++ {
+		i := i
+		rng := rand.New(rand.NewSource(seed + int64(i)))
+		e.GoID("w", int64(i), func(p *Proc) {
+			for step := 0; step < 40; step++ {
+				switch rng.Intn(5) {
+				case 0:
+					p.Sleep(Time(rng.Intn(50)))
+				case 1: // the timer guarantees a wake-up; a peer may get there first
+					e.After(Time(1+rng.Intn(30)), func() {
+						if p.State() == StateParked {
+							e.Wake(p)
+						}
+					})
+					parked = append(parked, p)
+					p.Park()
+				case 2:
+					for len(parked) > 0 {
+						q := parked[0]
+						parked = parked[1:]
+						if q.State() == StateParked {
+							e.WakeAfter(q, Time(rng.Intn(5)))
+							break
+						}
+					}
+				case 3:
+					c := e.NewChain(p)
+					links := 1 + rng.Intn(3)
+					var step func()
+					step = func() {
+						log = append(log, fmt.Sprintf("link%d@%d", i, e.Now()))
+						if links--; links == 0 {
+							c.Complete()
+						} else {
+							c.Then(Time(rng.Intn(9)), step)
+						}
+					}
+					c.Then(Time(rng.Intn(9)), step)
+					c.Wait()
+				case 4:
+					d := Time(rng.Intn(7))
+					e.Go("child", func(c *Proc) {
+						c.Sleep(d)
+						log = append(log, fmt.Sprintf("child%d@%d", i, c.Now()))
+					})
+				}
+				log = append(log, fmt.Sprintf("%d@%d", i, p.Now()))
+			}
+		})
+	}
+	e.Run(Forever)
+	if e.Live() != 0 {
+		e.Shutdown()
+		panic("batonProgram: procs left behind")
+	}
+	return log, e.Stats(), e.InPlace()
+}
+
+func TestBatonIndependentOfGOMAXPROCS(t *testing.T) {
+	// No central driver serializes the procs any more: the baton itself
+	// (p.ch, the driver channel) is the only happens-before chain, so the
+	// same program must produce the same log and counters with one P and
+	// with four — and stay clean under -race.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	wantLog, wantStats, wantInPlace := batonProgram(11)
+	if wantInPlace == 0 || wantInPlace == wantStats.Handoffs {
+		t.Errorf("program resumes %d of %d in place; want a mix of both paths", wantInPlace, wantStats.Handoffs)
+	}
+	runtime.GOMAXPROCS(4)
+	for round := 0; round < 3; round++ {
+		log, st, inplace := batonProgram(11)
+		if !slices.Equal(log, wantLog) || st != wantStats || inplace != wantInPlace {
+			t.Fatalf("GOMAXPROCS=4 round %d diverges from GOMAXPROCS=1: %d vs %d log lines, stats %+v vs %+v, inplace %d vs %d",
+				round, len(log), len(wantLog), st, wantStats, inplace, wantInPlace)
+		}
+	}
+}
+
+func TestInPlace(t *testing.T) {
+	// A lone sleeper always finds its own wake-up next: every resumption but
+	// the start (which Run's goroutine switches to) is served in place.
+	e := NewEngine()
+	e.Go("solo", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(7)
+		}
+	})
+	e.Run(Forever)
+	if st := e.Stats(); st.Handoffs != 101 || e.InPlace() != st.Handoffs-1 {
+		t.Errorf("Handoffs=%d InPlace=%d, want 101 and 100", st.Handoffs, e.InPlace())
+	}
+	// Two procs in lock step always find the other one next: no resumption
+	// is in place.
+	e = NewEngine()
+	for i := 0; i < 2; i++ {
+		e.Go("pair", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Sleep(7)
+			}
+		})
+	}
+	e.Run(Forever)
+	if st := e.Stats(); st.Handoffs != 202 || e.InPlace() != 0 {
+		t.Errorf("lock-step pair: Handoffs=%d InPlace=%d, want 202 and 0", st.Handoffs, e.InPlace())
+	}
+}
+
 func BenchmarkEngineHandoff(b *testing.B) {
-	// One full proc handoff per iteration — wake event, channel rendezvous
-	// into the proc, rendezvous back at Park. This is the expensive path
-	// that completion chains amortize.
+	// One driver round trip per iteration: Run's goroutine switches to the
+	// proc, which parks and — the queue being empty — hands the baton straight
+	// back. Two goroutine switches; the cost every wake-up paid before procs
+	// dispatched for themselves, and still the cost of a Run per event.
 	e := NewEngine()
 	p := e.Go("w", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -630,6 +899,39 @@ func BenchmarkEngineHandoff(b *testing.B) {
 		e.Wake(p)
 		e.Run(Forever)
 	}
+}
+
+func BenchmarkProcPingPong(b *testing.B) {
+	// Two procs alternating Sleep(1): each event is one direct proc-to-proc
+	// switch, the common case of a busy simulation.
+	e := NewEngine()
+	for i := 0; i < 2; i++ {
+		e.Go("w", func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run(Forever)
+}
+
+func BenchmarkSleepInPlace(b *testing.B) {
+	// One proc sleeping among parked ones: its own wake-up is always next, so
+	// an event is a heap push and pop on the proc's own goroutine — no switch.
+	e := NewEngine()
+	for i := 0; i < 8; i++ {
+		e.Go("idle", func(p *Proc) { p.Park() })
+	}
+	e.Go("w", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	e.Run(Forever)
+	b.StopTimer()
+	e.Shutdown()
 }
 
 func BenchmarkChainProtocol(b *testing.B) {

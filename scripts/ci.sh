@@ -5,7 +5,10 @@
 #   build  go vet + go build
 #   test   the whole suite under the race detector, once. It already holds
 #          every golden, differential, determinism, conservation and fuzz
-#          seed-corpus check, so no subset of it is re-run by name.
+#          seed-corpus check, so no subset of it is re-run by name — except
+#          internal/sim at one and four Ps, three times: the engine's baton
+#          crosses goroutines with no central driver, so its channel
+#          happens-before chain is the thing to keep race-clean at > 1 P.
 #   cli    what `go test -race` cannot cover: the built binary driving the
 #          smoke manifest on a parallel pool with a sharded engine
 #          (self-validating against every committed golden), `repro
@@ -29,6 +32,7 @@ for tier in "${tiers[@]}"; do
     # cmd/repro builds three smoke run folders; under the race detector on a
     # small host that exceeds go test's default 10-minute package timeout.
     go test -race -timeout 30m ./...
+    go test -race -cpu 1,4 -count 3 ./internal/sim
     ;;
   cli)
     out=$(mktemp -d)
