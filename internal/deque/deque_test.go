@@ -2,9 +2,11 @@ package deque
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"contsteal/internal/obs"
 	"contsteal/internal/rdma"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
@@ -352,5 +354,86 @@ func TestMixedEndsProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStealIsStealNTakeOne: Steal is StealN taking one entry through the same
+// chain. On identical deques and an identical program that takes every exit
+// of the protocol (success, fast empty, lock contended, empty on recheck)
+// both emit the same phase-span sequence, return the same entries and move
+// the same counters, except that only the exported StealN books a batch.
+func TestStealIsStealNTakeOne(t *testing.T) {
+	type stealFn func(d *Deque, p *sim.Proc, thief int) ([]byte, any, bool)
+	run := func(steal stealFn) ([]obs.Event, []uint64, Stats) {
+		eng, d := setup(4)
+		rec := obs.NewRecorder()
+		d.Tr = rec
+		var got []uint64
+		thief := func(rank, attempts int) func(p *sim.Proc) {
+			return func(p *sim.Proc) {
+				for i := 0; i < attempts; i++ {
+					if e, obj, ok := steal(d, p, rank); ok {
+						if obj.(int) != int(rd(e)) {
+							t.Errorf("entry %d came with obj %v", rd(e), obj)
+						}
+						got = append(got, rd(e))
+					}
+				}
+			}
+		}
+		eng.Go("owner", func(p *sim.Proc) {
+			for i := uint64(1); i <= 3; i++ {
+				d.Push(p, mk(i), int(i))
+			}
+			// One more entry, popped back between a thief's header read
+			// (t=101500) and its lock CAS (t=102500): empty on recheck.
+			p.Sleep(100000 - p.Now())
+			d.Push(p, mk(4), 4)
+			p.Sleep(2000)
+			if _, _, ok := d.Pop(p); !ok {
+				t.Error("owner lost entry 4")
+			}
+		})
+		eng.GoAfter(10, "thief1", thief(1, 6))  // successes, then fast empty
+		eng.GoAfter(510, "thief2", thief(2, 6)) // contended while thief1 holds the lock
+		eng.GoAfter(100500, "thief3", thief(3, 1))
+		eng.Run(sim.Forever)
+		return rec.Events, got, d.St
+	}
+	oneEv, oneGot, oneSt := run(func(d *Deque, p *sim.Proc, thief int) ([]byte, any, bool) {
+		return d.Steal(p, thief)
+	})
+	nEv, nGot, nSt := run(func(d *Deque, p *sim.Proc, thief int) ([]byte, any, bool) {
+		es, objs, ok := d.StealN(p, thief, func(int64) int64 { return 1 })
+		if !ok {
+			return nil, nil, false
+		}
+		if len(es) != 1 || len(objs) != 1 {
+			t.Fatalf("StealN(take 1) returned %d entries, %d objs", len(es), len(objs))
+		}
+		return es[0], objs[0], true
+	})
+	if !reflect.DeepEqual(oneEv, nEv) {
+		t.Errorf("phase spans differ:\nSteal:  %+v\nStealN: %+v", oneEv, nEv)
+	}
+	if !reflect.DeepEqual(oneGot, nGot) || len(oneGot) != 3 {
+		t.Errorf("stolen entries: Steal %v, StealN %v, want the same three", oneGot, nGot)
+	}
+	kinds := map[obs.Kind]int{}
+	for _, e := range oneEv {
+		kinds[e.Kind]++
+	}
+	if oneSt.StealsContended == 0 || oneSt.StealsEmpty < 2 || kinds[obs.KindDequeRecheck] != kinds[obs.KindDequeRead]+1 {
+		t.Errorf("stats %+v, spans %v: want every exit of the protocol taken", oneSt, kinds)
+	}
+	if oneSt.BatchSteals != 0 || oneSt.BatchEntries != 0 {
+		t.Errorf("Steal booked a batch: %+v", oneSt)
+	}
+	if nSt.BatchSteals != 3 || nSt.BatchEntries != 3 {
+		t.Errorf("StealN batches = %d/%d entries, want 3/3", nSt.BatchSteals, nSt.BatchEntries)
+	}
+	nSt.BatchSteals, nSt.BatchEntries = 0, 0
+	if oneSt != nSt {
+		t.Errorf("other counters differ: Steal %+v, StealN %+v", oneSt, nSt)
 	}
 }
