@@ -340,12 +340,12 @@ func BenchmarkAblationUTSPerNodeTasks(b *testing.B) { benchAblationSeqDepth(b, 0
 func BenchmarkAblationUTSSeqDepth5(b *testing.B)    { benchAblationSeqDepth(b, 5) }
 
 // Victim selection: uniform (the paper's policy) vs topology-aware
-// intra-node-first (§VI future work).
-func benchAblationVictim(b *testing.B, prob float64) {
+// intra-node-first (§VI future work; the hier steal policy).
+func benchAblationVictim(b *testing.B, victim core.VictimPolicy) {
 	p := workload.DefaultPForParams(1 << 10)
 	cfg := benchCfg(core.ContGreedy, remobj.LocalCollection)
 	cfg.Workers = 72 // two nodes so locality matters
-	cfg.IntraNodeStealProb = prob
+	cfg.Steal.Victim = victim
 	var st core.RunStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -356,8 +356,8 @@ func benchAblationVictim(b *testing.B, prob float64) {
 	b.ReportMetric(float64(st.AvgStealLatency()), "steal-lat-ns")
 }
 
-func BenchmarkAblationVictimUniform(b *testing.B)   { benchAblationVictim(b, 0) }
-func BenchmarkAblationVictimNodeFirst(b *testing.B) { benchAblationVictim(b, 0.8) }
+func BenchmarkAblationVictimUniform(b *testing.B)   { benchAblationVictim(b, core.VictimUniform) }
+func BenchmarkAblationVictimNodeFirst(b *testing.B) { benchAblationVictim(b, core.VictimHier) }
 
 // Stack scheme: uni-address (the paper) vs iso-address (PM2/Charm++),
 // comparing virtual address-space consumption for identical schedules.

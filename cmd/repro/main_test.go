@@ -411,9 +411,11 @@ func TestEngineStatsLine(t *testing.T) {
 }
 
 // TestUsageErrors pins the bad-input contract: an unknown subcommand, a
-// malformed list, an out-of-range count, depth or load and a pool or shard
-// width below 1 all fail before any simulation runs, naming the offending
-// field (or flag) and value.
+// malformed list, an out-of-range count, depth, scale or load and a pool or
+// shard width below 1 all fail before any simulation runs, naming the
+// offending field (or flag) and value; a job that cannot run at the given
+// capacity (deque too small, load no run can complete) fails as one line
+// naming the job and the cause, never as a panic out of run.
 func TestUsageErrors(t *testing.T) {
 	for _, argv := range [][]string{nil, {"nosuch"}, {"fig9", "-workers-list", "1,x"}, {"serve", "-loads", "0.5,"}} {
 		if err := run(argv, io.Discard, io.Discard); err == nil {
@@ -438,11 +440,16 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"fig6", "-parallel", "-2"}, `invalid value "-2" for flag -parallel: must be at least 1`},
 		{[]string{"run", "-parallel", "0"}, `invalid value "0" for flag -parallel: must be at least 1`},
 		{[]string{"run", "-shards", "0"}, `invalid value "0" for flag -shards: must be at least 1`},
+		{[]string{"fig6", "-scale", "-1"}, "scale must be in [0, 16], got -1"},
+		{[]string{"fig6", "-scale", "70"}, "scale must be in [0, 16], got 70"},
+		{[]string{"fig6", "-dequecap", "1", "-workers", "4", "-n", "64", "-parallel", "2"}, "queue overflow (cap 1)"},
+		{[]string{"fig9", "-tree", "T1L", "-workers-list", "4", "-seqdepth", "6", "-dequecap", "1", "-parallel", "2"}, "job [fig9 tree=T1L system=ours workers=4"},
+		{[]string{"serve", "-loads", "1e-9", "-requests", "8", "-workers", "4", "-parallel", "2"}, "serve did not complete by"},
 	} {
 		var stdout bytes.Buffer
 		err := run(append(tc.argv, "-quiet"), &stdout, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("run(%v) = %v, want an error containing %q", tc.argv, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("run(%v) = %v, want a one-line error containing %q", tc.argv, err, tc.want)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("run(%v) printed results before rejecting its input:\n%s", tc.argv, stdout.String())

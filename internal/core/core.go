@@ -106,13 +106,6 @@ type Config struct {
 	// protecting against livelocked configurations.
 	MaxTime sim.Time
 
-	// IntraNodeStealProb enables topology-aware victim selection (§VI of
-	// the paper lists it as future work for RDMA-based stealing): with this
-	// probability an idle worker picks its victim among the ranks of its
-	// own node (cheap intra-node steal) instead of uniformly at random.
-	// 0 selects the paper's policy: uniform over all workers.
-	IntraNodeStealProb float64
-
 	// Steal selects the victim-selection and steal-amount policy (see
 	// StealPolicy). The zero value is the paper's policy — uniform random
 	// victims, steal-one — and reproduces the pre-seam runtime byte for
@@ -157,13 +150,12 @@ type Config struct {
 	// false otherwise to preserve golden timings.
 	StealBackoff bool
 
-	// Shards selects the engine's node-sharded mode: events are kept in
-	// per-shard heaps with each node's ranks owning one shard (round-robin
-	// when nodes outnumber shards). Virtual-time results are byte-identical
-	// at every shard count — the engine still dispatches the global-minimum
-	// event — so this only changes host-side event organization; see
-	// sim.NewEngineShards and DESIGN.md §1.2. 0 or 1 means the classic
-	// single-heap engine.
+	// Shards selects the engine's shard count: every event is tagged with
+	// the shard of the node it belongs to, each node's ranks owning one
+	// shard (round-robin when nodes outnumber shards). There is one event
+	// heap at any count, so virtual-time results cannot depend on it; the
+	// tags only feed the cross-shard traffic counters (RunStats.CrossShard).
+	// See sim.NewEngineShards and DESIGN.md §1.2. 0 or 1 means one shard.
 	Shards int
 }
 
@@ -227,7 +219,7 @@ func (c *Config) defaults() {
 		c.Shards = 1
 	}
 	if nodes := (c.Workers + c.Machine.CoresPerNode - 1) / c.Machine.CoresPerNode; c.Shards > nodes {
-		// More shards than nodes would leave empty heaps; clamp.
+		// More shards than nodes would leave shards nobody owns; clamp.
 		c.Shards = nodes
 	}
 }

@@ -168,7 +168,7 @@ func (c *Ctx) Yield() {
 		// RtC tasks and tied child tasks cannot release their worker.
 		w := c.worker()
 		if rt.cfg.Policy == ChildRtC {
-			w.tryRunOneRtC(p)
+			w.runOne(p)
 		}
 		return
 	}

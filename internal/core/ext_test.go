@@ -1,15 +1,10 @@
 package core
 
-import (
-	"testing"
+import "testing"
 
-	"contsteal/internal/remobj"
-	"contsteal/internal/sim"
-	"contsteal/internal/topo"
-)
-
-// Tests for the extension features: Yield, topology-aware victim selection,
-// and the iso-address stack scheme.
+// Tests for the extension features: Yield and the iso-address stack scheme
+// (topology-aware victim selection is the hier steal policy, see
+// stealpolicy_test.go).
 
 func TestYieldRoundRobinsFairly(t *testing.T) {
 	// Two long-running tasks on one worker can only interleave via Yield.
@@ -111,40 +106,6 @@ func TestYieldRtCIsHelpFirst(t *testing.T) {
 	})
 	if len(order) != 3 || order[1] != "child" {
 		t.Errorf("RtC yield order = %v, want child between yield points", order)
-	}
-}
-
-func TestIntraNodeStealBias(t *testing.T) {
-	// With IntraNodeStealProb=1 and ample intra-node victims, steals should
-	// stay within the node (observable as cheaper average steal latency).
-	run := func(prob float64) sim.Time {
-		cfg := Config{
-			Machine:            topo.ITOA(), // 36 cores/node
-			Workers:            72,          // 2 nodes
-			Policy:             ContGreedy,
-			RemoteFree:         remobj.LocalCollection,
-			Seed:               5,
-			IntraNodeStealProb: prob,
-			MaxTime:            60 * sim.Second,
-		}
-		rt := New(cfg)
-		_, st := rt.Run(fibTask(15))
-		return st.AvgStealLatency()
-	}
-	uniform, biased := run(0), run(0.95)
-	if biased >= uniform {
-		t.Errorf("intra-node-biased steal latency (%v) not below uniform (%v)", biased, uniform)
-	}
-}
-
-func TestIntraNodeStealStillCorrect(t *testing.T) {
-	cfg := testConfig(ContGreedy, 6)
-	cfg.Machine = topo.ITOA()
-	cfg.IntraNodeStealProb = 0.8
-	rt := New(cfg)
-	ret, _ := rt.Run(fibTask(12))
-	if got := int64(ret[0]) | int64(ret[1])<<8; got != fibSerial(12) {
-		t.Errorf("got %d, want %d", got, fibSerial(12))
 	}
 }
 

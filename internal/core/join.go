@@ -281,7 +281,7 @@ func (rt *Runtime) joinRtC(c *Ctx, h Handle) []byte {
 	if f == 0 {
 		rt.joinSuspended(h.E)
 		for f == 0 {
-			if !w.tryRunOneRtC(p) {
+			if !w.runOne(p) {
 				p.Sleep(idleBackoff)
 			}
 			f = rt.fab.GetInt64(p, w.rank, flagWord(h.E))

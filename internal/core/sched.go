@@ -66,20 +66,28 @@ func (w *Worker) shouldCollect() bool {
 }
 
 // schedule is the scheduler loop of one worker (the paper's "scheduler
-// context"). It runs whenever no user thread occupies the worker:
+// context") under every policy. It runs whenever no user thread occupies the
+// worker:
 //
+//  0. start a newly arrived open-system request (serve mode);
 //  1. pop the local deque (ready continuations / resume descriptors /
 //     not-yet-started child tasks) — LIFO;
-//  2. otherwise steal from a uniformly random victim — FIFO at the victim;
+//  2. otherwise steal from a victim chosen by Config.Steal — FIFO at the
+//     victim (runOne covers 1 and 2);
 //  3. after a failed steal, resume a thread from the wait queue in
 //     round-robin order (stalling join, §III-A1);
-//  4. periodically drain the incoming remote-free queue (LockQueue mode).
+//  4. periodically drain the incoming remote-free queue (LockQueue mode);
+//  5. doze on the arrival doorbell (quiescent open system) or back off.
+//
+// Run-to-completion child stealing (ChildRtC) is this same loop with tasks
+// executed as plain function calls on the scheduler's own stack instead of
+// being handed the worker: the root in startRoot, requests in step 0
+// (runRequestInline), child tasks in dispatchLocal/dispatchStolen
+// (runInline). Its wait queue is always empty, and its buried joins and
+// Yield call runOne directly — "the scheduler function called directly on
+// top of its stack" (§IV-B).
 func (w *Worker) schedule(p *sim.Proc) {
 	rt := w.rt
-	if rt.cfg.Policy == ChildRtC {
-		w.scheduleRtC(p)
-		return
-	}
 	if w.rootTask != nil {
 		w.startRoot(p)
 	}
@@ -88,33 +96,17 @@ func (w *Worker) schedule(p *sim.Proc) {
 		//    fed by arrival timers and — unlike the deque — is invisible to
 		//    thieves, so it is served before stealable local work.
 		if len(w.inbox) > 0 {
-			w.startRequest(p)
-			continue
-		}
-		// 1. Local work first (greedy: ready tasks run immediately).
-		if entry, obj, ok := w.dq.Pop(p); ok {
-			w.dispatchLocal(p, entry, obj)
-			continue
-		}
-		// 2. Random steal (skipped on a single worker).
-		if victim := w.pickVictim(); victim != nil {
-			if w.rt.cfg.Steal.Amount == StealHalf {
-				if w.stealHalfFrom(p, victim) {
-					continue
-				}
+			if rt.cfg.Policy == ChildRtC {
+				w.runRequestInline(p)
 			} else {
-				start := p.Now()
-				entry, obj, ok := victim.dq.Steal(p, w.rank)
-				chain := p.Now() - start
-				if ok {
-					if w.ob != nil {
-						w.ob.chainSteal.Observe(chain)
-					}
-					w.dispatchStolen(p, victim, entry, obj, start)
-					continue
-				}
-				w.stealFailed(victim, start, chain)
+				w.startRequest(p)
 			}
+			continue
+		}
+		// 1, 2. Local work first (greedy: ready tasks run immediately), else
+		// one steal attempt.
+		if w.runOne(p) {
+			continue
 		}
 		// 3. Wait-queue round robin on failed steals.
 		if len(w.waitQ) > 0 {
@@ -152,13 +144,34 @@ func (w *Worker) schedule(p *sim.Proc) {
 	}
 }
 
+// runOne pops or — failing that — steals one task and runs it, reporting
+// whether it found one. It is steps 1 and 2 of the scheduler loop, and the
+// whole scheduler of a ChildRtC buried join or Yield, which may still be
+// calling after the run has ended (an unjoined task outliving the root).
+func (w *Worker) runOne(p *sim.Proc) bool {
+	if w.rt.done {
+		return false
+	}
+	if entry, obj, ok := w.dq.Pop(p); ok {
+		w.dispatchLocal(p, entry, obj)
+		return true
+	}
+	return w.trySteal(p)
+}
+
 // startRoot launches the initial task on this worker.
 func (w *Worker) startRoot(p *sim.Proc) {
 	rt := w.rt
 	var root *Thread
-	if rt.cfg.Policy.Continuation() {
+	switch {
+	case rt.cfg.Policy == ChildRtC:
+		w.rtcEnter()
+		rt.finish(w.rootTask(&Ctx{rt: rt, w: w, p: p}))
+		w.rtcExit()
+		return
+	case rt.cfg.Policy.Continuation():
 		root = newContThread(w, w.rootTask, Handle{}, -1, true)
-	} else {
+	default:
 		root = &Thread{rt: rt, fn: w.rootTask, isChildTask: true, isRoot: true, w: w}
 		rt.register(root)
 	}
@@ -170,9 +183,7 @@ func (w *Worker) startRoot(p *sim.Proc) {
 // pickVictim selects a steal victim according to Config.Steal.Victim.
 // Returns nil when there is no one to steal from. The default (uniform)
 // branch is the paper's policy and consumes exactly the RNG draws of the
-// pre-seam runtime: uniformly random among the other workers, or — when
-// IntraNodeStealProb is set — preferring the worker's own node with that
-// probability (topology-aware stealing).
+// pre-seam runtime: uniformly random among the other workers.
 func (w *Worker) pickVictim() *Worker {
 	n := len(w.rt.workers)
 	if n < 2 {
@@ -183,22 +194,6 @@ func (w *Worker) pickVictim() *Worker {
 		return w.pickVictimHier(n)
 	case VictimLocality:
 		return w.pickVictimLocality(n)
-	}
-	mach := w.rt.cfg.Machine
-	if pr := w.rt.cfg.IntraNodeStealProb; pr > 0 && mach.CoresPerNode > 1 {
-		node := mach.NodeOf(w.rank)
-		lo := node * mach.CoresPerNode
-		hi := lo + mach.CoresPerNode
-		if hi > n {
-			hi = n
-		}
-		if hi-lo > 1 && w.rng.Float64() < pr {
-			v := lo + w.rng.Intn(hi-lo-1)
-			if v >= w.rank {
-				v++
-			}
-			return w.rt.workers[v]
-		}
 	}
 	return w.uniformVictim(n)
 }
@@ -257,6 +252,10 @@ func (w *Worker) dispatchLocal(p *sim.Proc, entry []byte, obj any) {
 		w.resume(p, obj.(*Thread))
 		p.Park()
 	case entChild:
+		if w.rt.cfg.Policy == ChildRtC {
+			w.runInline(p, obj.(*childTask))
+			return
+		}
 		w.startChildTask(p, obj.(*childTask))
 		p.Park()
 	default:
@@ -295,21 +294,32 @@ func (w *Worker) dispatchStolen(p *sim.Proc, victim *Worker, entry []byte, obj a
 	}
 }
 
-// stealHalfFrom runs the multi-entry StealN protocol against victim, taking
-// half of the entries observed under the deque lock (stealHalf). The oldest
-// entry is dispatched exactly as a steal-one would be; the surplus is
-// requeued into this worker's own deque in protocol (oldest-first) order, so
-// later thieves still see the oldest work first while the owner pops the
-// newest — and stolen continuation stacks migrate lazily on first resume via
-// the stolen-in-deque case of bringTo (uni-address frees by exact address,
-// so out-of-order release is safe). The chain window is measured before the
-// requeue pushes, keeping it comparable to the steal-one chain; the steal
-// span (stealSucceeded) still covers the full window including the requeue,
-// so Σ steal spans == Work.StealLatency holds under every policy. Returns
-// false (after booking the failure) when the victim was empty or contended.
-func (w *Worker) stealHalfFrom(p *sim.Proc, victim *Worker) bool {
+// trySteal is the worker's one steal attempt: pick a victim, run the deque's
+// steal chain against it — taking one entry, or under the steal-half policy
+// half of those observed under the lock (stealHalf) — and dispatch the oldest
+// entry, booking the attempt either way. Returns false when there was no
+// victim, or it was empty or contended.
+//
+// The surplus of a batch is requeued into this worker's own deque in
+// protocol (oldest-first) order, so later thieves still see the oldest work
+// first while the owner pops the newest — and stolen continuation stacks
+// migrate lazily on first resume via the stolen-in-deque case of bringTo
+// (uni-address frees by exact address, so out-of-order release is safe). The
+// chain window is measured before the requeue pushes, keeping it comparable
+// across amounts; the steal span (stealSucceeded) still covers the full
+// window including the requeue, so Σ steal spans == Work.StealLatency holds
+// under every policy.
+func (w *Worker) trySteal(p *sim.Proc) bool {
+	victim := w.pickVictim()
+	if victim == nil {
+		return false
+	}
+	var take func(avail int64) int64 // nil: the plain steal of one entry
+	if w.rt.cfg.Steal.Amount == StealHalf {
+		take = stealHalf
+	}
 	start := p.Now()
-	entries, objs, ok := victim.dq.StealN(p, w.rank, stealHalf)
+	entries, objs, ok := victim.dq.StealN(p, w.rank, take)
 	chain := p.Now() - start
 	if !ok {
 		w.stealFailed(victim, start, chain)
@@ -372,82 +382,6 @@ func (w *Worker) startChildTask(p *sim.Proc, ct *childTask) {
 	p.Sleep(rt.cfg.Machine.AllocCost + rt.cfg.Machine.CtxSwitch)
 	w.setCurrent(t)
 	t.start()
-}
-
-// ---------------------------------------------------------------------------
-// Run-to-completion child stealing: the whole worker is one call stack.
-// ---------------------------------------------------------------------------
-
-// scheduleRtC is the worker loop when tasks are plain function calls.
-func (w *Worker) scheduleRtC(p *sim.Proc) {
-	rt := w.rt
-	if w.rootTask != nil {
-		w.rtcEnter()
-		ret := w.rootTask(&Ctx{rt: rt, w: w, p: p})
-		rt.finish(ret)
-		w.rtcExit()
-		return
-	}
-	for !rt.done {
-		if len(w.inbox) > 0 {
-			w.runRequestInline(p)
-			continue
-		}
-		if !w.tryRunOneRtC(p) {
-			if w.shouldCollect() {
-				rt.objs.Collect(p, w.rank)
-			}
-			// Quiescent open system: park on the arrival doorbell (see
-			// schedule step 5, including the mid-iteration !done check).
-			if s := rt.serve; s != nil && !rt.done && s.quiescent() {
-				s.doze(w)
-				p.Park()
-				w.failStreak = 0
-				continue
-			}
-			p.Sleep(w.idleDelay())
-		}
-	}
-}
-
-// tryRunOneRtC pops or steals one child task and executes it inline on top
-// of the current stack ("the scheduler function called directly on top of
-// its stack", §IV-B). Returns false if no task was found.
-func (w *Worker) tryRunOneRtC(p *sim.Proc) bool {
-	if w.rt.done {
-		return false
-	}
-	if _, obj, ok := w.dq.Pop(p); ok {
-		w.failStreak = 0
-		w.runInline(p, obj.(*childTask))
-		return true
-	}
-	victim := w.pickVictim()
-	if victim == nil {
-		return false
-	}
-	if w.rt.cfg.Steal.Amount == StealHalf {
-		// dispatchStolen's entChild/ChildRtC case books the same stats as
-		// the inline path below and runs the task to completion.
-		return w.stealHalfFrom(p, victim)
-	}
-	start := p.Now()
-	_, obj, ok := victim.dq.Steal(p, w.rank)
-	chain := p.Now() - start
-	if ok {
-		ct := obj.(*childTask)
-		w.st.StealsOK++
-		w.st.StolenBytes += uint64(w.rt.cfg.ChildTaskBytes)
-		w.st.TaskCopyTime += w.rt.cfg.Machine.OneSided(w.rank, victim.rank, w.rt.cfg.ChildTaskBytes, false)
-		if w.ob != nil {
-			w.ob.chainSteal.Observe(chain)
-		}
-		w.stealSucceeded(ct.id, victim.rank, start, int64(w.rt.cfg.ChildTaskBytes), ct.reqTag)
-		w.runInline(p, ct)
-		return true
-	}
-	w.stealFailed(victim, start, chain)
-	return false
 }
 
 // runInline executes a child task as an ordinary nested function call and

@@ -77,9 +77,9 @@ type RunStats struct {
 	InPlace uint64
 
 	// CrossShard counts events scheduled onto a different engine shard than
-	// the one dispatching — the cross-node traffic a node-sharded engine
-	// routes through its per-shard heaps (sim.Engine.CrossShard). Always 0
-	// under the classic single-heap engine. Host-side, like Engine.
+	// the one dispatching — the cross-node traffic a node-parallel engine
+	// would have to route between shards (sim.Engine.CrossShard). Always 0
+	// at one shard. Host-side, like Engine.
 	CrossShard uint64
 
 	Series []Sample

@@ -6,9 +6,8 @@ import (
 )
 
 // VictimPolicy selects how an idle worker picks its steal victim. The zero
-// value is the paper's policy — uniform random over all other workers (with
-// the optional IntraNodeStealProb bias) — and is byte-identical to the
-// runtime before victim selection became pluggable.
+// value is the paper's policy — uniform random over all other workers — and
+// is byte-identical to the runtime before victim selection became pluggable.
 type VictimPolicy int
 
 const (
@@ -44,12 +43,13 @@ func (v VictimPolicy) String() string {
 type AmountPolicy int
 
 const (
-	// StealOne takes the single oldest entry (the THE protocol's Steal).
+	// StealOne takes the single oldest entry (the THE protocol's steal).
 	StealOne AmountPolicy = iota
 	// StealHalf takes half of the entries observed under the deque lock
-	// (rounded up, at least one) via the multi-entry StealN protocol. The
-	// oldest runs immediately; the surplus is requeued into the thief's own
-	// deque, with continuation stacks migrating lazily on first resume.
+	// (rounded up, at least one): the same steal chain with stealHalf as
+	// deque.StealN's take function. The oldest runs immediately; the surplus
+	// is requeued into the thief's own deque, with continuation stacks
+	// migrating lazily on first resume.
 	StealHalf
 )
 

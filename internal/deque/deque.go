@@ -6,18 +6,21 @@
 // The owner pushes and pops at the bottom (LIFO); thieves steal from the
 // top (FIFO), so the oldest task — expected to carry the most work — is
 // always stolen. The owner's fast path touches only local memory; a thief
-// drives the whole protocol with one-sided operations:
+// drives the whole protocol with one-sided operations, as one chain (StealN)
+// whose only parameter is how many entries k to take once it holds the lock:
 //
-//	fast empty check:  get (top, bottom)            1 op
-//	lock:              CAS(lock, 0, 1)              1 op
-//	recheck + read:    get (top, bottom), get entry 2 ops
-//	advance + unlock:  put top+1, put lock=0        2 ops
+//	fast empty check:  get (top, bottom)             1 op
+//	lock:              CAS(lock, 0, 1)               1 op
+//	recheck + read:    get (top, bottom), k× get entry
+//	advance + unlock:  put top+k, put lock=0         2 ops
 //
-// giving roughly five remote operations per successful steal — matching the
-// ~20–30 µs successful-steal latencies in Table II once stack transfer is
-// added. The lock serializes thieves against each other and against the
-// owner's slow path, exactly as in Cilk's THE protocol; the owner acquires
-// it only when the deque may be about to go empty.
+// Steal is the chain with k ≡ 1 — the paper's steal, roughly five remote
+// operations per success, matching the ~20–30 µs successful-steal latencies
+// in Table II once stack transfer is added; StealN lets the caller's take
+// function choose k (steal-half). The lock serializes thieves against each
+// other and against the owner's slow path, exactly as in Cilk's THE
+// protocol; the owner acquires it only when the deque may be about to go
+// empty (or, in Batch mode, on every pop).
 //
 // Entries are fixed-size byte records (the task descriptor that would sit in
 // registered memory in the real system). Because a simulated thread's
@@ -46,12 +49,12 @@ const (
 // Stats counts deque events observed at one deque.
 type Stats struct {
 	Pushes, Pops     uint64
-	StealsOK         uint64 // successful steals from this deque (incl. StealN)
+	StealsOK         uint64 // successful steal chains against this deque, one per chain whatever k
 	StealsEmpty      uint64 // failed: deque observed empty
 	StealsContended  uint64 // failed: lost the lock race
 	OwnerLockRetries uint64
-	BatchSteals      uint64 // successful StealN protocol runs
-	BatchEntries     uint64 // entries taken across all StealN runs
+	BatchSteals      uint64 // successful steals whose amount a take function chose
+	BatchEntries     uint64 // entries taken across those steals
 }
 
 // Deque is one worker's task queue, resident in that worker's RDMA segment.
@@ -73,8 +76,8 @@ type Deque struct {
 	// protocol on success, all sharing a correlation ID. Nil by default.
 	Tr obs.Tracer
 
-	// Batch must be set (before any concurrent use) when thieves will run
-	// the multi-entry StealN protocol against this deque. THE's lock only
+	// Batch must be set (before any concurrent use) when thieves will take
+	// more than one entry per steal (StealN) from this deque. THE's lock only
 	// protects the top entry from the owner's lock-free fast-path Pop: a
 	// batch thief claims slots top..top+k-1, and the owner could pop down
 	// into that range from the bottom before the top+k advance lands. In
@@ -256,22 +259,45 @@ func (d *Deque) take(slot int64) ([]byte, any) {
 }
 
 // Steal removes and returns the top entry on behalf of a remote thief
-// (FIFO). The full one-sided protocol is driven from thiefRank's side and
-// charged to p, as a single completion chain: every sub-operation's memory
-// access fires at the same virtual instant as in a blocking formulation,
-// but the thief's proc parks only once for the whole protocol. On failure
-// it reports whether the deque looked empty or the lock was contended via
-// the deque's stats.
+// (FIFO): the steal chain taking exactly one entry.
 func (d *Deque) Steal(p *sim.Proc, thiefRank int) ([]byte, any, bool) {
+	entries, objs, ok := d.StealN(p, thiefRank, nil)
+	if !ok {
+		return nil, nil, false
+	}
+	return entries[0], objs[0], true
+}
+
+// StealN is the deque's one steal chain: it removes and returns up to
+// take(available) entries from the top (FIFO) on behalf of a remote thief.
+// The full one-sided protocol is driven from thiefRank's side and charged to
+// p as a single completion chain: every sub-operation's memory access fires
+// at the same virtual instant as in a blocking formulation, but the thief's
+// proc parks only once for the whole protocol:
+//
+//	fast empty check:  get (top, bottom)             1 op
+//	lock:              CAS(lock, 0, 1)               1 op
+//	recheck:           get (top, bottom)             1 op
+//	read:              get entry × k                 k ops
+//	advance + unlock:  put top+k, put lock=0         2 ops
+//
+// take is called once, under the lock, with the rechecked entry count; its
+// result k is clamped to [1, available]. Entries come back oldest-first (slot
+// order top..top+k-1). A nil take is the plain steal of one entry. A failure
+// reports whether the deque looked empty or the lock was contended via the
+// deque's stats (StealsEmpty/StealsContended); a success counts once in
+// StealsOK whatever k was and, when the caller chose the amount (take != nil),
+// as one BatchSteals of k BatchEntries.
+func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64) ([][]byte, []any, bool) {
 	fab := d.fab
 	c := fab.Eng.NewChain(p)
 	hdrLoc := d.loc(offTop, 16)
 	lockLoc := d.loc(offLock, 8)
 	var (
-		hdr   [16]byte
-		entry []byte
-		obj   any
-		ok    bool
+		hdr     [16]byte
+		entries [][]byte
+		objs    []any
+		ok      bool
 	)
 	// Tracing: each chain link becomes a victim-side phase span; `phase`
 	// stays nil (one captured word, no emission) when tracing is off. All
@@ -331,131 +357,15 @@ func (d *Deque) Steal(p *sim.Proc, thiefRank int) ([]byte, any, bool) {
 					})
 					return
 				}
-				// Read the top descriptor.
-				entry = make([]byte, d.entrySize)
-				fab.GetAsync(c, thiefRank, d.loc(d.entryOff(t), d.entrySize), entry, func() {
-					if phase != nil {
-						phase(obs.KindDequeRead)
+				k := int64(1)
+				if take != nil {
+					k = take(b - t)
+					if k < 1 {
+						k = 1
 					}
-					// Advance top, then unlock.
-					fab.PutInt64Async(c, thiefRank, d.loc(offTop, 8), t+1, func() {
-						if phase != nil {
-							phase(obs.KindDequeAdvance)
-						}
-						fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-							if phase != nil {
-								phase(obs.KindDequeUnlock)
-							}
-							// Simulator bookkeeping: hand over the payload.
-							i := d.slotIndex(t)
-							obj = d.objs[i]
-							d.objs[i] = nil
-							ok = true
-							d.St.StealsOK++
-							if tr != nil {
-								tr.Event(obs.Event{
-									T: t0, Dur: fab.Eng.Now() - t0, Rank: thiefRank,
-									Kind: obs.KindDequeSteal, Task: -1, Peer: d.rank,
-									Size: int64(d.entrySize), ID: sid,
-								})
-							}
-							c.Complete()
-						})
-					})
-				})
-			})
-		})
-	})
-	c.Wait()
-	return entry, obj, ok
-}
-
-// StealN removes and returns up to take(available) entries from the top on
-// behalf of a remote thief — the multi-entry generalization of Steal for
-// steal-half-style policies. The protocol is the same timed completion chain
-// as Steal's, with the single entry read widened to k consecutive gets:
-//
-//	fast empty check:  get (top, bottom)             1 op
-//	lock:              CAS(lock, 0, 1)               1 op
-//	recheck:           get (top, bottom)             1 op
-//	read:              get entry × k                 k ops
-//	advance + unlock:  put top+k, put lock=0         2 ops
-//
-// take is called once, under the lock, with the rechecked entry count; its
-// result is clamped to [1, available]. Entries come back oldest-first (slot
-// order top..top+k-1). With take ≡ 1 the chain is op-for-op identical to
-// Steal. Failure reporting matches Steal (StealsEmpty/StealsContended); a
-// success counts once in StealsOK and once in BatchSteals, with k added to
-// BatchEntries.
-func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64) ([][]byte, []any, bool) {
-	fab := d.fab
-	c := fab.Eng.NewChain(p)
-	hdrLoc := d.loc(offTop, 16)
-	lockLoc := d.loc(offLock, 8)
-	var (
-		hdr     [16]byte
-		entries [][]byte
-		objs    []any
-		ok      bool
-	)
-	tr := d.Tr
-	var (
-		sid   int64
-		t0    sim.Time
-		phase func(k obs.Kind)
-	)
-	if tr != nil {
-		sid = tr.Seq()
-		t0 = fab.Eng.Now()
-		ph := t0
-		phase = func(k obs.Kind) {
-			now := fab.Eng.Now()
-			tr.Event(obs.Event{T: ph, Dur: now - ph, Rank: d.rank, Kind: k, Task: -1, Peer: thiefRank, ID: sid})
-			ph = now
-		}
-	}
-	fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-		if phase != nil {
-			phase(obs.KindDequeHdr)
-		}
-		t := int64(le(hdr[0:8]))
-		b := int64(le(hdr[8:16]))
-		if t >= b {
-			d.St.StealsEmpty++
-			c.Complete()
-			return
-		}
-		fab.CASAsync(c, thiefRank, lockLoc, 0, 1, func(observed int64) {
-			if phase != nil {
-				phase(obs.KindDequeCAS)
-			}
-			if observed != 0 {
-				d.St.StealsContended++
-				c.Complete()
-				return
-			}
-			fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-				if phase != nil {
-					phase(obs.KindDequeRecheck)
-				}
-				t = int64(le(hdr[0:8]))
-				b = int64(le(hdr[8:16]))
-				if t >= b {
-					fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-						if phase != nil {
-							phase(obs.KindDequeUnlock)
-						}
-						d.St.StealsEmpty++
-						c.Complete()
-					})
-					return
-				}
-				k := take(b - t)
-				if k < 1 {
-					k = 1
-				}
-				if k > b-t {
-					k = b - t
+					if k > b-t {
+						k = b - t
+					}
 				}
 				entries = make([][]byte, k)
 				// Read the k oldest descriptors, oldest-first, as one get per
@@ -474,6 +384,7 @@ func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64)
 								if phase != nil {
 									phase(obs.KindDequeUnlock)
 								}
+								// Simulator bookkeeping: hand over the payloads.
 								objs = make([]any, k)
 								for j := int64(0); j < k; j++ {
 									s := d.slotIndex(t + j)
@@ -482,8 +393,10 @@ func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64)
 								}
 								ok = true
 								d.St.StealsOK++
-								d.St.BatchSteals++
-								d.St.BatchEntries += uint64(k)
+								if take != nil {
+									d.St.BatchSteals++
+									d.St.BatchEntries += uint64(k)
+								}
 								if tr != nil {
 									tr.Event(obs.Event{
 										T: t0, Dur: fab.Eng.Now() - t0, Rank: thiefRank,

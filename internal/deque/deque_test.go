@@ -361,7 +361,8 @@ func TestMixedEndsProperty(t *testing.T) {
 // chain. On identical deques and an identical program that takes every exit
 // of the protocol (success, fast empty, lock contended, empty on recheck)
 // both emit the same phase-span sequence, return the same entries and move
-// the same counters, except that only the exported StealN books a batch.
+// the same counters, except that only StealN with a take function books a
+// batch.
 func TestStealIsStealNTakeOne(t *testing.T) {
 	type stealFn func(d *Deque, p *sim.Proc, thief int) ([]byte, any, bool)
 	run := func(steal stealFn) ([]obs.Event, []uint64, Stats) {

@@ -27,7 +27,7 @@ import (
 // EngineStats, when non-nil, is invoked after each fork-join runtime job
 // finishes, with the job's coordinates, its run statistics — of which the
 // host-side ones matter here: st.Engine (see sim.EngineStats), st.InPlace
-// and st.CrossShard (0 under the single-heap engine) — and the job's host
+// and st.CrossShard (0 at one shard) — and the job's host
 // wall time; events/wall is the engine's host throughput. Calls are
 // serialized across pool workers, like Progress. cmd/repro wires it to
 // -engine-stats.
@@ -120,9 +120,9 @@ type Options struct {
 	// struct is read-only configuration; per-run RNG state lives in each
 	// job's own Machine, so sharing one Perturb across grid points is safe.
 	Perturb *topo.Perturb
-	// Shards selects the engine's node-sharded event organization for every
-	// simulated run (core.Config.Shards). Results are byte-identical for
-	// every value; 0 or 1 keeps the classic single-heap engine.
+	// Shards selects the engine's per-node shard tagging for every simulated
+	// run (core.Config.Shards). Results are byte-identical for every value;
+	// 0 or 1 means one shard.
 	Shards int
 
 	// Steal names the steal policy (core.ParseStealPolicy) applied to every

@@ -83,20 +83,20 @@ var Progress func(done, total int, c Coord, wall time.Duration)
 // like jobs — grid order, independent of completion order. If a job
 // panics, the remaining queued jobs are abandoned, in-flight jobs are
 // drained (the pool never hangs), and RunJobs re-panics with a *JobError
-// carrying the diverging job's coordinates.
+// carrying the diverging job's coordinates. A pool of 1 runs the jobs inline
+// instead, and a job's panic propagates as it is.
 func RunJobs(pool int, jobs []Job) []any {
 	if pool <= 0 {
 		pool = runtime.NumCPU()
-	}
-	if pool > len(jobs) {
-		pool = len(jobs)
 	}
 	results := make([]any, len(jobs))
 	progress := Progress
 
 	if pool <= 1 {
-		// Degenerate pool: run inline. Identical semantics, no goroutines —
-		// this is also the reference order the parallel path must match.
+		// Degenerate pool: run inline. Identical semantics, no goroutines and
+		// no panic barrier — this is also the reference order the parallel
+		// path must match. Only a pool asked to be 1 gets here: a wider one
+		// keeps the barrier (and its *JobError) even on a one-job grid.
 		for i, j := range jobs {
 			start := time.Now()
 			results[i] = runOne(j)
@@ -107,6 +107,9 @@ func RunJobs(pool int, jobs []Job) []any {
 		return results
 	}
 
+	if pool > len(jobs) {
+		pool = len(jobs)
+	}
 	var (
 		mu     sync.Mutex
 		done   int

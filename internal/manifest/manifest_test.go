@@ -112,6 +112,12 @@ func TestParseRejects(t *testing.T) {
 		{"negative dequecap",
 			`{"scales":{"s":[{"experiment":"fig6","params":{"dequecap":-1}}]}}`,
 			"dequecap must be non-negative, got -1"},
+		{"negative scale",
+			`{"scales":{"s":[{"experiment":"fig6","params":{"scale":-1}}]}}`,
+			"scale must be in [0, 16], got -1"},
+		{"word-sized scale",
+			`{"scales":{"s":[{"experiment":"table3","params":{"scale":70}}]}}`,
+			"scale must be in [0, 16], got 70"},
 		{"negative requests",
 			`{"scales":{"s":[{"experiment":"serve","params":{"requests":-5}}]}}`,
 			"requests must be non-negative, got -5"},

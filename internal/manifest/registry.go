@@ -36,24 +36,39 @@ type Spec struct {
 
 // Run executes the spec: the caller's params overlay the spec's defaults (so
 // callers only pass what they set), the result is validated and mapped onto
-// experiments.Options, and Call runs the experiment.
-func (s *Spec) Run(p Params, x Exec) (experiments.Rendering, error) {
+// experiments.Options, and Call runs the experiment. A job of the sweep that
+// panics — a deque too small for the workload, a run that cannot complete by
+// its horizon — is returned as its *experiments.JobError, which names the
+// job's coordinates and the cause; any other panic is a bug and passes
+// through (as does a job's own panic under -parallel 1, which runs jobs
+// inline with no barrier so the original stack survives for debugging).
+func (s *Spec) Run(p Params, x Exec) (r experiments.Rendering, err error) {
 	p = s.Params.Merge(p)
 	o, err := p.options(x)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case *experiments.JobError:
+			r, err = nil, v
+		default:
+			panic(v)
+		}
+	}()
 	return s.Call(p, o), nil
 }
 
 // options validates p and maps it, with the invocation knobs, onto
 // experiments.Options (entry-level shards/perturb win over Exec's). It
 // rejects values no experiment can run, naming the field by its JSON tag: a
-// name outside its set, a negative count or depth, a non-positive element of
-// a count or load list, an unparsable steal policy or perturbation. Unset
-// (zero) fields pass — the experiments' defaults own them. Every spec run and
-// every parsed manifest entry goes through it, so a bad CLI flag and a bad
-// manifest knob fail with the same message before any simulation starts.
+// name outside its set, a negative count or depth, a scale shift outside
+// [0, 16], a non-positive element of a count or load list, an unparsable
+// steal policy or perturbation. Unset (zero) fields pass — the experiments'
+// defaults own them. Every spec run and every parsed manifest entry goes
+// through it, so a bad CLI flag and a bad manifest knob fail with the same
+// message before any simulation starts.
 func (p Params) options(x Exec) (experiments.Options, error) {
 	one := func(v string) []string {
 		if v == "" {
@@ -102,6 +117,11 @@ func (p Params) options(x Exec) (experiments.Options, error) {
 				return experiments.Options{}, fmt.Errorf("params: %s must be %s, got %d", c.field, c.want, v)
 			}
 		}
+	}
+	// Sizes are shifted left by scale: 16 already means 2^27-element kernels,
+	// and a negative or word-sized shift is not a size at all.
+	if p.Scale < 0 || p.Scale > 16 {
+		return experiments.Options{}, fmt.Errorf("params: scale must be in [0, 16], got %d", p.Scale)
 	}
 	for _, l := range p.Loads {
 		if !(l > 0) {

@@ -79,7 +79,7 @@ func New(eng *sim.Engine, mach *topo.Machine, nranks int) *Net {
 }
 
 // shardOf returns the engine shard owning rank's node: nodes map onto the
-// engine's per-node event heaps round-robin (0 for a single-heap engine).
+// engine's shards round-robin (0 for an unsharded engine).
 func (n *Net) shardOf(rank int) int {
 	return n.Mach.NodeOf(rank) % n.Eng.Shards()
 }

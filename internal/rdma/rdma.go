@@ -191,7 +191,7 @@ func (f *Fabric) AllocStatic(rank, size int) Addr { return f.segs[rank].allocSta
 func (f *Fabric) Free(rank int, addr Addr, size int) { f.segs[rank].free(addr, size) }
 
 // shardOf returns the engine shard owning rank's node: nodes map onto the
-// engine's per-node event heaps round-robin (0 for a single-heap engine).
+// engine's shards round-robin (0 for an unsharded engine).
 func (f *Fabric) shardOf(rank int32) int {
 	return f.Mach.NodeOf(int(rank)) % f.Eng.Shards()
 }
@@ -200,8 +200,8 @@ func (f *Fabric) shardOf(rank int32) int {
 // target rank's node — the single cross-shard routing seam of the fabric.
 // Every remote completion (chain link or fire-and-forget callback) goes
 // through here; the memory access it performs belongs to the target node,
-// so that is the heap the event must live on. On a single-heap engine this
-// is exactly Engine.After.
+// so that is the shard the event must carry. On an unsharded engine this is
+// exactly Engine.After.
 func (f *Fabric) sched(to int32, d sim.Time, fn func()) {
 	f.Eng.AfterOn(f.shardOf(to), d, fn)
 }

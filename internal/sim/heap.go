@@ -16,20 +16,6 @@ func (h eventHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-// beats reports whether h's top event precedes o's top event — the shard
-// merge comparison of a multi-heap engine. Both heaps must be non-empty.
-// Heaps of one engine either all carry keys or none do, so the mixed case
-// cannot arise within a merge.
-func (h eventHeap) beats(o eventHeap) bool {
-	if h[0].t != o[0].t {
-		return h[0].t < o[0].t
-	}
-	if h[0].key != nil && o[0].key != nil {
-		return keyCmp(h[0].key, o[0].key) < 0
-	}
-	return h[0].seq < o[0].seq
-}
-
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	s := *h

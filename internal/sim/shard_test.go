@@ -7,7 +7,7 @@ import (
 )
 
 // shardedOrderedProgram runs a program with explicit shard placement on an
-// n-heap engine (or the classic single-heap engine when n == 1, using the
+// n-shard engine (or the plain engine when n == 1, using the
 // same entry points) and returns the dispatch log and the engine.
 func shardedOrderedProgram(n int) ([]string, *Engine) {
 	e := NewEngineShards(n)
@@ -36,7 +36,7 @@ func shardedOrderedProgram(n int) ([]string, *Engine) {
 
 // TestEngineShardsByteIdentical is the ordered-mode identity: the same
 // program dispatches in exactly the same order at every shard count, so
-// logs and EngineStats are byte-identical to the single-heap engine.
+// logs and EngineStats are byte-identical to the one-shard engine.
 func TestEngineShardsByteIdentical(t *testing.T) {
 	wantLog, we := shardedOrderedProgram(1)
 	want := strings.Join(wantLog, "\n")

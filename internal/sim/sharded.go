@@ -78,8 +78,8 @@ import (
 // lineages cross shards; comparisons are safe because every ancestor of a
 // live key is pinned by its descendants' references.
 //
-// The ordered multi-heap mode inside Engine has none of these costs, which
-// is one reason core runtimes use that mode instead (the other: their
+// Shard tagging inside one Engine (NewEngineShards) has none of these costs,
+// which is one reason core runtimes use that instead (the other: their
 // zero-latency global couplings — done flags, host-pointer steals — are
 // incompatible with a nonzero lookahead).
 
@@ -328,8 +328,8 @@ func (s *Sharded) RouteAfter(src, dst int, d Time, fn func()) {
 	s.out[src] = append(s.out[src], routed{dst: dst, t: e.now + d, key: e.nextKey(), fn: fn})
 }
 
-// inject flushes every outbox into the destination heaps. Injection order
-// is irrelevant — the heaps order same-time events by lineage key — but the
+// inject flushes every outbox into the destination engines' heaps. Injection
+// order is irrelevant — a heap orders same-time events by lineage key — but the
 // loop is deterministic anyway. Called only at barriers (no shard running).
 func (s *Sharded) inject() {
 	for src := range s.out {
@@ -339,7 +339,7 @@ func (s *Sharded) inject() {
 				panic(fmt.Sprintf("sim: routed event at %v behind shard %d clock %v", r.t, r.dst, e.now))
 			}
 			e.seq++
-			e.heaps[0].push(event{t: r.t, seq: e.seq, fn: r.fn, key: r.key})
+			e.heap.push(event{t: r.t, seq: e.seq, fn: r.fn, key: r.key})
 			s.routedN++
 		}
 		s.out[src] = s.out[src][:0]
@@ -352,11 +352,11 @@ func (s *Sharded) refreshNext() (Time, bool) {
 	var w Time
 	found := false
 	for i, e := range s.shards {
-		if len(e.heaps[0]) == 0 {
+		if len(e.heap) == 0 {
 			s.next[i] = -1
 			continue
 		}
-		t := e.heaps[0].peek().t
+		t := e.heap.peek().t
 		s.next[i] = t
 		if !found || t < w {
 			w, found = t, true

@@ -76,10 +76,10 @@
 // # Sharding
 //
 // Two sharding layers exist on top of the core engine. NewEngineShards(n)
-// partitions one engine's event queue into n per-node heaps merged
-// deterministically at dispatch — byte-identical to the serial engine by
-// construction, with per-shard traffic counters (ShardStats) exposing the
-// cross-node event flow. Sharded (see sharded.go) runs n engines on their
+// tags every event of one engine with the shard (simulated node) it belongs
+// to and keeps per-shard traffic counters (ShardStats) exposing the
+// cross-node event flow; there is still one heap, so event order is the
+// serial engine's by definition. Sharded (see sharded.go) runs n engines on their
 // own goroutines in conservative barrier rounds — adaptive per-shard-pair
 // lookahead horizons by default, a single lock-step window behind a flag —
 // for shard-confined programs whose only cross-shard interaction is
@@ -211,26 +211,28 @@ type EngineStats struct {
 	Callbacks uint64 // callbacks executed (incl. chain links)
 }
 
-// ShardStats counts per-shard event traffic of a multi-heap engine. Inbound
+// ShardStats counts per-shard event traffic of a sharded engine. Inbound
 // counts events scheduled onto the shard from a different shard's context —
 // the cross-node traffic a windowed parallel execution would exchange
 // through per-pair queues. Kept separate from EngineStats so the latter
 // stays byte-identical across shard counts.
 type ShardStats struct {
-	Events  uint64 // events dispatched from this shard's heap
+	Events  uint64 // events dispatched that carried this shard's tag
 	Inbound uint64 // events scheduled onto this shard from another shard
 }
 
 // event is a single entry in the engine's priority queue: either a proc
 // wake-up (p != nil) or a callback (fn != nil). Events are plain values in
 // the slice-backed heap, so scheduling allocates nothing. key is non-nil
-// only in keyed engines (the windowed sharded mode, see sharded.go).
+// only in keyed engines (the windowed sharded mode, see sharded.go); shard
+// is the owning shard's tag (always 0 in an unsharded engine).
 type event struct {
-	t   Time
-	seq uint64
-	p   *Proc
-	fn  func()
-	key *knode
+	t     Time
+	seq   uint64
+	p     *Proc
+	fn    func()
+	key   *knode
+	shard int32
 }
 
 // Engine is a discrete-event simulation engine. It is not safe for
@@ -238,18 +240,18 @@ type event struct {
 // from the goroutine that owns the engine (while Run is not executing a
 // proc) or from within a running proc.
 //
-// An engine built with NewEngineShards(n) partitions its event queue into n
-// per-shard heaps (one per simulated node); dispatch pops the global
-// minimum across heaps by (t, seq), so event order — and therefore every
-// result, trace and statistic — is byte-identical to the single-heap engine
-// at any shard count. Events inherit the shard of the context that
-// schedules them unless routed explicitly (AfterOn, GoIDOn); proc wake-ups
-// always land on the proc's own shard, pinning proc↔shard ownership.
+// An engine built with NewEngineShards(n) tags each event with one of n
+// shards (one per simulated node) and counts per-shard traffic; the queue
+// stays one heap ordered by (t, seq), so event order — and therefore every
+// result, trace and statistic — is the same at any shard count. Events
+// inherit the shard of the context that schedules them unless routed
+// explicitly (AfterOn, GoIDOn); proc wake-ups always carry the proc's own
+// shard, pinning proc↔shard ownership.
 type Engine struct {
 	now      Time
 	seq      uint64
-	heaps    []eventHeap // per-shard event queues; len >= 1
-	curShard int         // shard of the event being dispatched (0 outside Run)
+	heap     eventHeap
+	curShard int // shard of the event being dispatched (0 outside Run)
 	current  *Proc
 	ready    *Proc // proc to hand control to when the current callback returns
 	live     *Proc // head of the intrusive doubly-linked list of live procs
@@ -261,9 +263,9 @@ type Engine struct {
 	fail     *ProcPanic    // first panic of the run, re-raised by Run
 	trace    func(string)  // optional debug trace hook
 	stats    EngineStats
-	inplace  uint64 // resumptions served without a goroutine switch (see InPlace)
-	sstats   []ShardStats
-	chains   *Chain // free list of pooled Chain objects
+	inplace  uint64       // resumptions served without a goroutine switch (see InPlace)
+	sstats   []ShardStats // one per shard; len >= 1
+	chains   *Chain       // free list of pooled Chain objects
 
 	// Keyed lineage mode (windowed sharding, see sharded.go): every event
 	// carries a lineage key encoding its serial scheduling instant, and
@@ -277,21 +279,19 @@ type Engine struct {
 	keyPoolN int
 }
 
-// NewEngine returns an empty engine with the clock at 0 and a single event
-// heap.
+// NewEngine returns an empty, unsharded engine with the clock at 0.
 func NewEngine() *Engine {
 	return NewEngineShards(1)
 }
 
-// NewEngineShards returns an empty engine whose event queue is partitioned
-// into shards per-node heaps, merged deterministically at dispatch (see the
-// Engine doc). shards <= 1 yields the plain single-heap engine.
+// NewEngineShards returns an empty engine whose events are tagged with and
+// counted per one of shards shards (see the Engine doc). shards <= 1 yields
+// the plain engine.
 func NewEngineShards(shards int) *Engine {
 	if shards < 1 {
 		shards = 1
 	}
 	return &Engine{
-		heaps:  make([]eventHeap, shards),
 		sstats: make([]ShardStats, shards),
 		driver: make(chan struct{}),
 	}
@@ -308,14 +308,8 @@ func (e *Engine) Live() int { return e.nlive }
 // a chain completion).
 func (e *Engine) Parked() int { return e.parked }
 
-// Pending returns the number of queued events across all shards.
-func (e *Engine) Pending() int {
-	n := 0
-	for i := range e.heaps {
-		n += len(e.heaps[i])
-	}
-	return n
-}
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Stats returns the engine's host-side work counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
@@ -329,8 +323,8 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // of the struct that serial and sharded engines compare with ==.
 func (e *Engine) InPlace() uint64 { return e.inplace }
 
-// Shards returns the number of per-node event heaps (1 for a plain engine).
-func (e *Engine) Shards() int { return len(e.heaps) }
+// Shards returns the number of shards (1 for a plain engine).
+func (e *Engine) Shards() int { return len(e.sstats) }
 
 // ShardStats returns the per-shard dispatch and cross-shard traffic
 // counters. The returned slice is a snapshot.
@@ -403,7 +397,7 @@ func (e *Engine) schedule(t Time, shard int, p *Proc, fn func()) {
 	if shard != e.curShard {
 		e.sstats[shard].Inbound++
 	}
-	e.heaps[shard].push(event{t: t, seq: e.seq, p: p, fn: fn, key: k})
+	e.heap.push(event{t: t, seq: e.seq, p: p, fn: fn, key: k, shard: int32(shard)})
 }
 
 // At schedules fn to run inside event dispatch at virtual time t (which must
@@ -427,8 +421,8 @@ func (e *Engine) AfterOn(shard int, d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	if shard < 0 || shard >= len(e.heaps) {
-		panic(fmt.Sprintf("sim: AfterOn shard %d out of range [0,%d)", shard, len(e.heaps)))
+	if shard < 0 || shard >= len(e.sstats) {
+		panic(fmt.Sprintf("sim: AfterOn shard %d out of range [0,%d)", shard, len(e.sstats)))
 	}
 	e.schedule(e.now+d, shard, nil, fn)
 }
@@ -457,8 +451,8 @@ func (e *Engine) GoID(prefix string, id int64, body func(p *Proc)) *Proc {
 // GoIDOn is GoID with explicit shard placement, used at setup time to pin
 // each simulated node's procs to its shard. Out-of-range shards fail fast.
 func (e *Engine) GoIDOn(shard int, prefix string, id int64, body func(p *Proc)) *Proc {
-	if shard < 0 || shard >= len(e.heaps) {
-		panic(fmt.Sprintf("sim: GoIDOn shard %d out of range [0,%d)", shard, len(e.heaps)))
+	if shard < 0 || shard >= len(e.sstats) {
+		panic(fmt.Sprintf("sim: GoIDOn shard %d out of range [0,%d)", shard, len(e.sstats)))
 	}
 	return e.spawn(0, shard, "", prefix, id, body)
 }
@@ -562,26 +556,17 @@ func (e *Engine) dispatch() *Proc {
 	for !e.stopped {
 		// The previous event's children hold their own key references by now.
 		e.releaseCur()
-		// Merge point: the global minimum across the per-shard heaps by
-		// (t, seq) — or (t, lineage key) in keyed mode — so the order is
-		// identical to a single-heap engine's, which skips the scan.
-		best := 0
-		for i := 1; i < len(e.heaps); i++ {
-			if len(e.heaps[i]) != 0 && (len(e.heaps[best]) == 0 || e.heaps[i].beats(e.heaps[best])) {
-				best = i
-			}
-		}
-		if len(e.heaps[best]) == 0 {
+		if len(e.heap) == 0 {
 			break
 		}
-		ev := e.heaps[best].peek()
+		ev := e.heap.peek()
 		if e.until >= 0 && ev.t > e.until {
 			e.now = e.until
 			break
 		}
-		e.heaps[best].pop()
+		e.heap.pop()
 		e.now = ev.t
-		e.curShard = best
+		e.curShard = int(ev.shard)
 		if e.keyed {
 			e.curKey = ev.key
 			e.curIdx = 0
@@ -591,7 +576,7 @@ func (e *Engine) dispatch() *Proc {
 			continue // a killed proc can leave a stale event behind
 		}
 		e.stats.Events++
-		e.sstats[best].Events++
+		e.sstats[ev.shard].Events++
 		if ev.fn != nil {
 			if e.trace != nil {
 				e.trace(fmt.Sprintf("t=%v callback", e.now))
@@ -611,7 +596,7 @@ func (e *Engine) dispatch() *Proc {
 		p.state = StateRunning
 		e.current = p
 		// The proc may be resumed from an event on a foreign shard (a completion
-		// callback routed to the target node's heap finishing the proc's chain).
+		// callback routed to the target node's shard finishing the proc's chain).
 		// Anything the proc schedules while running belongs to its own shard.
 		e.curShard = p.shard
 		e.stats.Handoffs++
@@ -674,9 +659,7 @@ func (e *Engine) Shutdown() {
 			panic(fmt.Sprintf("sim: Shutdown with proc %q in state %v", p.Name(), p.state))
 		}
 	}
-	for i := range e.heaps {
-		e.heaps[i] = nil
-	}
+	e.heap = nil
 	e.chains = nil
 	e.ready = nil
 	e.keyPool = nil
@@ -722,7 +705,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // State returns the proc's lifecycle state.
 func (p *Proc) State() ProcState { return p.state }
 
-// Shard returns the shard that owns this proc (0 in a single-heap engine).
+// Shard returns the shard that owns this proc (0 in an unsharded engine).
 func (p *Proc) Shard() int { return p.shard }
 
 // run executes body, reporting whether it ended by itself (returned or

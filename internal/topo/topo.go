@@ -142,7 +142,7 @@ func (m *Machine) NodeOf(rank int) int { return rank / m.CoresPerNode }
 // MinCrossNodeLatency returns a lower bound on the virtual-time delay of
 // any event one node can cause on another — the lookahead of a conservative
 // node-sharded execution (one window of sim.Sharded, the routing contract
-// of the per-node event heaps). The bound is the inter-node base latency:
+// of the engine's per-node shard tags). The bound is the inter-node base latency:
 // every cross-node path goes through OneSided/OpDelay, whose size term is
 // non-negative, whose atomic surcharge only adds, and whose perturbation
 // model clamps the jittered delay to at least the base (see

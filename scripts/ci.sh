@@ -2,7 +2,7 @@
 # The CI gate, in three tiers. Run all of them (no argument) or name the
 # tiers to run: scripts/ci.sh [build] [test] [cli]
 #
-#   build  go vet + go build
+#   build  gofmt -l (must print nothing) + go vet + go build
 #   test   the whole suite under the race detector, once. It already holds
 #          every golden, differential, determinism, conservation and fuzz
 #          seed-corpus check, so no subset of it is re-run by name — except
@@ -14,7 +14,9 @@
 #          (self-validating against every committed golden), `repro
 #          validate` and `repro analyze` on the committed trace fixtures,
 #          the allocation-free gate (the race detector perturbs allocation
-#          counts), and one iteration of every benchmark.
+#          counts), one iteration of every benchmark, and three bad inputs
+#          (a scale no size survives, a deque too small, a load no run can
+#          complete) that must each exit non-zero without a goroutine dump.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +27,12 @@ for tier in "${tiers[@]}"; do
   echo "== ci tier: $tier =="
   case "$tier" in
   build)
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+      echo "scripts/ci.sh: gofmt -l is not empty:" >&2
+      echo "$unformatted" >&2
+      exit 1
+    fi
     go vet ./...
     go build ./...
     ;;
@@ -45,6 +53,22 @@ for tier in "${tiers[@]}"; do
     "$out/repro" analyze -requests cmd/repro/testdata/trace_serve_micro.json
     go test -run TestShardedSteadyStateAllocFree ./internal/sim
     go test -bench=. -benchtime=1x -run '^$' ./...
+    for bad in "fig6 -scale -1" \
+      "fig6 -dequecap 1 -workers 4 -n 64 -parallel 2" \
+      "serve -loads 1e-9 -requests 8 -workers 4 -parallel 2"; do
+      # shellcheck disable=SC2086 # $bad is a word list on purpose
+      if msg=$("$out/repro" $bad -quiet 2>&1); then
+        echo "scripts/ci.sh: repro $bad exited 0" >&2
+        exit 1
+      fi
+      case "$msg" in *"goroutine "*)
+        echo "scripts/ci.sh: repro $bad dumped goroutines:" >&2
+        echo "$msg" | head -5 >&2
+        exit 1
+        ;;
+      esac
+      echo "repro $bad: $msg"
+    done
     ;;
   *)
     echo "scripts/ci.sh: unknown tier '$tier' (want build, test or cli)" >&2
