@@ -15,10 +15,6 @@
 //	repro serve  [-machine ...] [-workers N] [-requests R] [-loads 0.1,0.5,1,2]
 //	             [-systems ours,saws,charm,glb] [-arrivals poisson,mmpp]
 //	             [-admits always,token] [-horizon-us U]
-//	repro enginebench [-machine ...] [-scale K]
-//	             (host-side sharded-engine throughput: adaptive vs lock-step
-//	              windows over a shard ladder; wall-clock figures surface in
-//	              the BENCH artifact, the tables stay deterministic)
 //	repro stealzoo [-shape wavefront|stencil] [-n N] [-machine ...] [-workers N]
 //	             (steal-policy zoo: uniform/hier/locality × steal-one/half
 //	              victim policies on a seeded task-graph workload, across
@@ -47,12 +43,12 @@
 //
 // `repro run` executes the committed experiments.json manifest at a named
 // scale into a timestamped paper_runs/<stamp>/ folder (tables, TSV series,
-// JSON rows, metrics registries), validates every series byte-for-byte
-// against the committed golden fixtures, and emits a schema-checked
-// BENCH_<stamp>.json perf artifact (virtual-event throughput, protocol
-// handoffs, cross-shard traffic per experiment). The smoke scale reproduces
-// the golden fixtures in minutes; the paper scale runs every figure and
-// table at default size.
+// JSON rows, metrics registries, a summary of per-entry engine counters)
+// and validates every series byte-for-byte against the committed golden
+// fixtures. Every file of the folder is a pure function of manifest, scale
+// and flags; host throughput is measured by benchmark/, not here. The smoke
+// scale reproduces the golden fixtures in minutes; the paper scale runs
+// every figure and table at default size.
 //
 // Fault injection: -perturb "jitter=0.5,straggler=0.25,sfactor=3,drop=0.01,
 // seed=1" overlays a deterministic perturbation model (topo.Perturb) on any
@@ -89,7 +85,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -112,7 +107,7 @@ func defaultGoldens() (manifest.Goldens, error) {
 			return manifest.DirGoldens(dir), nil
 		}
 	}
-	return nil, fmt.Errorf("cannot locate the committed golden fixtures: run from the repo root, or pass -goldens DIR or -no-validate")
+	return nil, fmt.Errorf("cannot locate the committed golden fixtures: run from the repo root, or pass -goldens DIR")
 }
 
 func main() {
@@ -123,7 +118,7 @@ func main() {
 }
 
 func usageErr() error {
-	return fmt.Errorf("usage: repro {fig6|table2|fig7|fig8|fig9|table3|fig12|resilience|enginebench|stealzoo|serve|all|run|validate|analyze} [flags]")
+	return fmt.Errorf("usage: repro {fig6|table2|fig7|fig8|fig9|table3|fig12|resilience|stealzoo|serve|all|run|validate|analyze} [flags]")
 }
 
 // listFlag registers a comma-separated list flag appending into dst; an
@@ -287,26 +282,23 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if *tracePath != "" || *metricsPath != "" {
 		obsCol = &experiments.ObsCollector{Trace: *tracePath != "", Metrics: *metricsPath != ""}
 	}
-	exec := manifest.Exec{Parallel: *parallel, Obs: obsCol}
+	observer := &experiments.Observer{}
+	exec := manifest.Exec{Parallel: *parallel, Obs: obsCol, Observer: observer}
 
 	if !*quiet {
-		experiments.Progress = func(done, total int, c experiments.Coord, wall time.Duration) {
-			fmt.Fprintf(stderr, "[%d/%d] %s (%.2fs)\n", done, total, c, wall.Seconds())
-		}
-		defer func() { experiments.Progress = nil }()
+		observer.Progress = experiments.ProgressLines(stderr)
 	}
 	if *engineStats {
-		experiments.EngineStats = func(c experiments.Coord, st core.RunStats, wall time.Duration) {
+		observer.EngineStats = func(c experiments.Coord, st core.RunStats, shards int, wall time.Duration) {
 			es := st.Engine
 			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d inplace=%d switches=%d callbacks=%d events/s=%.2fM\n",
 				c, es.Events, es.Handoffs, st.InPlace, es.Handoffs-st.InPlace, es.Callbacks,
 				perUnit(float64(es.Events), wall.Seconds())/1e6)
 			if fp.Shards > 1 {
 				fmt.Fprintf(stderr, "engine [%s] shards=%d cross-shard=%d (%.1f%% of events)\n",
-					c, fp.Shards, st.CrossShard, 100*perUnit(float64(st.CrossShard), float64(es.Events)))
+					c, shards, st.CrossShard, 100*perUnit(float64(st.CrossShard), float64(es.Events)))
 			}
 		}
-		defer func() { experiments.EngineStats = nil }()
 	}
 
 	// Each result is recorded for the -json dump, printed as its aligned
@@ -355,8 +347,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 }
 
 // runPipeline is `repro run`: execute the manifest at a scale into a
-// timestamped run folder, validate against the committed goldens, and emit
-// the BENCH artifact. A golden mismatch is a non-zero exit.
+// timestamped run folder and validate it against the committed goldens. A
+// golden mismatch is a non-zero exit.
 func runPipeline(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -407,7 +399,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 		goldens = manifest.DirGoldens(*goldensDir)
 	default:
 		if goldens, err = defaultGoldens(); err != nil {
-			return err
+			return fmt.Errorf("%w, or -no-validate", err)
 		}
 	}
 	st := *stamp
@@ -468,27 +460,6 @@ func runValidate(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%d series checked: %d ok, %d mismatches, %d without goldens\n",
 		len(checks), ok, mismatches, noGolden)
-	// A run folder also carries its BENCH artifact; re-check its schema,
-	// and flag throughput comparisons this host cannot honestly make: an
-	// artifact measured under a different core count or GOMAXPROCS is not
-	// comparable to numbers produced here.
-	host := &manifest.Bench{HostCPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-	benches, _ := filepath.Glob(filepath.Join(fs.Arg(0), "bench", "BENCH_*.json"))
-	for _, path := range benches {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		b, err := manifest.ParseBench(data)
-		if err != nil {
-			return fmt.Errorf("repro validate: %s: %w", path, err)
-		}
-		fmt.Fprintf(stdout, "bench ok  %s (schema %s)\n", path, b.Schema)
-		if why := b.HostMismatch(host); why != "" {
-			fmt.Fprintf(stdout, "WARNING   %s was measured on a different host (%s): its events/sec figures are not comparable to runs made here\n",
-				path, why)
-		}
-	}
 	if mismatches > 0 {
 		return fmt.Errorf("repro validate: %d series mismatch the goldens", mismatches)
 	}

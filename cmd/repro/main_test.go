@@ -381,37 +381,53 @@ func TestCLIParallelByteIdentical(t *testing.T) {
 
 // TestEngineStatsLine pins the -engine-stats diagnostic: every job prints
 // its resumptions split into in-place and goroutine switches, the split adds
-// up, and a job with nothing to divide by prints 0, never NaN or +Inf.
+// up, a job with nothing to divide by prints 0, never NaN or +Inf, and the
+// shards line states the count the engine ran with, not the one asked for:
+// 18 workers are one ITO-A node, so -shards 2 runs — and reports — one shard
+// with nothing to cross; 72 workers are two, and do cross.
 func TestEngineStatsLine(t *testing.T) {
-	var stderr bytes.Buffer
-	if err := run([]string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "64", "-shards", "2", "-engine-stats", "-quiet"}, io.Discard, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	jobs := 0
-	for _, line := range strings.Split(stderr.String(), "\n") {
-		var handoffs, inplace, switches uint64
-		i := strings.Index(line, "handoffs=")
-		if i < 0 {
-			continue
+	for _, tc := range []struct {
+		workers string
+		shards  int
+		crosses bool
+	}{{"18", 1, false}, {"72", 2, true}} {
+		var stderr bytes.Buffer
+		if err := run([]string{"fig6", "-bench", "pfor", "-workers", tc.workers, "-n", "64", "-shards", "2", "-engine-stats", "-quiet"}, io.Discard, &stderr); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d switches=%d", &handoffs, &inplace, &switches); err != nil {
-			t.Fatalf("unparsable engine line %q: %v", line, err)
+		jobs, shardLines := 0, 0
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			var handoffs, inplace, switches, cross uint64
+			var shards int
+			if i := strings.Index(line, "handoffs="); i >= 0 {
+				if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d switches=%d", &handoffs, &inplace, &switches); err != nil {
+					t.Fatalf("unparsable engine line %q: %v", line, err)
+				}
+				jobs++
+				if handoffs == 0 || inplace+switches != handoffs {
+					t.Errorf("inplace %d + switches %d != handoffs %d in %q", inplace, switches, handoffs, line)
+				}
+			} else if i := strings.Index(line, "shards="); i >= 0 {
+				if _, err := fmt.Sscanf(line[i:], "shards=%d cross-shard=%d", &shards, &cross); err != nil {
+					t.Fatalf("unparsable shards line %q: %v", line, err)
+				}
+				shardLines++
+				if shards != tc.shards || (cross > 0) != tc.crosses {
+					t.Errorf("-workers %s -shards 2: want shards=%d, cross-shard > 0 is %v, got %q", tc.workers, tc.shards, tc.crosses, line)
+				}
+			}
 		}
-		jobs++
-		if handoffs == 0 || inplace+switches != handoffs {
-			t.Errorf("inplace %d + switches %d != handoffs %d in %q", inplace, switches, handoffs, line)
+		if jobs == 0 || shardLines != jobs || strings.Contains(stderr.String(), "NaN") || strings.Contains(stderr.String(), "Inf") {
+			t.Errorf("want one finite engine line and one shards line per job, got:\n%s", stderr.String())
 		}
-	}
-	if jobs == 0 || strings.Contains(stderr.String(), "NaN") || strings.Contains(stderr.String(), "Inf") {
-		t.Errorf("want one finite engine line per job, got:\n%s", stderr.String())
 	}
 	if perUnit(0, 0) != 0 || perUnit(5, 0) != 0 || perUnit(6, 3) != 2 {
 		t.Errorf("perUnit(0,0)=%v perUnit(5,0)=%v perUnit(6,3)=%v, want 0, 0, 2", perUnit(0, 0), perUnit(5, 0), perUnit(6, 3))
 	}
 }
 
-// TestUsageErrors pins the bad-input contract: an unknown subcommand, a
-// malformed list, an out-of-range count, depth, scale or load and a pool or
+// TestUsageErrors pins the bad-input contract: an unknown subcommand (the
+// usage line; the retired enginebench is one), a malformed list, an out-of-range count, depth, scale or load and a pool or
 // shard width below 1 all fail before any simulation runs, naming the
 // offending field (or flag) and value; a job that cannot run at the given
 // capacity (deque too small, load no run can complete) fails as one line
@@ -421,6 +437,9 @@ func TestUsageErrors(t *testing.T) {
 		if err := run(argv, io.Discard, io.Discard); err == nil {
 			t.Errorf("run(%v) did not fail", argv)
 		}
+	}
+	if err := run([]string{"enginebench"}, io.Discard, io.Discard); err == nil || !strings.HasPrefix(err.Error(), "usage: repro {") {
+		t.Errorf("run(enginebench) = %v, want the usage line", err)
 	}
 	for _, tc := range []struct {
 		argv []string

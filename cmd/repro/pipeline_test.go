@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -131,46 +132,56 @@ func checkSmokeGolden(t *testing.T, c *smokeConfig, id, fixture string) {
 	}
 }
 
-// snapshotRun collects the deterministic portion of a run folder: every file
-// under tsv/, json/ and metrics/, plus tables.txt and manifest.json. The
-// bench/ artifact and summary.tsv carry wall-clock times and are excluded.
+// snapshotRun reads every file of a run folder, keyed by path relative to
+// it: nothing in the folder carries a clock, so all of it is comparable.
 func snapshotRun(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	files := map[string]string{}
-	read := func(rel string) {
-		b, err := os.ReadFile(filepath.Join(dir, rel))
-		if err != nil {
-			t.Fatal(err)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		b, err := os.ReadFile(path)
 		files[rel] = string(b)
-	}
-	read("tables.txt")
-	read("manifest.json")
-	for _, sub := range []string{"tsv", "json", "metrics"} {
-		err := filepath.WalkDir(filepath.Join(dir, sub), func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			rel, err := filepath.Rel(dir, path)
-			if err != nil {
-				return err
-			}
-			read(rel)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return files
 }
 
+// summaryCells splits a snapshot's summary.tsv into its header and one map
+// per entry row, keyed by column name.
+func summaryCells(t *testing.T, snap map[string]string) ([]string, []map[string]string) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(snap["summary.tsv"], "\n"), "\n")
+	header := strings.Split(lines[0], "\t")
+	var rows []map[string]string
+	for _, line := range lines[1:] {
+		cells := strings.Split(line, "\t")
+		if len(cells) != len(header) {
+			t.Fatalf("summary.tsv row %q has %d cells under a %d-column header", line, len(cells), len(header))
+		}
+		row := map[string]string{}
+		for i, cell := range cells {
+			row[header[i]] = cell
+		}
+		rows = append(rows, row)
+	}
+	return header, rows
+}
+
 // diffSnapshots fails the test unless the two run folders hold identical
-// deterministic outputs, using manifest.Diff to localise any divergence.
+// files, using manifest.Diff to localise any divergence.
 func diffSnapshots(t *testing.T, label string, a, b map[string]string) {
 	t.Helper()
 	if len(a) != len(b) {
-		t.Errorf("%s: run folders hold %d vs %d deterministic files", label, len(a), len(b))
+		t.Errorf("%s: run folders hold %d vs %d files", label, len(a), len(b))
 	}
 	for rel, want := range a {
 		got, ok := b[rel]
@@ -186,9 +197,10 @@ func diffSnapshots(t *testing.T, label string, a, b map[string]string) {
 
 // TestPipelineSmoke is the end-to-end contract of `repro run`: the smoke
 // scale runs every registered experiment, self-validates byte-for-byte
-// against the committed goldens, emits a schema-valid BENCH artifact, and
-// its deterministic outputs are identical across host-parallelism widths
-// and engine shard counts.
+// against the committed goldens, and the whole run folder — every file, the
+// summary included — is identical across host-parallelism widths, and
+// across engine shard counts but for the two summary columns that state the
+// sharding itself.
 func TestPipelineSmoke(t *testing.T) {
 	base := smokeDir(t, smokeBase)
 	snap := snapshotRun(t, base)
@@ -202,54 +214,59 @@ func TestPipelineSmoke(t *testing.T) {
 	if !strings.Contains(vout.String(), "0 mismatches") {
 		t.Errorf("validate report: %s", vout.String())
 	}
-	if !strings.Contains(vout.String(), "bench ok") {
-		t.Errorf("validate did not schema-check the BENCH artifact: %s", vout.String())
-	}
 
-	// The BENCH artifact parses strictly and covers the whole registry,
-	// with the fig9 shard ladder present at shards 1, 2 and 4.
-	data, err := os.ReadFile(filepath.Join(base, "bench", "BENCH_t.json"))
-	if err != nil {
-		t.Fatal(err)
+	// The summary states deterministic counters only — no wall-derived
+	// column, no perf artifact beside it — and covers the whole registry.
+	header, rows := summaryCells(t, snap)
+	if got, want := strings.Join(header, " "), "id experiment shards jobs events handoffs cross_shard golden summary"; got != want {
+		t.Errorf("summary.tsv header = %q, want %q", got, want)
 	}
-	bench, err := manifest.ParseBench(data)
-	if err != nil {
-		t.Fatalf("BENCH artifact invalid: %v", err)
+	if _, err := os.Stat(filepath.Join(base, "bench")); err == nil {
+		t.Error("run folder still has a bench/ directory")
 	}
 	ran := map[string]bool{}
-	shardsOf := map[string]int{}
-	var fig9Events []uint64
-	for _, e := range bench.Entries {
-		ran[e.Experiment] = true
-		shardsOf[e.ID] = e.Shards
-		if e.Experiment == "fig9" {
-			fig9Events = append(fig9Events, e.Events)
+	for _, row := range rows {
+		ran[row["experiment"]] = true
+		if row["experiment"] != "serve" {
+			continue
+		}
+		_, goodput, _ := strings.Cut(row["summary"], "saturation_goodput_rps=")
+		goodput, _, _ = strings.Cut(goodput, " ")
+		if v, _ := strconv.ParseFloat(goodput, 64); v <= 0 {
+			t.Errorf("%s summary lacks saturation_goodput_rps: %s", row["id"], row["summary"])
 		}
 	}
 	for _, name := range manifest.Names() {
 		if !ran[name] {
-			t.Errorf("smoke BENCH lacks experiment %q", name)
-		}
-	}
-	for id, want := range map[string]int{"fig9": 1, "fig9_shards2": 2, "fig9_shards4": 4} {
-		if shardsOf[id] != want {
-			t.Errorf("BENCH entry %s ran at shards=%d, want %d", id, shardsOf[id], want)
-		}
-	}
-	for i := 1; i < len(fig9Events); i++ {
-		if fig9Events[i] != fig9Events[0] {
-			t.Errorf("fig9 event counts differ across shard ladder: %v", fig9Events)
-		}
-	}
-	for _, e := range bench.Entries {
-		if e.Experiment == "serve" && e.Summary["saturation_goodput_rps"] <= 0 {
-			t.Errorf("%s summary lacks saturation_goodput_rps: %v", e.ID, e.Summary)
+			t.Errorf("smoke summary lacks experiment %q", name)
 		}
 	}
 
-	// Byte-identity of the deterministic outputs across execution knobs.
+	// Byte-identity of the folder across execution knobs. Sharding may show
+	// only in the shards and cross_shard cells: with those dropped the
+	// summaries must agree too, events and handoffs included — and the
+	// sharded run must really have sharded, or the comparison says nothing.
 	diffSnapshots(t, "parallel 8 vs 1", snap, snapshotRun(t, smokeDir(t, smokeSeq)))
-	diffSnapshots(t, "shards 1 vs 4", snap, snapshotRun(t, smokeDir(t, smokeSharded)))
+	dropShardCells := func(s map[string]string) (crossed bool) {
+		header, rows := summaryCells(t, s)
+		var b strings.Builder
+		for _, row := range rows {
+			crossed = crossed || row["shards"] != "1" && row["cross_shard"] != "0"
+			for _, h := range header {
+				if h != "shards" && h != "cross_shard" {
+					b.WriteString(row[h] + "\t")
+				}
+			}
+			b.WriteString("\n")
+		}
+		s["summary.tsv"] = b.String()
+		return crossed
+	}
+	sharded := snapshotRun(t, smokeDir(t, smokeSharded))
+	if dropShardCells(snap) || !dropShardCells(sharded) {
+		t.Error("want no entry sharded at -shards 1, and one with several shards and cross-shard events at -shards 4")
+	}
+	diffSnapshots(t, "shards 1 vs 4", snap, sharded)
 
 	// Every fork-join entry leaves its first run's metrics registry in the
 	// folder — including the resilience and stealzoo grids, which once
@@ -319,79 +336,6 @@ func TestFig9MachineOverride(t *testing.T) {
 	out, series = fig9()
 	if !strings.Contains(out, "on wisteria") || series != "uts_T1L'_wisteria.tsv" {
 		t.Errorf("fig9 default produced series %q:\n%s", series, out)
-	}
-}
-
-// TestCommittedBench holds every BENCH artifact in sight — the one the shared
-// smoke run just produced, plus any committed at the repo root — to the one
-// schema and the smoke-scale headline: the fig9 shard ladder, both serve
-// saturation summaries with their tail-latency keys, and an enginebench
-// summary naming the GOMAXPROCS it was measured under, so a throughput
-// figure is always readable against its core budget. No artifact is
-// committed at present: BENCH_0007–0009 measured a warm memo (ROADMAP item
-// 1) and the cold trajectory lives in benchmark/results/.
-func TestCommittedBench(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	files = append(files, filepath.Join(smokeDir(t, smokeBase), "bench", "BENCH_t.json"))
-	for _, file := range files {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := manifest.ParseBench(data)
-		if err != nil {
-			t.Fatalf("%s: BENCH artifact invalid: %v", file, err)
-		}
-		if b.Scale != "smoke" {
-			t.Errorf("%s: BENCH scale = %q, want smoke", file, b.Scale)
-		}
-		serve := map[string]map[string]float64{}
-		ids := map[string]bool{}
-		var eb map[string]float64
-		for _, e := range b.Entries {
-			ids[e.ID] = true
-			if e.Experiment == "serve" {
-				serve[e.ID] = e.Summary
-			}
-			if e.Experiment == "enginebench" {
-				eb = e.Summary
-			}
-		}
-		for _, id := range []string{"fig9", "fig9_shards2", "fig9_shards4", "serve_itoa", "serve_wisteria"} {
-			if !ids[id] {
-				t.Errorf("%s: BENCH lacks entry %s", file, id)
-			}
-		}
-		// The artifact must make its measurement conditions explicit: the
-		// adaptive-window speedup is a wall-clock claim, only meaningful
-		// against a stated core budget.
-		if eb == nil {
-			t.Fatalf("%s: BENCH lacks an enginebench entry", file)
-		}
-		if eb["gomaxprocs"] != float64(b.GoMaxProcs) {
-			t.Errorf("%s: enginebench summary gomaxprocs %g != artifact gomaxprocs %d",
-				file, eb["gomaxprocs"], b.GoMaxProcs)
-		}
-		if eb["stream_adaptive_speedup_shards4"] <= 0 {
-			t.Errorf("%s: enginebench summary lacks stream_adaptive_speedup_shards4: %v", file, eb)
-		}
-		for id, sum := range serve {
-			if sum["p999_sojourn_us"] <= 0 {
-				t.Errorf("%s: entry %s lacks a positive p999_sojourn_us headline", file, id)
-			}
-			dominant := false
-			for k, v := range sum {
-				if strings.HasPrefix(k, "p999_dominant_share_") && v > 0 && v <= 1 {
-					dominant = true
-				}
-			}
-			if !dominant {
-				t.Errorf("%s: entry %s lacks a p999_dominant_share_* headline in (0,1]", file, id)
-			}
-		}
 	}
 }
 

@@ -83,15 +83,10 @@ func TestShardsDifferentialFig9(t *testing.T) {
 
 // The TestGoldenShards* tests require the sharded engine to reproduce the
 // committed single-heap fixtures byte-for-byte, with no -update. They assert
-// over the shared smoke run folders: the smoke manifest carries the fig9
-// golden slice at shards 2 and 4 as entries of their own, and the -shards 4
-// run covers every other entry (core clamps shards to the simulated node
-// count, so on the one- and two-node golden slices -shards 4 selects exactly
-// the engine -shards 2 does).
+// over the shared smoke run folder made at -shards 4 (core clamps shards to
+// the simulated node count, so on the one- and two-node golden slices
+// -shards 4 selects exactly the engine -shards 2 does).
 func TestGoldenShardsFig9(t *testing.T) {
-	for _, id := range []string{"fig9_shards2", "fig9_shards4"} {
-		checkSmokeGolden(t, smokeBase, id, "uts_T1WL'_wisteria.tsv")
-	}
 	checkSmokeGolden(t, smokeSharded, "fig9", "uts_T1WL'_wisteria.tsv")
 }
 

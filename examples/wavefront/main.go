@@ -7,9 +7,9 @@
 // consumer is resumed the instant its input completes, migrating it to
 // whichever worker finished the producer; under stalling join it waits in
 // the wait queue of the worker it suspended on. Compare the steal and
-// migration counts below — and see the full LCS benchmark (cmd/lcs), whose
-// recursive decomposition is where migration at joins becomes decisive
-// (Table III of the paper).
+// migration counts below — and see the full LCS benchmark (`repro table3`,
+// internal/workload/lcs.go), whose recursive decomposition is where
+// migration at joins becomes decisive (Table III of the paper).
 //
 // This pattern is promoted to a first-class experiment workload in
 // internal/workload/dag.go (seeded wavefront/stencil DAGs with a

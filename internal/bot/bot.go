@@ -38,6 +38,19 @@ const TaskBytes = 24
 // children of a UTS node). It must be deterministic and side-effect free.
 type Expand func(Task) []Task
 
+const (
+	// pollEvery is how many tasks a worker processes between message polls
+	// (two-sided runtimes only). Coarser polling amortizes handler costs
+	// but lengthens steal response time.
+	pollEvery = 16
+	// stealHalfMax caps how many tasks a single steal can take.
+	stealHalfMax = 1024
+	// randomSteals is the number of random victim attempts before a GLB
+	// worker retreats to its lifelines (the "w" parameter; X10/GLB uses 1).
+	// The lifeline graph itself is the hypercube: ⌈log2 P⌉ neighbours.
+	randomSteals = 2
+)
+
 // Config parameterizes a BoT runtime.
 type Config struct {
 	Machine *topo.Machine
@@ -45,18 +58,6 @@ type Config struct {
 	Seed    int64
 	// Work is the per-task compute cost on the reference machine.
 	Work sim.Time
-	// PollEvery is how many tasks a worker processes between message polls
-	// (two-sided runtimes only). Coarser polling amortizes handler costs
-	// but lengthens steal response time.
-	PollEvery int
-	// StealHalfMax caps how many tasks a single steal can take.
-	StealHalfMax int
-	// Lifelines is the out-degree of the lifeline graph (GLB); the default
-	// (0) selects a hypercube: ⌈log2 P⌉ neighbours.
-	Lifelines int
-	// RandomSteals is the number of random victim attempts before a GLB
-	// worker retreats to its lifelines (the "w" parameter; X10/GLB uses 1).
-	RandomSteals int
 	// MaxTime aborts a run that fails to terminate.
 	MaxTime sim.Time
 	// Serve, when non-nil, switches the runtime into open-system mode: the
@@ -74,15 +75,6 @@ func (c *Config) defaults() {
 	}
 	if c.Work <= 0 {
 		c.Work = 190
-	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = 16
-	}
-	if c.StealHalfMax <= 0 {
-		c.StealHalfMax = 1024
-	}
-	if c.RandomSteals <= 0 {
-		c.RandomSteals = 2
 	}
 	if c.MaxTime <= 0 {
 		c.MaxTime = 300 * sim.Second

@@ -92,10 +92,7 @@ func RunCharm(cfg Config, root Task, expand Expand) Stats {
 				switch m.Kind {
 				case cmStealReq:
 					if s.q.len() > 1 {
-						k := s.q.len() / 2
-						if k > cfg.StealHalfMax {
-							k = cfg.StealHalfMax
-						}
+						k := min(s.q.len()/2, stealHalfMax)
 						ts := s.q.popOldest(k)
 						net.Send(p, rank, m.From, msg.Msg{Kind: cmWork, Data: encodeTasks(ts)})
 						st.StealsOK++
@@ -129,7 +126,7 @@ func RunCharm(cfg Config, root Task, expand Expand) Stats {
 				if sv != nil && sv.finished {
 					return
 				}
-				// Process local tasks, polling every PollEvery completions.
+				// Process local tasks, polling every pollEvery completions.
 				if t, ok := s.q.pop(); ok {
 					p.Sleep(cfg.Machine.ComputeOn(rank, cfg.Work))
 					children := expand(t)
@@ -144,7 +141,7 @@ func RunCharm(cfg Config, root Task, expand Expand) Stats {
 						sv.taskDone(t, len(children), p.Now())
 					}
 					sincePoll++
-					if sincePoll >= cfg.PollEvery {
+					if sincePoll >= pollEvery {
 						sincePoll = 0
 						for {
 							m, ok := net.Poll(p, rank)

@@ -81,9 +81,6 @@ func RunGLB(cfg Config, root Task, expand Expand) Stats {
 			s := states[rank]
 			rng := newRNG(cfg.Seed, rank)
 			lifelines := lifelineOut(rank, cfg.Workers)
-			if cfg.Lifelines > 0 && cfg.Lifelines < len(lifelines) {
-				lifelines = lifelines[:cfg.Lifelines]
-			}
 			if rank == 0 && sv == nil {
 				s.q.push(root)
 				s.pushed++
@@ -94,10 +91,7 @@ func RunGLB(cfg Config, root Task, expand Expand) Stats {
 				for len(s.waiters) > 0 && s.q.len() > 1 {
 					waiter := s.waiters[0]
 					s.waiters = s.waiters[1:]
-					k := s.q.len() / 2
-					if k > cfg.StealHalfMax {
-						k = cfg.StealHalfMax
-					}
+					k := min(s.q.len()/2, stealHalfMax)
 					ts := s.q.popOldest(k)
 					net.Send(p, rank, waiter, msg.Msg{Kind: glbWork, Data: encodeTasks(ts)})
 					st.StealsOK++
@@ -109,10 +103,7 @@ func RunGLB(cfg Config, root Task, expand Expand) Stats {
 				switch m.Kind {
 				case glbStealReq:
 					if s.q.len() > 1 {
-						k := s.q.len() / 2
-						if k > cfg.StealHalfMax {
-							k = cfg.StealHalfMax
-						}
+						k := min(s.q.len()/2, stealHalfMax)
 						ts := s.q.popOldest(k)
 						net.Send(p, rank, m.From, msg.Msg{Kind: glbWork, Data: encodeTasks(ts)})
 						st.StealsOK++
@@ -165,7 +156,7 @@ func RunGLB(cfg Config, root Task, expand Expand) Stats {
 						sv.taskDone(t, len(children), p.Now())
 					}
 					sincePoll++
-					if sincePoll >= cfg.PollEvery {
+					if sincePoll >= pollEvery {
 						sincePoll = 0
 						for {
 							m, ok := net.Poll(p, rank)
@@ -207,7 +198,7 @@ func RunGLB(cfg Config, root Task, expand Expand) Stats {
 				}
 				// Idle path: random steals, then lifelines, then quiescence.
 				if cfg.Workers > 1 && !s.waitingReply && !s.lifelined {
-					if attempts < cfg.RandomSteals {
+					if attempts < randomSteals {
 						victim := pickVictim(rng, rank, cfg.Workers)
 						net.Send(p, rank, victim, msg.Msg{Kind: glbStealReq})
 						s.waitingReply = true

@@ -114,10 +114,7 @@ func RunSAWS(cfg Config, root Task, expand Expand) Stats {
 			st.StealsFail++
 			return nil
 		}
-		k := int(tl-h+1) / 2
-		if k > cfg.StealHalfMax {
-			k = cfg.StealHalfMax
-		}
+		k := min(int(tl-h+1)/2, stealHalfMax)
 		if fab.CAS(p, thief.rank, victim.metaLoc(), v, packHT(h+uint32(k), tl)) != v {
 			st.StealsFail++
 			return nil

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (§V) on the simulated cluster. Each experiment
-// function returns structured rows; cmd/repro prints them and
-// bench_test.go wraps them in testing.B benchmarks.
+// function returns structured rows; cmd/repro, through the manifest
+// registry, is what runs and prints them.
 //
 // Scale: the paper ran on 576–110,592 physical cores with problem sizes
 // tuned for seconds-long runs; a discrete-event simulation executes every
@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"contsteal/internal/bot"
@@ -23,28 +22,6 @@ import (
 	"contsteal/internal/topo"
 	"contsteal/internal/workload"
 )
-
-// EngineStats, when non-nil, is invoked after each fork-join runtime job
-// finishes, with the job's coordinates, its run statistics — of which the
-// host-side ones matter here: st.Engine (see sim.EngineStats), st.InPlace
-// and st.CrossShard (0 at one shard) — and the job's host
-// wall time; events/wall is the engine's host throughput. Calls are
-// serialized across pool workers, like Progress. cmd/repro wires it to
-// -engine-stats.
-var EngineStats func(c Coord, st core.RunStats, wall time.Duration)
-
-var engineStatsMu sync.Mutex
-
-// reportEngine invokes the EngineStats hook under its serializing mutex.
-func reportEngine(c Coord, st core.RunStats, wall time.Duration) {
-	hook := EngineStats
-	if hook == nil {
-		return
-	}
-	engineStatsMu.Lock()
-	hook(c, st, wall)
-	engineStatsMu.Unlock()
-}
 
 // Variant is one scheduler configuration of §V-A/§V-B: a policy plus a
 // remote-free strategy.
@@ -115,6 +92,9 @@ type Options struct {
 	// Obs, when non-nil, collects a trace and/or metrics registry from the
 	// first simulated run of the invocation (first grid point of a sweep).
 	Obs *ObsCollector
+	// Observer, when non-nil, is told of every finished job and of every
+	// fork-join run's engine counters (see Observer).
+	Observer *Observer
 	// Perturb, when non-nil, injects deterministic timing/fault perturbations
 	// into every simulated run of the experiment (see topo.Perturb). The
 	// struct is read-only configuration; per-run RNG state lives in each
@@ -198,7 +178,7 @@ func runCore(o Options, c Coord, v Variant, tune func(*core.Config), drive func(
 	if mine {
 		o.Obs.deliver(c, rt, st)
 	}
-	reportEngine(c, st, time.Since(start))
+	o.Observer.engineStats(c, st, rt.Engine().Shards(), time.Since(start))
 	return rt
 }
 
@@ -272,7 +252,7 @@ func Fig6(o Options, bench string, ns []int) []Fig6Row {
 			}})
 		}
 	}
-	return collect[Fig6Row](RunJobs(o.Parallel, jobs))
+	return collect[Fig6Row](RunJobs(o.Parallel, o.Observer, jobs))
 }
 
 // Fig6Layout renders Fig. 6 rows.
@@ -361,7 +341,7 @@ func Table2(o Options, bench string, n int) []Table2Row {
 			}
 		}})
 	}
-	return collect[Table2Row](RunJobs(o.Parallel, jobs))
+	return collect[Table2Row](RunJobs(o.Parallel, o.Observer, jobs))
 }
 
 // Table2Layout renders Table II rows.
@@ -412,7 +392,7 @@ func Fig7(o Options, n int) Fig7Result {
 			return st.Series
 		}})
 	}
-	series := collect[[]core.Sample](RunJobs(o.Parallel, jobs))
+	series := collect[[]core.Sample](RunJobs(o.Parallel, o.Observer, jobs))
 	return Fig7Result{Workers: o.Workers, ContGreedy: series[0], ChildFull: series[1]}
 }
 
@@ -555,7 +535,7 @@ func Fig8(o Options, tree string, workerCounts []int, seqDepth int) []Fig8Row {
 			jobs = append(jobs, utsJob(o, "fig8", system, tree, w, seqDepth))
 		}
 	}
-	return collect[Fig8Row](RunJobs(o.Parallel, jobs))
+	return collect[Fig8Row](RunJobs(o.Parallel, o.Observer, jobs))
 }
 
 // Fig9 sweeps worker counts for our runtime only (the paper ran it alone on
@@ -572,7 +552,7 @@ func Fig9(o Options, tree string, workerCounts []int, seqDepth int) []Fig8Row {
 	for _, w := range workerCounts {
 		jobs = append(jobs, utsJob(o, "fig9", "ours", tree, w, seqDepth))
 	}
-	return collect[Fig8Row](RunJobs(o.Parallel, jobs))
+	return collect[Fig8Row](RunJobs(o.Parallel, o.Observer, jobs))
 }
 
 // utsLayout renders the UTS strong-scaling rows under a figure's title.
@@ -657,7 +637,7 @@ func Table3(o Options, ns []int) []Table3Row {
 			}})
 		}
 	}
-	return collect[Table3Row](RunJobs(o.Parallel, jobs))
+	return collect[Table3Row](RunJobs(o.Parallel, o.Observer, jobs))
 }
 
 // Table3Layout renders Table III rows.
@@ -719,7 +699,7 @@ func Fig12(o Options, ns []int, workerCounts []int) []Fig12Row {
 			}})
 		}
 	}
-	return collect[Fig12Row](RunJobs(o.Parallel, jobs))
+	return collect[Fig12Row](RunJobs(o.Parallel, o.Observer, jobs))
 }
 
 // Fig12Layout renders Fig. 12 rows.

@@ -37,9 +37,8 @@ func (s Series) Write(w io.Writer) error {
 
 // Rendering is the uniform serialization surface of an experiment result:
 // a section name and structured rows for the JSON dump, an aligned text
-// table, zero or more TSV series, and key scalar metrics for bench
-// artifacts and summary tables. A Section of "" means "nothing to record"
-// (empty result).
+// table, zero or more TSV series, and key scalar metrics for a run folder's
+// summary table. A Section of "" means "nothing to record" (empty result).
 type Rendering interface {
 	Section() string
 	Rows() any

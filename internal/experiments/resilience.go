@@ -127,7 +127,7 @@ func Resilience(o Options, tree string, seqDepth int) []ResilienceRow {
 			}
 		}
 	}
-	rows := collect[ResilienceRow](RunJobs(o.Parallel, jobs))
+	rows := collect[ResilienceRow](RunJobs(o.Parallel, o.Observer, jobs))
 
 	// Slowdowns need the full grid: each row divides by its (machine,
 	// system) baseline, which may have run on a different pool worker.

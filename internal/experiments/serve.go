@@ -377,7 +377,7 @@ func Serve(o Options, p ServeParams) []ServeRow {
 			}
 		}
 	}
-	return collect[ServeRow](RunJobs(o.Parallel, jobs))
+	return collect[ServeRow](RunJobs(o.Parallel, o.Observer, jobs))
 }
 
 func (r ServeRow) machine() string { return r.Machine }

@@ -116,7 +116,7 @@ func StealZoo(o Options, shape string, n int) []StealZooRow {
 			}
 		}
 	}
-	rows := collect[StealZooRow](RunJobs(o.Parallel, jobs))
+	rows := collect[StealZooRow](RunJobs(o.Parallel, o.Observer, jobs))
 
 	// Slowdowns need the full grid: each row divides by the uniform-policy
 	// row of its own (machine, scenario, level) cell.

@@ -12,10 +12,13 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
 	"time"
+
+	"contsteal/internal/core"
 )
 
 // Coord pinpoints one job within a sweep grid. Fields that do not apply to
@@ -72,25 +75,71 @@ func (e *JobError) Error() string {
 	return fmt.Sprintf("experiments: job [%s] panicked: %v", e.Coord, e.Value)
 }
 
-// Progress, when non-nil, is invoked after each job finishes, serialized
-// across pool workers: done is the number of completed jobs so far, total
-// the grid size, and wall the job's host-side execution time. cmd/repro
-// uses it for per-job progress lines on stderr.
-var Progress func(done, total int, c Coord, wall time.Duration)
+// Observer receives the host-side reports of one invocation's jobs. It rides
+// on Options — manifest.Exec hands it down — so two invocations never share
+// one; a nil Observer, or a nil callback, observes nothing. Calls are
+// serialized across pool workers and across both callbacks, so a callback
+// may write to a stream or accumulate without locking. wall is the job's
+// host-side execution time.
+type Observer struct {
+	// Progress is invoked after each job of a sweep finishes: done is the
+	// number of completed jobs so far, total the grid size.
+	Progress func(done, total int, c Coord, wall time.Duration)
+	// EngineStats is invoked after each fork-join runtime job finishes, with
+	// its run statistics — of which the host-side ones matter here: st.Engine
+	// (see sim.EngineStats), st.InPlace and st.CrossShard — and the shard
+	// count its engine ran with, which Config.Shards only bounds: a run
+	// never has more shards than simulated nodes.
+	EngineStats func(c Coord, st core.RunStats, shards int, wall time.Duration)
+
+	mu sync.Mutex
+}
+
+// ProgressLines is the Progress callback cmd/repro shows: one
+// "[done/total] coordinates (wall)" line per finished job on w.
+func ProgressLines(w io.Writer) func(done, total int, c Coord, wall time.Duration) {
+	return func(done, total int, c Coord, wall time.Duration) {
+		fmt.Fprintf(w, "[%d/%d] %s (%.2fs)\n", done, total, c, wall.Seconds())
+	}
+}
+
+func (ob *Observer) progress(done, total int, c Coord, wall time.Duration) {
+	if ob == nil || ob.Progress == nil {
+		return
+	}
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	ob.Progress(done, total, c, wall)
+}
+
+func (ob *Observer) engineStats(c Coord, st core.RunStats, shards int, wall time.Duration) {
+	if ob == nil || ob.EngineStats == nil {
+		return
+	}
+	ob.mu.Lock()
+	defer ob.mu.Unlock()
+	ob.EngineStats(c, st, shards, wall)
+}
 
 // RunJobs executes the grid on a bounded pool of pool goroutines (pool <= 0
 // selects runtime.NumCPU()) and returns the Run results indexed exactly
-// like jobs — grid order, independent of completion order. If a job
-// panics, the remaining queued jobs are abandoned, in-flight jobs are
-// drained (the pool never hangs), and RunJobs re-panics with a *JobError
-// carrying the diverging job's coordinates. A pool of 1 runs the jobs inline
-// instead, and a job's panic propagates as it is.
-func RunJobs(pool int, jobs []Job) []any {
+// like jobs — grid order, independent of completion order — reporting each
+// finished job to ob. If a job panics, the remaining queued jobs are
+// abandoned, in-flight jobs are drained (the pool never hangs), and RunJobs
+// re-panics with a *JobError carrying the diverging job's coordinates. A
+// pool of 1 runs the jobs inline instead, and a job's panic propagates as
+// it is.
+func RunJobs(pool int, ob *Observer, jobs []Job) []any {
 	if pool <= 0 {
 		pool = runtime.NumCPU()
 	}
 	results := make([]any, len(jobs))
-	progress := Progress
+	done := 0
+	finish := func(i int, r any, start time.Time) {
+		results[i] = r
+		done++
+		ob.progress(done, len(jobs), jobs[i].Coord, time.Since(start))
+	}
 
 	if pool <= 1 {
 		// Degenerate pool: run inline. Identical semantics, no goroutines and
@@ -99,10 +148,7 @@ func RunJobs(pool int, jobs []Job) []any {
 		// keeps the barrier (and its *JobError) even on a one-job grid.
 		for i, j := range jobs {
 			start := time.Now()
-			results[i] = runOne(j)
-			if progress != nil {
-				progress(i+1, len(jobs), j.Coord, time.Since(start))
-			}
+			finish(i, j.Run(), start)
 		}
 		return results
 	}
@@ -111,8 +157,7 @@ func RunJobs(pool int, jobs []Job) []any {
 		pool = len(jobs)
 	}
 	var (
-		mu     sync.Mutex
-		done   int
+		mu     sync.Mutex // guards finish and failed
 		failed *JobError
 		next   = make(chan int)
 		wg     sync.WaitGroup
@@ -130,11 +175,7 @@ func RunJobs(pool int, jobs []Job) []any {
 						failed = err
 					}
 				} else {
-					results[i] = r
-					done++
-					if progress != nil {
-						progress(done, len(jobs), jobs[i].Coord, time.Since(start))
-					}
+					finish(i, r, start)
 				}
 				mu.Unlock()
 			}
@@ -156,10 +197,6 @@ func RunJobs(pool int, jobs []Job) []any {
 	}
 	return results
 }
-
-// runOne executes a job without a recover barrier (the sequential path —
-// a panic propagates directly with its original stack).
-func runOne(j Job) any { return j.Run() }
 
 // runOneRecover executes a job behind the per-job panic barrier.
 func runOneRecover(j Job) (r any, err *JobError) {

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"contsteal/internal/core"
 )
 
 // TestSweepDeterministicUnderParallelism is the contract the whole PR rests
@@ -54,7 +55,7 @@ func TestRunJobsGridOrder(t *testing.T) {
 		}
 	}
 	for _, pool := range []int{1, 4, n} {
-		results := RunJobs(pool, jobs)
+		results := RunJobs(pool, nil, jobs)
 		for i, r := range results {
 			if r.(int) != i {
 				t.Fatalf("pool=%d: results[%d] = %v, want %d", pool, i, r, i)
@@ -77,7 +78,7 @@ func TestRunJobsPanicBarrierReportsCoordinates(t *testing.T) {
 			go func() {
 				defer close(done)
 				defer func() { recovered = recover() }()
-				RunJobs(pool, jobs)
+				RunJobs(pool, nil, jobs)
 			}()
 			select {
 			case <-done:
@@ -111,45 +112,44 @@ func TestRunJobsSequentialPanicPropagates(t *testing.T) {
 			t.Errorf("recovered %v, want raw panic value", r)
 		}
 	}()
-	RunJobs(1, []Job{{Coord: Coord{Experiment: "x"}, Run: func() any { panic("raw") }}})
+	RunJobs(1, nil, []Job{{Coord: Coord{Experiment: "x"}, Run: func() any { panic("raw") }}})
 }
 
+// TestProgressHookSerializedAndComplete hands an Observer down on Options
+// and expects every job of the grid reported once to each callback, done
+// counting 1..total. The callbacks share state without a lock: the Observer
+// serializes them, across both, and the race detector holds it to that.
 func TestProgressHookSerializedAndComplete(t *testing.T) {
-	old := Progress
-	defer func() { Progress = old }()
-
-	var mu sync.Mutex
 	var dones []int
-	var coords []Coord
-	Progress = func(done, total int, c Coord, wall time.Duration) {
-		mu.Lock()
-		defer mu.Unlock()
-		if total != 6 {
-			t.Errorf("total = %d, want 6", total)
-		}
-		dones = append(dones, done)
-		coords = append(coords, c)
+	calls := map[string]int{}
+	ob := &Observer{
+		Progress: func(done, total int, c Coord, _ time.Duration) {
+			if total != len(Variants()) {
+				t.Errorf("total = %d, want %d", total, len(Variants()))
+			}
+			if calls["engine "+c.Variant] != 1 {
+				t.Errorf("job %s finished before its engine counters were reported", c.Variant)
+			}
+			dones = append(dones, done)
+			calls["job "+c.Variant]++
+		},
+		EngineStats: func(c Coord, st core.RunStats, shards int, _ time.Duration) {
+			if shards != 1 || st.Engine.Events == 0 {
+				t.Errorf("%s: shards=%d events=%d, want one shard and a run", c, shards, st.Engine.Events)
+			}
+			calls["engine "+c.Variant]++
+		},
 	}
-	jobs := make([]Job, 6)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job{Coord: Coord{Experiment: "p", Workers: i}, Run: func() any { return i }}
-	}
-	RunJobs(3, jobs)
-	if len(dones) != 6 {
-		t.Fatalf("progress fired %d times, want 6", len(dones))
-	}
+	Fig6(Options{Workers: 18, Seed: 7, Parallel: 3, Observer: ob}, "pfor", []int{64})
 	for i, d := range dones {
 		if d != i+1 {
-			t.Errorf("done sequence %v not monotonically 1..6", dones)
+			t.Errorf("done sequence %v not monotonically 1..%d", dones, len(Variants()))
 			break
 		}
 	}
-	seen := map[int]bool{}
-	for _, c := range coords {
-		seen[c.Workers] = true
-	}
-	if len(seen) != 6 {
-		t.Errorf("progress reported %d distinct jobs, want 6", len(seen))
+	for _, v := range Variants() {
+		if calls["job "+v.Name] != 1 || calls["engine "+v.Name] != 1 {
+			t.Errorf("variant %s reported %d/%d times, want once each", v.Name, calls["job "+v.Name], calls["engine "+v.Name])
+		}
 	}
 }

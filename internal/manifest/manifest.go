@@ -8,9 +8,9 @@
 //     named scales ("smoke" reproduces the committed golden fixtures in
 //     minutes, "paper" runs every figure/table at default scale);
 //   - a Runner that executes manifest entries into a timestamped
-//     paper_runs/<stamp>/{tsv,json,metrics,bench} folder, validates every
-//     TSV series byte-for-byte against the committed goldens where they
-//     exist, and emits a schema-checked BENCH_<stamp>.json perf artifact.
+//     paper_runs/<stamp>/{tsv,json,metrics} folder with a summary.tsv of
+//     per-entry engine counters, and validates every TSV series
+//     byte-for-byte against the committed goldens where they exist.
 //
 // cmd/repro dispatches its per-experiment subcommands, `repro all`,
 // `repro run` and `repro validate` through this package.

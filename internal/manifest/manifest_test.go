@@ -147,11 +147,10 @@ func TestParseRejects(t *testing.T) {
 }
 
 // TestRegistryCompleteness pins the registered experiment set: the nine
-// paper experiments plus the host-side engine benchmark and the
-// steal-policy zoo in canonical order, each runnable, and every committed
-// golden fixture owned by exactly one spec.
+// paper experiments plus the steal-policy zoo in canonical order, each
+// runnable, and every committed golden fixture owned by exactly one spec.
 func TestRegistryCompleteness(t *testing.T) {
-	want := []string{"fig6", "table2", "fig7", "fig8", "fig9", "table3", "fig12", "resilience", "enginebench", "stealzoo", "serve"}
+	want := []string{"fig6", "table2", "fig7", "fig8", "fig9", "table3", "fig12", "resilience", "stealzoo", "serve"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d specs %v, want %d %v", len(got), got, len(want), want)
@@ -174,7 +173,6 @@ func TestRegistryCompleteness(t *testing.T) {
 	wantGoldens := []string{
 		"fig6_pfor_itoa.tsv", "uts_T1L'_itoa.tsv", "uts_T1WL'_wisteria.tsv",
 		"resilience_T1L'_itoa.tsv", "serve_itoa.tsv", "serve_wisteria.tsv",
-		"enginebench_itoa.tsv",
 	}
 	for _, g := range wantGoldens {
 		if owners[g] == "" {
@@ -187,16 +185,16 @@ func TestRegistryCompleteness(t *testing.T) {
 // names both match; a selector matching nothing is an error.
 func TestSelect(t *testing.T) {
 	m := Default()
-	byID, err := m.Select("smoke", []string{"fig9_shards2"})
-	if err != nil || len(byID) != 1 || byID[0].ID != "fig9_shards2" {
+	byID, err := m.Select("smoke", []string{"serve_wisteria"})
+	if err != nil || len(byID) != 1 || byID[0].ID != "serve_wisteria" {
 		t.Errorf("Select by id = %v, %v", byID, err)
 	}
-	byExp, err := m.Select("smoke", []string{"fig9"})
+	byExp, err := m.Select("smoke", []string{"serve"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(byExp) != 3 {
-		t.Errorf("Select by experiment fig9 matched %d entries, want 3 (shards 1/2/4)", len(byExp))
+	if len(byExp) != 2 {
+		t.Errorf("Select by experiment serve matched %d entries, want 2 (itoa, wisteria)", len(byExp))
 	}
 	if _, err := m.Select("smoke", []string{"nosuch"}); err == nil {
 		t.Error("Select accepted an unmatched selector")
@@ -280,59 +278,6 @@ func TestDiff(t *testing.T) {
 	}
 	if d := Diff([]byte("a\nb\n"), []byte("a\n")); !strings.Contains(d, "extends past") {
 		t.Errorf("extension case: %q", d)
-	}
-}
-
-// TestParseBench pins the BENCH artifact's strict schema validation: one
-// schema tag, a positive gomaxprocs, and the structural invariants.
-func TestParseBench(t *testing.T) {
-	good := `{"schema":"contsteal-bench/v3","stamp":"t","scale":"smoke","go":"go1.x","host_cpus":1,"gomaxprocs":4,
-	  "entries":[{"id":"fig6","experiment":"fig6","shards":1,"jobs":2,"events":10,
-	  "handoffs":5,"callbacks":1,"cross_shard":0,"wall_s":0.1,"events_per_sec":100}]}`
-	b, err := ParseBench([]byte(good))
-	if err != nil {
-		t.Fatalf("valid artifact rejected: %v", err)
-	}
-	if b.Entries[0].EventsPerSec != 100 || b.GoMaxProcs != 4 {
-		t.Errorf("events_per_sec = %g, gomaxprocs = %d", b.Entries[0].EventsPerSec, b.GoMaxProcs)
-	}
-	// The written form must round-trip through ParseBench.
-	buf, err := EncodeJSON(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseBench(buf); err != nil {
-		t.Errorf("EncodeJSON output rejected: %v", err)
-	}
-	bad := []struct{ name, doc string }{
-		{"retired v1 schema", strings.Replace(good, "contsteal-bench/v3", "contsteal-bench/v1", 1)},
-		{"retired v2 schema", strings.Replace(good, "contsteal-bench/v3", "contsteal-bench/v2", 1)},
-		{"wrong schema", strings.Replace(good, "contsteal-bench/v3", "v3", 1)},
-		{"unknown field", strings.Replace(good, `"stamp"`, `"stammp"`, 1)},
-		{"empty stamp", strings.Replace(good, `"stamp":"t"`, `"stamp":""`, 1)},
-		{"no entries", `{"schema":"contsteal-bench/v3","stamp":"t","scale":"s","go":"g","host_cpus":1,"gomaxprocs":1,"entries":[]}`},
-		{"jobs without events", strings.Replace(good, `"events":10`, `"events":0`, 1)},
-		{"shards zero", strings.Replace(good, `"shards":1`, `"shards":0`, 1)},
-		{"no gomaxprocs", strings.Replace(good, `"gomaxprocs":4,`, "", 1)},
-	}
-	for _, tc := range bad {
-		if _, err := ParseBench([]byte(tc.doc)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
-
-// TestBenchHostMismatch pins the cross-host comparability warning logic.
-func TestBenchHostMismatch(t *testing.T) {
-	a := &Bench{HostCPUs: 4, GoMaxProcs: 4}
-	if why := a.HostMismatch(&Bench{HostCPUs: 4, GoMaxProcs: 4}); why != "" {
-		t.Errorf("identical hosts flagged: %q", why)
-	}
-	if why := a.HostMismatch(&Bench{HostCPUs: 8, GoMaxProcs: 4}); !strings.Contains(why, "host_cpus 4 vs 8") {
-		t.Errorf("cpu mismatch not flagged: %q", why)
-	}
-	if why := a.HostMismatch(&Bench{HostCPUs: 4, GoMaxProcs: 2}); !strings.Contains(why, "gomaxprocs 4 vs 2") {
-		t.Errorf("gomaxprocs mismatch not flagged: %q", why)
 	}
 }
 

@@ -13,13 +13,15 @@ import (
 )
 
 // Exec carries the invocation-level knobs shared by every spec run: host
-// parallelism, engine sharding, fault injection, and the observability
-// collector. Entry-level Params override Shards and Perturb when set.
+// parallelism, engine sharding, fault injection, the observability
+// collector, and the observer of per-job progress and engine counters.
+// Entry-level Params override Shards and Perturb when set.
 type Exec struct {
 	Parallel int
 	Shards   int
 	Perturb  *topo.Perturb
 	Obs      *experiments.ObsCollector
+	Observer *experiments.Observer
 }
 
 // Spec is one registered experiment: its name (the cmd/repro subcommand and
@@ -138,7 +140,7 @@ func (p Params) options(x Exec) (experiments.Options, error) {
 		Machine: p.Machine, Workers: p.Workers, Scale: p.Scale,
 		Seed: p.Seed, WorkScale: p.WorkScale, DequeCap: p.DequeCap,
 		Steal:    p.Policy,
-		Parallel: x.Parallel, Shards: max(1, x.Shards), Perturb: x.Perturb, Obs: x.Obs,
+		Parallel: x.Parallel, Shards: max(1, x.Shards), Perturb: x.Perturb, Obs: x.Obs, Observer: x.Observer,
 	}
 	if p.Shards != 0 {
 		o.Shards = p.Shards

@@ -12,11 +12,15 @@
 //	                     per-request tail-attribution bands of a serve entry
 //	                     (when request tracing ran; same bytes as the entry's
 //	                     golden-validated serve_requests_* series)
-//	  bench/BENCH_<stamp>.json  the perf artifact (see bench.go)
-//	  summary.tsv        the paper-ready summary table, one row per entry
+//	  summary.tsv        the paper-ready summary table, one row per entry:
+//	                     deterministic engine counters, golden verdict and
+//	                     headline metrics
 //
 // Every TSV series is then validated byte-for-byte against the committed
-// goldens where one with the same basename exists.
+// goldens where one with the same basename exists. No file carries a clock:
+// the folder is a pure function of manifest, scale and flags, byte-identical
+// at every -parallel. (Host wall time is the per-job progress line on
+// Stderr; host throughput is benchmark/'s to measure.)
 
 package manifest
 
@@ -26,18 +30,18 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
+	"contsteal/internal/core"
 	"contsteal/internal/experiments"
 )
 
 // Runner executes manifest entries into OutDir/Stamp.
 type Runner struct {
 	Stamp   string
-	Scale   string  // scale label recorded in provenance and BENCH
+	Scale   string  // scale label recorded in provenance
 	OutDir  string  // parent directory, e.g. "paper_runs"
 	Goldens Goldens // nil skips validation
 	Exec    Exec
@@ -49,7 +53,6 @@ type Runner struct {
 // Report is the outcome of one Runner.Run.
 type Report struct {
 	Dir        string // the run folder
-	Bench      Bench
 	Checks     []Check
 	OK         int // series matching their golden
 	Mismatches int // series diverging from their golden
@@ -58,10 +61,9 @@ type Report struct {
 
 // Run executes the entries in order. Each entry's experiment grid still
 // runs on the sweep pool (Exec.Parallel); entries themselves run
-// sequentially so the engine-stats aggregation and observability collector
-// attribution stay per-entry. Returns an error on any I/O or experiment
-// failure; golden mismatches are reported in the Report, not as an error
-// (the caller decides).
+// sequentially, each under its own observer and observability collector.
+// Returns an error on any I/O or experiment failure; golden mismatches are
+// reported in the Report, not as an error (the caller decides).
 func (rn *Runner) Run(entries []Entry) (*Report, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("manifest: no entries to run")
@@ -70,7 +72,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 	if _, err := os.Stat(dir); err == nil {
 		return nil, fmt.Errorf("manifest: run folder %s already exists", dir)
 	}
-	for _, sub := range []string{"tsv", "json", "metrics", "bench"} {
+	for _, sub := range []string{"tsv", "json", "metrics"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, err
 		}
@@ -85,10 +87,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 	}
 	defer tables.Close()
 
-	bench := Bench{
-		Schema: BenchSchema, Stamp: rn.Stamp, Scale: rn.Scale,
-		Go: runtime.Version(), HostCPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
+	stats := make([]entryStats, len(entries))
 	for i, e := range entries {
 		spec := Lookup(e.Experiment)
 		if spec == nil {
@@ -97,7 +96,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 		if !rn.Quiet {
 			fmt.Fprintf(rn.Stderr, "== entry %d/%d: %s (%s) ==\n", i+1, len(entries), e.ID, e.Experiment)
 		}
-		be, r, obs, err := rn.runEntry(e, spec)
+		r, obs, err := rn.runEntry(e, spec, &stats[i])
 		if err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
@@ -108,10 +107,9 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
 		r.Table(tables)
-		bench.Entries = append(bench.Entries, be)
 	}
 
-	rep := &Report{Dir: dir, Bench: bench}
+	rep := &Report{Dir: dir}
 	if rn.Goldens != nil {
 		checks, err := ValidateDir(dir, rn.Goldens)
 		if err != nil {
@@ -130,52 +128,47 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 		}
 	}
 
-	benchPath := filepath.Join(dir, "bench", "BENCH_"+rn.Stamp+".json")
-	if err := WriteJSON(benchPath, bench); err != nil {
+	if err := rn.writeSummary(dir, entries, stats, rep); err != nil {
 		return nil, err
 	}
-	if err := rn.writeSummary(dir, entries, rep); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(rn.Stdout, "(bench artifact written to %s)\n", benchPath)
 	return rep, nil
 }
 
-// runEntry executes one entry with per-entry hooks: an EngineStats
-// aggregator feeding the bench artifact, a metrics collector, and per-job
-// progress. The global hooks are restored before returning.
-func (rn *Runner) runEntry(e Entry, spec *Spec) (BenchEntry, experiments.Rendering, *experiments.ObsCollector, error) {
+// entryStats is one summary row's engine columns: the deterministic
+// counters of every fork-join run of the entry, summed, under the largest
+// shard count any of them ran with, plus the entry's headline metrics.
+type entryStats struct {
+	shards, jobs            int
+	events, handoffs, cross uint64
+	summary                 map[string]float64
+}
+
+// add is the entry's Observer.EngineStats; calls arrive serialized.
+func (a *entryStats) add(_ experiments.Coord, st core.RunStats, shards int, _ time.Duration) {
+	a.shards = max(a.shards, shards)
+	a.jobs++
+	a.events += st.Engine.Events
+	a.handoffs += st.Engine.Handoffs
+	a.cross += st.CrossShard
+}
+
+// runEntry executes one entry under its own observer — the engine counters
+// accumulate into st, per-job progress goes to Stderr — and its own metrics
+// collector.
+func (rn *Runner) runEntry(e Entry, spec *Spec, st *entryStats) (experiments.Rendering, *experiments.ObsCollector, error) {
 	obs := &experiments.ObsCollector{Metrics: true}
 	x := rn.Exec
 	x.Obs = obs
-
-	var agg benchAgg
-	prevStats, prevProg := experiments.EngineStats, experiments.Progress
-	experiments.EngineStats = agg.add
+	x.Observer = &experiments.Observer{EngineStats: st.add}
 	if !rn.Quiet {
-		stderr := rn.Stderr
-		experiments.Progress = func(done, total int, c experiments.Coord, wall time.Duration) {
-			fmt.Fprintf(stderr, "[%d/%d] %s (%.2fs)\n", done, total, c, wall.Seconds())
-		}
+		x.Observer.Progress = experiments.ProgressLines(rn.Stderr)
 	}
-	defer func() {
-		experiments.EngineStats, experiments.Progress = prevStats, prevProg
-	}()
-
 	r, err := spec.Run(e.Params, x)
 	if err != nil {
-		return BenchEntry{}, nil, nil, err
+		return nil, nil, err
 	}
-	shards := x.Shards
-	if e.Params.Shards != 0 {
-		shards = e.Params.Shards
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	be := agg.entry(e.ID, e.Experiment, shards)
-	be.Summary = r.Summary()
-	return be, r, obs, nil
+	st.summary = r.Summary()
+	return r, obs, nil
 }
 
 // writeEntry persists one entry's series, request bands and rows.
@@ -203,9 +196,9 @@ func writeMetrics(dir string, e Entry, obs *experiments.ObsCollector) error {
 }
 
 // writeSummary emits the paper-ready summary table: one row per entry with
-// job counts, engine throughput, golden verdicts and key metrics — as
+// job counts, engine counters, golden verdicts and key metrics — as
 // summary.tsv in the folder and as an aligned table on Stdout.
-func (rn *Runner) writeSummary(dir string, entries []Entry, rep *Report) error {
+func (rn *Runner) writeSummary(dir string, entries []Entry, stats []entryStats, rep *Report) error {
 	verdict := map[string]string{}
 	for _, c := range rep.Checks {
 		v := verdict[c.Entry]
@@ -219,18 +212,18 @@ func (rn *Runner) writeSummary(dir string, entries []Entry, rep *Report) error {
 		}
 		verdict[c.Entry] = v
 	}
-	header := []string{"id", "experiment", "shards", "jobs", "events", "handoffs", "cross_shard", "events_per_sec", "golden", "summary"}
+	header := []string{"id", "experiment", "shards", "jobs", "events", "handoffs", "cross_shard", "golden", "summary"}
 	var rows [][]string
 	for i, e := range entries {
-		be := rep.Bench.Entries[i]
+		st := stats[i]
 		v := verdict[e.ID]
 		if v == "" {
 			v = "-"
 		}
 		rows = append(rows, []string{
-			e.ID, e.Experiment, fmt.Sprint(be.Shards), fmt.Sprint(be.Jobs),
-			fmt.Sprint(be.Events), fmt.Sprint(be.Handoffs), fmt.Sprint(be.CrossShard),
-			fmt.Sprintf("%.0f", be.EventsPerSec), v, summaryString(be.Summary)})
+			e.ID, e.Experiment, fmt.Sprint(st.shards), fmt.Sprint(st.jobs),
+			fmt.Sprint(st.events), fmt.Sprint(st.handoffs), fmt.Sprint(st.cross),
+			v, summaryString(st.summary)})
 	}
 	if err := WriteSeries(dir, []experiments.Series{{Name: "summary", Header: header, Cells: rows}}); err != nil {
 		return err

@@ -1,4 +1,4 @@
-// The eleven experiment specs: the registry entries cmd/repro's subcommand
+// The ten experiment specs: the registry entries cmd/repro's subcommand
 // dispatch, `repro all`, and the manifest Runner all execute through. A spec
 // is the one place an experiment's Params are read: its Call maps them onto
 // the experiment package's entrypoint and binds the rows to their Layout.
@@ -84,18 +84,6 @@ func init() {
 		Golden: []string{"resilience_T1L'_itoa.tsv"},
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
 			return experiments.ResilienceLayout.Of(experiments.Resilience(o, p.Tree, p.SeqDepth))
-		},
-	})
-	Register(Spec{
-		// enginebench measures the simulator itself: sharded-engine event
-		// throughput under the adaptive and lock-step window policies. Its
-		// rows are deterministic (events/rounds/routed); wall-clock figures
-		// reach the BENCH artifact through Summary. The cell grid carries
-		// its own shard ladder, so the runner's -shards knob is ignored.
-		Name:   "enginebench",
-		Golden: []string{"enginebench_itoa.tsv"},
-		Call: func(p Params, o experiments.Options) experiments.Rendering {
-			return experiments.EngineBenchLayout.Of(experiments.EngineBench(o))
 		},
 	})
 	Register(Spec{

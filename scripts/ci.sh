@@ -11,10 +11,12 @@
 #          happens-before chain is the thing to keep race-clean at > 1 P.
 #   cli    what `go test -race` cannot cover: the built binary driving the
 #          smoke manifest on a parallel pool with a sharded engine
-#          (self-validating against every committed golden), `repro
-#          validate` and `repro analyze` on the committed trace fixtures,
-#          the allocation-free gate (the race detector perturbs allocation
-#          counts), one iteration of every benchmark, and three bad inputs
+#          (self-validating against every committed golden) and once more
+#          sequentially — the two run folders must be diff -r identical, no
+#          file carries a clock — `repro validate` and `repro analyze` on
+#          the committed trace fixtures, the allocation-free gate (the race
+#          detector perturbs allocation counts), one iteration of every
+#          per-package micro-benchmark, and three bad inputs
 #          (a scale no size survives, a deque too small, a load no run can
 #          complete) that must each exit non-zero without a goroutine dump.
 set -euo pipefail
@@ -47,6 +49,8 @@ for tier in "${tiers[@]}"; do
     trap 'rm -rf "$out"' EXIT
     go build -o "$out/repro" ./cmd/repro
     "$out/repro" run -scale smoke -parallel 2 -shards 2 -stamp ci -out "$out/runs" -quiet
+    "$out/repro" run -scale smoke -parallel 1 -shards 2 -stamp ci1 -out "$out/runs" -quiet >/dev/null
+    diff -r "$out/runs/ci" "$out/runs/ci1"
     "$out/repro" validate "$out/runs/ci"
     "$out/repro" analyze cmd/repro/testdata/trace_uts_micro.json
     "$out/repro" analyze cmd/repro/testdata/trace_serve_micro.json
