@@ -2,7 +2,6 @@ package bot
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"contsteal/internal/rdma"
 	"contsteal/internal/sim"
@@ -28,11 +27,11 @@ func unpackHT(v int64) (head, tail uint32) {
 
 type sawsWorker struct {
 	rank    int
-	fab     *rdma.Fabric
-	meta    rdma.Addr // packed head|tail word
-	tasks   rdma.Addr // ring of sawsQueueCap task slots
-	tokSlot rdma.Addr // incoming token: {present, round, pushed, processed}
-	done    rdma.Addr // termination flag
+	seg     *rdma.Segment // the worker's registered memory
+	meta    rdma.Addr     // packed head|tail word
+	tasks   rdma.Addr     // ring of sawsQueueCap task slots
+	tokSlot rdma.Addr     // incoming token: {present, round, pushed, processed}
+	done    rdma.Addr     // termination flag
 
 	pushed    int64 // tasks created here (cumulative)
 	processed int64 // tasks completed here (cumulative)
@@ -42,68 +41,59 @@ func (w *sawsWorker) metaLoc() rdma.Loc {
 	return rdma.Loc{Rank: int32(w.rank), Addr: w.meta, Size: 8}
 }
 
-func (w *sawsWorker) taskSlot(i uint32) rdma.Addr {
-	return w.tasks + rdma.Addr(int(i%sawsQueueCap)*TaskBytes)
+// slot returns the bytes of queue slot i.
+func (w *sawsWorker) slot(i uint32) []byte {
+	return w.seg.Bytes(w.tasks+rdma.Addr(int(i%sawsQueueCap)*TaskBytes), TaskBytes)
 }
 
-func putTask(seg *rdma.Segment, addr rdma.Addr, t Task) {
-	b := seg.Bytes(addr, TaskBytes)
-	copy(b[:20], t.Desc[:])
-	binary.LittleEndian.PutUint32(b[20:], uint32(t.Depth))
-}
-
-func getTask(b []byte) Task {
-	var t Task
-	copy(t.Desc[:], b[:20])
-	t.Depth = int32(binary.LittleEndian.Uint32(b[20:]))
-	return t
+// enqueue appends t at the tail without charging time or counting it as
+// newly created (arrivals and stolen tasks enter this way).
+func (w *sawsWorker) enqueue(t Task) {
+	h, tl := unpackHT(w.seg.ReadInt64(w.meta))
+	if tl-h >= sawsQueueCap {
+		panic("bot: SAWS queue overflow")
+	}
+	encodeTask(w.slot(tl), t)
+	w.seg.WriteInt64(w.meta, packHT(h, tl+1))
 }
 
 // RunSAWS executes the workload under the SAWS-like runtime and returns its
 // statistics.
 func RunSAWS(cfg Config, root Task, expand Expand) Stats {
-	cfg.defaults()
-	eng := sim.NewEngine()
-	fab := rdma.NewFabric(eng, cfg.Machine, cfg.Workers, 1<<20)
+	r := newRun("saws", cfg)
+	cfg = r.cfg
+	st := &r.st
+	fab := rdma.NewFabric(r.eng, cfg.Machine, cfg.Workers, 1<<20)
 	ws := make([]*sawsWorker, cfg.Workers)
-	for r := range ws {
-		ws[r] = &sawsWorker{
-			rank:    r,
-			fab:     fab,
-			meta:    fab.Alloc(r, 8),
-			tasks:   fab.AllocStatic(r, sawsQueueCap*TaskBytes),
-			tokSlot: fab.Alloc(r, 32),
-			done:    fab.Alloc(r, 8),
+	for rank := range ws {
+		ws[rank] = &sawsWorker{
+			rank:    rank,
+			seg:     fab.Seg(rank),
+			meta:    fab.Alloc(rank, 8),
+			tasks:   fab.AllocStatic(rank, sawsQueueCap*TaskBytes),
+			tokSlot: fab.Alloc(rank, 32),
+			done:    fab.Alloc(rank, 8),
 		}
 	}
-	var st Stats
-	var lastTask sim.Time
-	var doneAt sim.Time
 
 	// Local (owner) queue operations: the owner manipulates the packed word
 	// with local atomics.
 	push := func(p *sim.Proc, w *sawsWorker, t Task) {
-		h, tl := unpackHT(fab.Seg(w.rank).ReadInt64(w.meta))
-		if tl-h >= sawsQueueCap {
-			panic("bot: SAWS queue overflow")
-		}
-		putTask(fab.Seg(w.rank), w.taskSlot(tl), t)
-		fab.Seg(w.rank).WriteInt64(w.meta, packHT(h, tl+1))
+		w.enqueue(t)
 		w.pushed++
 		p.Sleep(cfg.Machine.LocalOp)
 	}
 	pop := func(p *sim.Proc, w *sawsWorker) (Task, bool) {
 		p.Sleep(cfg.Machine.LocalOp)
 		for {
-			v := fab.Seg(w.rank).ReadInt64(w.meta)
+			v := w.seg.ReadInt64(w.meta)
 			h, tl := unpackHT(v)
 			if h >= tl {
 				return Task{}, false
 			}
 			// Local CAS to retract the tail against concurrent steals.
 			if fab.CAS(p, w.rank, w.metaLoc(), v, packHT(h, tl-1)) == v {
-				b := fab.Seg(w.rank).Bytes(w.taskSlot(tl-1), TaskBytes)
-				return getTask(b), true
+				return decodeTask(w.slot(tl - 1)), true
 			}
 		}
 	}
@@ -123,144 +113,91 @@ func RunSAWS(cfg Config, root Task, expand Expand) Stats {
 		out := make([]Task, k)
 		xfer, _ := cfg.Machine.OpDelay(thief.rank, victim.rank, k*TaskBytes, false)
 		p.Sleep(xfer)
-		for i := 0; i < k; i++ {
-			b := fab.Seg(victim.rank).Bytes(victim.taskSlot(h+uint32(i)), TaskBytes)
-			out[i] = getTask(b)
+		for i := range out {
+			out[i] = decodeTask(victim.slot(h + uint32(i)))
 		}
 		st.StealsOK++
 		st.StolenTsks += uint64(k)
 		return out
 	}
 
-	// Token ring (rank r forwards to (r+1) mod P). Slot layout:
+	// The token travels by one-sided put into the next rank's slot:
 	// [present][round][pushed][processed].
-	tok := func(w *sawsWorker) []int64 {
-		seg := fab.Seg(w.rank)
-		return []int64{
-			seg.ReadInt64(w.tokSlot), seg.ReadInt64(w.tokSlot + 8),
-			seg.ReadInt64(w.tokSlot + 16), seg.ReadInt64(w.tokSlot + 24),
-		}
-	}
-	sendToken := func(p *sim.Proc, from *sawsWorker, round, pushed, processed int64) {
+	sendToken := func(p *sim.Proc, from *sawsWorker, tk token) {
 		next := ws[(from.rank+1)%cfg.Workers]
 		var buf [32]byte
 		binary.LittleEndian.PutUint64(buf[0:], 1)
-		binary.LittleEndian.PutUint64(buf[8:], uint64(round))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(pushed))
-		binary.LittleEndian.PutUint64(buf[24:], uint64(processed))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(tk.round))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(tk.pushed))
+		binary.LittleEndian.PutUint64(buf[24:], uint64(tk.processed))
 		fab.Put(p, from.rank, rdma.Loc{Rank: int32(next.rank), Addr: next.tokSlot, Size: 32}, buf[:])
-	}
-	var prevPushed, prevProcessed int64 = -1, -1
-	broadcastDone := func(p *sim.Proc, w *sawsWorker) {
-		// Binary-tree fan-out: mark children's done flags.
-		for _, ch := range []int{2*w.rank + 1, 2*w.rank + 2} {
-			if ch < cfg.Workers {
-				fab.PutInt64(p, w.rank, rdma.Loc{Rank: int32(ch), Addr: ws[ch].done, Size: 8}, 1)
-			}
-		}
 	}
 
 	// Open-system mode: arrival timers write tasks straight into the target
-	// worker's registered queue segment (the front-end's one-sided push);
-	// the token ring never starts and drain is detected structurally.
-	var sv *serveState
-	if cfg.Serve != nil {
-		sv = newServeState(cfg.Serve)
-		sv.arm(eng, func(a ServeArrival) {
-			w := ws[a.Rank]
-			seg := fab.Seg(w.rank)
-			h, tl := unpackHT(seg.ReadInt64(w.meta))
-			if tl-h >= sawsQueueCap {
-				panic("bot: SAWS serve queue overflow")
-			}
-			putTask(seg, w.taskSlot(tl), a.Task)
-			seg.WriteInt64(w.meta, packHT(h, tl+1))
-		})
-	}
+	// worker's registered queue segment (the front-end's one-sided push).
+	r.arm(func(a ServeArrival) { ws[a.Rank].enqueue(a.Task) })
 
-	body := func(w *sawsWorker) func(p *sim.Proc) {
-		return func(p *sim.Proc) {
-			rng := newRNG(cfg.Seed, w.rank)
-			if w.rank == 0 && sv == nil {
-				push(p, w, root)
-				sendToken(p, w, 1, 0, 0) // inject the first token
+	body := func(p *sim.Proc, w *sawsWorker) {
+		rng := newRNG(cfg.Seed, w.rank)
+		seg := w.seg
+		if w.rank == 0 && r.sv == nil {
+			push(p, w, root)
+			sendToken(p, w, token{round: 1}) // inject the first token
+		}
+		for !r.drained() {
+			if r.sv == nil && seg.ReadInt64(w.done) != 0 {
+				// Binary-tree fan-out: mark children's done flags.
+				for _, ch := range doneChildren(w.rank, cfg.Workers) {
+					fab.PutInt64(p, w.rank, rdma.Loc{Rank: int32(ch), Addr: ws[ch].done, Size: 8}, 1)
+				}
+				return
 			}
-			for {
-				seg := fab.Seg(w.rank)
-				if sv != nil {
-					if sv.finished {
-						return
-					}
-				} else if seg.ReadInt64(w.done) != 0 {
-					broadcastDone(p, w)
-					return
-				}
-				// Forward the token only when idle (queue empty), so a
-				// clean round implies a globally idle period.
-				if tk := tok(w); sv == nil && tk[0] != 0 {
-					h, tl := unpackHT(seg.ReadInt64(w.meta))
-					if h >= tl {
-						seg.WriteInt64(w.tokSlot, 0)
-						round, pd, pr := tk[1], tk[2]+w.pushed, tk[3]+w.processed
-						if w.rank == 0 {
-							if round > 1 && pd == pr && pd == prevPushed && pr == prevProcessed {
-								seg.WriteInt64(w.done, 1)
-								doneAt = p.Now()
-								continue
-							}
-							prevPushed, prevProcessed = pd, pr
-							sendToken(p, w, round+1, 0, 0)
-							continue
-						}
-						sendToken(p, w, round, pd, pr)
-						continue
-					}
-				}
-				if t, ok := pop(p, w); ok {
-					p.Sleep(cfg.Machine.ComputeOn(w.rank, cfg.Work))
-					children := expand(t)
-					for _, child := range children {
-						push(p, w, child)
-					}
-					w.processed++
-					st.Tasks++
-					lastTask = p.Now()
-					if sv != nil {
-						sv.taskDone(t, len(children), p.Now())
+			// Forward the token only when idle (queue empty), so a clean
+			// round implies a globally idle period.
+			if r.sv == nil && seg.ReadInt64(w.tokSlot) != 0 {
+				if h, tl := unpackHT(seg.ReadInt64(w.meta)); h >= tl {
+					seg.WriteInt64(w.tokSlot, 0)
+					next, done := r.ring.pass(w.rank, token{
+						round:     seg.ReadInt64(w.tokSlot + 8),
+						pushed:    seg.ReadInt64(w.tokSlot+16) + w.pushed,
+						processed: seg.ReadInt64(w.tokSlot+24) + w.processed,
+					})
+					if done {
+						seg.WriteInt64(w.done, 1)
+						r.doneAt = p.Now()
+					} else {
+						sendToken(p, w, next)
 					}
 					continue
 				}
-				if cfg.Workers > 1 {
-					victim := ws[pickVictim(rng, w.rank, cfg.Workers)]
-					if got := steal(p, w, victim); got != nil {
-						for _, t := range got {
-							// Stolen tasks re-enter a local queue without
-							// counting as newly pushed.
-							h, tl := unpackHT(seg.ReadInt64(w.meta))
-							putTask(seg, w.taskSlot(tl), t)
-							seg.WriteInt64(w.meta, packHT(h, tl+1))
-						}
-						p.Sleep(cfg.Machine.LocalOp * sim.Time(len(got)))
-						continue
-					}
-				}
-				p.Sleep(500) // idle backoff between failed steals
 			}
+			if t, ok := pop(p, w); ok {
+				p.Sleep(cfg.Machine.ComputeOn(w.rank, cfg.Work))
+				children := expand(t)
+				for _, child := range children {
+					push(p, w, child)
+				}
+				w.processed++
+				r.taskDone(t, len(children), p.Now())
+				continue
+			}
+			if cfg.Workers > 1 {
+				victim := ws[pickVictim(rng, w.rank, cfg.Workers)]
+				if got := steal(p, w, victim); got != nil {
+					// Stolen tasks re-enter a local queue without counting
+					// as newly pushed.
+					for _, t := range got {
+						w.enqueue(t)
+					}
+					p.Sleep(cfg.Machine.LocalOp * sim.Time(len(got)))
+					continue
+				}
+			}
+			p.Sleep(500) // idle backoff between failed steals
 		}
 	}
 	for _, w := range ws {
-		eng.GoID("saws", int64(w.rank), body(w))
+		r.eng.GoID(r.name, int64(w.rank), func(p *sim.Proc) { body(p, w) })
 	}
-	end := eng.Run(serveUntil(cfg))
-	if eng.Live() > 0 {
-		eng.Shutdown()
-		if !sv.horizonCut(end) {
-			panic(fmt.Sprintf("bot: SAWS did not terminate by %v", cfg.MaxTime))
-		}
-	}
-	st.Exec = end
-	if doneAt > lastTask {
-		st.TermDelay = doneAt - lastTask
-	}
-	return st
+	return r.finish()
 }

@@ -10,9 +10,9 @@ import (
 // bootstrap root run to distributed termination, timestamped task arrivals
 // are injected into worker queues by engine timers. Completion becomes
 // structural — a shared counter of live tasks, maintained by the engine's
-// serial event dispatch — so the termination-detection protocols (token
-// ring, coordinator counting) are bypassed entirely: an open system is
-// never globally terminated, only drained or cut at a horizon.
+// serial event dispatch — so the termination-detection token ring is
+// bypassed entirely: an open system is never globally terminated, only
+// drained or cut at a horizon.
 
 // ServeArrival is one open-system injection: Task enters Rank's queue at
 // virtual time At (as if a front-end had dispatched the request there).
@@ -52,52 +52,30 @@ type serveState struct {
 	finished  bool  // allIn && remaining == 0
 }
 
-func newServeState(sv *Serve) *serveState {
-	for i := 1; i < len(sv.Arrivals); i++ {
-		if sv.Arrivals[i].At < sv.Arrivals[i-1].At {
+// newServeState validates the trace and schedules one engine timer per
+// arrival; inject places the task into the target worker's queue. Arrivals
+// at or after the horizon by definition never enter the system.
+func newServeState(sv *Serve, eng *sim.Engine, inject func(a ServeArrival)) *serveState {
+	live := sv.Arrivals
+	for i := 1; i < len(live); i++ {
+		if live[i].At < live[i-1].At {
 			panic("bot: serve arrivals must be sorted by arrival time")
 		}
 	}
-	s := &serveState{sv: sv}
-	if len(sv.Arrivals) == 0 {
-		s.allIn = true
-		s.finished = true
+	for sv.Horizon > 0 && len(live) > 0 && live[len(live)-1].At >= sv.Horizon {
+		live = live[:len(live)-1]
 	}
-	return s
-}
-
-// arm schedules one engine timer per arrival (skipping those at/after the
-// horizon, which by definition never enter the system); inject places the
-// task into the target worker's queue.
-func (s *serveState) arm(eng *sim.Engine, inject func(a ServeArrival)) {
-	live := 0
-	for _, a := range s.sv.Arrivals {
-		if s.sv.Horizon > 0 && a.At >= s.sv.Horizon {
-			continue
-		}
-		live++
-	}
-	if live == 0 {
-		s.allIn = true
-		s.finished = true
-		return
-	}
-	n := 0
-	for _, a := range s.sv.Arrivals {
-		if s.sv.Horizon > 0 && a.At >= s.sv.Horizon {
-			continue
-		}
-		a := a
-		n++
-		last := n == live
+	s := &serveState{sv: sv, allIn: len(live) == 0, finished: len(live) == 0}
+	for i, a := range live {
 		eng.At(a.At, func() {
 			s.remaining++
-			if last {
+			if i == len(live)-1 {
 				s.allIn = true
 			}
 			inject(a)
 		})
 	}
+	return s
 }
 
 // taskDone books one processed task and flips finished once the system has
@@ -151,8 +129,8 @@ func ServeExpand(t Task) []Task {
 	return out
 }
 
-// runUntil returns the engine horizon for a serve-mode run: the serve
-// horizon when set and tighter than MaxTime.
+// serveUntil returns the engine horizon of a run: MaxTime, or the serve
+// horizon when one is set and tighter.
 func serveUntil(cfg Config) sim.Time {
 	until := cfg.MaxTime
 	if cfg.Serve != nil && cfg.Serve.Horizon > 0 && cfg.Serve.Horizon < until {

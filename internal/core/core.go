@@ -74,6 +74,18 @@ func (p Policy) Continuation() bool { return p == ContGreedy || p == ContStallin
 // entry and handed to joiners.
 type TaskFunc func(c *Ctx) []byte
 
+const (
+	// stackBytes is the logical stack footprint of one thread in the
+	// uni-address region — the payload a continuation steal must copy.
+	stackBytes = 1600
+	// childTaskBytes is the descriptor size of a child-stealing task
+	// ("function pointer and its arguments").
+	childTaskBytes = 56
+	// Per-rank sizes of the uni-address and evacuation regions.
+	uniRegionBytes  = 4 << 20
+	evacRegionBytes = 16 << 20
+)
+
 // Config parameterizes a Runtime.
 type Config struct {
 	Machine *topo.Machine
@@ -84,19 +96,10 @@ type Config struct {
 	RemoteFree remobj.Strategy
 	Seed       int64
 
-	// StackBytes is the logical stack footprint of one thread in the
-	// uni-address region — the payload a continuation steal must copy.
-	StackBytes int
-	// ChildTaskBytes is the descriptor size of a child-stealing task
-	// ("function pointer and its arguments").
-	ChildTaskBytes int
 	// RetvalBytes is the size of the return-value field in thread entries.
 	RetvalBytes int
 
-	DequeCap        int
-	UniRegionBytes  int
-	EvacRegionBytes int
-	SegmentBytes    int
+	DequeCap int
 
 	// Sample, when positive, enables the Fig. 7 time series with the given
 	// sampling period.
@@ -188,26 +191,11 @@ func (c *Config) defaults() {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.StackBytes <= 0 {
-		c.StackBytes = 1600
-	}
-	if c.ChildTaskBytes <= 0 {
-		c.ChildTaskBytes = 56
-	}
 	if c.RetvalBytes <= 0 {
 		c.RetvalBytes = 8
 	}
 	if c.DequeCap <= 0 {
 		c.DequeCap = 8192
-	}
-	if c.UniRegionBytes <= 0 {
-		c.UniRegionBytes = 4 << 20
-	}
-	if c.EvacRegionBytes <= 0 {
-		c.EvacRegionBytes = 16 << 20
-	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 1 << 20
 	}
 	if c.Perturb != nil {
 		c.Machine.Perturb = c.Perturb
@@ -281,7 +269,7 @@ func (g *reqTagger) Seq() int64 { return g.inner.Seq() }
 func New(cfg Config) *Runtime {
 	cfg.defaults()
 	eng := sim.NewEngineShards(cfg.Shards)
-	fab := rdma.NewFabric(eng, cfg.Machine, cfg.Workers, cfg.SegmentBytes)
+	fab := rdma.NewFabric(eng, cfg.Machine, cfg.Workers, 1<<20)
 	rt := &Runtime{
 		cfg:      cfg,
 		eng:      eng,
@@ -302,7 +290,7 @@ func New(cfg Config) *Runtime {
 	}
 	entrySize := contEntrySize
 	if !cfg.Policy.Continuation() {
-		entrySize = cfg.ChildTaskBytes
+		entrySize = childTaskBytes
 	}
 	rt.workers = make([]*Worker, cfg.Workers)
 	for r := 0; r < cfg.Workers; r++ {
@@ -310,7 +298,7 @@ func New(cfg Config) *Runtime {
 			rt:         rt,
 			rank:       r,
 			dq:         deque.New(fab, r, cfg.DequeCap, entrySize),
-			ua:         uniaddr.New(fab, r, cfg.UniRegionBytes, cfg.EvacRegionBytes),
+			ua:         uniaddr.New(fab, r, uniRegionBytes, evacRegionBytes),
 			rng:        rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9E3779B9)),
 			lastVictim: -1,
 		}

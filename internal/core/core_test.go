@@ -173,7 +173,7 @@ func TestContStealCopiesStack(t *testing.T) {
 		t.Fatal("continuation steal moved no stack bytes")
 	}
 	if avg := st.AvgStolenBytes(); avg < 1000 {
-		t.Errorf("avg stolen size = %.0f bytes, want ~StackBytes (1600)", avg)
+		t.Errorf("avg stolen size = %.0f bytes, want ~stackBytes (1600)", avg)
 	}
 	if st.Stack.MigrationsIn == 0 {
 		t.Error("no stack migrations recorded")

@@ -102,7 +102,7 @@ func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
 		// Child stealing: enqueue the child, keep running the parent.
 		rt.childSeq++
 		ct := &childTask{fn: fn, hdl: h, id: rt.childSeq, reqTag: w.curReq}
-		buf := make([]byte, rt.cfg.ChildTaskBytes)
+		buf := make([]byte, childTaskBytes)
 		encodeChildEntry(buf, ct)
 		w.dq.Push(p, buf, ct)
 		if w.ob != nil {

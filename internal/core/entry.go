@@ -132,7 +132,7 @@ func (rt *Runtime) loadContext(buf []byte) *Thread {
 //	off 16  stack virtual address
 //	off 24  stack size
 //
-// Child-stealing deques use cfg.ChildTaskBytes-byte descriptors ("a function
+// Child-stealing deques use childTaskBytes-byte descriptors ("a function
 // pointer and its arguments", §II-A); only the kind and task id are
 // meaningful, the rest stands in for the serialized arguments.
 // ---------------------------------------------------------------------------

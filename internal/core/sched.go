@@ -280,9 +280,9 @@ func (w *Worker) dispatchStolen(p *sim.Proc, victim *Worker, entry []byte, obj a
 		ct := obj.(*childTask)
 		// The descriptor ("function pointer and arguments") was transferred
 		// by the deque protocol itself; account its payload portion.
-		w.st.StolenBytes += uint64(w.rt.cfg.ChildTaskBytes)
-		w.st.TaskCopyTime += w.rt.cfg.Machine.OneSided(w.rank, victim.rank, w.rt.cfg.ChildTaskBytes, false)
-		w.stealSucceeded(ct.id, victim.rank, start, int64(w.rt.cfg.ChildTaskBytes), ct.reqTag)
+		w.st.StolenBytes += childTaskBytes
+		w.st.TaskCopyTime += w.rt.cfg.Machine.OneSided(w.rank, victim.rank, childTaskBytes, false)
+		w.stealSucceeded(ct.id, victim.rank, start, childTaskBytes, ct.reqTag)
 		if w.rt.cfg.Policy == ChildRtC {
 			w.runInline(p, ct)
 			return

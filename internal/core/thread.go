@@ -209,7 +209,7 @@ func newContThread(w *Worker, fn TaskFunc, hdl Handle, parentID int64, isRoot bo
 		fn:        fn,
 		entry:     hdl.E,
 		hdl:       hdl,
-		stackSize: w.rt.cfg.StackBytes,
+		stackSize: stackBytes,
 		parentID:  parentID,
 		isRoot:    isRoot,
 		w:         w,

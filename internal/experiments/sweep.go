@@ -126,9 +126,10 @@ func (ob *Observer) engineStats(c Coord, st core.RunStats, shards int, wall time
 // like jobs — grid order, independent of completion order — reporting each
 // finished job to ob. If a job panics, the remaining queued jobs are
 // abandoned, in-flight jobs are drained (the pool never hangs), and RunJobs
-// re-panics with a *JobError carrying the diverging job's coordinates. A
-// pool of 1 runs the jobs inline instead, and a job's panic propagates as
-// it is.
+// re-panics with a *JobError carrying the diverging job's coordinates, its
+// cause and the panicking stack. That barrier holds at every pool width: a
+// pool of 1 runs the jobs one after another in grid order — the reference
+// the wider pools must match — and fails the same way.
 func RunJobs(pool int, ob *Observer, jobs []Job) []any {
 	if pool <= 0 {
 		pool = runtime.NumCPU()
@@ -139,18 +140,6 @@ func RunJobs(pool int, ob *Observer, jobs []Job) []any {
 		results[i] = r
 		done++
 		ob.progress(done, len(jobs), jobs[i].Coord, time.Since(start))
-	}
-
-	if pool <= 1 {
-		// Degenerate pool: run inline. Identical semantics, no goroutines and
-		// no panic barrier — this is also the reference order the parallel
-		// path must match. Only a pool asked to be 1 gets here: a wider one
-		// keeps the barrier (and its *JobError) even on a one-job grid.
-		for i, j := range jobs {
-			start := time.Now()
-			finish(i, j.Run(), start)
-		}
-		return results
 	}
 
 	if pool > len(jobs) {

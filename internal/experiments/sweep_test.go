@@ -71,7 +71,7 @@ func TestRunJobsPanicBarrierReportsCoordinates(t *testing.T) {
 		{Coord: bad, Run: func() any { panic("diverged") }},
 		{Coord: Coord{Experiment: "fig6", Variant: "child-full", Workers: 72}, Run: func() any { return 3 }},
 	}
-	for _, pool := range []int{2, 8} {
+	for _, pool := range []int{1, 2, 8} {
 		func() {
 			done := make(chan struct{})
 			var recovered any
@@ -102,17 +102,6 @@ func TestRunJobsPanicBarrierReportsCoordinates(t *testing.T) {
 			}
 		}()
 	}
-}
-
-func TestRunJobsSequentialPanicPropagates(t *testing.T) {
-	// With pool=1 the job runs inline and the original panic value
-	// propagates unwrapped (full fidelity for single-run debugging).
-	defer func() {
-		if r := recover(); r != "raw" {
-			t.Errorf("recovered %v, want raw panic value", r)
-		}
-	}()
-	RunJobs(1, nil, []Job{{Coord: Coord{Experiment: "x"}, Run: func() any { panic("raw") }}})
 }
 
 // TestProgressHookSerializedAndComplete hands an Observer down on Options

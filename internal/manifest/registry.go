@@ -41,9 +41,9 @@ type Spec struct {
 // experiments.Options, and Call runs the experiment. A job of the sweep that
 // panics — a deque too small for the workload, a run that cannot complete by
 // its horizon — is returned as its *experiments.JobError, which names the
-// job's coordinates and the cause; any other panic is a bug and passes
-// through (as does a job's own panic under -parallel 1, which runs jobs
-// inline with no barrier so the original stack survives for debugging).
+// job's coordinates and the cause (and keeps the panicking stack in
+// JobError.Stack) at every -parallel width; any other panic is a bug and
+// passes through.
 func (s *Spec) Run(p Params, x Exec) (r experiments.Rendering, err error) {
 	p = s.Params.Merge(p)
 	o, err := p.options(x)

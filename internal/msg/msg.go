@@ -1,7 +1,7 @@
 // Package msg provides a two-sided (message-based) communication layer over
-// the discrete-event engine, used by the baseline runtimes that the paper
-// compares against (Charm++-like message-driven scheduling and X10/GLB-like
-// lifeline work stealing).
+// the discrete-event engine, used by the two-sided baseline runtime that the
+// paper compares against (Charm++-like message-driven stealing, X10/GLB-like
+// with its lifeline stage; see internal/bot).
 //
 // Unlike the one-sided fabric, a message requires the *receiver's*
 // cooperation: it sits in the destination mailbox until the receiving
@@ -149,22 +149,17 @@ func (n *Net) deliver(from, to, size int, m Msg, rto sim.Time) {
 	})
 }
 
-// PollAsync removes the oldest pending message for rank as one link of
-// chain c. The mailbox pop happens at issue time (so a message arriving
-// during the overhead window is not observed by this poll, exactly as in
-// the blocking form); `then` runs after the receive-side software overhead
-// (hit) or the local-check cost (miss).
-func (n *Net) PollAsync(c *sim.Chain, rank int, then func(m Msg, ok bool)) {
+// Poll removes and returns the oldest pending message for rank, charging
+// the receive-side software overhead. The mailbox pop happens at issue time,
+// so a message arriving during the overhead window is not observed by this
+// poll. ok is false when the mailbox is empty (a cheap local check).
+func (n *Net) Poll(p *sim.Proc, rank int) (Msg, bool) {
 	if len(n.boxes[rank]) == 0 {
-		miss := n.Mach.LocalOp
-		if miss < 1 {
-			// An empty poll must advance virtual time: on zero-cost
-			// machines (topo.Uniform) a polling loop would otherwise spin
-			// forever at the same instant.
-			miss = 1
-		}
-		c.Then(miss, func() { then(Msg{}, false) })
-		return
+		// An empty poll must advance virtual time: on zero-cost machines
+		// (topo.Uniform) a polling loop would otherwise spin forever at the
+		// same instant.
+		p.Sleep(max(n.Mach.LocalOp, 1))
+		return Msg{}, false
 	}
 	m := n.boxes[rank][0]
 	n.boxes[rank] = n.boxes[rank][1:]
@@ -175,21 +170,8 @@ func (n *Net) PollAsync(c *sim.Chain, rank int, then func(m Msg, ok bool)) {
 			Task: -1, Peer: m.From, Size: int64(len(m.Data)),
 		})
 	}
-	c.Then(SoftwareOverhead, func() { then(m, true) })
-}
-
-// Poll removes and returns the oldest pending message for rank, charging
-// the receive-side software overhead. ok is false when the mailbox is
-// empty (a cheap local check). Blocking wrapper over PollAsync.
-func (n *Net) Poll(p *sim.Proc, rank int) (Msg, bool) {
-	var (
-		out Msg
-		ok  bool
-	)
-	c := n.Eng.NewChain(p)
-	n.PollAsync(c, rank, func(m Msg, o bool) { out, ok = m, o; c.Complete() })
-	c.Wait()
-	return out, ok
+	p.Sleep(SoftwareOverhead)
+	return m, true
 }
 
 // Pending returns the number of queued messages for rank without cost.

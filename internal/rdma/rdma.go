@@ -142,8 +142,9 @@ func (f *Fabric) remote(from int, to int32, kind obs.Kind, size int, atomic bool
 	return delay
 }
 
-// NewFabric creates a fabric with nranks ranks, each owning a segment that
-// starts at segSize bytes and grows on demand.
+// NewFabric creates a fabric with nranks ranks, each owning a segment.
+// segSize is only a hint: a segment's initial backing is capped at 4 KiB
+// whatever it asks for (see newSegment) and grows on demand.
 func NewFabric(eng *sim.Engine, mach *topo.Machine, nranks, segSize int) *Fabric {
 	f := &Fabric{
 		Eng:  eng,

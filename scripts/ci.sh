@@ -16,9 +16,11 @@
 #          file carries a clock — `repro validate` and `repro analyze` on
 #          the committed trace fixtures, the allocation-free gate (the race
 #          detector perturbs allocation counts), one iteration of every
-#          per-package micro-benchmark, and three bad inputs
-#          (a scale no size survives, a deque too small, a load no run can
-#          complete) that must each exit non-zero without a goroutine dump.
+#          per-package micro-benchmark, and four bad inputs
+#          (a scale no size survives, a deque too small, an LCS size off its
+#          block grid, a load no run can complete) that must each exit
+#          non-zero without a goroutine dump, sequentially (-parallel 1)
+#          and on a pool: the per-job panic barrier holds at every width.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,20 +60,23 @@ for tier in "${tiers[@]}"; do
     go test -run TestShardedSteadyStateAllocFree ./internal/sim
     go test -bench=. -benchtime=1x -run '^$' ./...
     for bad in "fig6 -scale -1" \
-      "fig6 -dequecap 1 -workers 4 -n 64 -parallel 2" \
-      "serve -loads 1e-9 -requests 8 -workers 4 -parallel 2"; do
-      # shellcheck disable=SC2086 # $bad is a word list on purpose
-      if msg=$("$out/repro" $bad -quiet 2>&1); then
-        echo "scripts/ci.sh: repro $bad exited 0" >&2
-        exit 1
-      fi
-      case "$msg" in *"goroutine "*)
-        echo "scripts/ci.sh: repro $bad dumped goroutines:" >&2
-        echo "$msg" | head -5 >&2
-        exit 1
-        ;;
-      esac
-      echo "repro $bad: $msg"
+      "fig6 -dequecap 1 -workers 4 -n 64" \
+      "table3 -n 7" \
+      "serve -loads 1e-9 -requests 8 -workers 4"; do
+      for parallel in 1 2; do
+        # shellcheck disable=SC2086 # $bad is a word list on purpose
+        if msg=$("$out/repro" $bad -parallel $parallel -quiet 2>&1); then
+          echo "scripts/ci.sh: repro $bad -parallel $parallel exited 0" >&2
+          exit 1
+        fi
+        case "$msg" in *"goroutine "*)
+          echo "scripts/ci.sh: repro $bad -parallel $parallel dumped goroutines:" >&2
+          echo "$msg" | head -5 >&2
+          exit 1
+          ;;
+        esac
+        echo "repro $bad -parallel $parallel: $msg"
+      done
     done
     ;;
   *)
