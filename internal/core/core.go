@@ -220,7 +220,7 @@ type Runtime struct {
 	objs    *remobj.Space
 	workers []*Worker
 
-	threads  []*Thread // registry: Thread by id (ids are never reused)
+	threads  []*Thread // registry: live Thread by id (ids are never reused; a dead thread's slot is nil)
 	childSeq int64     // child-task id sequence
 	done     bool
 	rootRet  []byte

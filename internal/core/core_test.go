@@ -471,3 +471,36 @@ func TestRemoteFreeStrategiesSameResult(t *testing.T) {
 	}
 	_ = execTimes
 }
+
+// TestRegistryLetsTheDeadGo: the thread registry resolves suspended threads
+// (the only lookups there are: loadContext on a join's slow path) and drops a
+// thread when its body returns, so a run does not pin every Thread and Proc it
+// ever made.
+func TestRegistryLetsTheDeadGo(t *testing.T) {
+	rt := New(testConfig(ContGreedy, 2))
+	ret, st := rt.Run(func(c *Ctx) []byte {
+		h := c.Spawn(func(c *Ctx) []byte {
+			c.Compute(200 * 1000) // the stolen parent reaches the join and suspends meanwhile
+			if parent := rt.thread(c.t.parentID); parent == nil || parent.state != tSuspended {
+				t.Errorf("suspended parent does not resolve: %+v", parent)
+			}
+			return Int64Ret(5)
+		})
+		c.Compute(50 * 1000)
+		return Int64Ret(h.JoinInt64(c) * 2)
+	})
+	if got := RetInt64(ret); got != 10 {
+		t.Fatalf("got %d, want 10", got)
+	}
+	if st.Work.JoinSlowPath == 0 {
+		t.Error("the parent was never resumed through its saved context")
+	}
+	if len(rt.threads) != 2 {
+		t.Fatalf("%d thread ids handed out, want 2", len(rt.threads))
+	}
+	for id, th := range rt.threads {
+		if th != nil {
+			t.Errorf("dead thread %d is still registered", id)
+		}
+	}
+}

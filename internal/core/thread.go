@@ -252,6 +252,10 @@ func (t *Thread) main(p *sim.Proc) {
 	c := &Ctx{rt: t.rt, t: t, p: p}
 	ret := t.fn(c)
 	t.rt.die(c, ret)
+	// Let the dead go: only suspended threads are ever looked up (loadContext),
+	// and the registry would otherwise pin every Thread, Proc and closure of
+	// the run. The id stays taken.
+	t.rt.threads[t.id] = nil
 }
 
 // evacuate moves the thread's stack to its worker's evacuation region

@@ -65,8 +65,9 @@ type Deque struct {
 	entrySize int
 	capacity  int
 
-	base rdma.Addr // block: header + entries
-	objs []any     // parallel Go-side payloads, indexed by slot
+	base   rdma.Addr // block: header + entries
+	objs   []any     // parallel Go-side payloads, indexed by slot
+	steals *steal    // free list of steal-chain records
 
 	St Stats
 
@@ -283,146 +284,181 @@ func (d *Deque) Steal(p *sim.Proc, thiefRank int) ([]byte, any, bool) {
 //
 // take is called once, under the lock, with the rechecked entry count; its
 // result k is clamped to [1, available]. Entries come back oldest-first (slot
-// order top..top+k-1). A nil take is the plain steal of one entry. A failure
-// reports whether the deque looked empty or the lock was contended via the
-// deque's stats (StealsEmpty/StealsContended); a success counts once in
-// StealsOK whatever k was and, when the caller chose the amount (take != nil),
-// as one BatchSteals of k BatchEntries.
+// order top..top+k-1) in slices the caller owns. A nil take is the plain
+// steal of one entry. A failure reports whether the deque looked empty or the
+// lock was contended via the deque's stats (StealsEmpty/StealsContended); a
+// success counts once in StealsOK whatever k was and, when the caller chose
+// the amount (take != nil), as one BatchSteals of k BatchEntries.
 func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64) ([][]byte, []any, bool) {
-	fab := d.fab
-	c := fab.Eng.NewChain(p)
-	hdrLoc := d.loc(offTop, 16)
-	lockLoc := d.loc(offLock, 8)
-	var (
-		hdr     [16]byte
-		entries [][]byte
-		objs    []any
-		ok      bool
-	)
-	// Tracing: each chain link becomes a victim-side phase span; `phase`
-	// stays nil (one captured word, no emission) when tracing is off. All
-	// spans of this protocol instance share the correlation id sid.
-	tr := d.Tr
-	var (
-		sid   int64
-		t0    sim.Time
-		phase func(k obs.Kind)
-	)
-	if tr != nil {
-		sid = tr.Seq()
-		t0 = fab.Eng.Now()
-		ph := t0
-		phase = func(k obs.Kind) {
-			now := fab.Eng.Now()
-			tr.Event(obs.Event{T: ph, Dur: now - ph, Rank: d.rank, Kind: k, Task: -1, Peer: thiefRank, ID: sid})
-			ph = now
-		}
+	s := d.steals
+	if s == nil {
+		s = newSteal(d)
+	} else {
+		d.steals = s.next
+	}
+	s.c, s.thief, s.take = d.fab.Eng.NewChain(p), thiefRank, take
+	if s.tr = d.Tr; s.tr != nil {
+		s.sid = s.tr.Seq()
+		s.t0 = d.fab.Eng.Now()
+		s.ph = s.t0
 	}
 	// Fast empty check: one 16-byte get of (top, bottom).
-	fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-		if phase != nil {
-			phase(obs.KindDequeHdr)
-		}
-		t := int64(le(hdr[0:8]))
-		b := int64(le(hdr[8:16]))
-		if t >= b {
-			d.St.StealsEmpty++
-			c.Complete()
-			return
-		}
-		// Lock.
-		fab.CASAsync(c, thiefRank, lockLoc, 0, 1, func(observed int64) {
-			if phase != nil {
-				phase(obs.KindDequeCAS)
-			}
-			if observed != 0 {
-				d.St.StealsContended++
-				c.Complete()
-				return
-			}
-			// Recheck under the lock.
-			fab.GetAsync(c, thiefRank, hdrLoc, hdr[:], func() {
-				if phase != nil {
-					phase(obs.KindDequeRecheck)
-				}
-				t = int64(le(hdr[0:8]))
-				b = int64(le(hdr[8:16]))
-				if t >= b {
-					fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-						if phase != nil {
-							phase(obs.KindDequeUnlock)
-						}
-						d.St.StealsEmpty++
-						c.Complete()
-					})
-					return
-				}
-				k := int64(1)
-				if take != nil {
-					k = take(b - t)
-					if k < 1 {
-						k = 1
-					}
-					if k > b-t {
-						k = b - t
-					}
-				}
-				entries = make([][]byte, k)
-				// Read the k oldest descriptors, oldest-first, as one get per
-				// entry (the real protocol could coalesce contiguous slots,
-				// but the ring may wrap and per-entry gets keep the timing
-				// model honest about the widened read phase).
-				var readNext func(i int64)
-				readNext = func(i int64) {
-					if i == k {
-						// Advance top past the batch, then unlock.
-						fab.PutInt64Async(c, thiefRank, d.loc(offTop, 8), t+k, func() {
-							if phase != nil {
-								phase(obs.KindDequeAdvance)
-							}
-							fab.PutInt64Async(c, thiefRank, lockLoc, 0, func() {
-								if phase != nil {
-									phase(obs.KindDequeUnlock)
-								}
-								// Simulator bookkeeping: hand over the payloads.
-								objs = make([]any, k)
-								for j := int64(0); j < k; j++ {
-									s := d.slotIndex(t + j)
-									objs[j] = d.objs[s]
-									d.objs[s] = nil
-								}
-								ok = true
-								d.St.StealsOK++
-								if take != nil {
-									d.St.BatchSteals++
-									d.St.BatchEntries += uint64(k)
-								}
-								if tr != nil {
-									tr.Event(obs.Event{
-										T: t0, Dur: fab.Eng.Now() - t0, Rank: thiefRank,
-										Kind: obs.KindDequeSteal, Task: -1, Peer: d.rank,
-										Size: k * int64(d.entrySize), ID: sid,
-									})
-								}
-								c.Complete()
-							})
-						})
-						return
-					}
-					entries[i] = make([]byte, d.entrySize)
-					fab.GetAsync(c, thiefRank, d.loc(d.entryOff(t+i), d.entrySize), entries[i], func() {
-						if phase != nil {
-							phase(obs.KindDequeRead)
-						}
-						readNext(i + 1)
-					})
-				}
-				readNext(0)
-			})
-		})
-	})
-	c.Wait()
+	d.fab.GetAsync(s.c, thiefRank, d.loc(offTop, 16), s.hdr[:], s.onHdr)
+	s.c.Wait()
+	entries, objs, ok := s.entries, s.objs, s.ok
+	// Reset the record, not its results: those now belong to the caller.
+	s.c, s.take, s.tr, s.entries, s.objs, s.ok = nil, nil, nil, nil, nil, false
+	s.next, d.steals = d.steals, s
 	return entries, objs, ok
+}
+
+// steal is the state of one StealN chain in flight: the header buffer the
+// gets land in, the claimed range, the results, and the trace phase clock.
+// Records are pooled on the victim deque (an intrusive free list, like the
+// engine's chains) with the chain's link callbacks bound once, so an attempt
+// allocates only what it hands to the caller — a failed one nothing.
+type steal struct {
+	d     *Deque
+	c     *sim.Chain
+	thief int
+	take  func(avail int64) int64
+
+	hdr     [16]byte
+	t, k, i int64 // top under the lock, entries claimed, entries read so far
+	entries [][]byte
+	objs    []any
+	ok      bool
+
+	// Tracing: each chain link becomes a victim-side phase span; all spans
+	// of one protocol instance share the correlation id sid.
+	tr     obs.Tracer
+	sid    int64
+	t0, ph sim.Time
+
+	onHdr, onRecheck, onEmpty, onRead, onAdvance, onUnlock func()
+	onLock                                                 func(observed int64)
+
+	next *steal // Deque free list
+}
+
+func newSteal(d *Deque) *steal {
+	s := &steal{d: d}
+	s.onHdr, s.onLock, s.onRecheck, s.onEmpty = s.hdrRead, s.locked, s.rechecked, s.emptyUnlocked
+	s.onRead, s.onAdvance, s.onUnlock = s.entryRead, s.advanced, s.unlocked
+	return s
+}
+
+// phase closes the victim-side span of the link that just completed.
+func (s *steal) phase(k obs.Kind) {
+	if s.tr == nil {
+		return
+	}
+	now := s.d.fab.Eng.Now()
+	s.tr.Event(obs.Event{T: s.ph, Dur: now - s.ph, Rank: s.d.rank, Kind: k, Task: -1, Peer: s.thief, ID: s.sid})
+	s.ph = now
+}
+
+func (s *steal) lockLoc() rdma.Loc { return s.d.loc(offLock, 8) }
+
+// avail decodes the (top, bottom) header the last get fetched: it records
+// top and returns the number of entries between the two.
+func (s *steal) avail() int64 {
+	s.t = int64(le(s.hdr[0:8]))
+	return int64(le(s.hdr[8:16])) - s.t
+}
+
+func (s *steal) hdrRead() {
+	s.phase(obs.KindDequeHdr)
+	if s.avail() <= 0 {
+		s.d.St.StealsEmpty++
+		s.c.Complete()
+		return
+	}
+	s.d.fab.CASAsync(s.c, s.thief, s.lockLoc(), 0, 1, s.onLock)
+}
+
+func (s *steal) locked(observed int64) {
+	s.phase(obs.KindDequeCAS)
+	if observed != 0 {
+		s.d.St.StealsContended++
+		s.c.Complete()
+		return
+	}
+	// Recheck under the lock.
+	s.d.fab.GetAsync(s.c, s.thief, s.d.loc(offTop, 16), s.hdr[:], s.onRecheck)
+}
+
+func (s *steal) rechecked() {
+	s.phase(obs.KindDequeRecheck)
+	n := s.avail()
+	if n <= 0 {
+		s.d.fab.PutInt64Async(s.c, s.thief, s.lockLoc(), 0, s.onEmpty)
+		return
+	}
+	s.k = 1
+	if s.take != nil {
+		s.k = min(max(s.take(n), 1), n)
+	}
+	s.entries = make([][]byte, s.k)
+	s.i = 0
+	s.readNext()
+}
+
+func (s *steal) emptyUnlocked() {
+	s.phase(obs.KindDequeUnlock)
+	s.d.St.StealsEmpty++
+	s.c.Complete()
+}
+
+// readNext reads the k oldest descriptors, oldest-first, as one get per entry
+// (the real protocol could coalesce contiguous slots, but the ring may wrap
+// and per-entry gets keep the timing model honest about the widened read
+// phase), then advances top past the batch.
+func (s *steal) readNext() {
+	d := s.d
+	if s.i == s.k {
+		d.fab.PutInt64Async(s.c, s.thief, d.loc(offTop, 8), s.t+s.k, s.onAdvance)
+		return
+	}
+	s.entries[s.i] = make([]byte, d.entrySize)
+	d.fab.GetAsync(s.c, s.thief, d.loc(d.entryOff(s.t+s.i), d.entrySize), s.entries[s.i], s.onRead)
+}
+
+func (s *steal) entryRead() {
+	s.phase(obs.KindDequeRead)
+	s.i++
+	s.readNext()
+}
+
+func (s *steal) advanced() {
+	s.phase(obs.KindDequeAdvance)
+	s.d.fab.PutInt64Async(s.c, s.thief, s.lockLoc(), 0, s.onUnlock)
+}
+
+func (s *steal) unlocked() {
+	s.phase(obs.KindDequeUnlock)
+	d := s.d
+	// Simulator bookkeeping: hand over the payloads.
+	s.objs = make([]any, s.k)
+	for j := range s.objs {
+		slot := d.slotIndex(s.t + int64(j))
+		s.objs[j] = d.objs[slot]
+		d.objs[slot] = nil
+	}
+	s.ok = true
+	d.St.StealsOK++
+	if s.take != nil {
+		d.St.BatchSteals++
+		d.St.BatchEntries += uint64(s.k)
+	}
+	if s.tr != nil {
+		s.tr.Event(obs.Event{
+			T: s.t0, Dur: d.fab.Eng.Now() - s.t0, Rank: s.thief,
+			Kind: obs.KindDequeSteal, Task: -1, Peer: d.rank,
+			Size: s.k * int64(d.entrySize), ID: s.sid,
+		})
+	}
+	s.c.Complete()
 }
 
 func le(b []byte) uint64 {

@@ -138,12 +138,17 @@ func TestTwoThievesOneEntry(t *testing.T) {
 	for delay := sim.Time(0); delay < 4000; delay += 100 {
 		eng, d := setup(3)
 		wins := 0
-		eng.Go("owner", func(p *sim.Proc) { d.Push(p, mk(1), nil) })
+		eng.Go("owner", func(p *sim.Proc) { d.Push(p, mk(1), "payload") })
 		for r := 1; r <= 2; r++ {
 			r := r
 			eng.GoAfter(sim.Time(r-1)*delay+10, "thief", func(p *sim.Proc) {
-				if _, _, ok := d.Steal(p, r); ok {
+				if e, obj, ok := d.Steal(p, r); ok {
 					wins++
+					if rd(e) != 1 || obj != "payload" {
+						t.Errorf("delay %v: thief %d stole (%d, %v), want (1, payload)", delay, r, rd(e), obj)
+					}
+				} else if e != nil || obj != nil {
+					t.Errorf("delay %v: losing thief %d still got (%v, %v)", delay, r, e, obj)
 				}
 			})
 		}
@@ -151,6 +156,76 @@ func TestTwoThievesOneEntry(t *testing.T) {
 		if wins != 1 {
 			t.Fatalf("delay %v: %d winners for 1 entry", delay, wins)
 		}
+		// Both chains were in flight at once at the small delays (each is at
+		// least one 1000 ns get long), so each held a record of its own.
+		if delay < 1000 && (d.steals == nil || d.steals.next == nil) {
+			t.Fatalf("delay %v: two thieves in flight shared one steal record", delay)
+		}
+	}
+}
+
+// TestStealResultsOutliveTheRecord: the pooled chain record is reset between
+// attempts, its results are not — a batch taken after a failed attempt comes
+// back in slices the caller may keep across later steals on the same record.
+func TestStealResultsOutliveTheRecord(t *testing.T) {
+	eng, d := setup(2)
+	d.Batch = true
+	all := func(avail int64) int64 { return avail }
+	eng.Go("owner", func(p *sim.Proc) {
+		p.Sleep(5000) // let the first attempt find the deque empty
+		for i := uint64(1); i <= 6; i++ {
+			d.Push(p, mk(i), int(i))
+			if i == 3 {
+				p.Sleep(20000) // the second attempt takes 1..3, the third 4..6
+			}
+		}
+	})
+	eng.Go("thief", func(p *sim.Proc) {
+		if e, o, ok := d.StealN(p, 1, all); ok || e != nil || o != nil {
+			t.Fatalf("steal from an empty deque returned (%v, %v, %v)", e, o, ok)
+		}
+		p.Sleep(10000)
+		e1, o1, ok1 := d.StealN(p, 1, all)
+		p.Sleep(20000)
+		e2, o2, ok2 := d.StealN(p, 1, all)
+		if !ok1 || !ok2 || len(e1) != 3 || len(e2) != 3 {
+			t.Fatalf("batches: ok %v/%v, %d and %d entries, want 3 and 3", ok1, ok2, len(e1), len(e2))
+		}
+		for i := 0; i < 3; i++ {
+			if rd(e1[i]) != uint64(1+i) || o1[i] != 1+i || rd(e2[i]) != uint64(4+i) || o2[i] != 4+i {
+				t.Errorf("entry %d: first batch (%d, %v), second (%d, %v)", i, rd(e1[i]), o1[i], rd(e2[i]), o2[i])
+			}
+		}
+	})
+	eng.Run(sim.Forever)
+	if d.steals == nil || d.steals.next != nil {
+		t.Error("three attempts in sequence did not reuse one record")
+	}
+}
+
+// TestFailedStealAllocFree: the steal chain's state lives in a pooled record
+// with its callbacks bound once, and its fabric ops in pooled records, so a
+// warmed failed attempt (tracer nil) allocates nothing.
+func TestFailedStealAllocFree(t *testing.T) {
+	eng, d := setup(2)
+	var avg float64
+	eng.Go("thief", func(p *sim.Proc) {
+		attempt := func() {
+			if _, _, ok := d.StealN(p, 1, nil); ok {
+				t.Error("steal from an empty deque succeeded")
+			}
+		}
+		for i := 0; i < 3; i++ {
+			attempt()
+		}
+		avg = testing.AllocsPerRun(50, attempt)
+	})
+	eng.Run(sim.Forever)
+	if avg != 0 {
+		t.Errorf("a failed steal allocates %.1f times, want 0", avg)
+	}
+	if d.St.StealsEmpty != 54 {
+		t.Errorf("StealsEmpty = %d, want 54", d.St.StealsEmpty)
 	}
 }
 

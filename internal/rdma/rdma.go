@@ -22,9 +22,9 @@
 // sim.Chain and invoke a completion callback at the op's completion time
 // (local ops run the callback inline), so multi-op protocols execute as
 // engine-loop callbacks with a single proc handoff at the end. The blocking
-// methods (Get, Put, CAS, ...) are thin park-until-complete wrappers over
-// the async ones and are exactly equivalent in virtual time: each remote op
-// consumes one event and one sequence number either way.
+// methods (Get, Put, CAS, ...) park the issuer until the same completion
+// and are exactly equivalent in virtual time: each remote op consumes one
+// event and one sequence number either way, a same-rank op none.
 package rdma
 
 import (
@@ -108,6 +108,7 @@ type Fabric struct {
 	Mach *topo.Machine
 	segs []*Segment
 	st   []OpStats
+	ops  *op // free list of completion records
 
 	// Tr, when non-nil, receives one span per remote operation (kind, size,
 	// issuer and target rank, issue time, modelled delay). Local operations
@@ -143,8 +144,8 @@ func (f *Fabric) remote(from int, to int32, kind obs.Kind, size int, atomic bool
 }
 
 // NewFabric creates a fabric with nranks ranks, each owning a segment.
-// segSize is only a hint: a segment's initial backing is capped at 4 KiB
-// whatever it asks for (see newSegment) and grows on demand.
+// segSize only seeds the dynamic zone's first backing (at most 4 KiB, see
+// newSegment); everything else is committed when first touched.
 func NewFabric(eng *sim.Engine, mach *topo.Machine, nranks, segSize int) *Fabric {
 	f := &Fabric{
 		Eng:  eng,
@@ -183,9 +184,10 @@ func (f *Fabric) Alloc(rank, size int) Addr { return f.segs[rank].alloc(size) }
 
 // AllocStatic allocates size bytes in rank's *static zone*: a separate,
 // never-freed address range (at StaticBase and up) intended for large
-// fixed structures (queues, stack regions). Keeping them out of the
-// dynamic zone means small-object churn never forces the backing of the
-// big reservations to be committed.
+// fixed structures (queues, stack regions). Each allocation has a backing of
+// its own that grows to the highest offset touched inside it, so a 16 MiB
+// reservation of which a few KB are used costs a few KB, wherever it sits.
+// An access may not run from one allocation into the next.
 func (f *Fabric) AllocStatic(rank, size int) Addr { return f.segs[rank].allocStatic(size) }
 
 // Free returns a block previously obtained from Alloc to rank's free list.
@@ -207,14 +209,123 @@ func (f *Fabric) sched(to int32, d sim.Time, fn func()) {
 	f.Eng.AfterOn(f.shardOf(to), d, fn)
 }
 
-// local reports whether the op is a same-rank access, counting it if so.
-// Self-accesses carry no network latency and complete inline.
-func (f *Fabric) local(from int, to int32) bool {
-	if int32(from) == to {
-		f.st[from].LocalOps++
-		return true
+// opKind selects one of the six memory effects (see Segment.apply).
+type opKind uint8
+
+const (
+	opGet opKind = iota
+	opPut
+	opGet64
+	opPut64
+	opFetchAdd
+	opCAS
+)
+
+// op is the completion record of one remote operation in flight: what to do
+// to the target's memory when the modelled delay has elapsed, and whom to
+// tell. Records are pooled on the Fabric (an intrusive free list, like the
+// engine's chains) and fire is bound once, so a warmed remote op allocates
+// nothing.
+type op struct {
+	f    *Fabric
+	kind opKind
+	to   int32
+	addr Addr
+	buf  []byte // get destination / put source
+	a, b int64  // put64 value / fetch-add delta / CAS old, new
+
+	// Exactly one of these receives the completion; none means fire and
+	// forget (PutNB). A blocked proc (c) owns its record: it reads val after
+	// Wait and releases the record itself.
+	then  func()
+	thenV func(v int64)
+	c     *sim.Chain
+	val   int64
+
+	fire func() // o.complete, bound once
+	next *op    // Fabric free list
+}
+
+// start begins one operation. A same-rank access carries no network latency:
+// it is counted, performed inline, and start returns (nil, the word read). A
+// remote op is booked against the issuer (counters, modelled delay, trace
+// span) and its completion event scheduled; the caller attaches its
+// continuation to the returned record before the engine runs again.
+func (f *Fabric) start(from int, loc Loc, kind opKind, buf []byte, a, b int64) (*op, int64) {
+	size := 8
+	if kind <= opPut {
+		if size = len(buf); int32(size) > loc.Size {
+			panic(fmt.Sprintf("rdma: %s of %d bytes at %v", [...]string{"get", "put"}[kind], size, loc))
+		}
 	}
-	return false
+	st := &f.st[from]
+	if int32(from) == loc.Rank {
+		st.LocalOps++
+		return nil, f.segs[from].apply(kind, loc.Addr, buf, a, b)
+	}
+	tk := obs.KindRDMAAtomic
+	switch kind {
+	case opGet, opGet64:
+		st.Gets++
+		st.BytesIn += uint64(size)
+		tk = obs.KindRDMAGet
+	case opPut, opPut64:
+		st.Puts++
+		st.BytesOut += uint64(size)
+		tk = obs.KindRDMAPut
+	default:
+		st.Atomics++
+	}
+	delay := f.remote(from, loc.Rank, tk, size, kind >= opFetchAdd)
+	o := f.ops
+	if o == nil {
+		o = &op{f: f}
+		o.fire = o.complete
+	} else {
+		f.ops = o.next
+	}
+	o.kind, o.to, o.addr, o.buf, o.a, o.b = kind, loc.Rank, loc.Addr, buf, a, b
+	f.sched(loc.Rank, delay, o.fire)
+	return o, 0
+}
+
+// complete is a remote op's completion event: the memory access happens now,
+// on the target, and the continuation runs within the same event. The record
+// goes back to the pool before then runs, so a chain whose every link issues
+// the next op keeps reusing one record.
+func (o *op) complete() {
+	v := o.f.segs[o.to].apply(o.kind, o.addr, o.buf, o.a, o.b)
+	if o.c != nil {
+		o.val = v
+		o.c.Complete()
+		return
+	}
+	then, thenV := o.then, o.thenV
+	o.f.release(o)
+	if thenV != nil {
+		thenV(v)
+	} else if then != nil {
+		then()
+	}
+}
+
+// release returns a record to the pool, dropping everything it referenced.
+func (f *Fabric) release(o *op) {
+	o.buf, o.then, o.thenV, o.c = nil, nil, nil, nil
+	o.next, f.ops = f.ops, o
+}
+
+// await is the blocking half of the park-until-complete wrappers: o == nil
+// means start already performed the op inline (no chain, no event).
+func (f *Fabric) await(p *sim.Proc, o *op, v int64) int64 {
+	if o == nil {
+		return v
+	}
+	o.c = f.Eng.NewChain(p)
+	o.c.Wait()
+	v = o.val
+	f.release(o)
+	return v
 }
 
 // GetAsync issues a get of len(dst) bytes from loc as one link of chain c:
@@ -225,21 +336,11 @@ func (f *Fabric) local(from int, to int32) bool {
 // dst must stay untouched by the issuer until the callback runs — the
 // issuer is normally parked in c.Wait for the duration.
 func (f *Fabric) GetAsync(c *sim.Chain, from int, loc Loc, dst []byte, then func()) {
-	if int32(len(dst)) > loc.Size {
-		panic(fmt.Sprintf("rdma: get of %d bytes from %v", len(dst), loc))
-	}
-	if f.local(from, loc.Rank) {
-		copy(dst, f.segs[loc.Rank].bytes(loc.Addr, len(dst)))
+	if o, _ := f.start(from, loc, opGet, dst, 0, 0); o != nil {
+		o.then = then
+	} else {
 		then()
-		return
 	}
-	f.st[from].Gets++
-	f.st[from].BytesIn += uint64(len(dst))
-	delay := f.remote(from, loc.Rank, obs.KindRDMAGet, len(dst), false)
-	f.sched(loc.Rank, delay, func() {
-		copy(dst, f.segs[loc.Rank].bytes(loc.Addr, len(dst)))
-		then()
-	})
 }
 
 // PutAsync issues a put of src to loc as one link of chain c: the remote
@@ -248,53 +349,31 @@ func (f *Fabric) GetAsync(c *sim.Chain, from int, loc Loc, dst []byte, then func
 // in c.Wait). For the fire-and-forget put that only charges an injection
 // cost, see PutNB.
 func (f *Fabric) PutAsync(c *sim.Chain, from int, loc Loc, src []byte, then func()) {
-	if int32(len(src)) > loc.Size {
-		panic(fmt.Sprintf("rdma: put of %d bytes to %v", len(src), loc))
-	}
-	if f.local(from, loc.Rank) {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(src)), src)
+	if o, _ := f.start(from, loc, opPut, src, 0, 0); o != nil {
+		o.then = then
+	} else {
 		then()
-		return
 	}
-	f.st[from].Puts++
-	f.st[from].BytesOut += uint64(len(src))
-	delay := f.remote(from, loc.Rank, obs.KindRDMAPut, len(src), false)
-	f.sched(loc.Rank, delay, func() {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(src)), src)
-		then()
-	})
 }
 
 // GetInt64Async reads the 8-byte little-endian word at loc as one link of
 // chain c, delivering the value to `then` at the op's completion time.
 func (f *Fabric) GetInt64Async(c *sim.Chain, from int, loc Loc, then func(v int64)) {
-	if f.local(from, loc.Rank) {
-		then(int64(binary.LittleEndian.Uint64(f.segs[loc.Rank].bytes(loc.Addr, 8))))
-		return
+	if o, v := f.start(from, loc, opGet64, nil, 0, 0); o != nil {
+		o.thenV = then
+	} else {
+		then(v)
 	}
-	f.st[from].Gets++
-	f.st[from].BytesIn += 8
-	delay := f.remote(from, loc.Rank, obs.KindRDMAGet, 8, false)
-	f.sched(loc.Rank, delay, func() {
-		then(int64(binary.LittleEndian.Uint64(f.segs[loc.Rank].bytes(loc.Addr, 8))))
-	})
 }
 
 // PutInt64Async writes an 8-byte little-endian word to loc as one link of
 // chain c; the word becomes visible at completion time, then `then` runs.
 func (f *Fabric) PutInt64Async(c *sim.Chain, from int, loc Loc, v int64, then func()) {
-	if f.local(from, loc.Rank) {
-		binary.LittleEndian.PutUint64(f.segs[loc.Rank].bytes(loc.Addr, 8), uint64(v))
+	if o, _ := f.start(from, loc, opPut64, nil, v, 0); o != nil {
+		o.then = then
+	} else {
 		then()
-		return
 	}
-	f.st[from].Puts++
-	f.st[from].BytesOut += 8
-	delay := f.remote(from, loc.Rank, obs.KindRDMAPut, 8, false)
-	f.sched(loc.Rank, delay, func() {
-		binary.LittleEndian.PutUint64(f.segs[loc.Rank].bytes(loc.Addr, 8), uint64(v))
-		then()
-	})
 }
 
 // FetchAddAsync atomically adds delta to the word at loc as one link of
@@ -302,58 +381,38 @@ func (f *Fabric) PutInt64Async(c *sim.Chain, from int, loc Loc, v int64, then fu
 // value is delivered to `then`. Because the simulation is sequential, no
 // other operation can interleave with the atomic.
 func (f *Fabric) FetchAddAsync(c *sim.Chain, from int, loc Loc, delta int64, then func(old int64)) {
-	apply := func() int64 {
-		b := f.segs[loc.Rank].bytes(loc.Addr, 8)
-		old := int64(binary.LittleEndian.Uint64(b))
-		binary.LittleEndian.PutUint64(b, uint64(old+delta))
-		return old
+	if o, v := f.start(from, loc, opFetchAdd, nil, delta, 0); o != nil {
+		o.thenV = then
+	} else {
+		then(v)
 	}
-	if f.local(from, loc.Rank) {
-		then(apply())
-		return
-	}
-	f.st[from].Atomics++
-	delay := f.remote(from, loc.Rank, obs.KindRDMAAtomic, 8, true)
-	f.sched(loc.Rank, delay, func() { then(apply()) })
 }
 
 // CASAsync atomically compares the word at loc with old and, if equal,
 // replaces it with new, as one link of chain c. The observed value (== old
 // on success) is delivered to `then` at the op's completion time.
 func (f *Fabric) CASAsync(c *sim.Chain, from int, loc Loc, old, new int64, then func(observed int64)) {
-	apply := func() int64 {
-		b := f.segs[loc.Rank].bytes(loc.Addr, 8)
-		cur := int64(binary.LittleEndian.Uint64(b))
-		if cur == old {
-			binary.LittleEndian.PutUint64(b, uint64(new))
-		}
-		return cur
+	if o, v := f.start(from, loc, opCAS, nil, old, new); o != nil {
+		o.thenV = then
+	} else {
+		then(v)
 	}
-	if f.local(from, loc.Rank) {
-		then(apply())
-		return
-	}
-	f.st[from].Atomics++
-	delay := f.remote(from, loc.Rank, obs.KindRDMAAtomic, 8, true)
-	f.sched(loc.Rank, delay, func() { then(apply()) })
 }
 
 // Get copies the remote variable at loc into dst (len(dst) bytes, at most
-// loc.Size), as issued by rank from — the paper's "get v <- L". Blocking
-// park-until-complete wrapper over GetAsync.
+// loc.Size), as issued by rank from — the paper's "get v <- L". Blocking:
+// p parks until the op completes.
 func (f *Fabric) Get(p *sim.Proc, from int, loc Loc, dst []byte) {
-	c := f.Eng.NewChain(p)
-	f.GetAsync(c, from, loc, dst, c.Complete)
-	c.Wait()
+	o, v := f.start(from, loc, opGet, dst, 0, 0)
+	f.await(p, o, v)
 }
 
 // Put copies src into the remote variable at loc, as issued by rank from —
 // the paper's "put L <- v". The memory becomes visible at the operation's
-// completion time. Blocking wrapper over PutAsync.
+// completion time. Blocking.
 func (f *Fabric) Put(p *sim.Proc, from int, loc Loc, src []byte) {
-	c := f.Eng.NewChain(p)
-	f.PutAsync(c, from, loc, src, c.Complete)
-	c.Wait()
+	o, v := f.start(from, loc, opPut, src, 0, 0)
+	f.await(p, o, v)
 }
 
 // InjectCost is the local overhead of posting a nonblocking operation to
@@ -366,76 +425,62 @@ const InjectCost = 200 * sim.Nanosecond
 // completion. This models the paper's nonblocking remote free-bit write
 // (§III-B). src is snapshotted at issue time.
 func (f *Fabric) PutNB(p *sim.Proc, from int, loc Loc, src []byte) {
-	if int32(len(src)) > loc.Size {
-		panic(fmt.Sprintf("rdma: put of %d bytes to %v", len(src), loc))
+	if o, _ := f.start(from, loc, opPut, src, 0, 0); o != nil {
+		o.buf = append([]byte(nil), src...)
+		p.Sleep(InjectCost)
 	}
-	if f.local(from, loc.Rank) {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(src)), src)
-		return
-	}
-	f.st[from].Puts++
-	f.st[from].BytesOut += uint64(len(src))
-	data := append([]byte(nil), src...)
-	delay := f.remote(from, loc.Rank, obs.KindRDMAPut, len(src), false)
-	f.sched(loc.Rank, delay, func() {
-		copy(f.segs[loc.Rank].bytes(loc.Addr, len(data)), data)
-	})
-	p.Sleep(InjectCost)
 }
 
-// GetInt64 reads an 8-byte little-endian word at loc. Blocking wrapper.
+// GetInt64 reads an 8-byte little-endian word at loc. Blocking.
 func (f *Fabric) GetInt64(p *sim.Proc, from int, loc Loc) int64 {
-	var out int64
-	c := f.Eng.NewChain(p)
-	f.GetInt64Async(c, from, loc, func(v int64) { out = v; c.Complete() })
-	c.Wait()
-	return out
+	o, v := f.start(from, loc, opGet64, nil, 0, 0)
+	return f.await(p, o, v)
 }
 
-// PutInt64 writes an 8-byte little-endian word at loc. Blocking wrapper.
+// PutInt64 writes an 8-byte little-endian word at loc. Blocking.
 func (f *Fabric) PutInt64(p *sim.Proc, from int, loc Loc, v int64) {
-	c := f.Eng.NewChain(p)
-	f.PutInt64Async(c, from, loc, v, c.Complete)
-	c.Wait()
+	o, _ := f.start(from, loc, opPut64, nil, v, 0)
+	f.await(p, o, 0)
 }
 
 // FetchAdd atomically adds delta to the 8-byte word at loc and returns the
-// value it held before the addition ("fetch_and_add(L, v)"). Blocking
-// wrapper over FetchAddAsync.
+// value it held before the addition ("fetch_and_add(L, v)"). Blocking.
 func (f *Fabric) FetchAdd(p *sim.Proc, from int, loc Loc, delta int64) int64 {
-	var out int64
-	c := f.Eng.NewChain(p)
-	f.FetchAddAsync(c, from, loc, delta, func(v int64) { out = v; c.Complete() })
-	c.Wait()
-	return out
+	o, v := f.start(from, loc, opFetchAdd, nil, delta, 0)
+	return f.await(p, o, v)
 }
 
 // CAS atomically compares the 8-byte word at loc with old and, if equal,
 // replaces it with new. It returns the observed value (== old on success).
-// Blocking wrapper over CASAsync.
+// Blocking.
 func (f *Fabric) CAS(p *sim.Proc, from int, loc Loc, old, new int64) int64 {
-	var out int64
-	c := f.Eng.NewChain(p)
-	f.CASAsync(c, from, loc, old, new, func(v int64) { out = v; c.Complete() })
-	c.Wait()
-	return out
+	o, v := f.start(from, loc, opCAS, nil, old, new)
+	return f.await(p, o, v)
 }
 
 // Segment is one rank's registered memory: a flat, growable byte array with
-// a simple size-bucketed free-list allocator on top. All Segment methods are
-// zero-cost in simulated time; they model the owner touching its own pinned
-// memory.
+// a simple size-bucketed free-list allocator on top, plus a static zone of
+// large never-freed allocations. All Segment methods are zero-cost in
+// simulated time; they model the owner touching its own pinned memory.
 type Segment struct {
-	mem   []byte
+	mem   []byte // dynamic zone backing, grown to the highest touched address
 	bump  Addr
 	pools map[int][]Addr // size -> free addresses (exact-size reuse)
 	used  uint64         // bytes currently allocated
 	high  uint64         // high-water mark of allocated bytes
 
-	// Static zone: bump-only allocations at StaticBase and above, with its
-	// own lazily grown backing.
-	smem  []byte
-	sbump Addr
+	// Static zone: bump-only allocations at StaticBase and above, in address
+	// order, each with its own backing.
+	statics []static
+	sbump   Addr
+}
+
+// static is one AllocStatic allocation: zone offsets [off, end) and the
+// committed prefix of its bytes. A reservation costs host memory only up to
+// the highest offset touched inside it, whatever lies in front of it.
+type static struct {
+	off, end uint64
+	mem      []byte
 }
 
 // StaticBase is the first address of the static zone. Dynamic addresses
@@ -443,17 +488,12 @@ type Segment struct {
 const StaticBase Addr = 1 << 40
 
 func newSegment(size int) *Segment {
-	if size < 64 {
-		size = 64
-	}
-	// Backing starts small regardless of the declared size and grows
-	// lazily on first touch (bytes), so simulations with very many ranks
-	// pay host memory only for what each rank actually uses.
-	if size > 4*1024 {
-		size = 4 * 1024
-	}
+	// The declared size only seeds the dynamic zone's backing, between 64
+	// bytes and 4 KiB; past that it grows on first touch (bytes), so
+	// simulations with very many ranks pay host memory only for what each
+	// rank actually uses.
 	return &Segment{
-		mem:   make([]byte, size),
+		mem:   make([]byte, min(max(size, 64), 4*1024)),
 		bump:  8, // keep address 0..7 unused so Addr 0 is invalid
 		pools: make(map[int][]Addr),
 	}
@@ -477,9 +517,7 @@ func (s *Segment) alloc(size int) Addr {
 	}
 	a := s.bump
 	s.bump += Addr(size)
-	// Backing memory grows lazily on first access (see bytes): large
-	// regions (uni-address, evacuation) are cheap to reserve and cost host
-	// memory only for the bytes actually touched.
+	// Reserving is free: backing is committed on first access (see bytes).
 	return a
 }
 
@@ -487,10 +525,10 @@ func (s *Segment) allocStatic(size int) Addr {
 	if size <= 0 {
 		panic("rdma: alloc of non-positive size")
 	}
-	size = (size + 7) &^ 7
-	a := StaticBase + s.sbump
-	s.sbump += Addr(size)
-	return a
+	off := uint64(s.sbump)
+	s.sbump += Addr((size + 7) &^ 7)
+	s.statics = append(s.statics, static{off: off, end: uint64(s.sbump)})
+	return StaticBase + Addr(off)
 }
 
 func (s *Segment) free(addr Addr, size int) {
@@ -505,49 +543,93 @@ func (s *Segment) free(addr Addr, size int) {
 	s.pools[size] = append(s.pools[size], addr)
 }
 
-// bytes returns the backing slice for [addr, addr+n), growing the zone's
-// backing lazily (one power-of-two step) on first touch.
+// grown returns mem extended to cover end bytes: 1 KiB at least, then by
+// doubling, never past limit. Bytes already written are carried over.
+func grown(mem []byte, end, limit uint64) []byte {
+	n := max(uint64(len(mem))*2, 1024)
+	for n < end {
+		n *= 2
+	}
+	nm := make([]byte, min(n, limit))
+	copy(nm, mem)
+	return nm
+}
+
+// bytes returns [addr, addr+n) as one contiguous slice of the backing that
+// holds it — the dynamic zone's, or that of the one static allocation the
+// range lies in — committing the backing up to addr+n on first touch. The
+// slice is valid until that backing next grows.
 func (s *Segment) bytes(addr Addr, n int) []byte {
 	if addr == 0 {
 		panic("rdma: access through nil address")
 	}
 	if addr >= StaticBase {
 		off := uint64(addr - StaticBase)
-		end := off + uint64(n)
-		if end > uint64(s.sbump) {
-			panic(fmt.Sprintf("rdma: static access [0x%x,+%d) beyond allocated space (%d bytes)", uint64(addr), n, uint64(s.sbump)))
-		}
-		if end > uint64(len(s.smem)) {
-			newLen := uint64(1024)
-			if len(s.smem) > 0 {
-				newLen = uint64(len(s.smem)) * 2
+		// A rank holds a handful of static allocations (lock queue, deque,
+		// uni, evac): a scan beats any index.
+		for i := range s.statics {
+			a := &s.statics[i]
+			if off >= a.end {
+				continue
 			}
-			for newLen < end {
-				newLen *= 2
+			lo, hi := off-a.off, off-a.off+uint64(n)
+			if hi > a.end-a.off {
+				panic(fmt.Sprintf("rdma: static access [0x%x,+%d) runs off the end of allocation [0x%x,+%d)",
+					uint64(addr), n, uint64(StaticBase)+a.off, a.end-a.off))
 			}
-			nm := make([]byte, newLen)
-			copy(nm, s.smem)
-			s.smem = nm
+			if hi > uint64(len(a.mem)) {
+				a.mem = grown(a.mem, hi, a.end-a.off)
+			}
+			return a.mem[lo:hi:hi]
 		}
-		return s.smem[off:end:end]
+		panic(fmt.Sprintf("rdma: static access [0x%x,+%d) is inside no allocation (static zone ends at 0x%x)",
+			uint64(addr), n, uint64(StaticBase+s.sbump)))
 	}
 	end := uint64(addr) + uint64(n)
 	if end > uint64(s.bump) {
 		panic(fmt.Sprintf("rdma: access [0x%x,+%d) beyond allocated segment space (%d bytes)", uint64(addr), n, uint64(s.bump)))
 	}
 	if end > uint64(len(s.mem)) {
-		newLen := uint64(len(s.mem)) * 2
-		for newLen < end {
-			newLen *= 2
-		}
-		nm := make([]byte, newLen)
-		copy(nm, s.mem)
-		s.mem = nm
+		s.mem = grown(s.mem, end, uint64(StaticBase))
 	}
 	return s.mem[addr:end:end]
 }
 
-// Bytes exposes [addr, addr+n) of the segment for owner-local access.
+// apply performs one fabric operation's memory effect on the segment — the
+// only place each of the six is written: a same-rank op calls it inline, a
+// remote op's completion record at its completion instant. It returns the
+// word it found (the result of get64, fetch-add and CAS).
+func (s *Segment) apply(kind opKind, addr Addr, buf []byte, a, b int64) int64 {
+	switch kind {
+	case opGet:
+		copy(buf, s.bytes(addr, len(buf)))
+		return 0
+	case opPut:
+		copy(s.bytes(addr, len(buf)), buf)
+		return 0
+	}
+	w := s.bytes(addr, 8)
+	cur := int64(binary.LittleEndian.Uint64(w))
+	switch kind {
+	case opGet64:
+		return cur
+	case opFetchAdd:
+		a += cur
+	case opCAS:
+		if cur != a {
+			return cur
+		}
+		a = b
+	}
+	binary.LittleEndian.PutUint64(w, uint64(a)) // put64 writes a as given
+	return cur
+}
+
+// Bytes exposes [addr, addr+n) of the segment for owner-local access. The
+// slice aliases the backing of the zone (dynamic) or allocation (static) it
+// lies in and is valid until that backing next grows, i.e. until an access
+// reaches past everything touched there so far. Use it at once; hold one
+// across a suspension only over a range that nothing can outgrow meanwhile.
 func (s *Segment) Bytes(addr Addr, n int) []byte { return s.bytes(addr, n) }
 
 // ReadInt64 reads a word locally (owner access, no simulated cost).
@@ -565,3 +647,13 @@ func (s *Segment) InUse() uint64 { return s.used }
 
 // HighWater returns the allocation high-water mark in bytes.
 func (s *Segment) HighWater() uint64 { return s.high }
+
+// Backing returns the host bytes committed behind the segment, both zones:
+// what the rank costs the simulator, as opposed to what it has reserved.
+func (s *Segment) Backing() uint64 {
+	n := uint64(len(s.mem))
+	for i := range s.statics {
+		n += uint64(len(s.statics[i].mem))
+	}
+	return n
+}

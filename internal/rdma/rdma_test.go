@@ -1,6 +1,9 @@
 package rdma
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -314,5 +317,181 @@ func TestTimingIntraVsInterNode(t *testing.T) {
 	eng.Run(sim.Forever)
 	if !(tIntra < tInter) {
 		t.Errorf("intra-node get (%v) should be faster than inter-node (%v)", tIntra, tInter)
+	}
+}
+
+// TestStaticBackingFollowsTouch: a reservation costs what is touched inside
+// it, wherever it sits — the first KB of a 16 MiB allocation behind a 4 MiB
+// one commits KBs, not the MiB in front of it.
+func TestStaticBackingFollowsTouch(t *testing.T) {
+	_, f := newTestFabric(0, 1)
+	s := f.Seg(0)
+	f.AllocStatic(0, 4<<20)
+	big := f.AllocStatic(0, 16<<20)
+	before := s.Backing()
+	s.Bytes(big, 1024)[1023] = 1
+	if got := s.Backing() - before; got == 0 || got > 8<<10 {
+		t.Errorf("touching 1 KiB of a 16 MiB static allocation committed %d bytes, want KBs", got)
+	}
+	small := f.AllocStatic(0, 8)
+	before = s.Backing()
+	s.WriteInt64(small, 1)
+	if got := s.Backing() - before; got != 8 {
+		t.Errorf("an 8-byte static allocation committed %d bytes, want 8 (its own size caps it)", got)
+	}
+}
+
+func TestStaticGrowthKeepsBytes(t *testing.T) {
+	_, f := newTestFabric(0, 1)
+	s := f.Seg(0)
+	a := f.AllocStatic(0, 1<<20)
+	copy(s.Bytes(a+40, 5), "hello")
+	before := s.Backing()
+	s.Bytes(a+100<<10, 8)[0] = 7 // far past the first step: the backing grows
+	if s.Backing() == before {
+		t.Fatal("backing did not grow")
+	}
+	if got := string(s.Bytes(a+40, 5)); got != "hello" {
+		t.Errorf("bytes written before the growth step read %q after it", got)
+	}
+}
+
+// TestStaticAccessPanics: an access must lie inside one static allocation;
+// the panic names the address and the allocation it ran out of (or that
+// there is none).
+func TestStaticAccessPanics(t *testing.T) {
+	_, f := newTestFabric(0, 1)
+	s := f.Seg(0)
+	first := f.AllocStatic(0, 64)
+	last := f.AllocStatic(0, 32)
+	at := func(a Addr, n int) string { return fmt.Sprintf("[0x%x,+%d)", uint64(a), n) }
+	for _, c := range []struct {
+		name string
+		addr Addr
+		n    int
+		want []string
+	}{
+		{"into the next allocation", first + 60, 8, []string{at(first+60, 8), "allocation " + at(first, 64)}},
+		{"one past sbump", last + 25, 8, []string{at(last+25, 8), "allocation " + at(last, 32)}},
+		{"inside no allocation", last + 4096, 8, []string{at(last+4096, 8), "no allocation", fmt.Sprintf("ends at 0x%x", uint64(last+32))}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, w := range c.want {
+					if !strings.Contains(msg, w) {
+						t.Errorf("%s: panic %q does not name %q", c.name, msg, w)
+					}
+				}
+			}()
+			s.Bytes(c.addr, c.n)
+		}()
+	}
+}
+
+// TestChainReusesOneRecord: a completion record goes back to the pool before
+// its continuation runs, so a chain whose every link issues the next remote
+// op needs one record in all — and each link still sees its own value.
+func TestChainReusesOneRecord(t *testing.T) {
+	eng, f := newTestFabric(100, 2)
+	base := f.Alloc(1, 5*8)
+	for i := 0; i < 5; i++ {
+		f.Seg(1).WriteInt64(base+Addr(8*i), int64(10+i))
+	}
+	var got []int64
+	eng.Go("w0", func(p *sim.Proc) {
+		c := eng.NewChain(p)
+		var link func(v int64)
+		issue := func() {
+			f.GetInt64Async(c, 0, Loc{Rank: 1, Addr: base + Addr(8*len(got)), Size: 8}, link)
+		}
+		link = func(v int64) {
+			if got = append(got, v); len(got) == 5 {
+				c.Complete()
+				return
+			}
+			issue()
+		}
+		issue()
+		c.Wait()
+	})
+	eng.Run(sim.Forever)
+	if want := []int64{10, 11, 12, 13, 14}; !slices.Equal(got, want) {
+		t.Errorf("chain delivered %v, want %v", got, want)
+	}
+	if f.ops == nil || f.ops.next != nil {
+		t.Error("five chained ops did not share one pooled record")
+	}
+	if eng.Now() != 500 {
+		t.Errorf("five remote ops took %v, want 500ns", eng.Now())
+	}
+}
+
+// allocsInProc runs op under testing.AllocsPerRun on a proc of its own, after
+// a few warm-up calls have filled the pools (chains, records, event heap).
+func allocsInProc(eng *sim.Engine, op func(p *sim.Proc)) (avg float64) {
+	eng.Go("w0", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			op(p)
+		}
+		avg = testing.AllocsPerRun(50, func() { op(p) })
+	})
+	eng.Run(sim.Forever)
+	return avg
+}
+
+// TestLocalOpsAllocFree: a same-rank op completes inline — no chain, no
+// closure, no event — through every blocking wrapper.
+func TestLocalOpsAllocFree(t *testing.T) {
+	eng, f := newTestFabric(1000, 2)
+	loc := Loc{Rank: 0, Addr: f.Alloc(0, 16), Size: 16}
+	word := Loc{Rank: 0, Addr: loc.Addr, Size: 8}
+	var buf [16]byte
+	avg := allocsInProc(eng, func(p *sim.Proc) {
+		f.Put(p, 0, loc, buf[:])
+		f.Get(p, 0, loc, buf[:])
+		f.PutInt64(p, 0, word, 3)
+		f.FetchAdd(p, 0, word, 1)
+		if f.CAS(p, 0, word, 4, 5) != 4 || f.GetInt64(p, 0, word) != 5 {
+			t.Error("same-rank ops lost a value")
+		}
+	})
+	if avg != 0 {
+		t.Errorf("same-rank ops allocate %.1f times per run, want 0", avg)
+	}
+	if eng.Now() != 0 || eng.Stats().Events != 1 {
+		t.Errorf("same-rank ops cost time or events: now %v, %d events (want the proc's own start only)", eng.Now(), eng.Stats().Events)
+	}
+}
+
+// TestRemoteOpAllocFree: once warm, a remote op — blocking, or split-phase
+// with a callback the caller made ahead of time — allocates nothing.
+func TestRemoteOpAllocFree(t *testing.T) {
+	eng, f := newTestFabric(1000, 2)
+	loc := Loc{Rank: 1, Addr: f.Alloc(1, 16), Size: 16}
+	word := Loc{Rank: 1, Addr: loc.Addr, Size: 8}
+	var (
+		buf  [16]byte
+		c    *sim.Chain
+		seen int64
+	)
+	then := func(v int64) { seen = v; c.Complete() }
+	avg := allocsInProc(eng, func(p *sim.Proc) {
+		f.Put(p, 0, loc, buf[:])
+		f.Get(p, 0, loc, buf[:])
+		f.PutInt64(p, 0, word, 3)
+		f.FetchAdd(p, 0, word, 1)
+		if f.CAS(p, 0, word, 4, 5) != 4 || f.GetInt64(p, 0, word) != 5 {
+			t.Error("remote ops lost a value")
+		}
+		c = eng.NewChain(p)
+		f.FetchAddAsync(c, 0, word, 0, then)
+		c.Wait()
+		if seen != 5 {
+			t.Errorf("split-phase fetch-add delivered %d, want 5", seen)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("warmed remote ops allocate %.1f times per run, want 0", avg)
 	}
 }

@@ -229,12 +229,18 @@ func (m *Manager) EvacBytes(addr VAddr, size int) []byte {
 // PushStack allocates a stack of the given size in the uni-address region
 // (step 1, "Spawn", of Fig. 2). It panics on overflow: a real uni-address
 // runtime would abort, and callers size the region generously.
+//
+// The whole stack is touched here, so every live stack in the region is
+// committed backing from its first byte to its last — as Restore and
+// MigrateIn leave theirs — and a thief reading one can never be the access
+// that grows the region's backing (see MigrateInAsync).
 func (m *Manager) PushStack(size int) VAddr {
 	a, ok := m.Uni.Alloc(size)
 	if !ok {
 		panic(fmt.Sprintf("uniaddr: rank %d uni-address region exhausted (%d in use of %d)",
 			m.Rank, m.Uni.InUse(), m.Uni.Size()))
 	}
+	m.UniBytes(a, size)
 	return a
 }
 
@@ -305,6 +311,12 @@ func (m *Manager) FreeEvac(addr VAddr, size int) { m.Evac.Free(addr, size) }
 // time (so a conflict is reported synchronously via the return value), the
 // stack bytes land at the transfer's completion time, and `then` runs at
 // that instant as one link of chain c.
+//
+// The destination slice is taken at issue time and held across the flight,
+// which rdma.Segment.Bytes allows only while the uni region's backing cannot
+// grow: the thief's worker is parked for the flight, and the only other
+// accesses to its uni region are remote reads of whole live stacks, all of
+// which are committed already (PushStack).
 func (m *Manager) MigrateInAsync(c *sim.Chain, src rdma.Loc, addr VAddr, size int, then func()) bool {
 	if !m.Uni.Reserve(addr, size) {
 		m.St.Conflicts++

@@ -14,9 +14,11 @@
 #          (self-validating against every committed golden) and once more
 #          sequentially — the two run folders must be diff -r identical, no
 #          file carries a clock — `repro validate` and `repro analyze` on
-#          the committed trace fixtures, the allocation-free gate (the race
-#          detector perturbs allocation counts), one iteration of every
-#          per-package micro-benchmark, and four bad inputs
+#          the committed trace fixtures, the allocation-free gates of the
+#          event path, the fabric ops and the steal chain (*AllocFree in
+#          internal/sim, rdma and deque; the race detector perturbs
+#          allocation counts), one iteration of every per-package
+#          micro-benchmark, and four bad inputs
 #          (a scale no size survives, a deque too small, an LCS size off its
 #          block grid, a load no run can complete) that must each exit
 #          non-zero without a goroutine dump, sequentially (-parallel 1)
@@ -57,7 +59,7 @@ for tier in "${tiers[@]}"; do
     "$out/repro" analyze cmd/repro/testdata/trace_uts_micro.json
     "$out/repro" analyze cmd/repro/testdata/trace_serve_micro.json
     "$out/repro" analyze -requests cmd/repro/testdata/trace_serve_micro.json
-    go test -run TestShardedSteadyStateAllocFree ./internal/sim
+    go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque
     go test -bench=. -benchtime=1x -run '^$' ./...
     for bad in "fig6 -scale -1" \
       "fig6 -dequecap 1 -workers 4 -n 64" \
