@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"contsteal/internal/core"
 	"contsteal/internal/experiments"
@@ -28,10 +28,15 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: repro analyze [-requests] <trace.json>")
 	}
+	mode, report := "analyze", analyze
 	if *byRequest {
-		return analyzeRequests(stdout, fs.Arg(0))
+		mode, report = "analyze -requests", analyzeRequests
 	}
-	return analyze(stdout, fs.Arg(0))
+	tr, err := loadTrace(fs.Arg(0))
+	if err != nil {
+		return fmt.Errorf("%s: %w", mode, err)
+	}
+	return report(stdout, fs.Arg(0), tr)
 }
 
 // loadTrace reads a raw-JSON trace file produced by -trace.
@@ -66,16 +71,13 @@ func loadTrace(path string) (*core.Trace, error) {
 // are built out of fabric ops), so it overlaps the other buckets rather than
 // adding to them. perturb is the injected-fault share of fabric-wait (the
 // perturb.extra spans): zero unless the run carried an active topo.Perturb.
-func analyze(stdout io.Writer, path string) error {
-	tr, err := loadTrace(path)
-	if err != nil {
-		return fmt.Errorf("analyze: %w", err)
-	}
+func analyze(stdout io.Writer, path string, tr *core.Trace) error {
 	if tr.Workers == 0 {
 		return fmt.Errorf("analyze: %s: empty trace (workers=0)", path)
 	}
 
 	att := tr.Attribution()
+	tot, rows, checkErr := tr.CheckRanks(att)
 	pct := func(d sim.Time) string {
 		if tr.ExecTime == 0 {
 			return "-"
@@ -86,7 +88,6 @@ func analyze(stdout io.Writer, path string) error {
 		path, tr.Workers, tr.ExecTime)
 	w := experiments.NewTW(stdout)
 	fmt.Fprintln(w, "rank\tbusy\tsteal-search\tsteal-xfer\toj-wait\tother\tfabric-wait\tperturb\tsteals\tfails\tresumes")
-	var tot core.RankAttribution
 	for _, r := range att {
 		other := tr.ExecTime - r.Busy - r.StealSearch - r.StealXfer
 		fmt.Fprintf(w, "%d\t%v (%s)\t%v (%s)\t%v (%s)\t%v\t%v (%s)\t%v\t%v\t%d\t%d\t%d\n",
@@ -99,15 +100,6 @@ func analyze(stdout io.Writer, path string) error {
 			r.FabricWait,
 			r.PerturbWait,
 			r.Steals, r.Fails, r.Resumes)
-		tot.Busy += r.Busy
-		tot.StealSearch += r.StealSearch
-		tot.StealXfer += r.StealXfer
-		tot.OJWait += r.OJWait
-		tot.FabricWait += r.FabricWait
-		tot.PerturbWait += r.PerturbWait
-		tot.Steals += r.Steals
-		tot.Fails += r.Fails
-		tot.Resumes += r.Resumes
 	}
 	fmt.Fprintf(w, "Σ\t%v\t%v\t%v\t%v\t\t%v\t%v\t%d\t%d\t%d\n",
 		tot.Busy, tot.StealSearch, tot.StealXfer, tot.OJWait, tot.FabricWait, tot.PerturbWait,
@@ -115,22 +107,17 @@ func analyze(stdout io.Writer, path string) error {
 	w.Flush()
 
 	// The cross-check: every trace-derived total must equal its
-	// counter-derived Check value exactly.
-	ck := tr.Check
+	// counter-derived Check value exactly. The rows printed are the rows
+	// CheckRanks compared.
 	cw := experiments.NewTW(stdout)
 	fmt.Fprintln(stdout, "\nCross-check against run statistics (Table II counters):")
 	fmt.Fprintln(cw, "quantity\tfrom trace\tfrom counters")
-	fmt.Fprintf(cw, "busy time\t%v\t%v\n", tot.Busy, ck.BusyTime)
-	fmt.Fprintf(cw, "steal latency\t%v\t%v\n", tot.StealXfer, ck.StealLatency)
-	fmt.Fprintf(cw, "steal search\t%v\t%v\n", tot.StealSearch, ck.StealSearchTime)
-	fmt.Fprintf(cw, "outstanding-join time\t%v\t%v\n", tot.OJWait, ck.OutstandingTime)
-	fmt.Fprintf(cw, "fabric time\t%v\t%v\n", tot.FabricWait, ck.FabricTime)
-	fmt.Fprintf(cw, "perturb time\t%v\t%v\n", tot.PerturbWait, ck.PerturbTime)
-	fmt.Fprintf(cw, "steals ok / fail\t%d / %d\t%d / %d\n", tot.Steals, tot.Fails, ck.StealsOK, ck.StealsFail)
-	fmt.Fprintf(cw, "resumes\t%d\t%d\n", tot.Resumes, ck.Resumed)
+	for _, r := range rows {
+		fmt.Fprintf(cw, "%s\t%v\t%v\n", r.Name, r.Trace, r.Counters)
+	}
 	cw.Flush()
-	if err := tr.Verify(); err != nil {
-		return fmt.Errorf("analyze: %v", err)
+	if checkErr != nil {
+		return fmt.Errorf("analyze: %v", checkErr)
 	}
 	fmt.Fprintln(stdout, "all totals agree exactly")
 	return nil
@@ -146,19 +133,15 @@ func analyze(stdout io.Writer, path string) error {
 // against the counter-derived ServeStats embedded in the trace; any
 // disagreement, down to a single tick or a single corrupted counter, is a
 // non-zero exit.
-func analyzeRequests(stdout io.Writer, path string) error {
-	tr, err := loadTrace(path)
-	if err != nil {
-		return fmt.Errorf("analyze -requests: %w", err)
-	}
+func analyzeRequests(stdout io.Writer, path string, tr *core.Trace) error {
 	if tr.Serve == nil {
 		return fmt.Errorf("analyze -requests: %s: no serve block — not an open-system trace (run `repro serve -trace ...`)", path)
 	}
-	if err := tr.VerifyRequests(); err != nil {
-		return fmt.Errorf("analyze -requests: %s: %v", path, err)
-	}
 	ck := tr.Serve
 	atts := tr.RequestAttribution()
+	if err := tr.CheckRequests(atts); err != nil {
+		return fmt.Errorf("analyze -requests: %s: %v", path, err)
+	}
 	fmt.Fprintf(stdout, "\n== Request attribution: %s (%d workers; %d completed, %d in flight) ==\n",
 		path, tr.Workers, len(atts), ck.InFlight)
 
@@ -187,7 +170,7 @@ func analyzeRequests(stdout io.Writer, path string) error {
 
 	// Cross-check: percentile sojourns recomputed from the trace-derived
 	// attribution must reproduce the counter-derived completion log. (The
-	// per-request windows already matched in VerifyRequests; this prints the
+	// per-request windows already matched in CheckRequests; this prints the
 	// headline numbers from both sides.)
 	fromTrace := make([]sim.Time, len(atts))
 	for i, at := range atts {
@@ -197,8 +180,8 @@ func analyzeRequests(stdout io.Writer, path string) error {
 	for i, d := range ck.Done {
 		fromStats[i] = d.Sojourn()
 	}
-	sortTimes(fromTrace)
-	sortTimes(fromStats)
+	slices.Sort(fromTrace) // ascending, for the percentile rule
+	slices.Sort(fromStats)
 	cw := experiments.NewTW(stdout)
 	fmt.Fprintln(stdout, "\nCross-check against serve statistics:")
 	fmt.Fprintln(cw, "quantity\tfrom trace\tfrom counters")
@@ -218,9 +201,4 @@ func analyzeRequests(stdout io.Writer, path string) error {
 	cw.Flush()
 	fmt.Fprintln(stdout, "every request's components sum to its sojourn exactly; trace and counters agree")
 	return nil
-}
-
-// sortTimes sorts a sojourn sample ascending for the percentile rule.
-func sortTimes(s []sim.Time) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -295,40 +297,117 @@ func TestGoldenServeTraceJSON(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRequestsDetectsCorruption corrupts one counter of the committed
-// serve trace (completed, which VerifyRequests cross-checks against the
-// attribution) and asserts the non-zero-exit path: run() must return an
-// error naming the cross-check, which main() turns into exit code 2.
+// TestAnalyzeRequestsDetectsCorruption corrupts the committed serve trace one
+// way at a time and asserts the non-zero-exit path: run() must return a
+// one-line error naming the cause, which main() turns into exit code 2. A
+// corrupted counter or a request window moved by a tick is caught by the
+// request cross-check (and by VerifyRequests and CheckRequests alike, with
+// the same words); a file no run can have written — negative workers, an
+// event on a rank the trace does not have, a negative duration — is rejected
+// when it is read, in both modes, naming the field and the event.
 func TestAnalyzeRequestsDetectsCorruption(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "trace_serve_micro.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, corrupt := range map[string][2]string{
-		"completed counter": {`"completed":`, `"completed":1`},
-		"admitted counter":  {`"admitted":`, `"admitted":1`},
+	for _, tc := range []struct {
+		name, old, new string
+		want           string
+		malformed      bool
+	}{
+		{name: "completed counter", old: `"completed":`, new: `"completed":1`, want: "analyze -requests"},
+		{name: "admitted counter", old: `"admitted":`, new: `"admitted":1`, want: "analyze -requests"},
+		{name: "request window", old: `"at":341,"end":1101`, new: `"at":341,"end":1102`, want: "request 0: trace window [341,1101] stats window [341,1102]"},
+		{name: "negative workers", old: `"workers":`, new: `"workers":-`, want: "workers must be non-negative, got -6", malformed: true},
+		{name: "rank out of range", old: `"rank":1,`, new: `"rank":7,`, want: "events[1]: rank 7 outside [0, 6)", malformed: true},
+		{name: "negative dur", old: `"dur":801,"rank":2`, new: `"dur":-801,"rank":2`, want: "events[2]: dur must be non-negative, got -801", malformed: true},
 	} {
-		bad := strings.Replace(string(data), corrupt[0], corrupt[1], 1)
+		bad := strings.Replace(string(data), tc.old, tc.new, 1)
 		if bad == string(data) {
-			t.Fatalf("%s: fixture lacks %q", name, corrupt[0])
+			t.Fatalf("%s: fixture lacks %q", tc.name, tc.old)
 		}
 		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var stderrBuf bytes.Buffer
-		err := run([]string{"analyze", "-requests", path}, io.Discard, &stderrBuf)
-		if err == nil {
-			t.Fatalf("%s: analyze -requests accepted a corrupted %s", name, name)
+		modes := [][]string{{"analyze", "-requests", path}}
+		if tc.malformed {
+			modes = append(modes, []string{"analyze", path})
 		}
-		if !strings.Contains(err.Error(), "analyze -requests") {
-			t.Errorf("%s: error does not name the cross-check: %v", name, err)
+		for _, argv := range modes {
+			var stdout bytes.Buffer
+			err := run(argv, &stdout, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("%s: run(%v) = %v, want a one-line error containing %q", tc.name, argv[:len(argv)-1], err, tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("%s: run(%v) printed a report before rejecting the file:\n%s", tc.name, argv[:len(argv)-1], stdout.String())
+			}
+		}
+		if tc.malformed {
+			continue
+		}
+		tr, err := loadTrace(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		verr, cerr := tr.VerifyRequests(), tr.CheckRequests(tr.RequestAttribution())
+		if verr == nil || cerr == nil || verr.Error() != cerr.Error() {
+			t.Errorf("%s: VerifyRequests = %v but CheckRequests(RequestAttribution()) = %v", tc.name, verr, cerr)
 		}
 	}
 	// A closed-system trace is rejected outright in request mode.
 	if err := run([]string{"analyze", "-requests",
 		filepath.Join("testdata", "trace_uts_micro.json")}, io.Discard, io.Discard); err == nil {
 		t.Error("analyze -requests accepted a closed-system trace")
+	}
+}
+
+// TestAnalyzePrintsTheCheckedRows holds `repro analyze`'s cross-check table
+// to the rows Trace.Verify compares — same names, order and values, from one
+// source (Trace.CheckRanks) — on both fixtures and on a copy whose busy-time
+// counter is off by a tick, where the table must show the two sides apart and
+// the error must be Verify's. On every file VerifyRequests and
+// CheckRequests(RequestAttribution()) return the same thing.
+func TestAnalyzePrintsTheCheckedRows(t *testing.T) {
+	serve, err := os.ReadFile(filepath.Join("testdata", "trace_serve_micro.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offByOne := filepath.Join(t.TempDir(), "busy.json")
+	if err := os.WriteFile(offByOne, bytes.Replace(serve, []byte(`"busy_time":26220`), []byte(`"busy_time":26221`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cols := regexp.MustCompile(` {2,}`)
+	for _, path := range []string{filepath.Join("testdata", "trace_uts_micro.json"), filepath.Join("testdata", "trace_serve_micro.json"), offByOne} {
+		tr, err := loadTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rows, checkErr := tr.CheckRanks(tr.Attribution())
+		if verr := tr.Verify(); fmt.Sprint(verr) != fmt.Sprint(checkErr) || (path == offByOne) != (verr != nil) {
+			t.Errorf("%s: Verify = %v, CheckRanks(Attribution()) = %v", path, verr, checkErr)
+		}
+		var out bytes.Buffer
+		err = run([]string{"analyze", path}, &out, io.Discard)
+		if (err == nil) != (checkErr == nil) || (err != nil && err.Error() != "analyze: "+checkErr.Error()) {
+			t.Errorf("%s: analyze = %v, Verify = %v", path, err, checkErr)
+		}
+		_, table, ok := strings.Cut(out.String(), "quantity")
+		lines := strings.Split(table, "\n")
+		if !ok || len(lines) < 1+len(rows) {
+			t.Fatalf("%s: no cross-check table of %d rows in:\n%s", path, len(rows), out.String())
+		}
+		for i, r := range rows {
+			got := cols.Split(strings.TrimSpace(lines[1+i]), -1)
+			want := []string{r.Name, fmt.Sprint(r.Trace), fmt.Sprint(r.Counters)}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s: table row %d is %q, Verify compares %q", path, i, got, want)
+			}
+		}
+		if verr, cerr := tr.VerifyRequests(), tr.CheckRequests(tr.RequestAttribution()); fmt.Sprint(verr) != fmt.Sprint(cerr) {
+			t.Errorf("%s: VerifyRequests = %v but CheckRequests(RequestAttribution()) = %v", path, verr, cerr)
+		}
 	}
 }
 

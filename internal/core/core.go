@@ -147,12 +147,6 @@ type Config struct {
 	// byte-identical to one with no Perturb at all.
 	Perturb *topo.Perturb
 
-	// StealBackoff replaces the fixed idle backoff with a bounded
-	// exponential one after a few consecutive failed steals (reset on
-	// success). Auto-enabled when the perturbation model is active; leave
-	// false otherwise to preserve golden timings.
-	StealBackoff bool
-
 	// Shards selects the engine's shard count: every event is tagged with
 	// the shard of the node it belongs to, each node's ranks owning one
 	// shard (round-robin when nodes outnumber shards). There is one event
@@ -200,9 +194,6 @@ func (c *Config) defaults() {
 	if c.Perturb != nil {
 		c.Machine.Perturb = c.Perturb
 	}
-	if c.Machine.Perturb.Active() {
-		c.StealBackoff = true
-	}
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
@@ -238,6 +229,12 @@ type Runtime struct {
 	// serve is the open-system bookkeeping; non-nil only for Serve runs.
 	serve *serveState
 
+	// stealBackoff replaces the fixed idle backoff with a bounded
+	// exponential one after a few consecutive failed steals (reset on
+	// success). On exactly when the perturbation model is active (see
+	// idleDelay); the fixed backoff is part of the golden timing.
+	stealBackoff bool
+
 	tr        *traceState // non-nil when Config.Trace or Config.Tracer is set
 	lastStats *RunStats   // stats of the completed run (for TraceLog's Check block)
 	lastServe *ServeStats // stats of the completed Serve run (for TraceLog's Serve block)
@@ -271,11 +268,12 @@ func New(cfg Config) *Runtime {
 	eng := sim.NewEngineShards(cfg.Shards)
 	fab := rdma.NewFabric(eng, cfg.Machine, cfg.Workers, 1<<20)
 	rt := &Runtime{
-		cfg:      cfg,
-		eng:      eng,
-		fab:      fab,
-		objs:     remobj.NewSpace(fab, cfg.RemoteFree),
-		joinInfo: make(map[rdma.Loc]*joinInfo),
+		cfg:          cfg,
+		eng:          eng,
+		fab:          fab,
+		objs:         remobj.NewSpace(fab, cfg.RemoteFree),
+		joinInfo:     make(map[rdma.Loc]*joinInfo),
+		stealBackoff: cfg.Machine.Perturb.Active(),
 	}
 	if cfg.Tracer != nil || cfg.Trace {
 		tr := cfg.Tracer
@@ -517,12 +515,7 @@ func (rt *Runtime) joinResumed(w *Worker, e rdma.Loc, task, req int64) {
 		rt.jstats.Resumed++
 		rt.readyOJ--
 		ji.ready = false
-		if rt.tr != nil {
-			rt.tr.tr.Event(obs.Event{
-				T: ji.readyAt, Dur: wait, Rank: w.rank, Kind: TraceResume,
-				Task: task, Peer: -1, Req: req,
-			})
-		}
+		rt.traceEvent(obs.Event{T: ji.readyAt, Rank: w.rank, Kind: obs.KindResume, Task: task, Peer: -1, Req: req})
 		if w.ob != nil {
 			w.ob.ojWait.Observe(wait)
 		}

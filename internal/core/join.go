@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"contsteal/internal/obs"
 	"contsteal/internal/rdma"
 )
 
@@ -174,7 +175,7 @@ func (rt *Runtime) joinGreedy(c *Ctx, h Handle) []byte {
 		t.state = tSuspended
 		t.waitingOn = h.E
 		rt.joinSuspended(h.E)
-		rt.traceEventReq(TraceSuspend, w.rank, t.id, -1, p.Now(), t.reqTag)
+		rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindSuspend, Task: t.id, Peer: -1, Req: t.reqTag})
 		f2 := rt.fab.FetchAdd(p, w.rank, flagWord(h.E), 1) // line 46
 		if f2 == 0 {
 			// The joining thread won the race (lines 47-48): this worker
@@ -258,7 +259,7 @@ func (rt *Runtime) joinPoll(c *Ctx, h Handle) []byte {
 		t.state = tSuspended
 		t.waitingOn = h.E
 		rt.joinSuspended(h.E)
-		rt.traceEventReq(TraceSuspend, w.rank, t.id, -1, p.Now(), t.reqTag)
+		rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindSuspend, Task: t.id, Peer: -1, Req: t.reqTag})
 		w.waitQ = append(w.waitQ, t) // line 16: PUSHTOWAITQUEUE
 		p.Sleep(rt.cfg.Machine.CtxSwitch)
 		w.toScheduler() // line 17
@@ -365,7 +366,7 @@ func (rt *Runtime) joinFutureGreedy(c *Ctx, h Handle) []byte {
 		t.state = tSuspended
 		t.waitingOn = h.E
 		rt.joinSuspended(h.E)
-		rt.traceEventReq(TraceSuspend, w.rank, t.id, -1, p.Now(), t.reqTag)
+		rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindSuspend, Task: t.id, Peer: -1, Req: t.reqTag})
 		if s := rt.fab.FetchAdd(p, w.rank, field(h.E, meSlots+int(i)*slotStride, 8), 1); s == 0 {
 			// Registered before completion: park until the die resumes us.
 			p.Sleep(rt.cfg.Machine.CtxSwitch)

@@ -76,7 +76,7 @@ func TestPerturbationsOffIsByteIdenticalTiming(t *testing.T) {
 		cfg := testConfig(pol, 4)
 		cfg.Perturb = &topo.Perturb{Seed: 123} // inactive: all magnitudes zero
 		pert := New(cfg)
-		if pert.cfg.StealBackoff {
+		if pert.stealBackoff {
 			t.Fatalf("%v: inactive perturbation auto-enabled steal backoff", pol)
 		}
 		_, rs1 := pert.Run(fibTask(13))
@@ -111,7 +111,7 @@ func TestPerturbedRunVerifiesAndSlowsDown(t *testing.T) {
 	}
 	run := func(cfg Config) (int64, RunStats, *Trace) {
 		rt := New(cfg)
-		if !rt.cfg.StealBackoff {
+		if !rt.stealBackoff {
 			t.Fatal("active perturbation did not auto-enable steal backoff")
 		}
 		ret, rs := rt.Run(fibTask(13))
@@ -161,9 +161,9 @@ func TestIdleDelayBackoffBoundedAndGated(t *testing.T) {
 	if d := w.idleDelay(); d != idleBackoff {
 		t.Errorf("backoff disabled but idleDelay = %v", d)
 	}
-	cfg := testConfig(ContGreedy, 2)
-	cfg.StealBackoff = true
-	w = New(cfg).workers[0]
+	rt = New(testConfig(ContGreedy, 2))
+	rt.stealBackoff = true
+	w = rt.workers[0]
 	prev := sim.Time(0)
 	for streak := 0; streak <= stealBackoffAfter; streak++ {
 		w.failStreak = streak

@@ -14,7 +14,7 @@ import (
 // the request tag of the DAG it belongs to (obs.Event.Req), so a request's
 // sojourn [At, End] can be cut into disjoint components whose sum equals
 // Sojourn() to the tick — the same exactness contract Verify() enforces for
-// the closed-system counters, checked per request by VerifyRequests.
+// the closed-system counters, checked per request by CheckRequests.
 
 // ServeCheck embeds the open-system counters (and the per-request
 // completion log) into a serve trace, making the file self-contained for
@@ -26,16 +26,6 @@ type ServeCheck struct {
 	Completed uint64        `json:"completed"`
 	InFlight  uint64        `json:"inflight"`
 	Done      []RequestDone `json:"done"` // sorted by (End, ID), like ServeStats.Done
-}
-
-func newServeCheck(ss *ServeStats) *ServeCheck {
-	return &ServeCheck{
-		Admitted:  ss.Admitted,
-		Injected:  ss.Injected,
-		Completed: ss.Completed,
-		InFlight:  ss.InFlight,
-		Done:      ss.Done,
-	}
 }
 
 // RequestAttribution decomposes one request's sojourn. The components are
@@ -248,12 +238,13 @@ func (a *RequestAttribution) sweep(ivls []reqInterval) {
 	a.JoinWait = into[classJoin]
 }
 
-// VerifyRequests cross-checks the trace-derived per-request attribution
-// against the embedded ServeCheck block: the attribution must reproduce the
-// completion log exactly (same requests, same arrival and completion
-// ticks, in the same (End, ID) order) and every request's components must
-// sum to its sojourn to the tick. Returns nil when everything matches.
-func (t *Trace) VerifyRequests() error {
+// CheckRequests cross-checks a per-request attribution (as returned by
+// RequestAttribution) against the embedded ServeCheck block: the attribution
+// must reproduce the completion log exactly (same requests, same arrival and
+// completion ticks, in the same (End, ID) order) and every request's
+// components must sum to its sojourn to the tick. Returns nil when everything
+// matches.
+func (t *Trace) CheckRequests(atts []RequestAttribution) error {
 	if t.Serve == nil {
 		return fmt.Errorf("trace has no serve block (not an open-system run?)")
 	}
@@ -265,7 +256,6 @@ func (t *Trace) VerifyRequests() error {
 	if uint64(len(ck.Done)) != ck.Completed {
 		return fmt.Errorf("serve check lists %d completions but completed=%d", len(ck.Done), ck.Completed)
 	}
-	atts := t.RequestAttribution()
 	if len(atts) != len(ck.Done) {
 		return fmt.Errorf("trace attributes %d requests but stats completed %d", len(atts), len(ck.Done))
 	}
@@ -285,6 +275,10 @@ func (t *Trace) VerifyRequests() error {
 	}
 	return nil
 }
+
+// VerifyRequests attributes the trace and checks it (CheckRequests). A
+// caller that also wants the attribution builds it once and checks that.
+func (t *Trace) VerifyRequests() error { return t.CheckRequests(t.RequestAttribution()) }
 
 // Percentile returns the q-quantile of a sorted sample as an exact order
 // statistic (the ⌈n·q⌉-th smallest, clamped to the sample) — the same rule

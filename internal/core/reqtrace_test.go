@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,6 +26,7 @@ func TestServeRequestConservationEveryCell(t *testing.T) {
 			if err := tr.VerifyRequests(); err != nil {
 				t.Fatalf("%v shards=%d: %v", pol, shards, err)
 			}
+			requestChecksAgree(t, tr)
 			atts := tr.RequestAttribution()
 			if len(atts) != len(st.Done) {
 				t.Fatalf("%v shards=%d: %d attributions, %d completions", pol, shards, len(atts), len(st.Done))
@@ -50,6 +52,33 @@ func TestServeRequestConservationEveryCell(t *testing.T) {
 			if compute == 0 {
 				t.Errorf("%v shards=%d: no compute attributed to any request", pol, shards)
 			}
+		}
+	}
+}
+
+// requestChecksAgree holds VerifyRequests to CheckRequests over a freshly
+// built attribution — same verdict, same words — on tr as recorded and on
+// copies with a counter off by one or one completion moved by a tick, which
+// both must refuse.
+func requestChecksAgree(t *testing.T, tr *Trace) {
+	t.Helper()
+	recorded := tr.Serve
+	defer func() { tr.Serve = recorded }()
+	for name, corrupt := range map[string]func(*ServeCheck){
+		"recorded":  func(*ServeCheck) {},
+		"completed": func(c *ServeCheck) { c.Completed++ },
+		"admitted":  func(c *ServeCheck) { c.Admitted++ },
+		"window": func(c *ServeCheck) {
+			c.Done = append([]RequestDone(nil), c.Done...)
+			c.Done[0].End++
+		},
+	} {
+		ck := *recorded
+		corrupt(&ck)
+		tr.Serve = &ck
+		verr, cerr := tr.VerifyRequests(), tr.CheckRequests(tr.RequestAttribution())
+		if fmt.Sprint(verr) != fmt.Sprint(cerr) || (name == "recorded") != (verr == nil) {
+			t.Errorf("%s: VerifyRequests = %v, CheckRequests(RequestAttribution()) = %v", name, verr, cerr)
 		}
 	}
 }

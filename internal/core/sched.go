@@ -11,11 +11,11 @@ import (
 // on realistic machines the failed steal itself dominates).
 const idleBackoff = 100 * sim.Nanosecond
 
-// Steal backoff (Config.StealBackoff): after stealBackoffAfter consecutive
+// Steal backoff (Runtime.stealBackoff): after stealBackoffAfter consecutive
 // failed steals the idle delay doubles per additional failure, capped at
 // idleBackoff << stealBackoffShiftMax (12.8 µs), and resets on the next
-// successful steal. Off by default — the fixed idleBackoff is part of the
-// golden timing — and auto-enabled under active perturbation, where idle
+// successful steal. Off without perturbation — the fixed idleBackoff is part
+// of the golden timing — and on under active perturbation, where idle
 // workers hammering straggler/degraded victims at full rate would inflate
 // contention far beyond what a real backoff-equipped runtime shows.
 const (
@@ -36,7 +36,7 @@ const hierEscalateAfter = 2
 // idleDelay returns the duration of one idle-loop sleep: the fixed
 // idleBackoff, or the bounded exponential backoff when enabled.
 func (w *Worker) idleDelay() sim.Time {
-	if !w.rt.cfg.StealBackoff {
+	if !w.rt.stealBackoff {
 		return idleBackoff
 	}
 	excess := w.failStreak - stealBackoffAfter
@@ -352,7 +352,7 @@ func (w *Worker) stealSucceeded(task int64, victim int, start sim.Time, size, re
 	if w.ob != nil {
 		w.ob.stealLat.Observe(lat)
 	}
-	w.rt.traceSteal(w.rank, task, victim, start, size, req)
+	w.rt.traceEvent(obs.Event{T: start, Rank: w.rank, Kind: obs.KindSteal, Task: task, Peer: victim, Size: size, Req: req})
 }
 
 // stealFailed books a failed attempt: the protocol chain window is the
@@ -368,7 +368,7 @@ func (w *Worker) stealFailed(victim *Worker, start sim.Time, chain sim.Time) {
 	if w.ob != nil {
 		w.ob.chainFail.Observe(chain)
 	}
-	w.rt.traceEvent(obs.KindStealFail, w.rank, -1, victim.rank, start)
+	w.rt.traceEvent(obs.Event{T: start, Rank: w.rank, Kind: obs.KindStealFail, Task: -1, Peer: victim.rank})
 }
 
 // startChildTask begins a stolen or locally popped child task as a fully

@@ -138,8 +138,10 @@ func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 			// Arrival and admission coincide today (admission decisions are
 			// made before injection); the two instants are the seam where an
 			// SLO-aware admission delay will appear between them.
-			rt.traceServe(obs.KindServeArrive, w.rank, r.ID+1)
-			rt.traceServe(obs.KindServeAdmit, w.rank, r.ID+1)
+			ev := obs.Event{T: rt.eng.Now(), Rank: w.rank, Kind: obs.KindServeArrive, Task: -1, Peer: -1, Req: r.ID + 1}
+			rt.traceEvent(ev)
+			ev.Kind = obs.KindServeAdmit
+			rt.traceEvent(ev)
 			w.inbox = append(w.inbox, &r)
 			rt.wakeDozers()
 		})
@@ -188,23 +190,13 @@ func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 	return st
 }
 
-// traceServe records one serve lifecycle instant at the current virtual
-// time. req is the request tag (request ID + 1).
-func (rt *Runtime) traceServe(kind obs.Kind, rank int, req int64) {
-	ts := rt.tr
-	if ts == nil {
-		return
-	}
-	ts.tr.Event(obs.Event{T: rt.eng.Now(), Rank: rank, Kind: kind, Task: -1, Peer: -1, Req: req})
-}
-
 // requestDone books one completed request at the current virtual time and
 // flips the runtime's done flag when the system has drained.
 func (rt *Runtime) requestDone(w *Worker, r *Request) {
 	s := rt.serve
 	now := rt.eng.Now()
 	s.completed++
-	rt.traceServe(obs.KindServeDone, w.rank, r.ID+1)
+	rt.traceEvent(obs.Event{T: now, Rank: w.rank, Kind: obs.KindServeDone, Task: -1, Peer: -1, Req: r.ID + 1})
 	s.done = append(s.done, RequestDone{ID: r.ID, At: r.At, End: now})
 	if w.ob != nil && w.ob.sojourn != nil {
 		w.ob.sojourn.Observe(now - r.At)
@@ -235,7 +227,7 @@ func (w *Worker) startRequest(p *sim.Proc) {
 	}
 	t.req = r
 	t.reqTag = r.ID + 1
-	rt.traceServe(obs.KindServeStart, w.rank, t.reqTag)
+	rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindServeStart, Task: -1, Peer: -1, Req: t.reqTag})
 	w.setCurrent(t)
 	t.start()
 	p.Park()
@@ -254,7 +246,7 @@ func (w *Worker) runRequestInline(p *sim.Proc) {
 	// not tracing is on) and the worker's request register while it runs.
 	rt.childSeq++
 	id, tag := rt.childSeq, r.ID+1
-	rt.traceServe(obs.KindServeStart, w.rank, tag)
+	rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindServeStart, Task: -1, Peer: -1, Req: tag})
 	rt.traceRunStart(w.rank, id, tag)
 	saved := w.curReq
 	w.curReq = tag

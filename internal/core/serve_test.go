@@ -191,7 +191,7 @@ func TestServeSojournHistogramMatchesCompletions(t *testing.T) {
 }
 
 // TestServeLateArrivalAfterIdleBackoff is the regression test for the
-// steal-backoff reset: with StealBackoff enabled, a long-idle system must
+// steal-backoff reset: with steal backoff enabled, a long-idle system must
 // pick up a late arrival at the base idle delay, not after sleeping out a
 // backoff streak accumulated during the idle period (the waitQ-resume and
 // inbox paths both reset the streak). The late request's sojourn is
@@ -204,9 +204,8 @@ func TestServeLateArrivalAfterIdleBackoff(t *testing.T) {
 			{ID: 0, At: 0, Fn: fibTask(8)},
 			{ID: 1, At: 200 * sim.Microsecond, Fn: fibTask(4)},
 		}
-		cfg := testConfig(pol, 2)
-		cfg.StealBackoff = true
-		rt := New(cfg)
+		rt := New(testConfig(pol, 2))
+		rt.stealBackoff = true
 		st := rt.Serve(reqs, 0)
 		if st.Completed != 2 {
 			t.Fatalf("%v: completed=%d, want 2", pol, st.Completed)

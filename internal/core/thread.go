@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"contsteal/internal/deque"
+	"contsteal/internal/obs"
 	"contsteal/internal/rdma"
 	"contsteal/internal/sim"
 	"contsteal/internal/uniaddr"
@@ -103,7 +104,7 @@ type Worker struct {
 	curReq int64
 
 	// failStreak counts consecutive failed steals since the last success;
-	// it drives the idle exponential backoff when Config.StealBackoff is on,
+	// it drives the idle exponential backoff when Runtime.stealBackoff is on,
 	// and the intra-node→cluster escalation of the hierarchical victim
 	// policy.
 	failStreak int
@@ -368,7 +369,7 @@ func (w *Worker) resume(p *sim.Proc, t *Thread) sim.Time {
 		t.waitingOn = rdma.Loc{}
 	}
 	if migrated {
-		w.rt.traceEventReq(TraceMigrate, w.rank, t.id, -1, start, t.reqTag)
+		w.rt.traceEvent(obs.Event{T: start, Rank: w.rank, Kind: obs.KindMigrate, Task: t.id, Peer: -1, Req: t.reqTag})
 		if w.ob != nil {
 			w.ob.migrate.Observe(copyTime)
 		}

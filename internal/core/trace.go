@@ -25,22 +25,6 @@ import (
 // `repro analyze` exploits to cross-check the trace against the stats to
 // the tick (see TraceCheck).
 
-// TraceEventKind classifies trace events (alias of obs.Kind).
-type TraceEventKind = obs.Kind
-
-// Scheduler-level trace event kinds, re-exported for compatibility.
-const (
-	TraceRun     = obs.KindRun     // a task occupying a worker
-	TraceSteal   = obs.KindSteal   // a successful steal (duration = latency)
-	TraceSuspend = obs.KindSuspend // a join suspension (instant)
-	TraceResume  = obs.KindResume  // an outstanding join resuming (duration = wait since ready)
-	TraceMigrate = obs.KindMigrate // a thread arriving from another rank
-)
-
-// TraceEvent is one recorded event (alias of obs.Event). Dur is zero for
-// instant events.
-type TraceEvent = obs.Event
-
 // TraceCheck carries the counter-derived totals that specific trace span
 // families must reproduce exactly: Σ compute == BusyTime, Σ steal ==
 // StealLatency, Σ steal.fail == StealSearchTime, Σ resume ==
@@ -70,8 +54,8 @@ type Trace struct {
 	// Serve is the open-system cross-check block, present only for traces
 	// recorded by Runtime.Serve (omitempty keeps closed-system trace files
 	// byte-identical to pre-serve revisions). See VerifyRequests.
-	Serve  *ServeCheck  `json:"serve,omitempty"`
-	Events []TraceEvent `json:"events"`
+	Serve  *ServeCheck `json:"serve,omitempty"`
+	Events []obs.Event `json:"events"` // Dur is zero for instants
 }
 
 // runFrame is one open run span (nested under ChildRtC inline execution).
@@ -116,38 +100,18 @@ func (rt *Runtime) traceRunEnd(rank int) {
 	s := ts.stack[rank]
 	f := s[len(s)-1]
 	ts.stack[rank] = s[:len(s)-1]
-	ts.tr.Event(obs.Event{
-		T: f.since, Dur: rt.eng.Now() - f.since,
-		Rank: rank, Kind: TraceRun, Task: f.task, Peer: -1, Req: f.req,
-	})
+	rt.traceEvent(obs.Event{T: f.since, Rank: rank, Kind: obs.KindRun, Task: f.task, Peer: -1, Req: f.req})
 }
 
-func (rt *Runtime) traceEvent(kind TraceEventKind, rank int, task int64, peer int, start sim.Time) {
-	rt.traceEventReq(kind, rank, task, peer, start, 0)
-}
-
-// traceEventReq is traceEvent with an explicit serve request tag.
-func (rt *Runtime) traceEventReq(kind TraceEventKind, rank int, task int64, peer int, start sim.Time, req int64) {
-	ts := rt.tr
-	if ts == nil {
-		return
+// traceEvent records e as the span [e.T, now) — an instant when e.T is now.
+// Every scheduler-level event whose window closes at the current virtual
+// time goes through here, so a span covers exactly the window its counter
+// was incremented over; an untraced runtime pays one branch.
+func (rt *Runtime) traceEvent(e obs.Event) {
+	if ts := rt.tr; ts != nil {
+		e.Dur = rt.eng.Now() - e.T
+		ts.tr.Event(e)
 	}
-	ts.tr.Event(obs.Event{
-		T: start, Dur: rt.eng.Now() - start, Rank: rank, Kind: kind, Task: task, Peer: peer, Req: req,
-	})
-}
-
-// traceSteal records a successful steal span: same window as the
-// StealLatency increment at its call sites, plus the stolen payload size.
-func (rt *Runtime) traceSteal(rank int, task int64, peer int, start sim.Time, size, req int64) {
-	ts := rt.tr
-	if ts == nil {
-		return
-	}
-	ts.tr.Event(obs.Event{
-		T: start, Dur: rt.eng.Now() - start, Rank: rank, Kind: TraceSteal,
-		Task: task, Peer: peer, Size: size, Req: req,
-	})
 }
 
 // TraceLog returns the recorded trace, nil unless Config.Trace was set
@@ -178,7 +142,10 @@ func (rt *Runtime) TraceLog() *Trace {
 		}
 	}
 	if ss := rt.lastServe; ss != nil {
-		t.Serve = newServeCheck(ss)
+		t.Serve = &ServeCheck{
+			Admitted: ss.Admitted, Injected: ss.Injected, Completed: ss.Completed,
+			InFlight: ss.InFlight, Done: ss.Done,
+		}
 	}
 	return t
 }
@@ -189,11 +156,24 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// ReadTraceJSON parses a trace previously written by WriteJSON.
+// ReadTraceJSON parses a trace previously written by WriteJSON. A file is
+// outside input: the shape every reader below indexes by is checked here,
+// once (the recording path produces it by construction).
 func ReadTraceJSON(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, err
+	}
+	if t.Workers < 0 {
+		return nil, fmt.Errorf("workers must be non-negative, got %d", t.Workers)
+	}
+	for i, e := range t.Events {
+		if e.Rank < 0 || e.Rank >= t.Workers {
+			return nil, fmt.Errorf("events[%d]: rank %d outside [0, %d) (workers)", i, e.Rank, t.Workers)
+		}
+		if e.Dur < 0 {
+			return nil, fmt.Errorf("events[%d]: dur must be non-negative, got %d", i, int64(e.Dur))
+		}
 	}
 	return &t, nil
 }
@@ -264,20 +244,12 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	for rank := 0; rank < t.Workers; rank++ {
 		for track := 0; track < numTracks; track++ {
 			tid := rank*numTracks + track
-			out.TraceEvents = append(out.TraceEvents,
-				chromeEvent{
-					Name: "thread_name", Ph: "M", Pid: rank / cpn, Tid: tid,
-					Args: map[string]any{"name": fmt.Sprintf(trackName[track], rank)},
-				},
-				chromeEvent{
-					Name: "thread_sort_index", Ph: "M", Pid: rank / cpn, Tid: tid,
-					Args: map[string]any{"sort_index": tid},
-				})
+			out.TraceEvents = append(out.TraceEvents, threadMeta(rank/cpn, tid, fmt.Sprintf(trackName[track], rank))...)
 		}
 	}
 	// Stable event order: by virtual time, then rank; ties keep emission
 	// (engine-dispatch) order, which is itself deterministic.
-	evs := make([]TraceEvent, len(t.Events))
+	evs := make([]obs.Event, len(t.Events))
 	copy(evs, t.Events)
 	sort.SliceStable(evs, func(i, j int) bool {
 		if evs[i].T != evs[j].T {
@@ -293,54 +265,16 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 	flowSrc := make(map[int64]flowEnd)
 	flowDst := make(map[int64]flowEnd)
-	for _, e := range evs {
+	for i := range evs {
+		e := &evs[i]
 		pid := e.Rank / cpn
 		tid := e.Rank*numTracks + trackOf(e.Kind)
-		ce := chromeEvent{
-			Ts:  e.T.Micros(),
-			Pid: pid,
-			Tid: tid,
-			Args: map[string]any{
-				"task": e.Task,
-			},
-		}
+		args := map[string]any{"task": e.Task}
 		if e.Peer >= 0 {
-			ce.Args["peer"] = e.Peer
+			args["peer"] = e.Peer
 		}
 		if e.Size > 0 {
-			ce.Args["size"] = e.Size
-		}
-		switch e.Kind {
-		case TraceRun:
-			ce.Name = fmt.Sprintf("task %d", e.Task)
-			ce.Ph = "X"
-			ce.Dur = e.Dur.Micros()
-		case TraceSteal:
-			ce.Name = fmt.Sprintf("steal from %d", e.Peer)
-			ce.Ph = "X"
-			ce.Dur = e.Dur.Micros()
-		case TraceSuspend:
-			ce.Name = string(e.Kind)
-			ce.Ph = "i"
-			ce.Args["s"] = "t"
-		case TraceResume:
-			// The span [readyAt, resume) is the outstanding-join wait; the
-			// rank was doing other work meanwhile, so render the resume
-			// instant and keep the wait as an argument.
-			ce.Name = string(e.Kind)
-			ce.Ph = "i"
-			ce.Ts = (e.T + e.Dur).Micros()
-			ce.Args["s"] = "t"
-			ce.Args["oj_wait_us"] = e.Dur.Micros()
-		default:
-			ce.Name = string(e.Kind)
-			if e.Dur > 0 {
-				ce.Ph = "X"
-				ce.Dur = e.Dur.Micros()
-			} else {
-				ce.Ph = "i"
-				ce.Args["s"] = "t"
-			}
+			args["size"] = e.Size
 		}
 		if e.ID != 0 {
 			switch e.Kind {
@@ -349,9 +283,9 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 			case obs.KindDequeRead:
 				flowDst[e.ID] = flowEnd{ts: e.T.Micros(), pid: pid, tid: tid}
 			}
-			ce.Args["chain"] = e.ID
+			args["chain"] = e.ID
 		}
-		out.TraceEvents = append(out.TraceEvents, ce)
+		out.TraceEvents = append(out.TraceEvents, chromeSpan(e, pid, tid, args))
 	}
 	// Emit flow pairs in id order for stable output.
 	ids := make([]int64, 0, len(flowSrc))
@@ -372,6 +306,37 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
+// threadMeta labels timeline row (pid, tid) and fixes its position.
+func threadMeta(pid, tid int, name string) []chromeEvent {
+	return []chromeEvent{
+		{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}},
+		{Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"sort_index": tid}},
+	}
+}
+
+// chromeSpan renders one event on timeline row (pid, tid): a complete ("X")
+// span, or a thread-scoped instant when it has no duration.
+func chromeSpan(e *obs.Event, pid, tid int, args map[string]any) chromeEvent {
+	ce := chromeEvent{Name: string(e.Kind), Ph: "X", Ts: e.T.Micros(), Dur: e.Dur.Micros(), Pid: pid, Tid: tid, Args: args}
+	switch {
+	case e.Kind == obs.KindRun:
+		ce.Name = fmt.Sprintf("task %d", e.Task)
+	case e.Kind == obs.KindSteal:
+		ce.Name = fmt.Sprintf("steal from %d", e.Peer)
+	case e.Kind == obs.KindResume:
+		// The span [readyAt, resume) is the outstanding-join wait; the
+		// rank was doing other work meanwhile, so render the resume
+		// instant and keep the wait as an argument.
+		ce.Ph, ce.Ts, ce.Dur = "i", (e.T + e.Dur).Micros(), 0
+		args["s"] = "t"
+		args["oj_wait_us"] = e.Dur.Micros()
+	case e.Dur == 0:
+		ce.Ph = "i"
+		args["s"] = "t"
+	}
+	return ce
+}
+
 // slowRequestK is how many of a serve trace's slowest requests get their
 // own span-tree process in the Chrome export.
 const slowRequestK = 3
@@ -380,6 +345,15 @@ const slowRequestK = 3
 // id space.
 const reqFlowBase = 1_000_000
 
+// slowRequest is one selected request's span-tree process under
+// construction.
+type slowRequest struct {
+	pid                 int
+	rows                []chromeEvent
+	taskTid             map[int64]int
+	arrive, start, done *obs.Event
+}
+
 // appendSlowRequests adds one Chrome process per slowest request of a serve
 // trace (pid = nodes + i): a lifecycle row (arrival/admit/start/done
 // instants, steals, fabric ops) plus one row per task of the request's DAG
@@ -387,7 +361,7 @@ const reqFlowBase = 1_000_000
 // rank timelines. Per-request flow arrows (arrive → start → done) are drawn
 // on the rank timelines so the request's path across ranks is visible in
 // context. Closed-system traces have no Serve block and are unaffected.
-func (t *Trace) appendSlowRequests(out *[]chromeEvent, evs []TraceEvent, nodes, cpn int) {
+func (t *Trace) appendSlowRequests(out *[]chromeEvent, evs []obs.Event, nodes, cpn int) {
 	if t.Serve == nil || len(t.Serve.Done) == 0 {
 		return
 	}
@@ -402,116 +376,70 @@ func (t *Trace) appendSlowRequests(out *[]chromeEvent, evs []TraceEvent, nodes, 
 	if len(sel) > slowRequestK {
 		sel = sel[:slowRequestK]
 	}
+	byTag := make(map[int64]*slowRequest, len(sel))
 	for i, d := range sel {
-		tag := d.ID + 1
 		pid := nodes + i
-		*out = append(*out,
-			chromeEvent{
+		byTag[d.ID+1] = &slowRequest{pid: pid, taskTid: map[int64]int{}, rows: []chromeEvent{
+			{
 				Name: "process_name", Ph: "M", Pid: pid,
 				Args: map[string]any{"name": fmt.Sprintf("slow request %d (sojourn %.3f us)", d.ID, d.Sojourn().Micros())},
 			},
-			chromeEvent{
+			{
 				Name: "process_sort_index", Ph: "M", Pid: pid,
 				Args: map[string]any{"sort_index": pid},
 			},
-			chromeEvent{
+			{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
 				Args: map[string]any{"name": "lifecycle/protocol"},
-			})
-		taskTid := map[int64]int{}
-		var arrive, start, done *TraceEvent
-		for j := range evs {
-			e := &evs[j]
-			if e.Req != tag {
-				continue
-			}
-			switch e.Kind {
-			case obs.KindServeArrive:
-				arrive = e
-			case obs.KindServeStart:
-				if start == nil {
-					start = e
-				}
-			case obs.KindServeDone:
-				done = e
-			}
-			tid := 0
-			if e.Kind == TraceRun || e.Kind == obs.KindCompute || e.Kind == TraceSuspend {
-				id, ok := taskTid[e.Task]
-				if !ok {
-					id = 1 + len(taskTid)
-					taskTid[e.Task] = id
-					*out = append(*out,
-						chromeEvent{
-							Name: "thread_name", Ph: "M", Pid: pid, Tid: id,
-							Args: map[string]any{"name": fmt.Sprintf("task %d", e.Task)},
-						},
-						chromeEvent{
-							Name: "thread_sort_index", Ph: "M", Pid: pid, Tid: id,
-							Args: map[string]any{"sort_index": id},
-						})
-				}
-				tid = id
-			}
-			ce := chromeEvent{
-				Ts: e.T.Micros(), Pid: pid, Tid: tid,
-				Args: map[string]any{"task": e.Task, "rank": e.Rank},
-			}
-			switch {
-			case e.Kind == TraceRun:
-				ce.Name = fmt.Sprintf("task %d", e.Task)
-				ce.Ph = "X"
-				ce.Dur = e.Dur.Micros()
-			case e.Kind == TraceSteal:
-				ce.Name = fmt.Sprintf("steal from %d", e.Peer)
-				ce.Ph = "X"
-				ce.Dur = e.Dur.Micros()
-			case e.Kind == TraceResume:
-				ce.Name = string(e.Kind)
-				ce.Ph = "i"
-				ce.Ts = (e.T + e.Dur).Micros()
-				ce.Args["s"] = "t"
-				ce.Args["oj_wait_us"] = e.Dur.Micros()
-			case e.Dur > 0:
-				ce.Name = string(e.Kind)
-				ce.Ph = "X"
-				ce.Dur = e.Dur.Micros()
-			default:
-				ce.Name = string(e.Kind)
-				ce.Ph = "i"
-				ce.Args["s"] = "t"
-			}
-			*out = append(*out, ce)
+			},
+		}}
+	}
+	for j := range evs {
+		e := &evs[j]
+		r := byTag[e.Req]
+		if r == nil {
+			continue
 		}
+		switch e.Kind {
+		case obs.KindServeArrive:
+			r.arrive = e
+		case obs.KindServeStart:
+			if r.start == nil {
+				r.start = e
+			}
+		case obs.KindServeDone:
+			r.done = e
+		}
+		tid := 0
+		if e.Kind == obs.KindRun || e.Kind == obs.KindCompute || e.Kind == obs.KindSuspend {
+			id, ok := r.taskTid[e.Task]
+			if !ok {
+				id = 1 + len(r.taskTid)
+				r.taskTid[e.Task] = id
+				r.rows = append(r.rows, threadMeta(r.pid, id, fmt.Sprintf("task %d", e.Task))...)
+			}
+			tid = id
+		}
+		r.rows = append(r.rows, chromeSpan(e, r.pid, tid, map[string]any{"task": e.Task, "rank": e.Rank}))
+	}
+	for _, d := range sel {
+		r := byTag[d.ID+1]
+		*out = append(*out, r.rows...)
 		// Flow arrows on the rank timelines: arrive → first start → done.
-		flowID := reqFlowBase + tag
-		hop := func(ph string, e *TraceEvent, bp string) {
+		hop := func(ph string, e *obs.Event, bp string) {
 			*out = append(*out, chromeEvent{
-				Name: fmt.Sprintf("request %d", d.ID), Ph: ph, Cat: "req", ID: flowID, BP: bp,
+				Name: fmt.Sprintf("request %d", d.ID), Ph: ph, Cat: "req", ID: reqFlowBase + d.ID + 1, BP: bp,
 				Ts: e.T.Micros(), Pid: e.Rank / cpn, Tid: e.Rank * numTracks,
 			})
 		}
-		if arrive != nil && done != nil {
-			hop("s", arrive, "")
-			if start != nil {
-				hop("t", start, "")
+		if r.arrive != nil && r.done != nil {
+			hop("s", r.arrive, "")
+			if r.start != nil {
+				hop("t", r.start, "")
 			}
-			hop("f", done, "e")
+			hop("f", r.done, "e")
 		}
 	}
-}
-
-// BusyTimePerRank integrates compute-span durations per rank. Compute spans
-// are recorded at the exact site that accumulates WorkerStats.BusyTime, so
-// the sum over ranks equals RunStats.Work.BusyTime to the tick.
-func (t *Trace) BusyTimePerRank() []sim.Time {
-	busy := make([]sim.Time, t.Workers)
-	for _, e := range t.Events {
-		if e.Kind == obs.KindCompute {
-			busy[e.Rank] += e.Dur
-		}
-	}
-	return busy
 }
 
 // RankAttribution is the DelaySpotter-style decomposition of one rank's
@@ -532,16 +460,13 @@ type RankAttribution struct {
 // Attribution decomposes each worker's time into the analyze buckets.
 // Busy/StealSearch/StealXfer/OJWait are disjoint scheduler windows;
 // FabricWait is the raw fabric-occupancy view of the same time and overlaps
-// them. Totals are cross-checkable against Check (see Verify).
+// them. Totals are cross-checkable against Check (see CheckRanks).
 func (t *Trace) Attribution() []RankAttribution {
 	out := make([]RankAttribution, t.Workers)
 	for i := range out {
 		out[i].Rank = i
 	}
 	for _, e := range t.Events {
-		if e.Rank < 0 || e.Rank >= t.Workers {
-			continue
-		}
 		a := &out[e.Rank]
 		switch {
 		case e.Kind == obs.KindCompute:
@@ -564,44 +489,59 @@ func (t *Trace) Attribution() []RankAttribution {
 	return out
 }
 
-// Verify sums the attribution over ranks and compares every total against
-// the embedded counter-derived Check block. The trace and the stats must
-// agree exactly — any nonzero difference indicates an instrumentation or
-// scheduler accounting bug. Returns nil when all totals match.
-func (t *Trace) Verify() error {
-	var busy, search, xfer, oj, fab, pert sim.Time
-	var steals, fails, resumes uint64
-	for _, a := range t.Attribution() {
-		busy += a.Busy
-		search += a.StealSearch
-		xfer += a.StealXfer
-		oj += a.OJWait
-		fab += a.FabricWait
-		pert += a.PerturbWait
-		steals += a.Steals
-		fails += a.Fails
-		resumes += a.Resumes
+// CheckRow is one total the event log must reproduce to the tick: a span
+// family summed over the trace beside the RunStats counter incremented at the
+// same code site over the same window (the embedded Check block).
+type CheckRow struct {
+	Name            string
+	Trace, Counters any // sim.Time or an event count; print with %v
+}
+
+// stealCounts is the steal-attempt row: successes and failures side by side.
+type stealCounts struct{ ok, fail uint64 }
+
+func (c stealCounts) String() string { return fmt.Sprintf("%d / %d", c.ok, c.fail) }
+
+// CheckRanks sums a per-rank attribution (as returned by Attribution) and
+// holds every total against the Check block. It returns the sum, the
+// compared rows — what `repro analyze` prints — and an error naming the first
+// row that disagrees: any nonzero difference is an instrumentation or
+// scheduler accounting bug.
+func (t *Trace) CheckRanks(att []RankAttribution) (RankAttribution, []CheckRow, error) {
+	var tot RankAttribution
+	for _, a := range att {
+		tot.Busy += a.Busy
+		tot.StealSearch += a.StealSearch
+		tot.StealXfer += a.StealXfer
+		tot.OJWait += a.OJWait
+		tot.FabricWait += a.FabricWait
+		tot.PerturbWait += a.PerturbWait
+		tot.Steals += a.Steals
+		tot.Fails += a.Fails
+		tot.Resumes += a.Resumes
 	}
 	ck := t.Check
-	checks := []struct {
-		name         string
-		trace, stats int64
-	}{
-		{"busy_time", int64(busy), int64(ck.BusyTime)},
-		{"steal_latency", int64(xfer), int64(ck.StealLatency)},
-		{"steal_search_time", int64(search), int64(ck.StealSearchTime)},
-		{"outstanding_time", int64(oj), int64(ck.OutstandingTime)},
-		{"fabric_time", int64(fab), int64(ck.FabricTime)},
-		{"perturb_time", int64(pert), int64(ck.PerturbTime)},
-		{"steals_ok", int64(steals), int64(ck.StealsOK)},
-		{"steals_fail", int64(fails), int64(ck.StealsFail)},
-		{"resumed", int64(resumes), int64(ck.Resumed)},
+	rows := []CheckRow{
+		{"busy time", tot.Busy, ck.BusyTime},
+		{"steal latency", tot.StealXfer, ck.StealLatency},
+		{"steal search", tot.StealSearch, ck.StealSearchTime},
+		{"outstanding-join time", tot.OJWait, ck.OutstandingTime},
+		{"fabric time", tot.FabricWait, ck.FabricTime},
+		{"perturb time", tot.PerturbWait, ck.PerturbTime},
+		{"steals ok / fail", stealCounts{tot.Steals, tot.Fails}, stealCounts{ck.StealsOK, ck.StealsFail}},
+		{"resumes", tot.Resumes, ck.Resumed},
 	}
-	for _, c := range checks {
-		if c.trace != c.stats {
-			return fmt.Errorf("trace/stats mismatch on %s: trace=%d stats=%d (Δ%d)",
-				c.name, c.trace, c.stats, c.trace-c.stats)
+	for _, r := range rows {
+		if r.Trace != r.Counters {
+			return tot, rows, fmt.Errorf("trace/stats mismatch on %s: trace=%d stats=%d", r.Name, r.Trace, r.Counters)
 		}
 	}
-	return nil
+	return tot, rows, nil
+}
+
+// Verify attributes the trace and checks it against the embedded counters
+// (CheckRanks); nil when the trace and the stats agree exactly.
+func (t *Trace) Verify() error {
+	_, _, err := t.CheckRanks(t.Attribution())
+	return err
 }

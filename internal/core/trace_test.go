@@ -22,12 +22,12 @@ func TestTraceRecordsSpans(t *testing.T) {
 		runs, steals := 0, 0
 		for _, e := range tr.Events {
 			switch e.Kind {
-			case TraceRun:
+			case obs.KindRun:
 				runs++
 				if e.Dur < 0 || e.T < 0 || e.T+e.Dur > st.ExecTime {
 					t.Fatalf("%v: run span out of bounds: %+v (exec %v)", pol, e, st.ExecTime)
 				}
-			case TraceSteal:
+			case obs.KindSteal:
 				steals++
 				if e.Peer < 0 || e.Peer >= 3 || e.Peer == e.Rank {
 					t.Fatalf("%v: steal with bad peer: %+v", pol, e)
@@ -52,7 +52,7 @@ func TestTraceSpansDoNotOverlapPerRank(t *testing.T) {
 	type span struct{ s, e int64 }
 	perRank := make([][]span, 4)
 	for _, e := range tr.Events {
-		if e.Kind == TraceRun {
+		if e.Kind == obs.KindRun {
 			perRank[e.Rank] = append(perRank[e.Rank], span{int64(e.T), int64(e.T + e.Dur)})
 		}
 	}
@@ -77,8 +77,8 @@ func TestTraceBusyTimeMatchesStats(t *testing.T) {
 		_, st := rt.Run(fibTask(11))
 		tr := rt.TraceLog()
 		var total sim.Time
-		for _, b := range tr.BusyTimePerRank() {
-			total += b
+		for _, a := range tr.Attribution() {
+			total += a.Busy
 		}
 		if total != st.Work.BusyTime {
 			t.Errorf("%v: trace busy %d != stats busy %d", pol, total, int64(st.Work.BusyTime))
@@ -169,11 +169,11 @@ func TestTraceSuspendResumePairs(t *testing.T) {
 	suspends, resumes, migrates := 0, 0, 0
 	for _, e := range tr.Events {
 		switch e.Kind {
-		case TraceSuspend:
+		case obs.KindSuspend:
 			suspends++
-		case TraceResume:
+		case obs.KindResume:
 			resumes++
-		case TraceMigrate:
+		case obs.KindMigrate:
 			migrates++
 		}
 	}

@@ -303,7 +303,7 @@ func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64)
 		s.ph = s.t0
 	}
 	// Fast empty check: one 16-byte get of (top, bottom).
-	d.fab.GetAsync(s.c, thiefRank, d.loc(offTop, 16), s.hdr[:], s.onHdr)
+	d.fab.GetAsync(thiefRank, d.loc(offTop, 16), s.hdr[:], s.onHdr)
 	s.c.Wait()
 	entries, objs, ok := s.entries, s.objs, s.ok
 	// Reset the record, not its results: those now belong to the caller.
@@ -374,7 +374,7 @@ func (s *steal) hdrRead() {
 		s.c.Complete()
 		return
 	}
-	s.d.fab.CASAsync(s.c, s.thief, s.lockLoc(), 0, 1, s.onLock)
+	s.d.fab.CASAsync(s.thief, s.lockLoc(), 0, 1, s.onLock)
 }
 
 func (s *steal) locked(observed int64) {
@@ -385,14 +385,14 @@ func (s *steal) locked(observed int64) {
 		return
 	}
 	// Recheck under the lock.
-	s.d.fab.GetAsync(s.c, s.thief, s.d.loc(offTop, 16), s.hdr[:], s.onRecheck)
+	s.d.fab.GetAsync(s.thief, s.d.loc(offTop, 16), s.hdr[:], s.onRecheck)
 }
 
 func (s *steal) rechecked() {
 	s.phase(obs.KindDequeRecheck)
 	n := s.avail()
 	if n <= 0 {
-		s.d.fab.PutInt64Async(s.c, s.thief, s.lockLoc(), 0, s.onEmpty)
+		s.d.fab.PutInt64Async(s.thief, s.lockLoc(), 0, s.onEmpty)
 		return
 	}
 	s.k = 1
@@ -417,11 +417,11 @@ func (s *steal) emptyUnlocked() {
 func (s *steal) readNext() {
 	d := s.d
 	if s.i == s.k {
-		d.fab.PutInt64Async(s.c, s.thief, d.loc(offTop, 8), s.t+s.k, s.onAdvance)
+		d.fab.PutInt64Async(s.thief, d.loc(offTop, 8), s.t+s.k, s.onAdvance)
 		return
 	}
 	s.entries[s.i] = make([]byte, d.entrySize)
-	d.fab.GetAsync(s.c, s.thief, d.loc(d.entryOff(s.t+s.i), d.entrySize), s.entries[s.i], s.onRead)
+	d.fab.GetAsync(s.thief, d.loc(d.entryOff(s.t+s.i), d.entrySize), s.entries[s.i], s.onRead)
 }
 
 func (s *steal) entryRead() {
@@ -432,7 +432,7 @@ func (s *steal) entryRead() {
 
 func (s *steal) advanced() {
 	s.phase(obs.KindDequeAdvance)
-	s.d.fab.PutInt64Async(s.c, s.thief, s.lockLoc(), 0, s.onUnlock)
+	s.d.fab.PutInt64Async(s.thief, s.lockLoc(), 0, s.onUnlock)
 }
 
 func (s *steal) unlocked() {

@@ -16,8 +16,8 @@ func checkTraceAgreesWithStats(t *testing.T, oc *ObsCollector) {
 		t.Fatal("collector did not capture a trace")
 	}
 	var busy sim.Time
-	for _, b := range oc.Log.BusyTimePerRank() {
-		busy += b
+	for _, a := range oc.Log.Attribution() {
+		busy += a.Busy
 	}
 	if busy != oc.Stats.Work.BusyTime {
 		t.Errorf("%v: trace busy %d != stats busy %d",

@@ -143,11 +143,6 @@ type ServeParams struct {
 	NodeWork  sim.Time // default 190
 	MaxFanout int      // default 3
 	MaxDepth  int      // default 3
-	// Token-bucket sizing: the bucket refills at AdmitRate × estimated
-	// capacity and holds AdmitBurst tokens, so cells offered more than
-	// AdmitRate of capacity shed the excess instead of queueing it.
-	AdmitRate  float64 // default 0.9
-	AdmitBurst int     // default 16
 	// NoReqTrace disables request tracing on "ours" cells. By default every
 	// cell runs with the event trace on, cross-checks the per-request
 	// attribution against the serve counters (panicking on any mismatch),
@@ -181,12 +176,6 @@ func (p *ServeParams) defaults() {
 	if p.MaxDepth <= 0 {
 		p.MaxDepth = 3
 	}
-	if p.AdmitRate <= 0 {
-		p.AdmitRate = 0.9
-	}
-	if p.AdmitBurst <= 0 {
-		p.AdmitBurst = 16
-	}
 }
 
 // serveSpec builds the arrival spec for one cell.
@@ -215,14 +204,22 @@ func (p ServeParams) CapacityRps(o Options) float64 {
 	return float64(o.Workers) / (spec.ExpectedNodes() * perNode.Seconds())
 }
 
+// Token-bucket sizing: the bucket refills at admitRate × estimated capacity
+// and holds admitBurst tokens, so cells offered more than admitRate of
+// capacity shed the excess instead of queueing it.
+const (
+	admitRate  = 0.9
+	admitBurst = 16
+)
+
 // admission builds the per-cell admission policy. Policies are stateful;
 // every cell gets a fresh one.
-func (p ServeParams) admission(name string, capacityRps float64) *workload.Admission {
+func admission(name string, capacityRps float64) *workload.Admission {
 	switch name {
 	case "always":
 		return workload.AlwaysAdmit()
 	case "token":
-		return workload.TokenBucket(p.AdmitBurst, p.AdmitRate*capacityRps)
+		return workload.TokenBucket(admitBurst, admitRate*capacityRps)
 	default:
 		panic(fmt.Sprintf("experiments: unknown admission policy %q", name))
 	}
@@ -264,7 +261,7 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 	spec := p.serveSpec(process, offered, o.Seed)
 	reqs := workload.GenServe(spec)
 
-	adm := p.admission(admit, capacity)
+	adm := admission(admit, capacity)
 	admitted := make([]workload.ServeReq, 0, len(reqs))
 	for _, r := range reqs {
 		if adm.Admit(r.At) {
@@ -307,11 +304,12 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 		row.fillSojourns(sojourns, st.ExecTime)
 		if !p.NoReqTrace {
 			tlog := rt.TraceLog()
-			if err := tlog.VerifyRequests(); err != nil {
+			atts := tlog.RequestAttribution()
+			if err := tlog.CheckRequests(atts); err != nil {
 				panic(fmt.Sprintf("experiments: serve cell %s/%s/%s load %g: request attribution cross-check failed: %v",
 					system, process, admit, load, err))
 			}
-			row.Bands = ServeReqBands(tlog.RequestAttribution())
+			row.Bands = ServeReqBands(atts)
 		}
 		return row
 	}

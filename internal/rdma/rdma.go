@@ -18,10 +18,11 @@
 // race depend on. Operations by a rank on its own segment are free of
 // network latency (the caller charges local costs separately).
 //
-// The fabric is split-phase: the *Async methods issue an operation onto a
-// sim.Chain and invoke a completion callback at the op's completion time
-// (local ops run the callback inline), so multi-op protocols execute as
-// engine-loop callbacks with a single proc handoff at the end. The blocking
+// The fabric is split-phase: the *Async methods issue an operation and
+// invoke a completion callback at the op's completion time (local ops run
+// the callback inline), so a multi-op protocol executes as engine-loop
+// callbacks with a single proc handoff at the end — its issuer parked on a
+// sim.Chain that the last callback completes. The blocking
 // methods (Get, Put, CAS, ...) park the issuer until the same completion
 // and are exactly equivalent in virtual time: each remote op consumes one
 // event and one sequence number either way, a same-rank op none.
@@ -328,14 +329,13 @@ func (f *Fabric) await(p *sim.Proc, o *op, v int64) int64 {
 	return v
 }
 
-// GetAsync issues a get of len(dst) bytes from loc as one link of chain c:
-// at the op's completion time the data lands in dst, then `then` runs,
-// still within that event. A local get completes inline (no event). This is
+// GetAsync issues a get of len(dst) bytes from loc: at the op's completion
+// time the data lands in dst, then `then` runs, still within that event. A local get completes inline (no event). This is
 // the split-phase form of the paper's "get v <- L".
 //
 // dst must stay untouched by the issuer until the callback runs — the
-// issuer is normally parked in c.Wait for the duration.
-func (f *Fabric) GetAsync(c *sim.Chain, from int, loc Loc, dst []byte, then func()) {
+// issuer is normally parked in Chain.Wait for the duration.
+func (f *Fabric) GetAsync(from int, loc Loc, dst []byte, then func()) {
 	if o, _ := f.start(from, loc, opGet, dst, 0, 0); o != nil {
 		o.then = then
 	} else {
@@ -343,12 +343,11 @@ func (f *Fabric) GetAsync(c *sim.Chain, from int, loc Loc, dst []byte, then func
 	}
 }
 
-// PutAsync issues a put of src to loc as one link of chain c: the remote
-// memory becomes visible at the op's completion time, then `then` runs. src
-// must stay stable until the callback runs (the issuer is normally parked
-// in c.Wait). For the fire-and-forget put that only charges an injection
+// PutAsync issues a put of src to loc: the remote memory becomes visible at
+// the op's completion time, then `then` runs. src must stay stable until the
+// callback runs (the issuer is normally parked in Chain.Wait). For the fire-and-forget put that only charges an injection
 // cost, see PutNB.
-func (f *Fabric) PutAsync(c *sim.Chain, from int, loc Loc, src []byte, then func()) {
+func (f *Fabric) PutAsync(from int, loc Loc, src []byte, then func()) {
 	if o, _ := f.start(from, loc, opPut, src, 0, 0); o != nil {
 		o.then = then
 	} else {
@@ -356,9 +355,9 @@ func (f *Fabric) PutAsync(c *sim.Chain, from int, loc Loc, src []byte, then func
 	}
 }
 
-// GetInt64Async reads the 8-byte little-endian word at loc as one link of
-// chain c, delivering the value to `then` at the op's completion time.
-func (f *Fabric) GetInt64Async(c *sim.Chain, from int, loc Loc, then func(v int64)) {
+// GetInt64Async reads the 8-byte little-endian word at loc, delivering the
+// value to `then` at the op's completion time.
+func (f *Fabric) GetInt64Async(from int, loc Loc, then func(v int64)) {
 	if o, v := f.start(from, loc, opGet64, nil, 0, 0); o != nil {
 		o.thenV = then
 	} else {
@@ -366,9 +365,9 @@ func (f *Fabric) GetInt64Async(c *sim.Chain, from int, loc Loc, then func(v int6
 	}
 }
 
-// PutInt64Async writes an 8-byte little-endian word to loc as one link of
-// chain c; the word becomes visible at completion time, then `then` runs.
-func (f *Fabric) PutInt64Async(c *sim.Chain, from int, loc Loc, v int64, then func()) {
+// PutInt64Async writes an 8-byte little-endian word to loc; the word becomes
+// visible at completion time, then `then` runs.
+func (f *Fabric) PutInt64Async(from int, loc Loc, v int64, then func()) {
 	if o, _ := f.start(from, loc, opPut64, nil, v, 0); o != nil {
 		o.then = then
 	} else {
@@ -376,11 +375,11 @@ func (f *Fabric) PutInt64Async(c *sim.Chain, from int, loc Loc, v int64, then fu
 	}
 }
 
-// FetchAddAsync atomically adds delta to the word at loc as one link of
-// chain c; the read-modify-write applies at completion time and the prior
-// value is delivered to `then`. Because the simulation is sequential, no
+// FetchAddAsync atomically adds delta to the word at loc; the
+// read-modify-write applies at completion time and the prior value is
+// delivered to `then`. Because the simulation is sequential, no
 // other operation can interleave with the atomic.
-func (f *Fabric) FetchAddAsync(c *sim.Chain, from int, loc Loc, delta int64, then func(old int64)) {
+func (f *Fabric) FetchAddAsync(from int, loc Loc, delta int64, then func(old int64)) {
 	if o, v := f.start(from, loc, opFetchAdd, nil, delta, 0); o != nil {
 		o.thenV = then
 	} else {
@@ -389,9 +388,9 @@ func (f *Fabric) FetchAddAsync(c *sim.Chain, from int, loc Loc, delta int64, the
 }
 
 // CASAsync atomically compares the word at loc with old and, if equal,
-// replaces it with new, as one link of chain c. The observed value (== old
-// on success) is delivered to `then` at the op's completion time.
-func (f *Fabric) CASAsync(c *sim.Chain, from int, loc Loc, old, new int64, then func(observed int64)) {
+// replaces it with new. The observed value (== old on success) is delivered
+// to `then` at the op's completion time.
+func (f *Fabric) CASAsync(from int, loc Loc, old, new int64, then func(observed int64)) {
 	if o, v := f.start(from, loc, opCAS, nil, old, new); o != nil {
 		o.thenV = then
 	} else {

@@ -403,7 +403,7 @@ func TestChainReusesOneRecord(t *testing.T) {
 		c := eng.NewChain(p)
 		var link func(v int64)
 		issue := func() {
-			f.GetInt64Async(c, 0, Loc{Rank: 1, Addr: base + Addr(8*len(got)), Size: 8}, link)
+			f.GetInt64Async(0, Loc{Rank: 1, Addr: base + Addr(8*len(got)), Size: 8}, link)
 		}
 		link = func(v int64) {
 			if got = append(got, v); len(got) == 5 {
@@ -485,7 +485,7 @@ func TestRemoteOpAllocFree(t *testing.T) {
 			t.Error("remote ops lost a value")
 		}
 		c = eng.NewChain(p)
-		f.FetchAddAsync(c, 0, word, 0, then)
+		f.FetchAddAsync(0, word, 0, then)
 		c.Wait()
 		if seen != 5 {
 			t.Errorf("split-phase fetch-add delivered %d, want 5", seen)

@@ -330,7 +330,7 @@ func (s *Space) Free(p *sim.Proc, from int, loc rdma.Loc) {
 		var onLock func(observed int64)
 		onLock = func(observed int64) {
 			if observed != 0 {
-				fab.CASAsync(c, from, lock, 0, 1, onLock)
+				fab.CASAsync(from, lock, 0, 1, onLock)
 				return
 			}
 			if tr != nil {
@@ -339,16 +339,16 @@ func (s *Space) Free(p *sim.Proc, from int, loc rdma.Loc) {
 					Task: -1, Peer: int(loc.Rank), ID: sid,
 				})
 			}
-			fab.FetchAddAsync(c, from, owner.lqLoc(8, 8), 1, func(idx int64) {
+			fab.FetchAddAsync(from, owner.lqLoc(8, 8), 1, func(idx int64) {
 				if idx >= lockQueueCap {
 					panic("remobj: lock-queue overflow; owner is not draining")
 				}
-				fab.PutAsync(c, from, owner.lqLoc(16+int(idx)*rdma.LocSize, rdma.LocSize), buf[:], func() {
-					fab.PutInt64Async(c, from, lock, 0, done)
+				fab.PutAsync(from, owner.lqLoc(16+int(idx)*rdma.LocSize, rdma.LocSize), buf[:], func() {
+					fab.PutInt64Async(from, lock, 0, done)
 				})
 			})
 		}
-		fab.CASAsync(c, from, lock, 0, 1, onLock)
+		fab.CASAsync(from, lock, 0, 1, onLock)
 		c.Wait()
 	}
 }

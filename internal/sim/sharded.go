@@ -72,8 +72,8 @@ import (
 // dispatch, and the dispatching engine releases the event's reference
 // before popping the next one. A node whose count hits zero goes on the
 // dispatching engine's intrusive free list (the parent pointer doubles as
-// the list link), so the steady-state event path allocates nothing — the
-// allocs/op gate in BenchmarkEngineShardedSteadyState holds this at zero.
+// the list link), so the steady-state event path allocates nothing —
+// TestShardedSteadyStateAllocFree holds this at zero.
 // Reference counts are atomic because shards release concurrently and
 // lineages cross shards; comparisons are safe because every ancestor of a
 // live key is pinned by its descendants' references.

@@ -618,37 +618,6 @@ func TestShardedSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineShardedSteadyState times one warm inject → horizon → run →
-// release cycle of the event path (the workload of
-// TestShardedSteadyStateAllocFree). The allocs/op column is the gate: after
-// the warm-up outside the timer it must be 0 even at -benchtime 1x.
-func BenchmarkEngineShardedSteadyState(b *testing.B) {
-	const look = Time(10)
-	s := NewSharded(2, look)
-	defer s.Shutdown()
-	rings := []*hopRing{newHopRing(s), newHopRing(s)}
-	locals := []*localChain{newLocalChain(s.Shard(0)), newLocalChain(s.Shard(1))}
-	op := func() {
-		for i := 0; i < 2; i++ {
-			rings[i].hops = 8
-			locals[i].left = 16
-			s.Shard(i).After(1, rings[i].run[i])
-			s.Shard(i).After(2, locals[i].fn)
-		}
-		s.Run(Forever)
-	}
-	for i := 0; i < 3; i++ {
-		op()
-	}
-	warm := s.Stats().Events
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op()
-	}
-	b.ReportMetric(float64(s.Stats().Events-warm)/float64(b.N), "events/op")
-}
-
 // TestKeyCmpTotalOrder sanity-checks the lineage comparison on hand-built
 // chains: setup keys order by root index, siblings by call index, and
 // diverging times decide regardless of depth.

@@ -56,8 +56,11 @@
 // returns — an in-place clock advance, no channel operation, about the same
 // cost; otherwise it wakes that proc directly and blocks, one goroutine
 // switch (~270 ns). Only a Run per event still pays the old two-switch round
-// trip (~500 ns, BenchmarkEngineHandoff). Hot paths still avoid switches:
-// multi-op protocols use completion chains (one resumption per protocol,
+// trip (~500 ns). benchmark/micro.go times these unit costs cold, as
+// sim.callback_ns, sim.sleep_ns, sim.handoff_ns, sim.chain5_ns and
+// sim.sharded_event_ns; the two shapes it has no driver for yet stay here as
+// BenchmarkSleepInPlace and BenchmarkProcPingPong. Hot paths still avoid
+// switches: multi-op protocols use completion chains (one resumption per protocol,
 // usually in place), live procs are kept on an intrusive list (no map
 // operations on spawn/death), proc names are formatted lazily (no fmt on the
 // spawn path; see GoID), and events are plain values in a slice-backed heap

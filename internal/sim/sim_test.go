@@ -472,32 +472,6 @@ func TestTraceHook(t *testing.T) {
 	e.SetTrace(nil)
 }
 
-func BenchmarkSleepEvent(b *testing.B) {
-	e := NewEngine()
-	e.Go("w", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	e.Run(Forever)
-}
-
-func BenchmarkCallbackEvent(b *testing.B) {
-	e := NewEngine()
-	var schedule func()
-	n := 0
-	schedule = func() {
-		if n < b.N {
-			n++
-			e.After(1, schedule)
-		}
-	}
-	e.After(1, schedule)
-	b.ResetTimer()
-	e.Run(Forever)
-}
-
 func TestProcPanicPropagatesToRunCaller(t *testing.T) {
 	// A panic inside a proc body must surface from Engine.Run as a
 	// *ProcPanic on the caller's goroutine (so embedders can recover it per
@@ -882,25 +856,6 @@ func TestInPlace(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineHandoff(b *testing.B) {
-	// One driver round trip per iteration: Run's goroutine switches to the
-	// proc, which parks and — the queue being empty — hands the baton straight
-	// back. Two goroutine switches; the cost every wake-up paid before procs
-	// dispatched for themselves, and still the cost of a Run per event.
-	e := NewEngine()
-	p := e.Go("w", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Park()
-		}
-	})
-	e.Run(Forever) // start the proc; it parks immediately
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Wake(p)
-		e.Run(Forever)
-	}
-}
-
 func BenchmarkProcPingPong(b *testing.B) {
 	// Two procs alternating Sleep(1): each event is one direct proc-to-proc
 	// switch, the common case of a busy simulation.
@@ -932,31 +887,6 @@ func BenchmarkSleepInPlace(b *testing.B) {
 	e.Run(Forever)
 	b.StopTimer()
 	e.Shutdown()
-}
-
-func BenchmarkChainProtocol(b *testing.B) {
-	// A five-link chain per iteration — the shape of a THE-protocol steal —
-	// costing five callback events but only one proc handoff.
-	e := NewEngine()
-	e.Go("thief", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c := e.NewChain(p)
-			k := 0
-			var step func()
-			step = func() {
-				if k == 4 {
-					c.Complete()
-					return
-				}
-				k++
-				c.Then(1, step)
-			}
-			c.Then(1, step)
-			c.Wait()
-		}
-	})
-	b.ResetTimer()
-	e.Run(Forever)
 }
 
 func TestProcPanicRecoveredInBodyIsNotFatal(t *testing.T) {

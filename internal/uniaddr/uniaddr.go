@@ -310,14 +310,14 @@ func (m *Manager) FreeEvac(addr VAddr, size int) { m.Evac.Free(addr, size) }
 // MigrateInAsync is the split-phase form: the reservation happens at issue
 // time (so a conflict is reported synchronously via the return value), the
 // stack bytes land at the transfer's completion time, and `then` runs at
-// that instant as one link of chain c.
+// that instant.
 //
 // The destination slice is taken at issue time and held across the flight,
 // which rdma.Segment.Bytes allows only while the uni region's backing cannot
 // grow: the thief's worker is parked for the flight, and the only other
 // accesses to its uni region are remote reads of whole live stacks, all of
 // which are committed already (PushStack).
-func (m *Manager) MigrateInAsync(c *sim.Chain, src rdma.Loc, addr VAddr, size int, then func()) bool {
+func (m *Manager) MigrateInAsync(src rdma.Loc, addr VAddr, size int, then func()) bool {
 	if !m.Uni.Reserve(addr, size) {
 		m.St.Conflicts++
 		return false
@@ -333,7 +333,7 @@ func (m *Manager) MigrateInAsync(c *sim.Chain, src rdma.Loc, addr VAddr, size in
 			inner()
 		}
 	}
-	m.Fab.GetAsync(c, m.Rank, src, m.UniBytes(addr, size), func() {
+	m.Fab.GetAsync(m.Rank, src, m.UniBytes(addr, size), func() {
 		m.St.MigrationsIn++
 		m.St.BytesMoved += uint64(size)
 		then()
@@ -344,7 +344,7 @@ func (m *Manager) MigrateInAsync(c *sim.Chain, src rdma.Loc, addr VAddr, size in
 // MigrateIn is the blocking park-until-complete form of MigrateInAsync.
 func (m *Manager) MigrateIn(p *sim.Proc, src rdma.Loc, addr VAddr, size int) bool {
 	c := m.Fab.Eng.NewChain(p)
-	if !m.MigrateInAsync(c, src, addr, size, c.Complete) {
+	if !m.MigrateInAsync(src, addr, size, c.Complete) {
 		c.Complete() // unused chain: mark done so Wait releases it instantly
 		c.Wait()
 		return false

@@ -18,11 +18,13 @@
 #          event path, the fabric ops and the steal chain (*AllocFree in
 #          internal/sim, rdma and deque; the race detector perturbs
 #          allocation counts), one iteration of every per-package
-#          micro-benchmark, and four bad inputs
-#          (a scale no size survives, a deque too small, an LCS size off its
-#          block grid, a load no run can complete) that must each exit
-#          non-zero without a goroutine dump, sequentially (-parallel 1)
-#          and on a pool: the per-job panic barrier holds at every width.
+#          micro-benchmark, and six bad inputs that must each exit non-zero
+#          in one line without a goroutine dump: four experiments (a scale no
+#          size survives, a deque too small, an LCS size off its block grid,
+#          a load no run can complete), sequentially (-parallel 1) and on a
+#          pool — the per-job panic barrier holds at every width — and two
+#          trace files no run wrote (negative workers, an event on a rank the
+#          trace does not have), in both analyze modes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,24 +63,36 @@ for tier in "${tiers[@]}"; do
     "$out/repro" analyze -requests cmd/repro/testdata/trace_serve_micro.json
     go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque
     go test -bench=. -benchtime=1x -run '^$' ./...
+    # must_fail CMD...: repro CMD must exit non-zero, in one line, without a
+    # goroutine dump.
+    must_fail() {
+      local msg
+      if msg=$("$out/repro" "$@" 2>&1); then
+        echo "scripts/ci.sh: repro $* exited 0" >&2
+        exit 1
+      fi
+      case "$msg" in *"goroutine "* | *$'\n'*)
+        echo "scripts/ci.sh: repro $* did not fail in one line:" >&2
+        echo "$msg" | head -5 >&2
+        exit 1
+        ;;
+      esac
+      echo "repro $*: $msg"
+    }
     for bad in "fig6 -scale -1" \
       "fig6 -dequecap 1 -workers 4 -n 64" \
       "table3 -n 7" \
       "serve -loads 1e-9 -requests 8 -workers 4"; do
       for parallel in 1 2; do
         # shellcheck disable=SC2086 # $bad is a word list on purpose
-        if msg=$("$out/repro" $bad -parallel $parallel -quiet 2>&1); then
-          echo "scripts/ci.sh: repro $bad -parallel $parallel exited 0" >&2
-          exit 1
-        fi
-        case "$msg" in *"goroutine "*)
-          echo "scripts/ci.sh: repro $bad -parallel $parallel dumped goroutines:" >&2
-          echo "$msg" | head -5 >&2
-          exit 1
-          ;;
-        esac
-        echo "repro $bad -parallel $parallel: $msg"
+        must_fail $bad -parallel $parallel -quiet
       done
+    done
+    echo '{"workers":-1,"cores_per_node":1,"exec_time":10,"check":{},"events":[]}' >"$out/neg_workers.json"
+    sed 's/"rank":1,/"rank":7,/' cmd/repro/testdata/trace_serve_micro.json >"$out/bad_rank.json"
+    for bad in neg_workers bad_rank; do
+      must_fail analyze "$out/$bad.json"
+      must_fail analyze -requests "$out/$bad.json"
     done
     ;;
   *)
