@@ -19,11 +19,16 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/policy_digests.
 const policyDigestFile = "testdata/policy_digests.json"
 
 // policyDigest is what one cell pins: the complete event stream, the merged
-// metrics registry, and the engine's cross-shard counter.
+// metrics registry, the engine's cross-shard counter, and the run's
+// sim.EngineStats — how many events, proc wake-ups and callbacks it took,
+// which no trace or metric shows.
 type policyDigest struct {
 	Trace      string `json:"trace_sha256"`
 	Metrics    string `json:"metrics_sha256"`
 	CrossShard uint64 `json:"cross_shard"`
+	Events     uint64 `json:"events"`
+	Handoffs   uint64 `json:"handoffs"`
+	Callbacks  uint64 `json:"callbacks"`
 }
 
 // TestPolicyDigests pins what the TSV goldens do not see: the committed
@@ -81,6 +86,9 @@ func TestPolicyDigests(t *testing.T) {
 					Trace:      hex.EncodeToString(trSum[:]),
 					Metrics:    hex.EncodeToString(mtSum[:]),
 					CrossShard: st.CrossShard,
+					Events:     st.Engine.Events,
+					Handoffs:   st.Engine.Handoffs,
+					Callbacks:  st.Engine.Callbacks,
 				}
 			}
 		}
