@@ -237,7 +237,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	quiet := fs.Bool("quiet", false, "suppress per-job progress lines on stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	engineStats := fs.Bool("engine-stats", false, "print per-job engine counters (events, handoffs split into in-place and goroutine switches, callbacks, events/s) on stderr")
+	engineStats := fs.Bool("engine-stats", false, "print per-job engine counters (events, handoffs split into in-place, inline and goroutine switches, callbacks, events/s) on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -291,8 +291,8 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if *engineStats {
 		observer.EngineStats = func(c experiments.Coord, st core.RunStats, shards int, wall time.Duration) {
 			es := st.Engine
-			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d inplace=%d switches=%d callbacks=%d events/s=%.2fM\n",
-				c, es.Events, es.Handoffs, st.InPlace, es.Handoffs-st.InPlace, es.Callbacks,
+			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d inplace=%d inline=%d switches=%d callbacks=%d events/s=%.2fM\n",
+				c, es.Events, es.Handoffs, st.InPlace, st.Inline, es.Handoffs-st.InPlace-st.Inline, es.Callbacks,
 				perUnit(float64(es.Events), wall.Seconds())/1e6)
 			if fp.Shards > 1 {
 				fmt.Fprintf(stderr, "engine [%s] shards=%d cross-shard=%d (%.1f%% of events)\n",

@@ -459,8 +459,9 @@ func TestCLIParallelByteIdentical(t *testing.T) {
 }
 
 // TestEngineStatsLine pins the -engine-stats diagnostic: every job prints
-// its resumptions split into in-place and goroutine switches, the split adds
-// up, a job with nothing to divide by prints 0, never NaN or +Inf, and the
+// its resumptions split into in-place, inline (a continuation ran in the
+// goroutine's stead) and goroutine switches, the split adds up, an idle
+// cycle that runs on the engine shows as inline, a job with nothing to divide by prints 0, never NaN or +Inf, and the
 // shards line states the count the engine ran with, not the one asked for:
 // 18 workers are one ITO-A node, so -shards 2 runs — and reports — one shard
 // with nothing to cross; 72 workers are two, and do cross.
@@ -476,15 +477,15 @@ func TestEngineStatsLine(t *testing.T) {
 		}
 		jobs, shardLines := 0, 0
 		for _, line := range strings.Split(stderr.String(), "\n") {
-			var handoffs, inplace, switches, cross uint64
+			var handoffs, inplace, inline, switches, cross uint64
 			var shards int
 			if i := strings.Index(line, "handoffs="); i >= 0 {
-				if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d switches=%d", &handoffs, &inplace, &switches); err != nil {
+				if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d inline=%d switches=%d", &handoffs, &inplace, &inline, &switches); err != nil {
 					t.Fatalf("unparsable engine line %q: %v", line, err)
 				}
 				jobs++
-				if handoffs == 0 || inplace+switches != handoffs {
-					t.Errorf("inplace %d + switches %d != handoffs %d in %q", inplace, switches, handoffs, line)
+				if handoffs == 0 || inline == 0 || inplace+inline+switches != handoffs {
+					t.Errorf("inplace %d + inline %d + switches %d != handoffs %d, or no inline wake-up, in %q", inplace, inline, switches, handoffs, line)
 				}
 			} else if i := strings.Index(line, "shards="); i >= 0 {
 				if _, err := fmt.Sscanf(line[i:], "shards=%d cross-shard=%d", &shards, &cross); err != nil {

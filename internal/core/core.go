@@ -300,6 +300,7 @@ func New(cfg Config) *Runtime {
 			rng:        rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9E3779B9)),
 			lastVictim: -1,
 		}
+		w.bindCallbacks()
 		if cfg.Steal.Amount == StealHalf {
 			// Thieves will run the multi-entry StealN protocol, which needs
 			// owner pops serialized against in-flight batch claims.
@@ -394,6 +395,7 @@ func (rt *Runtime) collect(end sim.Time) RunStats {
 	rs.IsoVirtualBytes = rt.isoHigh
 	rs.Engine = rt.eng.Stats()
 	rs.InPlace = rt.eng.InPlace()
+	rs.Inline = rt.eng.Inline()
 	rs.CrossShard = rt.eng.CrossShard()
 	for _, w := range rt.workers {
 		rs.Work.add(&w.st)

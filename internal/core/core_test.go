@@ -504,3 +504,44 @@ func TestRegistryLetsTheDeadGo(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleCycleAllocFree: an idle worker's cycle — pop miss, failed steal,
+// backoff — runs on callbacks bound once per worker and deque over pooled
+// chain and fabric records, so once warm it allocates nothing, and none of
+// its wake-ups needs the worker's goroutine.
+func TestIdleCycleAllocFree(t *testing.T) {
+	// Two nodes of two: remote and intra-node steal chains, and few enough
+	// thieves per victim that every deque's record pool is warm in 1 ms.
+	cfg := testConfig(ContGreedy, 4)
+	mach := topo.ITOA()
+	mach.CoresPerNode = 2
+	cfg.Machine = mach
+	rt := New(cfg)
+	for _, w := range rt.workers {
+		w.proc = rt.eng.GoIDOn(rt.shardOf(w.rank), "worker", int64(w.rank), w.schedule)
+	}
+	defer rt.eng.Shutdown()
+	until := sim.Millisecond
+	rt.eng.Run(until) // no root task: every worker idles from the start
+	window := func() {
+		until += 50 * sim.Microsecond
+		rt.eng.Run(until)
+	}
+	fails := func() (n uint64) {
+		for _, w := range rt.workers {
+			n += w.st.StealsFail
+		}
+		return n
+	}
+	switches := func() uint64 { return rt.eng.Stats().Handoffs - rt.eng.InPlace() - rt.eng.Inline() }
+	fails0, switches0 := fails(), switches()
+	if avg := testing.AllocsPerRun(20, window); avg != 0 {
+		t.Errorf("a 50 µs window of idle cycles allocates %.1f times, want 0", avg)
+	}
+	if n := fails() - fails0; n < 1000 {
+		t.Errorf("only %d failed steals in the measured windows", n)
+	}
+	if n := switches() - switches0; n != 0 {
+		t.Errorf("%d goroutine switches in the measured windows, want 0", n)
+	}
+}

@@ -65,6 +65,27 @@ func (w *Worker) shouldCollect() bool {
 	return true
 }
 
+// found is what the idle cycle hands the worker's goroutine to dispatch.
+type found struct {
+	kind    foundKind
+	entry   []byte   // foundLocal
+	obj     any      // foundLocal
+	entries [][]byte // foundStolen, oldest first (victim and start are in the Worker)
+	objs    []any    // foundStolen
+}
+
+type foundKind uint8
+
+const (
+	foundNothing foundKind = iota // runOne's pop and steal attempt both missed
+	foundDone                     // the run is over
+	foundRequest                  // the inbox holds an open-system request
+	foundLocal                    // an entry popped from the worker's own deque
+	foundStolen                   // a batch stolen from w.victim
+	foundWaiter                   // the wait queue holds a thread to resume
+	foundCollect                  // the periodic lock-queue drain is due
+)
+
 // schedule is the scheduler loop of one worker (the paper's "scheduler
 // context") under every policy. It runs whenever no user thread occupies the
 // worker:
@@ -73,11 +94,19 @@ func (w *Worker) shouldCollect() bool {
 //  1. pop the local deque (ready continuations / resume descriptors /
 //     not-yet-started child tasks) — LIFO;
 //  2. otherwise steal from a victim chosen by Config.Steal — FIFO at the
-//     victim (runOne covers 1 and 2);
+//     victim (seek covers 1 and 2);
 //  3. after a failed steal, resume a thread from the wait queue in
 //     round-robin order (stalling join, §III-A1);
 //  4. periodically drain the incoming remote-free queue (LockQueue mode);
 //  5. doze on the arrival doorbell (quiescent open system) or back off.
+//
+// Looking for work — look, seek, idle, rest and the callbacks between them —
+// is written in continuation form (sim.Proc.SleepThen) and runs inside the
+// engine's event dispatch: an idle worker's pop miss, failed steal and
+// backoff, repeated for as long as there is nothing to do, never reach this
+// goroutine. It is resumed from Await only with something to dispatch in
+// w.found, and does the dispatching: everything that starts or resumes a
+// thread, pushes, migrates a stack or drains the lock queue blocks as a proc.
 //
 // Run-to-completion child stealing (ChildRtC) is this same loop with tasks
 // executed as plain function calls on the scheduler's own stack instead of
@@ -91,25 +120,20 @@ func (w *Worker) schedule(p *sim.Proc) {
 	if w.rootTask != nil {
 		w.startRoot(p)
 	}
-	for !rt.done {
-		// 0. Newly arrived open-system requests (serve mode). The inbox is
-		//    fed by arrival timers and — unlike the deque — is invisible to
-		//    thieves, so it is served before stealable local work.
-		if len(w.inbox) > 0 {
+	w.look()
+	for {
+		p.Await()
+		f := w.takeFound()
+		switch f.kind {
+		case foundDone:
+			return
+		case foundRequest:
 			if rt.cfg.Policy == ChildRtC {
 				w.runRequestInline(p)
 			} else {
 				w.startRequest(p)
 			}
-			continue
-		}
-		// 1, 2. Local work first (greedy: ready tasks run immediately), else
-		// one steal attempt.
-		if w.runOne(p) {
-			continue
-		}
-		// 3. Wait-queue round robin on failed steals.
-		if len(w.waitQ) > 0 {
+		case foundWaiter:
 			t := w.waitQ[0]
 			w.waitQ = w.waitQ[1:]
 			w.st.WaitQResumes++
@@ -121,42 +145,133 @@ func (w *Worker) schedule(p *sim.Proc) {
 			w.failStreak = 0
 			w.resume(p, t)
 			p.Park()
-			continue
-		}
-		// 4. Periodic remote-object collection (only when the failed-steal
-		// counter has advanced to a new multiple — see shouldCollect).
-		if w.shouldCollect() {
+		case foundCollect:
 			rt.objs.Collect(p, w.rank)
-		}
-		// 5. Quiescent open system: no task exists anywhere, so the only
-		// possible new work is a future arrival — park on the doorbell
-		// (injection wakes every dozer) instead of polling, and restart the
-		// backoff regime on wake-up: an arrival is a new load regime. The
-		// !done check matters: the run can end while this worker is inside
-		// an iteration (mid-steal), after the final wake already fired.
-		if s := rt.serve; s != nil && !rt.done && s.quiescent() {
-			s.doze(w)
-			p.Park()
-			w.failStreak = 0
+			w.rest()
 			continue
+		default:
+			w.run(p, f)
 		}
-		p.Sleep(w.idleDelay())
+		w.look()
 	}
 }
 
+// takeFound empties w.found into the goroutine's hands: what it dispatches
+// may look for work again, on this worker, before it returns (ChildRtC).
+func (w *Worker) takeFound() found {
+	f := w.found
+	w.found = found{}
+	return f
+}
+
+// look is the top of the scheduler loop: steps 0–2.
+func (w *Worker) look() {
+	switch {
+	case w.rt.done:
+		w.found.kind = foundDone
+	case len(w.inbox) > 0:
+		// 0. Newly arrived open-system requests (serve mode). The inbox is
+		//    fed by arrival timers and — unlike the deque — is invisible to
+		//    thieves, so it is served before stealable local work.
+		w.found.kind = foundRequest
+	default:
+		w.seek(w.onIdle)
+	}
+}
+
+// seek is steps 1 and 2: local work first (greedy: ready tasks run
+// immediately), else one steal attempt. It ends with the proc running and
+// w.found set, or — nothing popped, nothing stolen — in miss, if there is one.
+func (w *Worker) seek(miss func()) {
+	w.miss = miss
+	w.dq.PopThen(w.proc, w.onPopped)
+}
+
+func (w *Worker) popped(entry []byte, obj any, ok bool) {
+	if ok {
+		w.found = found{kind: foundLocal, entry: entry, obj: obj}
+		return
+	}
+	w.trySteal()
+}
+
+// missed ends a seek that found nothing.
+func (w *Worker) missed() {
+	if w.miss != nil {
+		w.miss()
+	}
+}
+
+// idle is steps 3 and 4 of the scheduler loop, after a seek that missed.
+func (w *Worker) idle() {
+	switch {
+	case len(w.waitQ) > 0:
+		// 3. Wait-queue round robin on failed steals.
+		w.found.kind = foundWaiter
+	case w.shouldCollect():
+		// 4. Periodic remote-object collection (only when the failed-steal
+		// counter has advanced to a new multiple — see shouldCollect).
+		w.found.kind = foundCollect
+	default:
+		w.rest()
+	}
+}
+
+// rest is step 5 of the scheduler loop.
+func (w *Worker) rest() {
+	// Quiescent open system: no task exists anywhere, so the only possible
+	// new work is a future arrival — park on the doorbell (injection wakes
+	// every dozer) instead of polling, and restart the backoff regime on
+	// wake-up: an arrival is a new load regime. The !done check matters: the
+	// run can end while this worker is inside an iteration (mid-steal), after
+	// the final wake already fired.
+	if s := w.rt.serve; s != nil && !w.rt.done && s.quiescent() {
+		s.doze(w)
+		w.proc.ParkThen(w.onWoken)
+		return
+	}
+	w.proc.SleepThen(w.idleDelay(), w.onLook)
+}
+
+func (w *Worker) woken() {
+	w.failStreak = 0
+	w.look()
+}
+
+// run dispatches what a seek found, reporting whether that was anything.
+func (w *Worker) run(p *sim.Proc, f found) bool {
+	switch f.kind {
+	case foundLocal:
+		w.dispatchLocal(p, f.entry, f.obj)
+	case foundStolen:
+		// The surplus of a batch is requeued into this worker's own deque in
+		// protocol (oldest-first) order, so later thieves still see the
+		// oldest work first while the owner pops the newest — and stolen
+		// continuation stacks migrate lazily on first resume via the
+		// stolen-in-deque case of bringTo (uni-address frees by exact
+		// address, so out-of-order release is safe).
+		for i := 1; i < len(f.entries); i++ {
+			w.dq.Push(p, f.entries[i], f.objs[i])
+			w.st.SurplusStolen++
+		}
+		w.dispatchStolen(p, w.victim, f.entries[0], f.objs[0], w.stealStart)
+	default:
+		return false
+	}
+	return true
+}
+
 // runOne pops or — failing that — steals one task and runs it, reporting
-// whether it found one. It is steps 1 and 2 of the scheduler loop, and the
-// whole scheduler of a ChildRtC buried join or Yield, which may still be
-// calling after the run has ended (an unjoined task outliving the root).
+// whether it found one: a seek for a blocking caller. It is the whole
+// scheduler of a ChildRtC buried join or Yield, which may still be calling
+// after the run has ended (an unjoined task outliving the root).
 func (w *Worker) runOne(p *sim.Proc) bool {
 	if w.rt.done {
 		return false
 	}
-	if entry, obj, ok := w.dq.Pop(p); ok {
-		w.dispatchLocal(p, entry, obj)
-		return true
-	}
-	return w.trySteal(p)
+	w.seek(nil)
+	p.Await()
+	return w.run(p, w.takeFound())
 }
 
 // startRoot launches the initial task on this worker.
@@ -267,7 +382,6 @@ func (w *Worker) dispatchLocal(p *sim.Proc, entry []byte, obj any) {
 // statistics: latency (from first protocol op to the task being handed the
 // worker), stolen payload size, and payload copy time.
 func (w *Worker) dispatchStolen(p *sim.Proc, victim *Worker, entry []byte, obj any, start sim.Time) {
-	w.st.StealsOK++
 	switch entryKind(entry) {
 	case entCont, entResume:
 		t := obj.(*Thread)
@@ -294,55 +408,53 @@ func (w *Worker) dispatchStolen(p *sim.Proc, victim *Worker, entry []byte, obj a
 	}
 }
 
-// trySteal is the worker's one steal attempt: pick a victim, run the deque's
-// steal chain against it — taking one entry, or under the steal-half policy
-// half of those observed under the lock (stealHalf) — and dispatch the oldest
-// entry, booking the attempt either way. Returns false when there was no
-// victim, or it was empty or contended.
+// trySteal is the worker's one steal attempt: pick a victim and run the
+// deque's steal chain against it — taking one entry, or under the steal-half
+// policy half of those observed under the lock (stealHalf); stole books the
+// attempt either way. With no victim, or one that was empty or contended, the
+// seek has missed.
 //
-// The surplus of a batch is requeued into this worker's own deque in
-// protocol (oldest-first) order, so later thieves still see the oldest work
-// first while the owner pops the newest — and stolen continuation stacks
-// migrate lazily on first resume via the stolen-in-deque case of bringTo
-// (uni-address frees by exact address, so out-of-order release is safe). The
-// chain window is measured before the requeue pushes, keeping it comparable
-// across amounts; the steal span (stealSucceeded) still covers the full
-// window including the requeue, so Σ steal spans == Work.StealLatency holds
-// under every policy.
-func (w *Worker) trySteal(p *sim.Proc) bool {
-	victim := w.pickVictim()
-	if victim == nil {
-		return false
+// The chain window is measured before the surplus of a batch is requeued (see
+// run), keeping it comparable across amounts; the steal span (stealSucceeded)
+// still covers the full window including the requeue, so Σ steal spans ==
+// Work.StealLatency holds under every policy.
+func (w *Worker) trySteal() {
+	w.victim = w.pickVictim()
+	if w.victim == nil {
+		w.missed()
+		return
 	}
 	var take func(avail int64) int64 // nil: the plain steal of one entry
 	if w.rt.cfg.Steal.Amount == StealHalf {
 		take = stealHalf
 	}
-	start := p.Now()
-	entries, objs, ok := victim.dq.StealN(p, w.rank, take)
-	chain := p.Now() - start
+	w.stealStart = w.rt.eng.Now()
+	w.victim.dq.StealNThen(w.proc, w.rank, take, w.onStole)
+}
+
+func (w *Worker) stole(entries [][]byte, objs []any, ok bool) {
+	chain := w.rt.eng.Now() - w.stealStart
 	if !ok {
-		w.stealFailed(victim, start, chain)
-		return false
+		w.stealFailed(w.victim, w.stealStart, chain)
+		w.missed()
+		return
 	}
 	if w.ob != nil {
 		w.ob.chainSteal.Observe(chain)
 	}
-	for i := 1; i < len(entries); i++ {
-		w.dq.Push(p, entries[i], objs[i])
-		w.st.SurplusStolen++
-	}
-	w.dispatchStolen(p, victim, entries[0], objs[0], start)
-	return true
+	w.found = found{kind: foundStolen, entries: entries, objs: objs}
 }
 
 // stealHalf is the StealN take function of the steal-half policy: half of
 // the entries available under the lock, rounded up (at least one).
 func stealHalf(avail int64) int64 { return (avail + 1) / 2 }
 
-// stealSucceeded books a successful steal over the same window the trace
-// span covers, so Σ steal span durations == Work.StealLatency exactly.
+// stealSucceeded books a successful steal — count, latency and trace span in
+// one place, once the stack has arrived, so a run cut while it migrates has
+// neither — over the same window the trace span covers, so Σ steal span
+// durations == Work.StealLatency exactly.
 func (w *Worker) stealSucceeded(task int64, victim int, start sim.Time, size, req int64) {
+	w.st.StealsOK++
 	w.failStreak = 0
 	if w.rt.cfg.Steal.Victim == VictimLocality {
 		w.lastVictim = victim

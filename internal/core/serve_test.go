@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"contsteal/internal/sim"
+	"contsteal/internal/topo"
 )
 
 // serveTrace builds n requests arriving every gap, each spawning a small
@@ -145,8 +146,7 @@ func TestServeShardsByteIdentical(t *testing.T) {
 }
 
 // TestServeTraceVerifies: the layered trace's attribution invariants hold
-// exactly on a drained serve run (a horizon cut leaves spans unbalanced by
-// design, so only drained runs are checked).
+// exactly on a drained serve run (TestServeHorizonCutTraceVerifies cuts one).
 func TestServeTraceVerifies(t *testing.T) {
 	for _, pol := range allPolicies {
 		cfg := testConfig(pol, 4)
@@ -155,6 +155,35 @@ func TestServeTraceVerifies(t *testing.T) {
 		rt.Serve(serveTrace(16, 800*sim.Nanosecond, 8), 0)
 		if err := rt.TraceLog().Verify(); err != nil {
 			t.Errorf("%v: trace verification failed: %v", pol, err)
+		}
+	}
+}
+
+// TestServeHorizonCutTraceVerifies: a run cut at any instant still has a
+// trace that agrees with its counters. A steal used to be counted when its
+// chain completed and its span closed only after the stolen stack had
+// migrated, so a cut in between (27–35 µs here, under both continuation
+// policies) left StealsOK one ahead of the steal spans.
+func TestServeHorizonCutTraceVerifies(t *testing.T) {
+	for _, pol := range allPolicies {
+		cut := 0
+		for h := 20 * sim.Microsecond; h <= 40*sim.Microsecond; h += sim.Microsecond {
+			cfg := testConfig(pol, 8)
+			mach := topo.ITOA()
+			mach.CoresPerNode = 4
+			cfg.Machine = mach
+			cfg.Trace = true
+			rt := New(cfg)
+			st := rt.Serve(serveTrace(30, 2*sim.Microsecond, 10), h)
+			if st.InFlight > 0 {
+				cut++
+			}
+			if err := rt.TraceLog().Verify(); err != nil {
+				t.Errorf("%v cut at %v: %v", pol, h, err)
+			}
+		}
+		if cut == 0 {
+			t.Errorf("%v: no horizon left a request in flight", pol)
 		}
 	}
 }

@@ -72,9 +72,11 @@ type RunStats struct {
 	// dispatched, proc resumptions, completion callbacks) — the split-phase
 	// engine's cost model, not a simulated quantity. See sim.EngineStats.
 	// InPlace is how many of Engine.Handoffs needed no goroutine switch
-	// (sim.Engine.InPlace).
+	// because the proc was the dispatcher itself (sim.Engine.InPlace), Inline
+	// how many because a continuation ran in its stead (sim.Engine.Inline).
 	Engine  sim.EngineStats
 	InPlace uint64
+	Inline  uint64
 
 	// CrossShard counts events scheduled onto a different engine shard than
 	// the one dispatching — the cross-node traffic a node-parallel engine

@@ -119,9 +119,27 @@ type Worker struct {
 	// collectEvery.
 	lastCollectFails uint64
 
+	// The scheduler loop's search for work runs in continuation form (see
+	// schedule): what it found for the goroutine to dispatch, the steal
+	// attempt in flight, what follows a seek that missed, and the callbacks
+	// that carry it across its suspensions — bound once (bindCallbacks), so
+	// an idle cycle allocates nothing.
+	found                   found
+	victim                  *Worker
+	stealStart              sim.Time
+	miss                    func()
+	onLook, onIdle, onWoken func()
+	onPopped                func(entry []byte, obj any, ok bool)
+	onStole                 func(entries [][]byte, objs []any, ok bool)
+
 	rootTask TaskFunc
 	st       WorkerStats
 	ob       *workerObs // non-nil when Config.Metrics is set
+}
+
+func (w *Worker) bindCallbacks() {
+	w.onLook, w.onIdle, w.onWoken = w.look, w.idle, w.woken
+	w.onPopped, w.onStole = w.popped, w.stole
 }
 
 // setCurrent tracks which thread occupies the worker and maintains the

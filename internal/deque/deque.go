@@ -69,6 +69,17 @@ type Deque struct {
 	objs   []any     // parallel Go-side payloads, indexed by slot
 	steals *steal    // free list of steal-chain records
 
+	// The owner-side operation in flight (there is at most one: the deque's
+	// bottom end belongs to whoever occupies the worker): the proc it runs
+	// as, what follows the lock and the pop (nil for a blocking caller, who
+	// picks a pop's result up from kept), and the callbacks that carry it
+	// across its sleeps, bound once.
+	owner                      *sim.Proc
+	locked                     func()
+	popped                     func(entry []byte, obj any, ok bool)
+	kept                       popResult
+	onSpin, onPop, onPopLocked func()
+
 	St Stats
 
 	// Tr, when non-nil, receives the steal protocol's phase spans: one
@@ -101,6 +112,7 @@ func New(fab *rdma.Fabric, rank, capacity, entrySize int) *Deque {
 		objs:      make([]any, capacity),
 	}
 	d.base = fab.AllocStatic(rank, headerLen+capacity*entrySize)
+	d.onSpin, d.onPop, d.onPopLocked = d.lockSpin, d.pop, d.popLocked
 	return d
 }
 
@@ -135,17 +147,29 @@ func (d *Deque) setBot(v int64) { d.seg().WriteInt64(d.base+offBottom, v) }
 // Len returns the number of queued entries (owner view, zero cost).
 func (d *Deque) Len() int { return int(d.bottom() - d.top()) }
 
-// ownerLock spins on the local lock word. Thief lock holds are a handful of
+// lockThen spins on the local lock word as p, then runs locked (which may be
+// nil) — at once if the lock is free. Thief lock holds are a handful of
 // microseconds, so bounded retries with a small local backoff suffice.
-func (d *Deque) ownerLock(p *sim.Proc) {
-	lock := d.loc(offLock, 8)
-	for {
-		if d.fab.CAS(p, d.rank, lock, 0, 1) == 0 {
-			return
-		}
+func (d *Deque) lockThen(p *sim.Proc, locked func()) {
+	d.owner, d.locked = p, locked
+	d.lockSpin()
+}
+
+func (d *Deque) lockSpin() {
+	if d.fab.CAS(d.owner, d.rank, d.loc(offLock, 8), 0, 1) != 0 {
 		d.St.OwnerLockRetries++
-		p.Sleep(d.mach.LocalOp + 100)
+		d.owner.SleepThen(d.mach.LocalOp+100, d.onSpin)
+		return
 	}
+	if d.locked != nil {
+		d.locked()
+	}
+}
+
+// ownerLock is lockThen for a blocking caller.
+func (d *Deque) ownerLock(p *sim.Proc) {
+	d.lockThen(p, nil)
+	p.Await()
 }
 
 func (d *Deque) ownerUnlock() {
@@ -196,55 +220,72 @@ func (d *Deque) PushTop(p *sim.Proc, entry []byte, obj any) {
 	d.St.Pushes++
 }
 
-// Pop removes and returns the bottom entry (owner only, LIFO). Following
-// THE, the owner optimistically decrements bottom and only takes the lock
-// when it may race with a thief on the last entry.
-func (d *Deque) Pop(p *sim.Proc) ([]byte, any, bool) {
-	if d.Batch {
-		return d.popLocked(p)
-	}
-	p.Sleep(d.mach.LocalOp)
-	b := d.bottom() - 1
-	d.setBot(b)
-	t := d.top()
-	if t >= b {
+// PopThen removes the bottom entry (owner only, LIFO) in continuation form
+// (see sim.Proc.SleepThen): it charges the pop to p and hands the entry to
+// popped, inside event dispatch, with p running. Following THE, the owner
+// optimistically decrements bottom and only takes the lock when it may race
+// with a thief on the last entry — or, in Batch mode, always, so a StealN
+// thief's claimed range can never be popped out from under it. With a nil
+// popped the result stays in the deque for the caller, blocked in Await.
+func (d *Deque) PopThen(p *sim.Proc, popped func(entry []byte, obj any, ok bool)) {
+	d.owner, d.popped = p, popped
+	p.SleepThen(d.mach.LocalOp, d.onPop)
+}
+
+func (d *Deque) pop() {
+	if !d.Batch {
+		b := d.bottom() - 1
+		d.setBot(b)
+		if d.top() < b {
+			entry, obj := d.take(b)
+			d.St.Pops++
+			d.handOver(entry, obj, true)
+			return
+		}
 		// Zero or one entry left: a thief may be racing for the same slot,
 		// so restore bottom and resolve under the lock (THE slow path).
 		d.setBot(b + 1)
-		d.ownerLock(p)
-		b = d.bottom() - 1
-		t = d.top()
-		if t > b {
-			// Empty for sure.
-			d.ownerUnlock()
-			return nil, nil, false
-		}
-		d.setBot(b)
-		entry, obj := d.take(b)
-		d.ownerUnlock()
-		d.St.Pops++
-		return entry, obj, true
 	}
-	entry, obj := d.take(b)
-	d.St.Pops++
-	return entry, obj, true
+	d.lockThen(d.owner, d.onPopLocked)
 }
 
-// popLocked is Pop under batch mode: every owner pop holds the lock, so a
-// StealN thief's claimed range can never be popped out from under it.
-func (d *Deque) popLocked(p *sim.Proc) ([]byte, any, bool) {
-	p.Sleep(d.mach.LocalOp)
-	d.ownerLock(p)
+func (d *Deque) popLocked() {
 	b := d.bottom() - 1
 	if d.top() > b {
+		// Empty for sure.
 		d.ownerUnlock()
-		return nil, nil, false
+		d.handOver(nil, nil, false)
+		return
 	}
 	d.setBot(b)
 	entry, obj := d.take(b)
 	d.ownerUnlock()
 	d.St.Pops++
-	return entry, obj, true
+	d.handOver(entry, obj, true)
+}
+
+// popResult is what a pop hands over.
+type popResult struct {
+	entry []byte
+	obj   any
+	ok    bool
+}
+
+func (d *Deque) handOver(entry []byte, obj any, ok bool) {
+	if d.popped != nil {
+		d.popped(entry, obj, ok)
+		return
+	}
+	d.kept = popResult{entry, obj, ok}
+}
+
+// Pop is PopThen for a blocking caller: it returns the bottom entry.
+func (d *Deque) Pop(p *sim.Proc) ([]byte, any, bool) {
+	d.PopThen(p, nil)
+	p.Await()
+	r := d.kept
+	d.kept = popResult{}
+	return r.entry, r.obj, r.ok
 }
 
 // take reads out slot b and clears its obj reference (no simulated cost —
@@ -269,12 +310,15 @@ func (d *Deque) Steal(p *sim.Proc, thiefRank int) ([]byte, any, bool) {
 	return entries[0], objs[0], true
 }
 
-// StealN is the deque's one steal chain: it removes and returns up to
-// take(available) entries from the top (FIFO) on behalf of a remote thief.
-// The full one-sided protocol is driven from thiefRank's side and charged to
-// p as a single completion chain: every sub-operation's memory access fires
-// at the same virtual instant as in a blocking formulation, but the thief's
-// proc parks only once for the whole protocol:
+// StealNThen is the deque's one steal chain, in continuation form (see
+// sim.Proc.SleepThen): it removes up to take(available) entries from the top
+// (FIFO) on behalf of a remote thief and hands them to then, inside event
+// dispatch, with p running. The full one-sided protocol is driven from
+// thiefRank's side and charged to p as a single completion chain: every
+// sub-operation's memory access fires at the same virtual instant as in a
+// blocking formulation, but the thief's proc is woken only once for the whole
+// protocol — and a failed attempt whose then suspends p again never reaches
+// p's goroutine at all:
 //
 //	fast empty check:  get (top, bottom)             1 op
 //	lock:              CAS(lock, 0, 1)               1 op
@@ -289,14 +333,28 @@ func (d *Deque) Steal(p *sim.Proc, thiefRank int) ([]byte, any, bool) {
 // lock was contended via the deque's stats (StealsEmpty/StealsContended); a
 // success counts once in StealsOK whatever k was and, when the caller chose
 // the amount (take != nil), as one BatchSteals of k BatchEntries.
+func (d *Deque) StealNThen(p *sim.Proc, thiefRank int, take func(avail int64) int64, then func(entries [][]byte, objs []any, ok bool)) {
+	d.startSteal(p, thiefRank, take, then)
+}
+
+// StealN is StealNThen for a blocking caller: it returns what was stolen.
 func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64) ([][]byte, []any, bool) {
+	s := d.startSteal(p, thiefRank, take, nil)
+	p.Await()
+	return s.finish()
+}
+
+// startSteal issues a steal chain and returns its record. The chain's end
+// hands the results to then; with a nil then it leaves them in the record for
+// the caller, blocked in Await, to finish.
+func (d *Deque) startSteal(p *sim.Proc, thiefRank int, take func(avail int64) int64, then func(entries [][]byte, objs []any, ok bool)) *steal {
 	s := d.steals
 	if s == nil {
 		s = newSteal(d)
 	} else {
 		d.steals = s.next
 	}
-	s.c, s.thief, s.take = d.fab.Eng.NewChain(p), thiefRank, take
+	s.c, s.thief, s.take, s.then = d.fab.Eng.NewChain(p), thiefRank, take, then
 	if s.tr = d.Tr; s.tr != nil {
 		s.sid = s.tr.Seq()
 		s.t0 = d.fab.Eng.Now()
@@ -304,12 +362,8 @@ func (d *Deque) StealN(p *sim.Proc, thiefRank int, take func(avail int64) int64)
 	}
 	// Fast empty check: one 16-byte get of (top, bottom).
 	d.fab.GetAsync(thiefRank, d.loc(offTop, 16), s.hdr[:], s.onHdr)
-	s.c.Wait()
-	entries, objs, ok := s.entries, s.objs, s.ok
-	// Reset the record, not its results: those now belong to the caller.
-	s.c, s.take, s.tr, s.entries, s.objs, s.ok = nil, nil, nil, nil, nil, false
-	s.next, d.steals = d.steals, s
-	return entries, objs, ok
+	s.c.WaitThen(s.onDone)
+	return s
 }
 
 // steal is the state of one StealN chain in flight: the header buffer the
@@ -335,8 +389,10 @@ type steal struct {
 	sid    int64
 	t0, ph sim.Time
 
-	onHdr, onRecheck, onEmpty, onRead, onAdvance, onUnlock func()
-	onLock                                                 func(observed int64)
+	then func(entries [][]byte, objs []any, ok bool)
+
+	onHdr, onRecheck, onEmpty, onRead, onAdvance, onUnlock, onDone func()
+	onLock                                                         func(observed int64)
 
 	next *steal // Deque free list
 }
@@ -344,8 +400,24 @@ type steal struct {
 func newSteal(d *Deque) *steal {
 	s := &steal{d: d}
 	s.onHdr, s.onLock, s.onRecheck, s.onEmpty = s.hdrRead, s.locked, s.rechecked, s.emptyUnlocked
-	s.onRead, s.onAdvance, s.onUnlock = s.entryRead, s.advanced, s.unlocked
+	s.onRead, s.onAdvance, s.onUnlock, s.onDone = s.entryRead, s.advanced, s.unlocked, s.done
 	return s
+}
+
+// done runs as the thief's proc once the chain has completed.
+func (s *steal) done() {
+	if then := s.then; then != nil {
+		then(s.finish())
+	}
+}
+
+// finish hands the results to the caller and returns the record to the pool.
+func (s *steal) finish() ([][]byte, []any, bool) {
+	entries, objs, ok := s.entries, s.objs, s.ok
+	// Reset the record, not its results: those now belong to the caller.
+	s.c, s.take, s.then, s.tr, s.entries, s.objs, s.ok = nil, nil, nil, nil, nil, nil, false
+	s.next, s.d.steals = s.d.steals, s
+	return entries, objs, ok
 }
 
 // phase closes the victim-side span of the link that just completed.

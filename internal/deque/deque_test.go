@@ -205,27 +205,39 @@ func TestStealResultsOutliveTheRecord(t *testing.T) {
 
 // TestFailedStealAllocFree: the steal chain's state lives in a pooled record
 // with its callbacks bound once, and its fabric ops in pooled records, so a
-// warmed failed attempt (tracer nil) allocates nothing.
+// warmed failed attempt (tracer nil) allocates nothing — entered through the
+// blocking wrapper or, as the scheduler does, through the continuation form
+// with a callback of the caller's bound once.
 func TestFailedStealAllocFree(t *testing.T) {
-	eng, d := setup(2)
-	var avg float64
-	eng.Go("thief", func(p *sim.Proc) {
-		attempt := func() {
-			if _, _, ok := d.StealN(p, 1, nil); ok {
-				t.Error("steal from an empty deque succeeded")
+	for _, via := range []entryPoint{blocking, continuation} {
+		eng, d := setup(2)
+		var avg float64
+		eng.Go("thief", func(p *sim.Proc) {
+			stolen := false
+			then := func(_ [][]byte, _ []any, ok bool) { stolen = ok }
+			attempt := func() {
+				if via == blocking {
+					_, _, stolen = d.StealN(p, 1, nil)
+				} else {
+					d.StealNThen(p, 1, nil, then)
+					p.Await()
+				}
+				if stolen {
+					t.Error("steal from an empty deque succeeded")
+				}
 			}
+			for i := 0; i < 3; i++ {
+				attempt()
+			}
+			avg = testing.AllocsPerRun(50, attempt)
+		})
+		eng.Run(sim.Forever)
+		if avg != 0 {
+			t.Errorf("continuation entry %v: a failed steal allocates %.1f times, want 0", via, avg)
 		}
-		for i := 0; i < 3; i++ {
-			attempt()
+		if d.St.StealsEmpty != 54 {
+			t.Errorf("continuation entry %v: StealsEmpty = %d, want 54", via, d.St.StealsEmpty)
 		}
-		avg = testing.AllocsPerRun(50, attempt)
-	})
-	eng.Run(sim.Forever)
-	if avg != 0 {
-		t.Errorf("a failed steal allocates %.1f times, want 0", avg)
-	}
-	if d.St.StealsEmpty != 54 {
-		t.Errorf("StealsEmpty = %d, want 54", d.St.StealsEmpty)
 	}
 }
 

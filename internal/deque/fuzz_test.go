@@ -45,9 +45,56 @@ func FuzzDequePushPopSteal(f *testing.F) {
 		if len(script) > 200 {
 			script = script[:200]
 		}
-		fuzzExactModel(t, script)
-		fuzzConcurrent(t, script)
+		// Both ways in: the blocking wrappers and the continuation forms they
+		// wrap must be the same protocol, to the tick and to the counter.
+		st, end := fuzzExactModel(t, script, blocking)
+		if cst, cend := fuzzExactModel(t, script, continuation); cst != st || cend != end {
+			t.Fatalf("exact model: continuation entry ends at %v with %+v, blocking wrappers at %v with %+v", cend, cst, end, st)
+		}
+		st, end = fuzzConcurrent(t, script, blocking)
+		if cst, cend := fuzzConcurrent(t, script, continuation); cst != st || cend != end {
+			t.Fatalf("concurrent: continuation entry ends at %v with %+v, blocking wrappers at %v with %+v", cend, cst, end, st)
+		}
 	})
+}
+
+// entryPoint is how a test reaches the owner pop and the steal chain: through
+// the blocking wrappers (Pop, Steal, StealN) or through the continuation
+// forms (PopThen, StealNThen) followed by the caller's own Await.
+type entryPoint bool
+
+const (
+	blocking     entryPoint = false
+	continuation entryPoint = true
+)
+
+func (via entryPoint) pop(d *Deque, p *sim.Proc) (entry []byte, obj any, ok bool) {
+	if via == blocking {
+		return d.Pop(p)
+	}
+	d.PopThen(p, func(e []byte, o any, k bool) { entry, obj, ok = e, o, k })
+	p.Await()
+	return entry, obj, ok
+}
+
+func (via entryPoint) stealN(d *Deque, p *sim.Proc, thief int, take func(int64) int64) (entries [][]byte, objs []any, ok bool) {
+	if via == blocking {
+		return d.StealN(p, thief, take)
+	}
+	d.StealNThen(p, thief, take, func(e [][]byte, o []any, k bool) { entries, objs, ok = e, o, k })
+	p.Await()
+	return entries, objs, ok
+}
+
+func (via entryPoint) steal(d *Deque, p *sim.Proc, thief int) ([]byte, any, bool) {
+	if via == blocking {
+		return d.Steal(p, thief)
+	}
+	entries, objs, ok := via.stealN(d, p, thief, nil)
+	if !ok {
+		return nil, nil, false
+	}
+	return entries[0], objs[0], true
 }
 
 const fuzzCap = 64 // small capacity so ring wrap-around is exercised
@@ -70,8 +117,9 @@ func fuzzSetup(script []byte) (*sim.Engine, *Deque) {
 func stealHalf(avail int64) int64 { return (avail + 1) / 2 }
 
 // fuzzExactModel interprets the script on a single proc and compares every
-// result against the reference slice model.
-func fuzzExactModel(t *testing.T, script []byte) {
+// result against the reference slice model. It returns the deque's counters
+// and the virtual time the script took.
+func fuzzExactModel(t *testing.T, script []byte, via entryPoint) (Stats, sim.Time) {
 	eng, d := fuzzSetup(script)
 	var model []uint64 // model[0] is the top (steal end), model[len-1] the bottom
 	next := uint64(0)
@@ -86,7 +134,7 @@ func fuzzExactModel(t *testing.T, script []byte) {
 				d.Push(p, mk(next), nil)
 				model = append(model, next)
 			case 1: // Pop from the bottom (LIFO)
-				e, _, ok := d.Pop(p)
+				e, _, ok := via.pop(d, p)
 				if ok != (len(model) > 0) {
 					t.Fatalf("op %d: Pop ok=%v with model size %d", i, ok, len(model))
 				}
@@ -98,7 +146,7 @@ func fuzzExactModel(t *testing.T, script []byte) {
 					}
 				}
 			case 2: // Steal from the top (FIFO)
-				e, _, ok := d.Steal(p, 1)
+				e, _, ok := via.steal(d, p, 1)
 				if ok != (len(model) > 0) {
 					t.Fatalf("op %d: Steal ok=%v with model size %d", i, ok, len(model))
 				}
@@ -117,7 +165,7 @@ func fuzzExactModel(t *testing.T, script []byte) {
 				d.PushTop(p, mk(next), nil)
 				model = append([]uint64{next}, model...)
 			case 4: // StealN: take the top half in one locked chain
-				entries, _, ok := d.StealN(p, 1, stealHalf)
+				entries, _, ok := via.stealN(d, p, 1, stealHalf)
 				if ok != (len(model) > 0) {
 					t.Fatalf("op %d: StealN ok=%v with model size %d", i, ok, len(model))
 				}
@@ -141,7 +189,7 @@ func fuzzExactModel(t *testing.T, script []byte) {
 			}
 		}
 	})
-	eng.Run(sim.Forever)
+	return d.St, eng.Run(sim.Forever)
 }
 
 // fuzzConcurrent replays the script's owner ops against two concurrently
@@ -150,7 +198,7 @@ func fuzzExactModel(t *testing.T, script []byte) {
 // script contains StealN ops, thief 1 steals half-batches instead of single
 // entries (and the deque runs in Batch mode) — the concurrent form of the
 // steal-half policy.
-func fuzzConcurrent(t *testing.T, script []byte) {
+func fuzzConcurrent(t *testing.T, script []byte, via entryPoint) (Stats, sim.Time) {
 	eng, d := fuzzSetup(script)
 	consumed := make(map[uint64]int)
 	pushed := 0
@@ -170,7 +218,7 @@ func fuzzConcurrent(t *testing.T, script []byte) {
 					d.PushTop(p, mk(v), nil)
 				}
 			default:
-				if e, _, ok := d.Pop(p); ok {
+				if e, _, ok := via.pop(d, p); ok {
 					consumed[rd(e)]++
 				}
 			}
@@ -184,7 +232,7 @@ func fuzzConcurrent(t *testing.T, script []byte) {
 			for range script {
 				p.Sleep(gap)
 				if r == 1 && d.Batch {
-					entries, _, ok := d.StealN(p, r, stealHalf)
+					entries, _, ok := via.stealN(d, p, r, stealHalf)
 					if ok {
 						for _, e := range entries {
 							consumed[rd(e)]++
@@ -192,13 +240,13 @@ func fuzzConcurrent(t *testing.T, script []byte) {
 					}
 					continue
 				}
-				if e, _, ok := d.Steal(p, r); ok {
+				if e, _, ok := via.steal(d, p, r); ok {
 					consumed[rd(e)]++
 				}
 			}
 		})
 	}
-	eng.Run(sim.Forever)
+	end := eng.Run(sim.Forever)
 	for v, n := range consumed {
 		if n != 1 {
 			t.Fatalf("value %d consumed %d times", v, n)
@@ -210,4 +258,5 @@ func fuzzConcurrent(t *testing.T, script []byte) {
 	if got := len(consumed) + d.Len(); got != pushed {
 		t.Fatalf("conservation: consumed %d + queued %d != pushed %d", len(consumed), d.Len(), pushed)
 	}
+	return d.St, end
 }

@@ -23,6 +23,15 @@
 // run inline on whichever goroutine is dispatching (never concurrently with
 // a proc body).
 //
+// Each suspension also has a continuation form — SleepThen, ParkThen,
+// Chain.WaitThen — that returns at once and runs a function at the wake-up,
+// inside event dispatch, as that proc (same event, same (time, seq), same
+// shard: Sleep is SleepThen with no continuation, followed by Await). A
+// continuation may suspend its proc again, so a cycle that mostly waits — an
+// idle worker's pop miss, failed steal and backoff — is written as a chain of
+// them and reaches the proc's goroutine, blocked in Await, only when one
+// returns with something for it to do.
+//
 // # Determinism
 //
 // Events are ordered by (virtual time, sequence number); the sequence number
@@ -52,28 +61,33 @@
 //
 // There is no driver goroutine between two procs. A suspending (or exiting)
 // proc runs the event loop itself: callbacks cost a heap pop plus a function
-// call (~25 ns); if the next proc to resume is the dispatcher itself it just
-// returns — an in-place clock advance, no channel operation, about the same
-// cost; otherwise it wakes that proc directly and blocks, one goroutine
-// switch (~270 ns). Only a Run per event still pays the old two-switch round
-// trip (~500 ns). benchmark/micro.go times these unit costs cold, as
-// sim.callback_ns, sim.sleep_ns, sim.handoff_ns, sim.chain5_ns and
-// sim.sharded_event_ns; the two shapes it has no driver for yet stay here as
-// BenchmarkSleepInPlace and BenchmarkProcPingPong. Hot paths still avoid
-// switches: multi-op protocols use completion chains (one resumption per protocol,
-// usually in place), live procs are kept on an intrusive list (no map
-// operations on spawn/death), proc names are formatted lazily (no fmt on the
-// spawn path; see GoID), and events are plain values in a slice-backed heap
-// (no per-event allocation). With a single OS thread available
-// (GOMAXPROCS=1) the Go scheduler keeps the remaining switches on-thread,
-// which is cheaper than cross-thread wakeups — the right setting when one
-// simulation owns the whole process.
+// call (~25 ns), and a proc's wake-up costs one of three things. Inline: the
+// proc suspended in continuation form, so the dispatcher calls the
+// continuation, and if that suspends the proc again the wake-up is over —
+// about a callback's cost (~28 ns), whichever proc it belongs to. In place:
+// the proc to resume is the dispatcher itself, blocked in Await, which just
+// returns — a clock advance, no channel operation (~29 ns). Switched: any
+// other proc is woken directly over its channel and the dispatcher blocks —
+// one goroutine switch (~270 ns). Only a Run per event still pays the old
+// two-switch round trip (~500 ns). benchmark/micro.go times the unit costs
+// cold, as sim.callback_ns, sim.sleep_ns, sim.handoff_ns, sim.chain5_ns and
+// sim.sharded_event_ns; the shapes it has no driver for yet stay here as
+// BenchmarkSleepInPlace, BenchmarkSleepInline and BenchmarkProcPingPong. Hot
+// paths avoid switches: multi-op protocols use completion chains (one
+// resumption per protocol), cycles that wait more than they work use
+// continuations (no resumption until there is work), live procs are kept on
+// an intrusive list (no map operations on spawn/death), proc names are
+// formatted lazily (no fmt on the spawn path; see GoID), and events are plain
+// values in a slice-backed heap (no per-event allocation). With a single OS
+// thread available (GOMAXPROCS=1) the Go scheduler keeps the remaining
+// switches on-thread, which is cheaper than cross-thread wakeups — the right
+// setting when one simulation owns the whole process.
 // When many engines run concurrently (parallel experiment sweeps, one
 // engine per host goroutine), leave GOMAXPROCS alone: all host threads stay
 // busy and determinism is unaffected either way because each engine's event
 // order never depends on goroutine scheduling. EngineStats reports how many
-// events, proc resumptions and callbacks a run executed and InPlace how many
-// resumptions needed no switch, so throughput (events/sec) and the
+// events, proc resumptions and callbacks a run executed, Inline and InPlace
+// how many resumptions needed no switch, so throughput (events/sec) and the
 // switch-avoidance ratio are directly measurable.
 //
 // # Sharding
@@ -95,10 +109,10 @@
 // from the Engine.Run call driving the simulation — i.e. on the caller's
 // goroutine, where it can be recovered per run. A panic inside a callback
 // (including a chain link) is wrapped the same way, attributed to the
-// pseudo-proc "callback" — it is caught inside dispatch, because the
-// goroutine a callback happens to run on is usually some suspended proc's.
-// The engine shuts down its remaining procs first, so no goroutines leak
-// past the failure.
+// pseudo-proc "callback", and a panic inside a continuation to the proc it
+// ran as — both are caught inside dispatch, because the goroutine they
+// happen to run on is usually some other suspended proc's. The engine shuts
+// down its remaining procs first, so no goroutines leak past the failure.
 package sim
 
 import (
@@ -187,7 +201,8 @@ type killed struct{}
 // ProcPanic is the payload Engine.Run re-panics with when a proc body
 // panicked: the proc's identity, the virtual time of the failure, the
 // original panic value, and the goroutine's stack at the point of the
-// panic. Panics inside callbacks carry the proc name "callback".
+// panic. Panics inside callbacks carry the proc name "callback", panics
+// inside a continuation the name of the proc it ran as.
 type ProcPanic struct {
 	Proc  string // name of the panicking proc
 	T     Time   // virtual time of the panic
@@ -210,7 +225,7 @@ func (pp *ProcPanic) String() string {
 // program dispatches the same events in the same order at any -shards N.
 type EngineStats struct {
 	Events    uint64 // events dispatched by Run
-	Handoffs  uint64 // proc resumptions (in place or by a goroutine switch; see InPlace)
+	Handoffs  uint64 // proc resumptions (inline, in place or by a goroutine switch; see Inline, InPlace)
 	Callbacks uint64 // callbacks executed (incl. chain links)
 }
 
@@ -267,6 +282,7 @@ type Engine struct {
 	trace    func(string)  // optional debug trace hook
 	stats    EngineStats
 	inplace  uint64       // resumptions served without a goroutine switch (see InPlace)
+	inline   uint64       // resumptions whose continuation suspended again (see Inline)
 	sstats   []ShardStats // one per shard; len >= 1
 	chains   *Chain       // free list of pooled Chain objects
 
@@ -318,13 +334,21 @@ func (e *Engine) Pending() int { return len(e.heap) }
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // InPlace returns how many of Stats().Handoffs were served in place: the
-// suspending proc found its own wake-up next in the queue and simply
-// returned, with no channel operation. The rest (Handoffs - InPlace) each
-// cost one goroutine switch. Deterministic for a given program and sequence
+// suspending proc found its own resumption next in the queue and simply
+// returned, with no channel operation. The rest, less those served Inline,
+// each cost one goroutine switch. Deterministic for a given program and sequence
 // of Run calls, but — unlike EngineStats — dependent on Run(until) windowing
 // (a proc resumed by a fresh Run is always switched to), so it is kept out
 // of the struct that serial and sharded engines compare with ==.
 func (e *Engine) InPlace() uint64 { return e.inplace }
+
+// Inline returns how many of Stats().Handoffs ran a continuation (SleepThen,
+// ParkThen, WaitThen) inside dispatch that suspended the proc again: the
+// proc's goroutine was never involved. A wake-up costs a goroutine switch
+// only when it is neither in place nor inline (Handoffs - InPlace - Inline).
+// Kept out of EngineStats like InPlace: it describes how the program was
+// written, not what it simulated.
+func (e *Engine) Inline() uint64 { return e.inline }
 
 // Shards returns the number of shards (1 for a plain engine).
 func (e *Engine) Shards() int { return len(e.sstats) }
@@ -546,13 +570,24 @@ func (e *Engine) Run(until Time) Time {
 // It pops events in order, runs callbacks inline, and returns the next proc
 // to resume (already marked running and counted) — or nil when the run is
 // over for now (queue empty, Stop, horizon, recorded failure) and the baton
-// belongs back in Run. A panicking callback is recorded as the failure of
-// the pseudo-proc "callback" rather than unwinding the goroutine it happened
-// to execute on; the recovered dispatch returns nil.
+// belongs back in Run. A wake-up of a proc suspended in continuation form
+// runs the continuation here, as that proc, and is over if the continuation
+// suspends again; only one that returns still running needs the proc's
+// goroutine. A panicking callback is recorded as the failure of the
+// pseudo-proc "callback" — a panicking continuation as that of the proc it
+// ran as — rather than unwinding the goroutine it happened to execute on; the
+// recovered dispatch returns nil.
 func (e *Engine) dispatch() *Proc {
 	defer func() {
 		if r := recover(); r != nil {
-			e.failed("callback", r)
+			who := "callback"
+			if p := e.current; p != nil {
+				// p's goroutine is blocked in Await (or is this one, about to
+				// be): leave it suspended for Shutdown to unwind.
+				who = p.Name()
+				p.cont, p.state = nil, StateParked
+			}
+			e.failed(who, r)
 		}
 	}()
 	e.current = nil
@@ -603,6 +638,15 @@ func (e *Engine) dispatch() *Proc {
 		// Anything the proc schedules while running belongs to its own shard.
 		e.curShard = p.shard
 		e.stats.Handoffs++
+		if fn := p.cont; fn != nil {
+			p.cont = nil
+			fn()
+			if p.state != StateRunning {
+				e.inline++
+				e.current = nil
+				continue
+			}
+		}
 		return p
 	}
 	return nil
@@ -688,6 +732,10 @@ type Proc struct {
 	shard              int // owning shard; stable for the proc's lifetime
 	state              ProcState
 	prevLive, nextLive *Proc
+
+	// cont, when non-nil, is what the proc's next wake-up runs inside
+	// dispatch instead of resuming its goroutine (see SleepThen).
+	cont func()
 }
 
 // Name returns the diagnostic name given at creation, formatting a lazy
@@ -726,11 +774,19 @@ func (p *Proc) run(body func(p *Proc)) (finished bool) {
 	return true
 }
 
-// yield suspends the proc, which holds the baton and so dispatches what
-// comes next itself. If that is its own wake-up it just returns — the clock
-// advanced in place, no channel operation; otherwise it wakes the next proc
-// directly (one goroutine switch) and blocks until somebody wakes it.
-func (p *Proc) yield() {
+// Await blocks the proc's goroutine until the proc is running again with no
+// continuation pending: at once if it never suspended (or its continuations
+// all finished synchronously), otherwise when a wake-up's continuation
+// returns without suspending again — or, after a plain nil continuation, at
+// the wake-up itself. The goroutine holds the baton and so dispatches what
+// comes next itself: if that turns out to be its own resumption it just
+// returns — the clock advanced in place, no channel operation; otherwise it
+// wakes the next proc directly (one goroutine switch) and blocks until
+// somebody wakes it. Must be called from the proc's own goroutine.
+func (p *Proc) Await() {
+	if p.state == StateRunning {
+		return
+	}
 	e := p.eng
 	next := e.dispatch()
 	if next == p {
@@ -743,30 +799,56 @@ func (p *Proc) yield() {
 	}
 }
 
-// Sleep suspends the proc for d nanoseconds of virtual time.
-func (p *Proc) Sleep(d Time) {
+// suspending panics unless p is the running proc — on its own goroutine or
+// inside one of its continuations.
+func (p *Proc) suspending(what string) {
+	if p.eng.current != p || p.state != StateRunning {
+		p.notCurrent(what) // out of line: keeps this check inlinable
+	}
+}
+
+func (p *Proc) notCurrent(what string) {
+	panic(fmt.Sprintf("sim: %s called on proc %q that is not current", what, p.Name()))
+}
+
+// SleepThen is Sleep in continuation form: it suspends the proc for d
+// nanoseconds of virtual time and returns at once; the wake-up — the same
+// event Sleep schedules — runs then inside dispatch, as this proc. A
+// continuation may suspend the proc again (SleepThen, ParkThen, WaitThen),
+// and a wake-up whose continuation does so never touches the proc's
+// goroutine. The goroutine itself must call Await after suspending this way
+// and before doing anything else with the engine; a nil then makes the
+// wake-up resume it there. Continuations must not call the blocking forms.
+func (p *Proc) SleepThen(d Time, then func()) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	if p.eng.current != p {
-		panic(fmt.Sprintf("sim: Sleep called on proc %q that is not current", p.Name()))
-	}
+	p.suspending("Sleep")
 	p.state = StateScheduled
+	p.cont = then
 	p.eng.schedule(p.eng.now+d, p.shard, p, nil)
-	p.yield()
-	p.state = StateRunning
+}
+
+// Sleep suspends the proc for d nanoseconds of virtual time.
+func (p *Proc) Sleep(d Time) {
+	p.SleepThen(d, nil)
+	p.Await()
+}
+
+// ParkThen is Park in continuation form (see SleepThen): then runs at the
+// wake-up that follows somebody's Wake.
+func (p *Proc) ParkThen(then func()) {
+	p.suspending("Park")
+	p.state = StateParked
+	p.cont = then
+	p.eng.parked++
 }
 
 // Park suspends the proc until another proc or a callback calls Wake (or
 // WakeAfter) on it.
 func (p *Proc) Park() {
-	if p.eng.current != p {
-		panic(fmt.Sprintf("sim: Park called on proc %q that is not current", p.Name()))
-	}
-	p.state = StateParked
-	p.eng.parked++
-	p.yield()
-	p.state = StateRunning
+	p.ParkThen(nil)
+	p.Await()
 }
 
 // Wake makes a parked proc runnable at the current virtual time. It panics
@@ -799,6 +881,8 @@ type Chain struct {
 	p       *Proc
 	done    bool
 	waiting bool   // proc is parked in Wait
+	then    func() // WaitThen's continuation
+	woken   func() // c.release, bound once: the proc's continuation while it waits
 	next    *Chain // engine free list
 }
 
@@ -814,7 +898,9 @@ func (e *Engine) NewChain(p *Proc) *Chain {
 		c.next = nil
 		return c
 	}
-	return &Chain{eng: e, p: p}
+	c = &Chain{eng: e, p: p}
+	c.woken = c.release
+	return c
 }
 
 // Then schedules the next link of the chain: fn runs inside event dispatch
@@ -840,22 +926,42 @@ func (c *Chain) Complete() {
 	}
 }
 
-// Wait suspends the issuing proc until Complete, then releases the chain
-// back to the engine pool (the chain must not be used after Wait).
-func (c *Chain) Wait() {
-	p := c.p
-	e := c.eng
-	if e.current != p {
-		panic(fmt.Sprintf("sim: Chain.Wait called on proc %q that is not current", p.Name()))
+// WaitThen is Wait in continuation form (see Proc.SleepThen): once the chain
+// has completed — which may be now — it is released back to the engine pool
+// (it must not be used afterwards) and then runs as the issuing proc.
+func (c *Chain) WaitThen(then func()) {
+	c.then = then
+	if c.done {
+		c.p.suspending("Chain.Wait")
+		c.release()
+		return
 	}
-	if !c.done {
-		c.waiting = true
-		p.state = StateParked
-		e.parked++
-		p.yield()
-		p.state = StateRunning
-	}
-	c.p = nil
+	c.waiting = true
+	c.p.ParkThen(c.woken)
+}
+
+// release returns the chain to the pool and runs its continuation, if any.
+func (c *Chain) release() {
+	e, then := c.eng, c.then
+	c.p, c.then = nil, nil
 	c.next = e.chains
 	e.chains = c
+	if then != nil {
+		then()
+	}
+}
+
+// Wait suspends the issuing proc until Complete, then releases the chain
+// back to the engine pool (the chain must not be used after Wait): WaitThen
+// for a blocking caller, who can release the chain itself.
+func (c *Chain) Wait() {
+	p := c.p
+	if c.done {
+		p.suspending("Chain.Wait")
+	} else {
+		c.waiting = true
+		p.ParkThen(nil)
+		p.Await()
+	}
+	c.release()
 }

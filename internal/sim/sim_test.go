@@ -889,6 +889,29 @@ func BenchmarkSleepInPlace(b *testing.B) {
 	e.Shutdown()
 }
 
+func BenchmarkSleepInline(b *testing.B) {
+	// Two procs alternating SleepThen(1): the events of BenchmarkProcPingPong,
+	// but each wake-up is a continuation run by whoever is dispatching — a heap
+	// push and pop and a function call, no switch although the proc changes.
+	e := NewEngine()
+	for i := 0; i < 2; i++ {
+		e.Go("w", func(p *Proc) {
+			left := b.N / 2
+			var nap func()
+			nap = func() {
+				if left > 0 {
+					left--
+					p.SleepThen(1, nap)
+				}
+			}
+			nap()
+			p.Await()
+		})
+	}
+	b.ResetTimer()
+	e.Run(Forever)
+}
+
 func TestProcPanicRecoveredInBodyIsNotFatal(t *testing.T) {
 	// A body that recovers its own panic keeps the simulation alive.
 	e := NewEngine()

@@ -14,9 +14,11 @@
 #          (self-validating against every committed golden) and once more
 #          sequentially — the two run folders must be diff -r identical, no
 #          file carries a clock — `repro validate` and `repro analyze` on
-#          the committed trace fixtures, the allocation-free gates of the
-#          event path, the fabric ops and the steal chain (*AllocFree in
-#          internal/sim, rdma and deque; the race detector perturbs
+#          the committed trace fixtures and on a serve cell cut at 20 µs with
+#          a stolen stack in flight (the trace must still agree with the
+#          counters), the allocation-free gates of the event path, the fabric
+#          ops, the steal chain and the worker's idle cycle (*AllocFree in
+#          internal/sim, rdma, deque and core; the race detector perturbs
 #          allocation counts), one iteration of every per-package
 #          micro-benchmark, and six bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
@@ -61,7 +63,10 @@ for tier in "${tiers[@]}"; do
     "$out/repro" analyze cmd/repro/testdata/trace_uts_micro.json
     "$out/repro" analyze cmd/repro/testdata/trace_serve_micro.json
     "$out/repro" analyze -requests cmd/repro/testdata/trace_serve_micro.json
-    go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque
+    "$out/repro" serve -systems ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace "$out/cut.json" -quiet >/dev/null
+    "$out/repro" analyze "$out/cut.json"
+    "$out/repro" analyze -requests "$out/cut.json"
+    go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core
     go test -bench=. -benchtime=1x -run '^$' ./...
     # must_fail CMD...: repro CMD must exit non-zero, in one line, without a
     # goroutine dump.
