@@ -343,24 +343,64 @@ func (rt *Runtime) shardOf(rank int) int {
 // whole computation completes. It returns the root's return value and the
 // aggregated statistics.
 func (rt *Runtime) Run(root TaskFunc) ([]byte, RunStats) {
+	rt.workers[0].rootTask = root
+	stats := rt.collect(rt.drive("run", nil, 0))
+	return rt.rootRet, stats
+}
+
+// drive is the body Run and Serve share: start the workers, schedule the
+// open system's arrivals — each injected at its arrival time into a worker
+// inbox, arrival index round-robin over ranks — arm the sampler, and simulate
+// until the run is done, the horizon (if positive) cuts it, or Config.MaxTime
+// gives it up. Returns the virtual end time.
+func (rt *Runtime) drive(what string, reqs []Request, horizon sim.Time) sim.Time {
 	for _, w := range rt.workers {
 		w.proc = rt.eng.GoIDOn(rt.shardOf(w.rank), "worker", int64(w.rank), w.schedule)
 	}
-	rt.workers[0].rootTask = root
+	for i := range reqs {
+		if horizon > 0 && reqs[i].At >= horizon {
+			continue // would arrive after the cut; stays in-flight by definition
+		}
+		r := reqs[i] // private copy: the injected pointer outlives the caller's slice
+		w := rt.workers[i%len(rt.workers)]
+		// The timer must live on the shard owning the target worker's node,
+		// like every other event touching that worker's state.
+		rt.eng.AfterOn(rt.shardOf(w.rank), r.At, func() {
+			rt.serve.injected++
+			// Arrival and admission coincide today (admission decisions are
+			// made before injection); the two instants are the seam where an
+			// SLO-aware admission delay will appear between them.
+			ev := obs.Event{T: rt.eng.Now(), Rank: w.rank, Kind: obs.KindServeArrive, Task: -1, Peer: -1, Req: r.ID + 1}
+			rt.traceEvent(ev)
+			ev.Kind = obs.KindServeAdmit
+			rt.traceEvent(ev)
+			w.inbox = append(w.inbox, &r)
+			rt.wakeDozers()
+		})
+	}
 	if rt.cfg.Sample > 0 {
 		rt.armSampler()
 	}
-	end := rt.eng.Run(rt.maxHorizon())
-	if !rt.done {
-		rt.eng.Shutdown()
-		panic(fmt.Sprintf("core: %v run did not complete by horizon %v (deadlock=%v, live=%d)",
-			rt.cfg.Policy, rt.maxHorizon(), rt.eng.Deadlocked(), rt.eng.Live()))
+	until := rt.maxHorizon()
+	if horizon > 0 && horizon < until {
+		until = horizon
 	}
-	if live := rt.eng.Live(); live > 0 {
+	end := rt.eng.Run(until)
+	switch {
+	case !rt.done && horizon > 0 && end >= horizon:
+		// Horizon cut: workers (and any in-flight request threads) are
+		// still live by design; kill them and report the remainder.
 		rt.eng.Shutdown()
-		panic(fmt.Sprintf("core: %d procs leaked at completion", live))
+	case !rt.done:
+		rt.eng.Shutdown()
+		panic(fmt.Sprintf("core: %v %s did not complete by %v (deadlock=%v, live=%d)",
+			rt.cfg.Policy, what, until, rt.eng.Deadlocked(), rt.eng.Live()))
+	case rt.eng.Live() > 0:
+		live := rt.eng.Live()
+		rt.eng.Shutdown()
+		panic(fmt.Sprintf("core: %d procs leaked at %s completion", live, what))
 	}
-	return rt.rootRet, rt.collect(end)
+	return end
 }
 
 func (rt *Runtime) maxHorizon() sim.Time {

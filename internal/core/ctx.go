@@ -142,16 +142,15 @@ func (h Handle) Join(c *Ctx) []byte {
 	}
 	rt := c.rt
 	c.worker().st.Joins++
-	switch {
-	case rt.cfg.Policy == ContGreedy && h.Consumers > 1:
-		return rt.joinFutureGreedy(c, h)
-	case rt.cfg.Policy == ContGreedy:
-		return rt.joinGreedy(c, h)
-	case rt.cfg.Policy == ContStalling, rt.cfg.Policy == ChildFull:
-		return rt.joinPoll(c, h)
+	switch rt.cfg.Policy {
+	case ContGreedy:
+		rt.joinGreedy(c, h)
+	case ContStalling, ChildFull:
+		rt.joinPoll(c, h)
 	default:
-		return rt.joinRtC(c, h)
+		rt.joinRtC(c, h)
 	}
+	return rt.takeResult(c, h)
 }
 
 // Yield voluntarily releases the worker: the caller's continuation becomes
@@ -166,23 +165,19 @@ func (c *Ctx) Yield() {
 	rt, p := c.rt, c.p
 	if c.t == nil || c.t.isChildTask {
 		// RtC tasks and tied child tasks cannot release their worker.
-		w := c.worker()
 		if rt.cfg.Policy == ChildRtC {
-			w.runOne(p)
+			c.worker().runOne(p)
 		}
 		return
 	}
 	t := c.t
-	w := t.w
 	var buf [contEntrySize]byte
 	encodeContEntry(buf[:], entCont, t)
 	t.state = tInDeque
 	// The yielded continuation goes to the steal (FIFO) end: every other
 	// locally queued task runs first, and thieves see it first.
-	w.dq.PushTop(p, buf[:], t)
-	p.Sleep(rt.cfg.Machine.CtxSwitch)
-	w.toScheduler()
-	t.parkSelf(p)
+	t.w.dq.PushTop(p, buf[:], t)
+	t.release(p)
 }
 
 // JoinInt64 joins and decodes the first 8 bytes of the result.

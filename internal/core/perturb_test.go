@@ -186,7 +186,7 @@ func TestIdleDelayBackoffBoundedAndGated(t *testing.T) {
 		t.Errorf("backoff never reached its cap (last %v)", prev)
 	}
 	w.failStreak = 50
-	w.stealSucceeded(0, 1, w.rt.eng.Now(), 0, 0)
+	w.stealSucceeded(0, 1, 0, 0, 0)
 	if w.failStreak != 0 {
 		t.Error("successful steal did not reset the fail streak")
 	}

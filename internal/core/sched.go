@@ -79,6 +79,7 @@ type foundKind uint8
 const (
 	foundNothing foundKind = iota // runOne's pop and steal attempt both missed
 	foundDone                     // the run is over
+	foundRoot                     // the closed system's initial task waits in w.rootTask
 	foundRequest                  // the inbox holds an open-system request
 	foundLocal                    // an entry popped from the worker's own deque
 	foundStolen                   // a batch stolen from w.victim
@@ -109,49 +110,28 @@ const (
 // thread, pushes, migrates a stack or drains the lock queue blocks as a proc.
 //
 // Run-to-completion child stealing (ChildRtC) is this same loop with tasks
-// executed as plain function calls on the scheduler's own stack instead of
-// being handed the worker: the root in startRoot, requests in step 0
-// (runRequestInline), child tasks in dispatchLocal/dispatchStolen
-// (runInline). Its wait queue is always empty, and its buried joins and
-// Yield call runOne directly — "the scheduler function called directly on
-// top of its stack" (§IV-B).
+// executed as plain function calls on the scheduler's own stack (runInline)
+// instead of being handed the worker. Its wait queue is always empty, and its
+// buried joins and Yield call runOne directly — "the scheduler function called
+// directly on top of its stack" (§IV-B).
 func (w *Worker) schedule(p *sim.Proc) {
-	rt := w.rt
 	if w.rootTask != nil {
-		w.startRoot(p)
+		w.found.kind = foundRoot
+	} else {
+		w.look()
 	}
-	w.look()
 	for {
 		p.Await()
 		f := w.takeFound()
 		switch f.kind {
 		case foundDone:
 			return
-		case foundRequest:
-			if rt.cfg.Policy == ChildRtC {
-				w.runRequestInline(p)
-			} else {
-				w.startRequest(p)
-			}
-		case foundWaiter:
-			t := w.waitQ[0]
-			w.waitQ = w.waitQ[1:]
-			w.st.WaitQResumes++
-			// A resume is real work: reset the backoff streak so the worker
-			// re-enters the idle loop at the base delay. Without this, a
-			// streak built before a busy wait-queue period persists across
-			// it, and the worker sleeps up to the max backoff before
-			// noticing late open-system arrivals (or freshly pushed work).
-			w.failStreak = 0
-			w.resume(p, t)
-			p.Park()
 		case foundCollect:
-			rt.objs.Collect(p, w.rank)
+			w.rt.objs.Collect(p, w.rank)
 			w.rest()
 			continue
-		default:
-			w.run(p, f)
 		}
+		w.run(p, f)
 		w.look()
 	}
 }
@@ -238,11 +218,35 @@ func (w *Worker) woken() {
 	w.look()
 }
 
-// run dispatches what a seek found, reporting whether that was anything.
+// run dispatches what the idle cycle found, reporting whether that was
+// anything. Whatever it dispatched to a thread took the worker with it (see
+// the hand-over contract in thread.go): the scheduler's one park, until
+// toScheduler gives the worker back, is here.
 func (w *Worker) run(p *sim.Proc, f found) bool {
 	switch f.kind {
+	case foundRoot:
+		w.startRoot(p, w.rootTask, nil)
+	case foundRequest:
+		r := w.inbox[0]
+		w.inbox = w.inbox[1:]
+		// New work arrived from outside: leave the idle-backoff regime (work
+		// does not only ever shrink in an open system).
+		w.failStreak = 0
+		w.startRoot(p, r.Fn, r)
+	case foundWaiter:
+		t := w.waitQ[0]
+		w.waitQ = w.waitQ[1:]
+		w.st.WaitQResumes++
+		// A resume is real work: reset the backoff streak so the worker
+		// re-enters the idle loop at the base delay. Without this, a
+		// streak built before a busy wait-queue period persists across
+		// it, and the worker sleeps up to the max backoff before
+		// noticing late open-system arrivals (or freshly pushed work).
+		w.failStreak = 0
+		w.resume(p, t)
 	case foundLocal:
-		w.dispatchLocal(p, f.entry, f.obj)
+		w.failStreak = 0
+		w.dispatch(p, f.entry, f.obj, nil)
 	case foundStolen:
 		// The surplus of a batch is requeued into this worker's own deque in
 		// protocol (oldest-first) order, so later thieves still see the
@@ -254,9 +258,12 @@ func (w *Worker) run(p *sim.Proc, f found) bool {
 			w.dq.Push(p, f.entries[i], f.objs[i])
 			w.st.SurplusStolen++
 		}
-		w.dispatchStolen(p, w.victim, f.entries[0], f.objs[0], w.stealStart)
+		w.dispatch(p, f.entries[0], f.objs[0], w.victim)
 	default:
 		return false
+	}
+	if w.current != nil {
+		p.Park()
 	}
 	return true
 }
@@ -274,25 +281,38 @@ func (w *Worker) runOne(p *sim.Proc) bool {
 	return w.run(p, w.takeFound())
 }
 
-// startRoot launches the initial task on this worker.
-func (w *Worker) startRoot(p *sim.Proc) {
+// startRoot launches a root task on this worker — the closed system's initial
+// task, or the open-system request r — in the policy's shape: a continuation
+// thread, a tied child thread, or (ChildRtC) a plain call on this stack.
+func (w *Worker) startRoot(p *sim.Proc, fn TaskFunc, r *Request) {
 	rt := w.rt
-	var root *Thread
+	var tag int64
+	if r != nil {
+		tag = r.ID + 1
+		rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindServeStart, Task: -1, Peer: -1, Req: tag})
+	}
+	var t *Thread
 	switch {
 	case rt.cfg.Policy == ChildRtC:
-		w.rtcEnter()
-		rt.finish(w.rootTask(&Ctx{rt: rt, w: w, p: p}))
-		w.rtcExit()
+		root := &childTask{fn: fn, id: -1, reqTag: tag}
+		if r != nil {
+			// The request root is not a Thread here, but it still needs a
+			// task id for the trace (allocated unconditionally so ids are
+			// stable whether or not tracing is on).
+			rt.childSeq++
+			root.id = rt.childSeq
+		}
+		w.runInline(p, root, r)
 		return
 	case rt.cfg.Policy.Continuation():
-		root = newContThread(w, w.rootTask, Handle{}, -1, true)
+		t = newContThread(w, fn, Handle{}, -1, true)
 	default:
-		root = &Thread{rt: rt, fn: w.rootTask, isChildTask: true, isRoot: true, w: w}
-		rt.register(root)
+		t = &Thread{rt: rt, fn: fn, isChildTask: true, isRoot: true, w: w}
+		rt.register(t)
 	}
-	w.setCurrent(root)
-	root.start()
-	p.Park()
+	t.req, t.reqTag = r, tag
+	w.setCurrent(t)
+	t.start()
 }
 
 // pickVictim selects a steal victim according to Config.Steal.Victim.
@@ -359,50 +379,31 @@ func (w *Worker) pickVictimLocality(n int) *Worker {
 	return w.uniformVictim(n)
 }
 
-// dispatchLocal runs a descriptor popped from the worker's own deque.
-func (w *Worker) dispatchLocal(p *sim.Proc, entry []byte, obj any) {
-	w.failStreak = 0
-	switch entryKind(entry) {
-	case entCont, entResume:
-		w.resume(p, obj.(*Thread))
-		p.Park()
-	case entChild:
-		if w.rt.cfg.Policy == ChildRtC {
-			w.runInline(p, obj.(*childTask))
-			return
-		}
-		w.startChildTask(p, obj.(*childTask))
-		p.Park()
-	default:
-		panic("core: unknown deque entry kind")
-	}
-}
-
-// dispatchStolen runs a stolen descriptor, recording Table II steal
-// statistics: latency (from first protocol op to the task being handed the
-// worker), stolen payload size, and payload copy time.
-func (w *Worker) dispatchStolen(p *sim.Proc, victim *Worker, entry []byte, obj any, start sim.Time) {
+// dispatch runs a descriptor popped from the worker's own deque (victim nil)
+// or stolen from victim's, in which case it also books the steal, once the
+// task is about to be handed the worker: a stolen continuation's payload is
+// its stack, which resume migrates (Fig. 2 step 3); a stolen child task's
+// descriptor ("function pointer and arguments") was transferred by the deque
+// protocol itself, and its payload portion is accounted here.
+func (w *Worker) dispatch(p *sim.Proc, entry []byte, obj any, victim *Worker) {
 	switch entryKind(entry) {
 	case entCont, entResume:
 		t := obj.(*Thread)
-		copyTime := w.resume(p, t) // migrates the stack (Fig. 2 step 3)
-		w.st.StolenBytes += uint64(t.stackSize)
-		w.st.TaskCopyTime += copyTime
-		w.stealSucceeded(t.id, victim.rank, start, int64(t.stackSize), t.reqTag)
-		p.Park()
+		copyTime := w.resume(p, t)
+		if victim != nil {
+			w.stealSucceeded(t.id, victim.rank, int64(t.stackSize), t.reqTag, copyTime)
+		}
 	case entChild:
 		ct := obj.(*childTask)
-		// The descriptor ("function pointer and arguments") was transferred
-		// by the deque protocol itself; account its payload portion.
-		w.st.StolenBytes += childTaskBytes
-		w.st.TaskCopyTime += w.rt.cfg.Machine.OneSided(w.rank, victim.rank, childTaskBytes, false)
-		w.stealSucceeded(ct.id, victim.rank, start, childTaskBytes, ct.reqTag)
-		if w.rt.cfg.Policy == ChildRtC {
-			w.runInline(p, ct)
-			return
+		if victim != nil {
+			copyTime := w.rt.cfg.Machine.OneSided(w.rank, victim.rank, childTaskBytes, false)
+			w.stealSucceeded(ct.id, victim.rank, childTaskBytes, ct.reqTag, copyTime)
 		}
-		w.startChildTask(p, ct)
-		p.Park()
+		if w.rt.cfg.Policy == ChildRtC {
+			w.runInline(p, ct, nil)
+		} else {
+			w.startChildTask(p, ct)
+		}
 	default:
 		panic("core: unknown deque entry kind")
 	}
@@ -449,22 +450,25 @@ func (w *Worker) stole(entries [][]byte, objs []any, ok bool) {
 // the entries available under the lock, rounded up (at least one).
 func stealHalf(avail int64) int64 { return (avail + 1) / 2 }
 
-// stealSucceeded books a successful steal — count, latency and trace span in
-// one place, once the stack has arrived, so a run cut while it migrates has
-// neither — over the same window the trace span covers, so Σ steal span
-// durations == Work.StealLatency exactly.
-func (w *Worker) stealSucceeded(task int64, victim int, start sim.Time, size, req int64) {
+// stealSucceeded books a successful steal — count, Table II payload size and
+// copy time, latency and trace span in one place, once the stack has arrived,
+// so a run cut while it migrates has none of them. The latency runs from the
+// first protocol op to the task being handed the worker, the same window the
+// trace span covers, so Σ steal span durations == Work.StealLatency exactly.
+func (w *Worker) stealSucceeded(task int64, victim int, size, req int64, copyTime sim.Time) {
 	w.st.StealsOK++
+	w.st.StolenBytes += uint64(size)
+	w.st.TaskCopyTime += copyTime
 	w.failStreak = 0
 	if w.rt.cfg.Steal.Victim == VictimLocality {
 		w.lastVictim = victim
 	}
-	lat := w.rt.eng.Now() - start
+	lat := w.rt.eng.Now() - w.stealStart
 	w.st.StealLatency += lat
 	if w.ob != nil {
 		w.ob.stealLat.Observe(lat)
 	}
-	w.rt.traceEvent(obs.Event{T: start, Rank: w.rank, Kind: obs.KindSteal, Task: task, Peer: victim, Size: size, Req: req})
+	w.rt.traceEvent(obs.Event{T: w.stealStart, Rank: w.rank, Kind: obs.KindSteal, Task: task, Peer: victim, Size: size, Req: req})
 }
 
 // stealFailed books a failed attempt: the protocol chain window is the
@@ -496,23 +500,35 @@ func (w *Worker) startChildTask(p *sim.Proc, ct *childTask) {
 	t.start()
 }
 
-// runInline executes a child task as an ordinary nested function call and
-// completes its entry.
-func (w *Worker) runInline(p *sim.Proc, ct *childTask) {
+// runInline executes a task as an ordinary nested function call on the
+// scheduler's stack (ChildRtC) and completes it: a child task into its entry,
+// the request root r into the serve books, the closed system's root — task −1,
+// which has no run span and is not counted — into the run's result.
+func (w *Worker) runInline(p *sim.Proc, ct *childTask, r *Request) {
 	rt := w.rt
 	w.rtcEnter()
-	rt.traceRunStart(w.rank, ct.id, ct.reqTag)
-	defer rt.traceRunEnd(w.rank)
+	if ct.id >= 0 {
+		rt.traceRunStart(w.rank, ct.id, ct.reqTag)
+	}
 	// Inline execution nests: save the enclosing task's request tag so
 	// spawns and fabric ops inside ct are attributed to ct's request.
 	saved := w.curReq
 	w.curReq = ct.reqTag
-	defer func() { w.curReq = saved }()
 	c := &Ctx{rt: rt, w: w, p: p}
 	ret := ct.fn(c)
-	rt.putRetval(c, ct.hdl, ret)
-	rt.fab.PutInt64(p, w.rank, flagWord(ct.hdl.E), 1)
-	rt.joinCompleted(ct.hdl.E)
-	w.st.Tasks++
+	switch {
+	case ct.hdl.Valid():
+		rt.complete(c, ct.hdl, ret)
+		w.st.Tasks++
+	case r != nil:
+		w.st.Tasks++
+		rt.requestDone(w, r)
+	default:
+		rt.finish(ret)
+	}
+	w.curReq = saved
+	if ct.id >= 0 {
+		rt.traceRunEnd(w.rank)
+	}
 	w.rtcExit()
 }

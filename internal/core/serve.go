@@ -76,9 +76,9 @@ type serveState struct {
 // means there is nothing to run or steal anywhere.
 func (s *serveState) quiescent() bool { return s.injected == s.completed }
 
-// doze parks the calling worker on the arrival doorbell. The caller must
-// p.Park() immediately after (the engine dispatches no event in between, so
-// the registration cannot miss a wake).
+// doze registers the calling worker on the arrival doorbell. The caller must
+// park immediately after (the engine dispatches no event in between, so the
+// registration cannot miss a wake).
 func (s *serveState) doze(w *Worker) { s.dozing = append(s.dozing, w) }
 
 // wakeDozers unparks every dozing worker — on a new arrival (fresh work) or
@@ -122,56 +122,10 @@ func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 			w.ob.serveInit()
 		}
 	}
-	for _, w := range rt.workers {
-		w.proc = rt.eng.GoIDOn(rt.shardOf(w.rank), "worker", int64(w.rank), w.schedule)
-	}
-	for i := range reqs {
-		if horizon > 0 && reqs[i].At >= horizon {
-			continue // would arrive after the cut; stays in-flight by definition
-		}
-		r := reqs[i] // private copy: the injected pointer outlives the caller's slice
-		w := rt.workers[i%len(rt.workers)]
-		// The timer must live on the shard owning the target worker's node,
-		// like every other event touching that worker's state.
-		rt.eng.AfterOn(rt.shardOf(w.rank), r.At, func() {
-			s.injected++
-			// Arrival and admission coincide today (admission decisions are
-			// made before injection); the two instants are the seam where an
-			// SLO-aware admission delay will appear between them.
-			ev := obs.Event{T: rt.eng.Now(), Rank: w.rank, Kind: obs.KindServeArrive, Task: -1, Peer: -1, Req: r.ID + 1}
-			rt.traceEvent(ev)
-			ev.Kind = obs.KindServeAdmit
-			rt.traceEvent(ev)
-			w.inbox = append(w.inbox, &r)
-			rt.wakeDozers()
-		})
-	}
-	if rt.cfg.Sample > 0 {
-		rt.armSampler()
-	}
 	if len(reqs) == 0 {
 		rt.done = true
 	}
-	until := rt.maxHorizon()
-	if horizon > 0 && horizon < until {
-		until = horizon
-	}
-	end := rt.eng.Run(until)
-	switch {
-	case !rt.done && horizon > 0 && end >= horizon:
-		// Horizon cut: workers (and any in-flight request threads) are
-		// still live by design; kill them and report the remainder.
-		rt.eng.Shutdown()
-	case !rt.done:
-		rt.eng.Shutdown()
-		panic(fmt.Sprintf("core: %v serve did not complete by %v (deadlock=%v, live=%d)",
-			rt.cfg.Policy, until, rt.eng.Deadlocked(), rt.eng.Live()))
-	default:
-		if live := rt.eng.Live(); live > 0 {
-			rt.eng.Shutdown()
-			panic(fmt.Sprintf("core: %d procs leaked at serve completion", live))
-		}
-	}
+	end := rt.drive("serve", reqs, horizon)
 	sort.Slice(s.done, func(i, j int) bool {
 		if s.done[i].End != s.done[j].End {
 			return s.done[i].End < s.done[j].End
@@ -205,56 +159,4 @@ func (rt *Runtime) requestDone(w *Worker, r *Request) {
 		rt.done = true
 		rt.wakeDozers()
 	}
-}
-
-// startRequest launches the oldest inbox request on this worker as a root
-// thread, mirroring startRoot for the policy's thread shape. The caller's
-// scheduler loop must treat it like a dispatch (the worker parks until the
-// thread yields it back).
-func (w *Worker) startRequest(p *sim.Proc) {
-	rt := w.rt
-	r := w.inbox[0]
-	w.inbox = w.inbox[1:]
-	// New work arrived from outside: leave the idle-backoff regime (work
-	// does not only ever shrink in an open system).
-	w.failStreak = 0
-	var t *Thread
-	if rt.cfg.Policy.Continuation() {
-		t = newContThread(w, r.Fn, Handle{}, -1, true)
-	} else {
-		t = &Thread{rt: rt, fn: r.Fn, isChildTask: true, isRoot: true, w: w}
-		rt.register(t)
-	}
-	t.req = r
-	t.reqTag = r.ID + 1
-	rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindServeStart, Task: -1, Peer: -1, Req: t.reqTag})
-	w.setCurrent(t)
-	t.start()
-	p.Park()
-}
-
-// runRequestInline executes a request root as a plain function call on the
-// scheduler stack (ChildRtC), mirroring the closed-system RtC root path.
-func (w *Worker) runRequestInline(p *sim.Proc) {
-	rt := w.rt
-	r := w.inbox[0]
-	w.inbox = w.inbox[1:]
-	w.failStreak = 0
-	w.rtcEnter()
-	// The request root is not a Thread here, but it still needs a task id
-	// for the trace (allocated unconditionally so ids are stable whether or
-	// not tracing is on) and the worker's request register while it runs.
-	rt.childSeq++
-	id, tag := rt.childSeq, r.ID+1
-	rt.traceEvent(obs.Event{T: p.Now(), Rank: w.rank, Kind: obs.KindServeStart, Task: -1, Peer: -1, Req: tag})
-	rt.traceRunStart(w.rank, id, tag)
-	saved := w.curReq
-	w.curReq = tag
-	c := &Ctx{rt: rt, w: w, p: p}
-	r.Fn(c)
-	w.st.Tasks++
-	rt.requestDone(w, r)
-	w.curReq = saved
-	rt.traceRunEnd(w.rank)
-	w.rtcExit()
 }

@@ -183,9 +183,16 @@ func (w *Worker) rtcExit() {
 	}
 }
 
-// handoff transfers the worker to thread t, which must be parked. The
-// caller (a dying/suspending thread's proc, or the scheduler) must park or
-// exit immediately after.
+// The hand-over contract. A worker is occupied by exactly one proc at a time:
+// its scheduler, or the thread w.current. Whoever gives the worker away —
+// handoff (and resume, which ends in it) to a thread, toScheduler to the
+// scheduler — wakes the new occupant and must then suspend or exit before any
+// virtual time passes: the engine runs one proc at a time, so the new occupant
+// starts only once the old one is out of the way. The takers do that in one
+// place each: the scheduler parks at the end of run, a thread parks in
+// parkSelf (reached from release and from spawn) or exits at the end of main.
+
+// handoff transfers the worker to thread t, whose stack must be here.
 func (w *Worker) handoff(t *Thread) {
 	t.w = w
 	t.state = tRunning
@@ -212,11 +219,30 @@ func (t *Thread) parkSelf(p *sim.Proc) {
 	p.Park()
 }
 
-// toScheduler returns the worker to its scheduler loop. The caller must
-// park or exit immediately after.
+// toScheduler returns the worker to its scheduler loop.
 func (w *Worker) toScheduler() {
 	w.setCurrent(nil)
 	w.rt.eng.Wake(w.proc)
+}
+
+// release is the one way a live thread gives up its worker ("suspend context",
+// Fig. 3 line 17 and Fig. 4 line 48; Yield): switch to the scheduler context
+// and park until somebody hands this thread a worker again — possibly another
+// one, so callers must re-read t.w afterwards. The thread has already made
+// itself findable (a published context, the wait queue, the deque).
+func (t *Thread) release(p *sim.Proc) {
+	w := t.w // before the switch: a resumer may claim t (and move t.w) during it
+	p.Sleep(t.rt.cfg.Machine.CtxSwitch)
+	w.toScheduler()
+	t.parkSelf(p)
+}
+
+// suspended books thread t as suspended at the join of entry e.
+func (t *Thread) suspended(p *sim.Proc, e rdma.Loc) {
+	t.state = tSuspended
+	t.waitingOn = e
+	t.rt.joinSuspended(e)
+	t.rt.traceEvent(obs.Event{T: p.Now(), Rank: t.w.rank, Kind: obs.KindSuspend, Task: t.id, Peer: -1, Req: t.reqTag})
 }
 
 // newContThread creates (but does not yet start) a continuation-stealing
@@ -291,18 +317,18 @@ func (t *Thread) evacuate(p *sim.Proc) {
 	t.evacuated = true
 }
 
-// releaseStack frees whatever copy of the stack is current when the thread
-// dies.
-func (t *Thread) releaseStack() {
-	if t.isChildTask {
-		return
-	}
-	if t.evacuated {
+// retire marks the thread dead and frees whatever copy of its stack is
+// current (a tied child task has none in the uni-address region).
+func (t *Thread) retire() {
+	t.state = tDead
+	switch {
+	case t.isChildTask:
+	case t.evacuated:
 		t.rt.workers[t.evacRank].ua.FreeEvac(t.evacAddr, t.stackSize)
 		t.evacuated = false
-		return
+	default:
+		t.w.ua.PopStack(t.stackAddr, t.stackSize)
 	}
-	t.w.ua.PopStack(t.stackAddr, t.stackSize)
 }
 
 // bringTo makes thread t's stack present on worker w, charging the
@@ -374,10 +400,10 @@ func (w *Worker) bringTo(p *sim.Proc, t *Thread) sim.Time {
 	return p.Now() - start
 }
 
-// resume brings t's stack to w, charges a context switch, updates join
-// accounting, and hands the worker over to t. The caller must park or exit
-// immediately after. Returns the payload copy time for steal accounting.
-func (w *Worker) resume(p *sim.Proc, t *Thread) sim.Time {
+// restore makes the suspended or stolen thread t runnable on w: it brings the
+// stack here, charges a context switch and closes the join accounting of a
+// suspended joiner. Returns the payload copy time for steal accounting.
+func (w *Worker) restore(p *sim.Proc, t *Thread) sim.Time {
 	migrated := t.w != w || (t.evacuated && t.evacRank != w.rank)
 	start := p.Now()
 	copyTime := w.bringTo(p, t)
@@ -392,6 +418,13 @@ func (w *Worker) resume(p *sim.Proc, t *Thread) sim.Time {
 			w.ob.migrate.Observe(copyTime)
 		}
 	}
+	return copyTime
+}
+
+// resume restores t on w and hands the worker over to it (see the hand-over
+// contract above handoff).
+func (w *Worker) resume(p *sim.Proc, t *Thread) sim.Time {
+	copyTime := w.restore(p, t)
 	w.handoff(t)
 	return copyTime
 }
