@@ -277,6 +277,21 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if *traceFormat != "json" && *traceFormat != "chrome" {
 		return fmt.Errorf("unknown -trace-format %q (want json or chrome)", *traceFormat)
 	}
+	// Every requested sink must be creatable before the first entry runs: a
+	// paper-scale sweep must not lose its only output to a typo in a path.
+	for _, sink := range [][2]string{{"-trace", *tracePath}, {"-metrics", *metricsPath}, {"json", *jsonPath}} {
+		if sink[1] == "" || sink[1] == "-" {
+			continue
+		}
+		if err := manifest.Creatable(sink[1]); err != nil {
+			return fmt.Errorf("%s: %w", sink[0], err)
+		}
+	}
+	if *tsvDir != "" {
+		if err := os.MkdirAll(*tsvDir, 0o755); err != nil {
+			return fmt.Errorf("tsv: %w", err)
+		}
+	}
 
 	var obsCol *experiments.ObsCollector
 	if *tracePath != "" || *metricsPath != "" {

@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"contsteal/internal/manifest"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden TSV fixtures under testdata/")
@@ -303,8 +305,9 @@ func TestGoldenServeTraceJSON(t *testing.T) {
 // corrupted counter or a request window moved by a tick is caught by the
 // request cross-check (and by VerifyRequests and CheckRequests alike, with
 // the same words); a file no run can have written — negative workers, an
-// event on a rank the trace does not have, a negative duration — is rejected
-// when it is read, in both modes, naming the field and the event.
+// event on a rank the trace does not have, a negative duration, event time or
+// exec_time — is rejected when it is read, in both modes, naming the field
+// and the event.
 func TestAnalyzeRequestsDetectsCorruption(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "trace_serve_micro.json"))
 	if err != nil {
@@ -321,6 +324,8 @@ func TestAnalyzeRequestsDetectsCorruption(t *testing.T) {
 		{name: "negative workers", old: `"workers":`, new: `"workers":-`, want: "workers must be non-negative, got -6", malformed: true},
 		{name: "rank out of range", old: `"rank":1,`, new: `"rank":7,`, want: "events[1]: rank 7 outside [0, 6)", malformed: true},
 		{name: "negative dur", old: `"dur":801,"rank":2`, new: `"dur":-801,"rank":2`, want: "events[2]: dur must be non-negative, got -801", malformed: true},
+		{name: "negative t", old: `"t":341,`, new: `"t":-5,`, want: "events[6]: t must be non-negative, got -5", malformed: true},
+		{name: "negative exec_time", old: `"exec_time":`, new: `"exec_time":-`, want: "exec_time must be non-negative, got -21208", malformed: true},
 	} {
 		bad := strings.Replace(string(data), tc.old, tc.new, 1)
 		if bad == string(data) {
@@ -553,5 +558,44 @@ func TestUsageErrors(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("run(%v) printed results before rejecting its input:\n%s", tc.argv, stdout.String())
 		}
+	}
+}
+
+// TestSinksFailBeforeTheSimulation: a sink that cannot be created is reported
+// before the first entry runs — no progress line, no table — with the one-line
+// error the write would have given after it; a creatable one is left absent
+// (or as it was) until the run writes it.
+func TestSinksFailBeforeTheSimulation(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "x")
+	for _, tc := range []struct{ flag, path, want string }{
+		{"-trace", missing, "-trace: open " + missing},
+		{"-metrics", missing, "-metrics: open " + missing},
+		{"-json", missing, "json: open " + missing},
+		{"-tsv", filepath.Join(os.DevNull, "x"), "tsv: mkdir " + os.DevNull},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"fig6", "-bench", "pfor", "-workers", "4", "-n", "64", tc.flag, tc.path}, &stdout, &stderr)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: run = %v, want a one-line error starting %q", tc.flag, err, tc.want)
+		}
+		if stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("%s: output before the sink was rejected:\n%s%s", tc.flag, stdout.String(), stderr.String())
+		}
+	}
+	kept, fresh := filepath.Join(dir, "kept.json"), filepath.Join(dir, "fresh.json")
+	if err := os.WriteFile(kept, []byte("before"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{kept, fresh} {
+		if err := manifest.Creatable(path); err != nil {
+			t.Errorf("Creatable(%s) = %v", path, err)
+		}
+	}
+	if b, err := os.ReadFile(kept); err != nil || string(b) != "before" {
+		t.Errorf("Creatable touched an existing file: %q, %v", b, err)
+	}
+	if _, err := os.Stat(fresh); err == nil {
+		t.Error("Creatable left its probe file behind")
 	}
 }

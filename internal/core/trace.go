@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -158,18 +159,32 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 
 // ReadTraceJSON parses a trace previously written by WriteJSON. A file is
 // outside input: the shape every reader below indexes by is checked here,
-// once (the recording path produces it by construction).
+// once (the recording path produces it by construction), and a Chrome export
+// — the other thing -trace writes — is named for what it is.
 func ReadTraceJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
+	var file struct {
+		Trace
+		Chrome json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(r).Decode(&file); err != nil {
 		return nil, err
 	}
+	if file.Chrome != nil {
+		return nil, errors.New("a Chrome export (top-level traceEvents); analyze reads -trace-format json")
+	}
+	t := file.Trace
 	if t.Workers < 0 {
 		return nil, fmt.Errorf("workers must be non-negative, got %d", t.Workers)
+	}
+	if t.ExecTime < 0 {
+		return nil, fmt.Errorf("exec_time must be non-negative, got %d", int64(t.ExecTime))
 	}
 	for i, e := range t.Events {
 		if e.Rank < 0 || e.Rank >= t.Workers {
 			return nil, fmt.Errorf("events[%d]: rank %d outside [0, %d) (workers)", i, e.Rank, t.Workers)
+		}
+		if e.T < 0 {
+			return nil, fmt.Errorf("events[%d]: t must be non-negative, got %d", i, int64(e.T))
 		}
 		if e.Dur < 0 {
 			return nil, fmt.Errorf("events[%d]: dur must be non-negative, got %d", i, int64(e.Dur))

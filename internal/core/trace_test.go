@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"contsteal/internal/obs"
@@ -241,5 +243,47 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	_, _ = rt.Run(fibTask(8))
 	if rt.TraceLog() != nil {
 		t.Error("trace recorded without Config.Trace")
+	}
+}
+
+// TestReadTraceJSONRejectsWhatNoRunWrote: a recorded trace reads back, and
+// the three files `repro analyze` used to accept or misname — a negative
+// event time, a negative exec_time, a Chrome export — fail with one line
+// naming the field (and the event index).
+func TestReadTraceJSONRejectsWhatNoRunWrote(t *testing.T) {
+	cfg := testConfig(ContGreedy, 2)
+	cfg.Trace = true
+	rt := New(cfg)
+	_, _ = rt.Run(fibTask(8))
+	tr := rt.TraceLog()
+	var raw, chrome bytes.Buffer
+	if err := tr.WriteJSON(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	good := raw.String()
+	t3 := fmt.Sprintf(`"t":%d,`, int64(tr.Events[3].T))
+	exec := fmt.Sprintf(`"exec_time":%d,`, int64(tr.ExecTime))
+	for _, tc := range []struct {
+		name, file, want string
+	}{
+		{"recorded", good, ""},
+		{"negative t", strings.Replace(good, t3, `"t":-5,`, 1), "]: t must be non-negative, got -5"},
+		{"negative exec_time", strings.Replace(good, exec, `"exec_time":-`+exec[len(`"exec_time":`):], 1),
+			fmt.Sprintf("exec_time must be non-negative, got -%d", int64(tr.ExecTime))},
+		{"chrome export", chrome.String(), "a Chrome export (top-level traceEvents); analyze reads -trace-format json"},
+	} {
+		if tc.file == good && tc.want != "" {
+			t.Fatalf("%s: the edit did not apply", tc.name)
+		}
+		_, err := ReadTraceJSON(strings.NewReader(tc.file))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n")):
+			t.Errorf("%s: error %v, want one line containing %q", tc.name, err, tc.want)
+		}
 	}
 }

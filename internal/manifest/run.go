@@ -308,6 +308,23 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
+// Creatable reports whether WriteFile(path, …) would get past its create, so
+// a caller can ask before a long run instead of after it. An existing file is
+// opened for writing and left as it is; one created to find out is removed
+// again.
+func Creatable(path string) error {
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	f.Close()
+	if statErr != nil {
+		return os.Remove(path)
+	}
+	return nil
+}
+
 // WriteSeries writes each series as <dir>/<name>.tsv, creating dir when
 // there is anything to write.
 func WriteSeries(dir string, series []experiments.Series) error {
