@@ -191,7 +191,6 @@ func bindParams(fs *flag.FlagSet, p *manifest.Params) {
 	listFlag(fs, &p.Arrivals, "arrivals", "serve: comma-separated arrival processes (poisson,mmpp)", parseName)
 	listFlag(fs, &p.Admits, "admits", "serve: comma-separated admission policies (always,token)", parseName)
 	fs.Float64Var(&p.HorizonUs, "horizon-us", 0, "serve: cut every cell at this virtual time (µs; 0 = drain)")
-	fs.BoolVar(&p.NoReqTrace, "no-req-trace", false, "serve: skip request tracing and tail attribution (sojourn/goodput output is byte-identical either way)")
 	fs.StringVar(&p.Policy, "steal-policy", "", "steal policy for every core runtime: uniform, hier, locality, or their -half variants (\"\" = paper's uniform steal-one; stealzoo sweeps all and ignores this)")
 	fs.StringVar(&p.Shape, "shape", "", "stealzoo: dag workload shape, wavefront or stencil (default wavefront)")
 }

@@ -218,34 +218,6 @@ func TestGoldenServeTSVWisteria(t *testing.T) {
 	runGolden(t, serveGoldenArgs("wisteria"), []string{"serve_wisteria.tsv", "serve_requests_wisteria.tsv"})
 }
 
-// TestGoldenServeNoReqTraceEquivalence reruns the serve golden slice with
-// request tracing disabled and requires the sojourn/goodput series to stay
-// byte-identical to the committed (traced) fixture: the request tracer only
-// observes, so turning it off may remove the serve_requests series but may
-// not move a single simulated tick.
-func TestGoldenServeNoReqTraceEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	var stdout bytes.Buffer
-	args := append(serveGoldenArgs("itoa"), "-no-req-trace", "-tsv", dir, "-quiet", "-parallel", "4")
-	if err := run(args, &stdout, io.Discard); err != nil {
-		t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "serve_itoa.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "serve_itoa.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("serve TSV with request tracing off diverges from the traced fixture.\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "serve_requests_itoa.tsv")); err == nil {
-		t.Error("-no-req-trace still produced the serve_requests series")
-	}
-}
-
 // serveTraceArgs generates the committed micro serve trace: one "ours" cell
 // small enough to commit, with enough load that requests overlap and steal /
 // fabric / queue components all appear.

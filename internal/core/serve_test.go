@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"contsteal/internal/sim"
@@ -279,4 +280,43 @@ func TestServeUnsortedPanics(t *testing.T) {
 		}
 	}()
 	rt.Serve(reqs, 0)
+}
+
+// TestServeTracingOnlyObserves: the same Serve with Config.Trace off and on
+// yields identical ServeStats — every counter, completion record, engine
+// count and metric — under every policy, drained and horizon-cut. This is the
+// property that lets the serve experiment trace every "ours" cell for its
+// request attribution without moving a simulated tick.
+func TestServeTracingOnlyObserves(t *testing.T) {
+	for _, pol := range allPolicies {
+		for _, horizon := range []sim.Time{0, 12 * sim.Microsecond} {
+			run := func(trace bool) (ServeStats, []byte) {
+				cfg := testConfig(pol, 4)
+				cfg.Trace = trace
+				cfg.Metrics = true
+				rt := New(cfg)
+				st := rt.Serve(serveTrace(24, 700*sim.Nanosecond, 7), horizon)
+				if (rt.TraceLog() != nil) != trace {
+					t.Fatalf("%v: TraceLog present = %v with Config.Trace = %v", pol, !trace, trace)
+				}
+				var mt bytes.Buffer
+				if err := st.Obs.WriteTSV(&mt); err != nil {
+					t.Fatalf("metrics: %v", err)
+				}
+				st.Obs = nil
+				return st, mt.Bytes()
+			}
+			off, offMetrics := run(false)
+			on, onMetrics := run(true)
+			if horizon > 0 && off.InFlight == 0 {
+				t.Errorf("%v: horizon %v cut nothing", pol, horizon)
+			}
+			if !reflect.DeepEqual(on, off) {
+				t.Errorf("%v horizon %v: tracing changed the stats:\n on %+v\noff %+v", pol, horizon, on, off)
+			}
+			if !bytes.Equal(onMetrics, offMetrics) {
+				t.Errorf("%v horizon %v: tracing changed the metrics registry", pol, horizon)
+			}
+		}
+	}
 }

@@ -43,8 +43,7 @@ type ServeRow struct {
 
 	// Bands carries the per-request sojourn attribution aggregated over the
 	// p50/p99/p999 tail bands. Only "ours" cells have one (the bot models
-	// don't emit request-tagged traces), and only when request tracing is on
-	// (ServeParams.NoReqTrace unset).
+	// don't emit request-tagged traces).
 	Bands []ServeReqBand `json:",omitempty"`
 }
 
@@ -143,12 +142,6 @@ type ServeParams struct {
 	NodeWork  sim.Time // default 190
 	MaxFanout int      // default 3
 	MaxDepth  int      // default 3
-	// NoReqTrace disables request tracing on "ours" cells. By default every
-	// cell runs with the event trace on, cross-checks the per-request
-	// attribution against the serve counters (panicking on any mismatch),
-	// and fills ServeRow.Bands. The sojourn/goodput columns are computed
-	// from ServeStats either way and are byte-identical in both modes.
-	NoReqTrace bool
 }
 
 func (p *ServeParams) defaults() {
@@ -288,8 +281,9 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 		var st core.ServeStats
 		rt := runCore(o, coord, greedy, func(cfg *core.Config) {
 			// Request attribution needs the event trace; tracers only
-			// observe, so this cannot change a single simulated tick.
-			cfg.Trace = !p.NoReqTrace
+			// observe, so this cannot change a single simulated tick
+			// (core's TestServeTracingOnlyObserves).
+			cfg.Trace = true
 		}, func(rt *core.Runtime) core.RunStats {
 			st = rt.Serve(coreReqs, p.Horizon)
 			return st.RunStats
@@ -302,15 +296,13 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 			sojourns[i] = d.Sojourn()
 		}
 		row.fillSojourns(sojourns, st.ExecTime)
-		if !p.NoReqTrace {
-			tlog := rt.TraceLog()
-			atts := tlog.RequestAttribution()
-			if err := tlog.CheckRequests(atts); err != nil {
-				panic(fmt.Sprintf("experiments: serve cell %s/%s/%s load %g: request attribution cross-check failed: %v",
-					system, process, admit, load, err))
-			}
-			row.Bands = ServeReqBands(atts)
+		tlog := rt.TraceLog()
+		atts := tlog.RequestAttribution()
+		if err := tlog.CheckRequests(atts); err != nil {
+			panic(fmt.Sprintf("experiments: serve cell %s/%s/%s load %g: request attribution cross-check failed: %v",
+				system, process, admit, load, err))
 		}
+		row.Bands = ServeReqBands(atts)
 		return row
 	}
 

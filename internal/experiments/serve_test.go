@@ -177,26 +177,6 @@ func TestServeReqBandsConservation(t *testing.T) {
 	}
 }
 
-// TestServeNoReqTraceIdenticalRows: disabling request tracing removes the
-// bands and changes nothing else — the tracer-only-observes guarantee at
-// the row level.
-func TestServeNoReqTraceIdenticalRows(t *testing.T) {
-	on := ServeOnce(tinyOpts(), tinyServeParams(), "ours", "mmpp", "token", 2)
-	p := tinyServeParams()
-	p.NoReqTrace = true
-	off := ServeOnce(tinyOpts(), p, "ours", "mmpp", "token", 2)
-	if off.Bands != nil {
-		t.Fatalf("NoReqTrace row still carries %d bands", len(off.Bands))
-	}
-	if on.Bands == nil {
-		t.Fatal("traced row carries no bands")
-	}
-	on.Bands = nil
-	if !reflect.DeepEqual(on, off) {
-		t.Errorf("request tracing changed the row:\n on %+v\noff %+v", on, off)
-	}
-}
-
 // TestServeRequestSeries: the serve_requests series renders one line per
 // ours-cell × band and the TSV columns preserve the conservation identity.
 func TestServeRequestSeries(t *testing.T) {
@@ -224,10 +204,10 @@ func TestServeRequestSeries(t *testing.T) {
 			t.Errorf("request series line for system %q", c[1])
 		}
 	}
-	// NoReqTrace sweeps render no request series.
-	p.NoReqTrace = true
+	// A sweep with no "ours" cell renders no request series.
+	p.Systems = []string{"glb"}
 	if _, ok := ServeRequestSeries(Serve(tinyOpts(), p)); ok {
-		t.Error("NoReqTrace sweep still renders a request series")
+		t.Error("a sweep without ours cells still renders a request series")
 	}
 }
 

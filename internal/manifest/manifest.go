@@ -52,7 +52,6 @@ type Params struct {
 	Arrivals    []string  `json:"arrivals,omitempty"`  // serve: poisson/mmpp
 	Admits      []string  `json:"admits,omitempty"`    // serve: always/token
 	HorizonUs   float64   `json:"horizon_us,omitempty"`
-	NoReqTrace  bool      `json:"no_req_trace,omitempty"` // serve: skip request tracing/attribution
 	Policy      string    `json:"steal_policy,omitempty"` // core.ParseStealPolicy name ("" = paper's uniform steal-one)
 	Shape       string    `json:"shape,omitempty"`        // dag workload shape (stealzoo): wavefront / stencil
 }

@@ -105,8 +105,7 @@ func init() {
 			return experiments.ServeLayout.Of(experiments.Serve(o, experiments.ServeParams{
 				Requests: p.Requests, Loads: p.Loads, Systems: p.Systems,
 				Processes: p.Arrivals, Admits: p.Admits,
-				Horizon:    sim.Time(p.HorizonUs * float64(sim.Microsecond)),
-				NoReqTrace: p.NoReqTrace,
+				Horizon: sim.Time(p.HorizonUs * float64(sim.Microsecond)),
 			}))
 		},
 	})
