@@ -20,13 +20,16 @@
 #          ops, the steal chain and the worker's idle cycle (*AllocFree in
 #          internal/sim, rdma, deque and core; the race detector perturbs
 #          allocation counts), one iteration of every per-package
-#          micro-benchmark, and six bad inputs that must each exit non-zero
+#          micro-benchmark, and ten bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
 #          a load no run can complete), sequentially (-parallel 1) and on a
-#          pool — the per-job panic barrier holds at every width — and two
-#          trace files no run wrote (negative workers, an event on a rank the
-#          trace does not have), in both analyze modes.
+#          pool — the per-job panic barrier holds at every width — five
+#          trace files analyze must refuse (negative workers, an event on a
+#          rank the trace does not have, a negative event time, a negated
+#          exec_time, a Chrome export), in both analyze modes, and a trace
+#          sink that cannot be created, which must fail before fig9 at its
+#          defaults simulates anything (timeout 5).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,11 +72,13 @@ for tier in "${tiers[@]}"; do
     go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core
     go test -bench=. -benchtime=1x -run '^$' ./...
     # must_fail CMD...: repro CMD must exit non-zero, in one line, without a
-    # goroutine dump.
+    # goroutine dump, within $within seconds (default 60; a command still
+    # running then has not failed, it was killed: exit 124).
     must_fail() {
-      local msg
-      if msg=$("$out/repro" "$@" 2>&1); then
-        echo "scripts/ci.sh: repro $* exited 0" >&2
+      local msg rc=0
+      msg=$(timeout "${within:-60}" "$out/repro" "$@" 2>&1) || rc=$?
+      if [ "$rc" -eq 0 ] || [ "$rc" -eq 124 ]; then
+        echo "scripts/ci.sh: repro $* exited $rc (0: accepted; 124: still running at the deadline)" >&2
         exit 1
       fi
       case "$msg" in *"goroutine "* | *$'\n'*)
@@ -95,10 +100,16 @@ for tier in "${tiers[@]}"; do
     done
     echo '{"workers":-1,"cores_per_node":1,"exec_time":10,"check":{},"events":[]}' >"$out/neg_workers.json"
     sed 's/"rank":1,/"rank":7,/' cmd/repro/testdata/trace_serve_micro.json >"$out/bad_rank.json"
-    for bad in neg_workers bad_rank; do
+    sed 's/"t":341,/"t":-5,/' cmd/repro/testdata/trace_serve_micro.json >"$out/neg_t.json"
+    sed 's/"exec_time":/"exec_time":-/' cmd/repro/testdata/trace_serve_micro.json >"$out/neg_exec.json"
+    "$out/repro" fig6 -bench pfor -workers 4 -n 64 -trace "$out/chrome.json" -trace-format chrome -quiet >/dev/null
+    for bad in neg_workers bad_rank neg_t neg_exec chrome; do
       must_fail analyze "$out/$bad.json"
       must_fail analyze -requests "$out/$bad.json"
     done
+    # A sink that cannot be created fails before the first entry runs: fig9
+    # at its defaults takes far longer than 5 s.
+    within=5 must_fail fig9 -trace /nonexistent/x.json
     ;;
   *)
     echo "scripts/ci.sh: unknown tier '$tier' (want build, test or cli)" >&2
