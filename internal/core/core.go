@@ -349,35 +349,14 @@ func (rt *Runtime) Run(root TaskFunc) ([]byte, RunStats) {
 }
 
 // drive is the body Run and Serve share: start the workers, schedule the
-// open system's arrivals — each injected at its arrival time into a worker
-// inbox, arrival index round-robin over ranks — arm the sampler, and simulate
-// until the run is done, the horizon (if positive) cuts it, or Config.MaxTime
-// gives it up. Returns the virtual end time.
+// open system's arrivals (none for Run), arm the sampler, and simulate until
+// the run is done, the horizon (if positive) cuts it, or Config.MaxTime gives
+// it up. Returns the virtual end time.
 func (rt *Runtime) drive(what string, reqs []Request, horizon sim.Time) sim.Time {
 	for _, w := range rt.workers {
 		w.proc = rt.eng.GoIDOn(rt.shardOf(w.rank), "worker", int64(w.rank), w.schedule)
 	}
-	for i := range reqs {
-		if horizon > 0 && reqs[i].At >= horizon {
-			continue // would arrive after the cut; stays in-flight by definition
-		}
-		r := reqs[i] // private copy: the injected pointer outlives the caller's slice
-		w := rt.workers[i%len(rt.workers)]
-		// The timer must live on the shard owning the target worker's node,
-		// like every other event touching that worker's state.
-		rt.eng.AfterOn(rt.shardOf(w.rank), r.At, func() {
-			rt.serve.injected++
-			// Arrival and admission coincide today (admission decisions are
-			// made before injection); the two instants are the seam where an
-			// SLO-aware admission delay will appear between them.
-			ev := obs.Event{T: rt.eng.Now(), Rank: w.rank, Kind: obs.KindServeArrive, Task: -1, Peer: -1, Req: r.ID + 1}
-			rt.traceEvent(ev)
-			ev.Kind = obs.KindServeAdmit
-			rt.traceEvent(ev)
-			w.inbox = append(w.inbox, &r)
-			rt.wakeDozers()
-		})
-	}
+	rt.scheduleArrivals(reqs, horizon)
 	if rt.cfg.Sample > 0 {
 		rt.armSampler()
 	}

@@ -144,6 +144,33 @@ func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 	return st
 }
 
+// scheduleArrivals sets one engine timer per request that arrives before the
+// horizon: it injects the request into a worker inbox (arrival index
+// round-robin over ranks) and rings the doorbell.
+func (rt *Runtime) scheduleArrivals(reqs []Request, horizon sim.Time) {
+	for i := range reqs {
+		if horizon > 0 && reqs[i].At >= horizon {
+			continue // would arrive after the cut; stays in-flight by definition
+		}
+		r := reqs[i] // private copy: the injected pointer outlives the caller's slice
+		w := rt.workers[i%len(rt.workers)]
+		// The timer must live on the shard owning the target worker's node,
+		// like every other event touching that worker's state.
+		rt.eng.AfterOn(rt.shardOf(w.rank), r.At, func() {
+			rt.serve.injected++
+			// Arrival and admission coincide today (admission decisions are
+			// made before injection); the two instants are the seam where an
+			// SLO-aware admission delay will appear between them.
+			ev := obs.Event{T: rt.eng.Now(), Rank: w.rank, Kind: obs.KindServeArrive, Task: -1, Peer: -1, Req: r.ID + 1}
+			rt.traceEvent(ev)
+			ev.Kind = obs.KindServeAdmit
+			rt.traceEvent(ev)
+			w.inbox = append(w.inbox, &r)
+			rt.wakeDozers()
+		})
+	}
+}
+
 // requestDone books one completed request at the current virtual time and
 // flips the runtime's done flag when the system has drained.
 func (rt *Runtime) requestDone(w *Worker, r *Request) {
