@@ -333,12 +333,6 @@ func (rt *Runtime) Fabric() *rdma.Fabric { return rt.fab }
 // Config returns the (defaulted) configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
 
-// shardOf returns the engine shard owning rank's node (round-robin over
-// shards). All of a rank's procs and timer events live on this shard.
-func (rt *Runtime) shardOf(rank int) int {
-	return rt.cfg.Machine.NodeOf(rank) % rt.cfg.Shards
-}
-
 // Run executes root as the initial task on worker 0 and simulates until the
 // whole computation completes. It returns the root's return value and the
 // aggregated statistics.
@@ -354,7 +348,7 @@ func (rt *Runtime) Run(root TaskFunc) ([]byte, RunStats) {
 // it up. Returns the virtual end time.
 func (rt *Runtime) drive(what string, reqs []Request, horizon sim.Time) sim.Time {
 	for _, w := range rt.workers {
-		w.proc = rt.eng.GoIDOn(rt.shardOf(w.rank), "worker", int64(w.rank), w.schedule)
+		w.proc = rt.eng.GoIDOn(rt.cfg.Machine.ShardOf(w.rank, rt.cfg.Shards), "worker", int64(w.rank), w.schedule)
 	}
 	rt.scheduleArrivals(reqs, horizon)
 	if rt.cfg.Sample > 0 {

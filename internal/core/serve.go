@@ -156,7 +156,7 @@ func (rt *Runtime) scheduleArrivals(reqs []Request, horizon sim.Time) {
 		w := rt.workers[i%len(rt.workers)]
 		// The timer must live on the shard owning the target worker's node,
 		// like every other event touching that worker's state.
-		rt.eng.AfterOn(rt.shardOf(w.rank), r.At, func() {
+		rt.eng.AfterOn(rt.cfg.Machine.ShardOf(w.rank, rt.cfg.Shards), r.At, func() {
 			rt.serve.injected++
 			// Arrival and admission coincide today (admission decisions are
 			// made before injection); the two instants are the seam where an

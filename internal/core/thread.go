@@ -287,8 +287,9 @@ func (t *Thread) start() {
 	// spawn context would mis-file the proc whenever the spawning thread
 	// has itself migrated here from another node (its own proc keeps its
 	// birth shard for life — ownership is stable even as work moves).
-	t.proc = t.rt.eng.GoIDOn(t.rt.shardOf(t.w.rank), "thread", t.id, t.main)
-	t.rt.eng.AssertShard(t.proc, t.rt.shardOf(t.w.rank))
+	shard := t.rt.cfg.Machine.ShardOf(t.w.rank, t.rt.cfg.Shards)
+	t.proc = t.rt.eng.GoIDOn(shard, "thread", t.id, t.main)
+	t.rt.eng.AssertShard(t.proc, shard)
 }
 
 // main is the thread body: run the task function, then die according to the

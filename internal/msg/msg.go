@@ -78,12 +78,6 @@ func New(eng *sim.Engine, mach *topo.Machine, nranks int) *Net {
 	}
 }
 
-// shardOf returns the engine shard owning rank's node: nodes map onto the
-// engine's shards round-robin (0 for an unsharded engine).
-func (n *Net) shardOf(rank int) int {
-	return n.Mach.NodeOf(rank) % n.Eng.Shards()
-}
-
 // Send posts m from rank `from` to rank `to`. The sender pays only the
 // injection cost (eager send); the message lands in the destination
 // mailbox after the wire latency. Under fault injection a delivery attempt
@@ -118,7 +112,7 @@ func (n *Net) deliver(from, to, size int, m Msg, rto sim.Time) {
 		}
 		// Ack-timeout recovery runs on the sender's node: its shard owns
 		// the retransmission event.
-		n.Eng.AfterOn(n.shardOf(from), rto, func() {
+		n.Eng.AfterOn(n.Mach.ShardOf(from, n.Eng.Shards()), rto, func() {
 			n.st[from].Retransmits++
 			if n.Tr != nil {
 				n.Tr.Event(obs.Event{
@@ -144,7 +138,7 @@ func (n *Net) deliver(from, to, size int, m Msg, rto sim.Time) {
 	// The mailbox append is the cross-shard routing point of the two-sided
 	// layer: the destination mailbox belongs to the receiver's node, so the
 	// delivery event lives on that node's shard.
-	n.Eng.AfterOn(n.shardOf(to), delay, func() {
+	n.Eng.AfterOn(n.Mach.ShardOf(to, n.Eng.Shards()), delay, func() {
 		n.boxes[to] = append(n.boxes[to], m)
 	})
 }

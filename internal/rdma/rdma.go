@@ -194,12 +194,6 @@ func (f *Fabric) AllocStatic(rank, size int) Addr { return f.segs[rank].allocSta
 // Free returns a block previously obtained from Alloc to rank's free list.
 func (f *Fabric) Free(rank int, addr Addr, size int) { f.segs[rank].free(addr, size) }
 
-// shardOf returns the engine shard owning rank's node: nodes map onto the
-// engine's shards round-robin (0 for an unsharded engine).
-func (f *Fabric) shardOf(rank int32) int {
-	return f.Mach.NodeOf(int(rank)) % f.Eng.Shards()
-}
-
 // sched schedules a remote op's completion event on the shard that owns the
 // target rank's node — the single cross-shard routing seam of the fabric.
 // Every remote completion (chain link or fire-and-forget callback) goes
@@ -207,7 +201,7 @@ func (f *Fabric) shardOf(rank int32) int {
 // so that is the shard the event must carry. On an unsharded engine this is
 // exactly Engine.After.
 func (f *Fabric) sched(to int32, d sim.Time, fn func()) {
-	f.Eng.AfterOn(f.shardOf(to), d, fn)
+	f.Eng.AfterOn(f.Mach.ShardOf(int(to), f.Eng.Shards()), d, fn)
 }
 
 // opKind selects one of the six memory effects (see Segment.apply).

@@ -11,16 +11,15 @@ const fuzzLookahead = Time(16)
 
 // fuzzRun interprets prog on n logical shards and returns the per-shard logs
 // plus the final virtual times of a horizon-split run (Run(horizon) then
-// Run(Forever)) and the engine counters. mode selects the executor: "serial"
-// runs a single classic Engine — the oracle — with RouteAfter degenerating to
-// After; "adaptive" and "lockstep" run the Sharded group in the respective
-// window policy. All three must agree byte-for-byte for every input.
+// Run(Forever)) and the engine counters. serial selects the executor: a
+// single classic Engine — the oracle — with RouteAfter degenerating to After,
+// or the Sharded group. Both must agree byte-for-byte for every input.
 //
 // Each shard's driver proc consumes its own stripe of the program bytes, so
 // all control decisions are shard-confined; cross-shard effects travel only
 // through the routed closures (which carry their instruction byte as
 // payload, like a message body would).
-func fuzzRun(t *testing.T, n int, horizon Time, prog []byte, mode string) (string, Time, Time, EngineStats) {
+func fuzzRun(t *testing.T, n int, horizon Time, prog []byte, serial bool) (string, Time, Time, EngineStats) {
 	logs := make([][]string, n)
 	record := func(shard int, now Time, what string) {
 		logs[shard] = append(logs[shard], fmt.Sprintf("t=%d %s", int64(now), what))
@@ -34,9 +33,8 @@ func fuzzRun(t *testing.T, n int, horizon Time, prog []byte, mode string) (strin
 		run   func(until Time) Time
 		stats func() EngineStats
 	)
-	if mode != "serial" {
+	if !serial {
 		s := NewSharded(n, fuzzLookahead)
-		s.SetLockStep(mode == "lockstep")
 		defer s.Shutdown()
 		spawn = func(shard int, name string, body func(p *Proc)) { s.Go(shard, name, body) }
 		route = s.RouteAfter
@@ -107,10 +105,10 @@ func fuzzRun(t *testing.T, n int, horizon Time, prog []byte, mode string) (strin
 	return string(b), mid, end, stats()
 }
 
-// FuzzShardWindow drives arbitrary shard-confined programs through both
-// window policies of the concurrent engine and the serial engine and
-// requires byte-identical logs, identical horizon-split return times, and
-// identical summed engine counters across all three.
+// FuzzShardWindow drives arbitrary shard-confined programs through the
+// concurrent engine and the serial engine and requires byte-identical logs,
+// identical horizon-split return times, and identical summed engine
+// counters.
 func FuzzShardWindow(f *testing.F) {
 	f.Add(uint8(2), uint16(20), []byte{0, 1, 2, 3, 64, 65, 130, 195})
 	f.Add(uint8(3), uint16(0), []byte{9, 9, 9, 9, 9, 9, 9, 9, 9})
@@ -126,18 +124,16 @@ func FuzzShardWindow(f *testing.F) {
 			prog = prog[:64]
 		}
 		h := Time(horizon)
-		wantLog, wantMid, wantEnd, wantStats := fuzzRun(t, n, h, prog, "serial")
-		for _, mode := range []string{"adaptive", "lockstep"} {
-			gotLog, gotMid, gotEnd, gotStats := fuzzRun(t, n, h, prog, mode)
-			if gotLog != wantLog {
-				t.Fatalf("n=%d h=%d %s: sharded log diverged\n--- serial ---\n%s--- sharded ---\n%s", n, h, mode, wantLog, gotLog)
-			}
-			if gotMid != wantMid || gotEnd != wantEnd {
-				t.Fatalf("n=%d h=%d %s: times (%v, %v), serial (%v, %v)", n, h, mode, gotMid, gotEnd, wantMid, wantEnd)
-			}
-			if gotStats != wantStats {
-				t.Fatalf("n=%d h=%d %s: stats %+v, serial %+v", n, h, mode, gotStats, wantStats)
-			}
+		wantLog, wantMid, wantEnd, wantStats := fuzzRun(t, n, h, prog, true)
+		gotLog, gotMid, gotEnd, gotStats := fuzzRun(t, n, h, prog, false)
+		if gotLog != wantLog {
+			t.Fatalf("n=%d h=%d: sharded log diverged\n--- serial ---\n%s--- sharded ---\n%s", n, h, wantLog, gotLog)
+		}
+		if gotMid != wantMid || gotEnd != wantEnd {
+			t.Fatalf("n=%d h=%d: times (%v, %v), serial (%v, %v)", n, h, gotMid, gotEnd, wantMid, wantEnd)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("n=%d h=%d: stats %+v, serial %+v", n, h, gotStats, wantStats)
 		}
 	})
 }

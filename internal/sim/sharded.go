@@ -7,26 +7,22 @@ import (
 
 // This file implements the conservative-parallel execution mode: a Sharded
 // engine runs N per-shard Engines on their own goroutines, advancing in
-// barrier-separated rounds. Two window policies exist:
+// barrier-separated rounds under adaptive earliest-output-time (EOT)
+// horizons in the style of Chandy and Misra. Every cross-shard event is at
+// least the group's one lookahead L in the future, so anything shard k still
+// holds can reach another shard no earlier than next(k) + L — its queue head
+// plus L — and can come back to k itself no earlier than next(k) + 2L (the
+// cheapest round trip). Shard i may therefore run up to
 //
-//   - Adaptive per-shard-pair lookahead (the default): Chandy–Misra-style
-//     earliest-output-time (EOT) horizons. Each shard k with a non-empty
-//     queue advertises, per destination i, the earliest virtual time at
-//     which anything it still holds could reach i: its queue head next(k)
-//     plus the minimum latency of any routing path k -> ... -> i (the
-//     all-pairs shortest path over the per-pair lookahead matrix, so a
-//     cheap two-hop forward through an idle shard is accounted for). Shard
-//     i may run up to min over advertising shards of that bound, exclusive
-//     — usually far past the single global window. Empty shards advertise
-//     nothing (the barrier itself plays the role of null messages: EOTs
-//     are recomputed from every queue head at each round, so an idle shard
-//     can never stall the others — see the starvation test).
-//   - Lock-step (SetLockStep(true), kept for differential testing): one
-//     global window [W, W+L) of the minimum pair lookahead L, the mode PR 5
-//     introduced.
+//	min(next(k) + L over the other non-empty shards, next(i) + 2L) - 1
 //
-// Both are conservative: within a round no cross-shard event issued inside
-// the round can land inside it, so the shards are independent and may
+// — usually far past the single global window [W, W+L). Empty shards
+// advertise nothing (the barrier itself plays the role of null messages:
+// horizons are recomputed from every queue head at each round, so an idle
+// shard can never stall the others — see the starvation relay test).
+//
+// The policy is conservative: within a round no cross-shard event issued
+// inside the round can land inside it, so the shards are independent and may
 // execute concurrently. Cross-shard events travel through per-shard
 // outboxes flushed at the round barrier — one batched injection per round,
 // not a channel operation per event. Each shard is driven by a persistent
@@ -58,12 +54,11 @@ import (
 // Each keyed engine orders its heap by key (see eventHeap.less), so events
 // injected at a barrier interleave with locally scheduled ones exactly as
 // they would have in the serial engine, and FuzzShardWindow checks the
-// whole construction — in both window policies — against the serial engine
-// as an oracle. The adaptive policy does not interact with key ordering at
-// all: it only changes *when* a shard is allowed to dispatch, never the
-// key-ordered contents of its heap, and conservativeness guarantees every
-// cross-shard arrival is injected before the destination's clock could
-// reach it.
+// whole construction against the serial engine as an oracle. The horizons do
+// not interact with key ordering at all: they only change *when* a shard is
+// allowed to dispatch, never the key-ordered contents of its heap, and
+// conservativeness guarantees every cross-shard arrival is injected before
+// the destination's clock could reach it.
 //
 // # Key pooling
 //
@@ -173,28 +168,23 @@ type routed struct {
 	fn  func()
 }
 
-// maxTime is the "no bound" sentinel of the horizon computation; far enough
-// from the int64 edge that adding a path latency cannot overflow.
+// maxTime is the "no bound" sentinel of the horizon computation.
 const maxTime = Time(1) << 60
 
 // Sharded executes a shard-confined program on n concurrent engines in
 // conservative rounds (see the file comment). Procs and local events belong
 // to exactly one shard; the only cross-shard interaction is RouteAfter,
-// whose delay must be at least the source→destination pair lookahead. Setup
-// (Go/GoID on the shard engines, via Shard or the Go helper, and any
-// SetPairLookahead calls) must happen before Run and always on the caller's
-// goroutine; Run drives all shards and returns like Engine.Run, re-raising
-// at most one ProcPanic after tearing every shard down.
+// whose delay must be at least the lookahead. Setup (Go/GoID on the shard
+// engines, via Shard or the Go helper) must happen before Run and always on
+// the caller's goroutine; Run drives all shards and returns like Engine.Run,
+// re-raising at most one ProcPanic after tearing every shard down.
 type Sharded struct {
-	shards   []*Engine
-	look     Time     // minimum pair lookahead (the lock-step window width)
-	pair     [][]Time // pair[src][dst]: minimum cross-shard delay src -> dst
-	dist     [][]Time // all-pairs min path latency; nil until computed (dist[i][i] = min cycle)
-	lockstep bool
-	rootSeq  uint64
-	out      [][]routed // per-source-shard outboxes (only [src] touched by shard src)
-	rounds   uint64     // barrier rounds executed
-	routedN  uint64     // cross-shard events injected at barriers
+	shards  []*Engine
+	look    Time // minimum cross-shard event delay
+	rootSeq uint64
+	out     [][]routed // per-source-shard outboxes (only [src] touched by shard src)
+	rounds  uint64     // barrier rounds executed
+	routedN uint64     // cross-shard events injected at barriers
 
 	next    []Time // scratch: per-shard queue-head time, -1 when empty
 	horizon []Time // scratch: per-shard inclusive round horizon
@@ -209,10 +199,8 @@ type Sharded struct {
 	fails []*ProcPanic
 }
 
-// NewSharded returns a group of n keyed engines with a uniform pair
-// lookahead (the minimum cross-shard event delay; must be positive), in
-// adaptive mode. Use SetPairLookahead to widen individual pairs and
-// SetLockStep to fall back to the single global window.
+// NewSharded returns a group of n keyed engines whose cross-shard events are
+// all at least lookahead in the future (must be positive).
 func NewSharded(n int, lookahead Time) *Sharded {
 	if n < 1 {
 		panic("sim: NewSharded needs at least one shard")
@@ -223,7 +211,6 @@ func NewSharded(n int, lookahead Time) *Sharded {
 	s := &Sharded{
 		shards:  make([]*Engine, n),
 		look:    lookahead,
-		pair:    make([][]Time, n),
 		out:     make([][]routed, n),
 		next:    make([]Time, n),
 		horizon: make([]Time, n),
@@ -233,10 +220,6 @@ func NewSharded(n int, lookahead Time) *Sharded {
 		e.keyed = true
 		e.rootSeq = &s.rootSeq
 		s.shards[i] = e
-		s.pair[i] = make([]Time, n)
-		for j := range s.pair[i] {
-			s.pair[i][j] = lookahead
-		}
 	}
 	return s
 }
@@ -244,52 +227,12 @@ func NewSharded(n int, lookahead Time) *Sharded {
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Lookahead returns the minimum pair lookahead — the lock-step window width
-// and the smallest delay RouteAfter accepts on any pair.
+// Lookahead returns the smallest delay RouteAfter accepts.
 func (s *Sharded) Lookahead() Time { return s.look }
-
-// PairLookahead returns the minimum cross-shard delay of the src→dst pair.
-func (s *Sharded) PairLookahead(src, dst int) Time { return s.pair[src][dst] }
-
-// SetPairLookahead raises (or lowers) the minimum delay of one directed
-// shard pair, e.g. from topo.Machine.PairLookahead when shards map to nodes
-// with heterogeneous latency. Must be called before the first Run: the
-// adaptive horizons derived from the matrix must bound every event already
-// in flight.
-func (s *Sharded) SetPairLookahead(src, dst int, d Time) {
-	if s.rounds > 0 {
-		panic("sim: SetPairLookahead after Run would unsoundly re-bound in-flight events")
-	}
-	if src == dst || src < 0 || dst < 0 || src >= len(s.shards) || dst >= len(s.shards) {
-		panic(fmt.Sprintf("sim: SetPairLookahead pair (%d, %d) invalid for %d shards", src, dst, len(s.shards)))
-	}
-	if d <= 0 {
-		panic("sim: SetPairLookahead needs a positive lookahead")
-	}
-	s.pair[src][dst] = d
-	s.dist = nil
-	s.look = maxTime
-	for i := range s.pair {
-		for j, p := range s.pair[i] {
-			if i != j && p < s.look {
-				s.look = p
-			}
-		}
-	}
-}
-
-// SetLockStep switches between the adaptive per-pair horizons (false, the
-// default) and the single global lock-step window (true). Both modes are
-// byte-identical to the serial engine; lock-step is kept as the
-// differential-testing oracle for the adaptive horizon computation.
-func (s *Sharded) SetLockStep(on bool) { s.lockstep = on }
-
-// LockStep reports whether the group runs in lock-step window mode.
-func (s *Sharded) LockStep() bool { return s.lockstep }
 
 // Rounds returns the number of barrier rounds executed so far. Fewer rounds
 // for the same program means coarser synchronization — the quantity the
-// adaptive mode exists to reduce (and what the starvation test bounds).
+// adaptive horizons exist to reduce (and what the starvation test bounds).
 func (s *Sharded) Rounds() uint64 { return s.rounds }
 
 // Routed returns the total number of cross-shard events injected at
@@ -309,8 +252,8 @@ func (s *Sharded) Go(i int, name string, body func(p *Proc)) *Proc {
 // RouteAfter schedules fn to run on shard dst, d nanoseconds from shard
 // src's current time — the cross-shard counterpart of After. It must be
 // called from within shard src's execution (a proc or callback). A
-// cross-shard delay below the pair's lookahead could land inside the
-// current round and corrupt the conservative order, so it fails fast.
+// cross-shard delay below the lookahead could land inside the current round
+// and corrupt the conservative order, so it fails fast.
 func (s *Sharded) RouteAfter(src, dst int, d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -320,8 +263,8 @@ func (s *Sharded) RouteAfter(src, dst int, d Time, fn func()) {
 		e.After(d, fn)
 		return
 	}
-	if d < s.pair[src][dst] {
-		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v (shard %d -> %d)", d, s.pair[src][dst], src, dst))
+	if d < s.look {
+		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v (shard %d -> %d)", d, s.look, src, dst))
 	}
 	// The key is allocated on the source engine at the source's scheduling
 	// instant, exactly as the serial engine would have sequenced the call.
@@ -365,71 +308,28 @@ func (s *Sharded) refreshNext() (Time, bool) {
 	return w, found
 }
 
-// computeDist fills the all-pairs minimum path latency matrix over the pair
-// lookaheads (Floyd–Warshall; shard counts are small). dist[k][i] bounds
-// how soon anything shard k holds can reach shard i through any forwarding
-// chain — including k == i, whose entry is the cheapest round-trip cycle:
-// a shard's own pending events bound its horizon too, because an event it
-// routes out this round can be forwarded back.
-func (s *Sharded) computeDist() {
-	n := len(s.shards)
-	d := make([][]Time, n)
-	for i := range d {
-		d[i] = make([]Time, n)
-		for j := range d[i] {
-			if i == j {
-				d[i][j] = maxTime
-			} else {
-				d[i][j] = s.pair[i][j]
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if d[i][k] >= maxTime {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if d[k][j] < maxTime && d[i][k]+d[k][j] < d[i][j] {
-					d[i][j] = d[i][k] + d[k][j]
-				}
-			}
-		}
-	}
-	s.dist = d
-}
-
-// computeHorizons fills the per-shard inclusive horizons of the next round.
-//
-// Lock-step: every shard gets the global window [w, w+L).
-//
-// Adaptive: shard i may run while its clock stays strictly below every
-// advertised earliest-output-time next(k) + dist(k, i): any event that can
-// still land on i originates — possibly through forwarding hops, each
-// adding at least its pair lookahead — from some event currently pending
-// on a shard k, so it arrives no earlier than that bound. The globally
-// minimal shard always has a horizon at or past its own queue head (every
-// bound is at least w + min pair lookahead > w), so each round makes
-// progress and the adaptive horizon is never tighter than the lock-step
-// window.
-func (s *Sharded) computeHorizons(w, until Time) {
-	if s.lockstep {
-		end := w + s.look // exclusive window end
-		if until >= 0 && end > until+1 {
-			end = until + 1
-		}
-		for i := range s.horizon {
-			s.horizon[i] = end - 1
-		}
-		return
-	}
+// computeHorizons fills the per-shard inclusive horizons of the next round
+// (see the file comment): shard i may run while its clock stays strictly
+// below every earliest-output-time bound — next(k) + L from another
+// non-empty shard k, next(i) + 2L from its own pending events, which can
+// route out this round and be routed straight back. Any event that can
+// still land on i originates, possibly through forwarding hops each adding
+// at least L, from some event now pending on a shard, so it arrives no
+// earlier than that bound. The globally minimal shard's horizon is at or
+// past its own queue head (every bound is at least w + L > w), so each round
+// makes progress.
+func (s *Sharded) computeHorizons(until Time) {
 	for i := range s.shards {
 		h := maxTime
-		for k := range s.shards {
-			if s.next[k] < 0 {
+		for k, next := range s.next {
+			if next < 0 {
 				continue
 			}
-			if c := s.next[k] + s.dist[k][i] - 1; c < h {
+			d := s.look
+			if k == i {
+				d = 2 * s.look
+			}
+			if c := next + d - 1; c < h {
 				h = c
 			}
 		}
@@ -453,9 +353,6 @@ func (s *Sharded) Run(until Time) Time {
 		// hence no outboxes, rounds or windows.
 		return s.shards[0].Run(until)
 	}
-	if s.dist == nil {
-		s.computeDist()
-	}
 	for {
 		s.inject()
 		w, ok := s.refreshNext()
@@ -470,7 +367,7 @@ func (s *Sharded) Run(until Time) Time {
 			}
 			return until
 		}
-		s.computeHorizons(w, until)
+		s.computeHorizons(until)
 		s.runRound()
 	}
 }

@@ -74,11 +74,9 @@ func (sp *shardProgram) runSerial(until Time) (Time, EngineStats) {
 	return end, e.Stats()
 }
 
-// runSharded executes the program on a group of n shards in the given
-// window mode (adaptive per-pair horizons or the lock-step oracle).
-func (sp *shardProgram) runSharded(until Time, lockstep bool) (*Sharded, Time, EngineStats) {
+// runSharded executes the program on a group of n shards.
+func (sp *shardProgram) runSharded(until Time) (*Sharded, Time, EngineStats) {
 	s := NewSharded(sp.n, sp.look)
-	s.SetLockStep(lockstep)
 	sp.logs = make([][]string, sp.n)
 	sp.build(
 		func(shard int, name string, body func(p *Proc)) { s.Go(shard, name, body) },
@@ -104,23 +102,17 @@ func TestShardedMatchesSerial(t *testing.T) {
 		wantEnd, wantStats := sp.runSerial(Forever)
 		want := joinLogs(sp.logs)
 
-		for _, lockstep := range []bool{false, true} {
-			mode := "adaptive"
-			if lockstep {
-				mode = "lockstep"
-			}
-			_, gotEnd, gotStats := sp.runSharded(Forever, lockstep)
-			got := joinLogs(sp.logs)
-
-			if got != want {
-				t.Fatalf("shards=%d %s: log diverged from serial\n--- serial ---\n%s\n--- sharded ---\n%s", n, mode, want, got)
-			}
-			if gotEnd != wantEnd {
-				t.Errorf("shards=%d %s: Run returned %v, serial %v", n, mode, gotEnd, wantEnd)
-			}
-			if gotStats != wantStats {
-				t.Errorf("shards=%d %s: stats %+v, serial %+v", n, mode, gotStats, wantStats)
-			}
+		s, gotEnd, gotStats := sp.runSharded(Forever)
+		s.Shutdown()
+		got := joinLogs(sp.logs)
+		if got != want {
+			t.Fatalf("shards=%d: log diverged from serial\n--- serial ---\n%s\n--- sharded ---\n%s", n, want, got)
+		}
+		if gotEnd != wantEnd {
+			t.Errorf("shards=%d: Run returned %v, serial %v", n, gotEnd, wantEnd)
+		}
+		if gotStats != wantStats {
+			t.Errorf("shards=%d: stats %+v, serial %+v", n, gotStats, wantStats)
 		}
 	}
 }
@@ -183,37 +175,30 @@ func TestShardedHorizonMidWindow(t *testing.T) {
 	_, fullStats := sp.runSerial(Forever)
 	full := joinLogs(sp.logs)
 
-	const horizon = 17 // mid-window: first windows start at 0 with look 10
-	for _, lockstep := range []bool{false, true} {
-		mode := "adaptive"
-		if lockstep {
-			mode = "lockstep"
+	const horizon = 17 // mid-round: the first horizons start at 0 with look 10
+	s := NewSharded(sp.n, sp.look)
+	defer s.Shutdown()
+	sp.logs = make([][]string, sp.n)
+	sp.build(
+		func(shard int, name string, body func(p *Proc)) { s.Go(shard, name, body) },
+		s.RouteAfter,
+		func(shard int, d Time, fn func()) { s.Shard(shard).After(d, fn) },
+		func(shard int) Time { return s.Shard(shard).Now() },
+	)
+	if end := s.Run(horizon); end != horizon {
+		t.Fatalf("Run(%d) = %v, want the horizon", horizon, end)
+	}
+	for i := 0; i < s.Shards(); i++ {
+		if now := s.Shard(i).Now(); now != horizon {
+			t.Errorf("shard %d clock %v after horizon return, want %v", i, now, horizon)
 		}
-		s := NewSharded(sp.n, sp.look)
-		s.SetLockStep(lockstep)
-		sp.logs = make([][]string, sp.n)
-		sp.build(
-			func(shard int, name string, body func(p *Proc)) { s.Go(shard, name, body) },
-			s.RouteAfter,
-			func(shard int, d Time, fn func()) { s.Shard(shard).After(d, fn) },
-			func(shard int) Time { return s.Shard(shard).Now() },
-		)
-		if end := s.Run(horizon); end != horizon {
-			t.Fatalf("%s: Run(%d) = %v, want the horizon", mode, horizon, end)
-		}
-		for i := 0; i < s.Shards(); i++ {
-			if now := s.Shard(i).Now(); now != horizon {
-				t.Errorf("%s: shard %d clock %v after horizon return, want %v", mode, i, now, horizon)
-			}
-		}
-		s.Run(Forever)
-		if got := joinLogs(sp.logs); got != full {
-			t.Errorf("%s: split run diverged from uninterrupted run\n--- full ---\n%s\n--- split ---\n%s", mode, full, got)
-		}
-		if got := s.Stats(); got != fullStats {
-			t.Errorf("%s: split run stats %+v, want %+v", mode, got, fullStats)
-		}
-		s.Shutdown()
+	}
+	s.Run(Forever)
+	if got := joinLogs(sp.logs); got != full {
+		t.Errorf("split run diverged from uninterrupted run\n--- full ---\n%s\n--- split ---\n%s", full, got)
+	}
+	if got := s.Stats(); got != fullStats {
+		t.Errorf("split run stats %+v, want %+v", got, fullStats)
 	}
 }
 
@@ -350,192 +335,32 @@ func TestNewShardedValidation(t *testing.T) {
 }
 
 // TestShardedIdleShardNoStarvation pins the null-message substitute of the
-// adaptive horizons: a shard that never has events advertises no EOT, so it
+// adaptive horizons: a shard that never has events advertises no bound, so it
 // must neither stall the chatty shards nor force extra rounds. Two shards
 // relay a token with long gaps while the third stays empty for the whole
-// run; the run must complete (a stalled EOT computation would trip the
-// round-stall panic or deadlock), produce the same log in both window
-// modes, and take exactly one round per hop.
+// run; the run must complete (a stalled horizon computation would trip the
+// round-stall panic or deadlock), log exactly what the serial engine would —
+// hop k at 5 + k·gap on shard k mod 2 — and take exactly one round per hop.
 func TestShardedIdleShardNoStarvation(t *testing.T) {
 	const (
 		look  = Time(10)
-		gap   = 40 * look // each hop spans many lock-step windows of idle time
+		gap   = 40 * look // each hop spans many lookaheads of idle time
 		balls = uint64(12)
 	)
-	run := func(lockstep bool) (string, uint64) {
-		s := NewSharded(3, look) // shard 2 stays idle throughout
-		defer s.Shutdown()
-		s.SetLockStep(lockstep)
-		logs := make([][]string, 2)
-		var hop [2]func()
-		left := balls
-		for i := range hop {
-			i := i
-			hop[i] = func() {
-				logs[i] = append(logs[i], fmt.Sprintf("t=%d hop%d", int64(s.Shard(i).Now()), i))
-				left--
-				if left > 0 {
-					s.RouteAfter(i, 1-i, gap, hop[1-i])
-				}
-			}
-		}
-		s.Shard(0).After(5, hop[0])
-		s.Run(Forever)
-		return joinLogs(logs), s.Rounds()
+	want := make([][]string, 2)
+	for k := uint64(0); k < balls; k++ {
+		want[k%2] = append(want[k%2], fmt.Sprintf("t=%d hop%d", int64(5+Time(k)*gap), k%2))
 	}
-	adaptiveLog, adaptiveRounds := run(false)
-	lockLog, lockRounds := run(true)
-	if adaptiveLog != lockLog {
-		t.Fatalf("modes diverged\n--- adaptive ---\n%s\n--- lockstep ---\n%s", adaptiveLog, lockLog)
-	}
-	if adaptiveRounds != balls {
-		t.Errorf("adaptive rounds = %d, want one per hop (%d)", adaptiveRounds, balls)
-	}
-	if lockRounds != balls {
-		t.Errorf("lockstep rounds = %d, want one per hop (%d)", lockRounds, balls)
-	}
-}
-
-// asymProgram is the asymmetric-pair workload: shard 0 ticks densely and
-// streams updates to shard 1; shard 1 ticks sparsely and never routes back.
-// The return direction (pair 1 -> 0) has enormous latency, so the adaptive
-// horizons can run shard 0's whole dense stretch in one round, while the
-// lock-step window — bounded by the global minimum pair — needs dozens.
-func asymProgram(
-	spawn func(shard int, name string, body func(p *Proc)),
-	route func(src, dst int, d Time, fn func()),
-	now func(shard int) Time,
-	record func(shard int, line string),
-) {
-	spawn(0, "dense", func(p *Proc) {
-		for step := 0; step < 200; step++ {
-			step := step
-			p.Sleep(1)
-			if step%16 == 0 {
-				route(0, 1, 13, func() {
-					record(1, fmt.Sprintf("t=%d recv step%d", int64(now(1)), step))
-				})
-			}
-			if step%50 == 0 {
-				record(0, fmt.Sprintf("t=%d tick step%d", int64(now(0)), step))
-			}
-		}
-	})
-	spawn(1, "sparse", func(p *Proc) {
-		for step := 0; step < 6; step++ {
-			step := step
-			p.Sleep(33)
-			record(1, fmt.Sprintf("t=%d sparse step%d", int64(now(1)), step))
-		}
-	})
-}
-
-// TestShardedAsymmetricPairLookahead checks SetPairLookahead end to end:
-// per-pair bounds feed the horizon computation (through the all-pairs path
-// matrix), both window modes stay byte-identical to the serial engine, and
-// the adaptive mode exploits the wide pair to save a multiple of the rounds.
-func TestShardedAsymmetricPairLookahead(t *testing.T) {
-	const fast, slow = Time(10), Time(1000)
-	runSerial := func() string {
-		e := NewEngine()
-		defer e.Shutdown()
-		logs := make([][]string, 2)
-		asymProgram(
-			func(shard int, name string, body func(p *Proc)) { e.Go(name, body) },
-			func(src, dst int, d Time, fn func()) { e.After(d, fn) },
-			func(shard int) Time { return e.Now() },
-			func(shard int, line string) { logs[shard] = append(logs[shard], line) },
-		)
-		e.Run(Forever)
-		return joinLogs(logs)
-	}
-	runSharded := func(lockstep bool) (string, uint64, uint64) {
-		s := NewSharded(2, fast)
-		defer s.Shutdown()
-		s.SetPairLookahead(1, 0, slow)
-		s.SetLockStep(lockstep)
-		if got := s.Lookahead(); got != fast {
-			t.Fatalf("Lookahead() = %v after widening 1->0, want %v", got, fast)
-		}
-		if got := s.PairLookahead(1, 0); got != slow {
-			t.Fatalf("PairLookahead(1, 0) = %v, want %v", got, slow)
-		}
-		logs := make([][]string, 2)
-		asymProgram(
-			func(shard int, name string, body func(p *Proc)) { s.Go(shard, name, body) },
-			s.RouteAfter,
-			func(shard int) Time { return s.Shard(shard).Now() },
-			func(shard int, line string) { logs[shard] = append(logs[shard], line) },
-		)
-		s.Run(Forever)
-		return joinLogs(logs), s.Rounds(), s.Routed()
-	}
-
-	want := runSerial()
-	adaptiveLog, adaptiveRounds, adaptiveRouted := runSharded(false)
-	lockLog, lockRounds, lockRouted := runSharded(true)
-	if adaptiveLog != want {
-		t.Fatalf("adaptive log diverged from serial\n--- serial ---\n%s\n--- adaptive ---\n%s", want, adaptiveLog)
-	}
-	if lockLog != want {
-		t.Fatalf("lockstep log diverged from serial\n--- serial ---\n%s\n--- lockstep ---\n%s", want, lockLog)
-	}
-	if adaptiveRouted != 13 || lockRouted != 13 { // dense steps 0, 16, ..., 192
-		t.Errorf("routed counts (adaptive %d, lockstep %d), want 13 each", adaptiveRouted, lockRouted)
-	}
-	if adaptiveRounds*5 > lockRounds {
-		t.Errorf("adaptive rounds = %d, want at least 5x fewer than lock-step's %d", adaptiveRounds, lockRounds)
-	}
-}
-
-func TestSetPairLookaheadValidation(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	s := NewSharded(2, 10)
+	s := NewSharded(3, look) // shard 2 stays idle throughout
 	defer s.Shutdown()
-	expectPanic("self pair", func() { s.SetPairLookahead(0, 0, 5) })
-	expectPanic("out-of-range pair", func() { s.SetPairLookahead(0, 2, 5) })
-	expectPanic("non-positive lookahead", func() { s.SetPairLookahead(0, 1, 0) })
-
-	// Widening one pair must not change the global minimum; widening both
-	// must raise it.
-	s.SetPairLookahead(0, 1, 50)
-	if got := s.Lookahead(); got != 10 {
-		t.Errorf("Lookahead() = %v, want 10 (pair 1->0 still narrow)", got)
-	}
-	s.SetPairLookahead(1, 0, 40)
-	if got := s.Lookahead(); got != 40 {
-		t.Errorf("Lookahead() = %v, want 40", got)
-	}
-
-	// After the first round the matrix has bounded in-flight events and must
-	// be frozen.
-	s.Shard(0).After(1, func() {})
+	logs := relayProgram(s, gap, balls)
 	s.Run(Forever)
-	expectPanic("SetPairLookahead after Run", func() { s.SetPairLookahead(0, 1, 60) })
-}
-
-// TestRouteAfterBelowPairLookaheadPanics checks the per-pair fail-fast: a
-// delay above the global minimum but below its own pair's bound must still
-// be rejected.
-func TestRouteAfterBelowPairLookaheadPanics(t *testing.T) {
-	s := NewSharded(2, 10)
-	defer s.Shutdown()
-	s.SetPairLookahead(1, 0, 1000)
-	s.RouteAfter(0, 1, 10, func() {})   // narrow direction at its bound: fine
-	s.RouteAfter(1, 0, 1000, func() {}) // wide direction at its bound: fine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RouteAfter below the pair lookahead did not panic")
-		}
-	}()
-	s.RouteAfter(1, 0, 999, func() {})
+	if got := joinLogs(logs); got != joinLogs(want) {
+		t.Fatalf("relay log diverged from serial\n--- serial ---\n%s\n--- sharded ---\n%s", joinLogs(want), got)
+	}
+	if s.Rounds() != balls {
+		t.Errorf("rounds = %d, want one per hop (%d)", s.Rounds(), balls)
+	}
 }
 
 // hopRing and localChain are pre-built, closure-free workloads for the
@@ -543,7 +368,7 @@ func TestRouteAfterBelowPairLookaheadPanics(t *testing.T) {
 // so repeated runs exercise only the engine's event path — schedule, heap,
 // outbox, round machinery, and the lineage-key pool.
 //
-// A ring relays one token around the shards with the pair-lookahead delay;
+// A ring relays one token around the shards with the lookahead delay;
 // run[i] executes on shard i. The hop count is reset per run; keeping it a
 // multiple of the shard count makes the relay end on its start shard, so the
 // cascade that recycles the whole lineage chain refills the pool of the same

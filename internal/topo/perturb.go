@@ -79,7 +79,7 @@ func (pb *Perturb) String() string {
 // validate rejects knob magnitudes outside their sound ranges. The factor
 // knobs and jitter must never be able to shrink a delay below the
 // unperturbed base: OpDelay clamps to the base as a second line of defence
-// (the MinCrossNodeLatency/MinLatency lookahead bounds depend on it), but a
+// (the MinCrossNodeLatency lookahead bound depends on it), but a
 // spec that would only "work" because of the clamp is almost certainly a
 // typo, so it is refused up front. drop must stay below 1 or no message
 // ever delivers and the retransmit loop runs forever.
@@ -158,8 +158,8 @@ func ParsePerturb(spec string) (*Perturb, error) {
 // linkKey identifies a directed rank pair.
 type linkKey struct{ from, to int }
 
-// pertState is the mutable RNG state behind a Machine's Perturb model. One
-// Machine is built per engine, and each engine is sequential, so no locking.
+// pertState is the mutable RNG state behind a Machine's Perturb model. Each
+// run draws from its own Clone, and each engine is sequential, so no locking.
 type pertState struct {
 	jitter map[linkKey]*rand.Rand
 	drop   map[linkKey]*rand.Rand

@@ -15,11 +15,7 @@
 // WISTERIA-O-like) match Table II of the paper; see DESIGN.md §4.
 package topo
 
-import (
-	"fmt"
-
-	"contsteal/internal/sim"
-)
+import "contsteal/internal/sim"
 
 // Machine describes a simulated cluster: its node topology and the cost of
 // every primitive operation the runtime performs on it.
@@ -72,9 +68,18 @@ type Machine struct {
 	Perturb *Perturb
 
 	// pert holds the lazily initialised per-link RNG streams backing Perturb.
-	// It lives on the Machine (one Machine per engine) so that concurrent
-	// sweep jobs never share mutable state.
+	// It lives on the Machine, and every runtime runs on its own Clone, so
+	// no two runs — concurrent sweep jobs, or runs one after another on the
+	// caller's Machine — share draws.
 	pert *pertState
+}
+
+// Clone returns a copy of m whose perturbation streams start empty: the
+// Machine a run owns, drawing exactly what a fresh Machine would.
+func (m *Machine) Clone() *Machine {
+	c := *m
+	c.pert = nil
+	return &c
 }
 
 // ITOA returns the ITO-A-like machine model (Xeon Skylake + InfiniBand EDR,
@@ -139,9 +144,15 @@ func Uniform(lat sim.Time) *Machine {
 // NodeOf returns the node index hosting the given rank.
 func (m *Machine) NodeOf(rank int) int { return rank / m.CoresPerNode }
 
+// ShardOf returns the engine shard owning rank's node when the machine's
+// nodes are dealt round-robin onto shards engine shards. Every rank of a node
+// shares one shard, so any two ranks on different shards are on different
+// nodes and MinCrossNodeLatency bounds every cross-shard delay.
+func (m *Machine) ShardOf(rank, shards int) int { return m.NodeOf(rank) % shards }
+
 // MinCrossNodeLatency returns a lower bound on the virtual-time delay of
 // any event one node can cause on another — the lookahead of a conservative
-// node-sharded execution (one window of sim.Sharded, the routing contract
+// node-sharded execution (sim.Sharded's one lookahead, the routing contract
 // of the engine's per-node shard tags). The bound is the inter-node base latency:
 // every cross-node path goes through OneSided/OpDelay, whose size term is
 // non-negative, whose atomic surcharge only adds, and whose perturbation
@@ -152,53 +163,6 @@ func (m *Machine) MinCrossNodeLatency() sim.Time { return m.InterLatency }
 
 // SameNode reports whether two ranks share a node.
 func (m *Machine) SameNode(a, b int) bool { return m.NodeOf(a) == m.NodeOf(b) }
-
-// MinLatency returns a lower bound on the virtual-time delay of any
-// one-sided operation from rank `from` to rank `to` — the rank-pair
-// refinement of MinCrossNodeLatency. The size term is non-negative, the
-// atomic surcharge only adds, and OpDelay clamps every perturbed delay to
-// at least the unperturbed base, so the bound holds on every op-issue path
-// and is a sound per-pair lookahead for a rank-sharded execution.
-func (m *Machine) MinLatency(from, to int) sim.Time {
-	if m.SameNode(from, to) {
-		return m.IntraLatency
-	}
-	return m.InterLatency
-}
-
-// PairLookahead builds the per-pair lookahead matrix of a sim.Sharded
-// execution that partitions `ranks` worker ranks into `shards` contiguous
-// blocks (rank r lives on shard r*shards/ranks). Entry [src][dst] is the
-// minimum MinLatency over the rank pairs spanning that directed shard pair:
-// the tightest delay any src-shard rank can impose on a dst-shard rank.
-// When a shard boundary splits a node the two neighbouring shards see only
-// the IntraLatency bound, while shard pairs with no co-located ranks keep
-// the full InterLatency window — the heterogeneity adaptive windowing
-// exploits. The diagonal is left zero: same-shard causality is ordered by
-// the shard's own heap, and sim.Sharded rejects self pairs.
-// Panics unless 1 <= shards <= ranks.
-func (m *Machine) PairLookahead(ranks, shards int) [][]sim.Time {
-	if shards < 1 || shards > ranks {
-		panic(fmt.Sprintf("topo: PairLookahead(ranks=%d, shards=%d): need 1 <= shards <= ranks", ranks, shards))
-	}
-	shardOf := func(r int) int { return r * shards / ranks }
-	look := make([][]sim.Time, shards)
-	for i := range look {
-		look[i] = make([]sim.Time, shards)
-	}
-	for a := 0; a < ranks; a++ {
-		for b := 0; b < ranks; b++ {
-			src, dst := shardOf(a), shardOf(b)
-			if src == dst {
-				continue
-			}
-			if d := m.MinLatency(a, b); look[src][dst] == 0 || d < look[src][dst] {
-				look[src][dst] = d
-			}
-		}
-	}
-	return look
-}
 
 // OneSided returns the simulated duration of a one-sided put/get of size
 // bytes from rank `from` to rank `to`. atomic selects the atomic-op surcharge.

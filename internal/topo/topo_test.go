@@ -19,6 +19,18 @@ func TestNodeOf(t *testing.T) {
 	if !m.SameNode(0, 35) || m.SameNode(35, 36) {
 		t.Error("SameNode boundary wrong")
 	}
+	// Nodes are dealt round-robin onto shards, a whole node to one shard:
+	// ranks on different shards are always on different nodes.
+	if got := m.ShardOf(3*36, 3); got != 0 {
+		t.Errorf("ShardOf(108, 3) = %d, want node 3 wrapped onto shard 0", got)
+	}
+	for a := 0; a < 4*36; a += 7 {
+		for b := 0; b < 4*36; b += 5 {
+			if m.ShardOf(a, 3) != m.ShardOf(b, 3) && m.SameNode(a, b) {
+				t.Errorf("ranks %d and %d share a node but not a shard", a, b)
+			}
+		}
+	}
 }
 
 func TestOneSidedLatencyOrdering(t *testing.T) {
@@ -142,107 +154,5 @@ func TestMinCrossNodeLatencyIsALowerBound(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMinLatencyIsALowerBound pins the rank-pair refinement: OpDelay from
-// any rank to any rank — intra- or inter-node, perturbed or not — never
-// undercuts MinLatency of that pair.
-func TestMinLatencyIsALowerBound(t *testing.T) {
-	for _, pb := range []*Perturb{
-		nil,
-		{LatencyJitter: 0.7, DegradedLinkFrac: 0.5, DegradedFactor: 2, Seed: 3},
-		{DegradedLinkFrac: 1, DegradedFactor: 0.5, Seed: 5}, // adversarial sub-1 factor
-	} {
-		m := ITOA()
-		m.Perturb = pb
-		if got := m.MinLatency(0, 1); got != m.IntraLatency {
-			t.Fatalf("MinLatency same node = %v, want IntraLatency %v", got, m.IntraLatency)
-		}
-		if got := m.MinLatency(0, m.CoresPerNode); got != m.InterLatency {
-			t.Fatalf("MinLatency cross node = %v, want InterLatency %v", got, m.InterLatency)
-		}
-		for _, to := range []int{1, 17, m.CoresPerNode, 3 * m.CoresPerNode} {
-			for _, size := range []int{0, 8, 4096} {
-				for _, atomic := range []bool{false, true} {
-					d, _ := m.OpDelay(0, to, size, atomic)
-					if low := m.MinLatency(0, to); d < low {
-						t.Errorf("pb=%v: OpDelay(0,%d,%d,%v) = %v below MinLatency %v",
-							pb, to, size, atomic, d, low)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPairLookahead checks the shard-pair lookahead matrix on a machine
-// small enough to enumerate by hand: 2 nodes x 4 cores folded onto shards.
-func TestPairLookahead(t *testing.T) {
-	m := ITOA()
-	m.CoresPerNode = 4 // 8 ranks = 2 nodes below
-
-	// 2 shards over 8 ranks: shard 0 = ranks 0-3 = node 0, shard 1 =
-	// ranks 4-7 = node 1. Shard boundary coincides with the node boundary,
-	// so both directions keep the full inter-node window.
-	look := m.PairLookahead(8, 2)
-	for src := 0; src < 2; src++ {
-		for dst := 0; dst < 2; dst++ {
-			want := sim.Time(0)
-			if src != dst {
-				want = m.InterLatency
-			}
-			if look[src][dst] != want {
-				t.Errorf("8 ranks/2 shards: look[%d][%d] = %v, want %v", src, dst, look[src][dst], want)
-			}
-		}
-	}
-
-	// 4 shards over 8 ranks: each node is split across two shards. Pairs
-	// within a node (0-1, 2-3) see the intra-node bound; pairs spanning
-	// nodes keep InterLatency. This is the heterogeneity adaptive
-	// windowing exploits.
-	look = m.PairLookahead(8, 4)
-	for src := 0; src < 4; src++ {
-		for dst := 0; dst < 4; dst++ {
-			want := sim.Time(0)
-			switch {
-			case src == dst:
-			case src/2 == dst/2: // same node
-				want = m.IntraLatency
-			default:
-				want = m.InterLatency
-			}
-			if look[src][dst] != want {
-				t.Errorf("8 ranks/4 shards: look[%d][%d] = %v, want %v", src, dst, look[src][dst], want)
-			}
-		}
-	}
-
-	// 3 shards over 8 ranks (blocks 0-2, 3-5, 6-7): shards 0 and 1 share
-	// node 0 (rank 3 is on node 0), shards 1 and 2 share node 1.
-	look = m.PairLookahead(8, 3)
-	wantM := [3][3]sim.Time{
-		{0, m.IntraLatency, m.InterLatency},
-		{m.IntraLatency, 0, m.IntraLatency},
-		{m.InterLatency, m.IntraLatency, 0},
-	}
-	for src := 0; src < 3; src++ {
-		for dst := 0; dst < 3; dst++ {
-			if look[src][dst] != wantM[src][dst] {
-				t.Errorf("8 ranks/3 shards: look[%d][%d] = %v, want %v", src, dst, look[src][dst], wantM[src][dst])
-			}
-		}
-	}
-
-	for _, bad := range [][2]int{{8, 0}, {8, 9}, {0, 1}, {4, -1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("PairLookahead(%d, %d) did not panic", bad[0], bad[1])
-				}
-			}()
-			m.PairLookahead(bad[0], bad[1])
-		}()
 	}
 }
