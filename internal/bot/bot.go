@@ -144,8 +144,11 @@ type run struct {
 	lastTask, doneAt sim.Time
 }
 
+// newRun starts a run on its own Clone of cfg.Machine, so runs sharing the
+// caller's Machine never share perturbation draws.
 func newRun(name string, cfg Config) *run {
 	cfg.defaults()
+	cfg.Machine = cfg.Machine.Clone()
 	return &run{name: name, cfg: cfg, eng: sim.NewEngine(), ring: tokenRing{-1, -1}}
 }
 

@@ -202,3 +202,26 @@ func TestSingleWorkerNoSteals(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedMachineRunsAreIndependent: every baseline draws its jitter and
+// drop streams from its own copy of the Machine, so the second run on one
+// perturbed Machine equals a run on a fresh one.
+func TestSharedMachineRunsAreIndependent(t *testing.T) {
+	root, expand, _ := utsExpand(tinyTree())
+	perturbed := func() *topo.Machine {
+		m := topo.ITOA()
+		m.Perturb = &topo.Perturb{Seed: 3, LatencyJitter: 0.5, DropProb: 0.1}
+		return m
+	}
+	for _, system := range []string{"saws", "charm", "glb"} {
+		cfg := Config{Workers: 8, Seed: 3, Work: 190, MaxTime: 120 * sim.Second}
+		cfg.Machine = perturbed()
+		want := Run(system, cfg, root, expand)
+		cfg.Machine = perturbed()
+		for i := 1; i <= 2; i++ {
+			if got := Run(system, cfg, root, expand); got != want {
+				t.Errorf("%s run %d on a shared Machine: %+v, fresh Machine: %+v", system, i, got, want)
+			}
+		}
+	}
+}

@@ -129,23 +129,12 @@ type Config struct {
 	// to the simulation and cannot perturb virtual time.
 	Trace bool
 
-	// Tracer, when non-nil, streams events to a custom obs.Tracer sink
-	// instead of the built-in recorder (TraceLog returns nil in that
-	// case). Takes precedence over Trace.
-	Tracer obs.Tracer
-
 	// Metrics enables the deterministic metrics registry: per-worker
 	// counters and fixed-bucket virtual-time histograms (steal latency,
 	// protocol chain latencies, outstanding-join wait, deque occupancy),
 	// merged in rank order so the output is byte-stable regardless of host
 	// parallelism. Retrieve via RunStats.Obs.
 	Metrics bool
-
-	// Perturb, when non-nil, is installed as the Machine's fault-injection
-	// model (topo.Perturb): seeded latency jitter, stragglers, degraded
-	// links. A nil or inactive model is a strict no-op — every run is
-	// byte-identical to one with no Perturb at all.
-	Perturb *topo.Perturb
 
 	// Shards selects the engine's shard count: every event is tagged with
 	// the shard of the node it belongs to, each node's ranks owning one
@@ -191,9 +180,6 @@ func (c *Config) defaults() {
 	if c.DequeCap <= 0 {
 		c.DequeCap = 8192
 	}
-	if c.Perturb != nil {
-		c.Machine.Perturb = c.Perturb
-	}
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
@@ -235,7 +221,7 @@ type Runtime struct {
 	// idleDelay); the fixed backoff is part of the golden timing.
 	stealBackoff bool
 
-	tr        *traceState // non-nil when Config.Trace or Config.Tracer is set
+	tr        *traceState // non-nil when Config.Trace is set
 	lastStats *RunStats   // stats of the completed run (for TraceLog's Check block)
 	lastServe *ServeStats // stats of the completed Serve run (for TraceLog's Serve block)
 }
@@ -262,9 +248,12 @@ func (g *reqTagger) Event(e obs.Event) {
 
 func (g *reqTagger) Seq() int64 { return g.inner.Seq() }
 
-// New builds a runtime. Call Run exactly once.
+// New builds a runtime. Call Run exactly once. The runtime runs on its own
+// Clone of cfg.Machine: the caller's Machine (its Perturb model included) is
+// read, never written, so runs sharing one are independent.
 func New(cfg Config) *Runtime {
 	cfg.defaults()
+	cfg.Machine = cfg.Machine.Clone()
 	eng := sim.NewEngineShards(cfg.Shards)
 	fab := rdma.NewFabric(eng, cfg.Machine, cfg.Workers, 1<<20)
 	rt := &Runtime{
@@ -275,16 +264,11 @@ func New(cfg Config) *Runtime {
 		joinInfo:     make(map[rdma.Loc]*joinInfo),
 		stealBackoff: cfg.Machine.Perturb.Active(),
 	}
-	if cfg.Tracer != nil || cfg.Trace {
-		tr := cfg.Tracer
-		var rec *obs.Recorder
-		if tr == nil {
-			rec = obs.NewRecorder()
-			tr = rec
-		}
-		rt.tr = newTraceState(cfg.Workers, tr, rec)
-		fab.Tr = &reqTagger{rt: rt, inner: tr}
-		rt.objs.SetTracer(tr)
+	if cfg.Trace {
+		rec := obs.NewRecorder()
+		rt.tr = newTraceState(cfg.Workers, rec)
+		fab.Tr = &reqTagger{rt: rt, inner: rec}
+		rt.objs.SetTracer(rec)
 	}
 	entrySize := contEntrySize
 	if !cfg.Policy.Continuation() {
@@ -307,8 +291,8 @@ func New(cfg Config) *Runtime {
 			w.dq.Batch = true
 		}
 		if rt.tr != nil {
-			w.dq.Tr = rt.tr.tr
-			w.ua.Tr = rt.tr.tr
+			w.dq.Tr = rt.tr.rec
+			w.ua.Tr = rt.tr.rec
 		}
 		if cfg.Metrics {
 			w.ob = newWorkerObs()

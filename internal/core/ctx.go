@@ -62,7 +62,7 @@ func (c *Ctx) Compute(d sim.Time) {
 		} else {
 			task = ts.currentTask(w.rank) // RtC: innermost inline task
 		}
-		ts.tr.Event(obs.Event{
+		ts.rec.Event(obs.Event{
 			T: c.p.Now(), Dur: scaled, Rank: w.rank, Kind: obs.KindCompute,
 			Task: task, Peer: -1, Req: w.curReq,
 		})

@@ -65,7 +65,7 @@ func TestLockQueueDrainCountBounded(t *testing.T) {
 	}
 }
 
-// TestPerturbationsOffIsByteIdenticalTiming: a Config carrying an inactive
+// TestPerturbationsOffIsByteIdenticalTiming: a Machine carrying an inactive
 // Perturb (plumbed, zero magnitudes) must reproduce the exact virtual-time
 // result of a run with no Perturb at all, for every policy.
 func TestPerturbationsOffIsByteIdenticalTiming(t *testing.T) {
@@ -74,7 +74,7 @@ func TestPerturbationsOffIsByteIdenticalTiming(t *testing.T) {
 		_, rs0 := base.Run(fibTask(13))
 
 		cfg := testConfig(pol, 4)
-		cfg.Perturb = &topo.Perturb{Seed: 123} // inactive: all magnitudes zero
+		cfg.Machine.Perturb = &topo.Perturb{Seed: 123} // inactive: all magnitudes zero
 		pert := New(cfg)
 		if pert.stealBackoff {
 			t.Fatalf("%v: inactive perturbation auto-enabled steal backoff", pol)
@@ -102,7 +102,7 @@ func TestPerturbedRunVerifiesAndSlowsDown(t *testing.T) {
 			MaxTime:    10 * sim.Second,
 			Trace:      true,
 		}
-		cfg.Perturb = &topo.Perturb{
+		cfg.Machine.Perturb = &topo.Perturb{
 			Seed:          7,
 			LatencyJitter: 1.0,
 			StragglerFrac: 0.6, StragglerFactor: 3,
@@ -142,7 +142,7 @@ func TestPerturbedRunVerifiesAndSlowsDown(t *testing.T) {
 	}
 
 	base := mkcfg()
-	base.Perturb = nil
+	base.Machine.Perturb = nil
 	base.Trace = false
 	rt := New(base)
 	_, rs0 := rt.Run(fibTask(13))
@@ -189,5 +189,30 @@ func TestIdleDelayBackoffBoundedAndGated(t *testing.T) {
 	w.stealSucceeded(0, 1, 0, 0, 0)
 	if w.failStreak != 0 {
 		t.Error("successful steal did not reset the fail streak")
+	}
+}
+
+// TestSharedMachineRunsAreIndependent: the perturbation streams a run draws
+// from belong to the run, not to the Machine the caller passed in, so the
+// second run on one perturbed Machine equals a run on a fresh one.
+func TestSharedMachineRunsAreIndependent(t *testing.T) {
+	jittered := func() *topo.Machine {
+		m := topo.ITOA()
+		m.Perturb = &topo.Perturb{Seed: 3, LatencyJitter: 0.5}
+		return m
+	}
+	run := func(m *topo.Machine) RunStats {
+		cfg := testConfig(ContGreedy, 8)
+		cfg.Machine = m
+		_, rs := New(cfg).Run(fibTask(12))
+		return rs
+	}
+	want := run(jittered())
+	shared := jittered()
+	for i := 1; i <= 2; i++ {
+		if got := run(shared); got.ExecTime != want.ExecTime || got.Fabric != want.Fabric {
+			t.Errorf("run %d on a shared Machine: exec %v, perturb time %v; fresh Machine: %v, %v",
+				i, got.ExecTime, got.Fabric.PerturbTime, want.ExecTime, want.Fabric.PerturbTime)
+		}
 	}
 }

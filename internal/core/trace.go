@@ -13,9 +13,8 @@ import (
 
 // Execution tracing: a layered event log in the spirit of the profiling the
 // paper uses for Fig. 7 and Table II (and of DelaySpotter, its reference
-// [50] for attributing scheduler-caused delays). Enabled by Config.Trace
-// (built-in recorder) or Config.Tracer (custom sink); events carry virtual
-// timestamps and span every protocol layer: the scheduler (runs, computes,
+// [50] for attributing scheduler-caused delays). Enabled by Config.Trace;
+// events carry virtual timestamps and span every protocol layer: the scheduler (runs, computes,
 // steals, suspends/resumes, migrations), the RDMA fabric (one span per
 // remote op), the deque steal protocol (one span per chain link), remote-
 // object management, messaging, and stack migration. Export as raw JSON or
@@ -68,13 +67,12 @@ type runFrame struct {
 
 // traceState is the runtime-side recording state.
 type traceState struct {
-	tr    obs.Tracer
-	rec   *obs.Recorder // non-nil when tr is the built-in recorder
-	stack [][]runFrame  // per-rank open run spans
+	rec   *obs.Recorder
+	stack [][]runFrame // per-rank open run spans
 }
 
-func newTraceState(workers int, tr obs.Tracer, rec *obs.Recorder) *traceState {
-	return &traceState{tr: tr, rec: rec, stack: make([][]runFrame, workers)}
+func newTraceState(workers int, rec *obs.Recorder) *traceState {
+	return &traceState{rec: rec, stack: make([][]runFrame, workers)}
 }
 
 // currentTask returns the task occupying rank's innermost open run span.
@@ -111,16 +109,15 @@ func (rt *Runtime) traceRunEnd(rank int) {
 func (rt *Runtime) traceEvent(e obs.Event) {
 	if ts := rt.tr; ts != nil {
 		e.Dur = rt.eng.Now() - e.T
-		ts.tr.Event(e)
+		ts.rec.Event(e)
 	}
 }
 
-// TraceLog returns the recorded trace, nil unless Config.Trace was set
-// (with a custom Config.Tracer the events went to that sink instead). After
+// TraceLog returns the recorded trace, nil unless Config.Trace was set. After
 // Run it carries ExecTime and the counter-derived Check block, making the
 // serialized form self-contained for `repro analyze`.
 func (rt *Runtime) TraceLog() *Trace {
-	if rt.tr == nil || rt.tr.rec == nil {
+	if rt.tr == nil {
 		return nil
 	}
 	t := &Trace{

@@ -102,21 +102,6 @@ func TestTraceVerifyAllPolicies(t *testing.T) {
 	}
 }
 
-func TestTraceCustomTracerSink(t *testing.T) {
-	// A custom Config.Tracer receives the event stream; TraceLog is nil.
-	rec := obs.NewRecorder()
-	cfg := testConfig(ContGreedy, 2)
-	cfg.Tracer = rec
-	rt := New(cfg)
-	_, _ = rt.Run(fibTask(10))
-	if rt.TraceLog() != nil {
-		t.Error("TraceLog should be nil with a custom sink")
-	}
-	if len(rec.Events) == 0 {
-		t.Error("custom tracer received no events")
-	}
-}
-
 func TestMetricsRegistry(t *testing.T) {
 	cfg := testConfig(ContGreedy, 4)
 	cfg.Metrics = true

@@ -98,7 +98,7 @@ type Options struct {
 	// Perturb, when non-nil, injects deterministic timing/fault perturbations
 	// into every simulated run of the experiment (see topo.Perturb). The
 	// struct is read-only configuration; per-run RNG state lives in each
-	// job's own Machine, so sharing one Perturb across grid points is safe.
+	// run's own Machine, so sharing one Perturb across grid points is safe.
 	Perturb *topo.Perturb
 	// Shards selects the engine's per-node shard tagging for every simulated
 	// run (core.Config.Shards). Results are byte-identical for every value;
@@ -138,18 +138,25 @@ func (o Options) claimObs(ours bool) Options {
 	return o
 }
 
+// machine is the Machine every run of o simulates: the named preset under
+// o's perturbation model.
+func (o Options) machine() *topo.Machine {
+	m := MachineByName(o.Machine)
+	m.Perturb = o.Perturb
+	return m
+}
+
 func runCfg(o Options, v Variant) core.Config {
 	steal, err := core.ParseStealPolicy(o.Steal)
 	if err != nil {
 		panic(err)
 	}
 	return core.Config{
-		Machine:    MachineByName(o.Machine),
+		Machine:    o.machine(),
 		Workers:    o.Workers,
 		Policy:     v.Policy,
 		RemoteFree: v.Free,
 		Seed:       o.Seed,
-		Perturb:    o.Perturb,
 		Shards:     o.Shards,
 		Steal:      steal,
 		DequeCap:   o.DequeCap,
@@ -431,10 +438,8 @@ func botConfig(o Options) bot.Config {
 	if o.WorkScale > 1 {
 		work *= sim.Time(o.WorkScale)
 	}
-	mach := MachineByName(o.Machine)
-	mach.Perturb = o.Perturb
 	return bot.Config{
-		Machine: mach,
+		Machine: o.machine(),
 		Workers: o.Workers,
 		Seed:    o.Seed,
 		Work:    work,
