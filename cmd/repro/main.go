@@ -94,7 +94,6 @@ import (
 	"contsteal/internal/core"
 	"contsteal/internal/experiments"
 	"contsteal/internal/manifest"
-	"contsteal/internal/topo"
 )
 
 // defaultGoldens locates the committed golden fixtures relative to the
@@ -374,10 +373,13 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	manifestPath := fs.String("manifest", "", "manifest JSON file (default: the committed experiments.json built into the binary)")
 	goldensDir := fs.String("goldens", "", "golden fixtures directory (default: the committed fixtures built into the binary)")
 	noValidate := fs.Bool("no-validate", false, "skip golden validation")
-	parallel, shards := new(int), new(int)
+	parallel := new(int)
 	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for each entry's sweep grid, at least 1 (default: all CPUs)")
-	positiveFlag(fs, shards, "shards", 1, "per-node event-heap shards, at least 1 (default 1; entry params override; results identical)")
-	perturbSpec := fs.String("perturb", "", "deterministic fault injection overlay (see the experiment subcommands)")
+	// -shards and -perturb overlay every selected entry's params, as the
+	// subcommands' flags do, so manifest.json records what ran.
+	var overlay manifest.Params
+	positiveFlag(fs, &overlay.Shards, "shards", 0, "per-node event-heap shards for every entry, at least 1 (results identical)")
+	fs.StringVar(&overlay.Perturb, "perturb", "", "deterministic fault injection for every entry (see the experiment subcommands)")
 	quiet := fs.Bool("quiet", false, "suppress per-entry and per-job progress on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -387,10 +389,6 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	}
 	if *parallel == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	}
-	pb, err := topo.ParsePerturb(*perturbSpec)
-	if err != nil {
-		return err
 	}
 	m := manifest.Default()
 	if *manifestPath != "" {
@@ -405,6 +403,9 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	entries, err := m.Select(*scale, only)
 	if err != nil {
 		return err
+	}
+	for i := range entries {
+		entries[i].Params = entries[i].Params.Merge(overlay)
 	}
 	var goldens manifest.Goldens
 	switch {
@@ -422,7 +423,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	}
 	rn := &manifest.Runner{
 		Stamp: st, Scale: *scale, OutDir: *out, Goldens: goldens,
-		Exec:   manifest.Exec{Parallel: *parallel, Shards: *shards, Perturb: pb},
+		Exec:   manifest.Exec{Parallel: *parallel},
 		Stdout: stdout, Stderr: stderr, Quiet: *quiet,
 	}
 	rep, err := rn.Run(entries)

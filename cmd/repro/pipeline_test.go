@@ -199,8 +199,8 @@ func diffSnapshots(t *testing.T, label string, a, b map[string]string) {
 // scale runs every registered experiment, self-validates byte-for-byte
 // against the committed goldens, and the whole run folder — every file, the
 // summary included — is identical across host-parallelism widths, and
-// across engine shard counts but for the two summary columns that state the
-// sharding itself.
+// across engine shard counts but for what states the sharding itself: the
+// shards param manifest.json records and two summary columns.
 func TestPipelineSmoke(t *testing.T) {
 	base := smokeDir(t, smokeBase)
 	snap := snapshotRun(t, base)
@@ -243,11 +243,29 @@ func TestPipelineSmoke(t *testing.T) {
 	}
 
 	// Byte-identity of the folder across execution knobs. Sharding may show
-	// only in the shards and cross_shard cells: with those dropped the
-	// summaries must agree too, events and handoffs included — and the
-	// sharded run must really have sharded, or the comparison says nothing.
+	// only in the entries' shards param and the shards and cross_shard
+	// cells: with those dropped the manifests and summaries must agree too,
+	// events and handoffs included — and the sharded run must really have
+	// sharded, or the comparison says nothing.
 	diffSnapshots(t, "parallel 8 vs 1", snap, snapshotRun(t, smokeDir(t, smokeSeq)))
-	dropShardCells := func(s map[string]string) (crossed bool) {
+	dropShardCells := func(s map[string]string, shards int) (crossed bool) {
+		m, err := manifest.Parse([]byte(s["manifest.json"]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, entries := range m.Scales {
+			for i, e := range entries {
+				if e.Params.Shards != shards {
+					t.Errorf("manifest.json entry %s records shards %d, want %d", e.ID, e.Params.Shards, shards)
+				}
+				entries[i].Params.Shards = 0
+			}
+		}
+		buf, err := manifest.EncodeJSON(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s["manifest.json"] = string(buf)
 		header, rows := summaryCells(t, s)
 		var b strings.Builder
 		for _, row := range rows {
@@ -263,7 +281,7 @@ func TestPipelineSmoke(t *testing.T) {
 		return crossed
 	}
 	sharded := snapshotRun(t, smokeDir(t, smokeSharded))
-	if dropShardCells(snap) || !dropShardCells(sharded) {
+	if dropShardCells(snap, 0) || !dropShardCells(sharded, 4) {
 		t.Error("want no entry sharded at -shards 1, and one with several shards and cross-shard events at -shards 4")
 	}
 	diffSnapshots(t, "shards 1 vs 4", snap, sharded)
@@ -274,6 +292,43 @@ func TestPipelineSmoke(t *testing.T) {
 	for _, id := range []string{"fig6_pfor", "fig9", "resilience", "stealzoo", "serve_itoa"} {
 		if snap[filepath.Join("metrics", id+".tsv")] == "" {
 			t.Errorf("run folder lacks a non-empty metrics/%s.tsv", id)
+		}
+	}
+}
+
+// TestRunFlagsOverlayTheEntries: `repro run -shards/-perturb` set the params
+// of every selected entry, so a bad value fails the way a bad manifest knob
+// does — one line, before the run folder exists — and a good one is what
+// manifest.json records. A zero-magnitude model is a no-op, so the entry
+// still reproduces its golden.
+func TestRunFlagsOverlayTheEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a pipeline entry")
+	}
+	out := t.TempDir()
+	_, err := runSmoke(out, "-perturb", "jitter=-1")
+	if err == nil || !strings.Contains(err.Error(), "params: perturb: jitter -1 is negative") ||
+		strings.Count(err.Error(), "\n") > 1 { // runSmoke appends the (empty) stdout on a line of its own
+		t.Errorf("run -perturb jitter=-1 = %v, want a one-line params error", err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "t")); !os.IsNotExist(err) {
+		t.Errorf("run -perturb jitter=-1 left a run folder behind (stat: %v)", err)
+	}
+	dir, err := runSmoke(out, "-only", "fig6_pfor", "-perturb", "seed=1", "-shards", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := manifest.Parse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m.Scales["smoke"] {
+		if e.Params.Perturb != "seed=1" || e.Params.Shards != 2 {
+			t.Errorf("manifest.json entry %s records perturb %q, shards %d; want seed=1, 2", e.ID, e.Params.Perturb, e.Params.Shards)
 		}
 	}
 }

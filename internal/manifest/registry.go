@@ -12,14 +12,11 @@ import (
 	"contsteal/internal/workload"
 )
 
-// Exec carries the invocation-level knobs shared by every spec run: host
-// parallelism, engine sharding, fault injection, the observability
-// collector, and the observer of per-job progress and engine counters.
-// Entry-level Params override Shards and Perturb when set.
+// Exec carries the invocation-level knobs shared by every spec run that
+// cannot change a result: host parallelism, the observability collector,
+// and the observer of per-job progress and engine counters.
 type Exec struct {
 	Parallel int
-	Shards   int
-	Perturb  *topo.Perturb
 	Obs      *experiments.ObsCollector
 	Observer *experiments.Observer
 }
@@ -63,8 +60,7 @@ func (s *Spec) Run(p Params, x Exec) (r experiments.Rendering, err error) {
 }
 
 // options validates p and maps it, with the invocation knobs, onto
-// experiments.Options (entry-level shards/perturb win over Exec's). It
-// rejects values no experiment can run, naming the field by its JSON tag: a
+// experiments.Options. It rejects values no experiment can run, naming the field by its JSON tag: a
 // name outside its set, a negative count or depth, a scale shift outside
 // [0, 16], a non-positive element of a count or load list, an unparsable
 // steal policy or perturbation. Unset (zero) fields pass — the experiments'
@@ -136,23 +132,16 @@ func (p Params) options(x Exec) (experiments.Options, error) {
 	if _, err := core.ParseStealPolicy(p.Policy); err != nil {
 		return experiments.Options{}, fmt.Errorf("params: %w", err)
 	}
-	o := experiments.Options{
+	pb, err := topo.ParsePerturb(p.Perturb)
+	if err != nil {
+		return experiments.Options{}, fmt.Errorf("params: %w", err)
+	}
+	return experiments.Options{
 		Machine: p.Machine, Workers: p.Workers, Scale: p.Scale,
 		Seed: p.Seed, WorkScale: p.WorkScale, DequeCap: p.DequeCap,
-		Steal:    p.Policy,
-		Parallel: x.Parallel, Shards: max(1, x.Shards), Perturb: x.Perturb, Obs: x.Obs, Observer: x.Observer,
-	}
-	if p.Shards != 0 {
-		o.Shards = p.Shards
-	}
-	if p.Perturb != "" {
-		pb, err := topo.ParsePerturb(p.Perturb)
-		if err != nil {
-			return o, fmt.Errorf("params: %w", err)
-		}
-		o.Perturb = pb
-	}
-	return o, nil
+		Steal: p.Policy, Shards: p.Shards, Perturb: pb,
+		Parallel: x.Parallel, Obs: x.Obs, Observer: x.Observer,
+	}, nil
 }
 
 var (

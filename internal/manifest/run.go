@@ -62,11 +62,17 @@ type Report struct {
 // Run executes the entries in order. Each entry's experiment grid still
 // runs on the sweep pool (Exec.Parallel); entries themselves run
 // sequentially, each under its own observer and observability collector.
+// Every entry's params are checked before the run folder is created.
 // Returns an error on any I/O or experiment failure; golden mismatches are
 // reported in the Report, not as an error (the caller decides).
 func (rn *Runner) Run(entries []Entry) (*Report, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("manifest: no entries to run")
+	}
+	for _, e := range entries {
+		if _, err := e.Params.options(Exec{}); err != nil {
+			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
+		}
 	}
 	dir := filepath.Join(rn.OutDir, rn.Stamp)
 	if _, err := os.Stat(dir); err == nil {
