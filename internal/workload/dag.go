@@ -13,12 +13,17 @@ import (
 //
 //   - "wavefront": an N×N grid where cell (i,j) consumes its top and left
 //     neighbours — the dependency pattern of the paper's LCS benchmark
-//     (Fig. 10), expressed directly with multi-consumer futures. The
-//     checksum is the bottom-right cell's value.
+//     (Fig. 10), expressed directly with multi-consumer futures. The one
+//     sink is the bottom-right cell.
 //   - "stencil": a Steps×N iterated 1-D stencil where cell (t,i) consumes
 //     (t-1, i-1..i+1) clamped at the boundaries — the classic 3-point
 //     stencil over time, each producer feeding up to three consumers. The
-//     checksum sums the final row.
+//     sinks are the final row.
+//
+// Both shapes are one description (graph): each cell's dependency list in
+// join order, from which one spawn loop (Task) and one serial oracle
+// (SerialChecksum) derive consumer counts, values and the checksum — the
+// sum of the sinks.
 //
 // Per-cell work and value constants come from a splitmix64 hash of
 // (seed, i, j) — a pure function of the cell's coordinates, not an RNG
@@ -168,119 +173,74 @@ func cellCompute(c *core.Ctx, work sim.Time, depth int) {
 	h.JoinInt64(c)
 }
 
-// Task returns the root TaskFunc building and joining the whole DAG. The
-// root's return value is the checksum, equal to SerialChecksum() under
-// every policy.
-func (d DAGParams) Task() core.TaskFunc {
+// dagCell is one cell of a DAG's description: its coordinates (row and
+// column of the wavefront, step and index of the stencil), the cells it
+// joins in join order, as indices into the description, and how many cells
+// list it — 0 for a sink, which the root joins instead.
+type dagCell struct {
+	i, j      int
+	deps      []int
+	consumers int
+}
+
+// graph completes d's defaults, validates the shape and describes both
+// shapes one way, cell by cell in forCells order (cell (i,j) is index
+// i·N+j): wavefront cells join [top, left], stencil cells the clamped
+// (t-1, i-1..i+1).
+func (d *DAGParams) graph() []dagCell {
 	d.defaults()
 	if err := d.Validate(); err != nil {
 		panic(err)
 	}
-	if d.Shape == "stencil" {
-		return d.stencilTask()
-	}
-	return d.wavefrontTask()
-}
-
-// wavefrontTask spawns the N×N grid; cell (i,j) consumes top and left and is
-// consumed by bottom and right (the corner by the root).
-func (d DAGParams) wavefrontTask() core.TaskFunc {
-	n := d.N
-	return func(c *core.Ctx) []byte {
-		cells := make([][]core.Handle, n)
-		for i := range cells {
-			cells[i] = make([]core.Handle, n)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				i, j := i, j
-				var top, left core.Handle
-				if i > 0 {
-					top = cells[i-1][j]
-				}
-				if j > 0 {
-					left = cells[i][j-1]
-				}
-				consumers := 0
-				if i < n-1 {
-					consumers++
-				}
-				if j < n-1 {
-					consumers++
-				}
-				if consumers == 0 {
-					consumers = 1 // bottom-right: joined by the root
-				}
-				cells[i][j] = c.SpawnFuture(consumers, func(c *core.Ctx) []byte {
-					var t, l int64
-					if top.Valid() {
-						t = top.JoinInt64(c)
-					}
-					if left.Valid() {
-						l = left.JoinInt64(c)
-					}
-					work, val := d.cell(i, j)
-					cellCompute(c, work, d.Nest)
-					return core.Int64Ret((t + l + val) % dagPrime)
-				})
+	var g []dagCell
+	d.forCells(func(i, j int) {
+		c := dagCell{i: i, j: j}
+		switch {
+		case d.Shape == "stencil" && i > 0:
+			for k := max(j-1, 0); k <= min(j+1, d.N-1); k++ {
+				c.deps = append(c.deps, (i-1)*d.N+k)
+			}
+		case d.Shape != "stencil":
+			if i > 0 {
+				c.deps = append(c.deps, (i-1)*d.N+j)
+			}
+			if j > 0 {
+				c.deps = append(c.deps, i*d.N+j-1)
 			}
 		}
-		return core.Int64Ret(cells[n-1][n-1].JoinInt64(c))
-	}
+		for _, k := range c.deps {
+			g[k].consumers++
+		}
+		g = append(g, c)
+	})
+	return g
 }
 
-// stencilConsumers returns how many row-(t+1) cells consume cell (t,i):
-// the clamped 3-point neighbourhood, or 1 (the root) for the final row.
-func (d DAGParams) stencilConsumers(t, i int) int {
-	if t == d.Steps {
-		return 1
-	}
-	lo, hi := i-1, i+1
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > d.N-1 {
-		hi = d.N - 1
-	}
-	return hi - lo + 1
-}
-
-// stencilTask spawns Steps+1 rows of N cells; cell (t,i) consumes the
-// clamped (t-1, i-1..i+1) and the root sums the final row.
-func (d DAGParams) stencilTask() core.TaskFunc {
-	n, steps := d.N, d.Steps
+// Task returns the root TaskFunc building and joining the whole DAG: it
+// spawns every cell as a future in forCells order, each joining its
+// dependencies in order before computing, then joins the sinks in order. The
+// root's return value is the checksum, equal to SerialChecksum() under every
+// policy.
+func (d DAGParams) Task() core.TaskFunc {
+	g := d.graph()
 	return func(c *core.Ctx) []byte {
-		prev := make([]core.Handle, n)
-		row := make([]core.Handle, n)
-		for t := 0; t <= steps; t++ {
-			for i := 0; i < n; i++ {
-				t, i := t, i
-				var deps []core.Handle
-				if t > 0 {
-					lo, hi := i-1, i+1
-					if lo < 0 {
-						lo = 0
-					}
-					if hi > n-1 {
-						hi = n - 1
-					}
-					deps = append(deps, prev[lo:hi+1]...)
+		h := make([]core.Handle, len(g))
+		for k, x := range g {
+			h[k] = c.SpawnFuture(max(x.consumers, 1), func(c *core.Ctx) []byte {
+				var sum int64
+				for _, dep := range x.deps {
+					sum += h[dep].JoinInt64(c)
 				}
-				row[i] = c.SpawnFuture(d.stencilConsumers(t, i), func(c *core.Ctx) []byte {
-					var sum int64
-					for _, h := range deps {
-						sum += h.JoinInt64(c)
-					}
-					work, val := d.cell(t, i)
-					cellCompute(c, work, d.Nest)
-					return core.Int64Ret((sum + val) % dagPrime)
-				})
-			}
-			prev, row = row, prev
+				work, val := d.cell(x.i, x.j)
+				cellCompute(c, work, d.Nest)
+				return core.Int64Ret((sum + val) % dagPrime)
+			})
 		}
 		var sum int64
-		for i := 0; i < n; i++ {
-			sum = (sum + prev[i].JoinInt64(c)) % dagPrime
+		for k, x := range g {
+			if x.consumers == 0 {
+				sum = (sum + h[k].JoinInt64(c)) % dagPrime
+			}
 		}
 		return core.Int64Ret(sum)
 	}
@@ -288,57 +248,21 @@ func (d DAGParams) stencilTask() core.TaskFunc {
 
 // SerialChecksum computes the DAG's checksum single-threadedly in
 // topological order — the oracle every runtime × steal-policy execution
-// must match.
+// must match: a cell's value is its dependencies' values plus its own
+// constant, mod dagPrime, and the checksum is the sinks' sum, mod dagPrime.
 func (d DAGParams) SerialChecksum() int64 {
-	d.defaults()
-	if err := d.Validate(); err != nil {
-		panic(err)
-	}
-	if d.Shape == "stencil" {
-		prev := make([]int64, d.N)
-		row := make([]int64, d.N)
-		for t := 0; t <= d.Steps; t++ {
-			for i := 0; i < d.N; i++ {
-				var sum int64
-				if t > 0 {
-					lo, hi := i-1, i+1
-					if lo < 0 {
-						lo = 0
-					}
-					if hi > d.N-1 {
-						hi = d.N - 1
-					}
-					for j := lo; j <= hi; j++ {
-						sum += prev[j]
-					}
-				}
-				_, val := d.cell(t, i)
-				row[i] = (sum + val) % dagPrime
-			}
-			prev, row = row, prev
+	g := d.graph()
+	v := make([]int64, len(g))
+	var sum int64
+	for k, x := range g {
+		for _, dep := range x.deps {
+			v[k] += v[dep]
 		}
-		var sum int64
-		for i := 0; i < d.N; i++ {
-			sum = (sum + prev[i]) % dagPrime
-		}
-		return sum
-	}
-	v := make([][]int64, d.N)
-	for i := range v {
-		v[i] = make([]int64, d.N)
-	}
-	for i := 0; i < d.N; i++ {
-		for j := 0; j < d.N; j++ {
-			var t, l int64
-			if i > 0 {
-				t = v[i-1][j]
-			}
-			if j > 0 {
-				l = v[i][j-1]
-			}
-			_, val := d.cell(i, j)
-			v[i][j] = (t + l + val) % dagPrime
+		_, val := d.cell(x.i, x.j)
+		v[k] = (v[k] + val) % dagPrime
+		if x.consumers == 0 {
+			sum = (sum + v[k]) % dagPrime
 		}
 	}
-	return v[d.N-1][d.N-1]
+	return sum
 }
