@@ -14,11 +14,12 @@ import (
 // Execution tracing: a layered event log in the spirit of the profiling the
 // paper uses for Fig. 7 and Table II (and of DelaySpotter, its reference
 // [50] for attributing scheduler-caused delays). Enabled by Config.Trace;
-// events carry virtual timestamps and span every protocol layer: the scheduler (runs, computes,
-// steals, suspends/resumes, migrations), the RDMA fabric (one span per
-// remote op), the deque steal protocol (one span per chain link), remote-
-// object management, messaging, and stack migration. Export as raw JSON or
-// as Chrome trace format (https://ui.perfetto.dev) for visual inspection.
+// events carry virtual timestamps and span every protocol layer: the
+// scheduler (runs, computes, steals, suspends/resumes, migrations), the RDMA
+// fabric (one span per remote op), the deque steal protocol (one span per
+// chain link), remote-object management, messaging, and stack migration.
+// Export as raw JSON or as Chrome trace format (https://ui.perfetto.dev) for
+// visual inspection.
 //
 // Several scheduler-level span families are exact mirrors of RunStats
 // counters — incremented at the same code site over the same window — which

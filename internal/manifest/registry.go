@@ -60,13 +60,13 @@ func (s *Spec) Run(p Params, x Exec) (r experiments.Rendering, err error) {
 }
 
 // options validates p and maps it, with the invocation knobs, onto
-// experiments.Options. It rejects values no experiment can run, naming the field by its JSON tag: a
-// name outside its set, a negative count or depth, a scale shift outside
-// [0, 16], a non-positive element of a count or load list, an unparsable
-// steal policy or perturbation. Unset (zero) fields pass — the experiments'
-// defaults own them. Every spec run and every parsed manifest entry goes
-// through it, so a bad CLI flag and a bad manifest knob fail with the same
-// message before any simulation starts.
+// experiments.Options. It rejects values no experiment can run, naming the
+// field by its JSON tag: a name outside its set, a negative count or depth,
+// a scale shift outside [0, 16], a non-positive element of a count or load
+// list, an unparsable steal policy or perturbation. Unset (zero) fields
+// pass — the experiments' defaults own them. Every spec run and every parsed
+// manifest entry goes through it, so a bad CLI flag and a bad manifest knob
+// fail with the same message before any simulation starts.
 func (p Params) options(x Exec) (experiments.Options, error) {
 	one := func(v string) []string {
 		if v == "" {
