@@ -13,14 +13,16 @@
 #          smoke manifest on a parallel pool with a sharded engine
 #          (self-validating against every committed golden) and once more
 #          sequentially — the two run folders must be diff -r identical, no
-#          file carries a clock — `repro validate` and `repro analyze` on
-#          the committed trace fixtures and on a serve cell cut at 20 µs with
-#          a stolen stack in flight (the trace must still agree with the
-#          counters), the allocation-free gates of the event path, the fabric
+#          file carries a clock — one entry under a zero-magnitude -perturb
+#          overlay (a no-op: it must still match its golden, and the run
+#          folder's manifest.json must record the overlay), `repro validate`
+#          and `repro analyze` on the committed trace fixtures and on a serve
+#          cell cut at 20 µs with a stolen stack in flight (the trace must
+#          still agree with the counters), the allocation-free gates of the event path, the fabric
 #          ops, the steal chain and the worker's idle cycle (*AllocFree in
 #          internal/sim, rdma, deque and core; the race detector perturbs
 #          allocation counts), one iteration of every per-package
-#          micro-benchmark, and ten bad inputs that must each exit non-zero
+#          micro-benchmark, and eleven bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
 #          a load no run can complete), sequentially (-parallel 1) and on a
@@ -29,7 +31,9 @@
 #          rank the trace does not have, a negative event time, a negated
 #          exec_time, a Chrome export), in both analyze modes, and a trace
 #          sink that cannot be created, which must fail before fig9 at its
-#          defaults simulates anything (timeout 5).
+#          defaults simulates anything (timeout 5), and a bad -perturb
+#          overlay on `repro run`, which must fail before the run folder
+#          exists.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +66,8 @@ for tier in "${tiers[@]}"; do
     "$out/repro" run -scale smoke -parallel 2 -shards 2 -stamp ci -out "$out/runs" -quiet
     "$out/repro" run -scale smoke -parallel 1 -shards 2 -stamp ci1 -out "$out/runs" -quiet >/dev/null
     diff -r "$out/runs/ci" "$out/runs/ci1"
+    "$out/repro" run -scale smoke -only fig6_pfor -perturb seed=1 -stamp ci_perturb -out "$out/runs" -quiet >/dev/null
+    grep -q '"perturb": "seed=1"' "$out/runs/ci_perturb/manifest.json"
     "$out/repro" validate "$out/runs/ci"
     "$out/repro" analyze cmd/repro/testdata/trace_uts_micro.json
     "$out/repro" analyze cmd/repro/testdata/trace_serve_micro.json
@@ -110,6 +116,11 @@ for tier in "${tiers[@]}"; do
     # A sink that cannot be created fails before the first entry runs: fig9
     # at its defaults takes far longer than 5 s.
     within=5 must_fail fig9 -trace /nonexistent/x.json
+    must_fail run -scale smoke -perturb jitter=-1 -stamp ci_bad -out "$out/runs"
+    if [ -e "$out/runs/ci_bad" ]; then
+      echo "scripts/ci.sh: repro run -perturb jitter=-1 left a run folder behind" >&2
+      exit 1
+    fi
     ;;
   *)
     echo "scripts/ci.sh: unknown tier '$tier' (want build, test or cli)" >&2
