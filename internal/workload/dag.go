@@ -20,7 +20,7 @@ import (
 //     stencil over time, each producer feeding up to three consumers. The
 //     sinks are the final row.
 //
-// Both shapes are one description (graph): each cell's dependency list in
+// Both shapes are one description (deps): each cell's dependency list in
 // join order, from which one spawn loop (Task) and one serial oracle
 // (SerialChecksum) derive consumer counts, values and the checksum — the
 // sum of the sinks.
@@ -112,29 +112,11 @@ func (d DAGParams) Cells() int {
 func (d DAGParams) T1() sim.Time {
 	d.defaults()
 	var total sim.Time
-	each := func(i, j int) {
-		w, _ := d.cell(i, j)
+	for k := 0; k < d.Cells(); k++ {
+		w, _ := d.cell(k/d.N, k%d.N)
 		total += w
 	}
-	d.forCells(each)
 	return total
-}
-
-// forCells visits every cell coordinate of the shape.
-func (d DAGParams) forCells(f func(i, j int)) {
-	if d.Shape == "stencil" {
-		for t := 0; t <= d.Steps; t++ {
-			for i := 0; i < d.N; i++ {
-				f(t, i)
-			}
-		}
-		return
-	}
-	for i := 0; i < d.N; i++ {
-		for j := 0; j < d.N; j++ {
-			f(i, j)
-		}
-	}
 }
 
 func splitmix64(x uint64) uint64 {
@@ -173,72 +155,72 @@ func cellCompute(c *core.Ctx, work sim.Time, depth int) {
 	h.JoinInt64(c)
 }
 
-// dagCell is one cell of a DAG's description: its coordinates (row and
-// column of the wavefront, step and index of the stencil), the cells it
-// joins in join order, as indices into the description, and how many cells
-// list it — 0 for a sink, which the root joins instead.
-type dagCell struct {
-	i, j      int
-	deps      []int
-	consumers int
+// deps appends to buf the cells cell k joins, in join order. Both shapes
+// are rows of N cells (N rows of the wavefront, Steps+1 stencil steps), and
+// cell k is (row k/N, column k%N), so index order is the row-major order
+// cells are spawned in: wavefront cells join [top, left], stencil cells the
+// clamped (t-1, i-1..i+1).
+func (d *DAGParams) deps(k int, buf []int) []int {
+	i, j := k/d.N, k%d.N
+	switch {
+	case d.Shape == "stencil" && i > 0:
+		for c := max(j-1, 0); c <= min(j+1, d.N-1); c++ {
+			buf = append(buf, k-d.N-j+c)
+		}
+	case d.Shape != "stencil":
+		if i > 0 {
+			buf = append(buf, k-d.N)
+		}
+		if j > 0 {
+			buf = append(buf, k-1)
+		}
+	}
+	return buf
 }
 
-// graph completes d's defaults, validates the shape and describes both
-// shapes one way, cell by cell in forCells order (cell (i,j) is index
-// i·N+j): wavefront cells join [top, left], stencil cells the clamped
-// (t-1, i-1..i+1).
-func (d *DAGParams) graph() []dagCell {
+// consumers completes d's defaults, validates the shape and counts, for
+// every cell, the cells that join it — 0 for a sink, which the root joins
+// instead. With deps it is the one description of both shapes that Task and
+// SerialChecksum share.
+func (d *DAGParams) consumers() []int32 {
 	d.defaults()
 	if err := d.Validate(); err != nil {
 		panic(err)
 	}
-	var g []dagCell
-	d.forCells(func(i, j int) {
-		c := dagCell{i: i, j: j}
-		switch {
-		case d.Shape == "stencil" && i > 0:
-			for k := max(j-1, 0); k <= min(j+1, d.N-1); k++ {
-				c.deps = append(c.deps, (i-1)*d.N+k)
-			}
-		case d.Shape != "stencil":
-			if i > 0 {
-				c.deps = append(c.deps, (i-1)*d.N+j)
-			}
-			if j > 0 {
-				c.deps = append(c.deps, i*d.N+j-1)
-			}
+	n := make([]int32, d.Cells())
+	var buf [3]int
+	for k := range n {
+		for _, dep := range d.deps(k, buf[:0]) {
+			n[dep]++
 		}
-		for _, k := range c.deps {
-			g[k].consumers++
-		}
-		g = append(g, c)
-	})
-	return g
+	}
+	return n
 }
 
 // Task returns the root TaskFunc building and joining the whole DAG: it
-// spawns every cell as a future in forCells order, each joining its
+// spawns every cell as a future in index order, each joining its
 // dependencies in order before computing, then joins the sinks in order. The
 // root's return value is the checksum, equal to SerialChecksum() under every
 // policy.
 func (d DAGParams) Task() core.TaskFunc {
-	g := d.graph()
+	consumers := d.consumers()
 	return func(c *core.Ctx) []byte {
-		h := make([]core.Handle, len(g))
-		for k, x := range g {
-			h[k] = c.SpawnFuture(max(x.consumers, 1), func(c *core.Ctx) []byte {
+		h := make([]core.Handle, len(consumers))
+		for k, n := range consumers {
+			h[k] = c.SpawnFuture(max(int(n), 1), func(c *core.Ctx) []byte {
 				var sum int64
-				for _, dep := range x.deps {
+				var buf [3]int
+				for _, dep := range d.deps(k, buf[:0]) {
 					sum += h[dep].JoinInt64(c)
 				}
-				work, val := d.cell(x.i, x.j)
+				work, val := d.cell(k/d.N, k%d.N)
 				cellCompute(c, work, d.Nest)
 				return core.Int64Ret((sum + val) % dagPrime)
 			})
 		}
 		var sum int64
-		for k, x := range g {
-			if x.consumers == 0 {
+		for k, n := range consumers {
+			if n == 0 {
 				sum = (sum + h[k].JoinInt64(c)) % dagPrime
 			}
 		}
@@ -251,16 +233,17 @@ func (d DAGParams) Task() core.TaskFunc {
 // must match: a cell's value is its dependencies' values plus its own
 // constant, mod dagPrime, and the checksum is the sinks' sum, mod dagPrime.
 func (d DAGParams) SerialChecksum() int64 {
-	g := d.graph()
-	v := make([]int64, len(g))
+	consumers := d.consumers()
+	v := make([]int64, len(consumers))
 	var sum int64
-	for k, x := range g {
-		for _, dep := range x.deps {
+	var buf [3]int
+	for k, n := range consumers {
+		for _, dep := range d.deps(k, buf[:0]) {
 			v[k] += v[dep]
 		}
-		_, val := d.cell(x.i, x.j)
+		_, val := d.cell(k/d.N, k%d.N)
 		v[k] = (v[k] + val) % dagPrime
-		if x.consumers == 0 {
+		if n == 0 {
 			sum = (sum + v[k]) % dagPrime
 		}
 	}
