@@ -112,8 +112,8 @@ func (d DAGParams) Cells() int {
 func (d DAGParams) T1() sim.Time {
 	d.defaults()
 	var total sim.Time
-	for k := 0; k < d.Cells(); k++ {
-		w, _ := d.cell(k/d.N, k%d.N)
+	for k := range d.Cells() {
+		w, _ := d.cell(k)
 		total += w
 	}
 	return total
@@ -126,9 +126,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// cell returns the seeded work duration and value constant of cell (i,j) —
-// a pure function of (Seed, i, j).
-func (d DAGParams) cell(i, j int) (work sim.Time, val int64) {
+// cell returns the seeded work duration and value constant of cell k, at
+// (i, j) = (row k/N, column k%N) — a pure function of (Seed, i, j).
+func (d DAGParams) cell(k int) (work sim.Time, val int64) {
+	i, j := k/d.N, k%d.N
 	h := splitmix64(uint64(d.Seed) ^ splitmix64(uint64(i)<<32|uint64(uint32(j))))
 	span := uint64(d.MaxWork-d.MinWork) + 1
 	work = d.MinWork + sim.Time(h%span)
@@ -213,7 +214,7 @@ func (d DAGParams) Task() core.TaskFunc {
 				for _, dep := range d.deps(k, buf[:0]) {
 					sum += h[dep].JoinInt64(c)
 				}
-				work, val := d.cell(k/d.N, k%d.N)
+				work, val := d.cell(k)
 				cellCompute(c, work, d.Nest)
 				return core.Int64Ret((sum + val) % dagPrime)
 			})
@@ -241,7 +242,7 @@ func (d DAGParams) SerialChecksum() int64 {
 		for _, dep := range d.deps(k, buf[:0]) {
 			v[k] += v[dep]
 		}
-		_, val := d.cell(k/d.N, k%d.N)
+		_, val := d.cell(k)
 		v[k] = (v[k] + val) % dagPrime
 		if n == 0 {
 			sum = (sum + v[k]) % dagPrime
