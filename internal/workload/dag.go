@@ -156,11 +156,11 @@ func cellCompute(c *core.Ctx, work sim.Time, depth int) {
 	h.JoinInt64(c)
 }
 
-// deps appends to buf the cells cell k joins, in join order. Both shapes
-// are rows of N cells (N rows of the wavefront, Steps+1 stencil steps), and
-// cell k is (row k/N, column k%N), so index order is the row-major order
-// cells are spawned in: wavefront cells join [top, left], stencil cells the
-// clamped (t-1, i-1..i+1).
+// deps appends to buf the indices of the cells cell k joins, in join order.
+// Both shapes are rows of N cells (N rows of the wavefront, Steps+1 stencil
+// steps), and cell k is (row k/N, column k%N), so index order is the
+// row-major order cells are spawned in: wavefront cells join [top, left],
+// stencil cells the clamped (t-1, i-1..i+1).
 func (d *DAGParams) deps(k int, buf []int) []int {
 	i, j := k/d.N, k%d.N
 	switch {
