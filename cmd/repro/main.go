@@ -96,6 +96,9 @@ import (
 	"contsteal/internal/manifest"
 )
 
+// goldensUsage is the -goldens help text of run and validate.
+const goldensUsage = "golden fixtures directory (default: cmd/repro/testdata or testdata under the working directory, where the committed fixtures live on disk)"
+
 // defaultGoldens locates the committed golden fixtures relative to the
 // working directory: the repo root or cmd/repro itself. (Several fixture
 // names contain an apostrophe — the UTS "T1L'" tree tag — which go:embed
@@ -371,7 +374,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	out := fs.String("out", "paper_runs", "parent directory for run folders")
 	stamp := fs.String("stamp", "", "run folder name (default: UTC timestamp)")
 	manifestPath := fs.String("manifest", "", "manifest JSON file (default: the committed experiments.json built into the binary)")
-	goldensDir := fs.String("goldens", "", "golden fixtures directory (default: the committed fixtures built into the binary)")
+	goldensDir := fs.String("goldens", "", goldensUsage)
 	noValidate := fs.Bool("no-validate", false, "skip golden validation")
 	parallel := new(int)
 	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for each entry's sweep grid, at least 1 (default: all CPUs)")
@@ -441,7 +444,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 func runValidate(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	goldensDir := fs.String("goldens", "", "golden fixtures directory (default: the committed fixtures built into the binary)")
+	goldensDir := fs.String("goldens", "", goldensUsage)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"contsteal"
 )
@@ -32,7 +33,7 @@ func main() {
 	data := contsteal.NewGlobalInt64Array(rt, elements)
 	hist := contsteal.NewGlobalInt64Array(rt, buckets)
 
-	_, stats := rt.Run(func(c *contsteal.Ctx) []byte {
+	ret, stats := rt.Run(func(c *contsteal.Ctx) []byte {
 		// Phase 1: initialize the global array in parallel; each task
 		// writes a contiguous chunk with one coalesced range put.
 		const chunk = 256
@@ -71,5 +72,9 @@ func main() {
 	fmt.Printf("histogram over %d global elements on %d workers\n", elements, stats.Workers)
 	fmt.Printf("virtual time %v, %d steals, %d remote gets, %d remote puts, %d atomics\n",
 		stats.ExecTime, stats.Work.StealsOK, stats.Fabric.Gets, stats.Fabric.Puts, stats.Fabric.Atomics)
+	if total := contsteal.RetInt64(ret); total != elements {
+		fmt.Printf("FAIL: histogram counts %d elements, want %d\n", total, elements)
+		os.Exit(1)
+	}
 	fmt.Println("all", elements, "elements counted — global heap + task migration compose")
 }

@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"contsteal"
 )
@@ -73,7 +74,8 @@ func main() {
 	}
 	fmt.Println("unbalanced tree search on 72 simulated cores (2 nodes, ITO-A model)")
 	fmt.Printf("%-14s %12s %10s %12s %14s\n", "policy", "nodes", "time", "steals", "outst.joins")
-	for _, pol := range policies {
+	var want int64
+	for k, pol := range policies {
 		cfg := contsteal.Config{
 			Machine: contsteal.ITOA(),
 			Workers: 72,
@@ -85,6 +87,12 @@ func main() {
 		})
 		fmt.Printf("%-14v %12d %10v %12d %14d\n",
 			pol, count, st.ExecTime, st.Work.StealsOK, st.Join.Outstanding)
+		if k == 0 {
+			want = count
+		} else if count != want {
+			fmt.Printf("FAIL: %v counts %d nodes, %v counted %d\n", pol, count, policies[0], want)
+			os.Exit(1)
+		}
 	}
 	fmt.Println("\nNote how child stealing produces orders of magnitude more outstanding")
 	fmt.Println("joins — the effect §II-B of the paper predicts.")

@@ -21,6 +21,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"contsteal"
 )
@@ -28,6 +29,7 @@ import (
 const gridN = 16 // gridN × gridN cells
 
 func main() {
+	want := serialWavefront()
 	for _, pol := range []contsteal.Policy{contsteal.ContGreedy, contsteal.ContStalling} {
 		cfg := contsteal.Config{
 			Machine: contsteal.ITOA(),
@@ -38,7 +40,29 @@ func main() {
 		sum, st := contsteal.RunInt64(cfg, wavefront)
 		fmt.Printf("%-14v checksum=%-8d time=%-10v steals=%d migrations=%d\n",
 			pol, sum, st.ExecTime, st.Work.StealsOK, st.Stack.MigrationsIn)
+		if sum != want {
+			fmt.Printf("FAIL: %v checksum %d, serial loop %d\n", pol, sum, want)
+			os.Exit(1)
+		}
 	}
+}
+
+// cell is the recurrence every grid cell computes from its top and left
+// neighbours (0 off the grid).
+func cell(i, j int, top, left int64) int64 { return (top + left + int64(i*j+1)) % 1000003 }
+
+// serialWavefront evaluates the same recurrence with a plain loop: the
+// checksum both policies must reproduce.
+func serialWavefront() int64 {
+	var row [gridN]int64 // row[j] holds the cell above until overwritten
+	for i := 0; i < gridN; i++ {
+		var left int64
+		for j := 0; j < gridN; j++ {
+			row[j] = cell(i, j, row[j], left)
+			left = row[j]
+		}
+	}
+	return row[gridN-1]
 }
 
 // wavefront builds the grid of futures and returns the bottom-right value.
@@ -78,8 +102,7 @@ func wavefront(c *contsteal.Ctx) int64 {
 					l = left.JoinInt64(c)
 				}
 				c.Compute(20 * contsteal.Microsecond) // the cell kernel
-				v := t + l + int64(i*j+1)
-				return contsteal.Int64Ret(v % 1000003)
+				return contsteal.Int64Ret(cell(i, j, t, l))
 			})
 		}
 	}

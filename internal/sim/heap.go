@@ -1,17 +1,13 @@
 package sim
 
-// eventHeap is a binary min-heap of events ordered by (time, seq) — or, in a
-// keyed engine (see sharded.go), by (time, lineage key). It is implemented
-// directly on a slice (rather than via container/heap) to avoid
+// eventHeap is a binary min-heap of events ordered by (time, seq). It is
+// implemented directly on a slice (rather than via container/heap) to avoid
 // interface-call overhead on the simulator's hottest path.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].t != h[j].t {
 		return h[i].t < h[j].t
-	}
-	if h[i].key != nil && h[j].key != nil {
-		return keyCmp(h[i].key, h[j].key) < 0
 	}
 	return h[i].seq < h[j].seq
 }

@@ -21,8 +21,8 @@ func shardedOrderedProgram(n int) ([]string, *Engine) {
 				p.Sleep(Time(2 + i))
 				rec(fmt.Sprintf("w%d step%d", i, step))
 				// Cross-shard completion, like an rdma op landing on the
-				// target node's heap — including zero-latency same-tick ones,
-				// legal in ordered mode (no window to violate).
+				// target node's shard — including zero-latency same-tick
+				// ones, legal on the one heap.
 				e.AfterOn((shard+1)%e.Shards(), Time(step), func() {
 					rec(fmt.Sprintf("w%d remote step%d", i, step))
 				})
@@ -34,7 +34,7 @@ func shardedOrderedProgram(n int) ([]string, *Engine) {
 	return log, e
 }
 
-// TestEngineShardsByteIdentical is the ordered-mode identity: the same
+// TestEngineShardsByteIdentical is the shard-tag identity: the same
 // program dispatches in exactly the same order at every shard count, so
 // logs and EngineStats are byte-identical to the one-shard engine.
 func TestEngineShardsByteIdentical(t *testing.T) {
@@ -140,5 +140,26 @@ func TestProcEventsFollowShard(t *testing.T) {
 	// traffic and dispatched it.
 	if ss[1].Inbound == 0 {
 		t.Errorf("shard 1 Inbound = 0, want the cross-shard wake counted; stats %+v", ss)
+	}
+}
+
+// TestEventPathAllocFree is the allocs/op gate of the event path: once the
+// heap has grown, a proc sleeping and scheduling same-shard and cross-shard
+// callbacks must not allocate — scheduling, the heap, shard tags and the
+// in-place wake-up included.
+func TestEventPathAllocFree(t *testing.T) {
+	e := NewEngineShards(2)
+	defer e.Shutdown()
+	cb := func() {}
+	e.GoIDOn(1, "w", 0, func(p *Proc) {
+		for {
+			p.Sleep(1)
+			e.After(1, cb)
+			e.AfterOn(0, 2, cb)
+		}
+	})
+	e.Run(100) // start the proc and grow the heap
+	if avg := testing.AllocsPerRun(50, func() { e.Run(e.Now() + 100) }); avg != 0 {
+		t.Errorf("event path allocates %.1f times per Run, want 0", avg)
 	}
 }

@@ -71,8 +71,9 @@
 // one goroutine switch (~270 ns). Only a Run per event still pays the old
 // two-switch round trip (~500 ns). benchmark/micro.go times the unit costs
 // cold, as sim.callback_ns, sim.sleep_ns, sim.handoff_ns, sim.chain5_ns and
-// sim.sharded_event_ns; the shapes it has no driver for yet stay here as
-// BenchmarkSleepInPlace, BenchmarkSleepInline and BenchmarkProcPingPong. Hot
+// sim.sharded_event_ns (the tagged engine at two shards); the shapes it has
+// no driver for yet stay here as BenchmarkSleepInPlace, BenchmarkSleepInline
+// and BenchmarkProcPingPong. Hot
 // paths avoid switches: multi-op protocols use completion chains (one
 // resumption per protocol), cycles that wait more than they work use
 // continuations (no resumption until there is work), live procs are kept on
@@ -92,16 +93,16 @@
 //
 // # Sharding
 //
-// Two sharding layers exist on top of the core engine. NewEngineShards(n)
-// tags every event of one engine with the shard (simulated node) it belongs
-// to and keeps per-shard traffic counters (ShardStats) exposing the
-// cross-node event flow; there is still one heap, so event order is the
-// serial engine's by definition. Sharded (see sharded.go) runs n engines on their
-// own goroutines in conservative barrier rounds — adaptive per-shard-pair
-// lookahead horizons by default, a single lock-step window behind a flag —
-// for shard-confined programs whose only cross-shard interaction is
-// RouteAfter; lineage keys make its results byte-identical to the serial
-// engine as well.
+// There is one sharding layer. NewEngineShards(n) tags every event of one
+// engine with the shard (simulated node) it belongs to and keeps per-shard
+// traffic counters (ShardStats, CrossShard) exposing the cross-node event
+// flow; there is still one heap ordered by (t, seq), so event order is the
+// serial engine's by definition at every shard count. GoIDOn, AfterOn and
+// AssertShard are the seams a concurrent port would start from. There is no
+// concurrent mode: the runtimes' zero-latency couplings (done flags,
+// host-pointer steals) cannot take a nonzero lookahead. Sharded (see
+// sharded.go) is a thin view of one tagged engine kept for a benchmark
+// kernel.
 //
 // # Failure propagation
 //
@@ -119,7 +120,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 )
 
 // Time is a virtual timestamp or duration in nanoseconds. The simulation
@@ -231,8 +231,8 @@ type EngineStats struct {
 
 // ShardStats counts per-shard event traffic of a sharded engine. Inbound
 // counts events scheduled onto the shard from a different shard's context —
-// the cross-node traffic a windowed parallel execution would exchange
-// through per-pair queues. Kept separate from EngineStats so the latter
+// the cross-node traffic a concurrent execution would have to exchange
+// between shards. Kept separate from EngineStats so the latter
 // stays byte-identical across shard counts.
 type ShardStats struct {
 	Events  uint64 // events dispatched that carried this shard's tag
@@ -241,15 +241,13 @@ type ShardStats struct {
 
 // event is a single entry in the engine's priority queue: either a proc
 // wake-up (p != nil) or a callback (fn != nil). Events are plain values in
-// the slice-backed heap, so scheduling allocates nothing. key is non-nil
-// only in keyed engines (the windowed sharded mode, see sharded.go); shard
-// is the owning shard's tag (always 0 in an unsharded engine).
+// the slice-backed heap, so scheduling allocates nothing. shard is the owning
+// shard's tag (always 0 in an unsharded engine).
 type event struct {
 	t     Time
 	seq   uint64
 	p     *Proc
 	fn    func()
-	key   *knode
 	shard int32
 }
 
@@ -285,17 +283,6 @@ type Engine struct {
 	inline   uint64       // resumptions whose continuation suspended again (see Inline)
 	sstats   []ShardStats // one per shard; len >= 1
 	chains   *Chain       // free list of pooled Chain objects
-
-	// Keyed lineage mode (windowed sharding, see sharded.go): every event
-	// carries a lineage key encoding its serial scheduling instant, and
-	// heaps order same-time events by key instead of seq. rootSeq is shared
-	// across a shard group so setup-time keys are globally ordered.
-	keyed    bool
-	rootSeq  *uint64
-	curKey   *knode // key of the event being dispatched (nil outside Run)
-	curIdx   uint64 // schedule-call index within the current dispatch
-	keyPool  *knode // intrusive free list of recycled lineage nodes (parent = link)
-	keyPoolN int
 }
 
 // NewEngine returns an empty, unsharded engine with the clock at 0.
@@ -362,8 +349,8 @@ func (e *Engine) ShardStats() []ShardStats {
 }
 
 // CrossShard returns the total number of events scheduled across shard
-// boundaries — the traffic a windowed parallel execution would route
-// through per-pair queues.
+// boundaries — the traffic a concurrent execution would have to route
+// between shards.
 func (e *Engine) CrossShard() uint64 {
 	var n uint64
 	for i := range e.sstats {
@@ -375,7 +362,7 @@ func (e *Engine) CrossShard() uint64 {
 // AssertShard panics unless p is owned by the given shard. Runtimes use it
 // to enforce that a proc's node assignment is stable for the whole run:
 // work migrates between nodes, proc↔shard ownership never does — a
-// violation would corrupt window order in a parallel execution, so it must
+// violation would corrupt event order in a concurrent execution, so it must
 // fail fast instead.
 func (e *Engine) AssertShard(p *Proc, shard int) {
 	if p.shard != shard {
@@ -395,36 +382,15 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Pass nil to disable.
 func (e *Engine) SetTrace(fn func(string)) { e.trace = fn }
 
-// nextKey builds the lineage key of the event being scheduled: a child of
-// the current dispatch's key, or (outside any dispatch) a root keyed by the
-// group-wide setup counter. Nodes come from the engine's free list (see
-// newKnode/releaseKey in sharded.go); a child pins its parent with one
-// reference. Called only in keyed engines.
-func (e *Engine) nextKey() *knode {
-	if e.curKey != nil {
-		k := e.newKnode(e.now, e.curKey, e.curIdx)
-		e.curIdx++
-		atomic.AddInt32(&e.curKey.refs, 1)
-		return k
-	}
-	k := e.newKnode(e.now, nil, *e.rootSeq)
-	*e.rootSeq++
-	return k
-}
-
 func (e *Engine) schedule(t Time, shard int, p *Proc, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
-	var k *knode
-	if e.keyed {
-		k = e.nextKey()
-	}
 	if shard != e.curShard {
 		e.sstats[shard].Inbound++
 	}
-	e.heap.push(event{t: t, seq: e.seq, p: p, fn: fn, key: k, shard: int32(shard)})
+	e.heap.push(event{t: t, seq: e.seq, p: p, fn: fn, shard: int32(shard)})
 }
 
 // At schedules fn to run inside event dispatch at virtual time t (which must
@@ -556,7 +522,6 @@ func (e *Engine) Run(until Time) Time {
 		p.ch <- wakeRun
 		<-e.driver
 	}
-	e.releaseCur()
 	if pp := e.fail; pp != nil {
 		e.fail = nil
 		e.Shutdown()
@@ -592,8 +557,6 @@ func (e *Engine) dispatch() *Proc {
 	}()
 	e.current = nil
 	for !e.stopped {
-		// The previous event's children hold their own key references by now.
-		e.releaseCur()
 		if len(e.heap) == 0 {
 			break
 		}
@@ -605,10 +568,6 @@ func (e *Engine) dispatch() *Proc {
 		e.heap.pop()
 		e.now = ev.t
 		e.curShard = int(ev.shard)
-		if e.keyed {
-			e.curKey = ev.key
-			e.curIdx = 0
-		}
 		p, verb := ev.p, "run"
 		if ev.fn == nil && p.state == StateDead {
 			continue // a killed proc can leave a stale event behind
@@ -661,16 +620,6 @@ func (e *Engine) pass(next *Proc) {
 	}
 }
 
-// releaseCur drops the dispatched event's reference on its lineage key
-// (keyed engines only): children scheduled during the dispatch hold their
-// own, so this recycles exactly the nodes no live event can reach.
-func (e *Engine) releaseCur() {
-	if k := e.curKey; k != nil {
-		e.curKey = nil
-		e.releaseKey(k)
-	}
-}
-
 // failed records the run's first panic and stops dispatch; Run re-raises it
 // on its caller's goroutine. It must be called from the deferred recover
 // itself, while the panicking frames are still on the stack.
@@ -709,8 +658,6 @@ func (e *Engine) Shutdown() {
 	e.heap = nil
 	e.chains = nil
 	e.ready = nil
-	e.keyPool = nil
-	e.keyPoolN = 0
 }
 
 // Proc is a simulated process: a goroutine whose execution is interleaved

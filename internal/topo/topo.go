@@ -152,11 +152,11 @@ func (m *Machine) ShardOf(rank, shards int) int { return m.NodeOf(rank) % shards
 
 // MinCrossNodeLatency returns a lower bound on the virtual-time delay of
 // any event one node can cause on another — the lookahead of a conservative
-// node-sharded execution (sim.Sharded's one lookahead, the routing contract
-// of the engine's per-node shard tags). The bound is the inter-node base latency:
-// every cross-node path goes through OneSided/OpDelay, whose size term is
-// non-negative, whose atomic surcharge only adds, and whose perturbation
-// model clamps the jittered delay to at least the base (see
+// node-sharded execution (the routing contract of the engine's per-node
+// shard tags and of sim.Sharded.RouteAfter). The bound is the inter-node
+// base latency: every cross-node path goes through OneSided/OpDelay, whose
+// size term is non-negative, whose atomic surcharge only adds, and whose
+// perturbation model clamps the jittered delay to at least the base (see
 // Machine.OpDelay) — so no cross-node operation, perturbed or not, can
 // complete in less than InterLatency.
 func (m *Machine) MinCrossNodeLatency() sim.Time { return m.InterLatency }

@@ -18,11 +18,14 @@
 #          folder's manifest.json must record the overlay), `repro validate`
 #          and `repro analyze` on the committed trace fixtures and on a serve
 #          cell cut at 20 µs with a stolen stack in flight (the trace must
-#          still agree with the counters), the allocation-free gates of the event path, the fabric
-#          ops, the steal chain and the worker's idle cycle (*AllocFree in
-#          internal/sim, rdma, deque and core; the race detector perturbs
-#          allocation counts), one iteration of every per-package
-#          micro-benchmark, and eleven bad inputs that must each exit non-zero
+#          still agree with the counters), the allocation-free gates of the
+#          event path, the fabric ops, the steal chain and the worker's idle
+#          cycle (*AllocFree in internal/sim, rdma, deque and core; the race
+#          detector perturbs allocation counts), one iteration of every
+#          per-package micro-benchmark, the four examples (globalsum,
+#          wavefront and treesearch exit non-zero when their results disagree
+#          with a plain serial computation or across policies), and eleven
+#          bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
 #          a load no run can complete), sequentially (-parallel 1) and on a
@@ -77,6 +80,9 @@ for tier in "${tiers[@]}"; do
     "$out/repro" analyze -requests "$out/cut.json"
     go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core
     go test -bench=. -benchtime=1x -run '^$' ./...
+    for ex in quickstart globalsum wavefront treesearch; do
+      go run "./examples/$ex" >/dev/null
+    done
     # must_fail CMD...: repro CMD must exit non-zero, in one line, without a
     # goroutine dump, within $within seconds (default 60; a command still
     # running then has not failed, it was killed: exit 124).
