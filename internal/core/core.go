@@ -207,6 +207,10 @@ type Runtime struct {
 	jstats   JoinStats
 	series   []Sample
 
+	// freeThreads holds dead Threads, zeroed but for their bound body, for
+	// newThread to hand to the next task.
+	freeThreads []*Thread
+
 	// isoNext/isoHigh implement iso-address accounting: a global
 	// never-reused virtual address counter and its high-water mark.
 	isoNext uint64
@@ -525,11 +529,10 @@ func (rt *Runtime) joinResumed(w *Worker, e rdma.Loc, task, req int64) {
 // dropJoinInfo discards bookkeeping when an entry is freed.
 func (rt *Runtime) dropJoinInfo(e rdma.Loc) { delete(rt.joinInfo, e) }
 
-// register adds a thread to the registry and returns its id.
-func (rt *Runtime) register(t *Thread) int64 {
+// register adds a thread to the registry under the next id.
+func (rt *Runtime) register(t *Thread) {
 	t.id = int64(len(rt.threads))
 	rt.threads = append(rt.threads, t)
-	return t.id
 }
 
 func (rt *Runtime) thread(id int64) *Thread { return rt.threads[id] }

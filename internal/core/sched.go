@@ -307,8 +307,8 @@ func (w *Worker) startRoot(p *sim.Proc, fn TaskFunc, r *Request) {
 	case rt.cfg.Policy.Continuation():
 		t = newContThread(w, fn, Handle{}, -1, true)
 	default:
-		t = &Thread{rt: rt, fn: fn, isChildTask: true, isRoot: true, w: w}
-		rt.register(t)
+		t = rt.newThread(w, fn, Handle{})
+		t.isChildTask, t.isRoot = true, true
 	}
 	t.req, t.reqTag = r, tag
 	w.setCurrent(t)
@@ -492,8 +492,8 @@ func (w *Worker) stealFailed(victim *Worker, start sim.Time, chain sim.Time) {
 // but is tied to this worker forever after.
 func (w *Worker) startChildTask(p *sim.Proc, ct *childTask) {
 	rt := w.rt
-	t := &Thread{rt: rt, fn: ct.fn, entry: ct.hdl.E, hdl: ct.hdl, isChildTask: true, w: w, reqTag: ct.reqTag}
-	rt.register(t)
+	t := rt.newThread(w, ct.fn, ct.hdl)
+	t.isChildTask, t.reqTag = true, ct.reqTag
 	// Stack allocation plus the switch onto it.
 	p.Sleep(rt.cfg.Machine.AllocCost + rt.cfg.Machine.CtxSwitch)
 	w.setCurrent(t)

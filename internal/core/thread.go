@@ -25,15 +25,19 @@ const (
 // ChildFull every started task is a Thread with a private (non-uni) stack;
 // ChildRtC tasks are not Threads at all (they run inline on the worker).
 //
-// The thread's control state is its parked goroutine (a sim.Proc); its
-// migratable data state is the stack bytes managed through uniaddr. See
-// DESIGN.md §1.1.
+// The thread's control state is its proc (a sim.Proc, parked while the
+// thread is not running); its migratable data state is the stack bytes
+// managed through uniaddr. See DESIGN.md §1.1. A dead Thread is recycled:
+// main zeroes it and the runtime hands it, with its embedded Ctx and bound
+// body, to the next task (newThread), as the engine does with the proc.
 type Thread struct {
 	rt *Runtime
 	id int64
 
 	proc *sim.Proc
-	w    *Worker // current location; updated on migration
+	body func(p *sim.Proc) // t.main, bound once: the proc body of every task t carries
+	ctx  Ctx               // the task's Ctx, set up by main
+	w    *Worker           // current location; updated on migration
 
 	fn    TaskFunc
 	entry rdma.Loc // thread entry this task reports to (zero for the root)
@@ -249,18 +253,11 @@ func (t *Thread) suspended(p *sim.Proc, e rdma.Loc) {
 // thread whose stack is placed immediately above the current top of w's
 // uni-address region (Fig. 2 step 1).
 func newContThread(w *Worker, fn TaskFunc, hdl Handle, parentID int64, isRoot bool) *Thread {
-	t := &Thread{
-		rt:        w.rt,
-		fn:        fn,
-		entry:     hdl.E,
-		hdl:       hdl,
-		stackSize: stackBytes,
-		parentID:  parentID,
-		isRoot:    isRoot,
-		w:         w,
-	}
+	t := w.rt.newThread(w, fn, hdl)
+	t.stackSize = stackBytes
+	t.parentID = parentID
+	t.isRoot = isRoot
 	t.stackAddr = w.ua.PushStack(t.stackSize)
-	w.rt.register(t)
 	if w.rt.cfg.StackScheme == IsoAddress {
 		// Account the globally unique (never reused) virtual address this
 		// stack would occupy under iso-address. The backing remains the
@@ -279,6 +276,23 @@ func newContThread(w *Worker, fn TaskFunc, hdl Handle, parentID int64, isRoot bo
 	return t
 }
 
+// newThread registers a thread for a task running fn on w that reports to
+// hdl (zero for a root): a dead one main zeroed, off the runtime's free list,
+// or a new one with its body bound.
+func (rt *Runtime) newThread(w *Worker, fn TaskFunc, hdl Handle) *Thread {
+	var t *Thread
+	if n := len(rt.freeThreads); n > 0 {
+		t = rt.freeThreads[n-1]
+		rt.freeThreads = rt.freeThreads[:n-1]
+	} else {
+		t = &Thread{}
+		t.body = t.main
+	}
+	t.rt, t.w, t.fn, t.entry, t.hdl = rt, w, fn, hdl.E, hdl
+	rt.register(t)
+	return t
+}
+
 // start launches the thread's proc at the current virtual time. The caller
 // must have made the thread current on its worker.
 func (t *Thread) start() {
@@ -288,20 +302,23 @@ func (t *Thread) start() {
 	// has itself migrated here from another node (its own proc keeps its
 	// birth shard for life — ownership is stable even as work moves).
 	shard := t.rt.cfg.Machine.ShardOf(t.w.rank, t.rt.cfg.Shards)
-	t.proc = t.rt.eng.GoIDOn(shard, "thread", t.id, t.main)
+	t.proc = t.rt.eng.GoIDOn(shard, "thread", t.id, t.body)
 	t.rt.eng.AssertShard(t.proc, shard)
 }
 
-// main is the thread body: run the task function, then die according to the
-// policy.
+// main is the thread body: run the task function, die according to the
+// policy, then recycle the Thread.
 func (t *Thread) main(p *sim.Proc) {
-	c := &Ctx{rt: t.rt, t: t, p: p}
-	ret := t.fn(c)
-	t.rt.die(c, ret)
-	// Let the dead go: only suspended threads are ever looked up (loadContext),
-	// and the registry would otherwise pin every Thread, Proc and closure of
-	// the run. The id stays taken.
-	t.rt.threads[t.id] = nil
+	rt := t.rt
+	t.ctx = Ctx{rt: rt, t: t, p: p}
+	ret := t.fn(&t.ctx)
+	rt.die(&t.ctx, ret)
+	// Only suspended threads are ever looked up (loadContext), so the slot goes
+	// before the Thread is zeroed for the next task: a dead id must never
+	// resolve to whatever task the Thread carries next. The id stays taken.
+	rt.threads[t.id] = nil
+	*t = Thread{body: t.body}
+	rt.freeThreads = append(rt.freeThreads, t)
 }
 
 // evacuate moves the thread's stack to its worker's evacuation region

@@ -77,7 +77,11 @@
 // paths avoid switches: multi-op protocols use completion chains (one
 // resumption per protocol), cycles that wait more than they work use
 // continuations (no resumption until there is work), live procs are kept on
-// an intrusive list (no map operations on spawn/death), proc names are
+// an intrusive list (no map operations on spawn/death), spawn reuses a
+// finished proc's goroutine, channel and Proc (a goroutine whose body returns
+// joins the engine's pool instead of exiting, keeping the stack it grew; Run
+// drains the pool when it ends with no proc live, Shutdown after killing the
+// live ones, so no goroutine outlives its simulation), proc names are
 // formatted lazily (no fmt on the spawn path; see GoID), and events are plain
 // values in a slice-backed heap (no per-event allocation). With a single OS
 // thread available (GOMAXPROCS=1) the Go scheduler keeps the remaining
@@ -271,6 +275,7 @@ type Engine struct {
 	current  *Proc
 	ready    *Proc // proc to hand control to when the current callback returns
 	live     *Proc // head of the intrusive doubly-linked list of live procs
+	free     *Proc // pool of procs whose body returned (see spawn, serve)
 	nlive    int
 	parked   int
 	stopped  bool
@@ -322,7 +327,9 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 
 // InPlace returns how many of Stats().Handoffs were served in place: the
 // suspending proc found its own resumption next in the queue and simply
-// returned, with no channel operation. The rest, less those served Inline,
+// returned, with no channel operation (or an exiting proc found its own
+// restart, respawned from the pool, and ran the new body on the same
+// goroutine). The rest, less those served Inline,
 // each cost one goroutine switch. Deterministic for a given program and sequence
 // of Run calls, but — unlike EngineStats — dependent on Run(until) windowing
 // (a proc resumed by a fresh Run is always switched to), so it is kept out
@@ -423,7 +430,8 @@ func (e *Engine) AfterOn(shard int, d Time, fn func()) {
 // Go creates a new proc that will begin executing body at the current
 // virtual time (after already-queued events at this time). The name is used
 // in diagnostics only. The proc is owned by the shard of the spawning
-// context.
+// context. The returned *Proc is valid until body returns; after that the
+// engine may hand the same *Proc to a later Go.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	return e.spawn(0, e.curShard, name, "", 0, body)
 }
@@ -450,33 +458,66 @@ func (e *Engine) GoIDOn(shard int, prefix string, id int64, body func(p *Proc)) 
 	return e.spawn(0, shard, "", prefix, id, body)
 }
 
+// spawn hands body to a pooled proc — one whose body returned, its goroutine
+// waiting in serve — or, with the pool empty, to a new Proc and goroutine.
 func (e *Engine) spawn(d Time, shard int, name, prefix string, id int64, body func(p *Proc)) *Proc {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		prefix: prefix,
-		id:     id,
-		shard:  shard,
-		ch:     make(chan wakeSignal),
-		state:  StateNew,
+	p := e.free
+	if p != nil {
+		e.free = p.nextLive
+	} else {
+		p = &Proc{eng: e, ch: make(chan wakeSignal)}
+		go p.serve()
 	}
-	e.link(p)
-	go func() {
-		finished := <-p.ch == wakeRun && p.run(body)
-		p.state = StateDead
-		e.unlink(p)
-		if finished {
-			e.pass(e.dispatch()) // exiting with the baton: hand it on
-		} else {
-			p.ch <- wakeDone // killed: Shutdown is waiting for the goroutine
-		}
-	}()
+	p.name, p.prefix, p.id, p.shard = name, prefix, id, shard
+	p.body, p.cont = body, nil
 	p.state = StateScheduled
+	e.link(p)
 	e.schedule(e.now+d, p.shard, p, nil)
 	return p
+}
+
+// serve is a proc's goroutine. It runs one body per spawn: when a body
+// returns, the goroutine still holds the baton, so it puts the proc in the
+// engine's pool and dispatches the next event — which may start the proc
+// again, with the body of a Go that popped it from the pool. It exits only
+// when killed: by Shutdown, or by drain once nothing is live.
+func (p *Proc) serve() {
+	e := p.eng
+	sig := <-p.ch
+	for sig == wakeRun && p.run() {
+		p.state = StateDead
+		e.unlink(p)
+		p.body = nil
+		p.nextLive = e.free
+		e.free = p
+		next := e.dispatch()
+		if next == p {
+			// A callback of this very dispatch spawned onto p and its start came
+			// next: run the new body here, as Await would a resumption (a send
+			// on p.ch would wait for this goroutine forever).
+			e.inplace++
+			continue
+		}
+		e.pass(next)
+		sig = <-p.ch
+	}
+	// Killed: before its body started or inside it (still linked), or pooled.
+	if p.body != nil {
+		e.unlink(p)
+	}
+	p.ch <- wakeDone
+}
+
+// drain kills the pooled procs' goroutines.
+func (e *Engine) drain() {
+	for p := e.free; p != nil; p = e.free {
+		e.free, p.nextLive = p.nextLive, nil
+		p.ch <- wakeKill
+		<-p.ch
+	}
 }
 
 // link prepends p to the live list.
@@ -515,7 +556,9 @@ func (e *Engine) unlink(p *Proc) {
 //
 // A panic escaping an event — a proc body or a callback — is re-raised from
 // Run as a *ProcPanic after the remaining procs are torn down, so no
-// goroutines leak past a failed simulation.
+// goroutines leak past a failed simulation. A Run that ends with no live proc
+// drains the pool of finished ones too, so a run that completes leaves no
+// goroutine behind even if Shutdown is never called.
 func (e *Engine) Run(until Time) Time {
 	e.until = until
 	if p := e.dispatch(); p != nil {
@@ -526,6 +569,9 @@ func (e *Engine) Run(until Time) Time {
 		e.fail = nil
 		e.Shutdown()
 		panic(pp)
+	}
+	if e.nlive == 0 {
+		e.drain()
 	}
 	return e.now
 }
@@ -637,11 +683,11 @@ func (e *Engine) Deadlocked() bool {
 	return e.Pending() == 0 && e.parked > 0
 }
 
-// Shutdown force-kills all live procs so their goroutines exit. It must be
-// called from outside Run (i.e. not from a proc or callback). After
-// Shutdown the engine must not be reused. Procs are killed in reverse
-// creation order (deterministically — the live list is intrusive, not a
-// map), unwinding any pending completion chains with them.
+// Shutdown force-kills all live procs so their goroutines exit, then the
+// pooled ones. It must be called from outside Run (i.e. not from a proc or
+// callback). After Shutdown the engine must not be reused. Procs are killed
+// in reverse creation order (deterministically — the live list is intrusive,
+// not a map), unwinding any pending completion chains with them.
 func (e *Engine) Shutdown() {
 	e.stopped = true
 	for e.live != nil {
@@ -655,6 +701,7 @@ func (e *Engine) Shutdown() {
 			panic(fmt.Sprintf("sim: Shutdown with proc %q in state %v", p.Name(), p.state))
 		}
 	}
+	e.drain()
 	e.heap = nil
 	e.chains = nil
 	e.ready = nil
@@ -662,11 +709,13 @@ func (e *Engine) Shutdown() {
 
 // Proc is a simulated process: a goroutine whose execution is interleaved
 // with virtual time by the engine. All methods must be called from the
-// proc's own body.
+// proc's own body. A *Proc is valid until its body returns; after that the
+// engine may hand it, goroutine and all, to a later Go.
 type Proc struct {
 	eng  *Engine
 	name string // explicit name, or "" when prefix+id is formatted lazily
 	id   int64
+	body func(p *Proc) // what the proc runs; nil while it sits in the pool
 
 	// ch is the proc's single wake-up channel: a suspended proc blocks on it
 	// until the baton holder sends wakeRun (or Shutdown sends wakeKill and
@@ -678,7 +727,7 @@ type Proc struct {
 	prefix             string
 	shard              int // owning shard; stable for the proc's lifetime
 	state              ProcState
-	prevLive, nextLive *Proc
+	prevLive, nextLive *Proc // the live list; nextLive links the pool while dead
 
 	// cont, when non-nil, is what the proc's next wake-up runs inside
 	// dispatch instead of resuming its goroutine (see SleepThen).
@@ -706,9 +755,9 @@ func (p *Proc) State() ProcState { return p.state }
 // Shard returns the shard that owns this proc (0 in an unsharded engine).
 func (p *Proc) Shard() int { return p.shard }
 
-// run executes body, reporting whether it ended by itself (returned or
+// run executes the body, reporting whether it ended by itself (returned or
 // panicked, the panic recorded for Run) rather than unwound by Shutdown.
-func (p *Proc) run(body func(p *Proc)) (finished bool) {
+func (p *Proc) run() (finished bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killed); !ok {
@@ -717,7 +766,7 @@ func (p *Proc) run(body func(p *Proc)) (finished bool) {
 			}
 		}
 	}()
-	body(p)
+	p.body(p)
 	return true
 }
 

@@ -155,14 +155,10 @@ func ParsePerturb(spec string) (*Perturb, error) {
 	return pb, nil
 }
 
-// linkKey identifies a directed rank pair.
-type linkKey struct{ from, to int }
-
-// pertState is the mutable RNG state behind a Machine's Perturb model. Each
-// run draws from its own Clone, and each engine is sequential, so no locking.
-type pertState struct {
-	jitter map[linkKey]*rand.Rand
-	drop   map[linkKey]*rand.Rand
+// linkKey identifies one RNG stream: a purpose on a directed rank pair.
+type linkKey struct {
+	purpose  uint64
+	from, to int
 }
 
 // Stream purposes, folded into seeds/hashes so the jitter stream, the drop
@@ -190,38 +186,27 @@ func hashFrac(seed int64, purpose, a, b uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-func (m *Machine) linkRand(streams *map[linkKey]*rand.Rand, purpose uint64, from, to int) *rand.Rand {
+// linkRand returns the purpose stream of the directed link from→to, seeding
+// it on first use.
+func (m *Machine) linkRand(purpose uint64, from, to int) *rand.Rand {
 	if m.pert == nil {
-		m.pert = &pertState{}
+		m.pert = make(map[linkKey]*rand.Rand)
 	}
-	if *streams == nil {
-		*streams = make(map[linkKey]*rand.Rand)
-	}
-	k := linkKey{from, to}
-	r, ok := (*streams)[k]
+	k := linkKey{purpose, from, to}
+	r, ok := m.pert[k]
 	if !ok {
 		s := mix64(uint64(m.Perturb.Seed) ^ purpose<<48 ^ uint64(from)<<24 ^ uint64(to))
 		r = rand.New(rand.NewSource(int64(s)))
-		(*streams)[k] = r
+		m.pert[k] = r
 	}
 	return r
 }
 
 // jitterRand returns the latency-jitter stream of the directed link from→to.
-func (m *Machine) jitterRand(from, to int) *rand.Rand {
-	if m.pert == nil {
-		m.pert = &pertState{}
-	}
-	return m.linkRand(&m.pert.jitter, pertJitter, from, to)
-}
+func (m *Machine) jitterRand(from, to int) *rand.Rand { return m.linkRand(pertJitter, from, to) }
 
 // dropRand returns the message-drop stream of the directed link from→to.
-func (m *Machine) dropRand(from, to int) *rand.Rand {
-	if m.pert == nil {
-		m.pert = &pertState{}
-	}
-	return m.linkRand(&m.pert.drop, pertDrop, from, to)
-}
+func (m *Machine) dropRand(from, to int) *rand.Rand { return m.linkRand(pertDrop, from, to) }
 
 // IsStraggler reports whether the given node is a straggler under the
 // machine's Perturb model. Membership is a pure hash — stable, order-free.

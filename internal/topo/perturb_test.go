@@ -48,7 +48,7 @@ func TestPerturbInactiveIsExactNoOp(t *testing.T) {
 		if m.DropMsg(0, 1) {
 			t.Error("inactive model dropped a message")
 		}
-		if m.pert != nil && (m.pert.jitter != nil || m.pert.drop != nil) {
+		if m.pert != nil {
 			t.Error("inactive model consumed RNG streams")
 		}
 	}

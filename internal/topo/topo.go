@@ -15,7 +15,11 @@
 // WISTERIA-O-like) match Table II of the paper; see DESIGN.md §4.
 package topo
 
-import "contsteal/internal/sim"
+import (
+	"math/rand"
+
+	"contsteal/internal/sim"
+)
 
 // Machine describes a simulated cluster: its node topology and the cost of
 // every primitive operation the runtime performs on it.
@@ -70,8 +74,8 @@ type Machine struct {
 	// pert holds the lazily initialised per-link RNG streams backing Perturb.
 	// It lives on the Machine, and every runtime runs on its own Clone, so
 	// no two runs — concurrent sweep jobs, or runs one after another on the
-	// caller's Machine — share draws.
-	pert *pertState
+	// caller's Machine — share draws. Each engine is sequential, so no locking.
+	pert map[linkKey]*rand.Rand
 }
 
 // Clone returns a copy of m whose perturbation streams start empty: the

@@ -209,14 +209,25 @@ func (t UTSTree) SerialTime(nodes int64) sim.Time {
 // d > 0 traverses the bottom d levels serially inside one task, trading
 // scheduling fidelity for simulation speed at very large core counts.
 func UTS(t UTSTree, seqThreshold int) core.TaskFunc {
+	u := &utsTraversal{t: t, tbl: t.logTable(), seq: seqThreshold}
 	return func(c *core.Ctx) []byte {
-		return core.Int64Ret(utsVisit(c, t, t.Root(), seqThreshold))
+		return core.Int64Ret(u.visit(c, t.Root()))
 	}
 }
 
-func utsVisit(c *core.Ctx, t UTSTree, n UTSNode, seqThreshold int) int64 {
-	if t.GenMx-n.Depth <= seqThreshold {
-		return utsVisitSerial(c, t, n)
+// utsTraversal is what every task of one UTS traversal shares: the tree, its
+// depth table (built once, read by every serial subtree walk) and the
+// sequential threshold.
+type utsTraversal struct {
+	t   UTSTree
+	tbl []float64
+	seq int
+}
+
+func (u *utsTraversal) visit(c *core.Ctx, n UTSNode) int64 {
+	t := u.t
+	if t.GenMx-n.Depth <= u.seq {
+		return u.visitSerial(c, n)
 	}
 	nc := t.NumChildren(n)
 	c.Compute(t.NodeWork) // hash generation + traversal bookkeeping
@@ -227,28 +238,29 @@ func utsVisit(c *core.Ctx, t UTSTree, n UTSNode, seqThreshold int) int64 {
 	for i := 0; i < nc-1; i++ {
 		child := t.Child(n, i)
 		hs = append(hs, c.Spawn(func(c *core.Ctx) []byte {
-			return core.Int64Ret(utsVisit(c, t, child, seqThreshold))
+			return core.Int64Ret(u.visit(c, child))
 		}))
 	}
-	count := 1 + utsVisit(c, t, t.Child(n, nc-1), seqThreshold)
+	count := 1 + u.visit(c, t.Child(n, nc-1))
 	for _, h := range hs {
 		count += h.JoinInt64(c)
 	}
 	return count
 }
 
-// utsVisitSerial counts a whole subtree inside the current task, charging
-// the aggregate node work in one Compute call. The count is memoized per
-// (shape, node): within one sweep the same serial subtrees are walked by
-// every job, and on a steal the thief's recount of an already-walked
-// subtree is pure recomputation.
-func utsVisitSerial(c *core.Ctx, t UTSTree, n UTSNode) int64 {
+// visitSerial counts a whole subtree inside the current task, charging the
+// aggregate node work in one Compute call. The count is memoized per (shape,
+// node): within one sweep the same serial subtrees are walked by every job,
+// and on a steal the thief's recount of an already-walked subtree is pure
+// recomputation.
+func (u *utsTraversal) visitSerial(c *core.Ctx, n UTSNode) int64 {
+	t := u.t
 	k := subtreeKey{t.shape(), n.Desc, n.Depth}
 	var count int64
 	if v, ok := subtreeMemo.Load(k); ok {
 		count = v.(int64)
 	} else {
-		count = t.countWalk(n, t.logTable())
+		count = t.countWalk(n, u.tbl)
 		subtreeMemo.Store(k, count)
 	}
 	c.Compute(sim.Time(count) * t.NodeWork)

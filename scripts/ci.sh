@@ -19,7 +19,8 @@
 #          and `repro analyze` on the committed trace fixtures and on a serve
 #          cell cut at 20 µs with a stolen stack in flight (the trace must
 #          still agree with the counters), the allocation-free gates of the
-#          event path, the fabric ops, the steal chain and the worker's idle
+#          event path, a proc's spawn/exit cycle on the engine's proc pool,
+#          the fabric ops, the steal chain and the worker's idle
 #          cycle (*AllocFree in internal/sim, rdma, deque and core; the race
 #          detector perturbs allocation counts), one iteration of every
 #          per-package micro-benchmark, the four examples (globalsum,
