@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"contsteal/internal/obs"
 	"contsteal/internal/sim"
@@ -86,54 +87,70 @@ type reqInterval struct {
 // and Queue after. The components therefore partition the window by
 // construction: their sum equals the sojourn to the tick regardless of how
 // the underlying spans nest or overlap.
+//
+// One pass over the events collects the lifecycle instants, the component
+// intervals and the suspends. A join-suspension interval also needs the
+// suspended task's later run starts and resume instants, which only a task
+// that suspended has a use for; a second pass collects them for those tasks
+// alone, and only when the trace has a suspend at all.
 func (t *Trace) RequestAttribution() []RequestAttribution {
+	// Per-request state lives in reqs, indexed through slotOf.
+	type request struct {
+		att  RequestAttribution
+		ivls []reqInterval
+	}
+	var reqs []request
+	slotOf := make(map[int64]int)
 	type taskKey struct{ tag, task int64 }
-	life := make(map[int64]*RequestAttribution) // by request tag
-	ivls := make(map[int64][]reqInterval)
-	suspends := make(map[taskKey][]sim.Time)
-	runStarts := make(map[taskKey][]sim.Time)
-	resumes := make(map[taskKey][]sim.Time)
-	reqOf := func(tag int64) *RequestAttribution {
-		a := life[tag]
-		if a == nil {
-			a = &RequestAttribution{ID: tag - 1, At: -1, Admit: -1, Start: -1, End: -1}
-			life[tag] = a
-		}
-		return a
+	type suspend struct {
+		key  taskKey
+		slot int
+		at   sim.Time
 	}
-	addIvl := func(tag int64, start, dur sim.Time, class int) {
-		ivls[tag] = append(ivls[tag], reqInterval{start: start, end: start + dur, class: class})
-	}
-	for _, e := range t.Events {
+	var suspends []suspend
+	lastTag, slot := int64(0), -1
+	for i := range t.Events {
+		e := &t.Events[i]
 		if e.Req == 0 {
 			continue
 		}
-		switch {
-		case e.Kind == obs.KindServeArrive:
-			reqOf(e.Req).At = e.T
-		case e.Kind == obs.KindServeAdmit:
-			reqOf(e.Req).Admit = e.T
-		case e.Kind == obs.KindServeStart:
-			if a := reqOf(e.Req); a.Start < 0 {
-				a.Start = e.T
+		if e.Req != lastTag {
+			s, ok := slotOf[e.Req]
+			if !ok {
+				s = len(reqs)
+				slotOf[e.Req] = s
+				reqs = append(reqs, request{att: RequestAttribution{ID: e.Req - 1, At: -1, Admit: -1, Start: -1, End: -1}})
 			}
-		case e.Kind == obs.KindServeDone:
-			reqOf(e.Req).End = e.T
-		case e.Kind == obs.KindCompute:
-			addIvl(e.Req, e.T, e.Dur, classCompute)
-		case e.Kind == obs.KindSteal:
-			addIvl(e.Req, e.T, e.Dur, classSteal)
-		case e.Kind.Layer() == "rdma" || e.Kind == obs.KindPerturb:
-			addIvl(e.Req, e.T, e.Dur, classFabric)
-		case e.Kind == obs.KindRun:
-			addIvl(e.Req, e.T, e.Dur, classSched)
-			runStarts[taskKey{e.Req, e.Task}] = append(runStarts[taskKey{e.Req, e.Task}], e.T)
-		case e.Kind == obs.KindSuspend:
-			suspends[taskKey{e.Req, e.Task}] = append(suspends[taskKey{e.Req, e.Task}], e.T)
-		case e.Kind == obs.KindResume:
-			// The resume event's span is [readyAt, resumed); its end is the
-			// instant the suspended continuation actually restarted.
-			resumes[taskKey{e.Req, e.Task}] = append(resumes[taskKey{e.Req, e.Task}], e.T+e.Dur)
+			lastTag, slot = e.Req, s
+		}
+		r := &reqs[slot]
+		class := numClasses
+		switch e.Kind {
+		case obs.KindServeArrive:
+			r.att.At = e.T
+		case obs.KindServeAdmit:
+			r.att.Admit = e.T
+		case obs.KindServeStart:
+			if r.att.Start < 0 {
+				r.att.Start = e.T
+			}
+		case obs.KindServeDone:
+			r.att.End = e.T
+		case obs.KindCompute:
+			class = classCompute
+		case obs.KindSteal:
+			class = classSteal
+		case obs.KindRun:
+			class = classSched
+		case obs.KindSuspend:
+			suspends = append(suspends, suspend{key: taskKey{e.Req, e.Task}, slot: slot, at: e.T})
+		default:
+			if e.Kind.Layer() == "rdma" || e.Kind == obs.KindPerturb {
+				class = classFabric
+			}
+		}
+		if class < numClasses {
+			r.ivls = append(r.ivls, reqInterval{start: e.T, end: e.T + e.Dur, class: class})
 		}
 	}
 	// Join-suspension intervals: from each suspend instant to the first
@@ -141,57 +158,81 @@ func (t *Trace) RequestAttribution() []RequestAttribution {
 	// dispatch after a won race or wait-queue resume), its next resume
 	// instant (greedy lost race: the task continues inside its still-open
 	// run span), or the request's end.
-	for k, ss := range suspends {
-		a := life[k.tag]
-		if a == nil {
-			continue
+	if len(suspends) > 0 {
+		type joinInputs struct{ starts, resumes []sim.Time }
+		inputs := make(map[taskKey]*joinInputs, len(suspends))
+		for _, s := range suspends {
+			if inputs[s.key] == nil {
+				inputs[s.key] = &joinInputs{}
+			}
 		}
-		starts := runStarts[k]
-		res := resumes[k]
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
-		for _, s := range ss {
-			end := a.End
-			for _, r := range starts {
-				if r > s && r < end {
-					end = r
+		for i := range t.Events {
+			e := &t.Events[i]
+			if e.Req == 0 || (e.Kind != obs.KindRun && e.Kind != obs.KindResume) {
+				continue
+			}
+			in := inputs[taskKey{e.Req, e.Task}]
+			if in == nil {
+				continue
+			}
+			if e.Kind == obs.KindRun {
+				in.starts = append(in.starts, e.T)
+			} else {
+				// The resume event's span is [readyAt, resumed); its end is
+				// the instant the suspended continuation actually restarted.
+				in.resumes = append(in.resumes, e.T+e.Dur)
+			}
+		}
+		for _, in := range inputs {
+			slices.Sort(in.starts)
+			slices.Sort(in.resumes)
+		}
+		for _, s := range suspends {
+			r, in := &reqs[s.slot], inputs[s.key]
+			end := r.att.End
+			for _, at := range in.starts {
+				if at > s.at && at < end {
+					end = at
 					break
 				}
 			}
-			for _, r := range res {
-				if r > s && r < end {
-					end = r
+			for _, at := range in.resumes {
+				if at > s.at && at < end {
+					end = at
 					break
 				}
 			}
-			if end > s {
-				ivls[k.tag] = append(ivls[k.tag], reqInterval{start: s, end: end, class: classJoin})
+			if end > s.at {
+				r.ivls = append(r.ivls, reqInterval{start: s.at, end: end, class: classJoin})
 			}
 		}
 	}
 	// Sweep each completed request's window.
-	var out []RequestAttribution
-	for tag, a := range life {
-		if a.At < 0 || a.End < 0 {
+	out := make([]RequestAttribution, 0, len(reqs))
+	var bounds []sim.Time
+	for i := range reqs {
+		r := &reqs[i]
+		if r.att.At < 0 || r.att.End < 0 {
 			continue // in-flight at the horizon cut, or a stray tag
 		}
-		a.sweep(ivls[tag])
-		out = append(out, *a)
+		bounds = r.att.sweep(r.ivls, bounds)
+		out = append(out, r.att)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].End != out[j].End {
-			return out[i].End < out[j].End
+	slices.SortFunc(out, func(a, b RequestAttribution) int {
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }
 
 // sweep partitions [a.At, a.End] over the component intervals by elementary
 // sub-interval, crediting each to its highest-priority covering class.
-func (a *RequestAttribution) sweep(ivls []reqInterval) {
+// bounds is scratch space, returned for the next request's sweep.
+func (a *RequestAttribution) sweep(ivls []reqInterval, bounds []sim.Time) []sim.Time {
 	// Clamp to the sojourn window and collect boundaries.
-	bounds := []sim.Time{a.At, a.End}
+	bounds = append(bounds[:0], a.At, a.End)
 	if a.Admit > a.At && a.Admit < a.End {
 		bounds = append(bounds, a.Admit)
 	}
@@ -209,7 +250,7 @@ func (a *RequestAttribution) sweep(ivls []reqInterval) {
 		clamped = append(clamped, iv)
 		bounds = append(bounds, iv.start, iv.end)
 	}
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	slices.Sort(bounds)
 	var into [numClasses]sim.Time
 	for i := 0; i+1 < len(bounds); i++ {
 		lo, hi := bounds[i], bounds[i+1]
@@ -236,6 +277,7 @@ func (a *RequestAttribution) sweep(ivls []reqInterval) {
 	a.FabricWait = into[classFabric]
 	a.Sched = into[classSched]
 	a.JoinWait = into[classJoin]
+	return bounds
 }
 
 // CheckRequests cross-checks a per-request attribution (as returned by

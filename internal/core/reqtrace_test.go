@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"contsteal/internal/obs"
 	"contsteal/internal/sim"
 )
 
@@ -172,7 +176,7 @@ func TestServeTraceLifecycleEvents(t *testing.T) {
 				l = &life{}
 				counts[e.Req] = l
 			}
-			switch string(e.Kind) {
+			switch e.Kind.String() {
 			case "serve.arrive":
 				l.arrive++
 			case "serve.admit":
@@ -265,4 +269,213 @@ func TestPercentileOrderStatistic(t *testing.T) {
 	if got := Percentile(nil, 0.5); got != 0 {
 		t.Errorf("Percentile(empty) = %v, want 0", got)
 	}
+}
+
+// TestRequestAttributionMatchesReference holds RequestAttribution to
+// referenceRequestAttribution, a one-pass, map-keyed implementation of the
+// same decomposition, on the committed serve trace fixture, on a fresh serve
+// trace under every policy, on a horizon-cut one and on a hand-built trace
+// whose join wait only a resume instant ends. At least one request
+// must have waited at a join, so the suspend-only second pass is exercised.
+func TestRequestAttributionMatchesReference(t *testing.T) {
+	f, err := os.Open("../../cmd/repro/testdata/trace_serve_micro.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fixture, err := ReadTraceJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := map[string]*Trace{"trace_serve_micro.json": fixture}
+	record := func(name string, pol Policy, horizon sim.Time) {
+		st, trJSON, _ := runServe(t, pol, 4, 1, serveTrace(30, 2*sim.Microsecond, 10), horizon)
+		if horizon > 0 && st.InFlight == 0 {
+			t.Fatalf("%s: the horizon cut no request", name)
+		}
+		tr, err := ReadTraceJSON(bytes.NewReader(trJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[name] = tr
+	}
+	for _, pol := range allPolicies {
+		record(pol.String(), pol, 0)
+	}
+	record("horizon-cut", ContGreedy, 40*sim.Microsecond)
+	// A task that suspends at the end of its run span and restarts at a
+	// resume instant (20 → 40) well before its next run span (60): only the
+	// resume ends its join wait. No recorded trace above has that shape.
+	ev := func(t sim.Time, dur sim.Time, k obs.Kind) obs.Event {
+		return obs.Event{T: t, Dur: dur, Kind: k, Task: 5, Peer: -1, Req: 1}
+	}
+	traces["resume-bounded join"] = &Trace{Events: []obs.Event{
+		ev(0, 0, obs.KindServeArrive), ev(0, 0, obs.KindServeAdmit), ev(0, 0, obs.KindServeStart),
+		ev(0, 20, obs.KindRun), ev(20, 0, obs.KindSuspend), ev(30, 10, obs.KindResume),
+		ev(60, 40, obs.KindRun), ev(70, 10, obs.KindCompute), ev(100, 0, obs.KindServeDone),
+	}}
+	joinWaits := 0
+	for name, tr := range traces {
+		got, want := tr.RequestAttribution(), referenceRequestAttribution(tr)
+		if len(want) == 0 {
+			t.Errorf("%s: no completed request to compare", name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: attribution differs from the reference:\ngot  %+v\nwant %+v", name, got, want)
+		}
+		for _, a := range got {
+			if a.JoinWait > 0 {
+				joinWaits++
+			}
+		}
+	}
+	if joinWaits == 0 {
+		t.Error("no request waited at a join: the join-suspension pass went untested")
+	}
+}
+
+// referenceRequestAttribution is RequestAttribution as one pass over the
+// events into maps keyed by request tag and (tag, task), collecting every
+// run start and resume instant whether or not its task ever suspended.
+func referenceRequestAttribution(t *Trace) []RequestAttribution {
+	type taskKey struct{ tag, task int64 }
+	life := make(map[int64]*RequestAttribution) // by request tag
+	ivls := make(map[int64][]reqInterval)
+	suspends := make(map[taskKey][]sim.Time)
+	runStarts := make(map[taskKey][]sim.Time)
+	resumes := make(map[taskKey][]sim.Time)
+	reqOf := func(tag int64) *RequestAttribution {
+		a := life[tag]
+		if a == nil {
+			a = &RequestAttribution{ID: tag - 1, At: -1, Admit: -1, Start: -1, End: -1}
+			life[tag] = a
+		}
+		return a
+	}
+	addIvl := func(tag int64, start, dur sim.Time, class int) {
+		ivls[tag] = append(ivls[tag], reqInterval{start: start, end: start + dur, class: class})
+	}
+	for _, e := range t.Events {
+		if e.Req == 0 {
+			continue
+		}
+		switch {
+		case e.Kind == obs.KindServeArrive:
+			reqOf(e.Req).At = e.T
+		case e.Kind == obs.KindServeAdmit:
+			reqOf(e.Req).Admit = e.T
+		case e.Kind == obs.KindServeStart:
+			if a := reqOf(e.Req); a.Start < 0 {
+				a.Start = e.T
+			}
+		case e.Kind == obs.KindServeDone:
+			reqOf(e.Req).End = e.T
+		case e.Kind == obs.KindCompute:
+			addIvl(e.Req, e.T, e.Dur, classCompute)
+		case e.Kind == obs.KindSteal:
+			addIvl(e.Req, e.T, e.Dur, classSteal)
+		case e.Kind.Layer() == "rdma" || e.Kind == obs.KindPerturb:
+			addIvl(e.Req, e.T, e.Dur, classFabric)
+		case e.Kind == obs.KindRun:
+			addIvl(e.Req, e.T, e.Dur, classSched)
+			runStarts[taskKey{e.Req, e.Task}] = append(runStarts[taskKey{e.Req, e.Task}], e.T)
+		case e.Kind == obs.KindSuspend:
+			suspends[taskKey{e.Req, e.Task}] = append(suspends[taskKey{e.Req, e.Task}], e.T)
+		case e.Kind == obs.KindResume:
+			resumes[taskKey{e.Req, e.Task}] = append(resumes[taskKey{e.Req, e.Task}], e.T+e.Dur)
+		}
+	}
+	for k, ss := range suspends {
+		a := life[k.tag]
+		if a == nil {
+			continue
+		}
+		starts := runStarts[k]
+		res := resumes[k]
+		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+		sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+		for _, s := range ss {
+			end := a.End
+			for _, r := range starts {
+				if r > s && r < end {
+					end = r
+					break
+				}
+			}
+			for _, r := range res {
+				if r > s && r < end {
+					end = r
+					break
+				}
+			}
+			if end > s {
+				ivls[k.tag] = append(ivls[k.tag], reqInterval{start: s, end: end, class: classJoin})
+			}
+		}
+	}
+	var out []RequestAttribution
+	for tag, a := range life {
+		if a.At < 0 || a.End < 0 {
+			continue
+		}
+		referenceSweep(a, ivls[tag])
+		out = append(out, *a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].End != out[j].End {
+			return out[i].End < out[j].End
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// referenceSweep is RequestAttribution.sweep with its own bounds slice,
+// sorted by sort.Slice.
+func referenceSweep(a *RequestAttribution, ivls []reqInterval) {
+	bounds := []sim.Time{a.At, a.End}
+	if a.Admit > a.At && a.Admit < a.End {
+		bounds = append(bounds, a.Admit)
+	}
+	clamped := ivls[:0]
+	for _, iv := range ivls {
+		if iv.start < a.At {
+			iv.start = a.At
+		}
+		if iv.end > a.End {
+			iv.end = a.End
+		}
+		if iv.end <= iv.start {
+			continue
+		}
+		clamped = append(clamped, iv)
+		bounds = append(bounds, iv.start, iv.end)
+	}
+	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	var into [numClasses]sim.Time
+	for i := 0; i+1 < len(bounds); i++ {
+		lo, hi := bounds[i], bounds[i+1]
+		if hi == lo {
+			continue
+		}
+		best := numClasses
+		for _, iv := range clamped {
+			if iv.start <= lo && iv.end >= hi && iv.class < best {
+				best = iv.class
+			}
+		}
+		switch {
+		case best < numClasses:
+			into[best] += hi - lo
+		case lo < a.Admit:
+			a.AdmitWait += hi - lo
+		default:
+			a.Queue += hi - lo
+		}
+	}
+	a.Compute = into[classCompute]
+	a.StealXfer = into[classSteal]
+	a.FabricWait = into[classFabric]
+	a.Sched = into[classSched]
+	a.JoinWait = into[classJoin]
 }

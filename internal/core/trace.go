@@ -124,7 +124,7 @@ func (rt *Runtime) TraceLog() *Trace {
 	t := &Trace{
 		Workers:      rt.cfg.Workers,
 		CoresPerNode: rt.cfg.Machine.CoresPerNode,
-		Events:       rt.tr.rec.Events,
+		Events:       rt.tr.rec.Events(),
 	}
 	if rs := rt.lastStats; rs != nil {
 		t.ExecTime = rs.ExecTime
@@ -330,7 +330,7 @@ func threadMeta(pid, tid int, name string) []chromeEvent {
 // chromeSpan renders one event on timeline row (pid, tid): a complete ("X")
 // span, or a thread-scoped instant when it has no duration.
 func chromeSpan(e *obs.Event, pid, tid int, args map[string]any) chromeEvent {
-	ce := chromeEvent{Name: string(e.Kind), Ph: "X", Ts: e.T.Micros(), Dur: e.Dur.Micros(), Pid: pid, Tid: tid, Args: args}
+	ce := chromeEvent{Name: e.Kind.String(), Ph: "X", Ts: e.T.Micros(), Dur: e.Dur.Micros(), Pid: pid, Tid: tid, Args: args}
 	switch {
 	case e.Kind == obs.KindRun:
 		ce.Name = fmt.Sprintf("task %d", e.Task)

@@ -259,6 +259,7 @@ func TestReadTraceJSONRejectsWhatNoRunWrote(t *testing.T) {
 		{"negative exec_time", strings.Replace(good, exec, `"exec_time":-`+exec[len(`"exec_time":`):], 1),
 			fmt.Sprintf("exec_time must be non-negative, got -%d", int64(tr.ExecTime))},
 		{"chrome export", chrome.String(), "a Chrome export (top-level traceEvents); analyze reads -trace-format json"},
+		{"unknown kind", strings.Replace(good, `"kind":"compute"`, `"kind":"compute.x"`, 1), `unknown event kind "compute.x"`},
 	} {
 		if tc.file == good && tc.want != "" {
 			t.Fatalf("%s: the edit did not apply", tc.name)

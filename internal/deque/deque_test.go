@@ -486,7 +486,7 @@ func TestStealIsStealNTakeOne(t *testing.T) {
 		eng.GoAfter(510, "thief2", thief(2, 6)) // contended while thief1 holds the lock
 		eng.GoAfter(100500, "thief3", thief(3, 1))
 		eng.Run(sim.Forever)
-		return rec.Events, got, d.St
+		return rec.Events(), got, d.St
 	}
 	oneEv, oneGot, oneSt := run(func(d *Deque, p *sim.Proc, thief int) ([]byte, any, bool) {
 		return d.Steal(p, thief)

@@ -21,20 +21,23 @@
 #          still agree with the counters), the allocation-free gates of the
 #          event path, a proc's spawn/exit cycle on the engine's proc pool,
 #          the fabric ops, the steal chain and the worker's idle
-#          cycle (*AllocFree in internal/sim, rdma, deque and core; the race
-#          detector perturbs allocation counts), one iteration of every
+#          cycle, and the allocation bound of a trace recorder's log (one
+#          per chunk appended, none for a repeated read) (*AllocFree in
+#          internal/sim, rdma, deque, core and obs; the race detector
+#          perturbs allocation counts), one iteration of every
 #          per-package micro-benchmark, the four examples (globalsum,
 #          wavefront and treesearch exit non-zero when their results disagree
-#          with a plain serial computation or across policies), and eleven
+#          with a plain serial computation or across policies), and twelve
 #          bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
 #          a load no run can complete), sequentially (-parallel 1) and on a
-#          pool — the per-job panic barrier holds at every width — five
+#          pool — the per-job panic barrier holds at every width — six
 #          trace files analyze must refuse (negative workers, an event on a
 #          rank the trace does not have, a negative event time, a negated
-#          exec_time, a Chrome export), in both analyze modes, and a trace
-#          sink that cannot be created, which must fail before fig9 at its
+#          exec_time, an event kind no run records, a Chrome export), in both
+#          analyze modes, and a trace sink that cannot be created, which
+#          must fail before fig9 at its
 #          defaults simulates anything (timeout 5), and a bad -perturb
 #          overlay on `repro run`, which must fail before the run folder
 #          exists.
@@ -79,7 +82,7 @@ for tier in "${tiers[@]}"; do
     "$out/repro" serve -systems ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace "$out/cut.json" -quiet >/dev/null
     "$out/repro" analyze "$out/cut.json"
     "$out/repro" analyze -requests "$out/cut.json"
-    go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core
+    go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core ./internal/obs
     go test -bench=. -benchtime=1x -run '^$' ./...
     for ex in quickstart globalsum wavefront treesearch; do
       go run "./examples/$ex" >/dev/null
@@ -115,8 +118,9 @@ for tier in "${tiers[@]}"; do
     sed 's/"rank":1,/"rank":7,/' cmd/repro/testdata/trace_serve_micro.json >"$out/bad_rank.json"
     sed 's/"t":341,/"t":-5,/' cmd/repro/testdata/trace_serve_micro.json >"$out/neg_t.json"
     sed 's/"exec_time":/"exec_time":-/' cmd/repro/testdata/trace_serve_micro.json >"$out/neg_exec.json"
+    sed 's/"kind":"compute"/"kind":"compute.x"/' cmd/repro/testdata/trace_serve_micro.json >"$out/bad_kind.json"
     "$out/repro" fig6 -bench pfor -workers 4 -n 64 -trace "$out/chrome.json" -trace-format chrome -quiet >/dev/null
-    for bad in neg_workers bad_rank neg_t neg_exec chrome; do
+    for bad in neg_workers bad_rank neg_t neg_exec bad_kind chrome; do
       must_fail analyze "$out/$bad.json"
       must_fail analyze -requests "$out/$bad.json"
     done
