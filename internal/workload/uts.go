@@ -68,12 +68,32 @@ func (t UTSTree) Root() UTSNode {
 	return UTSNode{Desc: sha1.Sum(seed[:])}
 }
 
-// Child derives child i of node n.
+// Child derives child i of node n: its descriptor is SHA-1(n.Desc ‖
+// BE32(i)). On amd64 with the SHA extensions that is one call of an
+// assembly kernel on a pre-padded block (utshash_amd64.s); elsewhere it is
+// crypto/sha1, with the same digest.
 func (t UTSTree) Child(n UTSNode, i int) UTSNode {
+	c := UTSNode{Depth: n.Depth + 1}
+	childDesc(&c.Desc, &n.Desc, uint32(i))
+	return c
+}
+
+// childDesc writes SHA-1(parent ‖ BE32(i)) into dst.
+func childDesc(dst, parent *[20]byte, i uint32) {
+	if haveSHANI {
+		childDescNI(dst, parent, i)
+		return
+	}
+	childDescSHA1(dst, parent, i)
+}
+
+// childDescSHA1 writes SHA-1(parent ‖ BE32(i)) into dst with crypto/sha1:
+// the fallback wherever the kernel cannot run, and its reference in tests.
+func childDescSHA1(dst, parent *[20]byte, i uint32) {
 	var buf [24]byte
-	copy(buf[:20], n.Desc[:])
-	binary.BigEndian.PutUint32(buf[20:], uint32(i))
-	return UTSNode{Desc: sha1.Sum(buf[:]), Depth: n.Depth + 1}
+	copy(buf[:20], parent[:])
+	binary.BigEndian.PutUint32(buf[20:], i)
+	*dst = sha1.Sum(buf[:])
 }
 
 // NumChildren samples the geometric child count of a node from its
@@ -128,13 +148,19 @@ func (t UTSTree) logTable() []float64 {
 	return tbl
 }
 
+// numChildren is NumChildren read off the depth table tbl (logTable), with
+// the same result: the child count of every traversal goes through it.
+func (t UTSTree) numChildren(n UTSNode, tbl []float64) int {
+	if n.Depth >= t.GenMx || tbl[n.Depth] == 0 {
+		return 0
+	}
+	return t.sample(n, tbl[n.Depth])
+}
+
 // countWalk counts the subtree under n using the precomputed depth table.
 func (t UTSTree) countWalk(n UTSNode, tbl []float64) int64 {
 	count := int64(1)
-	if n.Depth >= t.GenMx || tbl[n.Depth] == 0 {
-		return count
-	}
-	nc := t.sample(n, tbl[n.Depth])
+	nc := t.numChildren(n, tbl)
 	for i := 0; i < nc; i++ {
 		count += t.countWalk(t.Child(n, i), tbl)
 	}
@@ -204,10 +230,12 @@ func (t UTSTree) SerialTime(nodes int64) sim.Time {
 // straightforwardly parallelize the tree traversal", §V-C). Each tree node
 // is one task; the return value is the subtree node count.
 //
-// seqThreshold stops spawning below the given tree depth *remaining*... the
-// paper's implementation spawns per node; pass 0 for full fidelity. A value
-// d > 0 traverses the bottom d levels serially inside one task, trading
-// scheduling fidelity for simulation speed at very large core counts.
+// seqThreshold = d makes every node with at most d levels left below it
+// (GenMx − depth ≤ d) count its whole subtree serially inside the task that
+// reached it, charging count × NodeWork in one Compute call, instead of
+// spawning a task per child. d = 0 spawns a task for every node, as the
+// paper's implementation does; d > 0 trades scheduling fidelity for
+// simulation speed at very large core counts.
 func UTS(t UTSTree, seqThreshold int) core.TaskFunc {
 	u := &utsTraversal{t: t, tbl: t.logTable(), seq: seqThreshold}
 	return func(c *core.Ctx) []byte {
@@ -229,7 +257,7 @@ func (u *utsTraversal) visit(c *core.Ctx, n UTSNode) int64 {
 	if t.GenMx-n.Depth <= u.seq {
 		return u.visitSerial(c, n)
 	}
-	nc := t.NumChildren(n)
+	nc := t.numChildren(n, u.tbl)
 	c.Compute(t.NodeWork) // hash generation + traversal bookkeeping
 	if nc == 0 {
 		return 1

@@ -2,7 +2,11 @@
 # The CI gate, in three tiers. Run all of them (no argument) or name the
 # tiers to run: scripts/ci.sh [build] [test] [cli]
 #
-#   build  gofmt -l (must print nothing) + go vet + go build
+#   build  gofmt -l (must print nothing) + go vet + go build, then go build
+#          and internal/workload's go vet again for GOARCH=arm64: the host
+#          builds internal/workload's SHA-1 kernel (amd64 assembly, whose
+#          frame go vet's asmdecl checks), so only a cross build compiles
+#          the crypto/sha1 side that every other architecture runs
 #   test   the whole suite under the race detector, once. It already holds
 #          every golden, differential, determinism, conservation and fuzz
 #          seed-corpus check, so no subset of it is re-run by name — except
@@ -21,10 +25,11 @@
 #          still agree with the counters), the allocation-free gates of the
 #          event path, a proc's spawn/exit cycle on the engine's proc pool,
 #          the fabric ops, the steal chain and the worker's idle
-#          cycle, and the allocation bound of a trace recorder's log (one
-#          per chunk appended, none for a repeated read) (*AllocFree in
-#          internal/sim, rdma, deque, core and obs; the race detector
-#          perturbs allocation counts), one iteration of every
+#          cycle, the allocation bound of a trace recorder's log (one
+#          per chunk appended, none for a repeated read) and a UTS child
+#          descriptor's hash (*AllocFree in internal/sim, rdma, deque, core,
+#          obs and workload; the race detector perturbs allocation counts),
+#          one iteration of every
 #          per-package micro-benchmark, the four examples (globalsum,
 #          wavefront and treesearch exit non-zero when their results disagree
 #          with a plain serial computation or across policies), and twelve
@@ -59,6 +64,8 @@ for tier in "${tiers[@]}"; do
     fi
     go vet ./...
     go build ./...
+    GOARCH=arm64 go build ./...
+    GOARCH=arm64 go vet ./internal/workload
     ;;
   test)
     # cmd/repro builds three smoke run folders; under the race detector on a
@@ -82,7 +89,7 @@ for tier in "${tiers[@]}"; do
     "$out/repro" serve -systems ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace "$out/cut.json" -quiet >/dev/null
     "$out/repro" analyze "$out/cut.json"
     "$out/repro" analyze -requests "$out/cut.json"
-    go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core ./internal/obs
+    go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core ./internal/obs ./internal/workload
     go test -bench=. -benchtime=1x -run '^$' ./...
     for ex in quickstart globalsum wavefront treesearch; do
       go run "./examples/$ex" >/dev/null
