@@ -22,7 +22,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	byRequest := fs.Bool("requests", false, "per-request sojourn attribution (serve traces only)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

@@ -155,6 +155,19 @@ func positiveFlag(fs *flag.FlagSet, dst *int, name string, def int, usage string
 	})
 }
 
+// parseFlags is fs.Parse printing nothing on a bad flag, so the error
+// reaches the user as the one line main prints; -h still shows the usage.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	w := fs.Output()
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	fs.SetOutput(w)
+	if err == flag.ErrHelp {
+		fs.Usage()
+	}
+	return err
+}
+
 // perUnit is num/den, or 0 when there was nothing to divide by (a
 // zero-event job, a wall time below the clock's resolution).
 func perUnit(num, den float64) float64 {
@@ -185,7 +198,6 @@ func bindParams(fs *flag.FlagSet, p *manifest.Params) {
 	fs.Int64Var(&p.Seed, "seed", 0, "RNG seed (default 42)")
 	fs.IntVar(&p.WorkScale, "workscale", 0, "UTS: multiply per-node work (one node stands for k)")
 	fs.IntVar(&p.DequeCap, "dequecap", 0, "per-worker deque capacity override")
-	positiveFlag(fs, &p.Shards, "shards", 0, "per-node event-heap shards inside each engine, at least 1 (results identical for every value)")
 	fs.StringVar(&p.Perturb, "perturb", "", `deterministic fault injection, e.g. "jitter=0.5,straggler=0.25,drop=0.01,seed=1" (keys: jitter, straggler, sfactor, degraded, dfactor, drop, seed)`)
 	positiveFlag(fs, &p.Requests, "requests", 0, "serve: offered arrivals per grid cell, at least 1 (default: the experiment's)")
 	listFlag(fs, &p.Loads, "loads", "serve: comma-separated offered-load multipliers (e.g. 0.1,0.5,1,2)", parseFloat)
@@ -239,7 +251,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	engineStats := fs.Bool("engine-stats", false, "print per-job engine counters (events, handoffs split into in-place, inline and goroutine switches, callbacks, events/s) on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *cpuProfile != "" {
@@ -305,15 +317,11 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		observer.Progress = experiments.ProgressLines(stderr)
 	}
 	if *engineStats {
-		observer.EngineStats = func(c experiments.Coord, st core.RunStats, shards int, wall time.Duration) {
+		observer.EngineStats = func(c experiments.Coord, st core.RunStats, wall time.Duration) {
 			es := st.Engine
 			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d inplace=%d inline=%d switches=%d callbacks=%d events/s=%.2fM\n",
 				c, es.Events, es.Handoffs, st.InPlace, st.Inline, es.Handoffs-st.InPlace-st.Inline, es.Callbacks,
 				perUnit(float64(es.Events), wall.Seconds())/1e6)
-			if fp.Shards > 1 {
-				fmt.Fprintf(stderr, "engine [%s] shards=%d cross-shard=%d (%.1f%% of events)\n",
-					c, shards, st.CrossShard, 100*perUnit(float64(st.CrossShard), float64(es.Events)))
-			}
 		}
 	}
 
@@ -378,13 +386,12 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 	noValidate := fs.Bool("no-validate", false, "skip golden validation")
 	parallel := new(int)
 	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for each entry's sweep grid, at least 1 (default: all CPUs)")
-	// -shards and -perturb overlay every selected entry's params, as the
-	// subcommands' flags do, so manifest.json records what ran.
+	// -perturb overlays every selected entry's params, as the subcommands'
+	// flags do, so manifest.json records what ran.
 	var overlay manifest.Params
-	positiveFlag(fs, &overlay.Shards, "shards", 0, "per-node event-heap shards for every entry, at least 1 (results identical)")
 	fs.StringVar(&overlay.Perturb, "perturb", "", "deterministic fault injection for every entry (see the experiment subcommands)")
 	quiet := fs.Bool("quiet", false, "suppress per-entry and per-job progress on stderr")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
@@ -445,7 +452,7 @@ func runValidate(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("validate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	goldensDir := fs.String("goldens", "", goldensUsage)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

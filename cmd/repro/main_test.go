@@ -388,26 +388,20 @@ func TestAnalyzePrintsTheCheckedRows(t *testing.T) {
 	}
 }
 
-// TestServeParallelShardsByteIdentical drives the serve CLI end-to-end at
-// every -parallel × -shards combination and requires byte-identical output:
-// open-system arrivals are engine timers, so neither host pool width nor
-// event-heap sharding may leak into virtual time.
-func TestServeParallelShardsByteIdentical(t *testing.T) {
-	render := func(parallel, shards string) string {
+// TestServeParallelByteIdentical drives the serve CLI end-to-end at
+// -parallel 1 and 8 and requires byte-identical output: open-system arrivals
+// are engine timers, so host pool width may not leak into virtual time.
+func TestServeParallelByteIdentical(t *testing.T) {
+	render := func(parallel string) string {
 		var stdout bytes.Buffer
-		args := append(serveGoldenArgs("itoa"), "-json", "-", "-quiet",
-			"-parallel", parallel, "-shards", shards)
+		args := append(serveGoldenArgs("itoa"), "-json", "-", "-quiet", "-parallel", parallel)
 		if err := run(args, &stdout, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		return stdout.String()
 	}
-	base := render("1", "1")
-	for _, alt := range [][2]string{{"8", "1"}, {"1", "4"}, {"8", "4"}} {
-		if got := render(alt[0], alt[1]); got != base {
-			t.Errorf("-parallel %s -shards %s serve output differs from -parallel 1 -shards 1:\n--- base ---\n%s--- got ---\n%s",
-				alt[0], alt[1], base, got)
-		}
+	if base, got := render("1"), render("8"); got != base {
+		t.Errorf("-parallel 8 serve output differs from -parallel 1:\n--- base ---\n%s--- got ---\n%s", base, got)
 	}
 }
 
@@ -438,45 +432,28 @@ func TestCLIParallelByteIdentical(t *testing.T) {
 // TestEngineStatsLine pins the -engine-stats diagnostic: every job prints
 // its resumptions split into in-place, inline (a continuation ran in the
 // goroutine's stead) and goroutine switches, the split adds up, an idle
-// cycle that runs on the engine shows as inline, a job with nothing to divide by prints 0, never NaN or +Inf, and the
-// shards line states the count the engine ran with, not the one asked for:
-// 18 workers are one ITO-A node, so -shards 2 runs — and reports — one shard
-// with nothing to cross; 72 workers are two, and do cross.
+// cycle that runs on the engine shows as inline, and a job with nothing to
+// divide by prints 0, never NaN or +Inf.
 func TestEngineStatsLine(t *testing.T) {
-	for _, tc := range []struct {
-		workers string
-		shards  int
-		crosses bool
-	}{{"18", 1, false}, {"72", 2, true}} {
-		var stderr bytes.Buffer
-		if err := run([]string{"fig6", "-bench", "pfor", "-workers", tc.workers, "-n", "64", "-shards", "2", "-engine-stats", "-quiet"}, io.Discard, &stderr); err != nil {
-			t.Fatal(err)
-		}
-		jobs, shardLines := 0, 0
-		for _, line := range strings.Split(stderr.String(), "\n") {
-			var handoffs, inplace, inline, switches, cross uint64
-			var shards int
-			if i := strings.Index(line, "handoffs="); i >= 0 {
-				if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d inline=%d switches=%d", &handoffs, &inplace, &inline, &switches); err != nil {
-					t.Fatalf("unparsable engine line %q: %v", line, err)
-				}
-				jobs++
-				if handoffs == 0 || inline == 0 || inplace+inline+switches != handoffs {
-					t.Errorf("inplace %d + inline %d + switches %d != handoffs %d, or no inline wake-up, in %q", inplace, inline, switches, handoffs, line)
-				}
-			} else if i := strings.Index(line, "shards="); i >= 0 {
-				if _, err := fmt.Sscanf(line[i:], "shards=%d cross-shard=%d", &shards, &cross); err != nil {
-					t.Fatalf("unparsable shards line %q: %v", line, err)
-				}
-				shardLines++
-				if shards != tc.shards || (cross > 0) != tc.crosses {
-					t.Errorf("-workers %s -shards 2: want shards=%d, cross-shard > 0 is %v, got %q", tc.workers, tc.shards, tc.crosses, line)
-				}
+	var stderr bytes.Buffer
+	if err := run([]string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "64", "-engine-stats", "-quiet"}, io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	jobs := 0
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		var handoffs, inplace, inline, switches uint64
+		if i := strings.Index(line, "handoffs="); i >= 0 {
+			if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d inline=%d switches=%d", &handoffs, &inplace, &inline, &switches); err != nil {
+				t.Fatalf("unparsable engine line %q: %v", line, err)
+			}
+			jobs++
+			if handoffs == 0 || inline == 0 || inplace+inline+switches != handoffs {
+				t.Errorf("inplace %d + inline %d + switches %d != handoffs %d, or no inline wake-up, in %q", inplace, inline, switches, handoffs, line)
 			}
 		}
-		if jobs == 0 || shardLines != jobs || strings.Contains(stderr.String(), "NaN") || strings.Contains(stderr.String(), "Inf") {
-			t.Errorf("want one finite engine line and one shards line per job, got:\n%s", stderr.String())
-		}
+	}
+	if jobs == 0 || strings.Count(stderr.String(), "\n") != jobs || strings.Contains(stderr.String(), "NaN") || strings.Contains(stderr.String(), "Inf") {
+		t.Errorf("want one finite engine line per job, got:\n%s", stderr.String())
 	}
 	if perUnit(0, 0) != 0 || perUnit(5, 0) != 0 || perUnit(6, 3) != 2 {
 		t.Errorf("perUnit(0,0)=%v perUnit(5,0)=%v perUnit(6,3)=%v, want 0, 0, 2", perUnit(0, 0), perUnit(5, 0), perUnit(6, 3))
@@ -484,11 +461,13 @@ func TestEngineStatsLine(t *testing.T) {
 }
 
 // TestUsageErrors pins the bad-input contract: an unknown subcommand (the
-// usage line; the retired enginebench is one), a malformed list, an out-of-range count, depth, scale or load and a pool or
-// shard width below 1 all fail before any simulation runs, naming the
-// offending field (or flag) and value; a job that cannot run at the given
-// capacity (deque too small, load no run can complete) fails as one line
-// naming the job and the cause, never as a panic out of run.
+// usage line; the retired enginebench is one), a malformed list, an
+// out-of-range count, depth, scale or load, a pool width below 1 and the
+// retired -shards flag all fail before any simulation runs, naming the
+// offending field (or flag) and value, with nothing else printed; a job that
+// cannot run at the given capacity (deque too small, load no run can
+// complete) fails as one line naming the job and the cause, never as a panic
+// out of run.
 func TestUsageErrors(t *testing.T) {
 	for _, argv := range [][]string{nil, {"nosuch"}, {"fig9", "-workers-list", "1,x"}, {"serve", "-loads", "0.5,"}} {
 		if err := run(argv, io.Discard, io.Discard); err == nil {
@@ -515,20 +494,20 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"serve", "-requests", "0"}, `invalid value "0" for flag -requests: must be at least 1`},
 		{[]string{"fig6", "-parallel", "-2"}, `invalid value "-2" for flag -parallel: must be at least 1`},
 		{[]string{"run", "-parallel", "0"}, `invalid value "0" for flag -parallel: must be at least 1`},
-		{[]string{"run", "-shards", "0"}, `invalid value "0" for flag -shards: must be at least 1`},
+		{[]string{"fig6", "-shards", "2"}, "flag provided but not defined: -shards"},
 		{[]string{"fig6", "-scale", "-1"}, "scale must be in [0, 16], got -1"},
 		{[]string{"fig6", "-scale", "70"}, "scale must be in [0, 16], got 70"},
 		{[]string{"fig6", "-dequecap", "1", "-workers", "4", "-n", "64", "-parallel", "2"}, "queue overflow (cap 1)"},
 		{[]string{"fig9", "-tree", "T1L", "-workers-list", "4", "-seqdepth", "6", "-dequecap", "1", "-parallel", "2"}, "job [fig9 tree=T1L system=ours workers=4"},
 		{[]string{"serve", "-loads", "1e-9", "-requests", "8", "-workers", "4", "-parallel", "2"}, "serve did not complete by"},
 	} {
-		var stdout bytes.Buffer
-		err := run(append(tc.argv, "-quiet"), &stdout, io.Discard)
+		var stdout, stderr bytes.Buffer
+		err := run(append(tc.argv, "-quiet"), &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
 			t.Errorf("run(%v) = %v, want a one-line error containing %q", tc.argv, err, tc.want)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("run(%v) printed results before rejecting its input:\n%s", tc.argv, stdout.String())
+		if stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("run(%v) printed before rejecting its input:\n%s%s", tc.argv, stdout.String(), stderr.String())
 		}
 	}
 }

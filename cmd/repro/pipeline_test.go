@@ -30,8 +30,8 @@ func runSmoke(out string, extra ...string) (string, error) {
 
 // smokeConfig is one execution configuration of the full smoke scale whose
 // run folder the suite shares: a run costs ~20 s, and a dozen tests assert
-// over the same three configurations (golden fixtures, -parallel
-// independence, -shards independence), so each is run once, on first use,
+// over the same two configurations (golden fixtures, -parallel
+// independence), so each is run once, on first use,
 // and kept for the life of the test binary. No test re-runs a kernel the
 // smoke scale already ran.
 type smokeConfig struct {
@@ -42,9 +42,8 @@ type smokeConfig struct {
 }
 
 var (
-	smokeBase    = &smokeConfig{flags: []string{"-parallel", "8"}}
-	smokeSeq     = &smokeConfig{flags: []string{"-parallel", "1"}}
-	smokeSharded = &smokeConfig{flags: []string{"-parallel", "8", "-shards", "4"}}
+	smokeBase = &smokeConfig{flags: []string{"-parallel", "8"}}
+	smokeSeq  = &smokeConfig{flags: []string{"-parallel", "1"}}
 )
 
 // smokeRoot holds the shared run folders — outside any one test's TempDir,
@@ -198,9 +197,7 @@ func diffSnapshots(t *testing.T, label string, a, b map[string]string) {
 // TestPipelineSmoke is the end-to-end contract of `repro run`: the smoke
 // scale runs every registered experiment, self-validates byte-for-byte
 // against the committed goldens, and the whole run folder — every file, the
-// summary included — is identical across host-parallelism widths, and
-// across engine shard counts but for what states the sharding itself: the
-// shards param manifest.json records and two summary columns.
+// summary included — is identical across host-parallelism widths.
 func TestPipelineSmoke(t *testing.T) {
 	base := smokeDir(t, smokeBase)
 	snap := snapshotRun(t, base)
@@ -218,7 +215,7 @@ func TestPipelineSmoke(t *testing.T) {
 	// The summary states deterministic counters only — no wall-derived
 	// column, no perf artifact beside it — and covers the whole registry.
 	header, rows := summaryCells(t, snap)
-	if got, want := strings.Join(header, " "), "id experiment shards jobs events handoffs cross_shard golden summary"; got != want {
+	if got, want := strings.Join(header, " "), "id experiment jobs events handoffs golden summary"; got != want {
 		t.Errorf("summary.tsv header = %q, want %q", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(base, "bench")); err == nil {
@@ -242,49 +239,9 @@ func TestPipelineSmoke(t *testing.T) {
 		}
 	}
 
-	// Byte-identity of the folder across execution knobs. Sharding may show
-	// only in the entries' shards param and the shards and cross_shard
-	// cells: with those dropped the manifests and summaries must agree too,
-	// events and handoffs included — and the sharded run must really have
-	// sharded, or the comparison says nothing.
+	// Byte-identity of the folder across host-parallelism widths, manifest
+	// and summary (events and handoffs included) too.
 	diffSnapshots(t, "parallel 8 vs 1", snap, snapshotRun(t, smokeDir(t, smokeSeq)))
-	dropShardCells := func(s map[string]string, shards int) (crossed bool) {
-		m, err := manifest.Parse([]byte(s["manifest.json"]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, entries := range m.Scales {
-			for i, e := range entries {
-				if e.Params.Shards != shards {
-					t.Errorf("manifest.json entry %s records shards %d, want %d", e.ID, e.Params.Shards, shards)
-				}
-				entries[i].Params.Shards = 0
-			}
-		}
-		buf, err := manifest.EncodeJSON(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s["manifest.json"] = string(buf)
-		header, rows := summaryCells(t, s)
-		var b strings.Builder
-		for _, row := range rows {
-			crossed = crossed || row["shards"] != "1" && row["cross_shard"] != "0"
-			for _, h := range header {
-				if h != "shards" && h != "cross_shard" {
-					b.WriteString(row[h] + "\t")
-				}
-			}
-			b.WriteString("\n")
-		}
-		s["summary.tsv"] = b.String()
-		return crossed
-	}
-	sharded := snapshotRun(t, smokeDir(t, smokeSharded))
-	if dropShardCells(snap, 0) || !dropShardCells(sharded, 4) {
-		t.Error("want no entry sharded at -shards 1, and one with several shards and cross-shard events at -shards 4")
-	}
-	diffSnapshots(t, "shards 1 vs 4", snap, sharded)
 
 	// Every fork-join entry leaves its first run's metrics registry in the
 	// folder — including the resilience and stealzoo grids, which once
@@ -296,7 +253,7 @@ func TestPipelineSmoke(t *testing.T) {
 	}
 }
 
-// TestRunFlagsOverlayTheEntries: `repro run -shards/-perturb` set the params
+// TestRunFlagsOverlayTheEntries: `repro run -perturb` sets the params
 // of every selected entry, so a bad value fails the way a bad manifest knob
 // does — one line, before the run folder exists — and a good one is what
 // manifest.json records. A zero-magnitude model is a no-op, so the entry
@@ -314,7 +271,7 @@ func TestRunFlagsOverlayTheEntries(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(out, "t")); !os.IsNotExist(err) {
 		t.Errorf("run -perturb jitter=-1 left a run folder behind (stat: %v)", err)
 	}
-	dir, err := runSmoke(out, "-only", "fig6_pfor", "-perturb", "seed=1", "-shards", "2")
+	dir, err := runSmoke(out, "-only", "fig6_pfor", "-perturb", "seed=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +284,8 @@ func TestRunFlagsOverlayTheEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range m.Scales["smoke"] {
-		if e.Params.Perturb != "seed=1" || e.Params.Shards != 2 {
-			t.Errorf("manifest.json entry %s records perturb %q, shards %d; want seed=1, 2", e.ID, e.Params.Perturb, e.Params.Shards)
+		if e.Params.Perturb != "seed=1" {
+			t.Errorf("manifest.json entry %s records perturb %q, want seed=1", e.ID, e.Params.Perturb)
 		}
 	}
 }

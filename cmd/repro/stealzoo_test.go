@@ -25,16 +25,13 @@ func TestGoldenStealZooTSV(t *testing.T) {
 	checkSmokeGolden(t, smokeBase, "stealzoo", "stealzoo_itoa.tsv")
 }
 
-// TestStealZooParallelShardsByteIdentical requires the zoo's rows, series and
-// metrics registry to be byte-identical at every execution configuration the
+// TestStealZooParallelByteIdentical requires the zoo's rows, series and
+// metrics registry to be byte-identical at every host-parallelism width the
 // shared smoke runs cover: six steal policies and three perturbation
-// scenarios may not leak host scheduling or event-heap sharding into virtual
-// time. (72 workers are two ITO-A nodes, so -shards 4 clamps to the same two
-// shards -shards 2 selects.)
-func TestStealZooParallelShardsByteIdentical(t *testing.T) {
+// scenarios may not leak host scheduling into virtual time.
+func TestStealZooParallelByteIdentical(t *testing.T) {
 	base := entryFiles(t, smokeDir(t, smokeBase), "stealzoo")
 	diffSnapshots(t, "stealzoo -parallel 8 vs 1", base, entryFiles(t, smokeDir(t, smokeSeq), "stealzoo"))
-	diffSnapshots(t, "stealzoo -shards 1 vs 4", base, entryFiles(t, smokeDir(t, smokeSharded), "stealzoo"))
 }
 
 // TestStealZooTraceOn is the regression test for the stealzoo grid never
@@ -50,23 +47,23 @@ func TestStealZooTraceOn(t *testing.T) {
 // — the zero-value StealPolicy IS the paper's uniform steal-one, not merely
 // equivalent to it. The fig6 golden slice must reproduce its committed TSV
 // fixture and the micro fig9 run its committed event-log fixture (every span
-// of every layer, in engine-dispatch order) byte-for-byte, at every
-// -parallel × -shards combination, with the metrics registry also identical
-// across the matrix. No -update: the committed bytes are the reference.
+// of every layer, in engine-dispatch order) byte-for-byte, at -parallel 1
+// and 8, with the metrics registry also identical across the two. No
+// -update: the committed bytes are the reference.
 func TestStealPolicyDifferential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the fig6 and fig9 slices across the execution-knob matrix")
+		t.Skip("runs the fig6 and fig9 slices at two -parallel widths")
 	}
-	combos := [][2]string{{"1", "1"}, {"8", "1"}, {"1", "4"}, {"8", "4"}}
+	widths := []string{"1", "8"}
 
 	wantFig6, err := os.ReadFile(filepath.Join("testdata", "fig6_pfor_itoa.tsv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range combos {
+	for _, par := range widths {
 		dir := t.TempDir()
 		args := []string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "128", "-seed", "7",
-			"-steal-policy", "uniform", "-tsv", dir, "-quiet", "-parallel", c[0], "-shards", c[1]}
+			"-steal-policy", "uniform", "-tsv", dir, "-quiet", "-parallel", par}
 		if err := run(args, io.Discard, io.Discard); err != nil {
 			t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
 		}
@@ -75,7 +72,7 @@ func TestStealPolicyDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantFig6) {
-			t.Errorf("fig6 -steal-policy uniform -parallel %s -shards %s diverges from the committed fixture", c[0], c[1])
+			t.Errorf("fig6 -steal-policy uniform -parallel %s diverges from the committed fixture", par)
 		}
 	}
 
@@ -84,13 +81,13 @@ func TestStealPolicyDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var baseMetrics []byte
-	for _, c := range combos {
+	for _, par := range widths {
 		dir := t.TempDir()
 		tracePath := filepath.Join(dir, "trace.json")
 		metricsPath := filepath.Join(dir, "metrics.tsv")
 		args := []string{"fig9", "-tree", "T1L", "-workers-list", "4", "-seqdepth", "10", "-seed", "7",
 			"-steal-policy", "uniform", "-trace", tracePath, "-metrics", metricsPath,
-			"-quiet", "-parallel", c[0], "-shards", c[1]}
+			"-quiet", "-parallel", par}
 		if err := run(args, io.Discard, io.Discard); err != nil {
 			t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
 		}
@@ -99,20 +96,20 @@ func TestStealPolicyDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, wantTrace) {
-			t.Errorf("fig9 -steal-policy uniform -parallel %s -shards %s event log diverges from the committed fixture (%d vs %d bytes)",
-				c[0], c[1], len(got), len(wantTrace))
+			t.Errorf("fig9 -steal-policy uniform -parallel %s event log diverges from the committed fixture (%d vs %d bytes)",
+				par, len(got), len(wantTrace))
 		}
 		m, err := os.ReadFile(metricsPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(m) == 0 {
-			t.Fatalf("-parallel %s -shards %s produced an empty metrics registry", c[0], c[1])
+			t.Fatalf("-parallel %s produced an empty metrics registry", par)
 		}
 		if baseMetrics == nil {
 			baseMetrics = m
 		} else if !bytes.Equal(m, baseMetrics) {
-			t.Errorf("fig9 metrics registry at -parallel %s -shards %s differs from the first combination", c[0], c[1])
+			t.Errorf("fig9 metrics registry at -parallel %s differs from -parallel %s", par, widths[0])
 		}
 	}
 }

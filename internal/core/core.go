@@ -136,12 +136,7 @@ type Config struct {
 	// parallelism. Retrieve via RunStats.Obs.
 	Metrics bool
 
-	// Shards selects the engine's shard count: every event is tagged with
-	// the shard of the node it belongs to, each node's ranks owning one
-	// shard (round-robin when nodes outnumber shards). There is one event
-	// heap at any count, so virtual-time results cannot depend on it; the
-	// tags only feed the cross-shard traffic counters (RunStats.CrossShard).
-	// See sim.NewEngineShards and DESIGN.md §1.2. 0 or 1 means one shard.
+	// Deprecated: has no effect; kept until benchmark/ stops setting it (ROADMAP item 1).
 	Shards int
 }
 
@@ -179,13 +174,6 @@ func (c *Config) defaults() {
 	}
 	if c.DequeCap <= 0 {
 		c.DequeCap = 8192
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if nodes := (c.Workers + c.Machine.CoresPerNode - 1) / c.Machine.CoresPerNode; c.Shards > nodes {
-		// More shards than nodes would leave shards nobody owns; clamp.
-		c.Shards = nodes
 	}
 }
 
@@ -258,7 +246,7 @@ func (g *reqTagger) Seq() int64 { return g.inner.Seq() }
 func New(cfg Config) *Runtime {
 	cfg.defaults()
 	cfg.Machine = cfg.Machine.Clone()
-	eng := sim.NewEngineShards(cfg.Shards)
+	eng := sim.NewEngine()
 	fab := rdma.NewFabric(eng, cfg.Machine, cfg.Workers, 1<<20)
 	rt := &Runtime{
 		cfg:          cfg,
@@ -336,7 +324,7 @@ func (rt *Runtime) Run(root TaskFunc) ([]byte, RunStats) {
 // it up. Returns the virtual end time.
 func (rt *Runtime) drive(what string, reqs []Request, horizon sim.Time) sim.Time {
 	for _, w := range rt.workers {
-		w.proc = rt.eng.GoIDOn(rt.cfg.Machine.ShardOf(w.rank, rt.cfg.Shards), "worker", int64(w.rank), w.schedule)
+		w.proc = rt.eng.GoID("worker", int64(w.rank), w.schedule)
 	}
 	rt.scheduleArrivals(reqs, horizon)
 	if rt.cfg.Sample > 0 {
@@ -397,7 +385,7 @@ func (rt *Runtime) collect(end sim.Time) RunStats {
 	rs.Engine = rt.eng.Stats()
 	rs.InPlace = rt.eng.InPlace()
 	rs.Inline = rt.eng.Inline()
-	rs.CrossShard = rt.eng.CrossShard()
+	rs.CrossShard = rs.Fabric.InterNode
 	for _, w := range rt.workers {
 		rs.Work.add(&w.st)
 		rs.Stack.Evacuations += w.ua.St.Evacuations

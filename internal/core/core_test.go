@@ -518,7 +518,7 @@ func TestIdleCycleAllocFree(t *testing.T) {
 	cfg.Machine = mach
 	rt := New(cfg)
 	for _, w := range rt.workers {
-		w.proc = rt.eng.GoIDOn(rt.cfg.Machine.ShardOf(w.rank, rt.cfg.Shards), "worker", int64(w.rank), w.schedule)
+		w.proc = rt.eng.GoID("worker", int64(w.rank), w.schedule)
 	}
 	defer rt.eng.Shutdown()
 	until := sim.Millisecond

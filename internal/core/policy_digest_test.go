@@ -19,16 +19,14 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/policy_digests.
 const policyDigestFile = "testdata/policy_digests.json"
 
 // policyDigest is what one cell pins: the complete event stream, the merged
-// metrics registry, the engine's cross-shard counter, and the run's
-// sim.EngineStats — how many events, proc wake-ups and callbacks it took,
-// which no trace or metric shows.
+// metrics registry, and the run's sim.EngineStats — how many events, proc
+// wake-ups and callbacks it took, which no trace or metric shows.
 type policyDigest struct {
-	Trace      string `json:"trace_sha256"`
-	Metrics    string `json:"metrics_sha256"`
-	CrossShard uint64 `json:"cross_shard"`
-	Events     uint64 `json:"events"`
-	Handoffs   uint64 `json:"handoffs"`
-	Callbacks  uint64 `json:"callbacks"`
+	Trace     string `json:"trace_sha256"`
+	Metrics   string `json:"metrics_sha256"`
+	Events    uint64 `json:"events"`
+	Handoffs  uint64 `json:"handoffs"`
+	Callbacks uint64 `json:"callbacks"`
 }
 
 // TestPolicyDigests pins what the TSV goldens do not see: the committed
@@ -36,8 +34,8 @@ type policyDigest struct {
 // are otherwise held through execution times alone. Every policy × {default,
 // hier, hier-half} steal policy × {closed fib, open 24-request serve,
 // multi-consumer futures stencil, yielding spawners} cell runs traced on 8
-// workers over two nodes and two engine shards (hier is the steal-one cell
-// whose metrics carry the batch counters); the digests were recorded before
+// workers over two nodes (hier is the steal-one cell whose metrics carry the
+// batch counters); the digests were recorded before
 // the scheduler loop and steal chain (fib, serve) and the task lifecycle
 // (futures, yield) were folded into single paths and must only ever change
 // together with the goldens.
@@ -56,7 +54,6 @@ func TestPolicyDigests(t *testing.T) {
 				cfg.Machine = mach
 				cfg.RemoteFree = remobj.LockQueue // the idle tail's collect step runs too
 				cfg.Steal = sp
-				cfg.Shards = 2
 				cfg.Trace = true
 				cfg.Metrics = true
 				rt := New(cfg)
@@ -101,12 +98,11 @@ func TestPolicyDigests(t *testing.T) {
 				}
 				trSum, mtSum := sha256.Sum256(tr.Bytes()), sha256.Sum256(mt.Bytes())
 				got[pol.String()+"/"+steal+"/"+kernel] = policyDigest{
-					Trace:      hex.EncodeToString(trSum[:]),
-					Metrics:    hex.EncodeToString(mtSum[:]),
-					CrossShard: st.CrossShard,
-					Events:     st.Engine.Events,
-					Handoffs:   st.Engine.Handoffs,
-					Callbacks:  st.Engine.Callbacks,
+					Trace:     hex.EncodeToString(trSum[:]),
+					Metrics:   hex.EncodeToString(mtSum[:]),
+					Events:    st.Engine.Events,
+					Handoffs:  st.Engine.Handoffs,
+					Callbacks: st.Engine.Callbacks,
 				}
 			}
 		}

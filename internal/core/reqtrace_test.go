@@ -15,47 +15,45 @@ import (
 )
 
 // TestServeRequestConservationEveryCell is the central invariant of the
-// request-attribution pass: on every policy × shard-count serve cell, each
-// completed request's components sum exactly to its sojourn and the whole
-// attribution cross-checks against the embedded serve counters to the tick.
+// request-attribution pass: on every policy's serve cell, each completed
+// request's components sum exactly to its sojourn and the whole attribution
+// cross-checks against the embedded serve counters to the tick.
 func TestServeRequestConservationEveryCell(t *testing.T) {
 	for _, pol := range allPolicies {
-		for _, shards := range []int{1, 4} {
-			reqs := serveTrace(20, 700*sim.Nanosecond, 8)
-			st, trJSON, _ := runServe(t, pol, 5, shards, reqs, 0)
-			tr, err := ReadTraceJSON(bytes.NewReader(trJSON))
-			if err != nil {
-				t.Fatalf("%v shards=%d: reread trace: %v", pol, shards, err)
+		reqs := serveTrace(20, 700*sim.Nanosecond, 8)
+		st, trJSON, _ := runServe(t, pol, 5, reqs, 0)
+		tr, err := ReadTraceJSON(bytes.NewReader(trJSON))
+		if err != nil {
+			t.Fatalf("%v: reread trace: %v", pol, err)
+		}
+		if err := tr.VerifyRequests(); err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		requestChecksAgree(t, tr)
+		atts := tr.RequestAttribution()
+		if len(atts) != len(st.Done) {
+			t.Fatalf("%v: %d attributions, %d completions", pol, len(atts), len(st.Done))
+		}
+		var compute sim.Time
+		for i, a := range atts {
+			if a.Sum() != a.Sojourn() {
+				t.Errorf("%v: request %d components sum %v != sojourn %v",
+					pol, a.ID, a.Sum(), a.Sojourn())
 			}
-			if err := tr.VerifyRequests(); err != nil {
-				t.Fatalf("%v shards=%d: %v", pol, shards, err)
+			if a.At != st.Done[i].At || a.End != st.Done[i].End || a.ID != st.Done[i].ID {
+				t.Errorf("%v: attribution[%d] window mismatch vs Done", pol, i)
 			}
-			requestChecksAgree(t, tr)
-			atts := tr.RequestAttribution()
-			if len(atts) != len(st.Done) {
-				t.Fatalf("%v shards=%d: %d attributions, %d completions", pol, shards, len(atts), len(st.Done))
+			if a.Admit != a.At {
+				t.Errorf("%v: request %d admit %v != arrive %v (no admission delay exists yet)",
+					pol, a.ID, a.Admit, a.At)
 			}
-			var compute sim.Time
-			for i, a := range atts {
-				if a.Sum() != a.Sojourn() {
-					t.Errorf("%v shards=%d: request %d components sum %v != sojourn %v",
-						pol, shards, a.ID, a.Sum(), a.Sojourn())
-				}
-				if a.At != st.Done[i].At || a.End != st.Done[i].End || a.ID != st.Done[i].ID {
-					t.Errorf("%v shards=%d: attribution[%d] window mismatch vs Done", pol, shards, i)
-				}
-				if a.Admit != a.At {
-					t.Errorf("%v shards=%d: request %d admit %v != arrive %v (no admission delay exists yet)",
-						pol, shards, a.ID, a.Admit, a.At)
-				}
-				if a.AdmitWait != 0 {
-					t.Errorf("%v shards=%d: request %d nonzero admit-wait %v", pol, shards, a.ID, a.AdmitWait)
-				}
-				compute += a.Compute
+			if a.AdmitWait != 0 {
+				t.Errorf("%v: request %d nonzero admit-wait %v", pol, a.ID, a.AdmitWait)
 			}
-			if compute == 0 {
-				t.Errorf("%v shards=%d: no compute attributed to any request", pol, shards)
-			}
+			compute += a.Compute
+		}
+		if compute == 0 {
+			t.Errorf("%v: no compute attributed to any request", pol)
 		}
 	}
 }
@@ -93,7 +91,7 @@ func requestChecksAgree(t *testing.T, tr *Trace) {
 func TestServeRequestConservationHorizonCut(t *testing.T) {
 	for _, pol := range allPolicies {
 		reqs := serveTrace(30, 2*sim.Microsecond, 10)
-		st, trJSON, _ := runServe(t, pol, 3, 1, reqs, 20*sim.Microsecond)
+		st, trJSON, _ := runServe(t, pol, 3, reqs, 20*sim.Microsecond)
 		tr, err := ReadTraceJSON(bytes.NewReader(trJSON))
 		if err != nil {
 			t.Fatalf("%v: reread trace: %v", pol, err)
@@ -109,7 +107,7 @@ func TestServeRequestConservationHorizonCut(t *testing.T) {
 
 // TestServeDoneSortedByEndID: the ServeStats.Done ordering contract.
 func TestServeDoneSortedByEndID(t *testing.T) {
-	st, _, _ := runServe(t, ContGreedy, 5, 1, serveTrace(24, 500*sim.Nanosecond, 8), 0)
+	st, _, _ := runServe(t, ContGreedy, 5, serveTrace(24, 500*sim.Nanosecond, 8), 0)
 	for i := 1; i < len(st.Done); i++ {
 		a, b := st.Done[i-1], st.Done[i]
 		if b.End < a.End || (b.End == a.End && b.ID <= a.ID) {
@@ -160,7 +158,7 @@ func TestClosedSystemTraceHasNoRequestFields(t *testing.T) {
 // leaves exactly one arrive/admit/start/done quadruple, in causal order.
 func TestServeTraceLifecycleEvents(t *testing.T) {
 	for _, pol := range allPolicies {
-		_, trJSON, _ := runServe(t, pol, 4, 1, serveTrace(12, 600*sim.Nanosecond, 6), 0)
+		_, trJSON, _ := runServe(t, pol, 4, serveTrace(12, 600*sim.Nanosecond, 6), 0)
 		tr, err := ReadTraceJSON(bytes.NewReader(trJSON))
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +200,7 @@ func TestServeTraceLifecycleEvents(t *testing.T) {
 // processes for the slowest requests plus request flow arrows; closed
 // traces don't.
 func TestServeChromeTraceSlowRequests(t *testing.T) {
-	_, trJSON, _ := runServe(t, ContGreedy, 4, 1, serveTrace(10, 600*sim.Nanosecond, 7), 0)
+	_, trJSON, _ := runServe(t, ContGreedy, 4, serveTrace(10, 600*sim.Nanosecond, 7), 0)
 	tr, err := ReadTraceJSON(bytes.NewReader(trJSON))
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +287,7 @@ func TestRequestAttributionMatchesReference(t *testing.T) {
 	}
 	traces := map[string]*Trace{"trace_serve_micro.json": fixture}
 	record := func(name string, pol Policy, horizon sim.Time) {
-		st, trJSON, _ := runServe(t, pol, 4, 1, serveTrace(30, 2*sim.Microsecond, 10), horizon)
+		st, trJSON, _ := runServe(t, pol, 4, serveTrace(30, 2*sim.Microsecond, 10), horizon)
 		if horizon > 0 && st.InFlight == 0 {
 			t.Fatalf("%s: the horizon cut no request", name)
 		}

@@ -16,8 +16,8 @@ import (
 //
 // Arrivals are injected by engine timers into a per-worker inbox, so the
 // whole open system stays inside the deterministic engine: results are
-// byte-identical for any host parallelism and any engine shard count, the
-// same contract as closed-system runs.
+// byte-identical for any host parallelism, the same contract as
+// closed-system runs.
 
 // Request is one open-system arrival: a request DAG root Fn that enters the
 // system at virtual time At. ID is caller-assigned identity (must be ≥ 0 and
@@ -154,9 +154,7 @@ func (rt *Runtime) scheduleArrivals(reqs []Request, horizon sim.Time) {
 		}
 		r := reqs[i] // private copy: the injected pointer outlives the caller's slice
 		w := rt.workers[i%len(rt.workers)]
-		// The timer must live on the shard owning the target worker's node,
-		// like every other event touching that worker's state.
-		rt.eng.AfterOn(rt.cfg.Machine.ShardOf(w.rank, rt.cfg.Shards), r.At, func() {
+		rt.eng.After(r.At, func() {
 			rt.serve.injected++
 			// Arrival and admission coincide today (admission decisions are
 			// made before injection); the two instants are the seam where an

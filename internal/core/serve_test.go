@@ -21,10 +21,9 @@ func serveTrace(n int, gap sim.Time, fib int) []Request {
 
 // runServe runs one serve configuration and returns its stats plus the
 // trace/metrics serializations.
-func runServe(t *testing.T, policy Policy, workers, shards int, reqs []Request, horizon sim.Time) (ServeStats, []byte, []byte) {
+func runServe(t *testing.T, policy Policy, workers int, reqs []Request, horizon sim.Time) (ServeStats, []byte, []byte) {
 	t.Helper()
 	cfg := testConfig(policy, workers)
-	cfg.Shards = shards
 	cfg.Trace = true
 	cfg.Metrics = true
 	rt := New(cfg)
@@ -44,7 +43,7 @@ func runServe(t *testing.T, policy Policy, workers, shards int, reqs []Request, 
 func TestServeDrainsEveryPolicy(t *testing.T) {
 	for _, pol := range allPolicies {
 		reqs := serveTrace(24, 700*sim.Nanosecond, 7)
-		st, _, _ := runServe(t, pol, 5, 1, reqs, 0)
+		st, _, _ := runServe(t, pol, 5, reqs, 0)
 		if st.Admitted != 24 || st.Injected != 24 || st.Completed != 24 || st.InFlight != 0 {
 			t.Fatalf("%v: admitted=%d injected=%d completed=%d inflight=%d, want 24/24/24/0",
 				pol, st.Admitted, st.Injected, st.Completed, st.InFlight)
@@ -80,7 +79,7 @@ func TestServeHorizonCut(t *testing.T) {
 	for _, pol := range allPolicies {
 		reqs := serveTrace(30, 2*sim.Microsecond, 10)
 		horizon := 20 * sim.Microsecond // cuts both arrivals and execution
-		st, _, _ := runServe(t, pol, 3, 1, reqs, horizon)
+		st, _, _ := runServe(t, pol, 3, reqs, horizon)
 		if st.Admitted != 30 {
 			t.Fatalf("%v: admitted=%d, want 30", pol, st.Admitted)
 		}
@@ -107,41 +106,40 @@ func TestServeHorizonCut(t *testing.T) {
 
 // TestServeEmptyTrace: zero requests complete immediately.
 func TestServeEmptyTrace(t *testing.T) {
-	st, _, _ := runServe(t, ContGreedy, 3, 1, nil, 0)
+	st, _, _ := runServe(t, ContGreedy, 3, nil, 0)
 	if st.Admitted != 0 || st.Completed != 0 || st.InFlight != 0 {
 		t.Fatalf("empty serve: %+v", st)
 	}
 }
 
-// TestServeShardsByteIdentical: open-system runs obey the same determinism
-// contract as closed-system ones — stats, per-request completions, trace
-// and metrics are byte-identical at every shard count.
-func TestServeShardsByteIdentical(t *testing.T) {
+// TestServeByteIdentical: open-system runs obey the same determinism
+// contract as closed-system ones — a second run of the same requests on a
+// fresh runtime reproduces the stats, per-request completions, trace and
+// metrics byte for byte.
+func TestServeByteIdentical(t *testing.T) {
 	const workers = 7
 	for _, pol := range allPolicies {
 		reqs := serveTrace(20, 900*sim.Nanosecond, 8)
-		want, wantTr, wantMt := runServe(t, pol, workers, 1, reqs, 0)
-		for _, shards := range []int{2, 4, 7} {
-			got, tr, mt := runServe(t, pol, workers, shards, reqs, 0)
-			if got.Admitted != want.Admitted || got.Completed != want.Completed ||
-				got.Injected != want.Injected || got.ExecTime != want.ExecTime {
-				t.Errorf("%v shards=%d: serve stats diverged", pol, shards)
+		want, wantTr, wantMt := runServe(t, pol, workers, reqs, 0)
+		got, tr, mt := runServe(t, pol, workers, reqs, 0)
+		if got.Admitted != want.Admitted || got.Completed != want.Completed ||
+			got.Injected != want.Injected || got.ExecTime != want.ExecTime {
+			t.Errorf("%v: serve stats diverged", pol)
+		}
+		if len(got.Done) != len(want.Done) {
+			t.Fatalf("%v: %d done records, want %d", pol, len(got.Done), len(want.Done))
+		}
+		for i := range got.Done {
+			if got.Done[i] != want.Done[i] {
+				t.Errorf("%v: done[%d] = %+v, want %+v", pol, i, got.Done[i], want.Done[i])
+				break
 			}
-			if len(got.Done) != len(want.Done) {
-				t.Fatalf("%v shards=%d: %d done records, want %d", pol, shards, len(got.Done), len(want.Done))
-			}
-			for i := range got.Done {
-				if got.Done[i] != want.Done[i] {
-					t.Errorf("%v shards=%d: done[%d] = %+v, want %+v", pol, shards, i, got.Done[i], want.Done[i])
-					break
-				}
-			}
-			if !bytes.Equal(tr, wantTr) {
-				t.Errorf("%v shards=%d: trace JSON differs from single-heap run", pol, shards)
-			}
-			if !bytes.Equal(mt, wantMt) {
-				t.Errorf("%v shards=%d: metrics TSV differs from single-heap run", pol, shards)
-			}
+		}
+		if !bytes.Equal(tr, wantTr) {
+			t.Errorf("%v: trace JSON differs from the first run", pol)
+		}
+		if !bytes.Equal(mt, wantMt) {
+			t.Errorf("%v: metrics TSV differs from the first run", pol)
 		}
 	}
 }
@@ -194,7 +192,7 @@ func TestServeHorizonCutTraceVerifies(t *testing.T) {
 // exactly one observation per completed request.
 func TestServeSojournHistogramMatchesCompletions(t *testing.T) {
 	reqs := serveTrace(18, 600*sim.Nanosecond, 7)
-	st, _, _ := runServe(t, ContGreedy, 4, 1, reqs, 0)
+	st, _, _ := runServe(t, ContGreedy, 4, reqs, 0)
 	h, ok := st.Obs.Lookup("serve.sojourn")
 	if !ok {
 		t.Fatal("serve.sojourn histogram not registered")

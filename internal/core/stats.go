@@ -78,10 +78,11 @@ type RunStats struct {
 	InPlace uint64
 	Inline  uint64
 
-	// CrossShard counts events scheduled onto a different engine shard than
-	// the one dispatching — the cross-node traffic a node-parallel engine
-	// would have to route between shards (sim.Engine.CrossShard). Always 0
-	// at one shard. Host-side, like Engine.
+	// CrossShard is Fabric.InterNode, the remote operations that left
+	// their issuer's node.
+	//
+	// Deprecated: read Fabric.InterNode; kept until benchmark/ stops reading
+	// it (ROADMAP item 1).
 	CrossShard uint64
 
 	Series []Sample

@@ -297,13 +297,7 @@ func (rt *Runtime) newThread(w *Worker, fn TaskFunc, hdl Handle) *Thread {
 // must have made the thread current on its worker.
 func (t *Thread) start() {
 	t.state = tRunning
-	// Pin the proc to the shard owning the worker's node. Inheriting the
-	// spawn context would mis-file the proc whenever the spawning thread
-	// has itself migrated here from another node (its own proc keeps its
-	// birth shard for life — ownership is stable even as work moves).
-	shard := t.rt.cfg.Machine.ShardOf(t.w.rank, t.rt.cfg.Shards)
-	t.proc = t.rt.eng.GoIDOn(shard, "thread", t.id, t.body)
-	t.rt.eng.AssertShard(t.proc, shard)
+	t.proc = t.rt.eng.GoID("thread", t.id, t.body)
 }
 
 // main is the thread body: run the task function, die according to the

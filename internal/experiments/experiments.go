@@ -100,10 +100,6 @@ type Options struct {
 	// struct is read-only configuration; per-run RNG state lives in each
 	// run's own Machine, so sharing one Perturb across grid points is safe.
 	Perturb *topo.Perturb
-	// Shards selects the engine's per-node shard tagging for every simulated
-	// run (core.Config.Shards). Results are byte-identical for every value;
-	// 0 or 1 means one shard.
-	Shards int
 
 	// Steal names the steal policy (core.ParseStealPolicy) applied to every
 	// core runtime the experiment builds. "" or "uniform" is the paper's
@@ -157,7 +153,6 @@ func runCfg(o Options, v Variant) core.Config {
 		Policy:     v.Policy,
 		RemoteFree: v.Free,
 		Seed:       o.Seed,
-		Shards:     o.Shards,
 		Steal:      steal,
 		DequeCap:   o.DequeCap,
 		MaxTime:    1800 * sim.Second,
@@ -185,7 +180,7 @@ func runCore(o Options, c Coord, v Variant, tune func(*core.Config), drive func(
 	if mine {
 		o.Obs.deliver(c, rt, st)
 	}
-	o.Observer.engineStats(c, st, rt.Engine().Shards(), time.Since(start))
+	o.Observer.engineStats(c, st, time.Since(start))
 	return rt
 }
 

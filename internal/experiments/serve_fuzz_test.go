@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzServeArrivals: for arbitrary seeds and grid shapes, the parallel
-// sharded sweep must be byte-identical (JSON-marshalled rows) to the
-// single-threaded unsharded oracle, and every cell must conserve requests.
+// sweep must be byte-identical (JSON-marshalled rows) to the
+// single-threaded oracle, and every cell must conserve requests.
 func FuzzServeArrivals(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(24), uint8(1), uint8(1))
@@ -34,7 +34,6 @@ func FuzzServeArrivals(f *testing.F) {
 
 		par := oracle
 		par.Parallel = 8
-		par.Shards = 4
 		got := Serve(par, p)
 
 		wj, err := json.Marshal(want)
@@ -46,7 +45,7 @@ func FuzzServeArrivals(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wj, gj) {
-			t.Fatalf("parallel sharded sweep diverged from the oracle:\noracle %s\n   got %s", wj, gj)
+			t.Fatalf("parallel sweep diverged from the oracle:\noracle %s\n   got %s", wj, gj)
 		}
 		for _, r := range want {
 			if r.Admitted+r.Rejected != uint64(r.Requests) || r.Completed+r.InFlight != r.Admitted {

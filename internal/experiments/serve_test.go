@@ -211,33 +211,22 @@ func TestServeRequestSeries(t *testing.T) {
 	}
 }
 
-// TestServeRowsParallelShardsIdentical: the sweep's rows are identical under
-// host parallelism and engine sharding — the open-system path inherits the
-// engine's determinism guarantee.
-func TestServeRowsParallelShardsIdentical(t *testing.T) {
+// TestServeRowsParallelIdentical: the sweep's rows are identical under host
+// parallelism — the open-system path inherits the engine's determinism
+// guarantee.
+func TestServeRowsParallelIdentical(t *testing.T) {
 	p := tinyServeParams()
 	p.Requests = 24
 	base := Serve(tinyOpts(), p)
-	for _, alt := range []struct {
-		name     string
-		parallel int
-		shards   int
-	}{
-		{"parallel=8", 8, 1},
-		{"shards=4", 1, 4},
-		{"parallel=8 shards=4", 8, 4},
-	} {
-		o := tinyOpts()
-		o.Parallel = alt.parallel
-		o.Shards = alt.shards
-		rows := Serve(o, p)
-		if !reflect.DeepEqual(base, rows) {
-			for i := range base {
-				if !reflect.DeepEqual(base[i], rows[i]) {
-					t.Fatalf("%s: row %d differs:\nbase %+v\n got %+v", alt.name, i, base[i], rows[i])
-				}
+	o := tinyOpts()
+	o.Parallel = 8
+	rows := Serve(o, p)
+	if !reflect.DeepEqual(base, rows) {
+		for i := range base {
+			if !reflect.DeepEqual(base[i], rows[i]) {
+				t.Fatalf("parallel=8: row %d differs:\nbase %+v\n got %+v", i, base[i], rows[i])
 			}
-			t.Fatalf("%s: rows differ", alt.name)
 		}
+		t.Fatal("parallel=8: rows differ")
 	}
 }

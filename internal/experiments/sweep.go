@@ -87,10 +87,8 @@ type Observer struct {
 	Progress func(done, total int, c Coord, wall time.Duration)
 	// EngineStats is invoked after each fork-join runtime job finishes, with
 	// its run statistics — of which the host-side ones matter here: st.Engine
-	// (see sim.EngineStats), st.InPlace and st.CrossShard — and the shard
-	// count its engine ran with, which Config.Shards only bounds: a run
-	// never has more shards than simulated nodes.
-	EngineStats func(c Coord, st core.RunStats, shards int, wall time.Duration)
+	// (see sim.EngineStats), st.InPlace and st.Inline.
+	EngineStats func(c Coord, st core.RunStats, wall time.Duration)
 
 	mu sync.Mutex
 }
@@ -112,13 +110,13 @@ func (ob *Observer) progress(done, total int, c Coord, wall time.Duration) {
 	ob.Progress(done, total, c, wall)
 }
 
-func (ob *Observer) engineStats(c Coord, st core.RunStats, shards int, wall time.Duration) {
+func (ob *Observer) engineStats(c Coord, st core.RunStats, wall time.Duration) {
 	if ob == nil || ob.EngineStats == nil {
 		return
 	}
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
-	ob.EngineStats(c, st, shards, wall)
+	ob.EngineStats(c, st, wall)
 }
 
 // RunJobs executes the grid on a bounded pool of pool goroutines (pool <= 0

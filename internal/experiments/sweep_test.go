@@ -122,9 +122,9 @@ func TestProgressHookSerializedAndComplete(t *testing.T) {
 			dones = append(dones, done)
 			calls["job "+c.Variant]++
 		},
-		EngineStats: func(c Coord, st core.RunStats, shards int, _ time.Duration) {
-			if shards != 1 || st.Engine.Events == 0 {
-				t.Errorf("%s: shards=%d events=%d, want one shard and a run", c, shards, st.Engine.Events)
+		EngineStats: func(c Coord, st core.RunStats, _ time.Duration) {
+			if st.Engine.Events == 0 {
+				t.Errorf("%s: events=0, want a run", c)
 			}
 			calls["engine "+c.Variant]++
 		},

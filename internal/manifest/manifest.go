@@ -44,7 +44,6 @@ type Params struct {
 	Scale       int       `json:"scale,omitempty"`     // problem-size scale shift
 	WorkScale   int       `json:"workscale,omitempty"` // UTS per-node work multiplier
 	DequeCap    int       `json:"dequecap,omitempty"`  // per-worker deque capacity override
-	Shards      int       `json:"shards,omitempty"`    // per-node event-heap shards (results identical)
 	Perturb     string    `json:"perturb,omitempty"`   // topo.ParsePerturb spec
 	Requests    int       `json:"requests,omitempty"`  // serve: offered arrivals per cell
 	Loads       []float64 `json:"loads,omitempty"`     // serve: offered-load multipliers

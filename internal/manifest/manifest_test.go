@@ -75,6 +75,9 @@ func TestParseRejects(t *testing.T) {
 		{"unknown param field",
 			`{"scales":{"s":[{"experiment":"fig6","params":{"machne":"itoa"}}]}}`,
 			"machne"},
+		{"removed shards param",
+			`{"scales":{"s":[{"experiment":"fig6","params":{"shards":2}}]}}`,
+			`unknown field "shards"`},
 		{"unknown entry field",
 			`{"scales":{"s":[{"experiment":"fig6","paramz":{}}]}}`,
 			"paramz"},

@@ -102,7 +102,6 @@ func (p Params) options(x Exec) (experiments.Options, error) {
 	}{
 		{"workers", []int{p.Workers}, 0, "positive"},
 		{"n", []int{p.N}, 0, "positive"},
-		{"shards", []int{p.Shards}, 0, "positive"},
 		{"workers_list", p.WorkersList, 1, "positive"},
 		{"ns", p.NS, 1, "positive"},
 		{"seqdepth", []int{p.SeqDepth}, 0, "non-negative"},
@@ -139,7 +138,7 @@ func (p Params) options(x Exec) (experiments.Options, error) {
 	return experiments.Options{
 		Machine: p.Machine, Workers: p.Workers, Scale: p.Scale,
 		Seed: p.Seed, WorkScale: p.WorkScale, DequeCap: p.DequeCap,
-		Steal: p.Policy, Shards: p.Shards, Perturb: pb,
+		Steal: p.Policy, Perturb: pb,
 		Parallel: x.Parallel, Obs: x.Obs, Observer: x.Observer,
 	}, nil
 }

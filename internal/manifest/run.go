@@ -141,21 +141,19 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 }
 
 // entryStats is one summary row's engine columns: the deterministic
-// counters of every fork-join run of the entry, summed, under the largest
-// shard count any of them ran with, plus the entry's headline metrics.
+// counters of every fork-join run of the entry, summed, plus the entry's
+// headline metrics.
 type entryStats struct {
-	shards, jobs            int
-	events, handoffs, cross uint64
-	summary                 map[string]float64
+	jobs             int
+	events, handoffs uint64
+	summary          map[string]float64
 }
 
 // add is the entry's Observer.EngineStats; calls arrive serialized.
-func (a *entryStats) add(_ experiments.Coord, st core.RunStats, shards int, _ time.Duration) {
-	a.shards = max(a.shards, shards)
+func (a *entryStats) add(_ experiments.Coord, st core.RunStats, _ time.Duration) {
 	a.jobs++
 	a.events += st.Engine.Events
 	a.handoffs += st.Engine.Handoffs
-	a.cross += st.CrossShard
 }
 
 // runEntry executes one entry under its own observer — the engine counters
@@ -218,7 +216,7 @@ func (rn *Runner) writeSummary(dir string, entries []Entry, stats []entryStats, 
 		}
 		verdict[c.Entry] = v
 	}
-	header := []string{"id", "experiment", "shards", "jobs", "events", "handoffs", "cross_shard", "golden", "summary"}
+	header := []string{"id", "experiment", "jobs", "events", "handoffs", "golden", "summary"}
 	var rows [][]string
 	for i, e := range entries {
 		st := stats[i]
@@ -227,8 +225,8 @@ func (rn *Runner) writeSummary(dir string, entries []Entry, stats []entryStats, 
 			v = "-"
 		}
 		rows = append(rows, []string{
-			e.ID, e.Experiment, fmt.Sprint(st.shards), fmt.Sprint(st.jobs),
-			fmt.Sprint(st.events), fmt.Sprint(st.handoffs), fmt.Sprint(st.cross),
+			e.ID, e.Experiment, fmt.Sprint(st.jobs),
+			fmt.Sprint(st.events), fmt.Sprint(st.handoffs),
 			v, summaryString(st.summary)})
 	}
 	if err := WriteSeries(dir, []experiments.Series{{Name: "summary", Header: header, Cells: rows}}); err != nil {

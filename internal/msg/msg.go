@@ -110,9 +110,7 @@ func (n *Net) deliver(from, to, size int, m Msg, rto sim.Time) {
 				Task: -1, Peer: to, Size: int64(size),
 			})
 		}
-		// Ack-timeout recovery runs on the sender's node: its shard owns
-		// the retransmission event.
-		n.Eng.AfterOn(n.Mach.ShardOf(from, n.Eng.Shards()), rto, func() {
+		n.Eng.After(rto, func() {
 			n.st[from].Retransmits++
 			if n.Tr != nil {
 				n.Tr.Event(obs.Event{
@@ -135,10 +133,7 @@ func (n *Net) deliver(from, to, size int, m Msg, rto sim.Time) {
 			Task: -1, Peer: to, Size: int64(size),
 		})
 	}
-	// The mailbox append is the cross-shard routing point of the two-sided
-	// layer: the destination mailbox belongs to the receiver's node, so the
-	// delivery event lives on that node's shard.
-	n.Eng.AfterOn(n.Mach.ShardOf(to, n.Eng.Shards()), delay, func() {
+	n.Eng.After(delay, func() {
 		n.boxes[to] = append(n.boxes[to], m)
 	})
 }

@@ -79,6 +79,7 @@ func DecodeLoc(buf []byte) Loc {
 type OpStats struct {
 	Gets, Puts, Atomics uint64 // remote operations issued
 	LocalOps            uint64 // same-rank fabric accesses
+	InterNode           uint64 // remote operations whose target is on another node
 	BytesOut, BytesIn   uint64 // payload bytes moved by remote ops
 	// RemoteTime is the summed modelled completion delay of every remote
 	// operation issued by this rank (including fire-and-forget PutNB). It
@@ -97,6 +98,7 @@ func (s *OpStats) Add(other OpStats) {
 	s.Puts += other.Puts
 	s.Atomics += other.Atomics
 	s.LocalOps += other.LocalOps
+	s.InterNode += other.InterNode
 	s.BytesOut += other.BytesOut
 	s.BytesIn += other.BytesIn
 	s.RemoteTime += other.RemoteTime
@@ -194,16 +196,6 @@ func (f *Fabric) AllocStatic(rank, size int) Addr { return f.segs[rank].allocSta
 // Free returns a block previously obtained from Alloc to rank's free list.
 func (f *Fabric) Free(rank int, addr Addr, size int) { f.segs[rank].free(addr, size) }
 
-// sched schedules a remote op's completion event on the shard that owns the
-// target rank's node — the single cross-shard routing seam of the fabric.
-// Every remote completion (chain link or fire-and-forget callback) goes
-// through here; the memory access it performs belongs to the target node,
-// so that is the shard the event must carry. On an unsharded engine this is
-// exactly Engine.After.
-func (f *Fabric) sched(to int32, d sim.Time, fn func()) {
-	f.Eng.AfterOn(f.Mach.ShardOf(int(to), f.Eng.Shards()), d, fn)
-}
-
 // opKind selects one of the six memory effects (see Segment.apply).
 type opKind uint8
 
@@ -271,6 +263,9 @@ func (f *Fabric) start(from int, loc Loc, kind opKind, buf []byte, a, b int64) (
 	default:
 		st.Atomics++
 	}
+	if !f.Mach.SameNode(from, int(loc.Rank)) {
+		st.InterNode++
+	}
 	delay := f.remote(from, loc.Rank, tk, size, kind >= opFetchAdd)
 	o := f.ops
 	if o == nil {
@@ -280,7 +275,7 @@ func (f *Fabric) start(from int, loc Loc, kind opKind, buf []byte, a, b int64) (
 		f.ops = o.next
 	}
 	o.kind, o.to, o.addr, o.buf, o.a, o.b = kind, loc.Rank, loc.Addr, buf, a, b
-	f.sched(loc.Rank, delay, o.fire)
+	f.Eng.After(delay, o.fire)
 	return o, 0
 }
 

@@ -318,6 +318,10 @@ func TestTimingIntraVsInterNode(t *testing.T) {
 	if !(tIntra < tInter) {
 		t.Errorf("intra-node get (%v) should be faster than inter-node (%v)", tIntra, tInter)
 	}
+	// Of the two remote gets only the one to rank 40 leaves node 0.
+	if st := f.Stats(0); st.Gets != 2 || st.InterNode != 1 {
+		t.Errorf("gets = %d, inter-node = %d, want 2 and 1", st.Gets, st.InterNode)
+	}
 }
 
 // TestStaticBackingFollowsTouch: a reservation costs what is touched inside

@@ -20,7 +20,7 @@ type twinOp struct {
 const (
 	opSleep     = iota // Sleep(d)
 	opPark             // Park, woken by a callback d from now
-	opChain            // a chain of links completing on other shards
+	opChain            // a chain of links completing by callback
 	opChainSync        // a chain completed before Wait is reached
 	opBlock            // Sleep(d) on the goroutine in both forms: the continuation form must hand over and re-enter
 	nTwinOps
@@ -40,32 +40,30 @@ func twinScripts(seed int64, procs, steps int) [][]twinOp {
 type twinResult struct {
 	log    []string
 	stats  EngineStats
-	shards []ShardStats
-	cross  uint64
 	inline uint64
 }
 
 // runTwin executes the scripts on a fresh engine. windows == 0 is one
 // Run(Forever); otherwise Run(until) is stepped in windows of that length.
-func runTwin(scripts [][]twinOp, shards int, cont bool, window Time) twinResult {
-	e := NewEngineShards(shards)
+func runTwin(scripts [][]twinOp, cont bool, window Time) twinResult {
+	e := NewEngine()
 	var res twinResult
 	// One line per dispatched event: its time, the scheduling counter when it
-	// fired (which, by induction over the log, fixes its own seq), its shard
-	// tag, and whom it ran.
+	// fired (which, by induction over the log, fixes its own seq), and whom
+	// it ran.
 	e.SetTrace(func(line string) {
-		res.log = append(res.log, fmt.Sprintf("seq<=%d shard=%d %s", e.seq, e.curShard, line))
+		res.log = append(res.log, fmt.Sprintf("seq<=%d %s", e.seq, line))
 	})
 	for i, script := range scripts {
 		i, script := i, script
-		e.GoIDOn(i%shards, "twin", int64(i), func(p *Proc) {
+		e.GoID("twin", int64(i), func(p *Proc) {
 			note := func(step int) {
 				res.log = append(res.log, fmt.Sprintf("twin%d step %d t=%d seq<=%d", i, step, e.now, e.seq))
 			}
-			// link issues the remaining links of a chain, hopping shards.
+			// link issues the remaining links of a chain.
 			var link func(c *Chain, left int, d Time)
 			link = func(c *Chain, left int, d Time) {
-				e.AfterOn((i+left)%shards, d, func() {
+				e.After(d, func() {
 					if left == 1 {
 						c.Complete()
 						return
@@ -145,47 +143,41 @@ func runTwin(scripts [][]twinOp, shards int, cont bool, window Time) twinResult 
 			e.Run(until)
 		}
 	}
-	res.stats, res.shards, res.cross, res.inline = e.Stats(), e.ShardStats(), e.CrossShard(), e.Inline()
+	res.stats, res.inline = e.Stats(), e.Inline()
 	return res
 }
 
 // TestContinuationFormIsTheSameSimulation runs a random program of sleeps,
-// parks woken by callbacks, chains completing on other shards and chains
-// completing synchronously, blocking and in continuation form, at one and two
-// shards, in one Run and in stepped windows: every variant dispatches the
+// parks woken by callbacks, chains completing by callback and chains
+// completing synchronously, blocking and in continuation form, in one Run
+// and in stepped windows: every variant dispatches the
 // same events in the same order with the same counters. Only Inline tells
 // them apart.
 func TestContinuationFormIsTheSameSimulation(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		scripts := twinScripts(seed, 12, 40)
-		for _, shards := range []int{1, 2} {
-			want := runTwin(scripts, shards, false, 0)
-			if want.inline != 0 {
-				t.Errorf("seed %d shards %d: blocking program counts %d inline wake-ups", seed, shards, want.inline)
-			}
-			if shards == 2 && want.cross == 0 {
-				t.Errorf("seed %d: no event crossed shards", seed)
-			}
-			for _, window := range []Time{0, 7} {
-				for _, cont := range []bool{false, true} {
-					got := runTwin(scripts, shards, cont, window)
-					name := fmt.Sprintf("seed %d shards %d cont %v window %d", seed, shards, cont, window)
-					if !slices.Equal(got.log, want.log) {
-						for i := range want.log {
-							if i >= len(got.log) || got.log[i] != want.log[i] {
-								t.Fatalf("%s: dispatch log diverges at line %d of %d:\n got %q\nwant %q",
-									name, i, len(want.log), append(got.log, "<end>")[min(i, len(got.log))], want.log[i])
-							}
+		want := runTwin(scripts, false, 0)
+		if want.inline != 0 {
+			t.Errorf("seed %d: blocking program counts %d inline wake-ups", seed, want.inline)
+		}
+		for _, window := range []Time{0, 7} {
+			for _, cont := range []bool{false, true} {
+				got := runTwin(scripts, cont, window)
+				name := fmt.Sprintf("seed %d cont %v window %d", seed, cont, window)
+				if !slices.Equal(got.log, want.log) {
+					for i := range want.log {
+						if i >= len(got.log) || got.log[i] != want.log[i] {
+							t.Fatalf("%s: dispatch log diverges at line %d of %d:\n got %q\nwant %q",
+								name, i, len(want.log), append(got.log, "<end>")[min(i, len(got.log))], want.log[i])
 						}
-						t.Fatalf("%s: %d log lines, want %d", name, len(got.log), len(want.log))
 					}
-					if got.stats != want.stats || !slices.Equal(got.shards, want.shards) || got.cross != want.cross {
-						t.Errorf("%s: stats %+v shards %+v cross %d, want %+v %+v %d",
-							name, got.stats, got.shards, got.cross, want.stats, want.shards, want.cross)
-					}
-					if cont && got.inline == 0 {
-						t.Errorf("%s: no wake-up ran inline", name)
-					}
+					t.Fatalf("%s: %d log lines, want %d", name, len(got.log), len(want.log))
+				}
+				if got.stats != want.stats {
+					t.Errorf("%s: stats %+v, want %+v", name, got.stats, want.stats)
+				}
+				if cont && got.inline == 0 {
+					t.Errorf("%s: no wake-up ran inline", name)
 				}
 			}
 		}

@@ -2,18 +2,17 @@ package sim
 
 import "fmt"
 
-// Sharded is a shard-confined program's view of one NewEngineShards(n)
-// engine: procs spawn on an explicit shard, and the only cross-shard
-// interaction is RouteAfter, whose delay must be at least the lookahead — the
-// routing contract a concurrent execution would need. There is one heap, so
+// Sharded is a view of one plain engine as n shards: procs spawn on a
+// numbered shard, and the only cross-shard interaction is RouteAfter, whose
+// delay must be at least the lookahead. Every shard is the same engine, so
 // event order is the serial engine's by construction.
 //
 // The type exists only because benchmark/micro.go's sim.sharded_event_ns
 // kernel calls exactly these seven names; the benchmark-only change that
-// drops that metric removes this type with it. Runtimes shard through the
-// engine itself (GoIDOn, AfterOn, AssertShard).
+// drops that metric removes this type with it.
 type Sharded struct {
 	e    *Engine
+	n    int
 	look Time
 }
 
@@ -26,7 +25,7 @@ func NewSharded(n int, lookahead Time) *Sharded {
 	if lookahead <= 0 {
 		panic("sim: NewSharded needs a positive lookahead")
 	}
-	return &Sharded{e: NewEngineShards(n), look: lookahead}
+	return &Sharded{e: NewEngine(), n: n, look: lookahead}
 }
 
 // Shard returns the engine every shard runs on; i is not consulted.
@@ -34,10 +33,10 @@ func (s *Sharded) Shard(i int) *Engine { return s.e }
 
 // Go spawns a proc on shard i.
 func (s *Sharded) Go(i int, name string, body func(p *Proc)) *Proc {
-	if i < 0 || i >= len(s.e.sstats) {
-		panic(fmt.Sprintf("sim: Go shard %d out of range [0,%d)", i, len(s.e.sstats)))
+	if i < 0 || i >= s.n {
+		panic(fmt.Sprintf("sim: Go shard %d out of range [0,%d)", i, s.n))
 	}
-	return s.e.spawn(0, i, name, "", 0, body)
+	return s.e.Go(name, body)
 }
 
 // RouteAfter schedules fn on shard dst, d nanoseconds from now. A
@@ -47,7 +46,7 @@ func (s *Sharded) RouteAfter(src, dst int, d Time, fn func()) {
 	if src != dst && d < s.look {
 		panic(fmt.Sprintf("sim: cross-shard delay %v below lookahead %v (shard %d -> %d)", d, s.look, src, dst))
 	}
-	s.e.AfterOn(dst, d, fn)
+	s.e.After(d, fn)
 }
 
 // Run is Engine.Run.

@@ -121,7 +121,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 // merging: shard B schedules a local event at the same virtual tick at which
 // shard A's routed event arrives. The serial engine orders them by
 // scheduling seq (A's route was issued at t=9, before B's local schedule at
-// t=10); shard tags must not change that order.
+// t=10); the sharded view must not change that order.
 func TestShardedSameTickTie(t *testing.T) {
 	const look = 11
 	run := func(serial bool) []string {

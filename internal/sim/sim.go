@@ -25,8 +25,8 @@
 //
 // Each suspension also has a continuation form — SleepThen, ParkThen,
 // Chain.WaitThen — that returns at once and runs a function at the wake-up,
-// inside event dispatch, as that proc (same event, same (time, seq), same
-// shard: Sleep is SleepThen with no continuation, followed by Await). A
+// inside event dispatch, as that proc (same event, same (time, seq): Sleep
+// is SleepThen with no continuation, followed by Await). A
 // continuation may suspend its proc again, so a cycle that mostly waits — an
 // idle worker's pop miss, failed steal and backoff — is written as a chain of
 // them and reaches the proc's goroutine, blocked in Await, only when one
@@ -70,10 +70,9 @@
 // other proc is woken directly over its channel and the dispatcher blocks —
 // one goroutine switch (~270 ns). Only a Run per event still pays the old
 // two-switch round trip (~500 ns). benchmark/micro.go times the unit costs
-// cold, as sim.callback_ns, sim.sleep_ns, sim.handoff_ns, sim.chain5_ns and
-// sim.sharded_event_ns (the tagged engine at two shards); the shapes it has
-// no driver for yet stay here as BenchmarkSleepInPlace, BenchmarkSleepInline
-// and BenchmarkProcPingPong. Hot
+// cold, as sim.callback_ns, sim.sleep_ns, sim.handoff_ns and sim.chain5_ns;
+// the shapes it has no driver for yet stay here as BenchmarkSleepInPlace,
+// BenchmarkSleepInline and BenchmarkProcPingPong. Hot
 // paths avoid switches: multi-op protocols use completion chains (one
 // resumption per protocol), cycles that wait more than they work use
 // continuations (no resumption until there is work), live procs are kept on
@@ -94,19 +93,6 @@
 // events, proc resumptions and callbacks a run executed, Inline and InPlace
 // how many resumptions needed no switch, so throughput (events/sec) and the
 // switch-avoidance ratio are directly measurable.
-//
-// # Sharding
-//
-// There is one sharding layer. NewEngineShards(n) tags every event of one
-// engine with the shard (simulated node) it belongs to and keeps per-shard
-// traffic counters (ShardStats, CrossShard) exposing the cross-node event
-// flow; there is still one heap ordered by (t, seq), so event order is the
-// serial engine's by definition at every shard count. GoIDOn, AfterOn and
-// AssertShard are the seams a concurrent port would start from. There is no
-// concurrent mode: the runtimes' zero-latency couplings (done flags,
-// host-pointer steals) cannot take a nonzero lookahead. Sharded (see
-// sharded.go) is a thin view of one tagged engine kept for a benchmark
-// kernel.
 //
 // # Failure propagation
 //
@@ -225,87 +211,50 @@ func (pp *ProcPanic) String() string {
 // EngineStats counts the host-side work a run performed. All counters are
 // deterministic: they depend only on the simulated program, never on host
 // scheduling, so they are safe to report alongside virtual-time results.
-// The counters are independent of the engine's shard count: the same
-// program dispatches the same events in the same order at any -shards N.
 type EngineStats struct {
 	Events    uint64 // events dispatched by Run
 	Handoffs  uint64 // proc resumptions (inline, in place or by a goroutine switch; see Inline, InPlace)
 	Callbacks uint64 // callbacks executed (incl. chain links)
 }
 
-// ShardStats counts per-shard event traffic of a sharded engine. Inbound
-// counts events scheduled onto the shard from a different shard's context —
-// the cross-node traffic a concurrent execution would have to exchange
-// between shards. Kept separate from EngineStats so the latter
-// stays byte-identical across shard counts.
-type ShardStats struct {
-	Events  uint64 // events dispatched that carried this shard's tag
-	Inbound uint64 // events scheduled onto this shard from another shard
-}
-
 // event is a single entry in the engine's priority queue: either a proc
 // wake-up (p != nil) or a callback (fn != nil). Events are plain values in
-// the slice-backed heap, so scheduling allocates nothing. shard is the owning
-// shard's tag (always 0 in an unsharded engine).
+// the slice-backed heap, so scheduling allocates nothing.
 type event struct {
-	t     Time
-	seq   uint64
-	p     *Proc
-	fn    func()
-	shard int32
+	t   Time
+	seq uint64
+	p   *Proc
+	fn  func()
 }
 
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use: Run, Shutdown, Go, At and After must be called either
 // from the goroutine that owns the engine (while Run is not executing a
 // proc) or from within a running proc.
-//
-// An engine built with NewEngineShards(n) tags each event with one of n
-// shards (one per simulated node) and counts per-shard traffic; the queue
-// stays one heap ordered by (t, seq), so event order — and therefore every
-// result, trace and statistic — is the same at any shard count. Events
-// inherit the shard of the context that schedules them unless routed
-// explicitly (AfterOn, GoIDOn); proc wake-ups always carry the proc's own
-// shard, pinning proc↔shard ownership.
 type Engine struct {
-	now      Time
-	seq      uint64
-	heap     eventHeap
-	curShard int // shard of the event being dispatched (0 outside Run)
-	current  *Proc
-	ready    *Proc // proc to hand control to when the current callback returns
-	live     *Proc // head of the intrusive doubly-linked list of live procs
-	free     *Proc // pool of procs whose body returned (see spawn, serve)
-	nlive    int
-	parked   int
-	stopped  bool
-	until    Time          // horizon of the Run in progress
-	driver   chan struct{} // hands the baton back to the goroutine parked in Run
-	fail     *ProcPanic    // first panic of the run, re-raised by Run
-	trace    func(string)  // optional debug trace hook
-	stats    EngineStats
-	inplace  uint64       // resumptions served without a goroutine switch (see InPlace)
-	inline   uint64       // resumptions whose continuation suspended again (see Inline)
-	sstats   []ShardStats // one per shard; len >= 1
-	chains   *Chain       // free list of pooled Chain objects
+	now     Time
+	seq     uint64
+	heap    eventHeap
+	current *Proc
+	ready   *Proc // proc to hand control to when the current callback returns
+	live    *Proc // head of the intrusive doubly-linked list of live procs
+	free    *Proc // pool of procs whose body returned (see spawn, serve)
+	nlive   int
+	parked  int
+	stopped bool
+	until   Time          // horizon of the Run in progress
+	driver  chan struct{} // hands the baton back to the goroutine parked in Run
+	fail    *ProcPanic    // first panic of the run, re-raised by Run
+	trace   func(string)  // optional debug trace hook
+	stats   EngineStats
+	inplace uint64 // resumptions served without a goroutine switch (see InPlace)
+	inline  uint64 // resumptions whose continuation suspended again (see Inline)
+	chains  *Chain // free list of pooled Chain objects
 }
 
-// NewEngine returns an empty, unsharded engine with the clock at 0.
+// NewEngine returns an empty engine with the clock at 0.
 func NewEngine() *Engine {
-	return NewEngineShards(1)
-}
-
-// NewEngineShards returns an empty engine whose events are tagged with and
-// counted per one of shards shards (see the Engine doc). shards <= 1 yields
-// the plain engine.
-func NewEngineShards(shards int) *Engine {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Engine{
-		sstats: make([]ShardStats, shards),
-		driver: make(chan struct{}),
-	}
+	return &Engine{driver: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -333,7 +282,7 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // each cost one goroutine switch. Deterministic for a given program and sequence
 // of Run calls, but — unlike EngineStats — dependent on Run(until) windowing
 // (a proc resumed by a fresh Run is always switched to), so it is kept out
-// of the struct that serial and sharded engines compare with ==.
+// of EngineStats.
 func (e *Engine) InPlace() uint64 { return e.inplace }
 
 // Inline returns how many of Stats().Handoffs ran a continuation (SleepThen,
@@ -343,40 +292,6 @@ func (e *Engine) InPlace() uint64 { return e.inplace }
 // Kept out of EngineStats like InPlace: it describes how the program was
 // written, not what it simulated.
 func (e *Engine) Inline() uint64 { return e.inline }
-
-// Shards returns the number of shards (1 for a plain engine).
-func (e *Engine) Shards() int { return len(e.sstats) }
-
-// ShardStats returns the per-shard dispatch and cross-shard traffic
-// counters. The returned slice is a snapshot.
-func (e *Engine) ShardStats() []ShardStats {
-	out := make([]ShardStats, len(e.sstats))
-	copy(out, e.sstats)
-	return out
-}
-
-// CrossShard returns the total number of events scheduled across shard
-// boundaries — the traffic a concurrent execution would have to route
-// between shards.
-func (e *Engine) CrossShard() uint64 {
-	var n uint64
-	for i := range e.sstats {
-		n += e.sstats[i].Inbound
-	}
-	return n
-}
-
-// AssertShard panics unless p is owned by the given shard. Runtimes use it
-// to enforce that a proc's node assignment is stable for the whole run:
-// work migrates between nodes, proc↔shard ownership never does — a
-// violation would corrupt event order in a concurrent execution, so it must
-// fail fast instead.
-func (e *Engine) AssertShard(p *Proc, shard int) {
-	if p.shard != shard {
-		panic(fmt.Sprintf("sim: proc %q owned by shard %d, expected %d — proc↔shard ownership must be stable",
-			p.Name(), p.shard, shard))
-	}
-}
 
 // Stop makes Run return after the current event completes. It may be called
 // from inside a proc or callback.
@@ -389,56 +304,37 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Pass nil to disable.
 func (e *Engine) SetTrace(fn func(string)) { e.trace = fn }
 
-func (e *Engine) schedule(t Time, shard int, p *Proc, fn func()) {
+func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past (%v < %v)", t, e.now))
 	}
 	e.seq++
-	if shard != e.curShard {
-		e.sstats[shard].Inbound++
-	}
-	e.heap.push(event{t: t, seq: e.seq, p: p, fn: fn, shard: int32(shard)})
+	e.heap.push(event{t: t, seq: e.seq, p: p, fn: fn})
 }
 
 // At schedules fn to run inside event dispatch at virtual time t (which must
 // not be in the past).
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, e.curShard, nil, fn) }
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
 
 // After schedules fn to run inside event dispatch d nanoseconds from now.
-// The event lands on the shard of the scheduling context.
 func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	e.schedule(e.now+d, e.curShard, nil, fn)
-}
-
-// AfterOn is After with an explicit target shard — the routing seam for
-// cross-node operations (rdma completions, message deliveries): the
-// completion event belongs to the shard owning the target rank's node.
-// Out-of-range shards fail fast.
-func (e *Engine) AfterOn(shard int, d Time, fn func()) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	if shard < 0 || shard >= len(e.sstats) {
-		panic(fmt.Sprintf("sim: AfterOn shard %d out of range [0,%d)", shard, len(e.sstats)))
-	}
-	e.schedule(e.now+d, shard, nil, fn)
+	e.schedule(e.now+d, nil, fn)
 }
 
 // Go creates a new proc that will begin executing body at the current
 // virtual time (after already-queued events at this time). The name is used
-// in diagnostics only. The proc is owned by the shard of the spawning
-// context. The returned *Proc is valid until body returns; after that the
-// engine may hand the same *Proc to a later Go.
+// in diagnostics only. The returned *Proc is valid until body returns; after
+// that the engine may hand the same *Proc to a later Go.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	return e.spawn(0, e.curShard, name, "", 0, body)
+	return e.spawn(0, name, "", 0, body)
 }
 
 // GoAfter is Go with a start delay of d virtual nanoseconds.
 func (e *Engine) GoAfter(d Time, name string, body func(p *Proc)) *Proc {
-	return e.spawn(d, e.curShard, name, "", 0, body)
+	return e.spawn(d, name, "", 0, body)
 }
 
 // GoID is Go with a lazily formatted name prefix+id (e.g. "worker", 3 →
@@ -446,21 +342,12 @@ func (e *Engine) GoAfter(d Time, name string, body func(p *Proc)) *Proc {
 // failure diagnostics), keeping fmt off the spawn path of runs that create
 // one proc per simulated thread.
 func (e *Engine) GoID(prefix string, id int64, body func(p *Proc)) *Proc {
-	return e.spawn(0, e.curShard, "", prefix, id, body)
-}
-
-// GoIDOn is GoID with explicit shard placement, used at setup time to pin
-// each simulated node's procs to its shard. Out-of-range shards fail fast.
-func (e *Engine) GoIDOn(shard int, prefix string, id int64, body func(p *Proc)) *Proc {
-	if shard < 0 || shard >= len(e.sstats) {
-		panic(fmt.Sprintf("sim: GoIDOn shard %d out of range [0,%d)", shard, len(e.sstats)))
-	}
-	return e.spawn(0, shard, "", prefix, id, body)
+	return e.spawn(0, "", prefix, id, body)
 }
 
 // spawn hands body to a pooled proc — one whose body returned, its goroutine
 // waiting in serve — or, with the pool empty, to a new Proc and goroutine.
-func (e *Engine) spawn(d Time, shard int, name, prefix string, id int64, body func(p *Proc)) *Proc {
+func (e *Engine) spawn(d Time, name, prefix string, id int64, body func(p *Proc)) *Proc {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
@@ -471,11 +358,11 @@ func (e *Engine) spawn(d Time, shard int, name, prefix string, id int64, body fu
 		p = &Proc{eng: e, ch: make(chan wakeSignal)}
 		go p.serve()
 	}
-	p.name, p.prefix, p.id, p.shard = name, prefix, id, shard
+	p.name, p.prefix, p.id = name, prefix, id
 	p.body, p.cont = body, nil
 	p.state = StateScheduled
 	e.link(p)
-	e.schedule(e.now+d, p.shard, p, nil)
+	e.schedule(e.now+d, p, nil)
 	return p
 }
 
@@ -613,13 +500,11 @@ func (e *Engine) dispatch() *Proc {
 		}
 		e.heap.pop()
 		e.now = ev.t
-		e.curShard = int(ev.shard)
 		p, verb := ev.p, "run"
 		if ev.fn == nil && p.state == StateDead {
 			continue // a killed proc can leave a stale event behind
 		}
 		e.stats.Events++
-		e.sstats[ev.shard].Events++
 		if ev.fn != nil {
 			if e.trace != nil {
 				e.trace(fmt.Sprintf("t=%v callback", e.now))
@@ -638,10 +523,6 @@ func (e *Engine) dispatch() *Proc {
 		}
 		p.state = StateRunning
 		e.current = p
-		// The proc may be resumed from an event on a foreign shard (a completion
-		// callback routed to the target node's shard finishing the proc's chain).
-		// Anything the proc schedules while running belongs to its own shard.
-		e.curShard = p.shard
 		e.stats.Handoffs++
 		if fn := p.cont; fn != nil {
 			p.cont = nil
@@ -725,7 +606,6 @@ type Proc struct {
 	ch chan wakeSignal
 
 	prefix             string
-	shard              int // owning shard; stable for the proc's lifetime
 	state              ProcState
 	prevLive, nextLive *Proc // the live list; nextLive links the pool while dead
 
@@ -751,9 +631,6 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // State returns the proc's lifecycle state.
 func (p *Proc) State() ProcState { return p.state }
-
-// Shard returns the shard that owns this proc (0 in an unsharded engine).
-func (p *Proc) Shard() int { return p.shard }
 
 // run executes the body, reporting whether it ended by itself (returned or
 // panicked, the panic recorded for Run) rather than unwound by Shutdown.
@@ -822,7 +699,7 @@ func (p *Proc) SleepThen(d Time, then func()) {
 	p.suspending("Sleep")
 	p.state = StateScheduled
 	p.cont = then
-	p.eng.schedule(p.eng.now+d, p.shard, p, nil)
+	p.eng.schedule(p.eng.now+d, p, nil)
 }
 
 // Sleep suspends the proc for d nanoseconds of virtual time.
@@ -861,7 +738,7 @@ func (e *Engine) WakeAfter(p *Proc, d Time) {
 	}
 	e.parked--
 	p.state = StateScheduled
-	e.schedule(e.now+d, p.shard, p, nil)
+	e.schedule(e.now+d, p, nil)
 }
 
 // Chain is a split-phase completion chain: a state machine of timed

@@ -926,3 +926,23 @@ func TestProcPanicRecoveredInBodyIsNotFatal(t *testing.T) {
 		t.Error("simulation did not continue after a recovered proc panic")
 	}
 }
+
+// TestEventPathAllocFree is the allocs/op gate of the event path: once the
+// heap has grown, a proc sleeping and scheduling callbacks must not
+// allocate — scheduling, the heap and the in-place wake-up included.
+func TestEventPathAllocFree(t *testing.T) {
+	e := NewEngine()
+	defer e.Shutdown()
+	cb := func() {}
+	e.GoID("w", 0, func(p *Proc) {
+		for {
+			p.Sleep(1)
+			e.After(1, cb)
+			e.After(2, cb)
+		}
+	})
+	e.Run(100) // start the proc and grow the heap
+	if avg := testing.AllocsPerRun(50, func() { e.Run(e.Now() + 100) }); avg != 0 {
+		t.Errorf("event path allocates %.1f times per Run, want 0", avg)
+	}
+}

@@ -148,16 +148,8 @@ func Uniform(lat sim.Time) *Machine {
 // NodeOf returns the node index hosting the given rank.
 func (m *Machine) NodeOf(rank int) int { return rank / m.CoresPerNode }
 
-// ShardOf returns the engine shard owning rank's node when the machine's
-// nodes are dealt round-robin onto shards engine shards. Every rank of a node
-// shares one shard, so any two ranks on different shards are on different
-// nodes and MinCrossNodeLatency bounds every cross-shard delay.
-func (m *Machine) ShardOf(rank, shards int) int { return m.NodeOf(rank) % shards }
-
 // MinCrossNodeLatency returns a lower bound on the virtual-time delay of
-// any event one node can cause on another — the lookahead of a conservative
-// node-sharded execution (the routing contract of the engine's per-node
-// shard tags and of sim.Sharded.RouteAfter). The bound is the inter-node
+// any event one node can cause on another. The bound is the inter-node
 // base latency: every cross-node path goes through OneSided/OpDelay, whose
 // size term is non-negative, whose atomic surcharge only adds, and whose
 // perturbation model clamps the jittered delay to at least the base (see

@@ -19,18 +19,6 @@ func TestNodeOf(t *testing.T) {
 	if !m.SameNode(0, 35) || m.SameNode(35, 36) {
 		t.Error("SameNode boundary wrong")
 	}
-	// Nodes are dealt round-robin onto shards, a whole node to one shard:
-	// ranks on different shards are always on different nodes.
-	if got := m.ShardOf(3*36, 3); got != 0 {
-		t.Errorf("ShardOf(108, 3) = %d, want node 3 wrapped onto shard 0", got)
-	}
-	for a := 0; a < 4*36; a += 7 {
-		for b := 0; b < 4*36; b += 5 {
-			if m.ShardOf(a, 3) != m.ShardOf(b, 3) && m.SameNode(a, b) {
-				t.Errorf("ranks %d and %d share a node but not a shard", a, b)
-			}
-		}
-	}
 }
 
 func TestOneSidedLatencyOrdering(t *testing.T) {
@@ -114,10 +102,9 @@ func TestSteaLatencyCalibration(t *testing.T) {
 	}
 }
 
-// TestMinCrossNodeLatencyIsALowerBound validates the lookahead contract a
-// node-sharded conservative execution relies on: no cross-node operation —
-// any size, atomic or not, perturbed or not — may complete in less virtual
-// time than MinCrossNodeLatency.
+// TestMinCrossNodeLatencyIsALowerBound validates the latency bound: no
+// cross-node operation — any size, atomic or not, perturbed or not — may
+// complete in less virtual time than MinCrossNodeLatency.
 func TestMinCrossNodeLatencyIsALowerBound(t *testing.T) {
 	perturbs := []*Perturb{
 		nil,

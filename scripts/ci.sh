@@ -14,8 +14,8 @@
 #          crosses goroutines with no central driver, so its channel
 #          happens-before chain is the thing to keep race-clean at > 1 P.
 #   cli    what `go test -race` cannot cover: the built binary driving the
-#          smoke manifest on a parallel pool with a sharded engine
-#          (self-validating against every committed golden) and once more
+#          smoke manifest on a parallel pool (self-validating against every
+#          committed golden) and once more
 #          sequentially — the two run folders must be diff -r identical, no
 #          file carries a clock — one entry under a zero-magnitude -perturb
 #          overlay (a no-op: it must still match its golden, and the run
@@ -32,7 +32,7 @@
 #          one iteration of every
 #          per-package micro-benchmark, the four examples (globalsum,
 #          wavefront and treesearch exit non-zero when their results disagree
-#          with a plain serial computation or across policies), and twelve
+#          with a plain serial computation or across policies), and thirteen
 #          bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
@@ -43,9 +43,9 @@
 #          exec_time, an event kind no run records, a Chrome export), in both
 #          analyze modes, and a trace sink that cannot be created, which
 #          must fail before fig9 at its
-#          defaults simulates anything (timeout 5), and a bad -perturb
+#          defaults simulates anything (timeout 5), a bad -perturb
 #          overlay on `repro run`, which must fail before the run folder
-#          exists.
+#          exists, and the retired -shards flag.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,7 +68,7 @@ for tier in "${tiers[@]}"; do
     GOARCH=arm64 go vet ./internal/workload
     ;;
   test)
-    # cmd/repro builds three smoke run folders; under the race detector on a
+    # cmd/repro builds two smoke run folders; under the race detector on a
     # small host that exceeds go test's default 10-minute package timeout.
     go test -race -timeout 30m ./...
     go test -race -cpu 1,4 -count 3 ./internal/sim
@@ -77,8 +77,8 @@ for tier in "${tiers[@]}"; do
     out=$(mktemp -d)
     trap 'rm -rf "$out"' EXIT
     go build -o "$out/repro" ./cmd/repro
-    "$out/repro" run -scale smoke -parallel 2 -shards 2 -stamp ci -out "$out/runs" -quiet
-    "$out/repro" run -scale smoke -parallel 1 -shards 2 -stamp ci1 -out "$out/runs" -quiet >/dev/null
+    "$out/repro" run -scale smoke -parallel 2 -stamp ci -out "$out/runs" -quiet
+    "$out/repro" run -scale smoke -parallel 1 -stamp ci1 -out "$out/runs" -quiet >/dev/null
     diff -r "$out/runs/ci" "$out/runs/ci1"
     "$out/repro" run -scale smoke -only fig6_pfor -perturb seed=1 -stamp ci_perturb -out "$out/runs" -quiet >/dev/null
     grep -q '"perturb": "seed=1"' "$out/runs/ci_perturb/manifest.json"
@@ -139,6 +139,7 @@ for tier in "${tiers[@]}"; do
       echo "scripts/ci.sh: repro run -perturb jitter=-1 left a run folder behind" >&2
       exit 1
     fi
+    must_fail fig6 -shards 2
     ;;
   *)
     echo "scripts/ci.sh: unknown tier '$tier' (want build, test or cli)" >&2
