@@ -98,27 +98,50 @@ func childDescSHA1(dst, parent *[20]byte, i uint32) {
 
 // NumChildren samples the geometric child count of a node from its
 // descriptor: u uniform in [0,1) from the hash, p = 1/(1+b(d)),
-// m = ⌊log(1−u)/log(1−p)⌋ — the standard UTS construction.
+// m = ⌊log(1−u)/log(1−p)⌋ — the standard UTS construction. Every traversal
+// reads the same count off the depth's threshold row (numChildren); this
+// float form is the reference the rows are built from and tested against.
 func (t UTSTree) NumChildren(n UTSNode) int {
 	if n.Depth >= t.GenMx {
 		return 0
 	}
+	logQ := t.logQ(n.Depth)
+	if logQ == 0 {
+		return 0
+	}
+	return t.draw(drawBits(n), logQ)
+}
+
+// logQ returns log(1−p(d)) for a depth d below GenMx, or 0 — a value
+// log(1−p) never takes — when b(d) ≤ 0 and a node at depth d has no
+// children.
+func (t UTSTree) logQ(d int) float64 {
 	b := t.B0
-	if n.Depth > 0 {
-		b = t.B0 * (1.0 - float64(n.Depth)/float64(t.GenMx))
+	if d > 0 {
+		b = t.B0 * (1.0 - float64(d)/float64(t.GenMx))
 	}
 	if b <= 0 {
 		return 0
 	}
-	p := 1.0 / (1.0 + b)
-	return t.sample(n, math.Log(1-p))
+	return math.Log(1 - 1.0/(1.0+b))
 }
 
-// sample finishes the geometric draw given the node and the depth factor
-// log(1−p(d)).
-func (t UTSTree) sample(n UTSNode, logP float64) int {
-	u := float64(binary.BigEndian.Uint32(n.Desc[16:20])) / float64(1<<32)
-	m := int(math.Floor(math.Log(1-u) / logP))
+// drawBits returns the 32 descriptor bits the child-count draw reads.
+func drawBits(n UTSNode) uint32 {
+	return binary.BigEndian.Uint32(n.Desc[16:20])
+}
+
+// logOneMinusU returns log(1−u) for u = v/2³². The draw is monotone in v
+// only because this is non-increasing over all 2³² v, which the exhaustive
+// test (uts_exhaustive_test.go) checks.
+func logOneMinusU(v uint32) float64 {
+	return math.Log(1 - float64(v)/float64(1<<32))
+}
+
+// draw is the clamped geometric count m(v) for the draw bits v at a depth
+// with factor logQ = log(1−p(d)).
+func (t UTSTree) draw(v uint32, logQ float64) int {
+	m := int(math.Floor(logOneMinusU(v) / logQ))
 	if m < 0 {
 		m = 0
 	}
@@ -128,41 +151,65 @@ func (t UTSTree) sample(n UTSNode, logP float64) int {
 	return m
 }
 
-// logTable precomputes log(1−p(d)) for every depth below GenMx. p depends
-// only on the depth, so recomputing math.Log(1−p) per node in a serial walk
-// is wasted host work; entry d is 0 (a value log(1−p) can never take) when
-// b(d) ≤ 0 and the node has no children. The table holds exactly the values
-// NumChildren computes, so table-driven walks are bit-identical.
-func (t UTSTree) logTable() []float64 {
-	tbl := make([]float64, t.GenMx)
-	for d := range tbl {
-		b := t.B0
-		if d > 0 {
-			b = t.B0 * (1.0 - float64(d)/float64(t.GenMx))
-		}
-		if b <= 0 {
+// drawRows builds the threshold rows of the child-count draw. Row d, for a
+// depth below GenMx, holds T[k−1] = the least v in [0, 2³²) with m(v) ≥ k,
+// for k = 1, 2, … up to MaxChildren or the first k no v reaches. m is
+// non-decreasing in v, so m(v) is the number of entries of row d that are
+// ≤ v, and a binary search finds each T. Near v = 2³² one step of v can
+// raise m by more than one, so adjacent entries may be equal. The rows come
+// from this architecture's math.Log, so they reproduce NumChildren exactly
+// here.
+func (t UTSTree) drawRows() [][]uint32 {
+	rows := make([][]uint32, t.GenMx)
+	for d := range rows {
+		logQ := t.logQ(d)
+		if logQ == 0 {
 			continue
 		}
-		tbl[d] = math.Log(1 - 1.0/(1.0+b))
+		lo := uint64(0) // T[k] ≥ T[k−1], so each search starts at the last
+		for k := 1; k <= t.MaxChildren; k++ {
+			hi := uint64(1) << 32 // 2³²: no v reaches k
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if t.draw(uint32(mid), logQ) >= k {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			if lo == 1<<32 {
+				break
+			}
+			rows[d] = append(rows[d], uint32(lo))
+		}
 	}
-	return tbl
+	return rows
 }
 
-// numChildren is NumChildren read off the depth table tbl (logTable), with
-// the same result: the child count of every traversal goes through it.
-func (t UTSTree) numChildren(n UTSNode, tbl []float64) int {
-	if n.Depth >= t.GenMx || tbl[n.Depth] == 0 {
+// numChildren is NumChildren read off the threshold rows (drawRows), with
+// the same result: the count of row entries at or below the node's draw
+// bits. A row is non-decreasing and about b(d)+1 entries are compared.
+func numChildren(n UTSNode, rows [][]uint32) int {
+	if n.Depth >= len(rows) {
 		return 0
 	}
-	return t.sample(n, tbl[n.Depth])
+	v := drawBits(n)
+	row := rows[n.Depth]
+	k := 0
+	for k < len(row) && row[k] <= v {
+		k++
+	}
+	return k
 }
 
-// countWalk counts the subtree under n using the precomputed depth table.
-func (t UTSTree) countWalk(n UTSNode, tbl []float64) int64 {
+// countWalk counts the subtree under n using the threshold rows.
+func countWalk(n UTSNode, rows [][]uint32) int64 {
 	count := int64(1)
-	nc := t.numChildren(n, tbl)
+	nc := numChildren(n, rows)
+	c := UTSNode{Depth: n.Depth + 1}
 	for i := 0; i < nc; i++ {
-		count += t.countWalk(t.Child(n, i), tbl)
+		childDesc(&c.Desc, &n.Desc, uint32(i))
+		count += countWalk(c, rows)
 	}
 	return count
 }
@@ -171,7 +218,7 @@ func (t UTSTree) countWalk(n UTSNode, tbl []float64) int64 {
 // the node count — ground truth for tests and the serial baseline for
 // throughput normalization.
 func (t UTSTree) CountSerial() int64 {
-	return t.countWalk(t.Root(), t.logTable())
+	return countWalk(t.Root(), t.state().rows)
 }
 
 // shapeKey identifies a tree's generative parameters: everything that
@@ -187,35 +234,56 @@ func (t UTSTree) shape() shapeKey {
 	return shapeKey{t.B0, t.GenMx, t.RootSeed, t.MaxChildren}
 }
 
-// countMemo caches whole-tree node counts per shape, and subtreeMemo caches
-// the serial-subtree counts that the fork-join traversal aggregates below
-// its sequential threshold. Worker-count sweeps run the identical tree many
-// times, and every job used to regenerate millions of SHA-1 descriptors the
-// previous job had already produced; the counts are pure functions of
-// (shape, node), so memoizing them changes no simulated quantity. Both maps
-// are safe under the parallel sweep pool: concurrent stores for the same
-// key write the same value.
-var (
-	countMemo   sync.Map // shapeKey -> int64
-	subtreeMemo sync.Map // subtreeKey -> int64
-)
+// shapes holds one *shapeState per tree shape for the lifetime of the
+// process. Worker-count sweeps run the identical tree many times, and every
+// job would otherwise rebuild the rows and regenerate the millions of
+// descriptors the previous job already hashed.
+var shapes sync.Map // shapeKey -> *shapeState
 
-type subtreeKey struct {
-	shape shapeKey
-	desc  [20]byte
-	depth int
+// shapeState is what every walk of one tree shape shares: the draw's
+// threshold rows, built once, and the serial-subtree counts the fork-join
+// traversal aggregates below its sequential threshold. A count is a pure
+// function of (shape, node), so memoizing it changes no simulated quantity.
+// The memo is per shape because trees with equal root seeds (T1XXL' and
+// T1WL') have equal descriptors at equal depths but different subtrees.
+type shapeState struct {
+	rows [][]uint32
+	mu   sync.Mutex // guards sub; it is held only around map operations
+	sub  map[nodeKey]int64
 }
 
-// Count returns the tree's node count, memoized per shape for the lifetime
-// of the process.
-func (t UTSTree) Count() int64 {
+// nodeKey names a node within one shape.
+type nodeKey struct {
+	desc  [20]byte
+	depth int32
+}
+
+// state returns the tree's shapeState, building it on the shape's first
+// use. Two goroutines that both build one keep the first that was stored.
+func (t UTSTree) state() *shapeState {
 	k := t.shape()
-	if v, ok := countMemo.Load(k); ok {
-		return v.(int64)
+	if s, ok := shapes.Load(k); ok {
+		return s.(*shapeState)
 	}
-	n := t.CountSerial()
-	countMemo.Store(k, n)
-	return n
+	s, _ := shapes.LoadOrStore(k, &shapeState{rows: t.drawRows(), sub: make(map[nodeKey]int64)})
+	return s.(*shapeState)
+}
+
+// subtree returns the node count of the subtree under n: memoized, or
+// walked and then recorded. The walk runs unlocked, so two goroutines that
+// miss on one node both walk it and store the same count.
+func (s *shapeState) subtree(n UTSNode) int64 {
+	k := nodeKey{n.Desc, int32(n.Depth)}
+	s.mu.Lock()
+	count, ok := s.sub[k]
+	s.mu.Unlock()
+	if !ok {
+		count = countWalk(n, s.rows)
+		s.mu.Lock()
+		s.sub[k] = count
+		s.mu.Unlock()
+	}
+	return count
 }
 
 // SerialTime returns the modelled single-core execution time of the tree on
@@ -237,18 +305,18 @@ func (t UTSTree) SerialTime(nodes int64) sim.Time {
 // paper's implementation does; d > 0 trades scheduling fidelity for
 // simulation speed at very large core counts.
 func UTS(t UTSTree, seqThreshold int) core.TaskFunc {
-	u := &utsTraversal{t: t, tbl: t.logTable(), seq: seqThreshold}
+	u := &utsTraversal{t: t, s: t.state(), seq: seqThreshold}
 	return func(c *core.Ctx) []byte {
 		return core.Int64Ret(u.visit(c, t.Root()))
 	}
 }
 
 // utsTraversal is what every task of one UTS traversal shares: the tree, its
-// depth table (built once, read by every serial subtree walk) and the
-// sequential threshold.
+// shape's state (threshold rows and subtree memo) and the sequential
+// threshold.
 type utsTraversal struct {
 	t   UTSTree
-	tbl []float64
+	s   *shapeState
 	seq int
 }
 
@@ -257,7 +325,7 @@ func (u *utsTraversal) visit(c *core.Ctx, n UTSNode) int64 {
 	if t.GenMx-n.Depth <= u.seq {
 		return u.visitSerial(c, n)
 	}
-	nc := t.numChildren(n, u.tbl)
+	nc := numChildren(n, u.s.rows)
 	c.Compute(t.NodeWork) // hash generation + traversal bookkeeping
 	if nc == 0 {
 		return 1
@@ -277,20 +345,12 @@ func (u *utsTraversal) visit(c *core.Ctx, n UTSNode) int64 {
 }
 
 // visitSerial counts a whole subtree inside the current task, charging the
-// aggregate node work in one Compute call. The count is memoized per (shape,
-// node): within one sweep the same serial subtrees are walked by every job,
+// aggregate node work in one Compute call. The count comes from the shape's
+// memo: within one sweep the same serial subtrees are walked by every job,
 // and on a steal the thief's recount of an already-walked subtree is pure
 // recomputation.
 func (u *utsTraversal) visitSerial(c *core.Ctx, n UTSNode) int64 {
-	t := u.t
-	k := subtreeKey{t.shape(), n.Desc, n.Depth}
-	var count int64
-	if v, ok := subtreeMemo.Load(k); ok {
-		count = v.(int64)
-	} else {
-		count = t.countWalk(n, u.tbl)
-		subtreeMemo.Store(k, count)
-	}
-	c.Compute(sim.Time(count) * t.NodeWork)
+	count := u.s.subtree(n)
+	c.Compute(sim.Time(count) * u.t.NodeWork)
 	return count
 }

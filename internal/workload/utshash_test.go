@@ -48,7 +48,8 @@ func checkChildDesc(t *testing.T, hash func(dst, parent *[20]byte, i uint32)) {
 
 // TestChildMatchesSHA1 holds both ways Child can hash — the SHA-NI kernel
 // and the crypto/sha1 fallback — to crypto/sha1.Sum of the message UTS
-// defines. TestUTSTreeSizesOrdered's known counts hold Child itself.
+// defines. TestUTSTreeSizesOrdered's known counts hold childDesc, the
+// one hash behind Child and every walk.
 func TestChildMatchesSHA1(t *testing.T) {
 	t.Run("fallback", func(t *testing.T) { checkChildDesc(t, childDescSHA1) })
 	t.Run("kernel", func(t *testing.T) {

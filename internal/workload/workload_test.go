@@ -92,7 +92,7 @@ func TestUTSTreeSizesOrdered(t *testing.T) {
 		t.Errorf("tree sizes not ordered: T1L'=%d T1XXL'=%d T1WL'=%d", l, xxl, wl)
 	}
 	// The known answers: every descriptor of the three trees goes through
-	// Child, so a hash that is wrong anywhere moves at least one of them.
+	// childDesc, so a hash that is wrong anywhere moves at least one of them.
 	if l != 67_311 || xxl != 1_445_354 || wl != 5_409_181 {
 		t.Errorf("tree sizes T1L'=%d T1XXL'=%d T1WL'=%d, want 67311, 1445354, 5409181", l, xxl, wl)
 	}

@@ -13,6 +13,10 @@
 #          internal/sim at one and four Ps, three times: the engine's baton
 #          crosses goroutines with no central driver, so its channel
 #          happens-before chain is the thing to keep race-clean at > 1 P.
+#          Then, without the race detector, the one test behind the
+#          exhaustive build tag: log(1 − v/2³²) is non-increasing over all
+#          2³² v, which makes internal/workload's threshold-row child-count
+#          draw exact (20–30 s on two 2.1 GHz Xeon vCPUs).
 #   cli    what `go test -race` cannot cover: the built binary driving the
 #          smoke manifest on a parallel pool (self-validating against every
 #          committed golden) and once more
@@ -26,9 +30,11 @@
 #          event path, a proc's spawn/exit cycle on the engine's proc pool,
 #          the fabric ops, the steal chain and the worker's idle
 #          cycle, the allocation bound of a trace recorder's log (one
-#          per chunk appended, none for a repeated read) and a UTS child
-#          descriptor's hash (*AllocFree in internal/sim, rdma, deque, core,
-#          obs and workload; the race detector perturbs allocation counts),
+#          per chunk appended, none for a repeated read), a UTS child
+#          descriptor's hash, a serial UTS walk on prebuilt threshold rows
+#          and a UTS subtree-memo hit (*AllocFree in internal/sim, rdma,
+#          deque, core, obs and workload; the race detector perturbs
+#          allocation counts),
 #          one iteration of every
 #          per-package micro-benchmark, the four examples (globalsum,
 #          wavefront and treesearch exit non-zero when their results disagree
@@ -72,6 +78,7 @@ for tier in "${tiers[@]}"; do
     # small host that exceeds go test's default 10-minute package timeout.
     go test -race -timeout 30m ./...
     go test -race -cpu 1,4 -count 3 ./internal/sim
+    go test -tags exhaustive -run TestLogOneMinusUMonotone ./internal/workload
     ;;
   cli)
     out=$(mktemp -d)
