@@ -39,7 +39,8 @@ func runAnalyze(args []string, stdout, stderr io.Writer) error {
 	return report(stdout, fs.Arg(0), tr)
 }
 
-// loadTrace reads a raw-JSON trace file produced by -trace.
+// loadTrace reads a raw-JSON trace file: a run folder's trace/<id>.json
+// written under -trace json.
 func loadTrace(path string) (*core.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {

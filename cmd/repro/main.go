@@ -1,9 +1,14 @@
 // Command repro regenerates the paper's tables and figures on the
-// simulated cluster and prints them as aligned text tables (and, for the
-// figures, as TSV series suitable for plotting, or as a JSON dump).
+// simulated cluster. Every invocation that runs an experiment is a manifest
+// run (internal/manifest): it prints the aligned tables on stdout and writes
+// one timestamped run folder, <out>/<stamp>/, with the tables, TSV series
+// for plotting, JSON rows, metrics registries, an optional event trace and a
+// summary of per-entry engine counters.
 //
 // Usage:
 //
+//	repro run    [-scale smoke|paper] [-only fig6,serve] [-manifest FILE]
+//	             [-goldens DIR] [-no-validate] [param flags] [run flags]
 //	repro fig6   [-bench pfor|recpfor] [-machine itoa|wisteria] [-workers N] [-scale K]
 //	repro table2 [-bench pfor|recpfor] [-machine ...] [-workers N]
 //	repro fig7   [-machine ...] [-workers N]
@@ -20,35 +25,39 @@
 //	              victim policies on a seeded task-graph workload, across
 //	              perturbation scenarios; every row's checksum must match the
 //	              single-threaded oracle)
-//	repro all    (runs the manifest's paper grid, honoring explicit flags)
-//	repro run    [-scale smoke|paper] [-only fig6,serve] [-out paper_runs]
-//	             [-stamp NAME] [-manifest FILE] [-goldens DIR]
-//	repro validate <run-dir>     (re-check a run folder against the goldens)
+//	repro validate [-goldens DIR] <run-dir>
+//	             (re-check a run folder against the goldens)
 //	repro analyze [-requests] <trace.json>
-//	             (per-rank delay attribution from a -trace file; -requests
+//	             (per-rank delay attribution from a trace/<id>.json; -requests
 //	              switches to per-request sojourn attribution on serve traces)
 //
-// Every experiment is registered as a manifest spec (internal/manifest):
-// the per-experiment subcommands, `repro all`, and `repro run` all dispatch
-// through the same registry, so a flag given explicitly on the command line
-// overrides the spec's defaults everywhere — including `repro fig9 -machine
-// itoa` and `repro all -tree T1XXL`, which earlier versions silently
-// discarded.
+// Run flags, on `run` and every experiment: -out DIR (default paper_runs),
+// -stamp NAME (default: UTC timestamp), -parallel N, -quiet, -trace
+// json|chrome, -cpuprofile FILE, -memprofile FILE.
+//
+// `repro run` executes the committed experiments.json manifest (or
+// -manifest FILE) at a named scale. `repro <experiment> [flags]` is the
+// one-entry manifest {"id": "<experiment>", "experiment": "<experiment>",
+// "params": <flags>}; its folder's manifest.json records the entry under
+// scale <experiment>, so `repro run -manifest <folder>/manifest.json -scale
+// <experiment>` re-runs it exactly. Every param flag (bound once, in
+// bindParams) overlays each entry's params, so a flag given explicitly
+// overrides the spec's and the manifest's defaults everywhere. On `run`,
+// -scale names the manifest scale; the problem-size shift is then the
+// entries' own.
+//
+// The smoke scale is the golden grid: its run validates every series
+// byte-for-byte against the committed fixtures (cmd/repro/testdata) and
+// exits non-zero on a mismatch, unless -no-validate. Other scales and
+// experiment runs are not validated (golden verdict "-"). The smoke scale
+// reproduces the golden fixtures in minutes; the paper scale runs every
+// figure and table at default size.
 //
 // -steal-policy NAME overlays a work-stealing policy (victim selection ×
 // steal amount: uniform, hier, locality, each optionally -half; see
 // internal/core.ParseStealPolicy) on every experiment's fork-join runtimes.
 // The default empty policy is byte-identical to the paper's uniform random
 // steal-one — all committed goldens are produced under it.
-//
-// `repro run` executes the committed experiments.json manifest at a named
-// scale into a timestamped paper_runs/<stamp>/ folder (tables, TSV series,
-// JSON rows, metrics registries, a summary of per-entry engine counters)
-// and validates every series byte-for-byte against the committed golden
-// fixtures. Every file of the folder is a pure function of manifest, scale
-// and flags; host throughput is measured by benchmark/, not here. The smoke
-// scale reproduces the golden fixtures in minutes; the paper scale runs
-// every figure and table at default size.
 //
 // Fault injection: -perturb "jitter=0.5,straggler=0.25,sfactor=3,drop=0.01,
 // seed=1" overlays a deterministic perturbation model (topo.Perturb) on any
@@ -60,21 +69,20 @@
 //
 // Every experiment is a grid of independent deterministic simulations;
 // -parallel N runs up to N of them concurrently (default: all CPUs) with
-// per-job progress on stderr. Output is byte-identical for every -parallel
-// value: each simulation runs on its own sequential single-clock engine and
-// rows are reassembled in grid order. -json dumps the structured rows
-// (virtual times in integer nanoseconds) alongside the tables and TSV.
+// per-job progress on stderr. Every file of a run folder is a pure function
+// of manifest, scale and flags, byte-identical for every -parallel value:
+// each simulation runs on its own sequential single-clock engine and rows
+// are reassembled in grid order. Host throughput is measured by benchmark/,
+// not here.
 //
-// Observability: -trace FILE records the full layered event trace of the
-// first simulated run of the invocation (the first grid point — the same
-// one for every -parallel value) as raw JSON, or as Chrome trace format
-// with -trace-format chrome (open in https://ui.perfetto.dev). -metrics
-// FILE writes the run's deterministic metrics registry as TSV. A raw JSON
-// trace feeds `repro analyze`, which decomposes each worker's virtual time
-// into busy / steal-search / steal-transfer / outstanding-join /
-// fabric-wait buckets and cross-checks every total against the embedded
-// counter-derived statistics — the trace and the stats must agree to the
-// tick.
+// Observability: every entry's first fork-join run leaves its deterministic
+// metrics registry in metrics/<id>.tsv; -trace json|chrome also records its
+// full layered event trace in trace/<id>.json, as raw JSON or as Chrome
+// trace format (open in https://ui.perfetto.dev). A raw JSON trace feeds
+// `repro analyze`, which decomposes each worker's virtual time into busy /
+// steal-search / steal-transfer / outstanding-join / fabric-wait buckets
+// and cross-checks every total against the embedded counter-derived
+// statistics — the trace and the stats must agree to the tick.
 //
 // Absolute numbers are simulation outputs, not hardware measurements; the
 // experiment shapes are what reproduce the paper (see EXPERIMENTS.md).
@@ -91,8 +99,6 @@ import (
 	"strings"
 	"time"
 
-	"contsteal/internal/core"
-	"contsteal/internal/experiments"
 	"contsteal/internal/manifest"
 )
 
@@ -120,7 +126,7 @@ func main() {
 }
 
 func usageErr() error {
-	return fmt.Errorf("usage: repro {fig6|table2|fig7|fig8|fig9|table3|fig12|resilience|stealzoo|serve|all|run|validate|analyze} [flags]")
+	return fmt.Errorf("usage: repro {run|fig6|table2|fig7|fig8|fig9|table3|fig12|resilience|stealzoo|serve|validate|analyze} [flags]")
 }
 
 // listFlag registers a comma-separated list flag appending into dst; an
@@ -168,29 +174,23 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	return err
 }
 
-// perUnit is num/den, or 0 when there was nothing to divide by (a
-// zero-event job, a wall time below the clock's resolution).
-func perUnit(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 func parseName(s string) (string, error)   { return s, nil }
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
 // bindParams registers every experiment parameter as a flag writing straight
 // into p. A zero Params field means "unset" (see manifest.Params), so the
-// flags default to zero and an unset flag leaves the spec's — or, under
-// `repro all`, the manifest entry's — value in force, while one given
-// explicitly overrides it everywhere. Each flag is named by its field's
-// JSON tag with "_" spelled "-" (TestParamsHaveFlags).
+// flags default to zero and an unset flag leaves the spec's — or the
+// manifest entry's — value in force, while one given explicitly overrides
+// it everywhere. Each flag is named by its field's JSON tag with "_"
+// spelled "-" (TestParamsHaveFlags). `repro run` defines -scale (the
+// manifest scale) first, so there the problem-size shift has no flag.
 func bindParams(fs *flag.FlagSet, p *manifest.Params) {
 	fs.StringVar(&p.Bench, "bench", "", "pfor or recpfor (default recpfor)")
 	fs.StringVar(&p.Machine, "machine", "", "itoa or wisteria (default itoa; fig9: wisteria; resilience, stealzoo: both)")
 	fs.IntVar(&p.Workers, "workers", 0, "simulated cores (0 = experiment default)")
-	fs.IntVar(&p.Scale, "scale", 0, "problem-size scale shift (+k doubles sizes k times)")
+	if fs.Lookup("scale") == nil {
+		fs.IntVar(&p.Scale, "scale", 0, "problem-size scale shift (+k doubles sizes k times)")
+	}
 	fs.StringVar(&p.Tree, "tree", "", "UTS tree: T1L, T1XXL or T1WL (default T1L)")
 	fs.IntVar(&p.SeqDepth, "seqdepth", 0, "UTS: serialize the bottom D tree levels per task (default 3)")
 	listFlag(fs, &p.WorkersList, "workers-list", "comma-separated worker counts for sweeps", strconv.Atoi)
@@ -209,51 +209,93 @@ func bindParams(fs *flag.FlagSet, p *manifest.Params) {
 	fs.StringVar(&p.Shape, "shape", "", "stealzoo: dag workload shape, wavefront or stencil (default wavefront)")
 }
 
-// run executes one repro invocation against the given writers. All tables
-// and TSV/JSON notices go to stdout; progress and errors go to stderr.
+// run executes one repro invocation against the given writers. Tables and
+// the run summary go to stdout; progress and errors go to stderr.
 func run(argv []string, stdout, stderr io.Writer) error {
 	if len(argv) < 1 {
 		return usageErr()
 	}
 	cmd, args := argv[0], argv[1:]
 	switch cmd {
-	case "run":
-		return runPipeline(args, stdout, stderr)
 	case "validate":
 		return runValidate(args, stdout, stderr)
 	case "analyze":
 		return runAnalyze(args, stdout, stderr)
 	}
-	// One subcommand is one entry with no params of its own; `all` is the
-	// manifest's paper grid. Either way the explicit flags overlay it.
-	entries := []manifest.Entry{{Experiment: cmd}}
-	if cmd == "all" {
-		var err error
-		if entries, err = manifest.Default().Entries("paper"); err != nil {
-			return err
-		}
-	} else if manifest.Lookup(cmd) == nil {
+	if cmd != "run" && manifest.Lookup(cmd) == nil {
 		return usageErr()
 	}
+	return runManifest(cmd, args, stdout, stderr)
+}
 
+// runManifest is `repro run` and every experiment subcommand: select the
+// entries — a manifest scale's, or the one entry {id: cmd, experiment: cmd}
+// recorded under scale cmd — overlay the param flags on each, and execute
+// them with manifest.Runner into one run folder. Only the smoke scale, the
+// golden grid, is validated; a golden mismatch is a non-zero exit.
+func runManifest(cmd string, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var fp manifest.Params
-	bindParams(fs, &fp)
-	tsvDir := fs.String("tsv", "", "also write the series as TSV files into this directory")
-	jsonPath := fs.String("json", "", `also dump all rows as JSON to this file ("-" = stdout)`)
-	tracePath := fs.String("trace", "", "record the event trace of the first simulated run to this file")
-	traceFormat := fs.String("trace-format", "json", "trace file format: json (for `repro analyze`) or chrome (for ui.perfetto.dev)")
-	metricsPath := fs.String("metrics", "", "write the first run's deterministic metrics registry as TSV to this file")
+	scale := cmd
+	var only []string
+	var manifestPath, goldensDir string
+	var noValidate bool
+	if cmd == "run" {
+		fs.StringVar(&scale, "scale", "smoke", "manifest scale to run (smoke, paper, or the experiment name a subcommand's run folder records)")
+		listFlag(fs, &only, "only", "comma-separated entry IDs or experiment names to run (default: all)", parseName)
+		fs.StringVar(&manifestPath, "manifest", "", "manifest JSON file (default: the committed experiments.json built into the binary)")
+		fs.StringVar(&goldensDir, "goldens", "", goldensUsage)
+		fs.BoolVar(&noValidate, "no-validate", false, "skip golden validation of the smoke scale")
+	}
+	var overlay manifest.Params
+	bindParams(fs, &overlay)
 	parallel := new(int)
-	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for the sweep grid, at least 1 (1 = sequential; default: all CPUs)")
-	quiet := fs.Bool("quiet", false, "suppress per-job progress lines on stderr")
+	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for each entry's sweep grid, at least 1 (1 = sequential; default: all CPUs)")
+	quiet := fs.Bool("quiet", false, "suppress per-entry and per-job progress on stderr")
+	out := fs.String("out", "paper_runs", "parent directory for run folders")
+	stamp := fs.String("stamp", "", "run folder name (default: UTC timestamp)")
+	trace := fs.String("trace", "", "also write each entry's first fork-join run's event trace to trace/<id>.json: json (for `repro analyze`) or chrome (for ui.perfetto.dev)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	engineStats := fs.Bool("engine-stats", false, "print per-job engine counters (events, handoffs split into in-place, inline and goroutine switches, callbacks, events/s) on stderr")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("usage: repro %s [flags] (unexpected argument %q)", cmd, fs.Arg(0))
+	}
+
+	entries := []manifest.Entry{{ID: cmd, Experiment: cmd}}
+	if cmd == "run" {
+		m := manifest.Default()
+		if manifestPath != "" {
+			data, err := os.ReadFile(manifestPath)
+			if err != nil {
+				return err
+			}
+			if m, err = manifest.Parse(data); err != nil {
+				return err
+			}
+		}
+		var err error
+		if entries, err = m.Select(scale, only); err != nil {
+			return err
+		}
+	}
+	for i := range entries {
+		entries[i].Params = entries[i].Params.Merge(overlay)
+	}
+	// The one place that decides what is checked against the goldens: the
+	// smoke scale is the grid they were made from.
+	var goldens manifest.Goldens
+	if scale == "smoke" && !noValidate {
+		var err error
+		if goldensDir != "" {
+			goldens = manifest.DirGoldens(goldensDir)
+		} else if goldens, err = defaultGoldens(); err != nil {
+			return fmt.Errorf("%w, or -no-validate", err)
+		}
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -287,153 +329,13 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		// parallel pool the engines need all host threads instead.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
-	if *traceFormat != "json" && *traceFormat != "chrome" {
-		return fmt.Errorf("unknown -trace-format %q (want json or chrome)", *traceFormat)
-	}
-	// Every requested sink must be creatable before the first entry runs: a
-	// paper-scale sweep must not lose its only output to a typo in a path.
-	for _, sink := range [][2]string{{"-trace", *tracePath}, {"-metrics", *metricsPath}, {"json", *jsonPath}} {
-		if sink[1] == "" || sink[1] == "-" {
-			continue
-		}
-		if err := manifest.Creatable(sink[1]); err != nil {
-			return fmt.Errorf("%s: %w", sink[0], err)
-		}
-	}
-	if *tsvDir != "" {
-		if err := os.MkdirAll(*tsvDir, 0o755); err != nil {
-			return fmt.Errorf("tsv: %w", err)
-		}
-	}
-
-	var obsCol *experiments.ObsCollector
-	if *tracePath != "" || *metricsPath != "" {
-		obsCol = &experiments.ObsCollector{Trace: *tracePath != "", Metrics: *metricsPath != ""}
-	}
-	observer := &experiments.Observer{}
-	exec := manifest.Exec{Parallel: *parallel, Obs: obsCol, Observer: observer}
-
-	if !*quiet {
-		observer.Progress = experiments.ProgressLines(stderr)
-	}
-	if *engineStats {
-		observer.EngineStats = func(c experiments.Coord, st core.RunStats, wall time.Duration) {
-			es := st.Engine
-			fmt.Fprintf(stderr, "engine [%s] events=%d handoffs=%d inplace=%d inline=%d switches=%d callbacks=%d events/s=%.2fM\n",
-				c, es.Events, es.Handoffs, st.InPlace, st.Inline, es.Handoffs-st.InPlace-st.Inline, es.Callbacks,
-				perUnit(float64(es.Events), wall.Seconds())/1e6)
-		}
-	}
-
-	// Each result is recorded for the -json dump, printed as its aligned
-	// table, and written as TSV series when -tsv was given. An empty Section
-	// means an empty sweep — nothing to emit.
-	var sections []manifest.Section
-	for _, e := range entries {
-		r, err := manifest.Lookup(e.Experiment).Run(e.Params.Merge(fp), exec)
-		if err != nil {
-			return err
-		}
-		if r.Section() == "" {
-			continue
-		}
-		sections = append(sections, manifest.SectionOf(r))
-		r.Table(stdout)
-		if *tsvDir != "" {
-			series := r.Series()
-			if err := manifest.WriteSeries(*tsvDir, series); err != nil {
-				return fmt.Errorf("tsv: %w", err)
-			}
-			for _, s := range series {
-				fmt.Fprintf(stdout, "(series written to %s/%s.tsv)\n", *tsvDir, s.Name)
-			}
-		}
-	}
-	if err := writeObs(stdout, obsCol, *tracePath, *traceFormat, *metricsPath); err != nil {
-		return err
-	}
-	if *jsonPath == "" {
-		return nil
-	}
-	buf, err := manifest.EncodeJSON(sections)
-	if err != nil {
-		return fmt.Errorf("json: %w", err)
-	}
-	if *jsonPath == "-" {
-		_, err = stdout.Write(buf)
-		return err
-	}
-	if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-		return fmt.Errorf("json: %w", err)
-	}
-	fmt.Fprintf(stdout, "(rows written to %s)\n", *jsonPath)
-	return nil
-}
-
-// runPipeline is `repro run`: execute the manifest at a scale into a
-// timestamped run folder and validate it against the committed goldens. A
-// golden mismatch is a non-zero exit.
-func runPipeline(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	scale := fs.String("scale", "smoke", "manifest scale to run (smoke or paper)")
-	var only []string
-	listFlag(fs, &only, "only", "comma-separated entry IDs or experiment names to run (default: all)", parseName)
-	out := fs.String("out", "paper_runs", "parent directory for run folders")
-	stamp := fs.String("stamp", "", "run folder name (default: UTC timestamp)")
-	manifestPath := fs.String("manifest", "", "manifest JSON file (default: the committed experiments.json built into the binary)")
-	goldensDir := fs.String("goldens", "", goldensUsage)
-	noValidate := fs.Bool("no-validate", false, "skip golden validation")
-	parallel := new(int)
-	positiveFlag(fs, parallel, "parallel", runtime.NumCPU(), "host worker pool for each entry's sweep grid, at least 1 (default: all CPUs)")
-	// -perturb overlays every selected entry's params, as the subcommands'
-	// flags do, so manifest.json records what ran.
-	var overlay manifest.Params
-	fs.StringVar(&overlay.Perturb, "perturb", "", "deterministic fault injection for every entry (see the experiment subcommands)")
-	quiet := fs.Bool("quiet", false, "suppress per-entry and per-job progress on stderr")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("usage: repro run [-scale smoke|paper] [-only ...] [flags]")
-	}
-	if *parallel == 1 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	}
-	m := manifest.Default()
-	if *manifestPath != "" {
-		data, err := os.ReadFile(*manifestPath)
-		if err != nil {
-			return err
-		}
-		if m, err = manifest.Parse(data); err != nil {
-			return err
-		}
-	}
-	entries, err := m.Select(*scale, only)
-	if err != nil {
-		return err
-	}
-	for i := range entries {
-		entries[i].Params = entries[i].Params.Merge(overlay)
-	}
-	var goldens manifest.Goldens
-	switch {
-	case *noValidate:
-	case *goldensDir != "":
-		goldens = manifest.DirGoldens(*goldensDir)
-	default:
-		if goldens, err = defaultGoldens(); err != nil {
-			return fmt.Errorf("%w, or -no-validate", err)
-		}
-	}
 	st := *stamp
 	if st == "" {
 		st = time.Now().UTC().Format("20060102T150405")
 	}
 	rn := &manifest.Runner{
-		Stamp: st, Scale: *scale, OutDir: *out, Goldens: goldens,
-		Exec:   manifest.Exec{Parallel: *parallel},
+		Stamp: st, Scale: scale, OutDir: *out, Goldens: goldens,
+		Parallel: *parallel, Trace: *trace,
 		Stdout: stdout, Stderr: stderr, Quiet: *quiet,
 	}
 	rep, err := rn.Run(entries)
@@ -441,7 +343,7 @@ func runPipeline(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if rep.Mismatches > 0 {
-		return fmt.Errorf("repro run: %d series mismatch the committed goldens (see report above)", rep.Mismatches)
+		return fmt.Errorf("repro %s: %d series mismatch the committed goldens (see report above)", cmd, rep.Mismatches)
 	}
 	return nil
 }
@@ -487,39 +389,6 @@ func runValidate(args []string, stdout, stderr io.Writer) error {
 		len(checks), ok, mismatches, noGolden)
 	if mismatches > 0 {
 		return fmt.Errorf("repro validate: %d series mismatch the goldens", mismatches)
-	}
-	return nil
-}
-
-// writeObs writes the collected trace and/or metrics files.
-func writeObs(stdout io.Writer, oc *experiments.ObsCollector, tracePath, traceFormat, metricsPath string) error {
-	if oc == nil {
-		return nil
-	}
-	if !oc.Done {
-		return fmt.Errorf("-trace/-metrics: no fork-join runtime job ran in this invocation")
-	}
-	if tracePath != "" {
-		if oc.Log == nil {
-			return fmt.Errorf("-trace: run %s recorded no trace", oc.Coord)
-		}
-		write := oc.Log.WriteJSON
-		if traceFormat == "chrome" {
-			write = oc.Log.WriteChromeTrace
-		}
-		if err := manifest.WriteFile(tracePath, write); err != nil {
-			return fmt.Errorf("-trace: %w", err)
-		}
-		fmt.Fprintf(stdout, "(trace of %s written to %s)\n", oc.Coord, tracePath)
-	}
-	if metricsPath != "" {
-		if oc.Stats.Obs == nil {
-			return fmt.Errorf("-metrics: run %s collected no registry", oc.Coord)
-		}
-		if err := manifest.WriteFile(metricsPath, oc.Stats.Obs.WriteTSV); err != nil {
-			return fmt.Errorf("-metrics: %w", err)
-		}
-		fmt.Fprintf(stdout, "(metrics of %s written to %s)\n", oc.Coord, metricsPath)
 	}
 	return nil
 }

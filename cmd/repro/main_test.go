@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,49 +18,74 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden TSV fixtures under testdata/")
 
-// runGolden executes one repro invocation at small scale, writing TSV into
-// a scratch directory, and diffs each produced series against its committed
-// fixture. `go test ./cmd/repro -update` refreshes the fixtures.
-func runGolden(t *testing.T, argv []string, fixtures []string) {
-	t.Helper()
-	dir := t.TempDir()
+// runInto runs one repro invocation quietly into the run folder <out>/t and
+// returns the folder and what it printed on stdout.
+func runInto(out string, argv ...string) (string, string, error) {
+	args := append(append([]string{}, argv...), "-out", out, "-stamp", "t", "-quiet")
 	var stdout bytes.Buffer
-	args := append(argv, "-tsv", dir, "-quiet", "-parallel", "4")
 	if err := run(args, &stdout, io.Discard); err != nil {
-		t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
+		return "", stdout.String(), fmt.Errorf("repro %s: %v", strings.Join(args, " "), err)
 	}
-	for _, name := range fixtures {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("expected TSV series %s was not produced: %v", name, err)
+	return filepath.Join(out, "t"), stdout.String(), nil
+}
+
+// runFolder is runInto a fresh temporary directory, failing the test on an
+// error.
+func runFolder(t *testing.T, argv ...string) (string, string) {
+	t.Helper()
+	dir, stdout, err := runInto(t.TempDir(), argv...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, stdout
+}
+
+// matchGolden holds the file at path to the committed fixture of that name
+// in testdata/, byte for byte; with rewrite under -update it refreshes the
+// fixture from path instead.
+func matchGolden(t *testing.T, path, fixture string, rewrite bool) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("expected output %s was not produced: %v", fixture, err)
+	}
+	golden := filepath.Join("testdata", fixture)
+	if rewrite && *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		golden := filepath.Join("testdata", name)
-		if *update {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing fixture %s (create it with `go test ./cmd/repro -update`): %v", golden, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s diverges from golden fixture.\n--- got ---\n%s--- want ---\n%s", name, got, want)
-		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing fixture %s (create it with `go test ./cmd/repro -update`): %v", golden, err)
+	}
+	if d := manifest.Diff(got, want); d != "" {
+		t.Errorf("%s diverges from the golden fixture: %s", path, d)
 	}
 }
 
+// runGolden runs one experiment subcommand at small scale into a run folder
+// and holds each produced series of tsv/<experiment>/ to its committed
+// fixture. It never rewrites a fixture: the smoke scale is their source.
+func runGolden(t *testing.T, argv []string, fixtures ...string) {
+	t.Helper()
+	dir, _ := runFolder(t, append(argv, "-parallel", "4")...)
+	for _, name := range fixtures {
+		matchGolden(t, filepath.Join(dir, "tsv", argv[0], name), name, false)
+	}
+}
+
+// The golden grid is the smoke manifest: each TestGolden*TSV below asserts
+// that the smoke entry with exactly the fixture's params reproduced it in
+// the shared run folder (see smokeDir), and -update rewrites it from there.
+
 func TestGoldenFig6TSV(t *testing.T) {
-	runGolden(t,
-		[]string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "128", "-seed", "7"},
-		[]string{"fig6_pfor_itoa.tsv"})
+	checkSmokeGolden(t, smokeBase, "fig6_pfor", "fig6_pfor_itoa.tsv")
 }
 
 func TestGoldenFig8TSV(t *testing.T) {
-	runGolden(t,
-		[]string{"fig8", "-tree", "T1L", "-workers-list", "9,18", "-seqdepth", "6", "-seed", "7"},
-		[]string{"uts_T1L'_itoa.tsv"})
+	checkSmokeGolden(t, smokeBase, "fig8", "uts_T1L'_itoa.tsv")
 }
 
 // TestGoldenFig9TSV pins the deepest UTS workload (T1WL', the fig9/wisteria
@@ -67,9 +93,7 @@ func TestGoldenFig8TSV(t *testing.T) {
 // enough for CI while still exercising thousands of steals, migrations and
 // remote frees — the byte-identical gate for engine-internals changes.
 func TestGoldenFig9TSV(t *testing.T) {
-	runGolden(t,
-		[]string{"fig9", "-tree", "T1WL", "-workers-list", "12,24", "-seqdepth", "10", "-seed", "7"},
-		[]string{"uts_T1WL'_wisteria.tsv"})
+	checkSmokeGolden(t, smokeBase, "fig9", "uts_T1WL'_wisteria.tsv")
 }
 
 // TestGoldenResilienceTSV pins a micro slice of the fault-injection sweep:
@@ -93,44 +117,28 @@ func TestResilienceParallelByteIdentical(t *testing.T) {
 		entryFiles(t, smokeDir(t, smokeSeq), "resilience"))
 }
 
-// traceOnGolden runs one golden slice through the CLI with -trace and
-// -metrics on and requires: the TSV series still byte-identical to the
-// committed (tracing-off) fixture — observability only observes — a trace
-// that `repro analyze` accepts (it decodes the file, rejects an empty trace
-// and runs Trace.Verify behind its delay-attribution cross-check), and a
-// non-empty metrics registry.
+// traceOnGolden runs one golden slice as an experiment subcommand with
+// -trace json and requires: the TSV series still byte-identical to the
+// committed (tracing-off) fixture — observability only observes — a
+// trace/<experiment>.json that `repro analyze` accepts (it decodes the file,
+// rejects an empty trace and runs Trace.Verify behind its delay-attribution
+// cross-check), and a non-empty metrics registry.
 func traceOnGolden(t *testing.T, argv []string, fixture string) {
 	t.Helper()
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
-	metricsPath := filepath.Join(dir, "metrics.tsv")
-	args := append(append([]string{}, argv...),
-		"-trace", tracePath, "-metrics", metricsPath, "-tsv", dir, "-quiet", "-parallel", "4")
-	if err := run(args, io.Discard, io.Discard); err != nil {
-		t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", fixture))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("TSV with tracing on diverges from the tracing-off fixture.\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if err := run([]string{"analyze", tracePath}, io.Discard, io.Discard); err != nil {
+	exp := argv[0]
+	dir, _ := runFolder(t, append(append([]string{}, argv...), "-trace", "json", "-parallel", "4")...)
+	matchGolden(t, filepath.Join(dir, "tsv", exp, fixture), fixture, false)
+	if err := run([]string{"analyze", filepath.Join(dir, "trace", exp+".json")}, io.Discard, io.Discard); err != nil {
 		t.Errorf("analyze on produced trace: %v", err)
 	}
-	if m, err := os.ReadFile(metricsPath); err != nil || len(m) == 0 {
+	if m, err := os.ReadFile(filepath.Join(dir, "metrics", exp+".tsv")); err != nil || len(m) == 0 {
 		t.Errorf("metrics TSV missing or empty (err=%v, %d bytes)", err, len(m))
 	}
 }
 
 // TestResilienceTraceOn is the regression test for the resilience grid never
-// claiming the observability collector: -trace/-metrics ran the whole sweep
-// and then failed with "no fork-join runtime job ran". The first "ours" grid
+// claiming the observability collector: a traced run ran the whole sweep and
+// then failed with "no fork-join runtime job ran". The first "ours" grid
 // point (the unperturbed baseline) is the one traced.
 func TestResilienceTraceOn(t *testing.T) {
 	traceOnGolden(t,
@@ -145,7 +153,7 @@ func TestResilienceTraceOn(t *testing.T) {
 func TestGoldenPerturbOffEquivalence(t *testing.T) {
 	runGolden(t,
 		[]string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "128", "-seed", "7", "-perturb", "seed=1"},
-		[]string{"fig6_pfor_itoa.tsv"})
+		"fig6_pfor_itoa.tsv")
 }
 
 // TestGoldenFig6TSVTraceOn reruns the fig6 golden slice with tracing and
@@ -166,66 +174,37 @@ func TestGoldenFig6TSVTraceOn(t *testing.T) {
 // cost charging, or event ordering shows up as a fixture diff. Refresh with
 // `go test ./cmd/repro -update`.
 func TestGoldenTraceJSON(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace_uts_micro.json")
-	args := []string{"fig9", "-tree", "T1L", "-workers-list", "4", "-seqdepth", "10", "-seed", "7",
-		"-trace", tracePath, "-quiet", "-parallel", "4"}
-	if err := run(args, io.Discard, io.Discard); err != nil {
-		t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
-	}
-	got, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "trace_uts_micro.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing fixture %s (create it with `go test ./cmd/repro -update`): %v", golden, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("event log diverges from golden fixture %s (%d vs %d bytes); run with -update if intended",
-				golden, len(got), len(want))
-		}
-	}
+	dir, _ := runFolder(t, "fig9", "-tree", "T1L", "-workers-list", "4", "-seqdepth", "10", "-seed", "7",
+		"-trace", "json", "-parallel", "4")
+	matchGolden(t, filepath.Join(dir, "trace", "fig9.json"), "trace_uts_micro.json", true)
 	// The committed fixture must itself pass the delay-attribution
 	// cross-check: trace totals == counter totals, to the tick.
-	if err := run([]string{"analyze", golden}, io.Discard, io.Discard); err != nil {
+	if err := run([]string{"analyze", filepath.Join("testdata", "trace_uts_micro.json")}, io.Discard, io.Discard); err != nil {
 		t.Errorf("analyze on golden fixture: %v", err)
 	}
 }
 
-// serveGoldenArgs is the pinned serve slice: both arrival processes and
-// admission policies across the saturation knee, on two systems, with seed
-// 11 chosen so the token bucket rejects a nonzero fraction at load ≥ 1 —
-// the fixture pins admission, injection, completion, and the exact sojourn
-// percentiles (integer nanoseconds) in one file per machine.
-func serveGoldenArgs(machine string) []string {
-	return []string{"serve", "-machine", machine, "-workers", "18", "-requests", "96",
-		"-seed", "11", "-systems", "ours,saws", "-arrivals", "poisson,mmpp",
-		"-admits", "always,token", "-loads", "0.5,1,2"}
-}
-
+// TestGoldenServeTSV and TestGoldenServeTSVWisteria pin the serve slice of
+// the smoke entries serve_itoa and serve_wisteria: both arrival processes
+// and admission policies across the saturation knee, on two systems, with
+// seed 11 chosen so the token bucket rejects a nonzero fraction at load ≥ 1
+// — the fixtures pin admission, injection, completion, the exact sojourn
+// percentiles (integer nanoseconds) and the per-request attribution bands,
+// in two files per machine.
 func TestGoldenServeTSV(t *testing.T) {
-	runGolden(t, serveGoldenArgs("itoa"), []string{"serve_itoa.tsv", "serve_requests_itoa.tsv"})
+	checkSmokeGolden(t, smokeBase, "serve_itoa", "serve_itoa.tsv", "serve_requests_itoa.tsv")
 }
 
 func TestGoldenServeTSVWisteria(t *testing.T) {
-	runGolden(t, serveGoldenArgs("wisteria"), []string{"serve_wisteria.tsv", "serve_requests_wisteria.tsv"})
+	checkSmokeGolden(t, smokeBase, "serve_wisteria", "serve_wisteria.tsv", "serve_requests_wisteria.tsv")
 }
 
 // serveTraceArgs generates the committed micro serve trace: one "ours" cell
 // small enough to commit, with enough load that requests overlap and steal /
 // fabric / queue components all appear.
-func serveTraceArgs(tracePath string) []string {
-	return []string{"serve", "-machine", "itoa", "-workers", "6", "-requests", "24",
-		"-seed", "11", "-systems", "ours", "-arrivals", "poisson", "-admits", "always",
-		"-loads", "1", "-trace", tracePath, "-quiet", "-parallel", "4"}
-}
+var serveTraceArgs = []string{"serve", "-machine", "itoa", "-workers", "6", "-requests", "24",
+	"-seed", "11", "-systems", "ours", "-arrivals", "poisson", "-admits", "always",
+	"-loads", "1", "-trace", "json", "-parallel", "4"}
 
 // TestGoldenServeTraceJSON pins the complete event log of a micro open-system
 // run — serve lifecycle instants, request-tagged spans, and the embedded
@@ -234,30 +213,9 @@ func serveTraceArgs(tracePath string) []string {
 // summing to the sojourn and percentiles agreeing with the counters, to the
 // tick. Refresh with `go test ./cmd/repro -update`.
 func TestGoldenServeTraceJSON(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace_serve_micro.json")
-	if err := run(serveTraceArgs(tracePath), io.Discard, io.Discard); err != nil {
-		t.Fatalf("repro serve: %v", err)
-	}
-	got, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir, _ := runFolder(t, serveTraceArgs...)
+	matchGolden(t, filepath.Join(dir, "trace", "serve.json"), "trace_serve_micro.json", true)
 	golden := filepath.Join("testdata", "trace_serve_micro.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("missing fixture %s (create it with `go test ./cmd/repro -update`): %v", golden, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("serve event log diverges from golden fixture %s (%d vs %d bytes); run with -update if intended",
-				golden, len(got), len(want))
-		}
-	}
 	var out bytes.Buffer
 	if err := run([]string{"analyze", "-requests", golden}, &out, io.Discard); err != nil {
 		t.Errorf("analyze -requests on golden fixture: %v", err)
@@ -388,104 +346,91 @@ func TestAnalyzePrintsTheCheckedRows(t *testing.T) {
 	}
 }
 
-// TestServeParallelByteIdentical drives the serve CLI end-to-end at
-// -parallel 1 and 8 and requires byte-identical output: open-system arrivals
+// TestServeParallelByteIdentical requires the serve entries of the shared
+// smoke runs to be byte-identical at -parallel 8 and 1: open-system arrivals
 // are engine timers, so host pool width may not leak into virtual time.
 func TestServeParallelByteIdentical(t *testing.T) {
-	render := func(parallel string) string {
-		var stdout bytes.Buffer
-		args := append(serveGoldenArgs("itoa"), "-json", "-", "-quiet", "-parallel", parallel)
-		if err := run(args, &stdout, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String()
-	}
-	if base, got := render("1"), render("8"); got != base {
-		t.Errorf("-parallel 8 serve output differs from -parallel 1:\n--- base ---\n%s--- got ---\n%s", base, got)
+	for _, id := range []string{"serve_itoa", "serve_wisteria"} {
+		diffSnapshots(t, id+" -parallel 8 vs 1",
+			entryFiles(t, smokeDir(t, smokeBase), id), entryFiles(t, smokeDir(t, smokeSeq), id))
 	}
 }
 
-// TestCLIParallelByteIdentical drives the full CLI surface (tables to
-// stdout, JSON dump) at -parallel 1 and -parallel 8 and requires
-// byte-identical bytes — the end-to-end form of the sweep determinism
-// guarantee.
+// TestCLIParallelByteIdentical is the end-to-end form of the sweep
+// determinism guarantee and of the subcommand's provenance: `repro fig6` at
+// -parallel 1, then `repro run -manifest <its folder>/manifest.json -scale
+// fig6` at -parallel 8, must print the same bytes (tables and summary, the
+// folder path aside) and write byte-identical run folders.
 func TestCLIParallelByteIdentical(t *testing.T) {
-	render := func(parallel string) string {
-		var stdout bytes.Buffer
-		err := run([]string{"fig6", "-bench", "recpfor", "-workers", "18", "-n", "64",
-			"-seed", "7", "-json", "-", "-quiet", "-parallel", parallel}, &stdout, io.Discard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String()
+	seqDir, seq := runFolder(t, "fig6", "-bench", "recpfor", "-workers", "18", "-n", "64", "-seed", "7", "-parallel", "1")
+	parDir, par := runFolder(t, "run", "-manifest", filepath.Join(seqDir, "manifest.json"), "-scale", "fig6", "-parallel", "8")
+	seq = strings.ReplaceAll(seq, seqDir, "<dir>")
+	if par = strings.ReplaceAll(par, parDir, "<dir>"); seq != par {
+		t.Errorf("the re-run at -parallel 8 printed other bytes than -parallel 1:\n--- 1 ---\n%s--- 8 ---\n%s", seq, par)
 	}
-	seq := render("1")
-	par := render("8")
-	if seq != par {
-		t.Errorf("-parallel 8 output differs from -parallel 1:\n--- 1 ---\n%s--- 8 ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "Fig. 6") || !strings.Contains(seq, "\"name\": \"fig6_recpfor_itoa\"") {
+	snap := snapshotRun(t, seqDir)
+	diffSnapshots(t, "fig6 -parallel 1 vs its re-run at 8", snap, snapshotRun(t, parDir))
+	if !strings.Contains(seq, "Fig. 6") || !strings.Contains(snap[filepath.Join("json", "fig6.json")], `"name": "fig6_recpfor_itoa"`) {
 		t.Errorf("output missing table or JSON section:\n%s", seq)
 	}
 }
 
-// TestEngineStatsLine pins the -engine-stats diagnostic: every job prints
-// its resumptions split into in-place, inline (a continuation ran in the
-// goroutine's stead) and goroutine switches, the split adds up, an idle
-// cycle that runs on the engine shows as inline, and a job with nothing to
-// divide by prints 0, never NaN or +Inf.
+// TestEngineStatsLine pins the engine columns of summary.tsv: every entry's
+// resumptions (handoffs) split into in-place, inline (a continuation ran in
+// the goroutine's stead) and the goroutine switches that remain, so in-place
+// plus inline never exceeds the handoffs, and a fork-join entry's idle
+// cycles run on the engine, so inline is never zero for one.
 func TestEngineStatsLine(t *testing.T) {
-	var stderr bytes.Buffer
-	if err := run([]string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "64", "-engine-stats", "-quiet"}, io.Discard, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	jobs := 0
-	for _, line := range strings.Split(stderr.String(), "\n") {
-		var handoffs, inplace, inline, switches uint64
-		if i := strings.Index(line, "handoffs="); i >= 0 {
-			if _, err := fmt.Sscanf(line[i:], "handoffs=%d inplace=%d inline=%d switches=%d", &handoffs, &inplace, &inline, &switches); err != nil {
-				t.Fatalf("unparsable engine line %q: %v", line, err)
-			}
-			jobs++
-			if handoffs == 0 || inline == 0 || inplace+inline+switches != handoffs {
-				t.Errorf("inplace %d + inline %d + switches %d != handoffs %d, or no inline wake-up, in %q", inplace, inline, switches, handoffs, line)
+	_, rows := summaryCells(t, snapshotRun(t, smokeDir(t, smokeBase)))
+	for _, row := range rows {
+		var n [4]uint64
+		for i, col := range []string{"events", "handoffs", "inplace", "inline"} {
+			var err error
+			if n[i], err = strconv.ParseUint(row[col], 10, 64); err != nil {
+				t.Fatalf("%s: %s = %q: %v", row["id"], col, row[col], err)
 			}
 		}
-	}
-	if jobs == 0 || strings.Count(stderr.String(), "\n") != jobs || strings.Contains(stderr.String(), "NaN") || strings.Contains(stderr.String(), "Inf") {
-		t.Errorf("want one finite engine line per job, got:\n%s", stderr.String())
-	}
-	if perUnit(0, 0) != 0 || perUnit(5, 0) != 0 || perUnit(6, 3) != 2 {
-		t.Errorf("perUnit(0,0)=%v perUnit(5,0)=%v perUnit(6,3)=%v, want 0, 0, 2", perUnit(0, 0), perUnit(5, 0), perUnit(6, 3))
+		if n[1] == 0 || n[3] == 0 || n[2]+n[3] > n[1] {
+			t.Errorf("%s: handoffs %d, inplace %d, inline %d: want inplace + inline <= handoffs and an inline wake-up", row["id"], n[1], n[2], n[3])
+		}
 	}
 }
 
 // TestUsageErrors pins the bad-input contract: an unknown subcommand (the
-// usage line; the retired enginebench is one), a malformed list, an
-// out-of-range count, depth, scale or load, a pool width below 1 and the
-// retired -shards flag all fail before any simulation runs, naming the
-// offending field (or flag) and value, with nothing else printed; a job that
-// cannot run at the given capacity (deque too small, load no run can
-// complete) fails as one line naming the job and the cause, never as a panic
-// out of run.
+// usage line; the retired enginebench and all are ones), a retired output
+// flag, a malformed list, an out-of-range count, depth, scale or load, a pool
+// width below 1 and the retired -shards flag all fail before any simulation
+// runs, naming the offending field (or flag) and value, with nothing else
+// printed; a job that cannot run at the given capacity (deque too small,
+// load no run can complete) fails as one line naming the job and the cause,
+// never as a panic out of run.
 func TestUsageErrors(t *testing.T) {
 	for _, argv := range [][]string{nil, {"nosuch"}, {"fig9", "-workers-list", "1,x"}, {"serve", "-loads", "0.5,"}} {
 		if err := run(argv, io.Discard, io.Discard); err == nil {
 			t.Errorf("run(%v) did not fail", argv)
 		}
 	}
-	if err := run([]string{"enginebench"}, io.Discard, io.Discard); err == nil || !strings.HasPrefix(err.Error(), "usage: repro {") {
-		t.Errorf("run(enginebench) = %v, want the usage line", err)
+	for _, cmd := range []string{"enginebench", "all"} {
+		if err := run([]string{cmd}, io.Discard, io.Discard); err == nil || !strings.HasPrefix(err.Error(), "usage: repro {") {
+			t.Errorf("run(%s) = %v, want the usage line", cmd, err)
+		}
 	}
 	for _, tc := range []struct {
 		argv []string
 		want string
 	}{
+		{[]string{"fig6", "-tsv", "x"}, "flag provided but not defined: -tsv"},
+		{[]string{"fig6", "-json", "-"}, "flag provided but not defined: -json"},
+		{[]string{"fig6", "-metrics", "x"}, "flag provided but not defined: -metrics"},
+		{[]string{"fig6", "-trace-format", "chrome"}, "flag provided but not defined: -trace-format"},
+		{[]string{"fig6", "-engine-stats"}, "flag provided but not defined: -engine-stats"},
+		{[]string{"fig6", "-trace", "xml"}, `unknown trace format "xml" (want json or chrome)`},
+		{[]string{"fig6", "extra"}, `unexpected argument "extra"`},
 		{[]string{"fig9", "-workers-list", "0"}, "workers_list must be positive, got 0"},
 		{[]string{"fig12", "-workers-list", "18,-2"}, "workers_list must be positive, got -2"},
 		{[]string{"fig6", "-workers", "-3"}, "workers must be positive, got -3"},
 		{[]string{"table3", "-n", "-1024"}, "n must be positive, got -1024"},
-		{[]string{"all", "-workers", "-3"}, "workers must be positive, got -3"},
+		{[]string{"run", "-scale", "paper", "-workers", "-3"}, "workers must be positive, got -3"},
 		{[]string{"fig9", "-tree", "T1WL", "-workers-list", "12", "-seqdepth", "-1"}, "seqdepth must be non-negative, got -1"},
 		{[]string{"fig8", "-workscale", "-2"}, "workscale must be non-negative, got -2"},
 		{[]string{"fig6", "-dequecap", "-1"}, "dequecap must be non-negative, got -1"},
@@ -502,7 +447,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"serve", "-loads", "1e-9", "-requests", "8", "-workers", "4", "-parallel", "2"}, "serve did not complete by"},
 	} {
 		var stdout, stderr bytes.Buffer
-		err := run(append(tc.argv, "-quiet"), &stdout, &stderr)
+		err := run(append(tc.argv, "-quiet", "-out", t.TempDir()), &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
 			t.Errorf("run(%v) = %v, want a one-line error containing %q", tc.argv, err, tc.want)
 		}
@@ -512,41 +457,29 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestSinksFailBeforeTheSimulation: a sink that cannot be created is reported
-// before the first entry runs — no progress line, no table — with the one-line
-// error the write would have given after it; a creatable one is left absent
-// (or as it was) until the run writes it.
+// TestSinksFailBeforeTheSimulation: a run folder that cannot be made — its
+// parent is a regular file, it already exists — is reported before the first
+// entry runs, with no progress line and no table, and an existing folder is
+// left as it was.
 func TestSinksFailBeforeTheSimulation(t *testing.T) {
-	dir := t.TempDir()
-	missing := filepath.Join(dir, "missing", "x")
-	for _, tc := range []struct{ flag, path, want string }{
-		{"-trace", missing, "-trace: open " + missing},
-		{"-metrics", missing, "-metrics: open " + missing},
-		{"-json", missing, "json: open " + missing},
-		{"-tsv", filepath.Join(os.DevNull, "x"), "tsv: mkdir " + os.DevNull},
-	} {
-		var stdout, stderr bytes.Buffer
-		err := run([]string{"fig6", "-bench", "pfor", "-workers", "4", "-n", "64", tc.flag, tc.path}, &stdout, &stderr)
-		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
-			t.Errorf("%s: run = %v, want a one-line error starting %q", tc.flag, err, tc.want)
-		}
-		if stdout.Len() != 0 || stderr.Len() != 0 {
-			t.Errorf("%s: output before the sink was rejected:\n%s%s", tc.flag, stdout.String(), stderr.String())
-		}
-	}
-	kept, fresh := filepath.Join(dir, "kept.json"), filepath.Join(dir, "fresh.json")
-	if err := os.WriteFile(kept, []byte("before"), 0o644); err != nil {
+	taken := t.TempDir()
+	if err := os.Mkdir(filepath.Join(taken, "t"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{kept, fresh} {
-		if err := manifest.Creatable(path); err != nil {
-			t.Errorf("Creatable(%s) = %v", path, err)
+	for _, tc := range []struct{ out, want string }{
+		{filepath.Join(os.DevNull, "runs"), "manifest: mkdir " + os.DevNull},
+		{taken, "manifest: run folder " + filepath.Join(taken, "t") + " already exists"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"fig6", "-bench", "pfor", "-workers", "4", "-n", "64", "-out", tc.out, "-stamp", "t"}, &stdout, &stderr)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("-out %s: run = %v, want a one-line error starting %q", tc.out, err, tc.want)
+		}
+		if stdout.Len() != 0 || stderr.Len() != 0 {
+			t.Errorf("-out %s: output before the folder was rejected:\n%s%s", tc.out, stdout.String(), stderr.String())
 		}
 	}
-	if b, err := os.ReadFile(kept); err != nil || string(b) != "before" {
-		t.Errorf("Creatable touched an existing file: %q, %v", b, err)
-	}
-	if _, err := os.Stat(fresh); err == nil {
-		t.Error("Creatable left its probe file behind")
+	if left, err := os.ReadDir(filepath.Join(taken, "t")); err != nil || len(left) != 0 {
+		t.Errorf("the existing run folder was touched: %v, %v", left, err)
 	}
 }

@@ -20,12 +20,8 @@ import (
 // runSmoke executes `repro run -scale smoke` into out with the given extra
 // flags and returns the run folder path.
 func runSmoke(out string, extra ...string) (string, error) {
-	args := append([]string{"run", "-scale", "smoke", "-out", out, "-stamp", "t", "-quiet"}, extra...)
-	var stdout bytes.Buffer
-	if err := run(args, &stdout, io.Discard); err != nil {
-		return "", fmt.Errorf("repro %s: %v\n%s", strings.Join(args, " "), err, stdout.String())
-	}
-	return filepath.Join(out, "t"), nil
+	dir, _, err := runInto(out, append([]string{"run", "-scale", "smoke"}, extra...)...)
+	return dir, err
 }
 
 // smokeConfig is one execution configuration of the full smoke scale whose
@@ -107,27 +103,13 @@ func entryFiles(t *testing.T, dir, id string) map[string]string {
 }
 
 // checkSmokeGolden asserts that entry id of the smoke run under c
-// reproduced the committed fixture byte-for-byte (or, under -update, rewrites
-// the fixture from it).
-func checkSmokeGolden(t *testing.T, c *smokeConfig, id, fixture string) {
+// reproduced each committed fixture byte-for-byte (or, under -update,
+// rewrites the fixtures from it).
+func checkSmokeGolden(t *testing.T, c *smokeConfig, id string, fixtures ...string) {
 	t.Helper()
-	got, err := os.ReadFile(filepath.Join(smokeDir(t, c), "tsv", id, fixture))
-	if err != nil {
-		t.Fatalf("smoke entry %s did not produce %s: %v", id, fixture, err)
-	}
-	golden := filepath.Join("testdata", fixture)
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := manifest.Diff(got, want); d != "" {
-		t.Errorf("smoke %s entry %s: %s diverges from the golden fixture: %s", strings.Join(c.flags, " "), id, fixture, d)
+	dir := smokeDir(t, c)
+	for _, fixture := range fixtures {
+		matchGolden(t, filepath.Join(dir, "tsv", id, fixture), fixture, true)
 	}
 }
 
@@ -196,8 +178,9 @@ func diffSnapshots(t *testing.T, label string, a, b map[string]string) {
 
 // TestPipelineSmoke is the end-to-end contract of `repro run`: the smoke
 // scale runs every registered experiment, self-validates byte-for-byte
-// against the committed goldens, and the whole run folder — every file, the
-// summary included — is identical across host-parallelism widths.
+// against the committed goldens — each fixture of testdata/ matched by
+// exactly one series of the folder — and the whole run folder — every file,
+// the summary included — is identical across host-parallelism widths.
 func TestPipelineSmoke(t *testing.T) {
 	base := smokeDir(t, smokeBase)
 	snap := snapshotRun(t, base)
@@ -211,11 +194,30 @@ func TestPipelineSmoke(t *testing.T) {
 	if !strings.Contains(vout.String(), "0 mismatches") {
 		t.Errorf("validate report: %s", vout.String())
 	}
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "*.tsv"))
+	if err != nil || len(fixtures) == 0 {
+		t.Fatalf("no TSV fixtures in testdata/ (%v)", err)
+	}
+	checks, err := manifest.ValidateDir(base, manifest.DirGoldens("testdata"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := map[string]int{}
+	for _, c := range checks {
+		if c.Status == "ok" {
+			ok[c.Name]++
+		}
+	}
+	for _, f := range fixtures {
+		if n := ok[filepath.Base(f)]; n != 1 {
+			t.Errorf("fixture %s got %d ok checks in the smoke folder, want exactly 1", filepath.Base(f), n)
+		}
+	}
 
 	// The summary states deterministic counters only — no wall-derived
 	// column, no perf artifact beside it — and covers the whole registry.
 	header, rows := summaryCells(t, snap)
-	if got, want := strings.Join(header, " "), "id experiment jobs events handoffs golden summary"; got != want {
+	if got, want := strings.Join(header, " "), "id experiment jobs events handoffs inplace inline golden summary"; got != want {
 		t.Errorf("summary.tsv header = %q, want %q", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(base, "bench")); err == nil {
@@ -290,23 +292,20 @@ func TestRunFlagsOverlayTheEntries(t *testing.T) {
 	}
 }
 
-// TestValidateDetectsMismatch corrupts one byte of a produced series and
-// checks that `repro validate` localises it with a line/offset diff report.
+// TestValidateDetectsMismatch corrupts one byte of a copy of a smoke series
+// and checks that `repro validate` localises it with a line/offset diff
+// report.
 func TestValidateDetectsMismatch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a pipeline entry")
-	}
-	dir, err := runSmoke(t.TempDir(), "-only", "fig6_pfor")
+	b, err := os.ReadFile(filepath.Join(smokeDir(t, smokeBase), "tsv", "fig6_pfor", "fig6_pfor_itoa.tsv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "tsv", "fig6_pfor", "fig6_pfor_itoa.tsv")
-	b, err := os.ReadFile(path)
-	if err != nil {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "tsv", "fig6_pfor"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	b[len(b)/2] ^= 1
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "tsv", "fig6_pfor", "fig6_pfor_itoa.tsv"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var vout bytes.Buffer
@@ -321,25 +320,47 @@ func TestValidateDetectsMismatch(t *testing.T) {
 	}
 }
 
+// TestPaperScaleIsNotValidated is the regression test for the Runner
+// comparing every scale's series with the smoke goldens by basename: the
+// paper scale's fig6_pfor_itoa.tsv shares the golden's name but not its
+// sizes, so `repro run -scale paper -only fig6_pfor` reported a MISMATCH and
+// exited 2. Only the smoke scale is the golden grid; a paper-scale entry's
+// verdict is "-". The param flags overlay the entry, as manifest.json shows.
+func TestPaperScaleIsNotValidated(t *testing.T) {
+	dir, stdout := runFolder(t, "run", "-scale", "paper", "-only", "fig6_pfor", "-workers", "4", "-n", "64")
+	_, rows := summaryCells(t, snapshotRun(t, dir))
+	if len(rows) != 1 || rows[0]["id"] != "fig6_pfor" || rows[0]["golden"] != "-" {
+		t.Errorf("paper-scale summary rows %v, want fig6_pfor with golden verdict -", rows)
+	}
+	if strings.Contains(stdout, "validation:") || strings.Contains(stdout, "MISMATCH") {
+		t.Errorf("a paper-scale run was validated:\n%s", stdout)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := manifest.Parse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := m.Scales["paper"]; len(e) != 1 || e[0].Params.Workers != 4 || e[0].Params.N != 64 || e[0].Params.Bench != "pfor" {
+		t.Errorf("manifest.json records %+v, want fig6_pfor with bench pfor, workers 4, n 64", e)
+	}
+}
+
 // TestFig9MachineOverride is the CLI-level regression test for the dispatch
 // bug fixed by the registry refactor: `repro fig9 -machine itoa` used to
-// silently flip back to wisteria (and `repro all` ignored -machine/-tree
-// overrides entirely).
+// silently flip back to wisteria.
 func TestFig9MachineOverride(t *testing.T) {
 	fig9 := func(extra ...string) (string, string) {
 		t.Helper()
-		dir := t.TempDir()
-		args := append([]string{"fig9", "-workers-list", "4", "-seqdepth", "10", "-seed", "7",
-			"-tsv", dir, "-quiet", "-parallel", "1"}, extra...)
-		var stdout bytes.Buffer
-		if err := run(args, &stdout, io.Discard); err != nil {
-			t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
-		}
-		names, _ := filepath.Glob(filepath.Join(dir, "*.tsv"))
+		dir, stdout := runFolder(t, append([]string{"fig9", "-workers-list", "4", "-seqdepth", "10", "-seed", "7",
+			"-parallel", "1"}, extra...)...)
+		names, _ := filepath.Glob(filepath.Join(dir, "tsv", "fig9", "*.tsv"))
 		for i, n := range names {
 			names[i] = filepath.Base(n)
 		}
-		return stdout.String(), strings.Join(names, ",")
+		return stdout, strings.Join(names, ",")
 	}
 	out, series := fig9("-machine", "itoa", "-tree", "T1L")
 	if !strings.Contains(out, "on itoa") || series != "uts_T1L'_itoa.tsv" {

@@ -35,7 +35,7 @@ func TestStealZooParallelByteIdentical(t *testing.T) {
 }
 
 // TestStealZooTraceOn is the regression test for the stealzoo grid never
-// claiming the observability collector: -trace/-metrics ran all 18 cells and
+// claiming the observability collector: a traced run ran all 18 cells and
 // then failed with "no fork-join runtime job ran". The first grid point
 // (uniform policy, unperturbed) is the one traced.
 func TestStealZooTraceOn(t *testing.T) {
@@ -56,50 +56,18 @@ func TestStealPolicyDifferential(t *testing.T) {
 	}
 	widths := []string{"1", "8"}
 
-	wantFig6, err := os.ReadFile(filepath.Join("testdata", "fig6_pfor_itoa.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, par := range widths {
-		dir := t.TempDir()
-		args := []string{"fig6", "-bench", "pfor", "-workers", "18", "-n", "128", "-seed", "7",
-			"-steal-policy", "uniform", "-tsv", dir, "-quiet", "-parallel", par}
-		if err := run(args, io.Discard, io.Discard); err != nil {
-			t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
-		}
-		got, err := os.ReadFile(filepath.Join(dir, "fig6_pfor_itoa.tsv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantFig6) {
-			t.Errorf("fig6 -steal-policy uniform -parallel %s diverges from the committed fixture", par)
-		}
+		dir, _ := runFolder(t, "fig6", "-bench", "pfor", "-workers", "18", "-n", "128", "-seed", "7",
+			"-steal-policy", "uniform", "-parallel", par)
+		matchGolden(t, filepath.Join(dir, "tsv", "fig6", "fig6_pfor_itoa.tsv"), "fig6_pfor_itoa.tsv", false)
 	}
 
-	wantTrace, err := os.ReadFile(filepath.Join("testdata", "trace_uts_micro.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var baseMetrics []byte
 	for _, par := range widths {
-		dir := t.TempDir()
-		tracePath := filepath.Join(dir, "trace.json")
-		metricsPath := filepath.Join(dir, "metrics.tsv")
-		args := []string{"fig9", "-tree", "T1L", "-workers-list", "4", "-seqdepth", "10", "-seed", "7",
-			"-steal-policy", "uniform", "-trace", tracePath, "-metrics", metricsPath,
-			"-quiet", "-parallel", par}
-		if err := run(args, io.Discard, io.Discard); err != nil {
-			t.Fatalf("repro %s: %v", strings.Join(args, " "), err)
-		}
-		got, err := os.ReadFile(tracePath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, wantTrace) {
-			t.Errorf("fig9 -steal-policy uniform -parallel %s event log diverges from the committed fixture (%d vs %d bytes)",
-				par, len(got), len(wantTrace))
-		}
-		m, err := os.ReadFile(metricsPath)
+		dir, _ := runFolder(t, "fig9", "-tree", "T1L", "-workers-list", "4", "-seqdepth", "10", "-seed", "7",
+			"-steal-policy", "uniform", "-trace", "json", "-parallel", par)
+		matchGolden(t, filepath.Join(dir, "trace", "fig9.json"), "trace_uts_micro.json", false)
+		m, err := os.ReadFile(filepath.Join(dir, "metrics", "fig9.tsv"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -168,7 +168,7 @@ func ReadTraceJSON(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	if file.Chrome != nil {
-		return nil, errors.New("a Chrome export (top-level traceEvents); analyze reads -trace-format json")
+		return nil, errors.New("a Chrome export (top-level traceEvents); analyze reads -trace json")
 	}
 	t := file.Trace
 	if t.Workers < 0 {

@@ -258,7 +258,7 @@ func TestReadTraceJSONRejectsWhatNoRunWrote(t *testing.T) {
 		{"negative t", strings.Replace(good, t3, `"t":-5,`, 1), "]: t must be non-negative, got -5"},
 		{"negative exec_time", strings.Replace(good, exec, `"exec_time":-`+exec[len(`"exec_time":`):], 1),
 			fmt.Sprintf("exec_time must be non-negative, got -%d", int64(tr.ExecTime))},
-		{"chrome export", chrome.String(), "a Chrome export (top-level traceEvents); analyze reads -trace-format json"},
+		{"chrome export", chrome.String(), "a Chrome export (top-level traceEvents); analyze reads -trace json"},
 		{"unknown kind", strings.Replace(good, `"kind":"compute"`, `"kind":"compute.x"`, 1), `unknown event kind "compute.x"`},
 	} {
 		if tc.file == good && tc.want != "" {

@@ -13,7 +13,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"contsteal/internal/bot"
 	"contsteal/internal/core"
@@ -161,8 +160,8 @@ func runCfg(o Options, v Variant) core.Config {
 
 // runCore is the one place this package builds and drives a fork-join
 // runtime: arm the collector if this job owns it (claimed at grid
-// construction, or here for a direct single run), build the runtime, time
-// the drive, deliver the claimed outputs and report the engine counters.
+// construction, or here for a direct single run), build the runtime, drive
+// it, deliver the claimed outputs and report the engine counters.
 // tune (may be nil) adjusts the config runCfg built; drive runs the workload
 // — Run or Serve — and returns its run statistics.
 func runCore(o Options, c Coord, v Variant, tune func(*core.Config), drive func(*core.Runtime) core.RunStats) *core.Runtime {
@@ -175,12 +174,11 @@ func runCore(o Options, c Coord, v Variant, tune func(*core.Config), drive func(
 		o.Obs.apply(&cfg)
 	}
 	rt := core.New(cfg)
-	start := time.Now()
 	st := drive(rt)
 	if mine {
 		o.Obs.deliver(c, rt, st)
 	}
-	o.Observer.engineStats(c, st, time.Since(start))
+	o.Observer.engineStats(c, st)
 	return rt
 }
 

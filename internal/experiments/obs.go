@@ -11,7 +11,8 @@ import (
 // construct their job grids sequentially before the worker pool starts, and
 // the first constructed job claims the collector — so it is always the
 // first grid point of the invocation that gets traced, deterministically,
-// regardless of Options.Parallel. cmd/repro wires it to -trace/-metrics.
+// regardless of Options.Parallel. The manifest Runner gives every entry one
+// (the run folder's metrics/<id>.tsv and trace/<id>.json).
 type ObsCollector struct {
 	Trace   bool // record the full event trace
 	Metrics bool // build the deterministic metrics registry

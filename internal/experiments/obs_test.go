@@ -61,7 +61,7 @@ func TestFig9TraceStatsAgreement(t *testing.T) {
 
 func TestObsCollectorClaimsFirstGridPoint(t *testing.T) {
 	// Regardless of pool parallelism the collector must capture the same
-	// (first) grid point, so -trace output is deterministic.
+	// (first) grid point, so a traced run is deterministic.
 	var coords []Coord
 	for _, par := range []int{1, 4} {
 		oc := &ObsCollector{Trace: true}

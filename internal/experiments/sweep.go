@@ -76,19 +76,20 @@ func (e *JobError) Error() string {
 }
 
 // Observer receives the host-side reports of one invocation's jobs. It rides
-// on Options — manifest.Exec hands it down — so two invocations never share
-// one; a nil Observer, or a nil callback, observes nothing. Calls are
-// serialized across pool workers and across both callbacks, so a callback
-// may write to a stream or accumulate without locking. wall is the job's
-// host-side execution time.
+// on Options — the manifest Runner gives each entry its own — so two
+// invocations never share one; a nil Observer, or a nil callback, observes
+// nothing. Calls are serialized across pool workers and across both
+// callbacks, so a callback may write to a stream or accumulate without
+// locking.
 type Observer struct {
 	// Progress is invoked after each job of a sweep finishes: done is the
-	// number of completed jobs so far, total the grid size.
+	// number of completed jobs so far, total the grid size, wall the job's
+	// host-side execution time.
 	Progress func(done, total int, c Coord, wall time.Duration)
 	// EngineStats is invoked after each fork-join runtime job finishes, with
 	// its run statistics — of which the host-side ones matter here: st.Engine
 	// (see sim.EngineStats), st.InPlace and st.Inline.
-	EngineStats func(c Coord, st core.RunStats, wall time.Duration)
+	EngineStats func(c Coord, st core.RunStats)
 
 	mu sync.Mutex
 }
@@ -110,13 +111,13 @@ func (ob *Observer) progress(done, total int, c Coord, wall time.Duration) {
 	ob.Progress(done, total, c, wall)
 }
 
-func (ob *Observer) engineStats(c Coord, st core.RunStats, wall time.Duration) {
+func (ob *Observer) engineStats(c Coord, st core.RunStats) {
 	if ob == nil || ob.EngineStats == nil {
 		return
 	}
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
-	ob.EngineStats(c, st, wall)
+	ob.EngineStats(c, st)
 }
 
 // RunJobs executes the grid on a bounded pool of pool goroutines (pool <= 0

@@ -122,7 +122,7 @@ func TestProgressHookSerializedAndComplete(t *testing.T) {
 			dones = append(dones, done)
 			calls["job "+c.Variant]++
 		},
-		EngineStats: func(c Coord, st core.RunStats, _ time.Duration) {
+		EngineStats: func(c Coord, st core.RunStats) {
 			if st.Engine.Events == 0 {
 				t.Errorf("%s: events=0, want a run", c)
 			}

@@ -10,10 +10,11 @@
 //   - a Runner that executes manifest entries into a timestamped
 //     paper_runs/<stamp>/{tsv,json,metrics} folder with a summary.tsv of
 //     per-entry engine counters, and validates every TSV series
-//     byte-for-byte against the committed goldens where they exist.
+//     byte-for-byte against the committed goldens when asked to.
 //
-// cmd/repro dispatches its per-experiment subcommands, `repro all`,
-// `repro run` and `repro validate` through this package.
+// Every cmd/repro invocation that runs an experiment is a Runner run: `repro
+// run` selects entries of a manifest scale, and `repro <experiment>` is a
+// one-entry manifest. `repro validate` re-checks a run folder.
 package manifest
 
 import (
@@ -24,6 +25,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+
+	"contsteal/internal/experiments"
 )
 
 // Params is the uniform parameter bag of every experiment. A zero field
@@ -120,7 +123,7 @@ func (m *Manifest) validate() error {
 				return fmt.Errorf("manifest: scale %q entry %d: unknown experiment %q (registered: %s)",
 					scale, i, e.Experiment, strings.Join(Names(), ", "))
 			}
-			if _, err := e.Params.options(Exec{}); err != nil {
+			if _, err := e.Params.options(experiments.Options{}); err != nil {
 				return fmt.Errorf("manifest: scale %q entry %d: %w", scale, i, err)
 			}
 			id := e.ID

@@ -3,7 +3,6 @@ package manifest
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"contsteal/internal/core"
@@ -12,36 +11,26 @@ import (
 	"contsteal/internal/workload"
 )
 
-// Exec carries the invocation-level knobs shared by every spec run that
-// cannot change a result: host parallelism, the observability collector,
-// and the observer of per-job progress and engine counters.
-type Exec struct {
-	Parallel int
-	Obs      *experiments.ObsCollector
-	Observer *experiments.Observer
-}
-
 // Spec is one registered experiment: its name (the cmd/repro subcommand and
-// the manifest's experiment key), default Params, the committed golden
-// fixture basenames the experiment reproduces at its smoke-scale params, and
-// the Call that turns resolved params into the experiment's entrypoint call
-// and wraps the rows in their Rendering.
+// the manifest's experiment key), default Params, and the Call that turns
+// resolved params into the experiment's entrypoint call and wraps the rows
+// in their Rendering.
 type Spec struct {
 	Name   string
 	Params Params
-	Golden []string
 	Call   func(p Params, o experiments.Options) experiments.Rendering
 }
 
 // Run executes the spec: the caller's params overlay the spec's defaults (so
 // callers only pass what they set), the result is validated and mapped onto
-// experiments.Options, and Call runs the experiment. A job of the sweep that
+// x — which carries the knobs that cannot change a result: Parallel, Obs and
+// Observer — and Call runs the experiment. A job of the sweep that
 // panics — a deque too small for the workload, a run that cannot complete by
 // its horizon — is returned as its *experiments.JobError, which names the
 // job's coordinates and the cause (and keeps the panicking stack in
 // JobError.Stack) at every -parallel width; any other panic is a bug and
 // passes through.
-func (s *Spec) Run(p Params, x Exec) (r experiments.Rendering, err error) {
+func (s *Spec) Run(p Params, x experiments.Options) (r experiments.Rendering, err error) {
 	p = s.Params.Merge(p)
 	o, err := p.options(x)
 	if err != nil {
@@ -59,15 +48,14 @@ func (s *Spec) Run(p Params, x Exec) (r experiments.Rendering, err error) {
 	return s.Call(p, o), nil
 }
 
-// options validates p and maps it, with the invocation knobs, onto
-// experiments.Options. It rejects values no experiment can run, naming the
+// options validates p and maps it onto x, the invocation knobs' Options. It rejects values no experiment can run, naming the
 // field by its JSON tag: a name outside its set, a negative count or depth,
 // a scale shift outside [0, 16], a non-positive element of a count or load
 // list, an unparsable steal policy or perturbation. Unset (zero) fields
 // pass — the experiments' defaults own them. Every spec run and every parsed
 // manifest entry goes through it, so a bad CLI flag and a bad manifest knob
 // fail with the same message before any simulation starts.
-func (p Params) options(x Exec) (experiments.Options, error) {
+func (p Params) options(x experiments.Options) (experiments.Options, error) {
 	one := func(v string) []string {
 		if v == "" {
 			return nil
@@ -135,12 +123,10 @@ func (p Params) options(x Exec) (experiments.Options, error) {
 	if err != nil {
 		return experiments.Options{}, fmt.Errorf("params: %w", err)
 	}
-	return experiments.Options{
-		Machine: p.Machine, Workers: p.Workers, Scale: p.Scale,
-		Seed: p.Seed, WorkScale: p.WorkScale, DequeCap: p.DequeCap,
-		Steal: p.Policy, Perturb: pb,
-		Parallel: x.Parallel, Obs: x.Obs, Observer: x.Observer,
-	}, nil
+	x.Machine, x.Workers, x.Scale = p.Machine, p.Workers, p.Scale
+	x.Seed, x.WorkScale, x.DequeCap = p.Seed, p.WorkScale, p.DequeCap
+	x.Steal, x.Perturb = p.Policy, pb
+	return x, nil
 }
 
 var (
@@ -169,19 +155,5 @@ func Lookup(name string) *Spec { return registry[name] }
 func Names() []string {
 	out := make([]string, len(order))
 	copy(out, order)
-	return out
-}
-
-// GoldenOwners maps each committed golden fixture basename to the spec that
-// reproduces it, for validation reports.
-func GoldenOwners() map[string]string {
-	out := map[string]string{}
-	names := Names()
-	sort.Strings(names)
-	for _, n := range names {
-		for _, g := range registry[n].Golden {
-			out[g] = n
-		}
-	}
 	return out
 }

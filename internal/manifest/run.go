@@ -3,7 +3,8 @@
 //
 //	paper_runs/<stamp>/
 //	  manifest.json      the resolved entries that ran (provenance)
-//	  tables.txt         every experiment's aligned table, in order
+//	  tables.txt         every experiment's aligned table, in order (also
+//	                     printed on Stdout)
 //	  tsv/<id>/*.tsv     each entry's TSV series
 //	  json/<id>.json     each entry's structured rows
 //	  metrics/<id>.tsv   deterministic metrics registry of the entry's
@@ -12,15 +13,17 @@
 //	                     per-request tail-attribution bands of a serve entry
 //	                     (when request tracing ran; same bytes as the entry's
 //	                     golden-validated serve_requests_* series)
+//	  trace/<id>.json    event trace of the entry's first fork-join run, only
+//	                     when Trace names a format
 //	  summary.tsv        the paper-ready summary table, one row per entry:
 //	                     deterministic engine counters, golden verdict and
 //	                     headline metrics
 //
-// Every TSV series is then validated byte-for-byte against the committed
-// goldens where one with the same basename exists. No file carries a clock:
-// the folder is a pure function of manifest, scale and flags, byte-identical
-// at every -parallel. (Host wall time is the per-job progress line on
-// Stderr; host throughput is benchmark/'s to measure.)
+// Given Goldens, every TSV series is then validated byte-for-byte against
+// the committed golden of the same basename. No file carries a clock: the
+// folder is a pure function of manifest, scale and flags, byte-identical at
+// every Parallel. (Host wall time is the per-job progress line on Stderr;
+// host throughput is benchmark/'s to measure.)
 
 package manifest
 
@@ -32,7 +35,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"contsteal/internal/core"
 	"contsteal/internal/experiments"
@@ -40,14 +42,15 @@ import (
 
 // Runner executes manifest entries into OutDir/Stamp.
 type Runner struct {
-	Stamp   string
-	Scale   string  // scale label recorded in provenance
-	OutDir  string  // parent directory, e.g. "paper_runs"
-	Goldens Goldens // nil skips validation
-	Exec    Exec
-	Stdout  io.Writer // summary table and artifact notices
-	Stderr  io.Writer // per-entry and per-job progress
-	Quiet   bool      // suppress progress on Stderr
+	Stamp    string
+	Scale    string    // scale label recorded in provenance
+	OutDir   string    // parent directory, e.g. "paper_runs"
+	Goldens  Goldens   // nil skips validation
+	Parallel int       // host worker pool of each entry's sweep grid
+	Trace    string    // "" (no trace), "json" (for `repro analyze`) or "chrome" (for ui.perfetto.dev)
+	Stdout   io.Writer // experiment tables and the summary table
+	Stderr   io.Writer // per-entry and per-job progress
+	Quiet    bool      // suppress progress on Stderr
 }
 
 // Report is the outcome of one Runner.Run.
@@ -60,9 +63,10 @@ type Report struct {
 }
 
 // Run executes the entries in order. Each entry's experiment grid still
-// runs on the sweep pool (Exec.Parallel); entries themselves run
-// sequentially, each under its own observer and observability collector.
-// Every entry's params are checked before the run folder is created.
+// runs on the sweep pool (Parallel); entries themselves run sequentially,
+// each under its own observer and observability collector. Every entry's
+// params, and the trace format, are checked before the run folder is
+// created.
 // Returns an error on any I/O or experiment failure; golden mismatches are
 // reported in the Report, not as an error (the caller decides).
 func (rn *Runner) Run(entries []Entry) (*Report, error) {
@@ -70,28 +74,37 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 		return nil, fmt.Errorf("manifest: no entries to run")
 	}
 	for _, e := range entries {
-		if _, err := e.Params.options(Exec{}); err != nil {
+		if _, err := e.Params.options(experiments.Options{}); err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
+	}
+	subs := []string{"tsv", "json", "metrics"}
+	switch rn.Trace {
+	case "":
+	case "json", "chrome":
+		subs = append(subs, "trace")
+	default:
+		return nil, fmt.Errorf("manifest: unknown trace format %q (want json or chrome)", rn.Trace)
 	}
 	dir := filepath.Join(rn.OutDir, rn.Stamp)
 	if _, err := os.Stat(dir); err == nil {
 		return nil, fmt.Errorf("manifest: run folder %s already exists", dir)
 	}
-	for _, sub := range []string{"tsv", "json", "metrics"} {
+	for _, sub := range subs {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("manifest: %w", err)
 		}
 	}
-	if err := WriteJSON(filepath.Join(dir, "manifest.json"),
+	if err := writeJSON(filepath.Join(dir, "manifest.json"),
 		Manifest{Scales: map[string][]Entry{rn.Scale: entries}}); err != nil {
 		return nil, err
 	}
-	tables, err := os.Create(filepath.Join(dir, "tables.txt"))
+	f, err := os.Create(filepath.Join(dir, "tables.txt"))
 	if err != nil {
 		return nil, err
 	}
-	defer tables.Close()
+	defer f.Close()
+	tables := io.MultiWriter(f, rn.Stdout)
 
 	stats := make([]entryStats, len(entries))
 	for i, e := range entries {
@@ -109,7 +122,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 		if err := writeEntry(dir, e, r); err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
-		if err := writeMetrics(dir, e, obs); err != nil {
+		if err := rn.writeObs(dir, e, obs); err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
 		r.Table(tables)
@@ -142,28 +155,32 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 
 // entryStats is one summary row's engine columns: the deterministic
 // counters of every fork-join run of the entry, summed, plus the entry's
-// headline metrics.
+// headline metrics. Of the handoffs (proc resumptions), inplace were the
+// dispatcher's own and inline ran a continuation that suspended the proc
+// again; neither cost a goroutine switch, the rest did.
 type entryStats struct {
-	jobs             int
-	events, handoffs uint64
-	summary          map[string]float64
+	jobs                              int
+	events, handoffs, inplace, inline uint64
+	summary                           map[string]float64
 }
 
 // add is the entry's Observer.EngineStats; calls arrive serialized.
-func (a *entryStats) add(_ experiments.Coord, st core.RunStats, _ time.Duration) {
+func (a *entryStats) add(_ experiments.Coord, st core.RunStats) {
 	a.jobs++
 	a.events += st.Engine.Events
 	a.handoffs += st.Engine.Handoffs
+	a.inplace += st.InPlace
+	a.inline += st.Inline
 }
 
 // runEntry executes one entry under its own observer — the engine counters
-// accumulate into st, per-job progress goes to Stderr — and its own metrics
-// collector.
+// accumulate into st, per-job progress goes to Stderr — and its own
+// observability collector: the metrics registry always, the trace when
+// asked for.
 func (rn *Runner) runEntry(e Entry, spec *Spec, st *entryStats) (experiments.Rendering, *experiments.ObsCollector, error) {
-	obs := &experiments.ObsCollector{Metrics: true}
-	x := rn.Exec
-	x.Obs = obs
-	x.Observer = &experiments.Observer{EngineStats: st.add}
+	obs := &experiments.ObsCollector{Metrics: true, Trace: rn.Trace != ""}
+	x := experiments.Options{Parallel: rn.Parallel, Obs: obs,
+		Observer: &experiments.Observer{EngineStats: st.add}}
 	if !rn.Quiet {
 		x.Observer.Progress = experiments.ProgressLines(rn.Stderr)
 	}
@@ -177,7 +194,7 @@ func (rn *Runner) runEntry(e Entry, spec *Spec, st *entryStats) (experiments.Ren
 
 // writeEntry persists one entry's series, request bands and rows.
 func writeEntry(dir string, e Entry, r experiments.Rendering) error {
-	if err := WriteSeries(filepath.Join(dir, "tsv", e.ID), r.Series()); err != nil {
+	if err := writeSeries(filepath.Join(dir, "tsv", e.ID), r.Series()); err != nil {
 		return err
 	}
 	if rows, ok := r.Rows().([]experiments.ServeRow); ok {
@@ -187,12 +204,25 @@ func writeEntry(dir string, e Entry, r experiments.Rendering) error {
 			}
 		}
 	}
-	return WriteJSON(filepath.Join(dir, "json", e.ID+".json"), SectionOf(r))
+	return writeJSON(filepath.Join(dir, "json", e.ID+".json"), section{r.Section(), r.Rows()})
 }
 
-// writeMetrics persists the claimed run's metrics registry, when one was
-// collected.
-func writeMetrics(dir string, e Entry, obs *experiments.ObsCollector) error {
+// writeObs persists the claimed run's metrics registry, when one was
+// collected, and its trace, when one was asked for: an entry with no
+// fork-join run has no trace to give, which is an error only then.
+func (rn *Runner) writeObs(dir string, e Entry, obs *experiments.ObsCollector) error {
+	if rn.Trace != "" {
+		if !obs.Done || obs.Log == nil {
+			return fmt.Errorf("-trace: no fork-join runtime job ran")
+		}
+		write := obs.Log.WriteJSON
+		if rn.Trace == "chrome" {
+			write = obs.Log.WriteChromeTrace
+		}
+		if err := WriteFile(filepath.Join(dir, "trace", e.ID+".json"), write); err != nil {
+			return err
+		}
+	}
 	if !obs.Done || obs.Stats.Obs == nil {
 		return nil
 	}
@@ -216,7 +246,7 @@ func (rn *Runner) writeSummary(dir string, entries []Entry, stats []entryStats, 
 		}
 		verdict[c.Entry] = v
 	}
-	header := []string{"id", "experiment", "jobs", "events", "handoffs", "golden", "summary"}
+	header := []string{"id", "experiment", "jobs", "events", "handoffs", "inplace", "inline", "golden", "summary"}
 	var rows [][]string
 	for i, e := range entries {
 		st := stats[i]
@@ -227,9 +257,10 @@ func (rn *Runner) writeSummary(dir string, entries []Entry, stats []entryStats, 
 		rows = append(rows, []string{
 			e.ID, e.Experiment, fmt.Sprint(st.jobs),
 			fmt.Sprint(st.events), fmt.Sprint(st.handoffs),
+			fmt.Sprint(st.inplace), fmt.Sprint(st.inline),
 			v, summaryString(st.summary)})
 	}
-	if err := WriteSeries(dir, []experiments.Series{{Name: "summary", Header: header, Cells: rows}}); err != nil {
+	if err := writeSeries(dir, []experiments.Series{{Name: "summary", Header: header, Cells: rows}}); err != nil {
 		return err
 	}
 
@@ -269,33 +300,21 @@ func summaryString(m map[string]float64) string {
 	return strings.Join(parts, " ")
 }
 
-// The output writers below are shared by the Runner and by cmd/repro's
-// subcommand path (-tsv, -json, -trace, -metrics), so a run folder and a
-// one-off invocation serialize a result through the same code.
-
-// Section is one experiment's structured result in a JSON dump: a run
-// folder's json/<id>.json, or one element of cmd/repro's -json array.
-type Section struct {
+// section is one experiment's structured result: a run folder's
+// json/<id>.json.
+type section struct {
 	Name string `json:"name"`
 	Rows any    `json:"rows"`
 }
 
-// SectionOf extracts a rendering's JSON section.
-func SectionOf(r experiments.Rendering) Section { return Section{r.Section(), r.Rows()} }
-
-// EncodeJSON marshals v in the committed form: indented, trailing newline.
-func EncodeJSON(v any) ([]byte, error) {
+// writeJSON writes v to path in the committed form: indented, trailing
+// newline.
+func writeJSON(path string, v any) error {
 	buf, err := json.MarshalIndent(v, "", "  ")
-	return append(buf, '\n'), err
-}
-
-// WriteJSON writes EncodeJSON(v) to path.
-func WriteJSON(path string, v any) error {
-	buf, err := EncodeJSON(v)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf, 0o644)
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // WriteFile creates path and streams write into it, returning the first
@@ -312,26 +331,9 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	return err
 }
 
-// Creatable reports whether WriteFile(path, …) would get past its create, so
-// a caller can ask before a long run instead of after it. An existing file is
-// opened for writing and left as it is; one created to find out is removed
-// again.
-func Creatable(path string) error {
-	_, statErr := os.Stat(path)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	f.Close()
-	if statErr != nil {
-		return os.Remove(path)
-	}
-	return nil
-}
-
-// WriteSeries writes each series as <dir>/<name>.tsv, creating dir when
+// writeSeries writes each series as <dir>/<name>.tsv, creating dir when
 // there is anything to write.
-func WriteSeries(dir string, series []experiments.Series) error {
+func writeSeries(dir string, series []experiments.Series) error {
 	if len(series) == 0 {
 		return nil
 	}

@@ -1,5 +1,5 @@
-// The ten experiment specs: the registry entries cmd/repro's subcommand
-// dispatch, `repro all`, and the manifest Runner all execute through. A spec
+// The ten experiment specs: the registry entries the manifest Runner
+// executes, whether cmd/repro was given a manifest scale or one experiment. A spec
 // is the one place an experiment's Params are read: its Call maps them onto
 // the experiment package's entrypoint and binds the rows to their Layout.
 // Validation and the Params → Options mapping are Spec.Run's, not repeated
@@ -29,7 +29,6 @@ func init() {
 	Register(Spec{
 		Name:   "fig6",
 		Params: Params{Bench: "recpfor"},
-		Golden: []string{"fig6_pfor_itoa.tsv"},
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
 			return experiments.Fig6Layout.Of(experiments.Fig6(o, p.Bench, nsFrom(p)))
 		},
@@ -50,7 +49,6 @@ func init() {
 	Register(Spec{
 		Name:   "fig8",
 		Params: Params{Tree: "T1L", SeqDepth: 3},
-		Golden: []string{"uts_T1L'_itoa.tsv"},
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
 			return experiments.Fig8Layout.Of(experiments.Fig8(o, p.Tree, p.WorkersList, p.SeqDepth))
 		},
@@ -60,7 +58,6 @@ func init() {
 		// alone on WISTERIA-O); an explicit machine param is honored.
 		Name:   "fig9",
 		Params: Params{Tree: "T1L", SeqDepth: 3},
-		Golden: []string{"uts_T1WL'_wisteria.tsv"},
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
 			return experiments.Fig9Layout.Of(experiments.Fig9(o, p.Tree, p.WorkersList, p.SeqDepth))
 		},
@@ -81,7 +78,6 @@ func init() {
 		// resilience sweeps both machines unless one is named.
 		Name:   "resilience",
 		Params: Params{Tree: "T1L", SeqDepth: 3},
-		Golden: []string{"resilience_T1L'_itoa.tsv"},
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
 			return experiments.ResilienceLayout.Of(experiments.Resilience(o, p.Tree, p.SeqDepth))
 		},
@@ -92,15 +88,12 @@ func init() {
 		// param does not apply; the shape/n params pick the task graph.
 		Name:   "stealzoo",
 		Params: Params{Shape: "wavefront"},
-		Golden: []string{"stealzoo_itoa.tsv"},
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
 			return experiments.StealZooLayout.Of(experiments.StealZoo(o, p.Shape, p.N))
 		},
 	})
 	Register(Spec{
 		Name: "serve",
-		Golden: []string{"serve_itoa.tsv", "serve_wisteria.tsv",
-			"serve_requests_itoa.tsv", "serve_requests_wisteria.tsv"},
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
 			return experiments.ServeLayout.Of(experiments.Serve(o, experiments.ServeParams{
 				Requests: p.Requests, Loads: p.Loads, Systems: p.Systems,

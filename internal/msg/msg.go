@@ -11,7 +11,6 @@
 package msg
 
 import (
-	"contsteal/internal/obs"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
 )
@@ -60,12 +59,6 @@ type Net struct {
 	Mach  *topo.Machine
 	boxes [][]Msg
 	st    []Stats
-
-	// Tr, when non-nil, receives a span per sent message (wire latency, on
-	// the sender's row) and per successful poll (software overhead, on the
-	// receiver's row). Empty-mailbox polls are not traced — a busy-polling
-	// worker would flood the log with misses. Nil by default.
-	Tr obs.Tracer
 }
 
 // New creates a network with nranks mailboxes.
@@ -101,23 +94,10 @@ func (n *Net) Send(p *sim.Proc, from, to int, m Msg) {
 // times, so a message survives any drop sequence short of probability-1
 // loss and is delivered exactly once.
 func (n *Net) deliver(from, to, size int, m Msg, rto sim.Time) {
-	now := n.Eng.Now()
 	if n.Mach.DropMsg(from, to) {
 		n.st[from].Dropped++
-		if n.Tr != nil {
-			n.Tr.Event(obs.Event{
-				T: now, Dur: 0, Rank: from, Kind: obs.KindMsgDrop,
-				Task: -1, Peer: to, Size: int64(size),
-			})
-		}
 		n.Eng.After(rto, func() {
 			n.st[from].Retransmits++
-			if n.Tr != nil {
-				n.Tr.Event(obs.Event{
-					T: now, Dur: rto, Rank: from, Kind: obs.KindMsgRetry,
-					Task: -1, Peer: to, Size: int64(size),
-				})
-			}
 			next := rto * 2
 			if next > RetransMax {
 				next = RetransMax
@@ -127,12 +107,6 @@ func (n *Net) deliver(from, to, size int, m Msg, rto sim.Time) {
 		return
 	}
 	delay, _ := n.Mach.OpDelay(from, to, size, false)
-	if n.Tr != nil {
-		n.Tr.Event(obs.Event{
-			T: now, Dur: delay, Rank: from, Kind: obs.KindMsgSend,
-			Task: -1, Peer: to, Size: int64(size),
-		})
-	}
 	n.Eng.After(delay, func() {
 		n.boxes[to] = append(n.boxes[to], m)
 	})
@@ -153,12 +127,6 @@ func (n *Net) Poll(p *sim.Proc, rank int) (Msg, bool) {
 	m := n.boxes[rank][0]
 	n.boxes[rank] = n.boxes[rank][1:]
 	n.st[rank].Received++
-	if n.Tr != nil {
-		n.Tr.Event(obs.Event{
-			T: n.Eng.Now(), Dur: SoftwareOverhead, Rank: rank, Kind: obs.KindMsgPoll,
-			Task: -1, Peer: m.From, Size: int64(len(m.Data)),
-		})
-	}
 	p.Sleep(SoftwareOverhead)
 	return m, true
 }

@@ -75,7 +75,8 @@ const (
 	KindSweep        // owner sweep (Size = objects reclaimed)
 	KindDrain        // owner lock-queue drain (Size = objects reclaimed)
 
-	// Two-sided messaging kinds.
+	// Two-sided messaging kinds. The msg layer records none of them today;
+	// the names stay so trace files and tools keep a meaning for them.
 	KindMsgSend  // span = wire latency on the sender's row
 	KindMsgPoll  // successful poll (span = software overhead)
 	KindMsgDrop  // a delivery attempt lost in flight (instant)

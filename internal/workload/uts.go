@@ -96,20 +96,12 @@ func childDescSHA1(dst, parent *[20]byte, i uint32) {
 	*dst = sha1.Sum(buf[:])
 }
 
-// NumChildren samples the geometric child count of a node from its
-// descriptor: u uniform in [0,1) from the hash, p = 1/(1+b(d)),
-// m = ⌊log(1−u)/log(1−p)⌋ — the standard UTS construction. Every traversal
-// reads the same count off the depth's threshold row (numChildren); this
-// float form is the reference the rows are built from and tested against.
+// NumChildren returns the child count of a node: the standard UTS geometric
+// draw — u uniform in [0,1) from the hash, p = 1/(1+b(d)),
+// m = ⌊log(1−u)/log(1−p)⌋, clamped to MaxChildren — read off the tree
+// shape's threshold rows, exactly as every traversal reads it.
 func (t UTSTree) NumChildren(n UTSNode) int {
-	if n.Depth >= t.GenMx {
-		return 0
-	}
-	logQ := t.logQ(n.Depth)
-	if logQ == 0 {
-		return 0
-	}
-	return t.draw(drawBits(n), logQ)
+	return numChildren(n, t.state().rows)
 }
 
 // logQ returns log(1−p(d)) for a depth d below GenMx, or 0 — a value
@@ -157,8 +149,8 @@ func (t UTSTree) draw(v uint32, logQ float64) int {
 // non-decreasing in v, so m(v) is the number of entries of row d that are
 // ≤ v, and a binary search finds each T. Near v = 2³² one step of v can
 // raise m by more than one, so adjacent entries may be equal. The rows come
-// from this architecture's math.Log, so they reproduce NumChildren exactly
-// here.
+// from this architecture's math.Log, so they reproduce the float draw
+// exactly here.
 func (t UTSTree) drawRows() [][]uint32 {
 	rows := make([][]uint32, t.GenMx)
 	for d := range rows {
@@ -186,9 +178,9 @@ func (t UTSTree) drawRows() [][]uint32 {
 	return rows
 }
 
-// numChildren is NumChildren read off the threshold rows (drawRows), with
-// the same result: the count of row entries at or below the node's draw
-// bits. A row is non-decreasing and about b(d)+1 entries are compared.
+// numChildren is the float draw read off the threshold rows (drawRows),
+// with the same result: the count of row entries at or below the node's
+// draw bits. A row is non-decreasing and about b(d)+1 entries are compared.
 func numChildren(n UTSNode, rows [][]uint32) int {
 	if n.Depth >= len(rows) {
 		return 0

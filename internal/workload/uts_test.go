@@ -20,6 +20,20 @@ func drawShapes() []UTSTree {
 	}
 }
 
+// numChildrenFloat is the child-count draw computed in floating point, as
+// the UTS construction states it: the reference NumChildren's threshold
+// rows are held to.
+func (t UTSTree) numChildrenFloat(n UTSNode) int {
+	if n.Depth >= t.GenMx {
+		return 0
+	}
+	logQ := t.logQ(n.Depth)
+	if logQ == 0 {
+		return 0
+	}
+	return t.draw(drawBits(n), logQ)
+}
+
 // nodeWithBits is a node at depth d whose draw bits are v.
 func nodeWithBits(d int, v uint32) UTSNode {
 	n := UTSNode{Depth: d}
@@ -27,7 +41,7 @@ func nodeWithBits(d int, v uint32) UTSNode {
 	return n
 }
 
-// TestDrawRowsMatchFloat: the row draw equals the float NumChildren on both
+// TestDrawRowsMatchFloat: the row draw equals the float draw on both
 // sides of every threshold, at both ends of the range and at 10⁵ seeded
 // random draw bits per depth. TestUTSTreeSizesOrdered holds the walks that
 // read the rows to the pinned tree sizes.
@@ -40,7 +54,7 @@ func TestDrawRowsMatchFloat(t *testing.T) {
 			check := func(v uint32) {
 				t.Helper()
 				n := nodeWithBits(d, v)
-				if got, want := numChildren(n, rows), tree.NumChildren(n); got != want {
+				if got, want := numChildren(n, rows), tree.numChildrenFloat(n); got != want {
 					t.Fatalf("%s depth %d v %#x: row draw %d, float draw %d", tree.Name, d, v, got, want)
 				}
 			}

@@ -21,11 +21,14 @@
 #          smoke manifest on a parallel pool (self-validating against every
 #          committed golden) and once more
 #          sequentially — the two run folders must be diff -r identical, no
-#          file carries a clock — one entry under a zero-magnitude -perturb
-#          overlay (a no-op: it must still match its golden, and the run
-#          folder's manifest.json must record the overlay), `repro validate`
-#          and `repro analyze` on the committed trace fixtures and on a serve
-#          cell cut at 20 µs with a stolen stack in flight (the trace must
+#          file carries a clock — and the same pair again with -trace json,
+#          whose folders must be identical too and whose every
+#          trace/<id>.json `repro analyze` must accept, one entry under a
+#          zero-magnitude -perturb overlay (a no-op: it must still match its
+#          golden, and the run folder's manifest.json must record the
+#          overlay), `repro validate` and `repro analyze` on the committed
+#          trace fixtures and on a serve cell cut at 20 µs with a stolen
+#          stack in flight (traced into its run folder; the trace must
 #          still agree with the counters), the allocation-free gates of the
 #          event path, a proc's spawn/exit cycle on the engine's proc pool,
 #          the fabric ops, the steal chain and the worker's idle
@@ -38,7 +41,7 @@
 #          one iteration of every
 #          per-package micro-benchmark, the four examples (globalsum,
 #          wavefront and treesearch exit non-zero when their results disagree
-#          with a plain serial computation or across policies), and thirteen
+#          with a plain serial computation or across policies), and nineteen
 #          bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
@@ -47,11 +50,13 @@
 #          trace files analyze must refuse (negative workers, an event on a
 #          rank the trace does not have, a negative event time, a negated
 #          exec_time, an event kind no run records, a Chrome export), in both
-#          analyze modes, and a trace sink that cannot be created, which
+#          analyze modes, a run folder under a regular file, which
 #          must fail before fig9 at its
 #          defaults simulates anything (timeout 5), a bad -perturb
 #          overlay on `repro run`, which must fail before the run folder
-#          exists, and the retired -shards flag.
+#          exists, the retired -shards flag, and the retired `all`
+#          subcommand and -tsv, -json, -metrics, -trace-format and
+#          -engine-stats flags.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,15 +92,21 @@ for tier in "${tiers[@]}"; do
     "$out/repro" run -scale smoke -parallel 2 -stamp ci -out "$out/runs" -quiet
     "$out/repro" run -scale smoke -parallel 1 -stamp ci1 -out "$out/runs" -quiet >/dev/null
     diff -r "$out/runs/ci" "$out/runs/ci1"
+    "$out/repro" run -scale smoke -parallel 2 -trace json -stamp ci_tr -out "$out/runs" -quiet >/dev/null
+    "$out/repro" run -scale smoke -parallel 1 -trace json -stamp ci_tr1 -out "$out/runs" -quiet >/dev/null
+    diff -r "$out/runs/ci_tr" "$out/runs/ci_tr1"
+    for tr in "$out"/runs/ci_tr/trace/*.json; do
+      "$out/repro" analyze "$tr" >/dev/null
+    done
     "$out/repro" run -scale smoke -only fig6_pfor -perturb seed=1 -stamp ci_perturb -out "$out/runs" -quiet >/dev/null
     grep -q '"perturb": "seed=1"' "$out/runs/ci_perturb/manifest.json"
     "$out/repro" validate "$out/runs/ci"
     "$out/repro" analyze cmd/repro/testdata/trace_uts_micro.json
     "$out/repro" analyze cmd/repro/testdata/trace_serve_micro.json
     "$out/repro" analyze -requests cmd/repro/testdata/trace_serve_micro.json
-    "$out/repro" serve -systems ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace "$out/cut.json" -quiet >/dev/null
-    "$out/repro" analyze "$out/cut.json"
-    "$out/repro" analyze -requests "$out/cut.json"
+    "$out/repro" serve -systems ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace json -stamp cut -out "$out/runs" -quiet >/dev/null
+    "$out/repro" analyze "$out/runs/cut/trace/serve.json"
+    "$out/repro" analyze -requests "$out/runs/cut/trace/serve.json"
     go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core ./internal/obs ./internal/workload
     go test -bench=. -benchtime=1x -run '^$' ./...
     for ex in quickstart globalsum wavefront treesearch; do
@@ -124,8 +135,11 @@ for tier in "${tiers[@]}"; do
       "table3 -n 7" \
       "serve -loads 1e-9 -requests 8 -workers 4"; do
       for parallel in 1 2; do
+        # Each run gets a folder of its own: a job that fails mid-run leaves
+        # its partial folder behind, and a reused one would fail for that.
+        bad_runs=$((${bad_runs:-0} + 1))
         # shellcheck disable=SC2086 # $bad is a word list on purpose
-        must_fail $bad -parallel $parallel -quiet
+        must_fail $bad -parallel $parallel -quiet -out "$out/bad" -stamp "b$bad_runs"
       done
     done
     echo '{"workers":-1,"cores_per_node":1,"exec_time":10,"check":{},"events":[]}' >"$out/neg_workers.json"
@@ -133,20 +147,27 @@ for tier in "${tiers[@]}"; do
     sed 's/"t":341,/"t":-5,/' cmd/repro/testdata/trace_serve_micro.json >"$out/neg_t.json"
     sed 's/"exec_time":/"exec_time":-/' cmd/repro/testdata/trace_serve_micro.json >"$out/neg_exec.json"
     sed 's/"kind":"compute"/"kind":"compute.x"/' cmd/repro/testdata/trace_serve_micro.json >"$out/bad_kind.json"
-    "$out/repro" fig6 -bench pfor -workers 4 -n 64 -trace "$out/chrome.json" -trace-format chrome -quiet >/dev/null
+    "$out/repro" fig6 -bench pfor -workers 4 -n 64 -trace chrome -stamp chrome -out "$out/runs" -quiet >/dev/null
+    cp "$out/runs/chrome/trace/fig6.json" "$out/chrome.json"
     for bad in neg_workers bad_rank neg_t neg_exec bad_kind chrome; do
       must_fail analyze "$out/$bad.json"
       must_fail analyze -requests "$out/$bad.json"
     done
-    # A sink that cannot be created fails before the first entry runs: fig9
-    # at its defaults takes far longer than 5 s.
-    within=5 must_fail fig9 -trace /nonexistent/x.json
+    # A run folder that cannot be made fails before the first entry runs:
+    # fig9 at its defaults takes far longer than 5 s.
+    within=5 must_fail fig9 -out /dev/null/runs
     must_fail run -scale smoke -perturb jitter=-1 -stamp ci_bad -out "$out/runs"
     if [ -e "$out/runs/ci_bad" ]; then
       echo "scripts/ci.sh: repro run -perturb jitter=-1 left a run folder behind" >&2
       exit 1
     fi
     must_fail fig6 -shards 2
+    # The retired subcommand and output flags: a run folder replaces them.
+    must_fail all
+    for bad in "-tsv x" "-json -" "-metrics x" "-trace-format chrome" "-engine-stats"; do
+      # shellcheck disable=SC2086 # $bad is a word list on purpose
+      must_fail fig6 $bad
+    done
     ;;
   *)
     echo "scripts/ci.sh: unknown tier '$tier' (want build, test or cli)" >&2
