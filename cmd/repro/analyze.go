@@ -136,7 +136,7 @@ func analyze(stdout io.Writer, path string, tr *core.Trace) error {
 // non-zero exit.
 func analyzeRequests(stdout io.Writer, path string, tr *core.Trace) error {
 	if tr.Serve == nil {
-		return fmt.Errorf("analyze -requests: %s: no serve block — not an open-system trace (run `repro serve -trace ...`)", path)
+		return fmt.Errorf("analyze -requests: %s: no serve block — not an open-system trace (run `repro serve -trace json`)", path)
 	}
 	ck := tr.Serve
 	atts := tr.RequestAttribution()

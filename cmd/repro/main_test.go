@@ -137,7 +137,7 @@ func traceOnGolden(t *testing.T, argv []string, fixture string) {
 }
 
 // TestResilienceTraceOn is the regression test for the resilience grid never
-// claiming the observability collector: a traced run ran the whole sweep and
+// observing a run: a traced run ran the whole sweep and
 // then failed with "no fork-join runtime job ran". The first "ours" grid
 // point (the unperturbed baseline) is the one traced.
 func TestResilienceTraceOn(t *testing.T) {

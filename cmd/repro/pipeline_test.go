@@ -247,7 +247,7 @@ func TestPipelineSmoke(t *testing.T) {
 
 	// Every fork-join entry leaves its first run's metrics registry in the
 	// folder — including the resilience and stealzoo grids, which once
-	// never claimed the collector.
+	// never observed a run.
 	for _, id := range []string{"fig6_pfor", "fig9", "resilience", "stealzoo", "serve_itoa"} {
 		if snap[filepath.Join("metrics", id+".tsv")] == "" {
 			t.Errorf("run folder lacks a non-empty metrics/%s.tsv", id)

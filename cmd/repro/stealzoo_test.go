@@ -35,7 +35,7 @@ func TestStealZooParallelByteIdentical(t *testing.T) {
 }
 
 // TestStealZooTraceOn is the regression test for the stealzoo grid never
-// claiming the observability collector: a traced run ran all 18 cells and
+// observing a run: a traced run ran all 18 cells and
 // then failed with "no fork-join runtime job ran". The first grid point
 // (uniform policy, unperturbed) is the one traced.
 func TestStealZooTraceOn(t *testing.T) {

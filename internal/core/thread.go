@@ -277,8 +277,9 @@ func newContThread(w *Worker, fn TaskFunc, hdl Handle, parentID int64, isRoot bo
 }
 
 // newThread registers a thread for a task running fn on w that reports to
-// hdl (zero for a root): a dead one main zeroed, off the runtime's free list,
-// or a new one with its body bound.
+// hdl (zero for a root). It reuses a dead thread from the runtime's free
+// list, which main zeroed when that thread's task ended, or else allocates
+// a new one and binds its body.
 func (rt *Runtime) newThread(w *Worker, fn TaskFunc, hdl Handle) *Thread {
 	var t *Thread
 	if n := len(rt.freeThreads); n > 0 {

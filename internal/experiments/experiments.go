@@ -88,11 +88,9 @@ type Options struct {
 	// DequeCap overrides the per-worker deque capacity (memory control for
 	// very large worker counts). 0 keeps the runtime default.
 	DequeCap int
-	// Obs, when non-nil, collects a trace and/or metrics registry from the
-	// first simulated run of the invocation (first grid point of a sweep).
-	Obs *ObsCollector
-	// Observer, when non-nil, is told of every finished job and of every
-	// fork-join run's engine counters (see Observer).
+	// Observer, when non-nil, is told of every finished job, sums every
+	// fork-join run's engine counters and keeps one run's metrics registry
+	// and trace (see Observer).
 	Observer *Observer
 	// Perturb, when non-nil, injects deterministic timing/fault perturbations
 	// into every simulated run of the experiment (see topo.Perturb). The
@@ -106,9 +104,9 @@ type Options struct {
 	// Experiments with their own policy axis (stealzoo) ignore it.
 	Steal string
 
-	// obsClaimed marks an Options copy whose job claimed Obs at
-	// grid-construction time (see claimObs).
-	obsClaimed bool
+	// run is set by RunJobs on the copy a job runs under: where the job's
+	// fork-join run reports, and whether it is the observed one.
+	run *jobRun
 }
 
 func (o *Options) defaults(workers int) {
@@ -121,16 +119,6 @@ func (o *Options) defaults(workers int) {
 	if o.Seed == 0 {
 		o.Seed = 42
 	}
-}
-
-// claimObs returns o marked as the collector's owner if this call claimed
-// it. Sweeps call it while building their job grid — sequentially, before
-// the pool starts — so the first fork-join grid point is the one traced,
-// whatever -parallel is. Only our runtime produces traces: a baseline job
-// passes ours=false and never competes.
-func (o Options) claimObs(ours bool) Options {
-	o.obsClaimed = ours && o.Obs.claim()
-	return o
 }
 
 // machine is the Machine every run of o simulates: the named preset under
@@ -159,32 +147,35 @@ func runCfg(o Options, v Variant) core.Config {
 }
 
 // runCore is the one place this package builds and drives a fork-join
-// runtime: arm the collector if this job owns it (claimed at grid
-// construction, or here for a direct single run), build the runtime, drive
-// it, deliver the claimed outputs and report the engine counters.
-// tune (may be nil) adjusts the config runCfg built; drive runs the workload
-// — Run or Serve — and returns its run statistics.
-func runCore(o Options, c Coord, v Variant, tune func(*core.Config), drive func(*core.Runtime) core.RunStats) *core.Runtime {
-	mine := o.obsClaimed || o.Obs.claim()
+// runtime: build the runtime — with the metrics registry, and the trace if
+// asked for, when the job is the observed one — drive it, and leave its
+// statistics where RunJobs reads them. tune (may be nil) adjusts the config
+// runCfg built; drive runs the workload — Run or Serve — and returns its
+// run statistics.
+func runCore(o Options, v Variant, tune func(*core.Config), drive func(*core.Runtime) core.RunStats) *core.Runtime {
 	cfg := runCfg(o, v)
 	if tune != nil {
 		tune(&cfg)
 	}
-	if mine {
-		o.Obs.apply(&cfg)
+	jr := o.run
+	if jr != nil && jr.observe {
+		cfg.Metrics = true
+		cfg.Trace = cfg.Trace || o.Observer.Trace
 	}
 	rt := core.New(cfg)
 	st := drive(rt)
-	if mine {
-		o.Obs.deliver(c, rt, st)
+	if jr != nil {
+		jr.ran, jr.stats = true, st
+		if jr.observe && o.Observer.Trace {
+			jr.log = rt.TraceLog()
+		}
 	}
-	o.Observer.engineStats(c, st)
 	return rt
 }
 
 // runTask drives one closed fork-join task through runCore.
-func runTask(o Options, c Coord, v Variant, tune func(*core.Config), task core.TaskFunc) (ret []byte, st core.RunStats) {
-	runCore(o, c, v, tune, func(rt *core.Runtime) core.RunStats {
+func runTask(o Options, v Variant, tune func(*core.Config), task core.TaskFunc) (ret []byte, st core.RunStats) {
+	runCore(o, v, tune, func(rt *core.Runtime) core.RunStats {
 		ret, st = rt.Run(task)
 		return st
 	})
@@ -235,11 +226,10 @@ func Fig6(o Options, bench string, ns []int) []Fig6Row {
 	for _, n := range ns {
 		for _, v := range Variants() {
 			coord := Coord{Experiment: "fig6", Bench: bench, Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-			oj := o.claimObs(true)
-			jobs = append(jobs, Job{Coord: coord, Run: func() any {
+			jobs = append(jobs, Job{Coord: coord, Run: func(o Options) any {
 				task, t1 := pforTask(bench, n)
 				t1 = MachineByName(o.Machine).Compute(t1)
-				_, st := runTask(oj, coord, v, nil, task)
+				_, st := runTask(o, v, nil, task)
 				return Fig6Row{
 					Bench:      bench,
 					Machine:    o.Machine,
@@ -252,7 +242,7 @@ func Fig6(o Options, bench string, ns []int) []Fig6Row {
 			}})
 		}
 	}
-	return collect[Fig6Row](RunJobs(o.Parallel, o.Observer, jobs))
+	return collect[Fig6Row](RunJobs(o, jobs))
 }
 
 // Fig6Layout renders Fig. 6 rows.
@@ -322,10 +312,9 @@ func Table2(o Options, bench string, n int) []Table2Row {
 	var jobs []Job
 	for _, v := range joinVariants {
 		coord := Coord{Experiment: "table2", Bench: bench, Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-		oj := o.claimObs(true)
-		jobs = append(jobs, Job{Coord: coord, Run: func() any {
+		jobs = append(jobs, Job{Coord: coord, Run: func(o Options) any {
 			task, _ := pforTask(bench, n)
-			_, st := runTask(oj, coord, v, nil, task)
+			_, st := runTask(o, v, nil, task)
 			return Table2Row{
 				Machine:            o.Machine,
 				Bench:              bench,
@@ -341,7 +330,7 @@ func Table2(o Options, bench string, n int) []Table2Row {
 			}
 		}})
 	}
-	return collect[Table2Row](RunJobs(o.Parallel, o.Observer, jobs))
+	return collect[Table2Row](RunJobs(o, jobs))
 }
 
 // Table2Layout renders Table II rows.
@@ -385,14 +374,13 @@ func Fig7(o Options, n int) Fig7Result {
 	var jobs []Job
 	for _, v := range []Variant{greedy, {"child-full", core.ChildFull, remobj.LocalCollection}} {
 		coord := Coord{Experiment: "fig7", Bench: "recpfor", Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-		oj := o.claimObs(true)
-		jobs = append(jobs, Job{Coord: coord, Run: func() any {
+		jobs = append(jobs, Job{Coord: coord, Run: func(o Options) any {
 			task, _ := pforTask("recpfor", n)
-			_, st := runTask(oj, coord, v, func(cfg *core.Config) { cfg.Sample = 2 * sim.Millisecond }, task)
+			_, st := runTask(o, v, func(cfg *core.Config) { cfg.Sample = 2 * sim.Millisecond }, task)
 			return st.Series
 		}})
 	}
-	series := collect[[]core.Sample](RunJobs(o.Parallel, o.Observer, jobs))
+	series := collect[[]core.Sample](RunJobs(o, jobs))
 	return Fig7Result{Workers: o.Workers, ContGreedy: series[0], ChildFull: series[1]}
 }
 
@@ -485,12 +473,12 @@ func utsTree(o Options, name string) workload.UTSTree {
 // bot.Stats — Tasks is the node count (for ours the traversal's own result:
 // recounting the tree serially would redo millions of SHA-1s per grid point)
 // and Exec the virtual time; the message counters are the baselines' only.
-func utsRun(o Options, c Coord, system string, t workload.UTSTree, seqDepth int) bot.Stats {
+func utsRun(o Options, system string, t workload.UTSTree, seqDepth int) bot.Stats {
 	if system != "ours" {
 		root, expand := botExpand(t)
 		return bot.Run(system, botConfig(o), root, expand)
 	}
-	ret, st := runTask(o, c, greedy, nil, workload.UTS(t, seqDepth))
+	ret, st := runTask(o, greedy, nil, workload.UTS(t, seqDepth))
 	return bot.Stats{Exec: st.ExecTime, Tasks: core.RetInt64(ret)}
 }
 
@@ -501,8 +489,7 @@ func UTSOnce(o Options, system, tree string, workers, seqDepth int) Fig8Row {
 	o.Workers = workers
 	o.defaults(workers)
 	t := utsTree(o, tree)
-	st := utsRun(o, Coord{Experiment: "uts", System: system, Tree: t.Name, Workers: workers, Seed: o.Seed},
-		system, t, seqDepth)
+	st := utsRun(o, system, t, seqDepth)
 	serial := UTSSerialTime(MachineByName(o.Machine), t, st.Tasks)
 	return Fig8Row{
 		System: system, Tree: t.Name, Machine: o.Machine, Workers: workers,
@@ -514,10 +501,10 @@ func UTSOnce(o Options, system, tree string, workers, seqDepth int) Fig8Row {
 
 // utsJob wraps one UTSOnce configuration as a sweep job.
 func utsJob(o Options, experiment, system, tree string, workers, seqDepth int) Job {
-	o = o.claimObs(system == "ours")
 	return Job{
-		Coord: Coord{Experiment: experiment, Tree: tree, System: system, Workers: workers, Seed: o.Seed},
-		Run:   func() any { return UTSOnce(o, system, tree, workers, seqDepth) },
+		Coord:    Coord{Experiment: experiment, Tree: tree, System: system, Workers: workers, Seed: o.Seed},
+		Baseline: system != "ours",
+		Run:      func(o Options) any { return UTSOnce(o, system, tree, workers, seqDepth) },
 	}
 }
 
@@ -533,7 +520,7 @@ func Fig8(o Options, tree string, workerCounts []int, seqDepth int) []Fig8Row {
 			jobs = append(jobs, utsJob(o, "fig8", system, tree, w, seqDepth))
 		}
 	}
-	return collect[Fig8Row](RunJobs(o.Parallel, o.Observer, jobs))
+	return collect[Fig8Row](RunJobs(o, jobs))
 }
 
 // Fig9 sweeps worker counts for our runtime only (the paper ran it alone on
@@ -550,7 +537,7 @@ func Fig9(o Options, tree string, workerCounts []int, seqDepth int) []Fig8Row {
 	for _, w := range workerCounts {
 		jobs = append(jobs, utsJob(o, "fig9", "ours", tree, w, seqDepth))
 	}
-	return collect[Fig8Row](RunJobs(o.Parallel, o.Observer, jobs))
+	return collect[Fig8Row](RunJobs(o, jobs))
 }
 
 // utsLayout renders the UTS strong-scaling rows under a figure's title.
@@ -613,8 +600,8 @@ type Table3Row struct {
 }
 
 // runLCS runs the LCS benchmark p under v.
-func runLCS(o Options, c Coord, v Variant, p workload.LCSParams) core.RunStats {
-	_, st := runTask(o, c, v, func(cfg *core.Config) { cfg.RetvalBytes = p.RetvalBytes() }, workload.LCS(p))
+func runLCS(o Options, v Variant, p workload.LCSParams) core.RunStats {
+	_, st := runTask(o, v, func(cfg *core.Config) { cfg.RetvalBytes = p.RetvalBytes() }, workload.LCS(p))
 	return st
 }
 
@@ -628,14 +615,13 @@ func Table3(o Options, ns []int) []Table3Row {
 	for _, n := range ns {
 		for _, v := range joinVariants[:3] {
 			coord := Coord{Experiment: "table3", Variant: v.Name, N: n, Workers: o.Workers, Seed: o.Seed}
-			oj := o.claimObs(true)
-			jobs = append(jobs, Job{Coord: coord, Run: func() any {
-				st := runLCS(oj, coord, v, workload.DefaultLCSParams(n))
+			jobs = append(jobs, Job{Coord: coord, Run: func(o Options) any {
+				st := runLCS(o, v, workload.DefaultLCSParams(n))
 				return Table3Row{N: n, Variant: v.Name, ExecTime: st.ExecTime}
 			}})
 		}
 	}
-	return collect[Table3Row](RunJobs(o.Parallel, o.Observer, jobs))
+	return collect[Table3Row](RunJobs(o, jobs))
 }
 
 // Table3Layout renders Table III rows.
@@ -674,14 +660,13 @@ func Fig12(o Options, ns []int, workerCounts []int) []Fig12Row {
 	for _, n := range ns {
 		for _, w := range workerCounts {
 			coord := Coord{Experiment: "fig12", Variant: "greedy", N: n, Workers: w, Seed: o.Seed}
-			oj := o.claimObs(true)
-			oj.Workers = w
-			jobs = append(jobs, Job{Coord: coord, Run: func() any {
+			jobs = append(jobs, Job{Coord: coord, Run: func(o Options) any {
+				o.Workers = w
 				mach := MachineByName(o.Machine)
 				p := workload.DefaultLCSParams(n)
 				t1 := mach.Compute(p.T1())
 				tinf := mach.Compute(p.TInf())
-				st := runLCS(oj, coord, greedy, p)
+				st := runLCS(o, greedy, p)
 				lower := t1 / sim.Time(w)
 				if tinf > lower {
 					lower = tinf
@@ -697,7 +682,7 @@ func Fig12(o Options, ns []int, workerCounts []int) []Fig12Row {
 			}})
 		}
 	}
-	return collect[Fig12Row](RunJobs(o.Parallel, o.Observer, jobs))
+	return collect[Fig12Row](RunJobs(o, jobs))
 }
 
 // Fig12Layout renders Fig. 12 rows.

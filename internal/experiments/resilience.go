@@ -106,20 +106,18 @@ func Resilience(o Options, tree string, seqDepth int) []ResilienceRow {
 					continue
 				}
 				sys := system.name
-				oj := o.claimObs(sys == "ours")
-				oj.Machine = machine
-				oj.Perturb = sc.make(o.Seed, sc.level)
 				coord := Coord{
 					Experiment: "resilience", Tree: tree, System: sys,
 					Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
-					Workers: oj.Workers, Seed: oj.Seed,
+					Workers: o.Workers, Seed: o.Seed,
 				}
-				jobs = append(jobs, Job{Coord: coord, Run: func() any {
-					t := utsTree(oj, tree)
-					st := utsRun(oj, coord, sys, t, seqDepth)
+				jobs = append(jobs, Job{Coord: coord, Baseline: sys != "ours", Run: func(o Options) any {
+					o.Machine, o.Perturb = machine, sc.make(o.Seed, sc.level)
+					t := utsTree(o, tree)
+					st := utsRun(o, sys, t, seqDepth)
 					return ResilienceRow{
 						Machine: machine, System: sys, Tree: t.Name,
-						Scenario: sc.name, Level: sc.level, Workers: oj.Workers,
+						Scenario: sc.name, Level: sc.level, Workers: o.Workers,
 						Nodes: st.Tasks, ExecTime: st.Exec,
 						Drops: st.Dropped, Retrans: st.Retransmits,
 					}
@@ -127,7 +125,7 @@ func Resilience(o Options, tree string, seqDepth int) []ResilienceRow {
 			}
 		}
 	}
-	rows := collect[ResilienceRow](RunJobs(o.Parallel, o.Observer, jobs))
+	rows := collect[ResilienceRow](RunJobs(o, jobs))
 
 	// Slowdowns need the full grid: each row divides by its (machine,
 	// system) baseline, which may have run on a different pool worker.

@@ -276,10 +276,8 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 				Fn: workload.ServeDAG(r.Fanout, r.Depth, spec.NodeWork),
 			}
 		}
-		coord := Coord{Experiment: "serve", System: system, Bench: process,
-			Variant: admit, N: int(load * 100), Workers: o.Workers, Seed: o.Seed}
 		var st core.ServeStats
-		rt := runCore(o, coord, greedy, func(cfg *core.Config) {
+		rt := runCore(o, greedy, func(cfg *core.Config) {
 			// Request attribution needs the event trace; tracers only
 			// observe, so this cannot change a single simulated tick
 			// (core's TestServeTracingOnlyObserves).
@@ -347,8 +345,8 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 }
 
 // Serve sweeps the full (system × process × admission × load) grid on the
-// sweep pool and returns rows in grid order. The first "ours" cell claims the
-// observability collector (only the fork-join runtime produces traces).
+// sweep pool and returns rows in grid order. The first "ours" cell is the
+// observed run (only the fork-join runtime produces traces).
 func Serve(o Options, p ServeParams) []ServeRow {
 	o.defaults(36)
 	p.defaults()
@@ -357,17 +355,17 @@ func Serve(o Options, p ServeParams) []ServeRow {
 		for _, process := range p.Processes {
 			for _, admit := range p.Admits {
 				for _, load := range p.Loads {
-					oj := o.claimObs(system == "ours")
 					jobs = append(jobs, Job{
 						Coord: Coord{Experiment: "serve", System: system, Bench: process,
 							Variant: admit, N: int(load * 100), Workers: o.Workers, Seed: o.Seed},
-						Run: func() any { return ServeOnce(oj, p, system, process, admit, load) },
+						Baseline: system != "ours",
+						Run:      func(o Options) any { return ServeOnce(o, p, system, process, admit, load) },
 					})
 				}
 			}
 		}
 	}
-	return collect[ServeRow](RunJobs(o.Parallel, o.Observer, jobs))
+	return collect[ServeRow](RunJobs(o, jobs))
 }
 
 func (r ServeRow) machine() string { return r.Machine }
@@ -410,7 +408,7 @@ var ServeLayout = Layout[ServeRow]{
 		{"goodput_rps", "%.3f", func(r ServeRow) any { return r.GoodputRps }},
 	}...),
 	Extra: func(rows []ServeRow) []Series {
-		if s, ok := ServeRequestSeries(rows); ok {
+		if s, ok := serveRequestSeries(rows); ok {
 			return []Series{s}
 		}
 		return nil
@@ -444,10 +442,10 @@ var serveBandCols = []Col[ServeReqBand]{
 	{"dominant", "%s", func(b ServeReqBand) any { return b.DominantDelay() }},
 }
 
-// ServeRequestSeries renders the per-request tail-attribution bands of the
+// serveRequestSeries renders the per-request tail-attribution bands of the
 // sweep as their own TSV series: one line per ours-cell × band. ok is false
 // when no row carries bands (request tracing off, or a bot-only sweep).
-func ServeRequestSeries(rows []ServeRow) (Series, bool) {
+func serveRequestSeries(rows []ServeRow) (Series, bool) {
 	s := Series{Name: "serve_requests_" + machLabel(rows),
 		Header: append(heads(serveCellCols), heads(serveBandCols)...)}
 	for _, row := range rows {

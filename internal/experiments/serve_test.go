@@ -117,32 +117,6 @@ func TestServeHorizonCellInFlight(t *testing.T) {
 	}
 }
 
-// TestServeSojournHistogramCell: the first "ours" grid cell claims the
-// metrics collector, and its serve.sojourn histogram count equals that
-// cell's completions — the histogram and the conservation counter agree.
-func TestServeSojournHistogramCell(t *testing.T) {
-	o := tinyOpts()
-	o.Obs = &ObsCollector{Metrics: true}
-	p := tinyServeParams()
-	p.Systems = []string{"ours"}
-	rows := Serve(o, p)
-	if !o.Obs.Done {
-		t.Fatal("metrics collector never delivered")
-	}
-	first := rows[0]
-	if c := o.Obs.Coord; c.System != "ours" || c.Bench != first.Process ||
-		c.Variant != first.Admit || c.N != int(first.Load*100) {
-		t.Fatalf("collector claimed %+v, want the first grid cell %+v", o.Obs.Coord, first)
-	}
-	h, ok := o.Obs.Stats.Obs.Lookup("serve.sojourn")
-	if !ok {
-		t.Fatal("serve.sojourn histogram missing from the claimed run")
-	}
-	if h.N != first.Completed {
-		t.Fatalf("sojourn histogram has %d samples, cell completed %d", h.N, first.Completed)
-	}
-}
-
 // TestServeReqBandsConservation: every "ours" cell carries the p50/p99/p999
 // attribution bands, each band's components sum exactly to its sojourn
 // total, and the band populations nest (p999 ⊆ p99 ⊆ p50 tails).
@@ -183,7 +157,7 @@ func TestServeRequestSeries(t *testing.T) {
 	p := tinyServeParams()
 	p.Systems = []string{"ours", "glb"}
 	rows := Serve(tinyOpts(), p)
-	s, ok := ServeRequestSeries(rows)
+	s, ok := serveRequestSeries(rows)
 	if !ok {
 		t.Fatal("no request series from a traced ours sweep")
 	}
@@ -206,7 +180,7 @@ func TestServeRequestSeries(t *testing.T) {
 	}
 	// A sweep with no "ours" cell renders no request series.
 	p.Systems = []string{"glb"}
-	if _, ok := ServeRequestSeries(Serve(tinyOpts(), p)); ok {
+	if _, ok := serveRequestSeries(Serve(tinyOpts(), p)); ok {
 		t.Error("a sweep without ours cells still renders a request series")
 	}
 }

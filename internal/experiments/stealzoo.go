@@ -88,20 +88,17 @@ func StealZoo(o Options, shape string, n int) []StealZooRow {
 	for _, machine := range machines {
 		for _, policy := range core.StealPolicyNames() {
 			for _, sc := range stealZooScenarios() {
-				oj := o.claimObs(true)
-				oj.Machine = machine
-				oj.Steal = policy
-				oj.Perturb = sc.make(o.Seed, sc.level)
 				coord := Coord{
 					Experiment: "stealzoo", Tree: shape, System: policy,
 					Variant: fmt.Sprintf("%s@%g", sc.name, sc.level),
-					Workers: oj.Workers, Seed: oj.Seed,
+					Workers: o.Workers, Seed: o.Seed,
 				}
-				jobs = append(jobs, Job{Coord: coord, Run: func() any {
-					ret, st := runTask(oj, coord, greedy, nil, d.Task())
+				jobs = append(jobs, Job{Coord: coord, Run: func(o Options) any {
+					o.Machine, o.Steal, o.Perturb = machine, policy, sc.make(o.Seed, sc.level)
+					ret, st := runTask(o, greedy, nil, d.Task())
 					row := StealZooRow{
 						Machine: machine, Policy: policy, Shape: d.Shape,
-						Scenario: sc.name, Level: sc.level, Workers: oj.Workers,
+						Scenario: sc.name, Level: sc.level, Workers: o.Workers,
 						Checksum: core.RetInt64(ret), ExecTime: st.ExecTime,
 						StealsOK: st.Work.StealsOK, StealsFail: st.Work.StealsFail,
 						Migrations: st.Stack.MigrationsIn,
@@ -116,7 +113,7 @@ func StealZoo(o Options, shape string, n int) []StealZooRow {
 			}
 		}
 	}
-	rows := collect[StealZooRow](RunJobs(o.Parallel, o.Observer, jobs))
+	rows := collect[StealZooRow](RunJobs(o, jobs))
 
 	// Slowdowns need the full grid: each row divides by the uniform-policy
 	// row of its own (machine, scenario, level) cell.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,11 +57,15 @@ func (c Coord) String() string {
 }
 
 // Job is one independent simulation of a sweep: its grid coordinates plus
-// the function that builds and runs the engine. Run must be self-contained
-// (construct its own workload and runtime) so jobs share no mutable state.
+// the function that builds and runs the engine under the Options RunJobs
+// hands it. Run must be self-contained (construct its own workload and
+// runtime, make its own tweaks to o) so jobs share no mutable state.
+// Baseline marks a job that runs a bag-of-tasks model (saws, charm, glb)
+// rather than the fork-join runtime; it is never the observed run.
 type Job struct {
 	Coord
-	Run func() any
+	Baseline bool
+	Run      func(o Options) any
 }
 
 // JobError reports a panic inside one job with the exact grid coordinates
@@ -75,23 +80,35 @@ func (e *JobError) Error() string {
 	return fmt.Sprintf("experiments: job [%s] panicked: %v", e.Coord, e.Value)
 }
 
-// Observer receives the host-side reports of one invocation's jobs. It rides
+// Observer is the one sink of an invocation's host-side reports. It rides
 // on Options — the manifest Runner gives each entry its own — so two
-// invocations never share one; a nil Observer, or a nil callback, observes
-// nothing. Calls are serialized across pool workers and across both
-// callbacks, so a callback may write to a stream or accumulate without
-// locking.
+// invocations never share one; a nil Observer observes nothing. RunJobs
+// fills it as jobs finish, serialized across pool workers, so Progress may
+// write to a stream without locking and the fields below are complete once
+// the sweep returns.
+//
+// One run of the sweep is observed: the lowest-index job that builds the
+// fork-join runtime, chosen from the job list alone, so it is the same run
+// at every -parallel width. Its metrics registry is always built, its event
+// trace when Trace is set.
 type Observer struct {
-	// Progress is invoked after each job of a sweep finishes: done is the
-	// number of completed jobs so far, total the grid size, wall the job's
-	// host-side execution time.
+	// Progress, when non-nil, is invoked after each job of a sweep finishes:
+	// done is the number of completed jobs so far, total the grid size, wall
+	// the job's host-side execution time.
 	Progress func(done, total int, c Coord, wall time.Duration)
-	// EngineStats is invoked after each fork-join runtime job finishes, with
-	// its run statistics — of which the host-side ones matter here: st.Engine
-	// (see sim.EngineStats), st.InPlace and st.Inline.
-	EngineStats func(c Coord, st core.RunStats)
+	// Trace asks the observed run to record its event trace.
+	Trace bool
 
-	mu sync.Mutex
+	// Runs counts the fork-join runs; Events, Handoffs, InPlace and Inline
+	// sum their engine counters (st.Engine, see sim.EngineStats, st.InPlace
+	// and st.Inline).
+	Runs                              int
+	Events, Handoffs, InPlace, Inline uint64
+	// Coord, Stats (with its registry in Stats.Obs) and Log (nil unless
+	// Trace) describe the observed run; Stats.Obs is nil until one ran.
+	Coord Coord
+	Stats core.RunStats
+	Log   *core.Trace
 }
 
 // ProgressLines is the Progress callback cmd/repro shows: one
@@ -102,43 +119,63 @@ func ProgressLines(w io.Writer) func(done, total int, c Coord, wall time.Duratio
 	}
 }
 
-func (ob *Observer) progress(done, total int, c Coord, wall time.Duration) {
-	if ob == nil || ob.Progress == nil {
-		return
-	}
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
-	ob.Progress(done, total, c, wall)
+// A jobRun is where a job's fork-join run reports: the job's goroutine
+// fills it, and RunJobs folds it into the Observer once the job finished.
+type jobRun struct {
+	observe bool // this job is the sweep's observed run
+	ran     bool
+	stats   core.RunStats
+	log     *core.Trace
 }
 
-func (ob *Observer) engineStats(c Coord, st core.RunStats) {
-	if ob == nil || ob.EngineStats == nil {
+// add folds one finished job's run into the observer.
+func (ob *Observer) add(c Coord, jr *jobRun) {
+	if !jr.ran {
 		return
 	}
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
-	ob.EngineStats(c, st)
+	ob.Runs++
+	ob.Events += jr.stats.Engine.Events
+	ob.Handoffs += jr.stats.Engine.Handoffs
+	ob.InPlace += jr.stats.InPlace
+	ob.Inline += jr.stats.Inline
+	if jr.observe {
+		ob.Coord, ob.Stats, ob.Log = c, jr.stats, jr.log
+	}
 }
 
-// RunJobs executes the grid on a bounded pool of pool goroutines (pool <= 0
-// selects runtime.NumCPU()) and returns the Run results indexed exactly
-// like jobs — grid order, independent of completion order — reporting each
-// finished job to ob. If a job panics, the remaining queued jobs are
-// abandoned, in-flight jobs are drained (the pool never hangs), and RunJobs
-// re-panics with a *JobError carrying the diverging job's coordinates, its
-// cause and the panicking stack. That barrier holds at every pool width: a
-// pool of 1 runs the jobs one after another in grid order — the reference
-// the wider pools must match — and fails the same way.
-func RunJobs(pool int, ob *Observer, jobs []Job) []any {
+// RunJobs executes the grid on a bounded pool of o.Parallel goroutines
+// (<= 0 selects runtime.NumCPU()), each job under its own copy of o, and
+// returns the Run results indexed exactly like jobs — grid order,
+// independent of completion order — reporting each finished job to
+// o.Observer, whose observed run is the first job not marked Baseline. If a
+// job panics, the remaining queued jobs are abandoned, in-flight jobs are
+// drained (the pool never hangs), and RunJobs re-panics with a *JobError
+// carrying the diverging job's coordinates, its cause and the panicking
+// stack. That barrier holds at every pool width: a pool of 1 runs the jobs
+// one after another in grid order — the reference the wider pools must
+// match — and fails the same way.
+func RunJobs(o Options, jobs []Job) []any {
+	pool := o.Parallel
 	if pool <= 0 {
 		pool = runtime.NumCPU()
+	}
+	ob := o.Observer
+	runs := make([]jobRun, len(jobs))
+	if i := slices.IndexFunc(jobs, func(j Job) bool { return !j.Baseline }); i >= 0 && ob != nil {
+		runs[i].observe = true
 	}
 	results := make([]any, len(jobs))
 	done := 0
 	finish := func(i int, r any, start time.Time) {
 		results[i] = r
 		done++
-		ob.progress(done, len(jobs), jobs[i].Coord, time.Since(start))
+		if ob == nil {
+			return
+		}
+		ob.add(jobs[i].Coord, &runs[i])
+		if ob.Progress != nil {
+			ob.Progress(done, len(jobs), jobs[i].Coord, time.Since(start))
+		}
 	}
 
 	if pool > len(jobs) {
@@ -156,7 +193,9 @@ func RunJobs(pool int, ob *Observer, jobs []Job) []any {
 			defer wg.Done()
 			for i := range next {
 				start := time.Now()
-				r, err := runOneRecover(jobs[i])
+				oj := o
+				oj.run = &runs[i]
+				r, err := runOneRecover(jobs[i], oj)
 				mu.Lock()
 				if err != nil {
 					if failed == nil {
@@ -186,15 +225,15 @@ func RunJobs(pool int, ob *Observer, jobs []Job) []any {
 	return results
 }
 
-// runOneRecover executes a job behind the per-job panic barrier.
-func runOneRecover(j Job) (r any, err *JobError) {
+// runOneRecover executes a job under o behind the per-job panic barrier.
+func runOneRecover(j Job, o Options) (r any, err *JobError) {
 	defer func() {
 		if v := recover(); v != nil {
 			buf := make([]byte, 64<<10)
 			err = &JobError{Coord: j.Coord, Value: v, Stack: buf[:runtime.Stack(buf, false)]}
 		}
 	}()
-	return j.Run(), nil
+	return j.Run(o), nil
 }
 
 // collect asserts every result of RunJobs back to its row type, preserving

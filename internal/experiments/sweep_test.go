@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"contsteal/internal/core"
 )
 
 // TestSweepDeterministicUnderParallelism is the contract the whole PR rests
@@ -48,14 +46,14 @@ func TestRunJobsGridOrder(t *testing.T) {
 		i := i
 		jobs[i] = Job{
 			Coord: Coord{Experiment: "order", Workers: i},
-			Run: func() any {
+			Run: func(Options) any {
 				time.Sleep(time.Duration(n-i) * time.Millisecond)
 				return i
 			},
 		}
 	}
 	for _, pool := range []int{1, 4, n} {
-		results := RunJobs(pool, nil, jobs)
+		results := RunJobs(Options{Parallel: pool}, jobs)
 		for i, r := range results {
 			if r.(int) != i {
 				t.Fatalf("pool=%d: results[%d] = %v, want %d", pool, i, r, i)
@@ -67,9 +65,9 @@ func TestRunJobsGridOrder(t *testing.T) {
 func TestRunJobsPanicBarrierReportsCoordinates(t *testing.T) {
 	bad := Coord{Experiment: "fig6", Bench: "recpfor", Variant: "greedy", N: 512, Workers: 72, Seed: 42}
 	jobs := []Job{
-		{Coord: Coord{Experiment: "fig6", Variant: "baseline", Workers: 72}, Run: func() any { return 1 }},
-		{Coord: bad, Run: func() any { panic("diverged") }},
-		{Coord: Coord{Experiment: "fig6", Variant: "child-full", Workers: 72}, Run: func() any { return 3 }},
+		{Coord: Coord{Experiment: "fig6", Variant: "baseline", Workers: 72}, Run: func(Options) any { return 1 }},
+		{Coord: bad, Run: func(Options) any { panic("diverged") }},
+		{Coord: Coord{Experiment: "fig6", Variant: "child-full", Workers: 72}, Run: func(Options) any { return 3 }},
 	}
 	for _, pool := range []int{1, 2, 8} {
 		func() {
@@ -78,7 +76,7 @@ func TestRunJobsPanicBarrierReportsCoordinates(t *testing.T) {
 			go func() {
 				defer close(done)
 				defer func() { recovered = recover() }()
-				RunJobs(pool, nil, jobs)
+				RunJobs(Options{Parallel: pool}, jobs)
 			}()
 			select {
 			case <-done:
@@ -105,9 +103,10 @@ func TestRunJobsPanicBarrierReportsCoordinates(t *testing.T) {
 }
 
 // TestProgressHookSerializedAndComplete hands an Observer down on Options
-// and expects every job of the grid reported once to each callback, done
-// counting 1..total. The callbacks share state without a lock: the Observer
-// serializes them, across both, and the race detector holds it to that.
+// and expects every job of the grid reported once, done counting 1..total,
+// and the observer's totals to cover every fork-join run of the grid. The
+// Progress callback keeps state without a lock: RunJobs serializes it, and
+// the race detector holds it to that.
 func TestProgressHookSerializedAndComplete(t *testing.T) {
 	var dones []int
 	calls := map[string]int{}
@@ -116,17 +115,8 @@ func TestProgressHookSerializedAndComplete(t *testing.T) {
 			if total != len(Variants()) {
 				t.Errorf("total = %d, want %d", total, len(Variants()))
 			}
-			if calls["engine "+c.Variant] != 1 {
-				t.Errorf("job %s finished before its engine counters were reported", c.Variant)
-			}
 			dones = append(dones, done)
-			calls["job "+c.Variant]++
-		},
-		EngineStats: func(c Coord, st core.RunStats) {
-			if st.Engine.Events == 0 {
-				t.Errorf("%s: events=0, want a run", c)
-			}
-			calls["engine "+c.Variant]++
+			calls[c.Variant]++
 		},
 	}
 	Fig6(Options{Workers: 18, Seed: 7, Parallel: 3, Observer: ob}, "pfor", []int{64})
@@ -137,8 +127,14 @@ func TestProgressHookSerializedAndComplete(t *testing.T) {
 		}
 	}
 	for _, v := range Variants() {
-		if calls["job "+v.Name] != 1 || calls["engine "+v.Name] != 1 {
-			t.Errorf("variant %s reported %d/%d times, want once each", v.Name, calls["job "+v.Name], calls["engine "+v.Name])
+		if calls[v.Name] != 1 {
+			t.Errorf("variant %s reported %d times, want once", v.Name, calls[v.Name])
 		}
+	}
+	if ob.Runs != len(Variants()) {
+		t.Errorf("observer counted %d fork-join runs, want %d", ob.Runs, len(Variants()))
+	}
+	if ob.Events == 0 || ob.Handoffs == 0 {
+		t.Errorf("observer summed events=%d handoffs=%d, want a run's worth", ob.Events, ob.Handoffs)
 	}
 }

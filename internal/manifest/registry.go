@@ -23,7 +23,7 @@ type Spec struct {
 
 // Run executes the spec: the caller's params overlay the spec's defaults (so
 // callers only pass what they set), the result is validated and mapped onto
-// x — which carries the knobs that cannot change a result: Parallel, Obs and
+// x — which carries the knobs that cannot change a result: Parallel and
 // Observer — and Call runs the experiment. A job of the sweep that
 // panics — a deque too small for the workload, a run that cannot complete by
 // its horizon — is returned as its *experiments.JobError, which names the

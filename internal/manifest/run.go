@@ -8,13 +8,9 @@
 //	  tsv/<id>/*.tsv     each entry's TSV series
 //	  json/<id>.json     each entry's structured rows
 //	  metrics/<id>.tsv   deterministic metrics registry of the entry's
-//	                     first fork-join run (when one ran)
-//	  metrics/<id>.requests.tsv
-//	                     per-request tail-attribution bands of a serve entry
-//	                     (when request tracing ran; same bytes as the entry's
-//	                     golden-validated serve_requests_* series)
-//	  trace/<id>.json    event trace of the entry's first fork-join run, only
-//	                     when Trace names a format
+//	                     observed run, its first fork-join run (when one ran)
+//	  trace/<id>.json    event trace of the entry's observed run, only when
+//	                     Trace names a format
 //	  summary.tsv        the paper-ready summary table, one row per entry:
 //	                     deterministic engine counters, golden verdict and
 //	                     headline metrics
@@ -36,7 +32,6 @@ import (
 	"sort"
 	"strings"
 
-	"contsteal/internal/core"
 	"contsteal/internal/experiments"
 )
 
@@ -64,7 +59,7 @@ type Report struct {
 
 // Run executes the entries in order. Each entry's experiment grid still
 // runs on the sweep pool (Parallel); entries themselves run sequentially,
-// each under its own observer and observability collector. Every entry's
+// each under its own experiments.Observer. Every entry's
 // params, and the trace format, are checked before the run folder is
 // created.
 // Returns an error on any I/O or experiment failure; golden mismatches are
@@ -115,14 +110,15 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 		if !rn.Quiet {
 			fmt.Fprintf(rn.Stderr, "== entry %d/%d: %s (%s) ==\n", i+1, len(entries), e.ID, e.Experiment)
 		}
-		r, obs, err := rn.runEntry(e, spec, &stats[i])
+		r, ob, err := rn.runEntry(e, spec)
 		if err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
+		stats[i] = entryStats{ob, r.Summary()}
 		if err := writeEntry(dir, e, r); err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
-		if err := rn.writeObs(dir, e, obs); err != nil {
+		if err := rn.writeObs(dir, e, ob); err != nil {
 			return nil, fmt.Errorf("manifest: entry %s: %w", e.ID, err)
 		}
 		r.Table(tables)
@@ -153,80 +149,59 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 	return rep, nil
 }
 
-// entryStats is one summary row's engine columns: the deterministic
-// counters of every fork-join run of the entry, summed, plus the entry's
+// entryStats is one summary row's engine columns — the counters of every
+// fork-join run of the entry, summed by its Observer — plus the entry's
 // headline metrics. Of the handoffs (proc resumptions), inplace were the
 // dispatcher's own and inline ran a continuation that suspended the proc
 // again; neither cost a goroutine switch, the rest did.
 type entryStats struct {
-	jobs                              int
-	events, handoffs, inplace, inline uint64
-	summary                           map[string]float64
+	*experiments.Observer
+	summary map[string]float64
 }
 
-// add is the entry's Observer.EngineStats; calls arrive serialized.
-func (a *entryStats) add(_ experiments.Coord, st core.RunStats) {
-	a.jobs++
-	a.events += st.Engine.Events
-	a.handoffs += st.Engine.Handoffs
-	a.inplace += st.InPlace
-	a.inline += st.Inline
-}
-
-// runEntry executes one entry under its own observer — the engine counters
-// accumulate into st, per-job progress goes to Stderr — and its own
-// observability collector: the metrics registry always, the trace when
-// asked for.
-func (rn *Runner) runEntry(e Entry, spec *Spec, st *entryStats) (experiments.Rendering, *experiments.ObsCollector, error) {
-	obs := &experiments.ObsCollector{Metrics: true, Trace: rn.Trace != ""}
-	x := experiments.Options{Parallel: rn.Parallel, Obs: obs,
-		Observer: &experiments.Observer{EngineStats: st.add}}
+// runEntry executes one entry under its own observer: it sums the engine
+// counters, keeps the observed run's metrics registry and, when asked for,
+// its trace; per-job progress goes to Stderr.
+func (rn *Runner) runEntry(e Entry, spec *Spec) (experiments.Rendering, *experiments.Observer, error) {
+	ob := &experiments.Observer{Trace: rn.Trace != ""}
 	if !rn.Quiet {
-		x.Observer.Progress = experiments.ProgressLines(rn.Stderr)
+		ob.Progress = experiments.ProgressLines(rn.Stderr)
 	}
-	r, err := spec.Run(e.Params, x)
+	r, err := spec.Run(e.Params, experiments.Options{Parallel: rn.Parallel, Observer: ob})
 	if err != nil {
 		return nil, nil, err
 	}
-	st.summary = r.Summary()
-	return r, obs, nil
+	return r, ob, nil
 }
 
-// writeEntry persists one entry's series, request bands and rows.
+// writeEntry persists one entry's series and rows.
 func writeEntry(dir string, e Entry, r experiments.Rendering) error {
 	if err := writeSeries(filepath.Join(dir, "tsv", e.ID), r.Series()); err != nil {
 		return err
 	}
-	if rows, ok := r.Rows().([]experiments.ServeRow); ok {
-		if s, ok := experiments.ServeRequestSeries(rows); ok {
-			if err := WriteFile(filepath.Join(dir, "metrics", e.ID+".requests.tsv"), s.Write); err != nil {
-				return err
-			}
-		}
-	}
 	return writeJSON(filepath.Join(dir, "json", e.ID+".json"), section{r.Section(), r.Rows()})
 }
 
-// writeObs persists the claimed run's metrics registry, when one was
-// collected, and its trace, when one was asked for: an entry with no
-// fork-join run has no trace to give, which is an error only then.
-func (rn *Runner) writeObs(dir string, e Entry, obs *experiments.ObsCollector) error {
+// writeObs persists the observed run's metrics registry, when one ran, and
+// its trace, when one was asked for: an entry with no fork-join run has no
+// trace to give, which is an error only then.
+func (rn *Runner) writeObs(dir string, e Entry, ob *experiments.Observer) error {
 	if rn.Trace != "" {
-		if !obs.Done || obs.Log == nil {
+		if ob.Log == nil {
 			return fmt.Errorf("-trace: no fork-join runtime job ran")
 		}
-		write := obs.Log.WriteJSON
+		write := ob.Log.WriteJSON
 		if rn.Trace == "chrome" {
-			write = obs.Log.WriteChromeTrace
+			write = ob.Log.WriteChromeTrace
 		}
 		if err := WriteFile(filepath.Join(dir, "trace", e.ID+".json"), write); err != nil {
 			return err
 		}
 	}
-	if !obs.Done || obs.Stats.Obs == nil {
+	if ob.Stats.Obs == nil {
 		return nil
 	}
-	return WriteFile(filepath.Join(dir, "metrics", e.ID+".tsv"), obs.Stats.Obs.WriteTSV)
+	return WriteFile(filepath.Join(dir, "metrics", e.ID+".tsv"), ob.Stats.Obs.WriteTSV)
 }
 
 // writeSummary emits the paper-ready summary table: one row per entry with
@@ -255,9 +230,9 @@ func (rn *Runner) writeSummary(dir string, entries []Entry, stats []entryStats, 
 			v = "-"
 		}
 		rows = append(rows, []string{
-			e.ID, e.Experiment, fmt.Sprint(st.jobs),
-			fmt.Sprint(st.events), fmt.Sprint(st.handoffs),
-			fmt.Sprint(st.inplace), fmt.Sprint(st.inline),
+			e.ID, e.Experiment, fmt.Sprint(st.Runs),
+			fmt.Sprint(st.Events), fmt.Sprint(st.Handoffs),
+			fmt.Sprint(st.InPlace), fmt.Sprint(st.Inline),
 			v, summaryString(st.summary)})
 	}
 	if err := writeSeries(dir, []experiments.Series{{Name: "summary", Header: header, Cells: rows}}); err != nil {

@@ -27,9 +27,11 @@
 #          zero-magnitude -perturb overlay (a no-op: it must still match its
 #          golden, and the run folder's manifest.json must record the
 #          overlay), `repro validate` and `repro analyze` on the committed
-#          trace fixtures and on a serve cell cut at 20 µs with a stolen
-#          stack in flight (traced into its run folder; the trace must
-#          still agree with the counters), the allocation-free gates of the
+#          trace fixtures and on a serve grid cut at 20 µs whose first
+#          cells are saws baselines (traced into its run folder: the
+#          observed cell is the first ours one, with a stolen stack in
+#          flight, and its trace must still agree with the counters), the
+#          allocation-free gates of the
 #          event path, a proc's spawn/exit cycle on the engine's proc pool,
 #          the fabric ops, the steal chain and the worker's idle
 #          cycle, the allocation bound of a trace recorder's log (one
@@ -104,7 +106,7 @@ for tier in "${tiers[@]}"; do
     "$out/repro" analyze cmd/repro/testdata/trace_uts_micro.json
     "$out/repro" analyze cmd/repro/testdata/trace_serve_micro.json
     "$out/repro" analyze -requests cmd/repro/testdata/trace_serve_micro.json
-    "$out/repro" serve -systems ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace json -stamp cut -out "$out/runs" -quiet >/dev/null
+    "$out/repro" serve -systems saws,ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace json -stamp cut -out "$out/runs" -quiet >/dev/null
     "$out/repro" analyze "$out/runs/cut/trace/serve.json"
     "$out/repro" analyze -requests "$out/runs/cut/trace/serve.json"
     go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core ./internal/obs ./internal/workload
