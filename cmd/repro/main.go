@@ -323,10 +323,11 @@ func runManifest(cmd string, args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 	if *parallel == 1 {
-		// A sequential sweep is one engine at a time; keep the Go scheduler
-		// on one OS thread for cheap proc handoffs (see internal/sim's
-		// "Host performance" note), restoring the setting on return. With a
-		// parallel pool the engines need all host threads instead.
+		// A sequential sweep is one engine at a time, whose proc handoffs
+		// are coroutine switches on its own thread (see internal/sim's
+		// "Host performance" note): keep the Go scheduler on one OS thread,
+		// restoring the setting on return. With a parallel pool the engines
+		// need all host threads instead.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
 	st := *stamp

@@ -185,8 +185,9 @@ type Runtime struct {
 	objs    *remobj.Space
 	workers []*Worker
 
-	threads  []*Thread // registry: live Thread by id (ids are never reused; a dead thread's slot is nil)
-	childSeq int64     // child-task id sequence
+	threadID int64             // the next thread id (ids are never reused)
+	saved    map[int64]*Thread // suspended joiners by id, from saveContext until loadContext
+	childSeq int64             // child-task id sequence
 	done     bool
 	rootRet  []byte
 	busy     int // gauge: workers executing user work
@@ -254,6 +255,7 @@ func New(cfg Config) *Runtime {
 		fab:          fab,
 		objs:         remobj.NewSpace(fab, cfg.RemoteFree),
 		joinInfo:     make(map[rdma.Loc]*joinInfo),
+		saved:        make(map[int64]*Thread),
 		stealBackoff: cfg.Machine.Perturb.Active(),
 	}
 	if cfg.Trace {
@@ -516,11 +518,3 @@ func (rt *Runtime) joinResumed(w *Worker, e rdma.Loc, task, req int64) {
 
 // dropJoinInfo discards bookkeeping when an entry is freed.
 func (rt *Runtime) dropJoinInfo(e rdma.Loc) { delete(rt.joinInfo, e) }
-
-// register adds a thread to the registry under the next id.
-func (rt *Runtime) register(t *Thread) {
-	t.id = int64(len(rt.threads))
-	rt.threads = append(rt.threads, t)
-}
-
-func (rt *Runtime) thread(id int64) *Thread { return rt.threads[id] }

@@ -472,16 +472,15 @@ func TestRemoteFreeStrategiesSameResult(t *testing.T) {
 	_ = execTimes
 }
 
-// TestRegistryLetsTheDeadGo: the thread registry resolves suspended threads
-// (the only lookups there are: loadContext on a join's slow path) and drops a
-// thread when its body returns, so a run does not pin every Thread and Proc it
-// ever made.
+// TestRegistryLetsTheDeadGo: the runtime holds a thread only while its saved
+// context is outstanding (the only lookups are loadContext on a join's slow
+// path), so a run does not pin every Thread and Proc it ever made.
 func TestRegistryLetsTheDeadGo(t *testing.T) {
 	rt := New(testConfig(ContGreedy, 2))
 	ret, st := rt.Run(func(c *Ctx) []byte {
 		h := c.Spawn(func(c *Ctx) []byte {
 			c.Compute(200 * 1000) // the stolen parent reaches the join and suspends meanwhile
-			if parent := rt.thread(c.t.parentID); parent == nil || parent.state != tSuspended {
+			if parent := rt.saved[c.t.parentID]; parent == nil || parent.state != tSuspended {
 				t.Errorf("suspended parent does not resolve: %+v", parent)
 			}
 			return Int64Ret(5)
@@ -495,13 +494,11 @@ func TestRegistryLetsTheDeadGo(t *testing.T) {
 	if st.Work.JoinSlowPath == 0 {
 		t.Error("the parent was never resumed through its saved context")
 	}
-	if len(rt.threads) != 2 {
-		t.Fatalf("%d thread ids handed out, want 2", len(rt.threads))
+	if rt.threadID != 2 {
+		t.Fatalf("%d thread ids handed out, want 2", rt.threadID)
 	}
-	for id, th := range rt.threads {
-		if th != nil {
-			t.Errorf("dead thread %d is still registered", id)
-		}
+	for id := range rt.saved {
+		t.Errorf("dead thread %d is still held", id)
 	}
 }
 

@@ -108,17 +108,22 @@ func (w *Worker) allocEntry(p *sim.Proc, consumers int) Handle {
 const ctxObjBytes = 64
 
 // saveContext allocates a context object on w describing thread t and
-// returns its location. Owner-local writes only.
+// returns its location. Owner-local writes only. The runtime holds t by id
+// until loadContext reads the context (or the joiner frees it unread).
 func (w *Worker) saveContext(p *sim.Proc, t *Thread) rdma.Loc {
 	c := w.rt.objs.Alloc(p, w.rank, ctxObjBytes)
 	w.rt.fab.Seg(w.rank).WriteInt64(c.Addr, t.id)
+	w.rt.saved[t.id] = t
 	return c
 }
 
 // loadContext resolves a context object fetched from loc into its thread.
 // The caller has already paid for the get of the context bytes.
 func (rt *Runtime) loadContext(buf []byte) *Thread {
-	return rt.thread(int64(binary.LittleEndian.Uint64(buf)))
+	id := int64(binary.LittleEndian.Uint64(buf))
+	t := rt.saved[id]
+	delete(rt.saved, id)
+	return t
 }
 
 // ---------------------------------------------------------------------------

@@ -241,6 +241,7 @@ func (rt *Runtime) joinGreedy(c *Ctx, h Handle) {
 	}
 	// Lost the race (lines 49-50): the joined thread completed in between;
 	// resume our own context immediately, restoring the just-evacuated stack.
+	delete(rt.saved, t.id)
 	rt.objs.Free(p, w.rank, cloc)
 	w.restore(p, t)
 	t.state = tRunning

@@ -101,8 +101,8 @@ func TestRecycledThreadsAreZero(t *testing.T) {
 
 func checkRecycled(t *testing.T, pol Policy, what string, rt *Runtime) {
 	t.Helper()
-	if n := len(rt.freeThreads); n == 0 || n >= len(rt.threads) {
-		t.Errorf("%v %s: %d Threads carried %d tasks, want fewer Threads than tasks", pol, what, n, len(rt.threads))
+	if n := len(rt.freeThreads); n == 0 || int64(n) >= rt.threadID {
+		t.Errorf("%v %s: %d Threads carried %d tasks, want fewer Threads than tasks", pol, what, n, rt.threadID)
 	}
 	for i, th := range rt.freeThreads {
 		if th.body == nil {

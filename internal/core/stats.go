@@ -71,7 +71,7 @@ type RunStats struct {
 	// Engine carries the host-side DES engine counters of the run (events
 	// dispatched, proc resumptions, completion callbacks) — the split-phase
 	// engine's cost model, not a simulated quantity. See sim.EngineStats.
-	// InPlace is how many of Engine.Handoffs needed no goroutine switch
+	// InPlace is how many of Engine.Handoffs needed no coroutine switch
 	// because the proc was the dispatcher itself (sim.Engine.InPlace), Inline
 	// how many because a continuation ran in its stead (sim.Engine.Inline).
 	Engine  sim.EngineStats

@@ -290,7 +290,8 @@ func (rt *Runtime) newThread(w *Worker, fn TaskFunc, hdl Handle) *Thread {
 		t.body = t.main
 	}
 	t.rt, t.w, t.fn, t.entry, t.hdl = rt, w, fn, hdl.E, hdl
-	rt.register(t)
+	t.id = rt.threadID
+	rt.threadID++
 	return t
 }
 
@@ -308,10 +309,6 @@ func (t *Thread) main(p *sim.Proc) {
 	t.ctx = Ctx{rt: rt, t: t, p: p}
 	ret := t.fn(&t.ctx)
 	rt.die(&t.ctx, ret)
-	// Only suspended threads are ever looked up (loadContext), so the slot goes
-	// before the Thread is zeroed for the next task: a dead id must never
-	// resolve to whatever task the Thread carries next. The id stays taken.
-	rt.threads[t.id] = nil
 	*t = Thread{body: t.body}
 	rt.freeThreads = append(rt.freeThreads, t)
 }

@@ -153,7 +153,7 @@ func (rn *Runner) Run(entries []Entry) (*Report, error) {
 // fork-join run of the entry, summed by its Observer — plus the entry's
 // headline metrics. Of the handoffs (proc resumptions), inplace were the
 // dispatcher's own and inline ran a continuation that suspended the proc
-// again; neither cost a goroutine switch, the rest did.
+// again; neither cost a coroutine switch, the rest did.
 type entryStats struct {
 	*experiments.Observer
 	summary map[string]float64

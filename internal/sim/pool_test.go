@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// The proc pool: a proc whose body returns keeps its goroutine, channel and
-// Proc for the next Go (see spawn and serve).
+// The proc pool: a proc whose body returns keeps its coroutine and Proc for
+// the next Go (see spawn and serve).
 
 // within runs fn on its own goroutine and fails the test if it has not
 // returned after a few seconds — the shape a baton handed to nobody takes.
@@ -33,9 +33,8 @@ func pooled(e *Engine) (n int) {
 }
 
 // TestRespawnOntoItself: a callback run by the dispatch of an exiting proc's
-// goroutine spawns, takes that very proc from the pool, and its start is the
-// next event. The goroutine must run the new body itself: handing the baton
-// over its own channel would wait forever.
+// coroutine spawns, takes that very proc from the pool, and its start is the
+// next event. The coroutine must run the new body itself, in place.
 func TestRespawnOntoItself(t *testing.T) {
 	e := NewEngine()
 	var second *Proc
@@ -63,22 +62,71 @@ func TestRespawnOntoItself(t *testing.T) {
 	}
 }
 
+// TestSwitchAllocFree is the allocs/op gate of a switched resumption: two
+// procs alternating Sleep(1) always find the other one next, so once both
+// coroutines run every resumption is a switch, and switching allocates
+// nothing.
+func TestSwitchAllocFree(t *testing.T) {
+	e := NewEngine()
+	defer e.Shutdown()
+	for i := 0; i < 2; i++ {
+		e.GoID("w", int64(i), func(p *Proc) {
+			for {
+				p.Sleep(1)
+			}
+		})
+	}
+	e.Run(100)
+	handoffs, kept := e.Stats().Handoffs, e.InPlace()+e.Inline()
+	if avg := testing.AllocsPerRun(50, func() { e.Run(e.Now() + 100) }); avg != 0 {
+		t.Errorf("50 windows of switches allocate %.1f times per Run, want 0", avg)
+	}
+	if e.Stats().Handoffs == handoffs || e.InPlace()+e.Inline() != kept {
+		t.Errorf("window: %d resumptions, %d in place or inline; want some, none",
+			e.Stats().Handoffs-handoffs, e.InPlace()+e.Inline()-kept)
+	}
+}
+
 // TestShutdownDrainsPoolAndRecycled: Shutdown kills live procs — among them
-// recycled ones whose new body has not started — and then the pooled ones.
+// recycled ones whose new body has not started and a new one whose coroutine
+// was never entered — and then the pooled ones.
 func TestShutdownDrainsPoolAndRecycled(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
+	body := func(p *Proc) { t.Error("a killed proc ran") }
 	e.Go("keeper", func(p *Proc) { p.Park() }) // live, so Run keeps the pool
 	for i := 0; i < 4; i++ {
 		e.GoID("short", int64(i), func(p *Proc) { p.Sleep(1) })
 	}
-	e.Run(Forever)
-	body := func(p *Proc) { t.Error("a recycled proc ran after Shutdown") }
+	e.GoAfter(Second, "fresh", body) // beyond the horizon: never entered
+	e.Run(10)
 	e.Go("recycled", body)
 	e.Go("recycled", body)
-	if n := pooled(e); n != 2 || e.Live() != 3 {
-		t.Fatalf("pooled=%d live=%d, want 2 and 3", n, e.Live())
+	if n := pooled(e); n != 2 || e.Live() != 4 {
+		t.Fatalf("pooled=%d live=%d, want 2 and 4", n, e.Live())
 	}
+	within(t, "Shutdown", e.Shutdown)
+	if e.Live() != 0 || pooled(e) != 0 {
+		t.Errorf("after Shutdown: live=%d pooled=%d, want 0 and 0", e.Live(), pooled(e))
+	}
+	if n := countGoroutines(base); n > base {
+		t.Errorf("goroutines leaked: %d > %d baseline", n, base)
+	}
+}
+
+// TestShutdownKillsBodiesThatRecover: a body that recovers the unwinding of
+// its kill and returns ends its coroutine without touching the live list
+// again, so the procs Shutdown kills after it die too.
+func TestShutdownKillsBodiesThatRecover(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	for i := 0; i < 3; i++ {
+		e.GoID("stubborn", int64(i), func(p *Proc) {
+			defer func() { recover() }()
+			p.Park()
+		})
+	}
+	e.Run(Forever)
 	within(t, "Shutdown", e.Shutdown)
 	if e.Live() != 0 || pooled(e) != 0 {
 		t.Errorf("after Shutdown: live=%d pooled=%d, want 0 and 0", e.Live(), pooled(e))

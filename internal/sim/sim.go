@@ -6,12 +6,12 @@
 // # Model
 //
 // An Engine owns a virtual clock and a priority queue of events. A Proc is a
-// goroutine that runs only while it holds the engine's baton; at any instant
-// exactly one goroutine holds it — Run's caller, or one proc — and whoever
-// holds it dispatches the next event itself when it suspends, so a
-// simulation is fully sequential and deterministic: two runs with the same
-// inputs produce the same event order, the same virtual timestamps, and the
-// same results, regardless of GOMAXPROCS.
+// coroutine that runs only while it holds the engine's baton; at any instant
+// exactly one holds it — Run's caller, or one proc — and whoever holds it
+// dispatches the next event itself when it suspends, so a simulation is
+// fully sequential and deterministic: two runs with the same inputs produce
+// the same event order, the same virtual timestamps, and the same results,
+// regardless of GOMAXPROCS.
 //
 // Procs interact with virtual time through three primitives:
 //
@@ -20,7 +20,7 @@
 //   - Wake(p)/WakeAfter(p, d): make a parked proc runnable (now or later).
 //
 // The engine additionally supports plain callback events via At/After, which
-// run inline on whichever goroutine is dispatching (never concurrently with
+// run inline on whichever coroutine is dispatching (never concurrently with
 // a proc body).
 //
 // Each suspension also has a continuation form — SleepThen, ParkThen,
@@ -29,7 +29,7 @@
 // is SleepThen with no continuation, followed by Await). A
 // continuation may suspend its proc again, so a cycle that mostly waits — an
 // idle worker's pop miss, failed steal and backoff — is written as a chain of
-// them and reaches the proc's goroutine, blocked in Await, only when one
+// them and reaches the proc's coroutine, suspended in Await, only when one
 // returns with something for it to do.
 //
 // # Determinism
@@ -59,37 +59,35 @@
 //
 // # Host performance
 //
-// There is no driver goroutine between two procs. A suspending (or exiting)
+// There is no driver goroutine between two procs. Each proc is a Go runtime
+// coroutine (iter.Pull over its serve loop), and a suspending (or exiting)
 // proc runs the event loop itself: callbacks cost a heap pop plus a function
 // call (~25 ns), and a proc's wake-up costs one of three things. Inline: the
 // proc suspended in continuation form, so the dispatcher calls the
 // continuation, and if that suspends the proc again the wake-up is over —
 // about a callback's cost (~28 ns), whichever proc it belongs to. In place:
-// the proc to resume is the dispatcher itself, blocked in Await, which just
-// returns — a clock advance, no channel operation (~29 ns). Switched: any
-// other proc is woken directly over its channel and the dispatcher blocks —
-// one goroutine switch (~270 ns). Only a Run per event still pays the old
-// two-switch round trip (~500 ns). benchmark/micro.go times the unit costs
-// cold, as sim.callback_ns, sim.sleep_ns, sim.handoff_ns and sim.chain5_ns;
-// the shapes it has no driver for yet stay here as BenchmarkSleepInPlace,
-// BenchmarkSleepInline and BenchmarkProcPingPong. Hot
-// paths avoid switches: multi-op protocols use completion chains (one
-// resumption per protocol), cycles that wait more than they work use
-// continuations (no resumption until there is work), live procs are kept on
-// an intrusive list (no map operations on spawn/death), spawn reuses a
-// finished proc's goroutine, channel and Proc (a goroutine whose body returns
-// joins the engine's pool instead of exiting, keeping the stack it grew; Run
-// drains the pool when it ends with no proc live, Shutdown after killing the
-// live ones, so no goroutine outlives its simulation), proc names are
-// formatted lazily (no fmt on the spawn path; see GoID), and events are plain
-// values in a slice-backed heap (no per-event allocation). With a single OS
-// thread available (GOMAXPROCS=1) the Go scheduler keeps the remaining
-// switches on-thread, which is cheaper than cross-thread wakeups — the right
-// setting when one simulation owns the whole process.
-// When many engines run concurrently (parallel experiment sweeps, one
-// engine per host goroutine), leave GOMAXPROCS alone: all host threads stay
-// busy and determinism is unaffected either way because each engine's event
-// order never depends on goroutine scheduling. EngineStats reports how many
+// the proc to resume is the dispatcher itself, suspended in Await, which just
+// returns — a clock advance, no switch (~29 ns). Switched: the dispatcher
+// names the other proc and yields to Run, whose trampoline resumes that
+// proc's coroutine — two coroutine switches that bypass the Go scheduler
+// (~230 ns together). benchmark/micro.go times the unit costs cold, as
+// sim.callback_ns, sim.sleep_ns, sim.handoff_ns and sim.chain5_ns; the
+// shapes it has no driver for yet stay here as BenchmarkSleepInPlace,
+// BenchmarkSleepInline and BenchmarkProcPingPong. Hot paths avoid switches:
+// multi-op protocols use completion chains (one resumption per protocol),
+// cycles that wait more than they work use continuations (no resumption
+// until there is work), live procs are kept on an intrusive list (no map
+// operations on spawn/death), spawn reuses a finished proc's coroutine and
+// Proc (a coroutine whose body returns joins the engine's pool instead of
+// exiting, keeping the stack it grew; Run drains the pool when it ends with
+// no proc live, Shutdown after killing the live ones, so no goroutine
+// outlives its simulation), proc names are formatted lazily (no fmt on the
+// spawn path; see GoID), and events are plain values in a slice-backed heap
+// (no per-event allocation). A coroutine switch runs on the thread of the
+// goroutine that calls Run, so GOMAXPROCS affects neither an engine's event
+// order nor its switch cost; when many engines run concurrently (parallel
+// experiment sweeps, one engine per host goroutine), each uses one thread at
+// a time. EngineStats reports how many
 // events, proc resumptions and callbacks a run executed, Inline and InPlace
 // how many resumptions needed no switch, so throughput (events/sec) and the
 // switch-avoidance ratio are directly measurable.
@@ -101,13 +99,14 @@
 // goroutine, where it can be recovered per run. A panic inside a callback
 // (including a chain link) is wrapped the same way, attributed to the
 // pseudo-proc "callback", and a panic inside a continuation to the proc it
-// ran as — both are caught inside dispatch, because the goroutine they
+// ran as — both are caught inside dispatch, because the coroutine they
 // happen to run on is usually some other suspended proc's. The engine shuts
 // down its remaining procs first, so no goroutines leak past the failure.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime"
 	"strconv"
 )
@@ -176,15 +175,7 @@ func (s ProcState) String() string {
 	return "invalid"
 }
 
-type wakeSignal uint8
-
-const (
-	wakeRun  wakeSignal = iota // baton holder -> proc: run until the next suspension
-	wakeKill                   // Shutdown -> proc: unwind and exit
-	wakeDone                   // killed proc -> Shutdown: goroutine is exiting
-)
-
-// killed is the panic payload used to unwind a proc's goroutine during
+// killed is the panic payload used to unwind a proc's coroutine during
 // Engine.Shutdown. It never escapes the package.
 type killed struct{}
 
@@ -213,7 +204,7 @@ func (pp *ProcPanic) String() string {
 // scheduling, so they are safe to report alongside virtual-time results.
 type EngineStats struct {
 	Events    uint64 // events dispatched by Run
-	Handoffs  uint64 // proc resumptions (inline, in place or by a goroutine switch; see Inline, InPlace)
+	Handoffs  uint64 // proc resumptions (inline, in place or by a coroutine switch; see Inline, InPlace)
 	Callbacks uint64 // callbacks executed (incl. chain links)
 }
 
@@ -242,19 +233,19 @@ type Engine struct {
 	nlive   int
 	parked  int
 	stopped bool
-	until   Time          // horizon of the Run in progress
-	driver  chan struct{} // hands the baton back to the goroutine parked in Run
-	fail    *ProcPanic    // first panic of the run, re-raised by Run
-	trace   func(string)  // optional debug trace hook
+	until   Time         // horizon of the Run in progress
+	handTo  *Proc        // the proc Run resumes next, set by the proc handing over
+	fail    *ProcPanic   // first panic of the run, re-raised by Run
+	trace   func(string) // optional debug trace hook
 	stats   EngineStats
-	inplace uint64 // resumptions served without a goroutine switch (see InPlace)
+	inplace uint64 // resumptions served without a coroutine switch (see InPlace)
 	inline  uint64 // resumptions whose continuation suspended again (see Inline)
 	chains  *Chain // free list of pooled Chain objects
 }
 
 // NewEngine returns an empty engine with the clock at 0.
 func NewEngine() *Engine {
-	return &Engine{driver: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -276,10 +267,9 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 
 // InPlace returns how many of Stats().Handoffs were served in place: the
 // suspending proc found its own resumption next in the queue and simply
-// returned, with no channel operation (or an exiting proc found its own
-// restart, respawned from the pool, and ran the new body on the same
-// goroutine). The rest, less those served Inline,
-// each cost one goroutine switch. Deterministic for a given program and sequence
+// returned, with no switch (or an exiting proc found its own restart,
+// respawned from the pool, and ran the new body on the same coroutine). The
+// rest, less those served Inline, each cost a switch through Run. Deterministic for a given program and sequence
 // of Run calls, but — unlike EngineStats — dependent on Run(until) windowing
 // (a proc resumed by a fresh Run is always switched to), so it is kept out
 // of EngineStats.
@@ -287,7 +277,7 @@ func (e *Engine) InPlace() uint64 { return e.inplace }
 
 // Inline returns how many of Stats().Handoffs ran a continuation (SleepThen,
 // ParkThen, WaitThen) inside dispatch that suspended the proc again: the
-// proc's goroutine was never involved. A wake-up costs a goroutine switch
+// proc's coroutine was never involved. A wake-up costs a coroutine switch
 // only when it is neither in place nor inline (Handoffs - InPlace - Inline).
 // Kept out of EngineStats like InPlace: it describes how the program was
 // written, not what it simulated.
@@ -345,8 +335,8 @@ func (e *Engine) GoID(prefix string, id int64, body func(p *Proc)) *Proc {
 	return e.spawn(0, "", prefix, id, body)
 }
 
-// spawn hands body to a pooled proc — one whose body returned, its goroutine
-// waiting in serve — or, with the pool empty, to a new Proc and goroutine.
+// spawn hands body to a pooled proc — one whose body returned, its coroutine
+// suspended in serve — or, with the pool empty, to a new Proc and coroutine.
 func (e *Engine) spawn(d Time, name, prefix string, id int64, body func(p *Proc)) *Proc {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -355,8 +345,8 @@ func (e *Engine) spawn(d Time, name, prefix string, id int64, body func(p *Proc)
 	if p != nil {
 		e.free = p.nextLive
 	} else {
-		p = &Proc{eng: e, ch: make(chan wakeSignal)}
-		go p.serve()
+		p = &Proc{eng: e}
+		p.resume, p.stop = iter.Pull(p.serve)
 	}
 	p.name, p.prefix, p.id = name, prefix, id
 	p.body, p.cont = body, nil
@@ -366,44 +356,34 @@ func (e *Engine) spawn(d Time, name, prefix string, id int64, body func(p *Proc)
 	return p
 }
 
-// serve is a proc's goroutine. It runs one body per spawn: when a body
-// returns, the goroutine still holds the baton, so it puts the proc in the
-// engine's pool and dispatches the next event — which may start the proc
-// again, with the body of a Go that popped it from the pool. It exits only
-// when killed: by Shutdown, or by drain once nothing is live.
-func (p *Proc) serve() {
+// serve is a proc's coroutine, first entered at the proc's start. It runs
+// one body per spawn: when a body returns, the coroutine still holds the
+// baton, so it puts the proc in the engine's pool and hands over — and the
+// next resumption starts the proc again, with the body of a Go that popped it
+// from the pool (in place, when a callback of this very dispatch did). It
+// returns only when stopped: by Shutdown, or by drain once nothing is live.
+// A body that recovers Shutdown's unwinding returns with the proc already
+// dead and unlinked, so that ends the coroutine too.
+func (p *Proc) serve(yield func(struct{}) bool) {
 	e := p.eng
-	sig := <-p.ch
-	for sig == wakeRun && p.run() {
+	p.yield = yield
+	for p.run() && p.state != StateDead {
 		p.state = StateDead
 		e.unlink(p)
 		p.body = nil
 		p.nextLive = e.free
 		e.free = p
-		next := e.dispatch()
-		if next == p {
-			// A callback of this very dispatch spawned onto p and its start came
-			// next: run the new body here, as Await would a resumption (a send
-			// on p.ch would wait for this goroutine forever).
-			e.inplace++
-			continue
+		if !p.handOver() {
+			return
 		}
-		e.pass(next)
-		sig = <-p.ch
 	}
-	// Killed: before its body started or inside it (still linked), or pooled.
-	if p.body != nil {
-		e.unlink(p)
-	}
-	p.ch <- wakeDone
 }
 
-// drain kills the pooled procs' goroutines.
+// drain stops the pooled procs' coroutines.
 func (e *Engine) drain() {
 	for p := e.free; p != nil; p = e.free {
 		e.free, p.nextLive = p.nextLive, nil
-		p.ch <- wakeKill
-		<-p.ch
+		p.stop()
 	}
 }
 
@@ -436,10 +416,12 @@ func (e *Engine) unlink(p *Proc) {
 // returns the virtual time at which it stopped. When a horizon is given and
 // events remain beyond it, the clock is advanced exactly to the horizon.
 //
-// Run dispatches on the caller's goroutine until the first proc must run,
-// hands it the baton, and parks; from then on each suspending or exiting
-// proc dispatches the next event itself (see dispatch), and the baton comes
-// back here only when dispatch has nothing left to do.
+// Run dispatches on the caller's goroutine until the first proc must run and
+// resumes its coroutine. From then on each suspending or exiting proc
+// dispatches the next event itself (see dispatch); a proc that must hand over
+// to another names it in handTo and yields back here, and Run resumes that
+// one — a trampoline, so Run is the only caller of a coroutine's resume. The
+// loop ends when a proc yields with dispatch having nothing left to do.
 //
 // A panic escaping an event — a proc body or a callback — is re-raised from
 // Run as a *ProcPanic after the remaining procs are torn down, so no
@@ -448,9 +430,8 @@ func (e *Engine) unlink(p *Proc) {
 // goroutine behind even if Shutdown is never called.
 func (e *Engine) Run(until Time) Time {
 	e.until = until
-	if p := e.dispatch(); p != nil {
-		p.ch <- wakeRun
-		<-e.driver
+	for p := e.dispatch(); p != nil; p = e.handTo {
+		p.resume()
 	}
 	if pp := e.fail; pp != nil {
 		e.fail = nil
@@ -463,7 +444,7 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// dispatch is the engine's one event loop, run by whichever goroutine holds
+// dispatch is the engine's one event loop, run by whichever coroutine holds
 // the baton: Run's caller at first, then every proc that suspends or exits.
 // It pops events in order, runs callbacks inline, and returns the next proc
 // to resume (already marked running and counted) — or nil when the run is
@@ -471,17 +452,17 @@ func (e *Engine) Run(until Time) Time {
 // belongs back in Run. A wake-up of a proc suspended in continuation form
 // runs the continuation here, as that proc, and is over if the continuation
 // suspends again; only one that returns still running needs the proc's
-// goroutine. A panicking callback is recorded as the failure of the
+// coroutine. A panicking callback is recorded as the failure of the
 // pseudo-proc "callback" — a panicking continuation as that of the proc it
-// ran as — rather than unwinding the goroutine it happened to execute on; the
+// ran as — rather than unwinding the coroutine it happened to execute on; the
 // recovered dispatch returns nil.
 func (e *Engine) dispatch() *Proc {
 	defer func() {
 		if r := recover(); r != nil {
 			who := "callback"
 			if p := e.current; p != nil {
-				// p's goroutine is blocked in Await (or is this one, about to
-				// be): leave it suspended for Shutdown to unwind.
+				// p's coroutine is suspended in Await (or is this one, about
+				// to be): leave it suspended for Shutdown to unwind.
 				who = p.Name()
 				p.cont, p.state = nil, StateParked
 			}
@@ -538,15 +519,6 @@ func (e *Engine) dispatch() *Proc {
 	return nil
 }
 
-// pass hands the baton to next, or back to Run when dispatch ran dry.
-func (e *Engine) pass(next *Proc) {
-	if next != nil {
-		next.ch <- wakeRun
-	} else {
-		e.driver <- struct{}{}
-	}
-}
-
 // failed records the run's first panic and stops dispatch; Run re-raises it
 // on its caller's goroutine. It must be called from the deferred recover
 // itself, while the panicking frames are still on the stack.
@@ -564,7 +536,7 @@ func (e *Engine) Deadlocked() bool {
 	return e.Pending() == 0 && e.parked > 0
 }
 
-// Shutdown force-kills all live procs so their goroutines exit, then the
+// Shutdown force-kills all live procs so their coroutines exit, then the
 // pooled ones. It must be called from outside Run (i.e. not from a proc or
 // callback). After Shutdown the engine must not be reused. Procs are killed
 // in reverse creation order (deterministically — the live list is intrusive,
@@ -575,9 +547,10 @@ func (e *Engine) Shutdown() {
 		p := e.live
 		switch p.state {
 		case StateParked, StateScheduled, StateNew:
+			// Unlinked here: a proc killed before its start never entered serve.
 			p.state = StateDead
-			p.ch <- wakeKill
-			<-p.ch
+			e.unlink(p)
+			p.stop()
 		default:
 			panic(fmt.Sprintf("sim: Shutdown with proc %q in state %v", p.Name(), p.state))
 		}
@@ -588,29 +561,30 @@ func (e *Engine) Shutdown() {
 	e.ready = nil
 }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with virtual time by the engine. All methods must be called from the
 // proc's own body. A *Proc is valid until its body returns; after that the
-// engine may hand it, goroutine and all, to a later Go.
+// engine may hand it, coroutine and all, to a later Go.
 type Proc struct {
 	eng  *Engine
 	name string // explicit name, or "" when prefix+id is formatted lazily
 	id   int64
 	body func(p *Proc) // what the proc runs; nil while it sits in the pool
 
-	// ch is the proc's single wake-up channel: a suspended proc blocks on it
-	// until the baton holder sends wakeRun (or Shutdown sends wakeKill and
-	// reads the wakeDone acknowledgement). Unbuffered, so every transfer is
-	// a direct rendezvous the Go scheduler can service without a queue
-	// round trip.
-	ch chan wakeSignal
+	// The proc's coroutine (iter.Pull over serve): resume runs it until its
+	// next hand-over and is called by Run alone; yield, held by serve, is
+	// that hand-over, and reports false once stop (Shutdown, drain) has
+	// asked the coroutine to unwind.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 
 	prefix             string
 	state              ProcState
 	prevLive, nextLive *Proc // the live list; nextLive links the pool while dead
 
 	// cont, when non-nil, is what the proc's next wake-up runs inside
-	// dispatch instead of resuming its goroutine (see SleepThen).
+	// dispatch instead of resuming its coroutine (see SleepThen).
 	cont func()
 }
 
@@ -647,29 +621,35 @@ func (p *Proc) run() (finished bool) {
 	return true
 }
 
-// Await blocks the proc's goroutine until the proc is running again with no
+// Await blocks the proc's coroutine until the proc is running again with no
 // continuation pending: at once if it never suspended (or its continuations
 // all finished synchronously), otherwise when a wake-up's continuation
 // returns without suspending again — or, after a plain nil continuation, at
-// the wake-up itself. The goroutine holds the baton and so dispatches what
-// comes next itself: if that turns out to be its own resumption it just
-// returns — the clock advanced in place, no channel operation; otherwise it
-// wakes the next proc directly (one goroutine switch) and blocks until
-// somebody wakes it. Must be called from the proc's own goroutine.
+// the wake-up itself. The coroutine holds the baton and so dispatches what
+// comes next itself (see handOver). Must be called from the proc's own body.
 func (p *Proc) Await() {
 	if p.state == StateRunning {
 		return
 	}
+	if !p.handOver() {
+		panic(killed{})
+	}
+}
+
+// handOver runs the event loop as the suspended (or exited) p. If the next
+// proc to resume is p itself it just returns — the clock advanced in place;
+// otherwise it names that proc (nil when dispatch ran dry) in handTo and
+// yields to Run, which resumes it: two coroutine switches, no scheduler. It
+// reports false when p's coroutine was stopped instead of resumed.
+func (p *Proc) handOver() bool {
 	e := p.eng
 	next := e.dispatch()
 	if next == p {
 		e.inplace++
-		return
+		return true
 	}
-	e.pass(next)
-	if <-p.ch == wakeKill {
-		panic(killed{})
-	}
+	e.handTo = next
+	return p.yield(struct{}{})
 }
 
 // suspending panics unless p is the running proc — on its own goroutine or
@@ -689,7 +669,7 @@ func (p *Proc) notCurrent(what string) {
 // event Sleep schedules — runs then inside dispatch, as this proc. A
 // continuation may suspend the proc again (SleepThen, ParkThen, WaitThen),
 // and a wake-up whose continuation does so never touches the proc's
-// goroutine. The goroutine itself must call Await after suspending this way
+// coroutine. The coroutine itself must call Await after suspending this way
 // and before doing anything else with the engine; a nil then makes the
 // wake-up resume it there. Continuations must not call the blocking forms.
 func (p *Proc) SleepThen(d Time, then func()) {

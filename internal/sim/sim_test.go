@@ -282,6 +282,9 @@ func TestShutdownKillsScheduledProcs(t *testing.T) {
 }
 
 func TestShutdownKillsNewProcs(t *testing.T) {
+	// A proc whose coroutine was never entered is unlinked and its goroutine
+	// ends all the same.
+	base := runtime.NumGoroutine()
 	e := NewEngine()
 	ran := false
 	e.Go("never", func(p *Proc) { ran = true })
@@ -291,6 +294,9 @@ func TestShutdownKillsNewProcs(t *testing.T) {
 	}
 	if e.Live() != 0 {
 		t.Errorf("Live = %d, want 0", e.Live())
+	}
+	if n := countGoroutines(base); n > base {
+		t.Errorf("goroutines leaked: %d > %d baseline", n, base)
 	}
 }
 
@@ -808,10 +814,10 @@ func batonProgram(seed int64) (log []string, st EngineStats, inplace uint64) {
 }
 
 func TestBatonIndependentOfGOMAXPROCS(t *testing.T) {
-	// No central driver serializes the procs any more: the baton itself
-	// (p.ch, the driver channel) is the only happens-before chain, so the
-	// same program must produce the same log and counters with one P and
-	// with four — and stay clean under -race.
+	// No central driver serializes the procs: the baton passes by coroutine
+	// switches through Run's trampoline, which run on whichever thread holds
+	// Run's goroutine, so the same program must produce the same log and
+	// counters with one P and with four — and stay clean under -race.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	wantLog, wantStats, wantInPlace := batonProgram(11)
 	if wantInPlace == 0 || wantInPlace == wantStats.Handoffs {

@@ -11,8 +11,9 @@
 #          every golden, differential, determinism, conservation and fuzz
 #          seed-corpus check, so no subset of it is re-run by name — except
 #          internal/sim at one and four Ps, three times: the engine's baton
-#          crosses goroutines with no central driver, so its channel
-#          happens-before chain is the thing to keep race-clean at > 1 P.
+#          passes between proc coroutines with no central driver, so the
+#          happens-before chain of their switches is the thing to keep
+#          race-clean at > 1 P.
 #          Then, without the race detector, the one test behind the
 #          exhaustive build tag: log(1 − v/2³²) is non-increasing over all
 #          2³² v, which makes internal/workload's threshold-row child-count
