@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -13,10 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"contsteal/internal/digest"
 	"contsteal/internal/manifest"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden TSV fixtures under testdata/")
 
 // runInto runs one repro invocation quietly into the run folder <out>/t and
 // returns the folder and what it printed on stdout.
@@ -50,7 +48,7 @@ func matchGolden(t *testing.T, path, fixture string, rewrite bool) {
 		t.Fatalf("expected output %s was not produced: %v", fixture, err)
 	}
 	golden := filepath.Join("testdata", fixture)
-	if rewrite && *update {
+	if rewrite && *digest.Update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}

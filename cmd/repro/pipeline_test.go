@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"contsteal/internal/digest"
 	"contsteal/internal/manifest"
 )
 
@@ -71,7 +72,7 @@ func smokeDir(t *testing.T, c *smokeConfig) string {
 			return
 		}
 		flags := c.flags
-		if *update {
+		if *digest.Update {
 			// The fixtures are about to be rewritten from this run.
 			flags = append(flags[:len(flags):len(flags)], "-no-validate")
 		}

@@ -2,16 +2,12 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"io"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-const traceDigestFile = "testdata/trace_digests.json"
+	"contsteal/internal/digest"
+)
 
 // traceDigest is what one (fixture, consumer) cell pins: the SHA-256 of the
 // bytes the consumer wrote to stdout and the error it returned ("" = none).
@@ -48,35 +44,9 @@ func TestTraceDigests(t *testing.T) {
 			if err := consume(&out); err != nil {
 				d.Err = err.Error()
 			}
-			sum := sha256.Sum256(out.Bytes())
-			d.Stdout = hex.EncodeToString(sum[:])
+			d.Stdout = digest.SHA256(out.Bytes())
 			got[fixture+"/"+name] = d
 		}
 	}
-	if *update {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(traceDigestFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(traceDigestFile)
-	if err != nil {
-		t.Fatalf("%v (generate with go test ./cmd/repro -run TestTraceDigests -update)", err)
-	}
-	want := map[string]traceDigest{}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", traceDigestFile, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s has %d cells, the test runs %d", traceDigestFile, len(want), len(got))
-	}
-	for cell, g := range got {
-		if w := want[cell]; g != w {
-			t.Errorf("%s: got %+v, recorded %+v", cell, g, w)
-		}
-	}
+	digest.Check(t, "testdata/trace_digests.json", got)
 }

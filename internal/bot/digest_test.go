@@ -1,43 +1,20 @@
 package bot
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 
+	"contsteal/internal/digest"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
 )
-
-var updateDigests = flag.Bool("update", false, "rewrite testdata/bot_digests.json")
-
-const botDigestFile = "testdata/bot_digests.json"
 
 // botDigest is what one cell pins: every field of Stats and, for serve
 // cells, a SHA-256 over the OnTask stream (request id, children, now).
 type botDigest struct {
 	Stats  Stats  `json:"stats"`
 	OnTask string `json:"on_task_sha256,omitempty"`
-}
-
-// digestServe is the 24-arrival trace of the serve cells: widening gaps, so
-// the first requests overlap (steals) and the last find a drained system
-// (idle polling, lifeline quiescence).
-func digestServe(workers int, horizon sim.Time, onTask func(Task, int, sim.Time)) *Serve {
-	sv := &Serve{Horizon: horizon, OnTask: onTask}
-	for i := 0; i < 24; i++ {
-		sv.Arrivals = append(sv.Arrivals, ServeArrival{
-			At:   sim.Time(i*i) * 500 * sim.Nanosecond,
-			Rank: (i * 5) % workers,
-			Task: ServeTask(int64(i), 3, 3),
-		})
-	}
-	return sv
 }
 
 // TestBotDigests pins what the fig8/serve/resilience goldens see only
@@ -72,16 +49,20 @@ func TestBotDigests(t *testing.T) {
 		}
 		var drained int64
 		for _, horizon := range []sim.Time{0, 150 * sim.Microsecond} {
-			h := sha256.New()
+			var stream []byte
 			onTask := func(task Task, children int, now sim.Time) {
-				var rec [24]byte
-				binary.LittleEndian.PutUint64(rec[0:], uint64(ServeTaskID(task)))
-				binary.LittleEndian.PutUint64(rec[8:], uint64(children))
-				binary.LittleEndian.PutUint64(rec[16:], uint64(now))
-				h.Write(rec[:])
+				for _, v := range []int64{ServeTaskID(task), int64(children), int64(now)} {
+					stream = binary.LittleEndian.AppendUint64(stream, uint64(v))
+				}
 			}
 			cfg := Config{Machine: topo.ITOA(), Workers: 8, Seed: 3, Work: 190, MaxTime: sim.Second}
-			cfg.Serve = digestServe(cfg.Workers, horizon, onTask)
+			// Widening gaps: the first requests overlap (steals), the last
+			// find a drained system (idle polling, lifeline quiescence).
+			cfg.Serve = &Serve{Horizon: horizon, OnTask: onTask}
+			for i := 0; i < 24; i++ {
+				at, rank := sim.Time(i*i)*500*sim.Nanosecond, (i*5)%cfg.Workers
+				cfg.Serve.Arrivals = append(cfg.Serve.Arrivals, ServeArrival{At: at, Rank: rank, Task: ServeTask(int64(i), 3, 3)})
+			}
 			st := Run(system, cfg, Task{}, ServeExpand)
 			cell := system + "/serve/drained"
 			if horizon > 0 {
@@ -96,36 +77,8 @@ func TestBotDigests(t *testing.T) {
 					t.Errorf("%s: processed %d tasks, want %d", cell, st.Tasks, want)
 				}
 			}
-			got[cell] = botDigest{Stats: st, OnTask: hex.EncodeToString(h.Sum(nil))}
+			got[cell] = botDigest{Stats: st, OnTask: digest.SHA256(stream)}
 		}
 	}
-	if *updateDigests {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(botDigestFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(botDigestFile)
-	if err != nil {
-		t.Fatalf("%v (generate with go test ./internal/bot -run TestBotDigests -update)", err)
-	}
-	want := map[string]botDigest{}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", botDigestFile, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s has %d cells, the test runs %d", botDigestFile, len(want), len(got))
-	}
-	for cell, g := range got {
-		if w := want[cell]; g != w {
-			t.Errorf("%s: got %+v, recorded %+v", cell, g, w)
-		}
-	}
+	digest.Check(t, "testdata/bot_digests.json", got)
 }

@@ -2,31 +2,26 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
-	"os"
 	"testing"
 
+	"contsteal/internal/digest"
 	"contsteal/internal/remobj"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/policy_digests.json")
-
-const policyDigestFile = "testdata/policy_digests.json"
-
 // policyDigest is what one cell pins: the complete event stream, the merged
 // metrics registry, and the run's sim.EngineStats — how many events, proc
-// wake-ups and callbacks it took, which no trace or metric shows.
+// wake-ups and callbacks it took, which no trace or metric shows — plus the
+// engine's dispatch steps as checkpoints, so a mismatch names the first
+// window of steps at which the run left the recorded schedule.
 type policyDigest struct {
-	Trace     string `json:"trace_sha256"`
-	Metrics   string `json:"metrics_sha256"`
-	Events    uint64 `json:"events"`
-	Handoffs  uint64 `json:"handoffs"`
-	Callbacks uint64 `json:"callbacks"`
+	Trace       string              `json:"trace_sha256"`
+	Metrics     string              `json:"metrics_sha256"`
+	Events      uint64              `json:"events"`
+	Handoffs    uint64              `json:"handoffs"`
+	Callbacks   uint64              `json:"callbacks"`
+	Checkpoints []digest.Checkpoint `json:"checkpoints"`
 }
 
 // TestPolicyDigests pins what the TSV goldens do not see: the committed
@@ -48,21 +43,21 @@ func TestPolicyDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mach := topo.ITOA()
-				mach.CoresPerNode = 4
 				cfg := testConfig(pol, 8)
-				cfg.Machine = mach
+				cfg.Machine = topo.ITOA()
+				cfg.Machine.CoresPerNode = 4
 				cfg.RemoteFree = remobj.LockQueue // the idle tail's collect step runs too
-				cfg.Steal = sp
-				cfg.Trace = true
-				cfg.Metrics = true
+				cfg.Steal, cfg.Trace, cfg.Metrics = sp, true, true
 				rt := New(cfg)
+				var steps digest.Steps
+				eng := rt.Engine()
+				eng.SetTrace(func(line string) { steps.Step(int64(eng.Now()), line) })
 				var st RunStats
+				var ret []byte
 				switch kernel {
 				case "fib":
-					_, st = rt.Run(fibTask(14))
+					ret, st = rt.Run(fibTask(14))
 				case "futures":
-					var ret []byte
 					ret, st = rt.Run(stencilTask(5, 9))
 					if got, want := RetInt64(ret), stencilSerial(5, 9); got != want {
 						t.Errorf("%v/%s/futures: result %d, want %d", pol, steal, got, want)
@@ -71,7 +66,6 @@ func TestPolicyDigests(t *testing.T) {
 						t.Errorf("%v/%s/futures: no slow-path join", pol, steal)
 					}
 				case "yield":
-					var ret []byte
 					ret, st = rt.Run(yieldTask(6, 4))
 					if got, want := RetInt64(ret), 6*4*fibSerial(5); got != want {
 						t.Errorf("%v/%s/yield: result %d, want %d", pol, steal, got, want)
@@ -96,46 +90,18 @@ func TestPolicyDigests(t *testing.T) {
 					t.Errorf("%v/%s/%s: steals ok=%d fail=%d, want both paths exercised",
 						pol, steal, kernel, st.Work.StealsOK, st.Work.StealsFail)
 				}
-				trSum, mtSum := sha256.Sum256(tr.Bytes()), sha256.Sum256(mt.Bytes())
 				got[pol.String()+"/"+steal+"/"+kernel] = policyDigest{
-					Trace:     hex.EncodeToString(trSum[:]),
-					Metrics:   hex.EncodeToString(mtSum[:]),
-					Events:    st.Engine.Events,
-					Handoffs:  st.Engine.Handoffs,
-					Callbacks: st.Engine.Callbacks,
+					Trace:       digest.SHA256(tr.Bytes()),
+					Metrics:     digest.SHA256(mt.Bytes()),
+					Events:      st.Engine.Events,
+					Handoffs:    st.Engine.Handoffs,
+					Callbacks:   st.Engine.Callbacks,
+					Checkpoints: steps.Checkpoints(),
 				}
 			}
 		}
 	}
-	if *updateDigests {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(policyDigestFile, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	b, err := os.ReadFile(policyDigestFile)
-	if err != nil {
-		t.Fatalf("%v (generate with go test ./internal/core -run TestPolicyDigests -update)", err)
-	}
-	want := map[string]policyDigest{}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatalf("%s: %v", policyDigestFile, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s has %d cells, the test runs %d", policyDigestFile, len(want), len(got))
-	}
-	for cell, g := range got {
-		if w := want[cell]; g != w {
-			t.Errorf("%s: got %+v, recorded %+v", cell, g, w)
-		}
-	}
+	digest.Check(t, "testdata/policy_digests.json", got)
 }
 
 // stencilTask is the multi-consumer futures kernel: steps+1 rows of n cells,

@@ -109,10 +109,10 @@ func observe(t *testing.T, g observedGrid, par int) (*Observer, uint64) {
 	return ob, completed
 }
 
-// TestObsCollectorClaimsFirstGridPoint: whatever the pool width, the
+// TestObserverClaimsFirstGridPoint: whatever the pool width, the
 // observed run is the grid's first fork-join job, reported under that job's
 // own coordinates, so an observed run is deterministic.
-func TestObsCollectorClaimsFirstGridPoint(t *testing.T) {
+func TestObserverClaimsFirstGridPoint(t *testing.T) {
 	for _, g := range []observedGrid{fig6Grid, serveGrid} {
 		for _, par := range []int{1, 4} {
 			observe(t, g, par)

@@ -344,16 +344,6 @@ func (f *Fabric) PutAsync(from int, loc Loc, src []byte, then func()) {
 	}
 }
 
-// GetInt64Async reads the 8-byte little-endian word at loc, delivering the
-// value to `then` at the op's completion time.
-func (f *Fabric) GetInt64Async(from int, loc Loc, then func(v int64)) {
-	if o, v := f.start(from, loc, opGet64, nil, 0, 0); o != nil {
-		o.thenV = then
-	} else {
-		then(v)
-	}
-}
-
 // PutInt64Async writes an 8-byte little-endian word to loc; the word becomes
 // visible at completion time, then `then` runs.
 func (f *Fabric) PutInt64Async(from int, loc Loc, v int64, then func()) {

@@ -395,7 +395,8 @@ func TestStaticAccessPanics(t *testing.T) {
 
 // TestChainReusesOneRecord: a completion record goes back to the pool before
 // its continuation runs, so a chain whose every link issues the next remote
-// op needs one record in all — and each link still sees its own value.
+// op needs one record in all — and each link still sees its own value (a
+// fetch-add of 0 reads the word through the value-delivering completion).
 func TestChainReusesOneRecord(t *testing.T) {
 	eng, f := newTestFabric(100, 2)
 	base := f.Alloc(1, 5*8)
@@ -407,7 +408,7 @@ func TestChainReusesOneRecord(t *testing.T) {
 		c := eng.NewChain(p)
 		var link func(v int64)
 		issue := func() {
-			f.GetInt64Async(0, Loc{Rank: 1, Addr: base + Addr(8*len(got)), Size: 8}, link)
+			f.FetchAddAsync(0, Loc{Rank: 1, Addr: base + Addr(8*len(got)), Size: 8}, 0, link)
 		}
 		link = func(v int64) {
 			if got = append(got, v); len(got) == 5 {

@@ -42,9 +42,14 @@
 #          deque, core, obs and workload; the race detector perturbs
 #          allocation counts),
 #          one iteration of every
-#          per-package micro-benchmark, the four examples (globalsum,
-#          wavefront and treesearch exit non-zero when their results disagree
-#          with a plain serial computation or across policies), and nineteen
+#          per-package micro-benchmark, `go test -update` of the three
+#          packages with digest fixtures or goldens (internal/core,
+#          internal/bot, cmd/repro) in a copy of the checkout, whose
+#          testdata/ directories must come out byte-identical (the fixtures
+#          are current and the writer rewrites them canonically), the four
+#          examples (globalsum, wavefront and treesearch exit non-zero when
+#          their results disagree with a plain serial computation or across
+#          policies), and nineteen
 #          bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
@@ -112,6 +117,13 @@ for tier in "${tiers[@]}"; do
     "$out/repro" analyze -requests "$out/runs/cut/trace/serve.json"
     go test -run 'AllocFree' ./internal/sim ./internal/rdma ./internal/deque ./internal/core ./internal/obs ./internal/workload
     go test -bench=. -benchtime=1x -run '^$' ./...
+    # -update is a no-op at HEAD.
+    mkdir "$out/src"
+    tar -c --exclude-vcs --exclude=./paper_runs --exclude=./.bench_build . | tar -x -C "$out/src"
+    (cd "$out/src" && go test ./internal/core ./internal/bot ./cmd/repro -update >/dev/null)
+    for d in internal/core/testdata internal/bot/testdata cmd/repro/testdata; do
+      diff -r "$d" "$out/src/$d"
+    done
     for ex in quickstart globalsum wavefront treesearch; do
       go run "./examples/$ex" >/dev/null
     done
