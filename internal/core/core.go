@@ -190,7 +190,6 @@ type Runtime struct {
 	childSeq int64             // child-task id sequence
 	done     bool
 	rootRet  []byte
-	busy     int // gauge: workers executing user work
 	readyOJ  int // gauge: resumable-but-not-resumed outstanding joins
 	joinInfo map[rdma.Loc]*joinInfo
 	jstats   JoinStats
@@ -214,18 +213,18 @@ type Runtime struct {
 	// idleDelay); the fixed backoff is part of the golden timing.
 	stealBackoff bool
 
-	tr        *traceState // non-nil when Config.Trace is set
-	lastStats *RunStats   // stats of the completed run (for TraceLog's Check block)
-	lastServe *ServeStats // stats of the completed Serve run (for TraceLog's Serve block)
+	rec       *obs.Recorder // non-nil when Config.Trace is set
+	lastStats *RunStats     // stats of the completed run (for TraceLog's Check block)
+	lastServe *ServeStats   // stats of the completed Serve run (for TraceLog's Serve block)
 }
 
 // reqTagger wraps the fabric's tracer sink so rdma (and perturb) events
 // issued while a worker executes request work inherit that request's tag.
 // Fabric events carry Rank = the issuing rank at issue time, so the
-// worker's curReq register is exactly the right attribution; ops issued
-// from scheduler context (steal protocol, migrations) have curReq == 0 and
-// stay untagged — their time is covered by the thief's steal span instead.
-// Closed-system runs always see curReq == 0, so traces are byte-identical
+// request tag of the worker's top frame is exactly the right attribution;
+// ops issued from scheduler context (steal protocol, migrations) see no
+// frame and stay untagged — their time is covered by the thief's steal span
+// instead. Closed-system runs always see tag 0, so traces are byte-identical
 // with or without the shim.
 type reqTagger struct {
 	rt    *Runtime
@@ -234,7 +233,7 @@ type reqTagger struct {
 
 func (g *reqTagger) Event(e obs.Event) {
 	if e.Req == 0 && e.Rank >= 0 && e.Rank < len(g.rt.workers) {
-		e.Req = g.rt.workers[e.Rank].curReq
+		e.Req = g.rt.workers[e.Rank].top().req
 	}
 	g.inner.Event(e)
 }
@@ -259,10 +258,9 @@ func New(cfg Config) *Runtime {
 		stealBackoff: cfg.Machine.Perturb.Active(),
 	}
 	if cfg.Trace {
-		rec := obs.NewRecorder()
-		rt.tr = newTraceState(cfg.Workers, rec)
-		fab.Tr = &reqTagger{rt: rt, inner: rec}
-		rt.objs.SetTracer(rec)
+		rt.rec = obs.NewRecorder()
+		fab.Tr = &reqTagger{rt: rt, inner: rt.rec}
+		rt.objs.SetTracer(rt.rec)
 	}
 	entrySize := contEntrySize
 	if !cfg.Policy.Continuation() {
@@ -284,9 +282,9 @@ func New(cfg Config) *Runtime {
 			// owner pops serialized against in-flight batch claims.
 			w.dq.Batch = true
 		}
-		if rt.tr != nil {
-			w.dq.Tr = rt.tr.rec
-			w.ua.Tr = rt.tr.rec
+		if rt.rec != nil {
+			w.dq.Tr = rt.rec
+			w.ua.Tr = rt.rec
 		}
 		if cfg.Metrics {
 			w.ob = newWorkerObs()
@@ -367,7 +365,13 @@ func (rt *Runtime) armSampler() {
 		if rt.done {
 			return
 		}
-		rt.series = append(rt.series, Sample{T: rt.eng.Now(), Busy: rt.busy, Ready: rt.readyOJ})
+		busy := 0
+		for _, w := range rt.workers {
+			if len(w.frames) > 0 {
+				busy++
+			}
+		}
+		rt.series = append(rt.series, Sample{T: rt.eng.Now(), Busy: busy, Ready: rt.readyOJ})
 		rt.eng.After(rt.cfg.Sample, tick)
 	}
 	rt.eng.After(rt.cfg.Sample, tick)

@@ -55,16 +55,11 @@ func (c *Ctx) Compute(d sim.Time) {
 	w := c.worker()
 	scaled := c.rt.cfg.Machine.ComputeOn(w.rank, d)
 	w.st.BusyTime += scaled
-	if ts := c.rt.tr; ts != nil {
-		task := int64(-1)
-		if c.t != nil {
-			task = c.t.id
-		} else {
-			task = ts.currentTask(w.rank) // RtC: innermost inline task
-		}
-		ts.rec.Event(obs.Event{
+	if rec := c.rt.rec; rec != nil {
+		f := w.top()
+		rec.Event(obs.Event{
 			T: c.p.Now(), Dur: scaled, Rank: w.rank, Kind: obs.KindCompute,
-			Task: task, Peer: -1, Req: w.curReq,
+			Task: f.task, Peer: -1, Req: f.req,
 		})
 	}
 	c.p.Sleep(scaled)
@@ -101,7 +96,7 @@ func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
 	if !rt.cfg.Policy.Continuation() {
 		// Child stealing: enqueue the child, keep running the parent.
 		rt.childSeq++
-		ct := &childTask{fn: fn, hdl: h, id: rt.childSeq, reqTag: w.curReq}
+		ct := &childTask{fn: fn, hdl: h, id: rt.childSeq, reqTag: w.top().req}
 		buf := make([]byte, childTaskBytes)
 		encodeChildEntry(buf, ct)
 		w.dq.Push(p, buf, ct)
@@ -116,7 +111,6 @@ func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
 	t := c.t
 	var buf [contEntrySize]byte
 	encodeContEntry(buf[:], entCont, t)
-	t.state = tInDeque
 	w.dq.Push(p, buf[:], t)
 	if w.ob != nil {
 		w.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
@@ -173,7 +167,6 @@ func (c *Ctx) Yield() {
 	t := c.t
 	var buf [contEntrySize]byte
 	encodeContEntry(buf[:], entCont, t)
-	t.state = tInDeque
 	// The yielded continuation goes to the steal (FIFO) end: every other
 	// locally queued task runs first, and thieves see it first.
 	t.w.dq.PushTop(p, buf[:], t)

@@ -98,7 +98,6 @@ func (w *Worker) allocEntry(p *sim.Proc, consumers int) Handle {
 	if consumers > 1 {
 		size = multiEntrySize(consumers, w.rt.cfg.RetvalBytes)
 	}
-	w.st.EntryAllocs++
 	return Handle{E: w.rt.objs.Alloc(p, w.rank, size), Consumers: int32(consumers)}
 }
 

@@ -244,7 +244,6 @@ func (rt *Runtime) joinGreedy(c *Ctx, h Handle) {
 	delete(rt.saved, t.id)
 	rt.objs.Free(p, w.rank, cloc)
 	w.restore(p, t)
-	t.state = tRunning
 }
 
 // dieFutureGreedy completes a multi-consumer future: set the done flag,
@@ -315,5 +314,5 @@ func (rt *Runtime) joinRtC(c *Ctx, h Handle) {
 			break
 		}
 	}
-	rt.joinResumed(w, h.E, -1, w.curReq) // buried join: no thread identity
+	rt.joinResumed(w, h.E, -1, w.top().req) // buried join: no thread identity
 }

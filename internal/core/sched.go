@@ -262,7 +262,7 @@ func (w *Worker) run(p *sim.Proc, f found) bool {
 	default:
 		return false
 	}
-	if w.current != nil {
+	if w.top().t != nil {
 		p.Park()
 	}
 	return true
@@ -506,14 +506,7 @@ func (w *Worker) startChildTask(p *sim.Proc, ct *childTask) {
 // which has no run span and is not counted — into the run's result.
 func (w *Worker) runInline(p *sim.Proc, ct *childTask, r *Request) {
 	rt := w.rt
-	w.rtcEnter()
-	if ct.id >= 0 {
-		rt.traceRunStart(w.rank, ct.id, ct.reqTag)
-	}
-	// Inline execution nests: save the enclosing task's request tag so
-	// spawns and fabric ops inside ct are attributed to ct's request.
-	saved := w.curReq
-	w.curReq = ct.reqTag
+	w.push(nil, ct.id, ct.reqTag) // over the task whose buried join or Yield runs ct, if any
 	c := &Ctx{rt: rt, w: w, p: p}
 	ret := ct.fn(c)
 	switch {
@@ -526,9 +519,5 @@ func (w *Worker) runInline(p *sim.Proc, ct *childTask, r *Request) {
 	default:
 		rt.finish(ret)
 	}
-	w.curReq = saved
-	if ct.id >= 0 {
-		rt.traceRunEnd(w.rank)
-	}
-	w.rtcExit()
+	w.pop()
 }

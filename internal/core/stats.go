@@ -26,8 +26,6 @@ type WorkerStats struct {
 	JoinFastPath    uint64   // greedy-join die fast paths (parent popped)
 	JoinSlowPath    uint64   // greedy-join races (fetch-and-add taken)
 	Migrations      uint64   // threads that arrived at this worker
-	EntryAllocs     uint64
-	StackConflict   uint64 // restores that fell back due to address conflicts
 	// SurplusStolen counts entries acquired beyond the first by a StealN
 	// batch (steal-half policy) and requeued into the thief's own deque.
 	// Always 0 under the default steal-one policy.
@@ -155,8 +153,6 @@ func (w *WorkerStats) add(o *WorkerStats) {
 	w.JoinFastPath += o.JoinFastPath
 	w.JoinSlowPath += o.JoinSlowPath
 	w.Migrations += o.Migrations
-	w.EntryAllocs += o.EntryAllocs
-	w.StackConflict += o.StackConflict
 	w.SurplusStolen += o.SurplusStolen
 }
 

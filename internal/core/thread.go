@@ -10,16 +10,6 @@ import (
 	"contsteal/internal/uniaddr"
 )
 
-// threadState is the lifecycle of a user thread.
-type threadState int
-
-const (
-	tRunning   threadState = iota
-	tInDeque               // continuation parked in the owner's deque (stealable)
-	tSuspended             // suspended at a join (stack evacuated)
-	tDead
-)
-
 // Thread is one user task. For continuation-stealing policies every spawned
 // task is a Thread with a logical stack in the uni-address region; for
 // ChildFull every started task is a Thread with a private (non-uni) stack;
@@ -45,7 +35,6 @@ type Thread struct {
 
 	stackAddr uniaddr.VAddr
 	stackSize int
-	state     threadState
 
 	// Evacuation state while suspended.
 	evacuated bool
@@ -98,14 +87,14 @@ type Worker struct {
 	// requests are not stealable, so the scheduler serves it first.
 	inbox []*Request
 
-	current  *Thread
-	rtcDepth int // ChildRtC: nesting depth of inline task execution
-
-	// curReq is the request tag of the work currently occupying this
-	// worker (thread current or RtC inline task), 0 when none. It is the
-	// source of child-task inheritance and of the Req tag on events emitted
-	// while the worker computes (including fabric ops issued mid-task).
-	curReq int64
+	// frames is what occupies the worker, innermost last: nothing while its
+	// scheduler runs, the one thread it was handed to, or (ChildRtC) the
+	// tasks nested inline on the scheduler's stack. The top frame names the
+	// current thread, the task that computes and the request tag that child
+	// tasks inherit and events emitted on this rank carry (including fabric
+	// ops issued mid-task); the Fig. 7 busy gauge counts the workers whose
+	// stack is non-empty. Popping a frame closes its run span.
+	frames []runFrame
 
 	// failStreak counts consecutive failed steals since the last success;
 	// it drives the idle exponential backoff when Runtime.stealBackoff is on,
@@ -146,49 +135,54 @@ func (w *Worker) bindCallbacks() {
 	w.onPopped, w.onStole = w.popped, w.stole
 }
 
-// setCurrent tracks which thread occupies the worker and maintains the
-// busy-workers gauge for the Fig. 7 time series.
-func (w *Worker) setCurrent(t *Thread) {
-	if (w.current == nil) != (t == nil) {
-		if t != nil {
-			w.rt.busy++
-		} else {
-			w.rt.busy--
-		}
+// runFrame is one occupant of a worker and its open run span: a thread
+// (t non-nil) or a ChildRtC task running inline. The closed system's RtC
+// root is task −1 and has no span.
+type runFrame struct {
+	t     *Thread
+	task  int64
+	req   int64 // serve request tag (request ID + 1; 0 = none)
+	since sim.Time
+}
+
+// top is the worker's innermost occupant, the zero frame (no thread, task 0,
+// no request) when its scheduler runs.
+func (w *Worker) top() runFrame {
+	if n := len(w.frames); n > 0 {
+		return w.frames[n-1]
 	}
-	if w.rt.tr != nil {
-		if w.current != nil {
-			w.rt.traceRunEnd(w.rank)
-		}
-		if t != nil {
-			w.rt.traceRunStart(w.rank, t.id, t.reqTag)
-		}
+	return runFrame{}
+}
+
+// push makes a thread or inline task the worker's innermost occupant.
+func (w *Worker) push(t *Thread, task, req int64) {
+	w.frames = append(w.frames, runFrame{t: t, task: task, req: req, since: w.rt.eng.Now()})
+}
+
+// pop ends the innermost occupancy and closes its run span.
+func (w *Worker) pop() {
+	n := len(w.frames) - 1
+	f := w.frames[n]
+	w.frames[n] = runFrame{} // hold no dead Thread
+	w.frames = w.frames[:n]
+	if f.task >= 0 {
+		w.rt.traceEvent(obs.Event{T: f.since, Rank: w.rank, Kind: obs.KindRun, Task: f.task, Peer: -1, Req: f.req})
+	}
+}
+
+// setCurrent hands the worker from the thread occupying it, if any, to t
+// (nil: to its scheduler).
+func (w *Worker) setCurrent(t *Thread) {
+	if len(w.frames) > 0 {
+		w.pop()
 	}
 	if t != nil {
-		w.curReq = t.reqTag
-	} else {
-		w.curReq = 0
-	}
-	w.current = t
-}
-
-// rtcEnter/rtcExit maintain the busy gauge for inline (RtC) execution.
-func (w *Worker) rtcEnter() {
-	if w.rtcDepth == 0 {
-		w.rt.busy++
-	}
-	w.rtcDepth++
-}
-
-func (w *Worker) rtcExit() {
-	w.rtcDepth--
-	if w.rtcDepth == 0 {
-		w.rt.busy--
+		w.push(t, t.id, t.reqTag)
 	}
 }
 
 // The hand-over contract. A worker is occupied by exactly one proc at a time:
-// its scheduler, or the thread w.current. Whoever gives the worker away —
+// its scheduler, or the thread w.top().t. Whoever gives the worker away —
 // handoff (and resume, which ends in it) to a thread, toScheduler to the
 // scheduler — wakes the new occupant and must then suspend or exit before any
 // virtual time passes: the engine runs one proc at a time, so the new occupant
@@ -199,7 +193,6 @@ func (w *Worker) rtcExit() {
 // handoff transfers the worker to thread t, whose stack must be here.
 func (w *Worker) handoff(t *Thread) {
 	t.w = w
-	t.state = tRunning
 	w.setCurrent(t)
 	if t.parked {
 		t.parked = false
@@ -243,7 +236,6 @@ func (t *Thread) release(p *sim.Proc) {
 
 // suspended books thread t as suspended at the join of entry e.
 func (t *Thread) suspended(p *sim.Proc, e rdma.Loc) {
-	t.state = tSuspended
 	t.waitingOn = e
 	t.rt.joinSuspended(e)
 	t.rt.traceEvent(obs.Event{T: p.Now(), Rank: t.w.rank, Kind: obs.KindSuspend, Task: t.id, Peer: -1, Req: t.reqTag})
@@ -298,7 +290,6 @@ func (rt *Runtime) newThread(w *Worker, fn TaskFunc, hdl Handle) *Thread {
 // start launches the thread's proc at the current virtual time. The caller
 // must have made the thread current on its worker.
 func (t *Thread) start() {
-	t.state = tRunning
 	t.proc = t.rt.eng.GoID("thread", t.id, t.body)
 }
 
@@ -327,10 +318,9 @@ func (t *Thread) evacuate(p *sim.Proc) {
 	t.evacuated = true
 }
 
-// retire marks the thread dead and frees whatever copy of its stack is
-// current (a tied child task has none in the uni-address region).
+// retire frees whatever copy of the dead thread's stack is current (a tied
+// child task has none in the uni-address region).
 func (t *Thread) retire() {
-	t.state = tDead
 	switch {
 	case t.isChildTask:
 	case t.evacuated:
@@ -360,9 +350,8 @@ func (w *Worker) bringTo(p *sim.Proc, t *Thread) sim.Time {
 			t.evacuated = false
 		} else {
 			// Address conflict: keep running from the evacuation copy (a
-			// simulator liberty; counted so experiments can check it is
-			// negligible).
-			w.st.StackConflict++
+			// simulator liberty; the region counts it so experiments can
+			// check it is negligible).
 		}
 	case t.evacuated: // remote evacuation region
 		victim := w.rt.workers[t.evacRank]
@@ -373,7 +362,6 @@ func (w *Worker) bringTo(p *sim.Proc, t *Thread) sim.Time {
 		} else {
 			// Conflict at the original address: move the copy into our own
 			// evacuation region instead.
-			w.st.StackConflict++
 			ev, ok := w.ua.Evac.Alloc(t.stackSize)
 			if !ok {
 				panic("core: evacuation region exhausted during migration")
@@ -395,7 +383,6 @@ func (w *Worker) bringTo(p *sim.Proc, t *Thread) sim.Time {
 			// modelled (reused) backing addresses is possible. Copy into
 			// the evacuation region and run from there, as for remote
 			// resume conflicts.
-			w.st.StackConflict++
 			ev, ok := w.ua.Evac.Alloc(t.stackSize)
 			if !ok {
 				panic("core: evacuation region exhausted during stolen-stack fallback")

@@ -59,58 +59,14 @@ type Trace struct {
 	Events []obs.Event `json:"events"` // Dur is zero for instants
 }
 
-// runFrame is one open run span (nested under ChildRtC inline execution).
-type runFrame struct {
-	task  int64
-	req   int64 // serve request tag (request ID + 1; 0 = none)
-	since sim.Time
-}
-
-// traceState is the runtime-side recording state.
-type traceState struct {
-	rec   *obs.Recorder
-	stack [][]runFrame // per-rank open run spans
-}
-
-func newTraceState(workers int, rec *obs.Recorder) *traceState {
-	return &traceState{rec: rec, stack: make([][]runFrame, workers)}
-}
-
-// currentTask returns the task occupying rank's innermost open run span.
-func (ts *traceState) currentTask(rank int) int64 {
-	if s := ts.stack[rank]; len(s) > 0 {
-		return s[len(s)-1].task
-	}
-	return -1
-}
-
-func (rt *Runtime) traceRunStart(rank int, task, req int64) {
-	ts := rt.tr
-	if ts == nil {
-		return
-	}
-	ts.stack[rank] = append(ts.stack[rank], runFrame{task: task, req: req, since: rt.eng.Now()})
-}
-
-func (rt *Runtime) traceRunEnd(rank int) {
-	ts := rt.tr
-	if ts == nil || len(ts.stack[rank]) == 0 {
-		return
-	}
-	s := ts.stack[rank]
-	f := s[len(s)-1]
-	ts.stack[rank] = s[:len(s)-1]
-	rt.traceEvent(obs.Event{T: f.since, Rank: rank, Kind: obs.KindRun, Task: f.task, Peer: -1, Req: f.req})
-}
-
 // traceEvent records e as the span [e.T, now) — an instant when e.T is now.
 // Every scheduler-level event whose window closes at the current virtual
 // time goes through here, so a span covers exactly the window its counter
 // was incremented over; an untraced runtime pays one branch.
 func (rt *Runtime) traceEvent(e obs.Event) {
-	if ts := rt.tr; ts != nil {
+	if rt.rec != nil {
 		e.Dur = rt.eng.Now() - e.T
-		ts.rec.Event(e)
+		rt.rec.Event(e)
 	}
 }
 
@@ -118,13 +74,13 @@ func (rt *Runtime) traceEvent(e obs.Event) {
 // Run it carries ExecTime and the counter-derived Check block, making the
 // serialized form self-contained for `repro analyze`.
 func (rt *Runtime) TraceLog() *Trace {
-	if rt.tr == nil {
+	if rt.rec == nil {
 		return nil
 	}
 	t := &Trace{
 		Workers:      rt.cfg.Workers,
 		CoresPerNode: rt.cfg.Machine.CoresPerNode,
-		Events:       rt.tr.rec.Events(),
+		Events:       rt.rec.Events(),
 	}
 	if rs := rt.lastStats; rs != nil {
 		t.ExecTime = rs.ExecTime

@@ -48,13 +48,11 @@ const (
 
 // Stats counts deque events observed at one deque.
 type Stats struct {
-	Pushes, Pops     uint64
-	StealsOK         uint64 // successful steal chains against this deque, one per chain whatever k
-	StealsEmpty      uint64 // failed: deque observed empty
-	StealsContended  uint64 // failed: lost the lock race
-	OwnerLockRetries uint64
-	BatchSteals      uint64 // successful steals whose amount a take function chose
-	BatchEntries     uint64 // entries taken across those steals
+	StealsOK        uint64 // successful steal chains against this deque, one per chain whatever k
+	StealsEmpty     uint64 // failed: deque observed empty
+	StealsContended uint64 // failed: lost the lock race
+	BatchSteals     uint64 // successful steals whose amount a take function chose
+	BatchEntries    uint64 // entries taken across those steals
 }
 
 // Deque is one worker's task queue, resident in that worker's RDMA segment.
@@ -157,7 +155,6 @@ func (d *Deque) lockThen(p *sim.Proc, locked func()) {
 
 func (d *Deque) lockSpin() {
 	if d.fab.CAS(d.owner, d.rank, d.loc(offLock, 8), 0, 1) != 0 {
-		d.St.OwnerLockRetries++
 		d.owner.SleepThen(d.mach.LocalOp+100, d.onSpin)
 		return
 	}
@@ -194,7 +191,6 @@ func (d *Deque) Push(p *sim.Proc, entry []byte, obj any) {
 	copy(d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize), entry)
 	d.objs[d.slotIndex(b)] = obj
 	d.setBot(b + 1)
-	d.St.Pushes++
 }
 
 // PushTop inserts an entry at the top — the steal (FIFO) end — so it runs
@@ -217,7 +213,6 @@ func (d *Deque) PushTop(p *sim.Proc, entry []byte, obj any) {
 	d.objs[d.slotIndex(t)] = obj
 	d.setTop(t)
 	d.ownerUnlock()
-	d.St.Pushes++
 }
 
 // PopThen removes the bottom entry (owner only, LIFO) in continuation form
@@ -238,7 +233,6 @@ func (d *Deque) pop() {
 		d.setBot(b)
 		if d.top() < b {
 			entry, obj := d.take(b)
-			d.St.Pops++
 			d.handOver(entry, obj, true)
 			return
 		}
@@ -260,7 +254,6 @@ func (d *Deque) popLocked() {
 	d.setBot(b)
 	entry, obj := d.take(b)
 	d.ownerUnlock()
-	d.St.Pops++
 	d.handOver(entry, obj, true)
 }
 

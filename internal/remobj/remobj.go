@@ -62,7 +62,6 @@ const lockQueueCap = 4096
 // Stats counts per-owner memory-management events.
 type Stats struct {
 	Allocs      uint64
-	LocalFrees  uint64
 	RemoteFrees uint64 // frees this rank performed against other ranks
 	Sweeps      uint64 // local-collection sweeps run
 	Swept       uint64 // objects reclaimed by sweeps
@@ -182,7 +181,6 @@ func (m *Manager) freeLocal(p *sim.Proc, loc rdma.Loc) {
 		panic(fmt.Sprintf("remobj: rank %d: free size %d != alloc size %d", m.rank, loc.Size, n.size))
 	}
 	m.unlink(n)
-	m.St.LocalFrees++
 	p.Sleep(m.mach.LocalOp)
 }
 
@@ -374,7 +372,6 @@ func (s *Space) TotalStats() Stats {
 	var t Stats
 	for _, m := range s.Mgrs {
 		t.Allocs += m.St.Allocs
-		t.LocalFrees += m.St.LocalFrees
 		t.RemoteFrees += m.St.RemoteFrees
 		t.Sweeps += m.St.Sweeps
 		t.Swept += m.St.Swept
