@@ -8,10 +8,10 @@ import (
 
 // Open-system ("serve") mode for the bag-of-tasks baselines: instead of one
 // bootstrap root run to distributed termination, timestamped task arrivals
-// are injected into worker queues by engine timers. Completion becomes
-// structural — a shared counter of live tasks, maintained by the engine's
-// serial event dispatch — so the termination-detection token ring is
-// bypassed entirely: an open system is never globally terminated, only
+// are injected into worker queues by one batch of engine timers. Completion
+// becomes structural — a shared counter of live tasks, maintained by the
+// engine's serial event dispatch — so the termination-detection token ring
+// is bypassed entirely: an open system is never globally terminated, only
 // drained or cut at a horizon.
 
 // ServeArrival is one open-system injection: Task enters Rank's queue at
@@ -52,9 +52,10 @@ type serveState struct {
 	finished  bool  // allIn && remaining == 0
 }
 
-// newServeState validates the trace and schedules one engine timer per
-// arrival; inject places the task into the target worker's queue. Arrivals
-// at or after the horizon by definition never enter the system.
+// newServeState validates the trace and queues its arrivals before the
+// horizon as one engine timer batch (Engine.AtEach); inject places each task
+// into its target worker's queue. Arrivals at or after the horizon by
+// definition never enter the system.
 func newServeState(sv *Serve, eng *sim.Engine, inject func(a ServeArrival)) *serveState {
 	live := sv.Arrivals
 	for i := 1; i < len(live); i++ {
@@ -66,15 +67,15 @@ func newServeState(sv *Serve, eng *sim.Engine, inject func(a ServeArrival)) *ser
 		live = live[:len(live)-1]
 	}
 	s := &serveState{sv: sv, allIn: len(live) == 0, finished: len(live) == 0}
-	for i, a := range live {
-		eng.At(a.At, func() {
-			s.remaining++
-			if i == len(live)-1 {
-				s.allIn = true
-			}
-			inject(a)
-		})
+	ts := make([]sim.Time, len(live))
+	for i := range live {
+		ts[i] = live[i].At
 	}
+	eng.AtEach(ts, func(i int) {
+		s.remaining++
+		s.allIn = i == len(live)-1
+		inject(live[i])
+	})
 	return s
 }
 

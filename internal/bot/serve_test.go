@@ -205,6 +205,34 @@ func TestBotServeHorizonCut(t *testing.T) {
 	}
 }
 
+// TestBotServeHorizonCutDrainsInjected: with the arrivals before the horizon
+// done, the run drains there — the last of them made the system's accounting
+// complete — and an arrival exactly at the horizon never enters it.
+func TestBotServeHorizonCutDrainsInjected(t *testing.T) {
+	const horizon = 50 * sim.Microsecond
+	arrivals := []ServeArrival{
+		{At: 0, Rank: 0, Task: serveTask(1, 2, 2)},
+		{At: 100, Rank: 1, Task: serveTask(2, 2, 1)},
+		{At: horizon, Rank: 2, Task: serveTask(3, 1, 0)},
+	}
+	for _, r := range botRunners() {
+		perRequest := map[byte]int64{}
+		cfg := Config{Workers: 4, Seed: 5, Work: 190, MaxTime: sim.Second}
+		cfg.Serve = &Serve{
+			Arrivals: arrivals,
+			Horizon:  horizon,
+			OnTask:   func(task Task, _ int, _ sim.Time) { perRequest[task.Desc[1]]++ },
+		}
+		st := r.run(cfg, Task{}, serveExpandN)
+		if perRequest[1] != serveNodes(2, 2) || perRequest[2] != serveNodes(2, 1) || perRequest[3] != 0 {
+			t.Errorf("%s: tasks per request %v, want 1:%d 2:%d and none of 3", r.name, perRequest, serveNodes(2, 2), serveNodes(2, 1))
+		}
+		if st.Exec >= horizon {
+			t.Errorf("%s: Exec %v, want a drain before the %v horizon", r.name, st.Exec, horizon)
+		}
+	}
+}
+
 // TestBotServeEmpty: an empty trace terminates immediately.
 func TestBotServeEmpty(t *testing.T) {
 	for _, r := range botRunners() {

@@ -74,6 +74,26 @@ type reqInterval struct {
 	class      int
 }
 
+// classOf[k] is the attribution class of an event of kind k, or numClasses
+// when its span is no component interval.
+var classOf = func() (c [256]uint8) {
+	for k := range c {
+		switch kind := obs.Kind(k); {
+		case kind == obs.KindCompute:
+			c[k] = classCompute
+		case kind == obs.KindSteal:
+			c[k] = classSteal
+		case kind == obs.KindRun:
+			c[k] = classSched
+		case kind.Layer() == "rdma" || kind == obs.KindPerturb:
+			c[k] = classFabric
+		default:
+			c[k] = numClasses
+		}
+	}
+	return c
+}()
+
 // RequestAttribution computes the per-request sojourn decomposition of a
 // serve trace, sorted by (End, ID) — the ServeStats.Done order. Only
 // completed requests (those with a serve.done event) are reported.
@@ -86,136 +106,194 @@ type reqInterval struct {
 // join-wait), and uncovered time is AdmitWait before the admission instant
 // and Queue after. The components therefore partition the window by
 // construction: their sum equals the sojourn to the tick regardless of how
-// the underlying spans nest or overlap.
-//
-// One pass over the events collects the lifecycle instants, the component
-// intervals and the suspends. A join-suspension interval also needs the
-// suspended task's later run starts and resume instants, which only a task
-// that suspended has a use for; a second pass collects them for those tasks
-// alone, and only when the trace has a suspend at all.
+// the underlying spans nest or overlap. Runtime.AttributeRequests computes
+// the same from a traced run's recorder, in place.
 func (t *Trace) RequestAttribution() []RequestAttribution {
-	// Per-request state lives in reqs, indexed through slotOf.
-	type request struct {
-		att  RequestAttribution
-		ivls []reqInterval
+	return attributeRequests([][]obs.Event{t.Events})
+}
+
+// requestSlots numbers request tags densely in first-seen order. A request's
+// events tend to come in runs, so the last lookup is cached.
+type requestSlots struct {
+	of      map[int64]int
+	lastTag int64 // 0, no request's tag, until the first hit
+	last    int
+}
+
+func (s *requestSlots) lookup(tag int64) (int, bool) {
+	if tag == s.lastTag {
+		return s.last, true
 	}
-	var reqs []request
-	slotOf := make(map[int64]int)
+	i, ok := s.of[tag]
+	if ok {
+		s.lastTag, s.last = tag, i
+	}
+	return i, ok
+}
+
+// attributeRequests is RequestAttribution over an event log given as its
+// consecutive segments, read in place. It holds every completed request's
+// component intervals in one exact-size array: a counting pass collects the
+// lifecycle instants, counts each request's intervals and lists the
+// suspends; the join-suspension intervals are then resolved; a fill pass
+// writes each request's intervals into its range of the array, and each
+// range is swept. What it allocates besides grows with requests and
+// suspended tasks, not with intervals.
+func attributeRequests(segs [][]obs.Event) []RequestAttribution {
+	type request struct {
+		att    RequestAttribution
+		off, n int // its intervals, ivls[off:off+n]; n counts them first
+	}
 	type taskKey struct{ tag, task int64 }
 	type suspend struct {
-		key  taskKey
-		slot int
-		at   sim.Time
+		slot, task int // the request's slot, the suspended task's index
+		at, end    sim.Time
 	}
-	var suspends []suspend
-	lastTag, slot := int64(0), -1
-	for i := range t.Events {
-		e := &t.Events[i]
-		if e.Req == 0 {
-			continue
-		}
-		if e.Req != lastTag {
-			s, ok := slotOf[e.Req]
+	var (
+		reqs     []request
+		suspends []suspend
+		tasks    map[taskKey]int // the suspended tasks, numbered
+	)
+	slots := requestSlots{of: make(map[int64]int)}
+	for _, seg := range segs {
+		for i := range seg {
+			e := &seg[i]
+			if e.Req == 0 {
+				continue
+			}
+			slot, ok := slots.lookup(e.Req)
 			if !ok {
-				s = len(reqs)
-				slotOf[e.Req] = s
+				slot = len(reqs)
+				slots.of[e.Req] = slot
 				reqs = append(reqs, request{att: RequestAttribution{ID: e.Req - 1, At: -1, Admit: -1, Start: -1, End: -1}})
 			}
-			lastTag, slot = e.Req, s
-		}
-		r := &reqs[slot]
-		class := numClasses
-		switch e.Kind {
-		case obs.KindServeArrive:
-			r.att.At = e.T
-		case obs.KindServeAdmit:
-			r.att.Admit = e.T
-		case obs.KindServeStart:
-			if r.att.Start < 0 {
-				r.att.Start = e.T
+			r := &reqs[slot]
+			switch e.Kind {
+			case obs.KindServeArrive:
+				r.att.At = e.T
+			case obs.KindServeAdmit:
+				r.att.Admit = e.T
+			case obs.KindServeStart:
+				if r.att.Start < 0 {
+					r.att.Start = e.T
+				}
+			case obs.KindServeDone:
+				r.att.End = e.T
+			case obs.KindSuspend:
+				if tasks == nil {
+					tasks = make(map[taskKey]int)
+				}
+				k := taskKey{e.Req, e.Task}
+				task, ok := tasks[k]
+				if !ok {
+					task = len(tasks)
+					tasks[k] = task
+				}
+				suspends = append(suspends, suspend{slot: slot, task: task, at: e.T})
+			default:
+				if classOf[e.Kind] < numClasses {
+					r.n++
+				}
 			}
-		case obs.KindServeDone:
-			r.att.End = e.T
-		case obs.KindCompute:
-			class = classCompute
-		case obs.KindSteal:
-			class = classSteal
-		case obs.KindRun:
-			class = classSched
-		case obs.KindSuspend:
-			suspends = append(suspends, suspend{key: taskKey{e.Req, e.Task}, slot: slot, at: e.T})
-		default:
-			if e.Kind.Layer() == "rdma" || e.Kind == obs.KindPerturb {
-				class = classFabric
-			}
-		}
-		if class < numClasses {
-			r.ivls = append(r.ivls, reqInterval{start: e.T, end: e.T + e.Dur, class: class})
 		}
 	}
 	// Join-suspension intervals: from each suspend instant to the first
 	// sign of the task moving again — its next run-span start (scheduler
 	// dispatch after a won race or wait-queue resume), its next resume
 	// instant (greedy lost race: the task continues inside its still-open
-	// run span), or the request's end.
+	// run span), or the request's end. The resume event's span is [readyAt,
+	// resumed); its end is the instant the suspended continuation restarted.
 	if len(suspends) > 0 {
-		type joinInputs struct{ starts, resumes []sim.Time }
-		inputs := make(map[taskKey]*joinInputs, len(suspends))
-		for _, s := range suspends {
-			if inputs[s.key] == nil {
-				inputs[s.key] = &joinInputs{}
-			}
+		type move struct {
+			task int
+			at   sim.Time
 		}
-		for i := range t.Events {
-			e := &t.Events[i]
-			if e.Req == 0 || (e.Kind != obs.KindRun && e.Kind != obs.KindResume) {
-				continue
-			}
-			in := inputs[taskKey{e.Req, e.Task}]
-			if in == nil {
-				continue
-			}
-			if e.Kind == obs.KindRun {
-				in.starts = append(in.starts, e.T)
-			} else {
-				// The resume event's span is [readyAt, resumed); its end is
-				// the instant the suspended continuation actually restarted.
-				in.resumes = append(in.resumes, e.T+e.Dur)
-			}
-		}
-		for _, in := range inputs {
-			slices.Sort(in.starts)
-			slices.Sort(in.resumes)
-		}
-		for _, s := range suspends {
-			r, in := &reqs[s.slot], inputs[s.key]
-			end := r.att.End
-			for _, at := range in.starts {
-				if at > s.at && at < end {
-					end = at
-					break
+		var moves []move
+		for _, seg := range segs {
+			for i := range seg {
+				e := &seg[i]
+				if e.Req == 0 || (e.Kind != obs.KindRun && e.Kind != obs.KindResume) {
+					continue
+				}
+				if task, ok := tasks[taskKey{e.Req, e.Task}]; ok {
+					at := e.T
+					if e.Kind == obs.KindResume {
+						at += e.Dur
+					}
+					moves = append(moves, move{task, at})
 				}
 			}
-			for _, at := range in.resumes {
-				if at > s.at && at < end {
-					end = at
-					break
-				}
+		}
+		slices.SortFunc(moves, func(a, b move) int {
+			if c := cmp.Compare(a.task, b.task); c != 0 {
+				return c
 			}
-			if end > s.at {
-				r.ivls = append(r.ivls, reqInterval{start: s.at, end: end, class: classJoin})
+			return cmp.Compare(a.at, b.at)
+		})
+		for i := range suspends {
+			s := &suspends[i]
+			r := &reqs[s.slot]
+			// The first move of s's task after s.at.
+			j, _ := slices.BinarySearchFunc(moves, move{s.task, s.at}, func(m, target move) int {
+				if c := cmp.Compare(m.task, target.task); c != 0 {
+					return c
+				}
+				if m.at <= target.at {
+					return -1
+				}
+				return 1
+			})
+			s.end = r.att.End
+			if j < len(moves) && moves[j].task == s.task && moves[j].at < s.end {
+				s.end = moves[j].at
+			}
+			if s.end > s.at {
+				r.n++
 			}
 		}
 	}
-	// Sweep each completed request's window.
-	out := make([]RequestAttribution, 0, len(reqs))
-	var bounds []sim.Time
+	// Lay the completed requests' ranges out in one array and fill them.
+	total, widest, completed := 0, 0, 0
 	for i := range reqs {
 		r := &reqs[i]
 		if r.att.At < 0 || r.att.End < 0 {
-			continue // in-flight at the horizon cut, or a stray tag
+			r.off = -1 // in-flight at the horizon cut, or a stray tag
+			continue
 		}
-		bounds = r.att.sweep(r.ivls, bounds)
+		r.off, total, widest = total, total+r.n, max(widest, r.n)
+		r.n = 0
+		completed++
+	}
+	ivls := make([]reqInterval, total)
+	for _, seg := range segs {
+		for i := range seg {
+			e := &seg[i]
+			class := int(classOf[e.Kind])
+			if e.Req == 0 || class == numClasses {
+				continue
+			}
+			slot, _ := slots.lookup(e.Req)
+			if r := &reqs[slot]; r.off >= 0 {
+				ivls[r.off+r.n] = reqInterval{start: e.T, end: e.T + e.Dur, class: class}
+				r.n++
+			}
+		}
+	}
+	for _, s := range suspends {
+		if r := &reqs[s.slot]; r.off >= 0 && s.end > s.at {
+			ivls[r.off+r.n] = reqInterval{start: s.at, end: s.end, class: classJoin}
+			r.n++
+		}
+	}
+	// Sweep each completed request's window.
+	out := make([]RequestAttribution, 0, completed)
+	edges := make([]edge, 0, 2*widest)
+	for i := range reqs {
+		r := &reqs[i]
+		if r.off < 0 {
+			continue
+		}
+		edges = r.att.sweep(ivls[r.off:r.off+r.n], edges)
 		out = append(out, r.att)
 	}
 	slices.SortFunc(out, func(a, b RequestAttribution) int {
@@ -227,57 +305,63 @@ func (t *Trace) RequestAttribution() []RequestAttribution {
 	return out
 }
 
-// sweep partitions [a.At, a.End] over the component intervals by elementary
-// sub-interval, crediting each to its highest-priority covering class.
-// bounds is scratch space, returned for the next request's sweep.
-func (a *RequestAttribution) sweep(ivls []reqInterval, bounds []sim.Time) []sim.Time {
-	// Clamp to the sojourn window and collect boundaries.
-	bounds = append(bounds[:0], a.At, a.End)
-	if a.Admit > a.At && a.Admit < a.End {
-		bounds = append(bounds, a.Admit)
-	}
-	clamped := ivls[:0]
+// edge is where a component interval of class opens (delta +1) or closes
+// (delta -1) in a request's sweep.
+type edge struct {
+	at           sim.Time
+	class, delta int32
+}
+
+// sweep partitions [a.At, a.End] over the component intervals, clamped to
+// that window: it sorts their edges once and walks them with a per-class
+// count of open intervals, crediting each gap between consecutive edge
+// instants to the highest-priority (lowest) open class, and uncovered gaps
+// to AdmitWait before a.Admit and Queue after — O(k log k) in k intervals.
+// edges is scratch space, returned for the next request's sweep.
+func (a *RequestAttribution) sweep(ivls []reqInterval, edges []edge) []edge {
+	edges = edges[:0]
 	for _, iv := range ivls {
-		if iv.start < a.At {
-			iv.start = a.At
+		lo, hi := max(iv.start, a.At), min(iv.end, a.End)
+		if hi > lo {
+			edges = append(edges, edge{lo, int32(iv.class), 1}, edge{hi, int32(iv.class), -1})
 		}
-		if iv.end > a.End {
-			iv.end = a.End
-		}
-		if iv.end <= iv.start {
-			continue
-		}
-		clamped = append(clamped, iv)
-		bounds = append(bounds, iv.start, iv.end)
 	}
-	slices.Sort(bounds)
+	slices.SortFunc(edges, func(x, y edge) int { return cmp.Compare(x.at, y.at) })
+	var open [numClasses]int32
 	var into [numClasses]sim.Time
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		if hi == lo {
-			continue
-		}
-		best := numClasses
-		for _, iv := range clamped {
-			if iv.start <= lo && iv.end >= hi && iv.class < best {
-				best = iv.class
+	credit := func(lo, hi sim.Time) {
+		for c, n := range open {
+			if n > 0 {
+				into[c] += hi - lo
+				return
 			}
 		}
 		switch {
-		case best < numClasses:
-			into[best] += hi - lo
+		case lo < a.Admit && a.Admit < hi:
+			a.AdmitWait += a.Admit - lo
+			a.Queue += hi - a.Admit
 		case lo < a.Admit:
 			a.AdmitWait += hi - lo
 		default:
 			a.Queue += hi - lo
 		}
 	}
+	lo := a.At
+	for i := 0; i < len(edges); {
+		hi := edges[i].at
+		credit(lo, hi)
+		for ; i < len(edges) && edges[i].at == hi; i++ {
+			open[edges[i].class] += edges[i].delta
+		}
+		lo = hi
+	}
+	credit(lo, a.End)
 	a.Compute = into[classCompute]
 	a.StealXfer = into[classSteal]
 	a.FabricWait = into[classFabric]
 	a.Sched = into[classSched]
 	a.JoinWait = into[classJoin]
-	return bounds
+	return edges
 }
 
 // CheckRequests cross-checks a per-request attribution (as returned by
@@ -290,7 +374,11 @@ func (t *Trace) CheckRequests(atts []RequestAttribution) error {
 	if t.Serve == nil {
 		return fmt.Errorf("trace has no serve block (not an open-system run?)")
 	}
-	ck := t.Serve
+	return t.Serve.check(atts)
+}
+
+// check is CheckRequests against ck.
+func (ck *ServeCheck) check(atts []RequestAttribution) error {
 	if ck.Admitted != ck.Completed+ck.InFlight {
 		return fmt.Errorf("serve conservation violated: admitted=%d completed=%d inflight=%d",
 			ck.Admitted, ck.Completed, ck.InFlight)
@@ -321,6 +409,19 @@ func (t *Trace) CheckRequests(atts []RequestAttribution) error {
 // VerifyRequests attributes the trace and checks it (CheckRequests). A
 // caller that also wants the attribution builds it once and checks that.
 func (t *Trace) VerifyRequests() error { return t.CheckRequests(t.RequestAttribution()) }
+
+// AttributeRequests is TraceLog().RequestAttribution() followed by
+// CheckRequests, read in place from the run's recorder: the recorded event
+// chunks are not merged into the flat log TraceLog returns. It fails unless
+// Config.Trace was set and Serve has run.
+func (rt *Runtime) AttributeRequests() ([]RequestAttribution, error) {
+	ck := rt.serveCheck()
+	if rt.rec == nil || ck == nil {
+		return nil, fmt.Errorf("core: AttributeRequests needs a traced Serve run")
+	}
+	atts := attributeRequests(rt.rec.Segments())
+	return atts, ck.check(atts)
+}
 
 // Percentile returns the q-quantile of a sorted sample as an exact order
 // statistic (the ⌈n·q⌉-th smallest, clamped to the sample) — the same rule

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"slices"
 	"sort"
@@ -11,7 +12,9 @@ import (
 	"testing"
 
 	"contsteal/internal/obs"
+	"contsteal/internal/remobj"
 	"contsteal/internal/sim"
+	"contsteal/internal/topo"
 )
 
 // TestServeRequestConservationEveryCell is the central invariant of the
@@ -428,8 +431,10 @@ func referenceRequestAttribution(t *Trace) []RequestAttribution {
 	return out
 }
 
-// referenceSweep is RequestAttribution.sweep with its own bounds slice,
-// sorted by sort.Slice.
+// referenceSweep is the quadratic form of RequestAttribution.sweep: it cuts
+// the window at every interval boundary (and at Admit) and credits each
+// elementary sub-interval to the lowest class among the intervals that
+// cover it, found by scanning them all.
 func referenceSweep(a *RequestAttribution, ivls []reqInterval) {
 	bounds := []sim.Time{a.At, a.End}
 	if a.Admit > a.At && a.Admit < a.End {
@@ -476,4 +481,156 @@ func referenceSweep(a *RequestAttribution, ivls []reqInterval) {
 	a.FabricWait = into[classFabric]
 	a.Sched = into[classSched]
 	a.JoinWait = into[classJoin]
+}
+
+// FuzzRequestSweep holds the O(k log k) edge sweep to referenceSweep on
+// random interval sets: overlapping classes, zero-length and reversed
+// intervals, intervals snapped to or straddling At, Admit and End, and
+// admission instants inside, on and outside the window (or absent).
+func FuzzRequestSweep(f *testing.F) {
+	for seed := range int64(24) {
+		f.Add(seed, uint8(seed*7))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, k uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		at := sim.Time(rng.Intn(50))
+		end := at + sim.Time(rng.Intn(200))
+		window := int(end-at) + 1
+		admit := []sim.Time{-1, at, at + sim.Time(rng.Intn(window)), end, end + 5, at - 3}[rng.Intn(6)]
+		marks := []sim.Time{at, admit, end}
+		point := func() sim.Time {
+			if rng.Intn(3) == 0 {
+				return marks[rng.Intn(len(marks))] + sim.Time(rng.Intn(3)-1)
+			}
+			return at - 20 + sim.Time(rng.Intn(window+40))
+		}
+		ivls := make([]reqInterval, k)
+		for i := range ivls {
+			start, stop := point(), point()
+			switch rng.Intn(4) {
+			case 0:
+				stop = start // zero length
+			case 1:
+				start, stop = min(start, stop), max(start, stop)
+			}
+			ivls[i] = reqInterval{start: start, end: stop, class: rng.Intn(numClasses)}
+		}
+		got := RequestAttribution{ID: seed, At: at, Admit: admit, Start: at, End: end}
+		want := got
+		got.sweep(slices.Clone(ivls), nil)
+		referenceSweep(&want, slices.Clone(ivls))
+		if got != want {
+			t.Fatalf("window [%d, %d] admit %d, intervals %v:\nsweep     %+v\nreference %+v", at, end, admit, ivls, got, want)
+		}
+		if got.Sum() != got.Sojourn() {
+			t.Fatalf("components sum to %d, sojourn %d", got.Sum(), got.Sojourn())
+		}
+	})
+}
+
+// TestAttributeRequestsInPlace: Runtime.AttributeRequests, which reads the
+// recorder's chunks in place, returns TraceLog().RequestAttribution() and
+// passes its check — before the chunks are merged and after — on the
+// contested serve kernel under every policy and steal policy and on a
+// perturbed serve run whose log spans several chunks.
+func TestAttributeRequestsInPlace(t *testing.T) {
+	type cell struct {
+		name string
+		cfg  Config
+		reqs []Request
+	}
+	var cells []cell
+	for _, pol := range allPolicies {
+		for _, steal := range []string{"uniform", "hier", "hier-half"} {
+			cells = append(cells, cell{pol.String() + "/" + steal + "/contested", digestConfig(t, pol, steal), serveTrace(8, 20*sim.Microsecond, 10)})
+		}
+	}
+	perturbed := Config{Machine: topo.ITOA(), Workers: 8, Policy: ContGreedy, RemoteFree: remobj.LocalCollection, Seed: 42, MaxTime: 10 * sim.Second}
+	perturbed.Machine.Perturb = &topo.Perturb{Seed: 7, LatencyJitter: 1.0, StragglerFrac: 0.6, StragglerFactor: 3}
+	cells = append(cells, cell{"perturbed", perturbed, serveTrace(60, 2*sim.Microsecond, 11)})
+	chunked := false
+	for _, c := range cells {
+		c.cfg.Trace = true
+		rt := New(c.cfg)
+		rt.Serve(c.reqs, 0)
+		chunked = chunked || len(rt.rec.Segments()) > 1
+		inPlace, err := rt.AttributeRequests()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		tr := rt.TraceLog()
+		want := tr.RequestAttribution()
+		if err := tr.CheckRequests(want); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		merged, err := rt.AttributeRequests()
+		if err != nil {
+			t.Fatalf("%s: after TraceLog: %v", c.name, err)
+		}
+		if !slices.Equal(inPlace, want) || !slices.Equal(merged, want) {
+			t.Errorf("%s: AttributeRequests differs from TraceLog().RequestAttribution():\nin place %+v\nmerged   %+v\nwant     %+v", c.name, inPlace, merged, want)
+		}
+	}
+	if !chunked {
+		t.Error("no cell's log spans two recorder chunks: the in-place read of a chunk boundary went untested")
+	}
+	untraced := New(testConfig(ContGreedy, 2))
+	untraced.Serve(serveTrace(2, 100, 5), 0)
+	closedCfg := testConfig(ContGreedy, 2)
+	closedCfg.Trace = true
+	closed := New(closedCfg)
+	closed.Run(fibTask(5))
+	for name, rt := range map[string]*Runtime{"untraced serve": untraced, "closed run": closed} {
+		if atts, err := rt.AttributeRequests(); err == nil || atts != nil {
+			t.Errorf("%s: AttributeRequests = %v, %v; want an error", name, atts, err)
+		}
+	}
+}
+
+// synthServeTrace is a hand-built serve trace of n requests. Each has
+// `spans` compute, run and rdma spans of tasks that never suspend, and
+// `suspended` tasks that each suspend once and run again later.
+func synthServeTrace(n, spans, suspended int) *Trace {
+	var evs []obs.Event
+	for r := range n {
+		tag := int64(r + 1)
+		base := sim.Time(r) * 1000
+		ev := func(t, dur sim.Time, k obs.Kind, task int64) obs.Event {
+			return obs.Event{T: base + t, Dur: dur, Kind: k, Task: task, Peer: -1, Req: tag}
+		}
+		evs = append(evs, ev(0, 0, obs.KindServeArrive, -1), ev(0, 0, obs.KindServeAdmit, -1), ev(1, 0, obs.KindServeStart, -1))
+		for i := range spans {
+			k := []obs.Kind{obs.KindCompute, obs.KindRun, obs.KindRDMAGet}[i%3]
+			evs = append(evs, ev(sim.Time(2+i%700), 5, k, int64(1000+i)))
+		}
+		for i := range suspended {
+			evs = append(evs, ev(sim.Time(10+i), 0, obs.KindSuspend, int64(i)), ev(sim.Time(400+i), 20, obs.KindRun, int64(i)))
+		}
+		evs = append(evs, ev(900, 0, obs.KindServeDone, -1))
+	}
+	return &Trace{Events: evs}
+}
+
+// TestRequestAttributionAllocBound: one attribution allocates a fixed number
+// of times whatever the number of component intervals — they share one
+// exact-size array and one sweep scratch — and more only with suspended
+// tasks, whose join ends it looks up.
+func TestRequestAttributionAllocBound(t *testing.T) {
+	allocs := func(spans, suspended int) float64 {
+		tr := synthServeTrace(16, spans, suspended)
+		if got := tr.RequestAttribution(); len(got) != 16 || got[0].Sum() != got[0].Sojourn() {
+			t.Fatalf("synthetic trace attributes to %+v", got)
+		}
+		return testing.AllocsPerRun(50, func() { tr.RequestAttribution() })
+	}
+	for _, suspended := range []int{0, 8} {
+		few, many := allocs(6, suspended), allocs(600, suspended)
+		t.Logf("%d suspended tasks a request: %.0f allocations at 6 intervals a request, %.0f at 600", suspended, few, many)
+		if few != many {
+			t.Errorf("%d suspended tasks a request: %.0f allocations at 6 intervals a request, %.0f at 600; want the same", suspended, few, many)
+		}
+	}
+	if none, some := allocs(6, 0), allocs(6, 64); some <= none {
+		t.Errorf("%.0f allocations with no suspended task, %.0f with 64 a request: the join lookup allocated nothing", none, some)
+	}
 }

@@ -14,10 +14,11 @@ import (
 // thread dying), and the run ends when every admitted request has completed
 // — or at an explicit horizon, reporting the in-flight remainder.
 //
-// Arrivals are injected by engine timers into a per-worker inbox, so the
-// whole open system stays inside the deterministic engine: results are
+// Arrivals are injected into a per-worker inbox by one batch of engine
+// timers (Engine.AtEach), which keeps only the next arrival queued, so the
+// whole open system stays inside the deterministic engine — results are
 // byte-identical for any host parallelism, the same contract as
-// closed-system runs.
+// closed-system runs — and a long trace does not crowd the event heap.
 
 // Request is one open-system arrival: a request DAG root Fn that enters the
 // system at virtual time At. ID is caller-assigned identity (must be ≥ 0 and
@@ -144,29 +145,32 @@ func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 	return st
 }
 
-// scheduleArrivals sets one engine timer per request that arrives before the
-// horizon: it injects the request into a worker inbox (arrival index
-// round-robin over ranks) and rings the doorbell.
+// scheduleArrivals queues the arrivals before the horizon as one engine
+// timer batch (Engine.AtEach): request i's timer injects it into a worker
+// inbox (arrival index round-robin over ranks) and rings the doorbell. The
+// inbox points into reqs, which Serve does not return before the run ends.
 func (rt *Runtime) scheduleArrivals(reqs []Request, horizon sim.Time) {
-	for i := range reqs {
-		if horizon > 0 && reqs[i].At >= horizon {
-			continue // would arrive after the cut; stays in-flight by definition
-		}
-		r := reqs[i] // private copy: the injected pointer outlives the caller's slice
-		w := rt.workers[i%len(rt.workers)]
-		rt.eng.After(r.At, func() {
-			rt.serve.injected++
-			// Arrival and admission coincide today (admission decisions are
-			// made before injection); the two instants are the seam where an
-			// SLO-aware admission delay will appear between them.
-			ev := obs.Event{T: rt.eng.Now(), Rank: w.rank, Kind: obs.KindServeArrive, Task: -1, Peer: -1, Req: r.ID + 1}
-			rt.traceEvent(ev)
-			ev.Kind = obs.KindServeAdmit
-			rt.traceEvent(ev)
-			w.inbox = append(w.inbox, &r)
-			rt.wakeDozers()
-		})
+	if horizon > 0 {
+		// Later arrivals would land at or after the cut: in flight by definition.
+		reqs = reqs[:sort.Search(len(reqs), func(i int) bool { return reqs[i].At >= horizon })]
 	}
+	ts := make([]sim.Time, len(reqs))
+	for i := range reqs {
+		ts[i] = reqs[i].At
+	}
+	rt.eng.AtEach(ts, func(i int) {
+		r, w := &reqs[i], rt.workers[i%len(rt.workers)]
+		rt.serve.injected++
+		// Arrival and admission coincide today (admission decisions are
+		// made before injection); the two instants are the seam where an
+		// SLO-aware admission delay will appear between them.
+		ev := obs.Event{T: rt.eng.Now(), Rank: w.rank, Kind: obs.KindServeArrive, Task: -1, Peer: -1, Req: r.ID + 1}
+		rt.traceEvent(ev)
+		ev.Kind = obs.KindServeAdmit
+		rt.traceEvent(ev)
+		w.inbox = append(w.inbox, r)
+		rt.wakeDozers()
+	})
 }
 
 // requestDone books one completed request at the current virtual time and

@@ -90,8 +90,8 @@ func TestServeHorizonCut(t *testing.T) {
 		if st.InFlight == 0 {
 			t.Fatalf("%v: expected in-flight requests at a %v horizon", pol, horizon)
 		}
-		if st.Injected >= 20 { // arrivals 10..29 land at/after 20µs
-			t.Fatalf("%v: injected=%d, want < 20 (arrivals past the horizon must not fire)", pol, st.Injected)
+		if st.Injected != 10 { // arrivals 0..9 land before 20µs, 10 exactly on it
+			t.Fatalf("%v: injected=%d, want the 10 arrivals before the horizon", pol, st.Injected)
 		}
 		if uint64(len(st.Done)) != st.Completed {
 			t.Fatalf("%v: %d done records, completed=%d", pol, len(st.Done), st.Completed)

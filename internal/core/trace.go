@@ -96,13 +96,21 @@ func (rt *Runtime) TraceLog() *Trace {
 			Resumed:         rs.Join.Resumed,
 		}
 	}
-	if ss := rt.lastServe; ss != nil {
-		t.Serve = &ServeCheck{
-			Admitted: ss.Admitted, Injected: ss.Injected, Completed: ss.Completed,
-			InFlight: ss.InFlight, Done: ss.Done,
-		}
-	}
+	t.Serve = rt.serveCheck()
 	return t
+}
+
+// serveCheck is the completed Serve run's cross-check block, nil before
+// Serve has run.
+func (rt *Runtime) serveCheck() *ServeCheck {
+	ss := rt.lastServe
+	if ss == nil {
+		return nil
+	}
+	return &ServeCheck{
+		Admitted: ss.Admitted, Injected: ss.Injected, Completed: ss.Completed,
+		InFlight: ss.InFlight, Done: ss.Done,
+	}
 }
 
 // WriteJSON writes the raw trace as JSON.

@@ -294,9 +294,8 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 			sojourns[i] = d.Sojourn()
 		}
 		row.fillSojourns(sojourns, st.ExecTime)
-		tlog := rt.TraceLog()
-		atts := tlog.RequestAttribution()
-		if err := tlog.CheckRequests(atts); err != nil {
+		atts, err := rt.AttributeRequests()
+		if err != nil {
 			panic(fmt.Sprintf("experiments: serve cell %s/%s/%s load %g: request attribution cross-check failed: %v",
 				system, process, admit, load, err))
 		}

@@ -101,9 +101,11 @@ func TestServeHorizonCellInFlight(t *testing.T) {
 	// seconds; a horizon at a quarter of that leaves arrivals unseen.
 	horizonS := float64(p.Requests) / (2 * p.CapacityRps(o)) / 4
 	p.Horizon = sim.Time(horizonS * float64(sim.Second))
+	injected := map[string]uint64{}
 	for _, system := range []string{"ours", "saws", "charm", "glb"} {
 		r := ServeOnce(o, p, system, "poisson", "always", 2)
 		checkServeRow(t, r)
+		injected[system] = r.Injected
 		if r.InFlight == 0 {
 			t.Errorf("%s: horizon cut left nothing in flight", system)
 		}
@@ -113,6 +115,13 @@ func TestServeHorizonCellInFlight(t *testing.T) {
 		}
 		if r.Makespan > p.Horizon {
 			t.Errorf("%s: makespan %v ran past the %v horizon", system, r.Makespan, p.Horizon)
+		}
+	}
+	// ours counts the arrival timers that fired; the baselines count the
+	// arrivals before the horizon. Both see the same admitted trace.
+	for system, n := range injected {
+		if n != injected["ours"] {
+			t.Errorf("injected per system %v: %s differs from ours", injected, system)
 		}
 	}
 }

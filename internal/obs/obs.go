@@ -17,7 +17,7 @@
 //     one-byte code), so the collector never scans a recorded log, and a
 //     Recorder appends into fixed-size chunks, so a growing log is never
 //     re-copied: an event is copied once into its chunk and once more when
-//     Events merges the chunks.
+//     Events merges the chunks, and not again by a reader of Segments.
 //  3. Determinism. The simulation engine is sequential, so a Recorder's
 //     append order is the engine's dispatch order — identical across host
 //     parallelism settings. Metrics are accumulated per worker and merged in
@@ -313,6 +313,20 @@ func (r *Recorder) Events() []Event {
 	}
 	r.merged, r.first, r.last = all, nil, nil
 	return all
+}
+
+// Segments returns the log in append order as consecutive slices of it, read
+// in place: the events Events would return, without merging the chunks.
+// Events appended later are not in them.
+func (r *Recorder) Segments() [][]Event {
+	var segs [][]Event
+	if len(r.merged) > 0 {
+		segs = append(segs, r.merged)
+	}
+	for c := r.first; c != nil; c = c.next {
+		segs = append(segs, c.events[:c.n])
+	}
+	return segs
 }
 
 // Seq returns a fresh correlation id (1, 2, 3, ...).

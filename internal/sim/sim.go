@@ -19,9 +19,9 @@
 //   - Park(): suspend until some other proc (or callback) calls Wake.
 //   - Wake(p)/WakeAfter(p, d): make a parked proc runnable (now or later).
 //
-// The engine additionally supports plain callback events via At/After, which
-// run inline on whichever coroutine is dispatching (never concurrently with
-// a proc body).
+// The engine additionally supports plain callback events via At/After (and
+// AtEach, a sorted batch of them), which run inline on whichever coroutine
+// is dispatching (never concurrently with a proc body).
 //
 // Each suspension also has a continuation form — SleepThen, ParkThen,
 // Chain.WaitThen — that returns at once and runs a function at the wake-up,
@@ -82,12 +82,15 @@
 // exiting, keeping the stack it grew; Run drains the pool when it ends with
 // no proc live, Shutdown after killing the live ones, so no goroutine
 // outlives its simulation), proc names are formatted lazily (no fmt on the
-// spawn path; see GoID), and events are plain values in a slice-backed heap
-// (no per-event allocation). A coroutine switch runs on the thread of the
-// goroutine that calls Run, so GOMAXPROCS affects neither an engine's event
-// order nor its switch cost; when many engines run concurrently (parallel
-// experiment sweeps, one engine per host goroutine), each uses one thread at
-// a time. EngineStats reports how many
+// spawn path; see GoID), events are plain values in a slice-backed heap
+// (no per-event allocation), and a sorted batch of timers known in advance
+// — an open system's arrival trace — is one AtEach: it holds one heap entry,
+// its next timer, and one closure, so the heap holds the simulation's
+// pending events rather than every future arrival. A coroutine switch runs
+// on the thread of the goroutine that calls Run, so GOMAXPROCS affects
+// neither an engine's event order nor its switch cost; when many engines
+// run concurrently (parallel experiment sweeps, one engine per host
+// goroutine), each uses one thread at a time. EngineStats reports how many
 // events, proc resumptions and callbacks a run executed, Inline and InPlace
 // how many resumptions needed no switch, so throughput (events/sec) and the
 // switch-avoidance ratio are directly measurable.
@@ -259,7 +262,8 @@ func (e *Engine) Live() int { return e.nlive }
 // a chain completion).
 func (e *Engine) Parked() int { return e.parked }
 
-// Pending returns the number of queued events.
+// Pending returns the number of queued events. An AtEach batch counts as its
+// next timer alone, the only one it keeps queued.
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // Stats returns the engine's host-side work counters.
@@ -305,6 +309,54 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 // At schedules fn to run inside event dispatch at virtual time t (which must
 // not be in the past).
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
+
+// AtEach schedules fn(i) to run inside event dispatch at virtual time ts[i],
+// for every i: the same events, at the same (time, seq), as len(ts) calls
+// At(ts[i], func() { fn(i) }) made now — it reserves their sequence numbers
+// at once. ts must be sorted and not in the past. The batch keeps only its
+// next timer queued and queues the one after it when that one fires, so a
+// long arrival trace holds one heap entry, not len(ts), and costs no
+// allocation per timer. ts is read in place until its last timer fires.
+func (e *Engine) AtEach(ts []Time, fn func(i int)) {
+	if len(ts) == 0 {
+		return
+	}
+	if ts[0] < e.now {
+		panic(fmt.Sprintf("sim: AtEach time ts[0]=%dns is in the past (now %dns)", ts[0], e.now))
+	}
+	for i := 1; i < len(ts); i++ {
+		if ts[i] < ts[i-1] {
+			panic(fmt.Sprintf("sim: AtEach times are not sorted: ts[%d]=%dns before ts[%d]=%dns", i, ts[i], i-1, ts[i-1]))
+		}
+	}
+	b := &timerBatch{e: e, ts: ts, fn: fn, seq: e.seq + 1}
+	b.fire = b.next
+	e.seq += uint64(len(ts))
+	e.heap.push(event{t: ts[0], seq: b.seq, fn: b.fire})
+}
+
+// timerBatch is an AtEach batch: its timer i is queued, with sequence number
+// seq, and the timers after it are not yet.
+type timerBatch struct {
+	e    *Engine
+	ts   []Time
+	fn   func(i int)
+	i    int
+	seq  uint64
+	fire func() // next, bound once: the callback of every queued timer
+}
+
+// next runs timer i after queueing timer i+1 at its reserved sequence number.
+// Both follow the event now dispatched in (time, seq) order, so queueing it
+// now rather than at AtEach changes no dispatch order.
+func (b *timerBatch) next() {
+	i := b.i
+	if b.i++; b.i < len(b.ts) {
+		b.seq++
+		b.e.heap.push(event{t: b.ts[b.i], seq: b.seq, fn: b.fire})
+	}
+	b.fn(i)
+}
 
 // After schedules fn to run inside event dispatch d nanoseconds from now.
 func (e *Engine) After(d Time, fn func()) {

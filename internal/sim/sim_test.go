@@ -952,3 +952,138 @@ func TestEventPathAllocFree(t *testing.T) {
 		t.Errorf("event path allocates %.1f times per Run, want 0", avg)
 	}
 }
+
+// atEachScenario schedules a batch of timers at ts — by one AtEach, or by one
+// At per timer — between callbacks and a sleeping proc scheduled at equal
+// times before and after it; every batch timer schedules one more callback
+// at its own instant. It runs the engine to until, then to the end, and
+// returns the SetTrace lines, the order the callbacks ran in, and the
+// engine.
+func atEachScenario(ts []Time, batch bool, until Time) ([]string, []string, *Engine) {
+	e := NewEngine()
+	var lines, ran []string
+	e.SetTrace(func(s string) { lines = append(lines, s) })
+	note := func(what string) func() {
+		return func() { ran = append(ran, fmt.Sprintf("%s@%d", what, e.Now())) }
+	}
+	e.At(0, note("before0"))
+	e.At(10, note("before10"))
+	e.Go("sleeper", func(p *Proc) {
+		for range 4 {
+			p.Sleep(10)
+			ran = append(ran, fmt.Sprintf("sleeper@%d", p.Now()))
+		}
+	})
+	fire := func(i int) {
+		note(fmt.Sprintf("t%d", i))()
+		e.At(e.Now(), note(fmt.Sprintf("t%d-after", i)))
+	}
+	if batch {
+		e.AtEach(ts, fire)
+	} else {
+		for i := range ts {
+			e.At(ts[i], func() { fire(i) })
+		}
+	}
+	e.At(10, note("after10"))
+	e.At(30, note("after30"))
+	e.Run(until)
+	e.Run(Forever)
+	return lines, ran, e
+}
+
+// TestAtEachIsAtCalls: AtEach dispatches the same events, in the same
+// (time, seq) order and with the same counts, as one At call per timer —
+// with other events at equal times on both sides of the batch, and with a
+// horizon cutting the run inside the batch.
+func TestAtEachIsAtCalls(t *testing.T) {
+	ts := []Time{0, 10, 10, 20, 30, 30, 45}
+	for _, until := range []Time{Forever, 10, 30} {
+		wantLines, wantRan, want := atEachScenario(ts, false, until)
+		gotLines, gotRan, got := atEachScenario(ts, true, until)
+		if !slices.Equal(gotLines, wantLines) {
+			t.Errorf("until %d: dispatch lines differ:\nAtEach %q\nAt     %q", until, gotLines, wantLines)
+		}
+		if !slices.Equal(gotRan, wantRan) {
+			t.Errorf("until %d: callback order differs:\nAtEach %q\nAt     %q", until, gotRan, wantRan)
+		}
+		if got.Stats() != want.Stats() {
+			t.Errorf("until %d: stats %+v, want %+v", until, got.Stats(), want.Stats())
+		}
+		if n := len(wantRan); n != 2+4+2+2*len(ts) {
+			t.Errorf("until %d: %d callbacks ran, want every one", until, n)
+		}
+	}
+}
+
+// TestAtEachQueuesOneTimer: a batch holds one heap entry, its next timer.
+func TestAtEachQueuesOneTimer(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	e.AtEach([]Time{5, 6, 7, 8}, func(int) { fired++ })
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d after AtEach of 4 timers, want 1", e.Pending())
+	}
+	e.Run(6)
+	if e.Pending() != 1 || fired != 2 {
+		t.Errorf("at 6: Pending = %d, fired = %d, want 1 and 2", e.Pending(), fired)
+	}
+	e.Run(Forever)
+	if e.Pending() != 0 || fired != 4 {
+		t.Errorf("at the end: Pending = %d, fired = %d, want 0 and 4", e.Pending(), fired)
+	}
+	e.AtEach(nil, func(int) { t.Error("an empty batch fired") })
+	e.Run(Forever)
+}
+
+// TestAtEachRefusesBadTimes: unsorted times and times in the past panic at
+// AtEach, with a message that names the cause.
+func TestAtEachRefusesBadTimes(t *testing.T) {
+	for _, c := range []struct {
+		ts   []Time
+		want string
+	}{
+		{[]Time{110, 120, 115}, "sim: AtEach times are not sorted: ts[2]=115ns before ts[1]=120ns"},
+		{[]Time{50, 60}, "sim: AtEach time ts[0]=50ns is in the past (now 100ns)"},
+	} {
+		e := NewEngine()
+		e.At(100, func() {})
+		e.Run(Forever)
+		func() {
+			defer func() {
+				if r := recover(); r != c.want {
+					t.Errorf("AtEach(%v) panicked with %v, want %q", c.ts, r, c.want)
+				}
+			}()
+			e.AtEach(c.ts, func(int) {})
+		}()
+		if e.Pending() != 0 {
+			t.Errorf("AtEach(%v) queued %d events before refusing", c.ts, e.Pending())
+		}
+	}
+}
+
+// TestAtEachAllocFree: a batch's allocations do not grow with its timers —
+// one record and its bound callback — where one At per timer allocates a
+// closure each.
+func TestAtEachAllocFree(t *testing.T) {
+	allocs := func(n int) float64 {
+		e := NewEngine()
+		ts := make([]Time, n)
+		fired := 0
+		fn := func(int) { fired++ }
+		batch := func() {
+			for i := range ts {
+				ts[i] = e.Now() + Time(i/3)
+			}
+			e.AtEach(ts, fn)
+			e.Run(Forever)
+		}
+		batch() // grow the heap
+		return testing.AllocsPerRun(20, batch)
+	}
+	small, large := allocs(16), allocs(4096)
+	if small != large || large > 2 {
+		t.Errorf("AtEach allocates %.1f times for 16 timers and %.1f for 4096, want the same, at most 2", small, large)
+	}
+}
