@@ -197,7 +197,7 @@ func bindParams(fs *flag.FlagSet, p *manifest.Params) {
 	fs.IntVar(&p.N, "n", 0, "problem size override")
 	fs.Int64Var(&p.Seed, "seed", 0, "RNG seed (default 42)")
 	fs.IntVar(&p.WorkScale, "workscale", 0, "UTS: multiply per-node work (one node stands for k)")
-	fs.IntVar(&p.DequeCap, "dequecap", 0, "per-worker deque capacity override")
+	fs.IntVar(&p.DequeCap, "dequecap", 0, "per-worker simulated deque capacity, the overflow bound (0 = runtime default 8192)")
 	fs.StringVar(&p.Perturb, "perturb", "", `deterministic fault injection, e.g. "jitter=0.5,straggler=0.25,drop=0.01,seed=1" (keys: jitter, straggler, sfactor, degraded, dfactor, drop, seed)`)
 	positiveFlag(fs, &p.Requests, "requests", 0, "serve: offered arrivals per grid cell, at least 1 (default: the experiment's)")
 	listFlag(fs, &p.Loads, "loads", "serve: comma-separated offered-load multipliers (e.g. 0.1,0.5,1,2)", parseFloat)

@@ -99,6 +99,9 @@ type Config struct {
 	// RetvalBytes is the size of the return-value field in thread entries.
 	RetvalBytes int
 
+	// DequeCap is the capacity of each worker's simulated deque in entries,
+	// the bound past which a push overflows (default 8,192). It sizes the
+	// ring's RDMA address range; host memory follows occupancy.
 	DequeCap int
 
 	// Sample, when positive, enables the Fig. 7 time series with the given
@@ -195,6 +198,10 @@ type Runtime struct {
 	jstats   JoinStats
 	series   []Sample
 
+	// freeJoins holds the join records of freed entries, zeroed, for info
+	// to hand to the next join.
+	freeJoins []*joinInfo
+
 	// freeThreads holds dead Threads, zeroed but for their bound body, for
 	// newThread to hand to the next task.
 	freeThreads []*Thread
@@ -274,6 +281,7 @@ func New(cfg Config) *Runtime {
 			dq:         deque.New(fab, r, cfg.DequeCap, entrySize),
 			ua:         uniaddr.New(fab, r, uniRegionBytes, evacRegionBytes),
 			rng:        rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9E3779B9)),
+			retBuf:     make([]byte, cfg.RetvalBytes),
 			lastVictim: -1,
 		}
 		w.bindCallbacks()
@@ -465,7 +473,12 @@ func (rt *Runtime) finish(ret []byte) {
 func (rt *Runtime) info(e rdma.Loc) *joinInfo {
 	ji := rt.joinInfo[e]
 	if ji == nil {
-		ji = &joinInfo{}
+		if n := len(rt.freeJoins); n > 0 {
+			ji = rt.freeJoins[n-1]
+			rt.freeJoins = rt.freeJoins[:n-1]
+		} else {
+			ji = &joinInfo{}
+		}
 		rt.joinInfo[e] = ji
 	}
 	return ji
@@ -520,5 +533,12 @@ func (rt *Runtime) joinResumed(w *Worker, e rdma.Loc, task, req int64) {
 	ji.suspended = false
 }
 
-// dropJoinInfo discards bookkeeping when an entry is freed.
-func (rt *Runtime) dropJoinInfo(e rdma.Loc) { delete(rt.joinInfo, e) }
+// dropJoinInfo discards bookkeeping when an entry is freed, keeping the
+// record for the next join.
+func (rt *Runtime) dropJoinInfo(e rdma.Loc) {
+	if ji := rt.joinInfo[e]; ji != nil {
+		delete(rt.joinInfo, e)
+		*ji = joinInfo{}
+		rt.freeJoins = append(rt.freeJoins, ji)
+	}
+}

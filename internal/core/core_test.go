@@ -539,3 +539,34 @@ func TestIdleCycleAllocFree(t *testing.T) {
 		t.Errorf("%d goroutine switches in the measured windows, want 0", n)
 	}
 }
+
+// TestSpawnJoinAllocFree: a task's host objects are recycled — its Thread on
+// the Runtime, its thread entry's remote-object node on the remobj manager,
+// its join record on the Runtime, its popped descriptor in the deque's pop
+// buffer, and JoinInt64 reads the result into the worker's buffer — so under
+// the continuation-stealing policies a warm spawn → join cycle allocates
+// nothing, as a proc's spawn → exit does (sim's TestSpawnExitAllocFree). The
+// child-stealing baselines still allocate twice: the child-task descriptor,
+// and ChildFull's wait-queue append or ChildRtC's inline Ctx.
+func TestSpawnJoinAllocFree(t *testing.T) {
+	leaf := func(*Ctx) []byte { return nil }
+	for _, pol := range allPolicies {
+		rt := New(testConfig(pol, 1))
+		var avg float64
+		rt.Run(func(c *Ctx) []byte {
+			cycle := func() { c.Spawn(leaf).JoinInt64(c) }
+			for i := 0; i < 10; i++ {
+				cycle()
+			}
+			avg = testing.AllocsPerRun(100, cycle)
+			return nil
+		})
+		want := 0.0
+		if !pol.Continuation() {
+			want = 2
+		}
+		if avg > want {
+			t.Errorf("%v: a spawn → join cycle allocates %.1f times, want at most %.0f", pol, avg, want)
+		}
+	}
+}

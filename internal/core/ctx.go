@@ -97,9 +97,9 @@ func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
 		// Child stealing: enqueue the child, keep running the parent.
 		rt.childSeq++
 		ct := &childTask{fn: fn, hdl: h, id: rt.childSeq, reqTag: w.top().req}
-		buf := make([]byte, childTaskBytes)
-		encodeChildEntry(buf, ct)
-		w.dq.Push(p, buf, ct)
+		var buf [childTaskBytes]byte
+		encodeChildEntry(buf[:], ct)
+		w.dq.Push(p, buf[:], ct)
 		if w.ob != nil {
 			w.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
 		}
@@ -131,6 +131,13 @@ func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
 // the runtime's RetvalBytes). Exactly the declared number of consumers must
 // join a handle.
 func (h Handle) Join(c *Ctx) []byte {
+	h.wait(c)
+	return c.rt.takeResult(c, h, make([]byte, c.rt.cfg.RetvalBytes))
+}
+
+// wait is Join up to its epilogue: it returns once the task behind h has
+// completed, the joiner running again (possibly on another worker).
+func (h Handle) wait(c *Ctx) {
 	if !h.Valid() {
 		panic("core: join on invalid handle")
 	}
@@ -144,7 +151,6 @@ func (h Handle) Join(c *Ctx) []byte {
 	default:
 		rt.joinRtC(c, h)
 	}
-	return rt.takeResult(c, h)
 }
 
 // Yield voluntarily releases the worker: the caller's continuation becomes
@@ -173,9 +179,12 @@ func (c *Ctx) Yield() {
 	t.release(p)
 }
 
-// JoinInt64 joins and decodes the first 8 bytes of the result.
+// JoinInt64 joins and decodes the first 8 bytes of the result. It reads the
+// result into its worker's scratch buffer, which no other task can touch
+// before the decode: the joiner occupies the worker throughout.
 func (h Handle) JoinInt64(c *Ctx) int64 {
-	return int64(binary.LittleEndian.Uint64(h.Join(c)))
+	h.wait(c)
+	return RetInt64(c.rt.takeResult(c, h, c.worker().retBuf))
 }
 
 // Int64Ret encodes v as a task return value.

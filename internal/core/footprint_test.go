@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"contsteal/internal/core"
@@ -40,5 +41,38 @@ func TestRankFootprintFollowsLiveState(t *testing.T) {
 	t.Logf("%d tasks, %d evacuations: %d KiB of backing per rank", st.Work.Tasks, st.Stack.Evacuations, total/workers>>10)
 	if perRank := total / workers; perRank > 256<<10 {
 		t.Errorf("%d tasks on %d ranks committed %d KiB of segment backing per rank, want at most 256", st.Work.Tasks, workers, perRank>>10)
+	}
+}
+
+// TestRankHeapFollowsLiveState is the host-heap half of the per-rank fence
+// (ROADMAP item 6(d)): right after New, before any task runs, a rank holds no
+// payload ring sized by the deque's capacity (it grows with occupancy), so
+// its live heap is the same few KiB at any capacity and any rank count.
+func TestRankHeapFollowsLiveState(t *testing.T) {
+	const limit = 16 << 10
+	for _, dequeCap := range []int{1024, 0} { // 0: the default, 8,192
+		for _, workers := range []int{432, 1728} { // 12 and 48 WISTERIA-O nodes
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := ms.HeapAlloc
+			rt := core.New(core.Config{
+				Machine:    topo.WisteriaO(),
+				Workers:    workers,
+				Policy:     core.ContGreedy,
+				RemoteFree: remobj.LocalCollection,
+				Seed:       42,
+				DequeCap:   dequeCap,
+			})
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(rt)
+			perRank := (int64(ms.HeapAlloc) - int64(before)) / int64(workers)
+			t.Logf("DequeCap %d, %d ranks: %.1f KiB of live heap per rank", dequeCap, workers, float64(perRank)/1024)
+			if perRank > limit {
+				t.Errorf("DequeCap %d, %d ranks: New left %.1f KiB of live heap per rank, want at most %d",
+					dequeCap, workers, float64(perRank)/1024, limit>>10)
+			}
+		}
 	}
 }

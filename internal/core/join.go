@@ -91,12 +91,11 @@ func (rt *Runtime) complete(c *Ctx, h Handle, ret []byte) {
 }
 
 // takeResult is the epilogue of every join: read the joined task's return
-// value (Fig. 3 line 19, Fig. 4 line 51) and release the entry (line 20 / 52)
-// — immediately for a single consumer (FREEREMOTE); for multi-consumer
-// futures the last of the declared consumers frees it.
-func (rt *Runtime) takeResult(c *Ctx, h Handle) []byte {
+// value into ret (Fig. 3 line 19, Fig. 4 line 51) and release the entry (line
+// 20 / 52) — immediately for a single consumer (FREEREMOTE); for
+// multi-consumer futures the last of the declared consumers frees it.
+func (rt *Runtime) takeResult(c *Ctx, h Handle, ret []byte) []byte {
 	w, p := c.worker(), c.p
-	ret := make([]byte, rt.cfg.RetvalBytes)
 	rt.fab.Get(p, w.rank, rt.retvalLoc(h), ret)
 	if h.Consumers > 1 {
 		if old := rt.fab.FetchAdd(p, w.rank, field(h.E, meConsumed, 8), 1); old != int64(h.Consumers)-1 {

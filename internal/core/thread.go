@@ -126,6 +126,7 @@ type Worker struct {
 	onStole                 func(entries [][]byte, objs []any, ok bool)
 
 	rootTask TaskFunc
+	retBuf   []byte // JoinInt64's result buffer, RetvalBytes long
 	st       WorkerStats
 	ob       *workerObs // non-nil when Config.Metrics is set
 }

@@ -63,9 +63,14 @@ type Deque struct {
 	entrySize int
 	capacity  int
 
-	base   rdma.Addr // block: header + entries
-	objs   []any     // parallel Go-side payloads, indexed by slot
-	steals *steal    // free list of steal-chain records
+	base rdma.Addr // block: header + entries
+	// objs holds the Go-side payloads of the live positions [top, bottom),
+	// position pos at pos mod len(objs). It starts empty and doubles, up to
+	// capacity, when a push would outgrow it (reserve), so a rank costs the
+	// host the payloads it has queued, not the ring it may queue.
+	objs   []any
+	popBuf []byte // the one buffer a pop copies its entry into (take)
+	steals *steal // free list of steal-chain records
 
 	// The owner-side operation in flight (there is at most one: the deque's
 	// bottom end belongs to whoever occupies the worker): the proc it runs
@@ -107,7 +112,7 @@ func New(fab *rdma.Fabric, rank, capacity, entrySize int) *Deque {
 		rank:      rank,
 		entrySize: entrySize,
 		capacity:  capacity,
-		objs:      make([]any, capacity),
+		popBuf:    make([]byte, entrySize),
 	}
 	d.base = fab.AllocStatic(rank, headerLen+capacity*entrySize)
 	d.onSpin, d.onPop, d.onPopLocked = d.lockSpin, d.pop, d.popLocked
@@ -125,9 +130,38 @@ func (d *Deque) loc(off int, size int) rdma.Loc {
 }
 
 // slotIndex maps a (possibly negative) position onto the ring.
-func (d *Deque) slotIndex(pos int64) int {
-	c := int64(d.capacity)
+func (d *Deque) slotIndex(pos int64) int { return ringIndex(pos, d.capacity) }
+
+// objIndex maps a (possibly negative) position onto the payload ring.
+func (d *Deque) objIndex(pos int64) int { return ringIndex(pos, len(d.objs)) }
+
+func ringIndex(pos int64, n int) int {
+	c := int64(n)
 	return int(((pos % c) + c) % c)
+}
+
+// minObjs is the payload ring's first length.
+const minObjs = 16
+
+// reserve makes room in the payload ring for n live positions (owner only;
+// n is at most capacity): it doubles the ring, up to capacity, and lays the
+// live positions [top, bottom) out again at pos mod the new length. A thief's
+// chain in flight takes its payloads before it advances top (readNext), so
+// every payload still to be handed over sits at or above the published top
+// and moves with the ring.
+func (d *Deque) reserve(n int) {
+	if n <= len(d.objs) {
+		return
+	}
+	size := max(len(d.objs), minObjs)
+	for size < n {
+		size *= 2
+	}
+	objs := make([]any, min(size, d.capacity))
+	for pos := d.top(); pos < d.bottom(); pos++ {
+		objs[ringIndex(pos, len(objs))] = d.objs[d.objIndex(pos)]
+	}
+	d.objs = objs
 }
 
 func (d *Deque) entryOff(slot int64) int {
@@ -184,12 +218,14 @@ func (d *Deque) Push(p *sim.Proc, entry []byte, obj any) {
 	// interrupted between publishing and its next action.
 	p.Sleep(d.mach.LocalOp)
 	b := d.bottom()
-	if int(b-d.top()) >= d.capacity {
+	n := int(b-d.top()) + 1
+	if n > d.capacity {
 		panic(fmt.Sprintf("deque: rank %d queue overflow (cap %d)", d.rank, d.capacity))
 	}
+	d.reserve(n)
 	off := d.entryOff(b)
 	copy(d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize), entry)
-	d.objs[d.slotIndex(b)] = obj
+	d.objs[d.objIndex(b)] = obj
 	d.setBot(b + 1)
 }
 
@@ -204,24 +240,28 @@ func (d *Deque) PushTop(p *sim.Proc, entry []byte, obj any) {
 	p.Sleep(d.mach.LocalOp)
 	d.ownerLock(p)
 	t := d.top() - 1
-	if int(d.bottom()-t) > d.capacity {
+	n := int(d.bottom() - t)
+	if n > d.capacity {
 		d.ownerUnlock()
 		panic(fmt.Sprintf("deque: rank %d queue overflow (cap %d)", d.rank, d.capacity))
 	}
+	d.reserve(n)
 	off := d.entryOff(t)
 	copy(d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize), entry)
-	d.objs[d.slotIndex(t)] = obj
+	d.objs[d.objIndex(t)] = obj
 	d.setTop(t)
 	d.ownerUnlock()
 }
 
 // PopThen removes the bottom entry (owner only, LIFO) in continuation form
 // (see sim.Proc.SleepThen): it charges the pop to p and hands the entry to
-// popped, inside event dispatch, with p running. Following THE, the owner
-// optimistically decrements bottom and only takes the lock when it may race
-// with a thief on the last entry — or, in Batch mode, always, so a StealN
-// thief's claimed range can never be popped out from under it. With a nil
-// popped the result stays in the deque for the caller, blocked in Await.
+// popped, inside event dispatch, with p running. The entry is the deque's one
+// pop buffer: it is valid until the owner's next operation on this deque.
+// Following THE, the owner optimistically decrements bottom and only takes
+// the lock when it may race with a thief on the last entry — or, in Batch
+// mode, always, so a StealN thief's claimed range can never be popped out
+// from under it. With a nil popped the result stays in the deque for the
+// caller, blocked in Await.
 func (d *Deque) PopThen(p *sim.Proc, popped func(entry []byte, obj any, ok bool)) {
 	d.owner, d.popped = p, popped
 	p.SleepThen(d.mach.LocalOp, d.onPop)
@@ -272,7 +312,8 @@ func (d *Deque) handOver(entry []byte, obj any, ok bool) {
 	d.kept = popResult{entry, obj, ok}
 }
 
-// Pop is PopThen for a blocking caller: it returns the bottom entry.
+// Pop is PopThen for a blocking caller: it returns the bottom entry, valid
+// until the owner's next operation on this deque (see PopThen).
 func (d *Deque) Pop(p *sim.Proc) ([]byte, any, bool) {
 	d.PopThen(p, nil)
 	p.Await()
@@ -281,16 +322,15 @@ func (d *Deque) Pop(p *sim.Proc) ([]byte, any, bool) {
 	return r.entry, r.obj, r.ok
 }
 
-// take reads out slot b and clears its obj reference (no simulated cost —
-// owner-local access; callers charge costs).
-func (d *Deque) take(slot int64) ([]byte, any) {
-	off := d.entryOff(slot)
-	entry := make([]byte, d.entrySize)
-	copy(entry, d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize))
-	i := d.slotIndex(slot)
+// take reads position pos out into the pop buffer and clears its obj
+// reference (no simulated cost — owner-local access; callers charge costs).
+func (d *Deque) take(pos int64) ([]byte, any) {
+	off := d.entryOff(pos)
+	copy(d.popBuf, d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize))
+	i := d.objIndex(pos)
 	obj := d.objs[i]
 	d.objs[i] = nil
-	return entry, obj
+	return d.popBuf, obj
 }
 
 // Steal removes and returns the top entry on behalf of a remote thief
@@ -478,10 +518,20 @@ func (s *steal) emptyUnlocked() {
 // readNext reads the k oldest descriptors, oldest-first, as one get per entry
 // (the real protocol could coalesce contiguous slots, but the ring may wrap
 // and per-entry gets keep the timing model honest about the widened read
-// phase), then advances top past the batch.
+// phase), then advances top past the batch. The payloads are handed over
+// (simulator bookkeeping) just before the advance is issued: until it lands
+// the claimed positions are at or above the published top, which the owner
+// neither pops under the lock nor reuses, and which a growing payload ring
+// carries along.
 func (s *steal) readNext() {
 	d := s.d
 	if s.i == s.k {
+		s.objs = make([]any, s.k)
+		for j := range s.objs {
+			i := d.objIndex(s.t + int64(j))
+			s.objs[j] = d.objs[i]
+			d.objs[i] = nil
+		}
 		d.fab.PutInt64Async(s.thief, d.loc(offTop, 8), s.t+s.k, s.onAdvance)
 		return
 	}
@@ -503,13 +553,6 @@ func (s *steal) advanced() {
 func (s *steal) unlocked() {
 	s.phase(obs.KindDequeUnlock)
 	d := s.d
-	// Simulator bookkeeping: hand over the payloads.
-	s.objs = make([]any, s.k)
-	for j := range s.objs {
-		slot := d.slotIndex(s.t + int64(j))
-		s.objs[j] = d.objs[slot]
-		d.objs[slot] = nil
-	}
 	s.ok = true
 	d.St.StealsOK++
 	if s.take != nil {

@@ -85,8 +85,9 @@ type Options struct {
 	// headline 110,592-core run is fed without simulating hundreds of
 	// billions of nodes (see DESIGN.md on substitutions). 0 means 1.
 	WorkScale int
-	// DequeCap overrides the per-worker deque capacity (memory control for
-	// very large worker counts). 0 keeps the runtime default.
+	// DequeCap overrides the capacity of each worker's simulated deque: the
+	// bound past which a push overflows. Host memory follows occupancy, not
+	// this bound. 0 keeps the runtime default.
 	DequeCap int
 	// Observer, when non-nil, is told of every finished job, sums every
 	// fork-join run's engine counters and keeps one run's metrics registry

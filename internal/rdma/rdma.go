@@ -220,6 +220,7 @@ type op struct {
 	addr Addr
 	buf  []byte // get destination / put source
 	a, b int64  // put64 value / fetch-add delta / CAS old, new
+	snap []byte // PutNB's copy of its source, kept across reuse
 
 	// Exactly one of these receives the completion; none means fire and
 	// forget (PutNB). A blocked proc (c) owns its record: it reads val after
@@ -404,7 +405,8 @@ const InjectCost = 200 * sim.Nanosecond
 // (§III-B). src is snapshotted at issue time.
 func (f *Fabric) PutNB(p *sim.Proc, from int, loc Loc, src []byte) {
 	if o, _ := f.start(from, loc, opPut, src, 0, 0); o != nil {
-		o.buf = append([]byte(nil), src...)
+		o.snap = append(o.snap[:0], src...)
+		o.buf = o.snap
 		p.Sleep(InjectCost)
 	}
 }

@@ -52,6 +52,10 @@ func (s Strategy) String() string {
 
 const headerLen = 8
 
+// freeBit is the header word a LocalCollection remote free puts: the free
+// bit set. Read-only.
+var freeBit = []byte{1, 0, 0, 0, 0, 0, 0, 0}
+
 // DefaultSweepLimit is the default allocated-bytes threshold that triggers
 // a local-collection sweep.
 const DefaultSweepLimit = 256 * 1024
@@ -70,7 +74,8 @@ type Stats struct {
 }
 
 // node is the owner-side record of a live remote object (the intrusive
-// doubly linked list of the local-collection scheme).
+// doubly linked list of the local-collection scheme). A reclaimed node goes
+// on its manager's free list, linked through next, for the next Alloc.
 type node struct {
 	header     rdma.Addr // header address in the owner's segment
 	size       int       // payload size
@@ -87,6 +92,7 @@ type Manager struct {
 
 	// local-collection state
 	head, tail *node
+	free       *node // reclaimed nodes, linked through next
 	byHeader   map[rdma.Addr]*node
 	liveBytes  int
 	SweepLimit int
@@ -132,7 +138,13 @@ func (m *Manager) LiveObjects() int { return len(m.byHeader) }
 // machine's allocation cost.
 func (m *Manager) Alloc(p *sim.Proc, size int) rdma.Loc {
 	header := m.fab.Alloc(m.rank, headerLen+size)
-	n := &node{header: header, size: size}
+	n := m.free
+	if n == nil {
+		n = &node{}
+	} else {
+		m.free = n.next
+	}
+	*n = node{header: header, size: size}
 	m.byHeader[header] = n
 	// Append to the doubly linked list.
 	if m.tail == nil {
@@ -153,7 +165,8 @@ func (m *Manager) Alloc(p *sim.Proc, size int) rdma.Loc {
 	return rdma.Loc{Rank: int32(m.rank), Addr: header + headerLen, Size: int32(size)}
 }
 
-// unlink removes n from the list and releases its memory.
+// unlink removes n from the list, releases its memory and puts n on the
+// free list.
 func (m *Manager) unlink(n *node) {
 	if n.prev != nil {
 		n.prev.next = n.next
@@ -168,6 +181,7 @@ func (m *Manager) unlink(n *node) {
 	delete(m.byHeader, n.header)
 	m.liveBytes -= n.size
 	m.fab.Free(m.rank, n.header, headerLen+n.size)
+	n.prev, n.next, m.free = nil, m.free, n
 }
 
 // freeLocal reclaims an object owned by this rank immediately.
@@ -290,10 +304,8 @@ func (s *Space) Free(p *sim.Proc, from int, loc rdma.Loc) {
 				Task: -1, Peer: int(loc.Rank),
 			})
 		}
-		var one [8]byte
-		one[0] = 1
 		me.fab.PutNB(p, from,
-			rdma.Loc{Rank: loc.Rank, Addr: loc.Addr - headerLen, Size: 8}, one[:])
+			rdma.Loc{Rank: loc.Rank, Addr: loc.Addr - headerLen, Size: 8}, freeBit)
 	case LockQueue:
 		// Four round trips against the owner's incoming queue, run as one
 		// completion chain: the freeing worker parks once for the whole

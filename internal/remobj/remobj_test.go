@@ -225,3 +225,36 @@ func TestNoDoubleReclaimProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecycledObjectsAllocFree: a reclaimed object's node goes on its
+// manager's free list and a remote free's put snapshots its source into a
+// pooled buffer, so once warm an allocation freed by its owner, and one freed
+// remotely and then swept, each allocate nothing.
+func TestRecycledObjectsAllocFree(t *testing.T) {
+	eng, _, s := setup(LocalCollection, 2)
+	var local, remote float64
+	eng.Go("w", func(p *sim.Proc) {
+		freeLocal := func() { s.Free(p, 0, s.Alloc(p, 0, 64)) }
+		freeRemote := func() {
+			s.Free(p, 1, s.Alloc(p, 0, 64))
+			p.Sleep(10 * sim.Microsecond) // let the free bit land
+			s.Collect(p, 0)
+		}
+		for i := 0; i < 3; i++ {
+			freeLocal()
+			freeRemote()
+		}
+		local = testing.AllocsPerRun(50, freeLocal)
+		remote = testing.AllocsPerRun(50, freeRemote)
+	})
+	eng.Run(sim.Forever)
+	if local != 0 {
+		t.Errorf("alloc → local free allocates %.1f times, want 0", local)
+	}
+	if remote != 0 {
+		t.Errorf("alloc → remote free → sweep allocates %.1f times, want 0", remote)
+	}
+	if m := s.Mgrs[0]; m.LiveObjects() != 0 || m.St.Swept != 54 {
+		t.Errorf("%d objects live, %d swept; want 0 and 54", m.LiveObjects(), m.St.Swept)
+	}
+}
