@@ -11,7 +11,7 @@
 //	             [-goldens DIR] [-no-validate] [param flags] [run flags]
 //	repro fig6   [-bench pfor|recpfor] [-machine itoa|wisteria] [-workers N] [-scale K]
 //	repro table2 [-bench pfor|recpfor] [-machine ...] [-workers N]
-//	repro fig7   [-machine ...] [-workers N]
+//	repro fig7   [-machine ...] [-workers N] [-n N]
 //	repro fig8   [-tree T1L|T1XXL|T1WL] [-seqdepth D]
 //	repro fig9   [-tree ...] [-workers-list 48,192,768] [-seqdepth D]
 //	repro table3 [-machine ...] [-workers N]

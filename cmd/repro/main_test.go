@@ -94,6 +94,21 @@ func TestGoldenFig9TSV(t *testing.T) {
 	checkSmokeGolden(t, smokeBase, "fig9", "uts_T1WL'_wisteria.tsv")
 }
 
+// TestGoldenSmokeTSV pins the series of the smoke entries that have no
+// test of their own: Table II's join/steal statistics, Fig. 7's busy and
+// ready-outstanding-join samples, Table III's LCS times and Fig. 12's
+// greedy-scheduling band, each from its shared-folder entry.
+func TestGoldenSmokeTSV(t *testing.T) {
+	for _, c := range []struct{ entry, fixture string }{
+		{"table2_pfor", "table2_pfor_itoa.tsv"},
+		{"fig7", "fig7_recpfor_itoa.tsv"},
+		{"table3", "table3.tsv"},
+		{"fig12", "fig12.tsv"},
+	} {
+		t.Run(c.entry, func(t *testing.T) { checkSmokeGolden(t, smokeBase, c.entry, c.fixture) })
+	}
+}
+
 // TestGoldenResilienceTSV pins a micro slice of the fault-injection sweep:
 // every system (ours, saws, charm, glb) under stragglers, latency jitter and
 // (for the two-sided runtimes) message drops, on one machine. The slowdown

@@ -203,10 +203,11 @@ func TestPipelineSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := map[string]int{}
+	ok, entryOK := map[string]int{}, map[string]int{}
 	for _, c := range checks {
 		if c.Status == "ok" {
 			ok[c.Name]++
+			entryOK[c.Entry]++
 		}
 	}
 	for _, f := range fixtures {
@@ -224,9 +225,14 @@ func TestPipelineSmoke(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(base, "bench")); err == nil {
 		t.Error("run folder still has a bench/ directory")
 	}
+	// Every smoke entry pins at least one series: an experiment whose output
+	// no golden holds fails here.
 	ran := map[string]bool{}
 	for _, row := range rows {
 		ran[row["experiment"]] = true
+		if entryOK[row["id"]] == 0 {
+			t.Errorf("smoke entry %s has no ok golden check, want at least 1", row["id"])
+		}
 		if row["experiment"] != "serve" {
 			continue
 		}

@@ -139,7 +139,7 @@ type Config struct {
 	// parallelism. Retrieve via RunStats.Obs.
 	Metrics bool
 
-	// Deprecated: has no effect; kept until benchmark/ stops setting it (ROADMAP item 1).
+	// Deprecated: has no effect; kept until benchmark/ stops setting it.
 	Shards int
 }
 

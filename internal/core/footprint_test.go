@@ -12,10 +12,10 @@ import (
 )
 
 // TestRankFootprintFollowsLiveState is the regression fence for paper-scale
-// runs (ROADMAP item 3): a rank costs the host what it touches — ring bytes
-// used, stack pile depth, evacuated stacks — not what it reserves (deque
-// ring, 4 MiB uni region, 16 MiB evacuation region). One evacuation used to
-// commit megabytes on its rank.
+// runs: a rank costs the host what it touches — ring bytes used, stack pile
+// depth, evacuated stacks — not what it reserves (deque ring, 4 MiB uni
+// region, 16 MiB evacuation region). One evacuation used to commit megabytes
+// on its rank.
 func TestRankFootprintFollowsLiveState(t *testing.T) {
 	const workers = 72 // two ITO-A nodes
 	tree := workload.UTSTree{Name: "tiny", B0: 3, GenMx: 14, RootSeed: 5, MaxChildren: 50, NodeWork: 190}
@@ -44,10 +44,10 @@ func TestRankFootprintFollowsLiveState(t *testing.T) {
 	}
 }
 
-// TestRankHeapFollowsLiveState is the host-heap half of the per-rank fence
-// (ROADMAP item 6(d)): right after New, before any task runs, a rank holds no
-// payload ring sized by the deque's capacity (it grows with occupancy), so
-// its live heap is the same few KiB at any capacity and any rank count.
+// TestRankHeapFollowsLiveState is the host-heap half of the per-rank fence:
+// right after New, before any task runs, a rank holds no payload ring sized
+// by the deque's capacity (it grows with occupancy), so its live heap is the
+// same few KiB at any capacity and any rank count.
 func TestRankHeapFollowsLiveState(t *testing.T) {
 	const limit = 16 << 10
 	for _, dequeCap := range []int{1024, 0} { // 0: the default, 8,192

@@ -80,7 +80,7 @@ type RunStats struct {
 	// their issuer's node.
 	//
 	// Deprecated: read Fabric.InterNode; kept until benchmark/ stops reading
-	// it (ROADMAP item 1).
+	// it.
 	CrossShard uint64
 
 	Series []Sample

@@ -122,9 +122,6 @@ func New(fab *rdma.Fabric, rank, capacity, entrySize int) *Deque {
 // Rank returns the owning rank.
 func (d *Deque) Rank() int { return d.rank }
 
-// EntrySize returns the fixed descriptor size in bytes.
-func (d *Deque) EntrySize() int { return d.entrySize }
-
 func (d *Deque) loc(off int, size int) rdma.Loc {
 	return rdma.Loc{Rank: int32(d.rank), Addr: d.base + rdma.Addr(off), Size: int32(size)}
 }
@@ -208,7 +205,7 @@ func (d *Deque) ownerUnlock() {
 }
 
 // Push appends an entry at the bottom (owner only). The descriptor bytes
-// must be exactly EntrySize long; obj rides along for the simulator.
+// must be exactly New's entrySize long; obj rides along for the simulator.
 func (d *Deque) Push(p *sim.Proc, entry []byte, obj any) {
 	if len(entry) != d.entrySize {
 		panic(fmt.Sprintf("deque: push of %d-byte entry, want %d", len(entry), d.entrySize))

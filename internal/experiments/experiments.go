@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"contsteal/internal/bot"
 	"contsteal/internal/core"
@@ -351,23 +352,35 @@ var Table2Layout = Layout[Table2Row]{
 		{"avgStolen", "%.0fB", func(r Table2Row) any { return r.AvgStolenBytes }},
 		{"avgCopy", "%v", func(r Table2Row) any { return r.AvgTaskCopyTime }},
 	},
+	TSV: []Col[Table2Row]{
+		{"strategy", "%s", func(r Table2Row) any { return r.Variant }},
+		{"exec_ns", "%d", func(r Table2Row) any { return int64(r.ExecTime) }},
+		{"oj", "%d", func(r Table2Row) any { return r.OutstandingJoins }},
+		{"avg_oj_ns", "%d", func(r Table2Row) any { return int64(r.AvgOutstandingTime) }},
+		{"steals_ok", "%d", func(r Table2Row) any { return r.StealsOK }},
+		{"avg_steal_ns", "%d", func(r Table2Row) any { return int64(r.AvgStealLatency) }},
+		{"steals_fail", "%d", func(r Table2Row) any { return r.StealsFailed }},
+		{"avg_stolen_bytes", "%.1f", func(r Table2Row) any { return r.AvgStolenBytes }},
+		{"avg_copy_ns", "%d", func(r Table2Row) any { return int64(r.AvgTaskCopyTime) }},
+	},
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 7 — time series of busy workers and ready outstanding joins
 // ---------------------------------------------------------------------------
 
-// Fig7Result holds the two traced runs of Fig. 7.
-type Fig7Result struct {
-	Workers    int
-	ContGreedy []core.Sample
-	ChildFull  []core.Sample
+// Fig7Row is one sample of Fig. 7: the busy workers and ready outstanding
+// joins of one variant's RecPFor run at virtual time T.
+type Fig7Row struct {
+	Variant, Machine string
+	Workers, N       int
+	core.Sample
 }
 
 // Fig7 traces RecPFor under continuation stealing (greedy) and child
 // stealing (Full) with a periodic sampler. The two traced runs are
-// independent jobs.
-func Fig7(o Options, n int) Fig7Result {
+// independent jobs; greedy's samples come first.
+func Fig7(o Options, n int) []Fig7Row {
 	o.defaults(72)
 	if n == 0 {
 		n = (1 << 11) << o.Scale
@@ -378,11 +391,45 @@ func Fig7(o Options, n int) Fig7Result {
 		jobs = append(jobs, Job{Coord: coord, Run: func(o Options) any {
 			task, _ := pforTask("recpfor", n)
 			_, st := runTask(o, v, func(cfg *core.Config) { cfg.Sample = 2 * sim.Millisecond }, task)
-			return st.Series
+			var rows []Fig7Row
+			for _, s := range st.Series {
+				rows = append(rows, Fig7Row{v.Name, o.Machine, o.Workers, n, s})
+			}
+			return rows
 		}})
 	}
-	series := collect[[]core.Sample](RunJobs(o, jobs))
-	return Fig7Result{Workers: o.Workers, ContGreedy: series[0], ChildFull: series[1]}
+	return slices.Concat(collect[[]Fig7Row](RunJobs(o, jobs))...)
+}
+
+// fig7Cols are both the table and the series of Fig. 7: one line per
+// (variant, sample).
+var fig7Cols = []Col[Fig7Row]{
+	{"variant", "%s", func(r Fig7Row) any { return r.Variant }},
+	{"t_ns", "%d", func(r Fig7Row) any { return int64(r.T) }},
+	{"busy", "%d", func(r Fig7Row) any { return r.Busy }},
+	{"ready_oj", "%d", func(r Fig7Row) any { return r.Ready }},
+}
+
+// Fig7Layout renders Fig. 7 rows.
+var Fig7Layout = Layout[Fig7Row]{
+	Section: func(r []Fig7Row) string { return "fig7_recpfor_" + r[0].Machine },
+	Title:   func(r []Fig7Row) string { return fmt.Sprintf("Fig. 7: %d workers on %s", r[0].Workers, r[0].Machine) },
+	Table:   fig7Cols,
+	TSV:     fig7Cols,
+	// Each variant's mean count of ready outstanding joins (greedy's line
+	// stays near 0) and child-Full's deepest busy-worker valley.
+	Summary: func(rows []Fig7Row) map[string]float64 {
+		out, samples := map[string]float64{}, map[string]float64{}
+		for _, r := range rows {
+			samples[r.Variant]++
+			mean := "mean_ready_oj_" + r.Variant // a running mean over the variant's samples
+			out[mean] += (float64(r.Ready) - out[mean]) / samples[r.Variant]
+			if r.Variant == "child-full" && (samples[r.Variant] == 1 || float64(r.Busy) < out["min_busy_child-full"]) {
+				out["min_busy_child-full"] = float64(r.Busy)
+			}
+		}
+		return out
+	},
 }
 
 // ---------------------------------------------------------------------------
@@ -634,6 +681,11 @@ var Table3Layout = Layout[Table3Row]{
 		{"scheduler", "%s", func(r Table3Row) any { return r.Variant }},
 		{"exec", "%v", func(r Table3Row) any { return r.ExecTime }},
 	},
+	TSV: []Col[Table3Row]{
+		{"N", "%d", func(r Table3Row) any { return r.N }},
+		{"scheduler", "%s", func(r Table3Row) any { return r.Variant }},
+		{"exec_ns", "%d", func(r Table3Row) any { return int64(r.ExecTime) }},
+	},
 }
 
 // Fig12Row is one point of Fig. 12: measured time against the
@@ -697,6 +749,14 @@ var Fig12Layout = Layout[Fig12Row]{
 		{"lower=max(T1/P,Tinf)", "%v", func(r Fig12Row) any { return r.LowerBound }},
 		{"upper=T1/P+Tinf", "%v", func(r Fig12Row) any { return r.UpperBound }},
 		{"in-band", "%v", func(r Fig12Row) any { return r.InBand }},
+	},
+	TSV: []Col[Fig12Row]{
+		{"N", "%d", func(r Fig12Row) any { return r.N }},
+		{"workers", "%d", func(r Fig12Row) any { return r.Workers }},
+		{"exec_ns", "%d", func(r Fig12Row) any { return int64(r.ExecTime) }},
+		{"lower_ns", "%d", func(r Fig12Row) any { return int64(r.LowerBound) }},
+		{"upper_ns", "%d", func(r Fig12Row) any { return int64(r.UpperBound) }},
+		{"in_band", "%v", func(r Fig12Row) any { return r.InBand }},
 	},
 	// The fraction of points inside the greedy-scheduling band.
 	Summary: func(rows []Fig12Row) map[string]float64 {

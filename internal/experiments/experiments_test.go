@@ -68,15 +68,31 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// TestFig7Series holds the paper's Fig. 7 claim at the smoke entry's params:
+// under continuation stealing with greedy join the ready-outstanding-join
+// line stays near 0, while under child-Full tens to hundreds of runnable
+// joins wait. The means are the ones the layout's summary reports.
 func TestFig7Series(t *testing.T) {
-	res := Fig7(tinyOpts(), 128)
-	if len(res.ContGreedy) == 0 || len(res.ChildFull) == 0 {
-		t.Fatal("empty time series")
-	}
-	for _, s := range res.ContGreedy {
-		if s.Busy < 0 || s.Busy > 18 {
-			t.Fatalf("busy out of range: %d", s.Busy)
+	o := tinyOpts()
+	rows := Fig7(o, 512)
+	samples := map[string]int{}
+	for _, r := range rows {
+		samples[r.Variant]++
+		if r.Busy < 0 || r.Busy > o.Workers {
+			t.Errorf("%s at %v: busy %d outside [0, %d]", r.Variant, r.T, r.Busy, o.Workers)
 		}
+	}
+	for _, v := range []string{"greedy", "child-full"} {
+		if samples[v] < 5 {
+			t.Errorf("%s: %d samples, want at least 5", v, samples[v])
+		}
+	}
+	sum := Fig7Layout.Of(rows).Summary()
+	if g := sum["mean_ready_oj_greedy"]; g >= 1 {
+		t.Errorf("greedy mean ready outstanding joins %.2f, want < 1", g)
+	}
+	if c := sum["mean_ready_oj_child-full"]; c < 10 {
+		t.Errorf("child-full mean ready outstanding joins %.2f, want >= 10", c)
 	}
 }
 

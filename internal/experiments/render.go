@@ -3,8 +3,7 @@
 // table and one for the TSV series, and its summary metrics — and the one
 // generic Rendering implementation below derives Section/Rows/Table/Series
 // from it. The column formats are byte-for-byte the ones the committed golden
-// TSV fixtures pin. Fig. 7's two-run time-series dump is the only result that
-// is not a row table and keeps a hand-written Rendering (Fig7Out).
+// TSV fixtures pin.
 
 package experiments
 
@@ -66,7 +65,7 @@ type Layout[R any] struct {
 	Section func(rows []R) string // JSON section and TSV series name
 	Title   func(rows []R) string // table heading, printed as "== title =="
 	Table   []Col[R]              // aligned text table
-	TSV     []Col[R]              // plot series; nil for table-only experiments
+	TSV     []Col[R]              // plot series
 	// Extra adds series that are not one line per row (serve's per-request
 	// tail bands).
 	Extra   func(rows []R) []Series
@@ -105,7 +104,7 @@ func (r rendered[R]) Table(w io.Writer) {
 }
 
 func (r rendered[R]) Series() []Series {
-	if len(r.rows) == 0 || r.l.TSV == nil {
+	if len(r.rows) == 0 {
 		return nil
 	}
 	s := Series{Name: r.Section(), Header: heads(r.l.TSV)}
@@ -152,37 +151,4 @@ func machLabel[R interface{ machine() string }](rows []R) string {
 		}
 	}
 	return label
-}
-
-// Fig7Out renders the Fig. 7 time-series pair: two sampled runs of unequal
-// length side by side, dumped as raw tab-separated lines.
-type Fig7Out struct{ R Fig7Result }
-
-func (r Fig7Out) Section() string             { return "fig7" }
-func (r Fig7Out) Rows() any                   { return r.R }
-func (r Fig7Out) Series() []Series            { return nil }
-func (r Fig7Out) Summary() map[string]float64 { return nil }
-
-func (r Fig7Out) Table(w io.Writer) {
-	fmt.Fprintf(w, "\n== Fig. 7: RecPFor scheduler activity time series (%d workers) ==\n", r.R.Workers)
-	fmt.Fprintln(w, "t(ms)\tbusy[greedy]\treadyOJ[greedy]\tbusy[child-full]\treadyOJ[child-full]")
-	n := len(r.R.ContGreedy)
-	if len(r.R.ChildFull) > n {
-		n = len(r.R.ChildFull)
-	}
-	for i := 0; i < n; i++ {
-		var t float64
-		bg, rg, bc, rc := "", "", "", ""
-		if i < len(r.R.ContGreedy) {
-			s := r.R.ContGreedy[i]
-			t = s.T.Seconds() * 1e3
-			bg, rg = fmt.Sprint(s.Busy), fmt.Sprint(s.Ready)
-		}
-		if i < len(r.R.ChildFull) {
-			s := r.R.ChildFull[i]
-			t = s.T.Seconds() * 1e3
-			bc, rc = fmt.Sprint(s.Busy), fmt.Sprint(s.Ready)
-		}
-		fmt.Fprintf(w, "%.1f\t%s\t%s\t%s\t%s\n", t, bg, rg, bc, rc)
-	}
 }

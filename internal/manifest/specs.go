@@ -43,7 +43,7 @@ func init() {
 	Register(Spec{
 		Name: "fig7",
 		Call: func(p Params, o experiments.Options) experiments.Rendering {
-			return experiments.Fig7Out{R: experiments.Fig7(o, p.N)}
+			return experiments.Fig7Layout.Of(experiments.Fig7(o, p.N))
 		},
 	})
 	Register(Spec{

@@ -22,9 +22,6 @@ type Counter struct {
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) { c.N += n }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.N++ }
-
 // TimeBuckets is the default histogram bucket layout for virtual-time
 // latencies: powers of two from 1 µs to ~1 s (values above the last bound
 // land in the overflow bucket). Fixed bounds keep merged output byte-stable.
@@ -94,14 +91,6 @@ func (h *Hist) Merge(o *Hist) {
 	if o.Max > h.Max {
 		h.Max = o.Max
 	}
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h *Hist) Mean() sim.Time {
-	if h.N == 0 {
-		return 0
-	}
-	return h.Sum / sim.Time(h.N)
 }
 
 // Registry holds named counters and histograms. Names are registered in a

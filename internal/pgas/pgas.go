@@ -68,9 +68,6 @@ func NewArray(rt *core.Runtime, n, elemSize int) *Array {
 // Len returns the number of elements.
 func (a *Array) Len() int { return a.n }
 
-// ElemSize returns the element size in bytes.
-func (a *Array) ElemSize() int { return a.elemSize }
-
 // OwnerOf returns the rank owning element i.
 func (a *Array) OwnerOf(i int) int {
 	a.check(i)
