@@ -225,13 +225,17 @@ func TestPipelineSmoke(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(base, "bench")); err == nil {
 		t.Error("run folder still has a bench/ directory")
 	}
-	// Every smoke entry pins at least one series: an experiment whose output
-	// no golden holds fails here.
+	// Every smoke entry pins at least one series and states its claim in
+	// the summary: an experiment whose output no golden holds, or whose
+	// Layout has no Summary, fails here.
 	ran := map[string]bool{}
 	for _, row := range rows {
 		ran[row["experiment"]] = true
 		if entryOK[row["id"]] == 0 {
 			t.Errorf("smoke entry %s has no ok golden check, want at least 1", row["id"])
+		}
+		if row["summary"] == "-" {
+			t.Errorf("smoke entry %s has summary -, want its key metrics", row["id"])
 		}
 		if row["experiment"] != "serve" {
 			continue

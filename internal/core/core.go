@@ -132,11 +132,11 @@ type Config struct {
 	// to the simulation and cannot perturb virtual time.
 	Trace bool
 
-	// Metrics enables the deterministic metrics registry: per-worker
-	// counters and fixed-bucket virtual-time histograms (steal latency,
-	// protocol chain latencies, outstanding-join wait, deque occupancy),
-	// merged in rank order so the output is byte-stable regardless of host
-	// parallelism. Retrieve via RunStats.Obs.
+	// Metrics enables the deterministic metrics registry: counters and
+	// fixed-bucket virtual-time histograms (steal latency, protocol chain
+	// latencies, outstanding-join wait, deque occupancy) that every worker
+	// records into, in the engine's sequential order, so the output is
+	// byte-stable regardless of host parallelism. Retrieve via RunStats.Obs.
 	Metrics bool
 
 	// Deprecated: has no effect; kept until benchmark/ stops setting it.
@@ -221,6 +221,7 @@ type Runtime struct {
 	stealBackoff bool
 
 	rec       *obs.Recorder // non-nil when Config.Trace is set
+	ob        *metrics      // non-nil when Config.Metrics is set
 	lastStats *RunStats     // stats of the completed run (for TraceLog's Check block)
 	lastServe *ServeStats   // stats of the completed Serve run (for TraceLog's Serve block)
 }
@@ -269,6 +270,9 @@ func New(cfg Config) *Runtime {
 		fab.Tr = &reqTagger{rt: rt, inner: rt.rec}
 		rt.objs.SetTracer(rt.rec)
 	}
+	if cfg.Metrics {
+		rt.ob = newMetrics()
+	}
 	entrySize := contEntrySize
 	if !cfg.Policy.Continuation() {
 		entrySize = childTaskBytes
@@ -293,9 +297,6 @@ func New(cfg Config) *Runtime {
 		if rt.rec != nil {
 			w.dq.Tr = rt.rec
 			w.ua.Tr = rt.rec
-		}
-		if cfg.Metrics {
-			w.ob = newWorkerObs()
 		}
 		rt.workers[r] = w
 	}
@@ -413,17 +414,13 @@ func (rt *Runtime) collect(end sim.Time) RunStats {
 	return rs
 }
 
-// collectObs merges the per-worker metric registries in rank order (so the
-// merged output is byte-stable regardless of host parallelism) and snapshots
-// the headline counters from the summed worker stats.
+// collectObs completes the run's metrics registry with the headline
+// counters, snapshotted from the summed worker stats.
 func (rt *Runtime) collectObs(rs *RunStats) {
-	if len(rt.workers) == 0 || rt.workers[0].ob == nil {
+	if rt.ob == nil {
 		return
 	}
-	m := obs.NewRegistry()
-	for _, w := range rt.workers {
-		m.Merge(w.ob.reg)
-	}
+	m := rt.ob.reg
 	m.Counter("spawns").Add(rs.Work.Spawns)
 	m.Counter("tasks").Add(rs.Work.Tasks)
 	m.Counter("joins").Add(rs.Work.Joins)
@@ -526,8 +523,8 @@ func (rt *Runtime) joinResumed(w *Worker, e rdma.Loc, task, req int64) {
 		rt.readyOJ--
 		ji.ready = false
 		rt.traceEvent(obs.Event{T: ji.readyAt, Rank: w.rank, Kind: obs.KindResume, Task: task, Peer: -1, Req: req})
-		if w.ob != nil {
-			w.ob.ojWait.Observe(wait)
+		if rt.ob != nil {
+			rt.ob.ojWait.Observe(wait)
 		}
 	}
 	ji.suspended = false

@@ -100,8 +100,8 @@ func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
 		var buf [childTaskBytes]byte
 		encodeChildEntry(buf[:], ct)
 		w.dq.Push(p, buf[:], ct)
-		if w.ob != nil {
-			w.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
+		if rt.ob != nil {
+			rt.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
 		}
 		return h
 	}
@@ -112,8 +112,8 @@ func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
 	var buf [contEntrySize]byte
 	encodeContEntry(buf[:], entCont, t)
 	w.dq.Push(p, buf[:], t)
-	if w.ob != nil {
-		w.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
+	if rt.ob != nil {
+		rt.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
 	}
 
 	child := newContThread(w, fn, h, t.id, false)

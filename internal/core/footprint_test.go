@@ -47,31 +47,44 @@ func TestRankFootprintFollowsLiveState(t *testing.T) {
 // TestRankHeapFollowsLiveState is the host-heap half of the per-rank fence:
 // right after New, before any task runs, a rank holds no payload ring sized
 // by the deque's capacity (it grows with occupancy), so its live heap is the
-// same few KiB at any capacity and any rank count.
+// same few KiB at any capacity and any rank count. Config.Metrics adds one
+// instrument set for the whole runtime, nothing a rank: at most 0.25 KiB a
+// rank over the metrics-off heap.
 func TestRankHeapFollowsLiveState(t *testing.T) {
-	const limit = 16 << 10
+	const limit, metricsLimit = 16 << 10, 256
+	perRank := func(cfg core.Config) int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		rt := core.New(cfg)
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(rt)
+		return (int64(ms.HeapAlloc) - int64(before)) / int64(cfg.Workers)
+	}
 	for _, dequeCap := range []int{1024, 0} { // 0: the default, 8,192
 		for _, workers := range []int{432, 1728} { // 12 and 48 WISTERIA-O nodes
-			var ms runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			before := ms.HeapAlloc
-			rt := core.New(core.Config{
+			cfg := core.Config{
 				Machine:    topo.WisteriaO(),
 				Workers:    workers,
 				Policy:     core.ContGreedy,
 				RemoteFree: remobj.LocalCollection,
 				Seed:       42,
 				DequeCap:   dequeCap,
-			})
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			runtime.KeepAlive(rt)
-			perRank := (int64(ms.HeapAlloc) - int64(before)) / int64(workers)
-			t.Logf("DequeCap %d, %d ranks: %.1f KiB of live heap per rank", dequeCap, workers, float64(perRank)/1024)
-			if perRank > limit {
+			}
+			off := perRank(cfg)
+			cfg.Metrics = true
+			on := perRank(cfg)
+			t.Logf("DequeCap %d, %d ranks: %.1f KiB of live heap per rank, %.2f KiB with metrics",
+				dequeCap, workers, float64(off)/1024, float64(on)/1024)
+			if off > limit {
 				t.Errorf("DequeCap %d, %d ranks: New left %.1f KiB of live heap per rank, want at most %d",
-					dequeCap, workers, float64(perRank)/1024, limit>>10)
+					dequeCap, workers, float64(off)/1024, limit>>10)
+			}
+			if on-off > metricsLimit {
+				t.Errorf("DequeCap %d, %d ranks: Config.Metrics adds %d B of live heap per rank, want at most %d",
+					dequeCap, workers, on-off, metricsLimit)
 			}
 		}
 	}

@@ -113,8 +113,8 @@ func (rt *Runtime) freeEntry(c *Ctx, h Handle) {
 	w, p := c.worker(), c.p
 	start := p.Now()
 	rt.objs.Free(p, w.rank, h.E)
-	if w.ob != nil && int(h.E.Rank) != w.rank {
-		w.ob.chainFree.Observe(p.Now() - start)
+	if rt.ob != nil && int(h.E.Rank) != w.rank {
+		rt.ob.chainFree.Observe(p.Now() - start)
 	}
 	rt.dropJoinInfo(h.E)
 }

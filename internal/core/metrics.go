@@ -2,11 +2,11 @@ package core
 
 import "contsteal/internal/obs"
 
-// workerObs holds one worker's metric instruments (Config.Metrics). Each
-// worker accumulates into its own registry — no sharing, so recording is
-// race-free under any host parallelism — and collectObs merges them in rank
-// order for deterministic output.
-type workerObs struct {
+// metrics holds the runtime's metric instruments (Config.Metrics): one
+// registry that every worker records into. The engine is sequential, so
+// recording needs no lock, and the registration order — fixed here, then
+// serve.sojourn at Serve start, then collectObs's counters — is the TSV's.
+type metrics struct {
 	reg        *obs.Registry
 	stealLat   *obs.Hist // full latency of successful steals (protocol + payload + ctx switch)
 	chainSteal *obs.Hist // deque steal-protocol chain latency, successful attempts
@@ -17,25 +17,15 @@ type workerObs struct {
 	dequeOcc   *obs.Hist // own-deque occupancy sampled after each push
 
 	// sojourn is the per-request end-to-end latency (serve mode only;
-	// registered lazily by serveInit so closed-system metric output stays
+	// registered by Serve so closed-system metric output stays
 	// byte-identical to pre-serve revisions).
 	sojourn *obs.Hist
 }
 
-// serveInit registers the serve-mode instruments on this worker's registry.
-// Called once per worker at Serve start, before any observation, so the
-// registration order — and thus the merged TSV layout — is identical on
-// every rank.
-func (o *workerObs) serveInit() {
-	if o.sojourn == nil {
-		o.sojourn = o.reg.Hist("serve.sojourn", obs.TimeBuckets())
-	}
-}
-
-func newWorkerObs() *workerObs {
+func newMetrics() *metrics {
 	reg := obs.NewRegistry()
 	tb := obs.TimeBuckets()
-	return &workerObs{
+	return &metrics{
 		reg:        reg,
 		stealLat:   reg.Hist("steal.latency", tb),
 		chainSteal: reg.Hist("chain.steal", tb),

@@ -29,17 +29,10 @@ type ServeCheck struct {
 	Done      []RequestDone `json:"done"` // sorted by (End, ID), like ServeStats.Done
 }
 
-// RequestAttribution decomposes one request's sojourn. The components are
-// disjoint and AdmitWait + Queue + Compute + StealXfer + FabricWait + Sched
-// + JoinWait == End - At exactly (see Trace.RequestAttribution for the
-// component semantics and the overlap-resolution priority).
-type RequestAttribution struct {
-	ID    int64    // caller-assigned request ID
-	At    sim.Time // front-end arrival (serve.arrive)
-	Admit sim.Time // inbox entry (serve.admit; == At until admission delays exist)
-	Start sim.Time // root task first popped from the inbox (serve.start)
-	End   sim.Time // DAG fully joined (serve.done)
-
+// Delays is the breakdown of request sojourn into its seven disjoint
+// components (see Trace.RequestAttribution for their semantics and the
+// overlap-resolution priority), for one request or summed over many.
+type Delays struct {
 	AdmitWait  sim.Time // uncovered time before Admit (0 today; the SLO-admission seam)
 	Queue      sim.Time // uncovered time after Admit: inbox + deque wait, no task of this request progressing
 	Compute    sim.Time // covered by this request's compute spans
@@ -49,13 +42,35 @@ type RequestAttribution struct {
 	JoinWait   sim.Time // suspended at a join with no other component of this request covering the time
 }
 
+// Sum adds the components.
+func (d Delays) Sum() sim.Time {
+	return d.AdmitWait + d.Queue + d.Compute + d.StealXfer + d.FabricWait + d.Sched + d.JoinWait
+}
+
+// Add accumulates o into d, component by component.
+func (d *Delays) Add(o Delays) {
+	d.AdmitWait += o.AdmitWait
+	d.Queue += o.Queue
+	d.Compute += o.Compute
+	d.StealXfer += o.StealXfer
+	d.FabricWait += o.FabricWait
+	d.Sched += o.Sched
+	d.JoinWait += o.JoinWait
+}
+
+// RequestAttribution decomposes one request's sojourn: its Delays are
+// disjoint and Sum() == End - At exactly.
+type RequestAttribution struct {
+	ID    int64    // caller-assigned request ID
+	At    sim.Time // front-end arrival (serve.arrive)
+	Admit sim.Time // inbox entry (serve.admit; == At until admission delays exist)
+	Start sim.Time // root task first popped from the inbox (serve.start)
+	End   sim.Time // DAG fully joined (serve.done)
+	Delays
+}
+
 // Sojourn is the request's end-to-end latency.
 func (a RequestAttribution) Sojourn() sim.Time { return a.End - a.At }
-
-// Sum adds the components; equal to Sojourn() on every well-formed trace.
-func (a RequestAttribution) Sum() sim.Time {
-	return a.AdmitWait + a.Queue + a.Compute + a.StealXfer + a.FabricWait + a.Sched + a.JoinWait
-}
 
 // Attribution classes, in overlap-resolution priority order (lower wins an
 // instant covered by several component intervals).

@@ -440,8 +440,8 @@ func (w *Worker) stole(entries [][]byte, objs []any, ok bool) {
 		w.missed()
 		return
 	}
-	if w.ob != nil {
-		w.ob.chainSteal.Observe(chain)
+	if w.rt.ob != nil {
+		w.rt.ob.chainSteal.Observe(chain)
 	}
 	w.found = found{kind: foundStolen, entries: entries, objs: objs}
 }
@@ -465,8 +465,8 @@ func (w *Worker) stealSucceeded(task int64, victim int, size, req int64, copyTim
 	}
 	lat := w.rt.eng.Now() - w.stealStart
 	w.st.StealLatency += lat
-	if w.ob != nil {
-		w.ob.stealLat.Observe(lat)
+	if w.rt.ob != nil {
+		w.rt.ob.stealLat.Observe(lat)
 	}
 	w.rt.traceEvent(obs.Event{T: w.stealStart, Rank: w.rank, Kind: obs.KindSteal, Task: task, Peer: victim, Size: size, Req: req})
 }
@@ -481,8 +481,8 @@ func (w *Worker) stealFailed(victim *Worker, start sim.Time, chain sim.Time) {
 	}
 	w.st.StealsFail++
 	w.st.StealSearchTime += chain
-	if w.ob != nil {
-		w.ob.chainFail.Observe(chain)
+	if w.rt.ob != nil {
+		w.rt.ob.chainFail.Observe(chain)
 	}
 	w.rt.traceEvent(obs.Event{T: start, Rank: w.rank, Kind: obs.KindStealFail, Task: -1, Peer: victim.rank})
 }

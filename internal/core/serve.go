@@ -118,10 +118,8 @@ func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 	}
 	s := &serveState{total: uint64(len(reqs))}
 	rt.serve = s
-	if rt.cfg.Metrics {
-		for _, w := range rt.workers {
-			w.ob.serveInit()
-		}
+	if rt.ob != nil {
+		rt.ob.sojourn = rt.ob.reg.Hist("serve.sojourn", obs.TimeBuckets())
 	}
 	if len(reqs) == 0 {
 		rt.done = true
@@ -181,8 +179,8 @@ func (rt *Runtime) requestDone(w *Worker, r *Request) {
 	s.completed++
 	rt.traceEvent(obs.Event{T: now, Rank: w.rank, Kind: obs.KindServeDone, Task: -1, Peer: -1, Req: r.ID + 1})
 	s.done = append(s.done, RequestDone{ID: r.ID, At: r.At, End: now})
-	if w.ob != nil && w.ob.sojourn != nil {
-		w.ob.sojourn.Observe(now - r.At)
+	if rt.ob != nil {
+		rt.ob.sojourn.Observe(now - r.At)
 	}
 	if s.completed == s.total {
 		rt.done = true

@@ -90,9 +90,10 @@ type RunStats struct {
 	// (0 under uni-address) — the §II-D address-consumption comparison.
 	IsoVirtualBytes uint64
 
-	// Obs is the merged deterministic metrics registry, non-nil only when
-	// Config.Metrics was set. Workers are merged in rank order, so
-	// Obs.WriteTSV output is byte-stable across host parallelism levels.
+	// Obs is the run's deterministic metrics registry, non-nil only when
+	// Config.Metrics was set. Every worker records into it in the engine's
+	// sequential order, so Obs.WriteTSV output is byte-stable across host
+	// parallelism levels.
 	Obs *obs.Registry
 }
 

@@ -128,7 +128,6 @@ type Worker struct {
 	rootTask TaskFunc
 	retBuf   []byte // JoinInt64's result buffer, RetvalBytes long
 	st       WorkerStats
-	ob       *workerObs // non-nil when Config.Metrics is set
 }
 
 func (w *Worker) bindCallbacks() {
@@ -412,8 +411,8 @@ func (w *Worker) restore(p *sim.Proc, t *Thread) sim.Time {
 	}
 	if migrated {
 		w.rt.traceEvent(obs.Event{T: start, Rank: w.rank, Kind: obs.KindMigrate, Task: t.id, Peer: -1, Req: t.reqTag})
-		if w.ob != nil {
-			w.ob.migrate.Observe(copyTime)
+		if w.rt.ob != nil {
+			w.rt.ob.migrate.Observe(copyTime)
 		}
 	}
 	return copyTime

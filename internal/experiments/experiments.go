@@ -363,6 +363,28 @@ var Table2Layout = Layout[Table2Row]{
 		{"avg_stolen_bytes", "%.1f", func(r Table2Row) any { return r.AvgStolenBytes }},
 		{"avg_copy_ns", "%d", func(r Table2Row) any { return int64(r.AvgTaskCopyTime) }},
 	},
+	// Table II's claim: continuation stealing leaves far fewer outstanding
+	// joins than child stealing, at a comparable steal latency.
+	Summary: func(rows []Table2Row) map[string]float64 {
+		by := map[string]Table2Row{}
+		for _, r := range rows {
+			by[r.Variant] = r
+		}
+		g, c := by["cont-greedy"], by["child-full"]
+		out := map[string]float64{
+			"oj_cont-greedy": float64(g.OutstandingJoins),
+			"oj_child-full":  float64(c.OutstandingJoins),
+		}
+		ratio(out, "steal_latency_cont-greedy_over_child-full", g.AvgStealLatency, c.AvgStealLatency)
+		return out
+	},
+}
+
+// ratio sets out[key] to num/den, leaving key out when den is 0.
+func ratio(out map[string]float64, key string, num, den sim.Time) {
+	if den != 0 {
+		out[key] = float64(num) / float64(den)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -685,6 +707,24 @@ var Table3Layout = Layout[Table3Row]{
 		{"N", "%d", func(r Table3Row) any { return r.N }},
 		{"scheduler", "%s", func(r Table3Row) any { return r.Variant }},
 		{"exec_ns", "%d", func(r Table3Row) any { return int64(r.ExecTime) }},
+	},
+	// Table III's ordering at the largest N: greedy beats stalling, which
+	// beats child-full.
+	Summary: func(rows []Table3Row) map[string]float64 {
+		n := 0
+		for _, r := range rows {
+			n = max(n, r.N)
+		}
+		exec := map[string]sim.Time{}
+		for _, r := range rows {
+			if r.N == n {
+				exec[r.Variant] = r.ExecTime
+			}
+		}
+		out := map[string]float64{}
+		ratio(out, "exec_cont-stalling_over_greedy", exec["cont-stalling"], exec["cont-greedy"])
+		ratio(out, "exec_child-full_over_greedy", exec["child-full"], exec["cont-greedy"])
+		return out
 	},
 }
 

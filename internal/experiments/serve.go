@@ -49,20 +49,13 @@ type ServeRow struct {
 
 // ServeReqBand aggregates the trace-derived request attribution over one
 // sojourn tail band: the completed requests whose sojourn is at or above the
-// band's percentile (so "p999" is the slowest ~0.1%). The component columns
-// partition Sojourn exactly, per request and therefore per band.
+// band's percentile (so "p999" is the slowest ~0.1%). The Delays partition
+// Sojourn exactly, per request and therefore per band.
 type ServeReqBand struct {
 	Band     string   // p50 / p99 / p999
 	Requests int      // completed requests in the band
-	Sojourn  sim.Time // Σ sojourn over the band (== sum of the components)
-
-	AdmitWait  sim.Time
-	Queue      sim.Time
-	Compute    sim.Time
-	StealXfer  sim.Time
-	FabricWait sim.Time
-	Sched      sim.Time
-	JoinWait   sim.Time
+	Sojourn  sim.Time // Σ sojourn over the band (== Delays.Sum())
+	core.Delays
 }
 
 // DominantDelay names the band's largest non-compute component — the
@@ -77,8 +70,9 @@ func (b ServeReqBand) DominantDelay() string {
 
 // dominant is DominantDelay plus the component's total over the band.
 func (b ServeReqBand) dominant() (string, sim.Time) {
+	d := b.Delays
 	names := [...]string{"admit_wait", "queue", "steal", "fabric", "sched", "join"}
-	vals := [...]sim.Time{b.AdmitWait, b.Queue, b.StealXfer, b.FabricWait, b.Sched, b.JoinWait}
+	vals := [...]sim.Time{d.AdmitWait, d.Queue, d.StealXfer, d.FabricWait, d.Sched, d.JoinWait}
 	best := 0
 	for i, v := range vals {
 		if v > vals[best] {
@@ -117,13 +111,7 @@ func ServeReqBands(atts []core.RequestAttribution) []ServeReqBand {
 			}
 			b.Requests++
 			b.Sojourn += a.Sojourn()
-			b.AdmitWait += a.AdmitWait
-			b.Queue += a.Queue
-			b.Compute += a.Compute
-			b.StealXfer += a.StealXfer
-			b.FabricWait += a.FabricWait
-			b.Sched += a.Sched
-			b.JoinWait += a.JoinWait
+			b.Add(a.Delays)
 		}
 		out = append(out, b)
 	}

@@ -135,8 +135,7 @@ func TestServeReqBandsConservation(t *testing.T) {
 		t.Fatalf("got %d attribution bands, want 3", len(r.Bands))
 	}
 	for i, b := range r.Bands {
-		sum := b.AdmitWait + b.Queue + b.Compute + b.StealXfer + b.FabricWait + b.Sched + b.JoinWait
-		if sum != b.Sojourn {
+		if sum := b.Sum(); sum != b.Sojourn {
 			t.Errorf("band %s: components sum to %v, sojourn total %v", b.Band, sum, b.Sojourn)
 		}
 		if b.Requests == 0 {

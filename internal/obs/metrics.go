@@ -8,10 +8,9 @@ import (
 )
 
 // Deterministic metrics: counters and fixed-bucket virtual-time histograms.
-// Each worker accumulates into its own Registry during the run (no locks —
-// the engine is sequential) and the runtime merges them in rank order at
-// collection time, so the serialized output is byte-stable across host
-// parallelism settings, the same contract as the golden TSVs.
+// A runtime's workers all record into its one Registry (no locks — the
+// engine is sequential), so the serialized output is byte-stable across
+// host parallelism settings, the same contract as the golden TSVs.
 
 // Counter is a monotonically increasing count.
 type Counter struct {
@@ -24,7 +23,7 @@ func (c *Counter) Add(n uint64) { c.N += n }
 
 // TimeBuckets is the default histogram bucket layout for virtual-time
 // latencies: powers of two from 1 µs to ~1 s (values above the last bound
-// land in the overflow bucket). Fixed bounds keep merged output byte-stable.
+// land in the overflow bucket). Fixed bounds keep the output byte-stable.
 func TimeBuckets() []sim.Time {
 	b := make([]sim.Time, 21)
 	v := sim.Microsecond
@@ -78,25 +77,8 @@ func (h *Hist) Observe(v sim.Time) {
 	}
 }
 
-// Merge accumulates o into h. The bucket layouts must match.
-func (h *Hist) Merge(o *Hist) {
-	if len(o.Bounds) != len(h.Bounds) {
-		panic(fmt.Sprintf("obs: merging histogram %q with mismatched bounds", h.Name))
-	}
-	for i := range o.Counts {
-		h.Counts[i] += o.Counts[i]
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-}
-
 // Registry holds named counters and histograms. Names are registered in a
-// fixed order (first use), which is the serialization order; merging
-// registries built by identical code paths therefore yields identical
-// output regardless of host scheduling.
+// fixed order (first use), which is the serialization order.
 type Registry struct {
 	counters map[string]*Counter
 	hists    map[string]*Hist
@@ -136,18 +118,6 @@ func (r *Registry) Hist(name string, bounds []sim.Time) *Hist {
 	r.hists[name] = h
 	r.horder = append(r.horder, name)
 	return h
-}
-
-// Merge accumulates every metric of o into r, registering any missing ones
-// (in o's registration order, after r's own).
-func (r *Registry) Merge(o *Registry) {
-	for _, name := range o.corder {
-		r.Counter(name).Add(o.counters[name].N)
-	}
-	for _, name := range o.horder {
-		oh := o.hists[name]
-		r.Hist(name, oh.Bounds).Merge(oh)
-	}
 }
 
 // Lookup returns the named histogram without registering it.

@@ -20,8 +20,8 @@
 //     Events merges the chunks, and not again by a reader of Segments.
 //  3. Determinism. The simulation engine is sequential, so a Recorder's
 //     append order is the engine's dispatch order — identical across host
-//     parallelism settings. Metrics are accumulated per worker and merged in
-//     rank order, making their serialized form byte-stable.
+//     parallelism settings. A runtime's metrics are one Registry recorded in
+//     that same order, making their serialized form byte-stable.
 package obs
 
 import (

@@ -156,7 +156,7 @@ func TestKindLayer(t *testing.T) {
 	}
 }
 
-func TestHistObserveAndMerge(t *testing.T) {
+func TestHistObserve(t *testing.T) {
 	bounds := []sim.Time{10, 100, 1000}
 	a := NewHist("lat", bounds)
 	a.Observe(5)    // bucket 0
@@ -172,60 +172,23 @@ func TestHistObserveAndMerge(t *testing.T) {
 			t.Fatalf("Counts = %v, want %v", a.Counts, want)
 		}
 	}
-	b := NewHist("lat", bounds)
-	b.Observe(500)
-	a.Merge(b)
-	if a.N != 5 || a.Counts[2] != 1 {
-		t.Fatalf("merge wrong: N=%d Counts=%v", a.N, a.Counts)
-	}
-}
-
-// TestRegistryMergeEmpty: merging an empty registry in either direction is a
-// no-op on values and must not register phantom metrics or disturb the
-// serialization — the "idle rank" case of the rank-order merge.
-func TestRegistryMergeEmpty(t *testing.T) {
-	full := NewRegistry()
-	full.Counter("steals").Add(3)
-	full.Hist("lat", TimeBuckets()).Observe(2 * sim.Microsecond)
-	var before bytes.Buffer
-	if err := full.WriteTSV(&before); err != nil {
-		t.Fatal(err)
-	}
-	full.Merge(NewRegistry())
-	var after bytes.Buffer
-	if err := full.WriteTSV(&after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Errorf("merging an empty registry changed the output:\n%s\nvs\n%s", &before, &after)
-	}
-	// Empty ← full registers everything of the source, with equal values.
-	empty := NewRegistry()
-	empty.Merge(full)
-	var got bytes.Buffer
-	if err := empty.WriteTSV(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), before.Bytes()) {
-		t.Errorf("empty.Merge(full) output differs:\n%s\nvs\n%s", &got, &before)
-	}
-	// Empty ← empty serializes to just the header.
-	var hdr bytes.Buffer
-	if err := NewRegistry().WriteTSV(&hdr); err != nil {
-		t.Fatal(err)
-	}
-	if hdr.String() != "row\tname\tle_ns\tcount\tsum_ns\tmax_ns\n" {
-		t.Errorf("empty registry TSV = %q", hdr.String())
-	}
 }
 
 // TestHistOverflowBucket: values above the last bound land in the overflow
 // bucket, are still counted in N/Sum/Max, serialize under le=+inf, and the
-// bucket counts always sum to N — including after merges and at the exact
-// boundary (le is inclusive).
+// bucket counts always sum to N — at the exact boundary (le is inclusive)
+// too. A registry with nothing registered serializes to its header alone.
 func TestHistOverflowBucket(t *testing.T) {
 	bounds := []sim.Time{10, 100}
-	h := NewHist("x", bounds)
+	r := NewRegistry()
+	var buf bytes.Buffer
+	if err := r.WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "row\tname\tle_ns\tcount\tsum_ns\tmax_ns\n" {
+		t.Errorf("empty registry TSV = %q", buf.String())
+	}
+	h := r.Hist("x", bounds)
 	h.Observe(100)     // last real bucket, inclusive
 	h.Observe(101)     // overflow
 	h.Observe(1 << 40) // deep overflow
@@ -242,114 +205,15 @@ func TestHistOverflowBucket(t *testing.T) {
 	if h.Max != 1<<40 || h.Sum != 100+101+(1<<40) {
 		t.Fatalf("overflow not in summary: Sum=%d Max=%d", h.Sum, h.Max)
 	}
-	o := NewHist("x", bounds)
-	o.Observe(999)
-	h.Merge(o)
-	if h.Counts[len(bounds)] != 3 || h.N != 4 {
-		t.Fatalf("merge lost overflow: Counts=%v N=%d", h.Counts, h.N)
+	h.Observe(999)
+	if h.Counts[len(bounds)] != 3 || h.N != 4 || h.Max != 1<<40 {
+		t.Fatalf("a smaller overflow lost: Counts=%v N=%d Max=%d", h.Counts, h.N, h.Max)
 	}
-	var buf bytes.Buffer
-	r := NewRegistry()
-	r.Hist("x", bounds).Merge(h)
+	buf.Reset()
 	if err := r.WriteTSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("bucket\tx\t+inf\t3\t-\t-\n")) {
 		t.Errorf("overflow bucket not serialized as +inf:\n%s", &buf)
-	}
-}
-
-func TestRegistryMergeDeterministic(t *testing.T) {
-	mk := func(stealFirst bool) *Registry {
-		r := NewRegistry()
-		if stealFirst {
-			r.Counter("steals").Add(2)
-			r.Counter("spawns").Add(7)
-		} else {
-			r.Counter("spawns").Add(7)
-			r.Counter("steals").Add(2)
-		}
-		r.Hist("lat", TimeBuckets()).Observe(3 * sim.Microsecond)
-		return r
-	}
-	// Per-worker registries register in the same code order, so merged
-	// output is identical; this simulates two ranks merged in rank order.
-	m1 := NewRegistry()
-	m1.Merge(mk(true))
-	m1.Merge(mk(true))
-	m2 := NewRegistry()
-	m2.Merge(mk(true))
-	m2.Merge(mk(true))
-	var b1, b2 bytes.Buffer
-	if err := m1.WriteTSV(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.WriteTSV(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("merged TSV not byte-stable")
-	}
-	if m1.Counter("steals").N != 4 {
-		t.Fatalf("steals = %d, want 4", m1.Counter("steals").N)
-	}
-}
-
-// TestRegistryMergeSilentRank: a rank that never touched some metric (an
-// idle worker that saw no migrations) contributes nothing for it, yet the
-// rank-order merge keeps the totals right and the serialization identical to
-// the run where that rank observed zero explicitly — a silent rank cannot
-// shift the registration order established by earlier ranks.
-func TestRegistryMergeSilentRank(t *testing.T) {
-	busy := func() *Registry {
-		r := NewRegistry()
-		r.Counter("steals").Add(5)
-		r.Counter("migrations").Add(1)
-		r.Hist("lat", TimeBuckets()).Observe(4 * sim.Microsecond)
-		return r
-	}
-	silent := func() *Registry {
-		r := NewRegistry()
-		r.Counter("steals") // registered, never incremented
-		return r
-	}
-	explicitZero := func() *Registry {
-		r := NewRegistry()
-		r.Counter("steals").Add(0)
-		r.Counter("migrations").Add(0)
-		r.Hist("lat", TimeBuckets())
-		return r
-	}
-	merge := func(ranks ...*Registry) *bytes.Buffer {
-		m := NewRegistry()
-		for _, r := range ranks {
-			m.Merge(r)
-		}
-		var buf bytes.Buffer
-		if err := m.WriteTSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
-	}
-	a := merge(busy(), silent(), busy())
-	b := merge(busy(), explicitZero(), busy())
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("silent rank serializes differently from an explicit-zero rank:\n%s\nvs\n%s", a, b)
-	}
-	m := NewRegistry()
-	for _, r := range []*Registry{busy(), silent(), busy()} {
-		m.Merge(r)
-	}
-	if m.Counter("steals").N != 10 || m.Counter("migrations").N != 2 {
-		t.Errorf("totals wrong with a silent middle rank: steals=%d migrations=%d",
-			m.Counter("steals").N, m.Counter("migrations").N)
-	}
-	if h, ok := m.Lookup("lat"); !ok || h.N != 2 {
-		t.Errorf("lat histogram lost samples across the silent rank")
-	}
-	// A silent FIRST rank must not reorder later ranks' registrations.
-	c := merge(silent(), busy(), busy())
-	if !bytes.Equal(c.Bytes(), a.Bytes()) {
-		t.Errorf("silent first rank changed the serialization order:\n%s\nvs\n%s", c, a)
 	}
 }

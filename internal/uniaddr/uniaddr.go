@@ -307,48 +307,25 @@ func (m *Manager) FreeEvac(addr VAddr, size int) { m.Evac.Free(addr, size) }
 // size/bandwidth) is charged to p via the fabric. It reports false on an
 // address conflict (counted), in which case no copy happens.
 //
-// MigrateInAsync is the split-phase form: the reservation happens at issue
-// time (so a conflict is reported synchronously via the return value), the
-// stack bytes land at the transfer's completion time, and `then` runs at
-// that instant.
-//
 // The destination slice is taken at issue time and held across the flight,
 // which rdma.Segment.Bytes allows only while the uni region's backing cannot
-// grow: the thief's worker is parked for the flight, and the only other
-// accesses to its uni region are remote reads of whole live stacks, all of
-// which are committed already (PushStack).
-func (m *Manager) MigrateInAsync(src rdma.Loc, addr VAddr, size int, then func()) bool {
+// grow: p is parked for the flight, and the only other accesses to this uni
+// region are remote reads of whole live stacks, all of which are committed
+// already (PushStack).
+func (m *Manager) MigrateIn(p *sim.Proc, src rdma.Loc, addr VAddr, size int) bool {
 	if !m.Uni.Reserve(addr, size) {
 		m.St.Conflicts++
 		return false
 	}
-	if tr := m.Tr; tr != nil {
-		t0 := m.Fab.Eng.Now()
-		inner := then
-		then = func() {
-			tr.Event(obs.Event{
-				T: t0, Dur: m.Fab.Eng.Now() - t0, Rank: m.Rank, Kind: obs.KindMigrateIn,
-				Task: -1, Peer: int(src.Rank), Size: int64(size),
-			})
-			inner()
-		}
+	t0 := p.Now()
+	m.Fab.Get(p, m.Rank, src, m.UniBytes(addr, size))
+	m.St.MigrationsIn++
+	m.St.BytesMoved += uint64(size)
+	if m.Tr != nil {
+		m.Tr.Event(obs.Event{
+			T: t0, Dur: p.Now() - t0, Rank: m.Rank, Kind: obs.KindMigrateIn,
+			Task: -1, Peer: int(src.Rank), Size: int64(size),
+		})
 	}
-	m.Fab.GetAsync(m.Rank, src, m.UniBytes(addr, size), func() {
-		m.St.MigrationsIn++
-		m.St.BytesMoved += uint64(size)
-		then()
-	})
-	return true
-}
-
-// MigrateIn is the blocking park-until-complete form of MigrateInAsync.
-func (m *Manager) MigrateIn(p *sim.Proc, src rdma.Loc, addr VAddr, size int) bool {
-	c := m.Fab.Eng.NewChain(p)
-	if !m.MigrateInAsync(src, addr, size, c.Complete) {
-		c.Complete() // unused chain: mark done so Wait releases it instantly
-		c.Wait()
-		return false
-	}
-	c.Wait()
 	return true
 }

@@ -272,6 +272,35 @@ func TestMigrateInCopiesAcrossRanks(t *testing.T) {
 	}
 }
 
+// TestMigrateInAllocFree: once warm, a remote stack migration — reserve,
+// get, release — allocates nothing.
+func TestMigrateInAllocFree(t *testing.T) {
+	eng, _, ms := setup(2)
+	victim, thief := ms[0], ms[1]
+	addr := victim.PushStack(512)
+	src := victim.UniLoc(addr, 512)
+	migrate := func(p *sim.Proc) {
+		if !thief.MigrateIn(p, src, addr, 512) {
+			t.Fatal("migration conflicted")
+		}
+		thief.PopStack(addr, 512)
+	}
+	var avg float64
+	eng.Go("thief", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			migrate(p)
+		}
+		avg = testing.AllocsPerRun(50, func() { migrate(p) })
+	})
+	eng.Run(sim.Forever)
+	if avg != 0 {
+		t.Errorf("warm remote MigrateIn allocates %.1f times per run, want 0", avg)
+	}
+	if thief.St.MigrationsIn != 3+51 {
+		t.Errorf("MigrationsIn = %d, want %d", thief.St.MigrationsIn, 3+51)
+	}
+}
+
 func TestPushStackOverflowPanics(t *testing.T) {
 	_, _, ms := setup(1)
 	m := ms[0]

@@ -35,16 +35,17 @@
 #          allocation-free gates of the
 #          event path, a proc's spawn/exit cycle on the engine's proc pool,
 #          an AtEach timer batch (as many allocations for 4,096 timers as
-#          for 16), the fabric ops, the steal chain, an owner's push → pop,
+#          for 16), the fabric ops, the steal chain, a warm remote stack
+#          migration (reserve, get, stats), an owner's push → pop,
 #          a remote object freed locally and one freed remotely and swept,
 #          a task's spawn → join cycle and the worker's idle
 #          cycle, the allocation bound of a trace recorder's log (one
 #          per chunk appended, none for a repeated read), a UTS child
 #          descriptor's hash, a serial UTS walk on prebuilt threshold rows
 #          and a UTS subtree-memo hit (*AllocFree in internal/sim, rdma,
-#          deque, remobj, core, obs and workload; the race detector perturbs
-#          allocation counts), and the allocation bound of one request
-#          attribution (as many allocations for 600 component intervals a
+#          uniaddr, deque, remobj, core, obs and workload; the race
+#          detector perturbs allocation counts), and the allocation bound of
+#          one request attribution (as many allocations for 600 component intervals a
 #          request as for 6; more only with suspended tasks:
 #          TestRequestAttributionAllocBound in internal/core),
 #          one iteration of every
@@ -121,7 +122,7 @@ for tier in "${tiers[@]}"; do
     "$out/repro" serve -systems saws,ours -loads 2 -requests 100 -workers 36 -seed 1 -horizon-us 20 -trace json -stamp cut -out "$out/runs" -quiet >/dev/null
     "$out/repro" analyze "$out/runs/cut/trace/serve.json"
     "$out/repro" analyze -requests "$out/runs/cut/trace/serve.json"
-    go test -run 'AllocFree|AllocBound' ./internal/sim ./internal/rdma ./internal/deque ./internal/remobj ./internal/core ./internal/obs ./internal/workload
+    go test -run 'AllocFree|AllocBound' ./internal/sim ./internal/rdma ./internal/uniaddr ./internal/deque ./internal/remobj ./internal/core ./internal/obs ./internal/workload
     go test -bench=. -benchtime=1x -run '^$' ./...
     # -update is a no-op at HEAD.
     mkdir "$out/src"
