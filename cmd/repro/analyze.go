@@ -133,14 +133,15 @@ func analyze(stdout io.Writer, path string, tr *core.Trace) error {
 // serve sweep's serve_requests TSV pins). The attribution is cross-checked
 // against the counter-derived ServeStats embedded in the trace; any
 // disagreement, down to a single tick or a single corrupted counter, is a
-// non-zero exit.
+// non-zero exit, and so is a log that breaks the request close rule (an
+// event after its request closed, a second serve.done).
 func analyzeRequests(stdout io.Writer, path string, tr *core.Trace) error {
 	if tr.Serve == nil {
 		return fmt.Errorf("analyze -requests: %s: no serve block — not an open-system trace (run `repro serve -trace json`)", path)
 	}
 	ck := tr.Serve
-	atts := tr.RequestAttribution()
-	if err := tr.CheckRequests(atts); err != nil {
+	atts, err := tr.AttributeRequests()
+	if err != nil {
 		return fmt.Errorf("analyze -requests: %s: %v", path, err)
 	}
 	fmt.Fprintf(stdout, "\n== Request attribution: %s (%d workers; %d completed, %d in flight) ==\n",

@@ -311,6 +311,35 @@ func TestAnalyzeRequestsDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRequestsHoldsTheCloseRule: a copy of the committed serve trace
+// whose first serve.done appears twice keeps every counter and window, but
+// breaks the request close rule, and analyze -requests refuses it in one line
+// naming the request and the event kind; the per-rank mode, which reads no
+// request, still accepts it.
+func TestAnalyzeRequestsHoldsTheCloseRule(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "trace_serve_micro.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := regexp.MustCompile(`\{[^{}]*"kind":"serve\.done"[^{}]*\}`).Find(data)
+	if done == nil {
+		t.Fatal("fixture has no serve.done event")
+	}
+	path := filepath.Join(t.TempDir(), "dup_done.json")
+	if err := os.WriteFile(path, bytes.Replace(data, done, append(append(slices.Clone(done), ','), done...), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	err = run([]string{"analyze", "-requests", path}, &stdout, io.Discard)
+	want := "analyze -requests: " + path + ": request 0: serve.done event is the request's second"
+	if err == nil || err.Error() != want || stdout.Len() != 0 {
+		t.Errorf("analyze -requests = %v, printing %q; want the one-line error %q", err, stdout.String(), want)
+	}
+	if err := run([]string{"analyze", path}, io.Discard, io.Discard); err != nil {
+		t.Errorf("analyze: %v", err)
+	}
+}
+
 // TestAnalyzePrintsTheCheckedRows holds `repro analyze`'s cross-check table
 // to the rows Trace.Verify compares — same names, order and values, from one
 // source (Trace.CheckRanks) — on both fixtures and on a copy whose busy-time

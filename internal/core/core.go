@@ -221,6 +221,8 @@ type Runtime struct {
 	stealBackoff bool
 
 	rec       *obs.Recorder // non-nil when Config.Trace is set
+	live      *attributor   // non-nil in an untraced Serve run: its request attribution, fed as events happen
+	tr        obs.Tracer    // where scheduler-level events go: rec, live, or nil
 	ob        *metrics      // non-nil when Config.Metrics is set
 	lastStats *RunStats     // stats of the completed run (for TraceLog's Check block)
 	lastServe *ServeStats   // stats of the completed Serve run (for TraceLog's Serve block)
@@ -267,6 +269,7 @@ func New(cfg Config) *Runtime {
 	}
 	if cfg.Trace {
 		rt.rec = obs.NewRecorder()
+		rt.tr = rt.rec
 		fab.Tr = &reqTagger{rt: rt, inner: rt.rec}
 		rt.objs.SetTracer(rt.rec)
 	}

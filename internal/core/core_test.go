@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -546,8 +547,8 @@ func TestIdleCycleAllocFree(t *testing.T) {
 // buffer, and JoinInt64 reads the result into the worker's buffer — so under
 // the continuation-stealing policies a warm spawn → join cycle allocates
 // nothing, as a proc's spawn → exit does (sim's TestSpawnExitAllocFree). The
-// child-stealing baselines still allocate twice: the child-task descriptor,
-// and ChildFull's wait-queue append or ChildRtC's inline Ctx.
+// child-stealing baselines still allocate the child-task descriptor, and
+// ChildRtC its inline Ctx too; ChildFull's wait queue keeps its array.
 func TestSpawnJoinAllocFree(t *testing.T) {
 	leaf := func(*Ctx) []byte { return nil }
 	for _, pol := range allPolicies {
@@ -562,11 +563,59 @@ func TestSpawnJoinAllocFree(t *testing.T) {
 			return nil
 		})
 		want := 0.0
-		if !pol.Continuation() {
+		switch pol {
+		case ChildFull:
+			want = 1
+		case ChildRtC:
 			want = 2
 		}
 		if avg > want {
 			t.Errorf("%v: a spawn → join cycle allocates %.1f times, want at most %.0f", pol, avg, want)
 		}
+	}
+}
+
+// TestFifoKeepsItsArray: a worker FIFO (inbox, wait queue) pops in push
+// order through every compaction, and a queue popped as fast as it is
+// pushed, or drained and refilled, keeps its array.
+func TestFifoKeepsItsArray(t *testing.T) {
+	var q fifo[int]
+	var ref []int
+	rng := rand.New(rand.NewSource(1))
+	for i := range 20000 {
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len %d, want %d", i, q.len(), len(ref))
+		}
+		if len(ref) > 0 && rng.Intn(2) == 0 {
+			if got := q.pop(); got != ref[0] {
+				t.Fatalf("step %d: popped %d, want %d", i, got, ref[0])
+			}
+			ref = ref[1:]
+		} else {
+			q.push(i)
+			ref = append(ref, i)
+		}
+	}
+	q = fifo[int]{}
+	for range 4 {
+		q.push(0)
+	}
+	for range 10000 {
+		q.push(1)
+		q.pop()
+	}
+	if c := cap(q.buf); c > 8 {
+		t.Errorf("10,000 pushes and pops on a queue of 4 left an array of %d", c)
+	}
+	for range 100 {
+		for q.len() < 8 {
+			q.push(1)
+		}
+		for q.len() > 0 {
+			q.pop()
+		}
+	}
+	if c := cap(q.buf); c > 8 {
+		t.Errorf("100 drains and refills to 8 left an array of %d", c)
 	}
 }

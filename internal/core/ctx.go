@@ -55,9 +55,9 @@ func (c *Ctx) Compute(d sim.Time) {
 	w := c.worker()
 	scaled := c.rt.cfg.Machine.ComputeOn(w.rank, d)
 	w.st.BusyTime += scaled
-	if rec := c.rt.rec; rec != nil {
+	if tr := c.rt.tr; tr != nil {
 		f := w.top()
-		rec.Event(obs.Event{
+		tr.Event(obs.Event{
 			T: c.p.Now(), Dur: scaled, Rank: w.rank, Kind: obs.KindCompute,
 			Task: f.task, Peer: -1, Req: f.req,
 		})

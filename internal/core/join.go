@@ -289,8 +289,8 @@ func (rt *Runtime) joinPoll(c *Ctx, h Handle) {
 		// suspend context do (lines 15-17)
 		t.evacuate(p)
 		t.suspended(p, h.E)
-		t.w.waitQ = append(t.w.waitQ, t) // line 16: PUSHTOWAITQUEUE
-		t.release(p)                     // line 17
+		t.w.waitQ.push(t) // line 16: PUSHTOWAITQUEUE
+		t.release(p)      // line 17
 		// Resumed round-robin by the scheduler after a failed steal.
 	}
 }

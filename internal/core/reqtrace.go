@@ -121,203 +121,279 @@ var classOf = func() (c [256]uint8) {
 // join-wait), and uncovered time is AdmitWait before the admission instant
 // and Queue after. The components therefore partition the window by
 // construction: their sum equals the sojourn to the tick regardless of how
-// the underlying spans nest or overlap. Runtime.AttributeRequests computes
-// the same from a traced run's recorder, in place.
+// the underlying spans nest or overlap. The log is read once, in order, by
+// the attributor that Runtime.AttributeRequests uses too. A log that breaks
+// the close rule (see attributor) is attributed as far as it keeps it;
+// AttributeRequests and VerifyRequests report the break.
 func (t *Trace) RequestAttribution() []RequestAttribution {
-	return attributeRequests([][]obs.Event{t.Events})
+	atts, _ := t.attribute()
+	return atts
 }
 
-// requestSlots numbers request tags densely in first-seen order. A request's
-// events tend to come in runs, so the last lookup is cached.
-type requestSlots struct {
-	of      map[int64]int
-	lastTag int64 // 0, no request's tag, until the first hit
-	last    int
+// AttributeRequests is RequestAttribution followed by CheckRequests. A log
+// that breaks the close rule is an error naming the request and the event
+// kind.
+func (t *Trace) AttributeRequests() ([]RequestAttribution, error) {
+	atts, err := t.attribute()
+	if err == nil {
+		err = t.CheckRequests(atts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return atts, nil
 }
 
-func (s *requestSlots) lookup(tag int64) (int, bool) {
-	if tag == s.lastTag {
-		return s.last, true
+// attribute is the attribution of t's log, its output sized from the
+// completion log when there is one.
+func (t *Trace) attribute() ([]RequestAttribution, error) {
+	n := 0
+	if t.Serve != nil {
+		n = len(t.Serve.Done)
 	}
-	i, ok := s.of[tag]
-	if ok {
-		s.lastTag, s.last = tag, i
-	}
-	return i, ok
+	return attributeLog([][]obs.Event{t.Events}, n)
 }
 
-// attributeRequests is RequestAttribution over an event log given as its
-// consecutive segments, read in place. It holds every completed request's
-// component intervals in one exact-size array: a counting pass collects the
-// lifecycle instants, counts each request's intervals and lists the
-// suspends; the join-suspension intervals are then resolved; a fill pass
-// writes each request's intervals into its range of the array, and each
-// range is swept. What it allocates besides grows with requests and
-// suspended tasks, not with intervals.
-func attributeRequests(segs [][]obs.Event) []RequestAttribution {
-	type request struct {
-		att    RequestAttribution
-		off, n int // its intervals, ivls[off:off+n]; n counts them first
-	}
-	type taskKey struct{ tag, task int64 }
-	type suspend struct {
-		slot, task int // the request's slot, the suspended task's index
-		at, end    sim.Time
-	}
-	var (
-		reqs     []request
-		suspends []suspend
-		tasks    map[taskKey]int // the suspended tasks, numbered
-	)
-	slots := requestSlots{of: make(map[int64]int)}
+// attributeLog feeds a recorded log, given as its consecutive segments, to
+// an attributor with room for n requests.
+func attributeLog(segs [][]obs.Event, n int) ([]RequestAttribution, error) {
+	a := newAttributor(n)
 	for _, seg := range segs {
 		for i := range seg {
-			e := &seg[i]
-			if e.Req == 0 {
-				continue
-			}
-			slot, ok := slots.lookup(e.Req)
-			if !ok {
-				slot = len(reqs)
-				slots.of[e.Req] = slot
-				reqs = append(reqs, request{att: RequestAttribution{ID: e.Req - 1, At: -1, Admit: -1, Start: -1, End: -1}})
-			}
-			r := &reqs[slot]
-			switch e.Kind {
-			case obs.KindServeArrive:
-				r.att.At = e.T
-			case obs.KindServeAdmit:
-				r.att.Admit = e.T
-			case obs.KindServeStart:
-				if r.att.Start < 0 {
-					r.att.Start = e.T
-				}
-			case obs.KindServeDone:
-				r.att.End = e.T
-			case obs.KindSuspend:
-				if tasks == nil {
-					tasks = make(map[taskKey]int)
-				}
-				k := taskKey{e.Req, e.Task}
-				task, ok := tasks[k]
-				if !ok {
-					task = len(tasks)
-					tasks[k] = task
-				}
-				suspends = append(suspends, suspend{slot: slot, task: task, at: e.T})
-			default:
-				if classOf[e.Kind] < numClasses {
-					r.n++
-				}
+			a.take(&seg[i])
+		}
+	}
+	return a.finish()
+}
+
+// attributor is the one request attribution. It takes a serve run's events
+// one at a time, in log order — from a recorded log, or live from an
+// untraced Runtime.Serve, as an obs.Tracer — and keeps state only for the
+// requests that have arrived and not yet closed. A request opens at its
+// serve.arrive and closes at the root task's run span that follows its
+// serve.done: that span ends exactly at End and is the last event tagged
+// with the request. On close, the request's join waits are worked out from
+// its own suspends and moves, its window is swept, and its state goes to the
+// next arrival. A request that has its serve.done but no closing span when
+// the input ends (a hand-built log) is closed there; one without a
+// serve.done is in flight and is not reported.
+//
+// The close rule is checked on every input: an event tagged with a request
+// that is not open (it has closed, or it never arrived) and a second
+// serve.done are errors naming the request and the event kind. The first one
+// is kept and the offending event is dropped.
+type attributor struct {
+	open  map[int64]*openRequest // by request tag
+	free  []*openRequest         // closed requests, for the next arrivals
+	logs  []*requestLog          // closed requests' logs, emptied
+	out   []RequestAttribution   // closed requests, in close order
+	edges []edge                 // sweep scratch
+	err   error
+	seq   int64
+}
+
+// openRequest is one open request: its lifecycle instants, and its log once
+// it has one.
+type openRequest struct {
+	att  RequestAttribution
+	done bool        // serve.done seen: the next run span ending at End closes it
+	log  *requestLog // nil until the request's first component span or suspend
+}
+
+// requestLog is what a request has done so far: its component intervals,
+// and the suspends of its tasks with the moves that may end them. A request
+// still queued in an inbox has none, so the logs, which are recycled, number
+// the requests running at once, not all those in the system.
+type requestLog struct {
+	ivls     []reqInterval
+	tasks    []int64 // the request's tasks that have suspended, sorted
+	suspends []taskInstant
+	moves    []taskInstant // run starts and resume instants of those tasks
+}
+
+// taskInstant is an instant in the life of one task of a request.
+type taskInstant struct {
+	task int64
+	at   sim.Time
+}
+
+// newAttributor returns an attributor whose output has room for n requests.
+func newAttributor(n int) *attributor {
+	return &attributor{open: make(map[int64]*openRequest), out: make([]RequestAttribution, 0, n)}
+}
+
+// Event takes the next event of a live run.
+func (a *attributor) Event(e obs.Event) { a.take(&e) }
+
+// Seq returns a fresh correlation id; no event the attributor reads uses it.
+func (a *attributor) Seq() int64 { a.seq++; return a.seq }
+
+// take reads the next event of the log.
+func (a *attributor) take(e *obs.Event) {
+	if e.Req == 0 {
+		return
+	}
+	r := a.open[e.Req]
+	if r == nil {
+		if e.Kind != obs.KindServeArrive {
+			a.fail(e, "is outside the request's window (it has closed, or it never arrived)")
+			return
+		}
+		r = a.arrive(e.Req)
+	}
+	switch e.Kind {
+	case obs.KindServeArrive:
+		r.att.At = e.T
+	case obs.KindServeAdmit:
+		r.att.Admit = e.T
+	case obs.KindServeStart:
+		if r.att.Start < 0 {
+			r.att.Start = e.T
+		}
+	case obs.KindServeDone:
+		if r.done {
+			a.fail(e, "is the request's second")
+			return
+		}
+		r.done, r.att.End = true, e.T
+	case obs.KindSuspend:
+		l := a.logOf(r)
+		if i, ok := slices.BinarySearch(l.tasks, e.Task); !ok {
+			l.tasks = slices.Insert(l.tasks, i, e.Task)
+		}
+		l.suspends = append(l.suspends, taskInstant{e.Task, e.T})
+	case obs.KindResume:
+		// The resume span is [readyAt, resumed); its end is the instant the
+		// suspended continuation restarted.
+		r.moved(e.Task, e.T+e.Dur)
+	default:
+		if class := classOf[e.Kind]; class < numClasses {
+			l := a.logOf(r)
+			l.ivls = append(l.ivls, reqInterval{start: e.T, end: e.T + e.Dur, class: int(class)})
+		}
+		if e.Kind == obs.KindRun {
+			r.moved(e.Task, e.T)
+			if r.done && e.T+e.Dur == r.att.End {
+				a.close(e.Req, r)
 			}
 		}
 	}
-	// Join-suspension intervals: from each suspend instant to the first
-	// sign of the task moving again — its next run-span start (scheduler
-	// dispatch after a won race or wait-queue resume), its next resume
-	// instant (greedy lost race: the task continues inside its still-open
-	// run span), or the request's end. The resume event's span is [readyAt,
-	// resumed); its end is the instant the suspended continuation restarted.
-	if len(suspends) > 0 {
-		type move struct {
-			task int
-			at   sim.Time
-		}
-		var moves []move
-		for _, seg := range segs {
-			for i := range seg {
-				e := &seg[i]
-				if e.Req == 0 || (e.Kind != obs.KindRun && e.Kind != obs.KindResume) {
-					continue
-				}
-				if task, ok := tasks[taskKey{e.Req, e.Task}]; ok {
-					at := e.T
-					if e.Kind == obs.KindResume {
-						at += e.Dur
-					}
-					moves = append(moves, move{task, at})
-				}
-			}
-		}
-		slices.SortFunc(moves, func(a, b move) int {
-			if c := cmp.Compare(a.task, b.task); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.at, b.at)
-		})
-		for i := range suspends {
-			s := &suspends[i]
-			r := &reqs[s.slot]
-			// The first move of s's task after s.at.
-			j, _ := slices.BinarySearchFunc(moves, move{s.task, s.at}, func(m, target move) int {
-				if c := cmp.Compare(m.task, target.task); c != 0 {
-					return c
-				}
-				if m.at <= target.at {
-					return -1
-				}
-				return 1
-			})
-			s.end = r.att.End
-			if j < len(moves) && moves[j].task == s.task && moves[j].at < s.end {
-				s.end = moves[j].at
-			}
-			if s.end > s.at {
-				r.n++
-			}
+}
+
+// fail keeps the first close-rule violation.
+func (a *attributor) fail(e *obs.Event, what string) {
+	if a.err == nil {
+		a.err = fmt.Errorf("request %d: %s event %s", e.Req-1, e.Kind, what)
+	}
+}
+
+// arrive opens the request tagged tag, recycling a closed one.
+func (a *attributor) arrive(tag int64) *openRequest {
+	var r *openRequest
+	if n := len(a.free); n > 0 {
+		r, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		r = new(openRequest)
+	}
+	*r = openRequest{att: RequestAttribution{ID: tag - 1, At: -1, Admit: -1, Start: -1, End: -1}}
+	a.open[tag] = r
+	return r
+}
+
+// logOf returns r's log, giving it a recycled one first if it has none.
+func (a *attributor) logOf(r *openRequest) *requestLog {
+	if r.log == nil {
+		if n := len(a.logs); n > 0 {
+			r.log, a.logs = a.logs[n-1], a.logs[:n-1]
+		} else {
+			r.log = new(requestLog)
 		}
 	}
-	// Lay the completed requests' ranges out in one array and fill them.
-	total, widest, completed := 0, 0, 0
-	for i := range reqs {
-		r := &reqs[i]
-		if r.att.At < 0 || r.att.End < 0 {
-			r.off = -1 // in-flight at the horizon cut, or a stray tag
-			continue
-		}
-		r.off, total, widest = total, total+r.n, max(widest, r.n)
-		r.n = 0
-		completed++
-	}
-	ivls := make([]reqInterval, total)
-	for _, seg := range segs {
-		for i := range seg {
-			e := &seg[i]
-			class := int(classOf[e.Kind])
-			if e.Req == 0 || class == numClasses {
-				continue
-			}
-			slot, _ := slots.lookup(e.Req)
-			if r := &reqs[slot]; r.off >= 0 {
-				ivls[r.off+r.n] = reqInterval{start: e.T, end: e.T + e.Dur, class: class}
-				r.n++
-			}
+	return r.log
+}
+
+// moved notes that a task of r moved again at at — if it has suspended, the
+// move may end a join wait. A move is logged after any suspend it ends (a
+// suspend is logged at its instant, a move no earlier than its own), so r's
+// moves are complete when it closes.
+func (r *openRequest) moved(task int64, at sim.Time) {
+	if l := r.log; l != nil {
+		if _, ok := slices.BinarySearch(l.tasks, task); ok {
+			l.moves = append(l.moves, taskInstant{task, at})
 		}
 	}
-	for _, s := range suspends {
-		if r := &reqs[s.slot]; r.off >= 0 && s.end > s.at {
-			ivls[r.off+r.n] = reqInterval{start: s.at, end: s.end, class: classJoin}
-			r.n++
-		}
+}
+
+// close attributes r and recycles it and its log.
+func (a *attributor) close(tag int64, r *openRequest) {
+	delete(a.open, tag)
+	var ivls []reqInterval
+	if l := r.log; l != nil {
+		l.joinWaits(r.att.End)
+		ivls = l.ivls
 	}
-	// Sweep each completed request's window.
-	out := make([]RequestAttribution, 0, completed)
-	edges := make([]edge, 0, 2*widest)
-	for i := range reqs {
-		r := &reqs[i]
-		if r.off < 0 {
-			continue
-		}
-		edges = r.att.sweep(ivls[r.off:r.off+r.n], edges)
-		out = append(out, r.att)
+	a.edges = r.att.sweep(ivls, a.edges)
+	a.out = append(a.out, r.att)
+	if l := r.log; l != nil {
+		l.ivls, l.tasks, l.suspends, l.moves = l.ivls[:0], l.tasks[:0], l.suspends[:0], l.moves[:0]
+		a.logs = append(a.logs, l)
 	}
-	slices.SortFunc(out, func(a, b RequestAttribution) int {
-		if c := cmp.Compare(a.End, b.End); c != 0 {
+	a.free = append(a.free, r)
+}
+
+// joinWaits adds the join-suspension intervals of a request that ended at
+// end: from each suspend instant to the first sign of the task moving again
+// — its next run-span start (scheduler dispatch after a won race or
+// wait-queue resume), its next resume instant (greedy lost race: the task
+// continues inside its still-open run span), or the request's end.
+func (l *requestLog) joinWaits(end sim.Time) {
+	if len(l.suspends) == 0 {
+		return
+	}
+	slices.SortFunc(l.moves, func(x, y taskInstant) int {
+		if c := cmp.Compare(x.task, y.task); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.ID, b.ID)
+		return cmp.Compare(x.at, y.at)
 	})
-	return out
+	for _, s := range l.suspends {
+		// The first move of s's task after s.at.
+		j, _ := slices.BinarySearchFunc(l.moves, s, func(m, s taskInstant) int {
+			if c := cmp.Compare(m.task, s.task); c != 0 {
+				return c
+			}
+			if m.at <= s.at {
+				return -1
+			}
+			return 1
+		})
+		wait := end
+		if j < len(l.moves) && l.moves[j].task == s.task {
+			wait = min(wait, l.moves[j].at)
+		}
+		if wait > s.at {
+			l.ivls = append(l.ivls, reqInterval{start: s.at, end: wait, class: classJoin})
+		}
+	}
+}
+
+// finish closes the requests that are done but have no closing span, drops
+// the ones in flight, and returns the attribution sorted by (End, ID) with
+// the first close-rule violation. It may be called again.
+func (a *attributor) finish() ([]RequestAttribution, error) {
+	for tag, r := range a.open {
+		if r.done {
+			a.close(tag, r)
+		}
+	}
+	clear(a.open)
+	slices.SortFunc(a.out, func(x, y RequestAttribution) int {
+		if c := cmp.Compare(x.End, y.End); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.ID, y.ID)
+	})
+	return a.out, a.err
 }
 
 // edge is where a component interval of class opens (delta +1) or closes
@@ -334,7 +410,7 @@ type edge struct {
 // to AdmitWait before a.Admit and Queue after — O(k log k) in k intervals.
 // edges is scratch space, returned for the next request's sweep.
 func (a *RequestAttribution) sweep(ivls []reqInterval, edges []edge) []edge {
-	edges = edges[:0]
+	edges = slices.Grow(edges[:0], 2*len(ivls))
 	for _, iv := range ivls {
 		lo, hi := max(iv.start, a.At), min(iv.end, a.End)
 		if hi > lo {
@@ -421,21 +497,38 @@ func (ck *ServeCheck) check(atts []RequestAttribution) error {
 	return nil
 }
 
-// VerifyRequests attributes the trace and checks it (CheckRequests). A
-// caller that also wants the attribution builds it once and checks that.
-func (t *Trace) VerifyRequests() error { return t.CheckRequests(t.RequestAttribution()) }
+// VerifyRequests attributes the trace and checks it: AttributeRequests'
+// verdict. A caller that also wants the attribution calls AttributeRequests.
+func (t *Trace) VerifyRequests() error {
+	_, err := t.AttributeRequests()
+	return err
+}
 
-// AttributeRequests is TraceLog().RequestAttribution() followed by
-// CheckRequests, read in place from the run's recorder: the recorded event
-// chunks are not merged into the flat log TraceLog returns. It fails unless
-// Config.Trace was set and Serve has run.
+// AttributeRequests is the Serve run's request attribution, checked against
+// its ServeStats (CheckRequests). A traced run's attribution is read from the
+// recorder's chunks in place, the log TraceLog would merge; an untraced run's
+// was made as the run went, and no log was kept. It fails unless Serve has
+// run, and on a log that breaks the close rule (see attributor), naming the
+// request and the event kind.
 func (rt *Runtime) AttributeRequests() ([]RequestAttribution, error) {
 	ck := rt.serveCheck()
-	if rt.rec == nil || ck == nil {
-		return nil, fmt.Errorf("core: AttributeRequests needs a traced Serve run")
+	if ck == nil {
+		return nil, fmt.Errorf("core: AttributeRequests needs a Serve run")
 	}
-	atts := attributeRequests(rt.rec.Segments())
-	return atts, ck.check(atts)
+	var atts []RequestAttribution
+	var err error
+	if rt.live != nil {
+		atts, err = rt.live.finish()
+	} else {
+		atts, err = attributeLog(rt.rec.Segments(), len(ck.Done))
+	}
+	if err == nil {
+		err = ck.check(atts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return atts, nil
 }
 
 // Percentile returns the q-quantile of a sorted sample as an exact order

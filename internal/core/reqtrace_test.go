@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"contsteal/internal/obs"
 	"contsteal/internal/remobj"
@@ -528,31 +531,38 @@ func FuzzRequestSweep(f *testing.F) {
 	})
 }
 
-// TestAttributeRequestsInPlace: Runtime.AttributeRequests, which reads the
-// recorder's chunks in place, returns TraceLog().RequestAttribution() and
-// passes its check — before the chunks are merged and after — on the
-// contested serve kernel under every policy and steal policy and on a
-// perturbed serve run whose log spans several chunks.
+// TestAttributeRequestsInPlace: Runtime.AttributeRequests returns
+// TraceLog().RequestAttribution() and passes its check — on a traced run,
+// read from the recorder's chunks before they are merged and after; on its
+// untraced twin, made live as the run went, with ServeStats identical to the
+// traced run's — on the contested serve kernel under every policy and steal
+// policy, on a perturbed serve run whose log spans several chunks and on a
+// horizon-cut run. A closed run has no request attribution.
 func TestAttributeRequestsInPlace(t *testing.T) {
 	type cell struct {
-		name string
-		cfg  Config
-		reqs []Request
+		name    string
+		cfg     Config
+		reqs    []Request
+		horizon sim.Time
 	}
 	var cells []cell
 	for _, pol := range allPolicies {
 		for _, steal := range []string{"uniform", "hier", "hier-half"} {
-			cells = append(cells, cell{pol.String() + "/" + steal + "/contested", digestConfig(t, pol, steal), serveTrace(8, 20*sim.Microsecond, 10)})
+			cells = append(cells, cell{pol.String() + "/" + steal + "/contested", digestConfig(t, pol, steal), serveTrace(8, 20*sim.Microsecond, 10), 0})
 		}
 	}
 	perturbed := Config{Machine: topo.ITOA(), Workers: 8, Policy: ContGreedy, RemoteFree: remobj.LocalCollection, Seed: 42, MaxTime: 10 * sim.Second}
 	perturbed.Machine.Perturb = &topo.Perturb{Seed: 7, LatencyJitter: 1.0, StragglerFrac: 0.6, StragglerFactor: 3}
-	cells = append(cells, cell{"perturbed", perturbed, serveTrace(60, 2*sim.Microsecond, 11)})
+	cells = append(cells, cell{"perturbed", perturbed, serveTrace(60, 2*sim.Microsecond, 11), 0})
+	cells = append(cells, cell{"horizon-cut", testConfig(ContGreedy, 4), serveTrace(30, 2*sim.Microsecond, 10), 40 * sim.Microsecond})
 	chunked := false
 	for _, c := range cells {
 		c.cfg.Trace = true
 		rt := New(c.cfg)
-		rt.Serve(c.reqs, 0)
+		st := rt.Serve(c.reqs, c.horizon)
+		if c.horizon > 0 && st.InFlight == 0 {
+			t.Fatalf("%s: the horizon cut no request", c.name)
+		}
 		chunked = chunked || len(rt.rec.Segments()) > 1
 		inPlace, err := rt.AttributeRequests()
 		if err != nil {
@@ -567,31 +577,92 @@ func TestAttributeRequestsInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: after TraceLog: %v", c.name, err)
 		}
-		if !slices.Equal(inPlace, want) || !slices.Equal(merged, want) {
-			t.Errorf("%s: AttributeRequests differs from TraceLog().RequestAttribution():\nin place %+v\nmerged   %+v\nwant     %+v", c.name, inPlace, merged, want)
+		c.cfg.Trace = false
+		twin := New(c.cfg)
+		twinSt := twin.Serve(c.reqs, c.horizon)
+		if !reflect.DeepEqual(twinSt, st) {
+			t.Errorf("%s: untraced ServeStats differ from the traced run's:\nuntraced %+v\ntraced   %+v", c.name, twinSt, st)
+		}
+		live, err := twin.AttributeRequests()
+		if err != nil {
+			t.Fatalf("%s: untraced: %v", c.name, err)
+		}
+		if !slices.Equal(inPlace, want) || !slices.Equal(merged, want) || !slices.Equal(live, want) {
+			t.Errorf("%s: AttributeRequests differs from TraceLog().RequestAttribution():\nin place %+v\nmerged   %+v\nlive     %+v\nwant     %+v", c.name, inPlace, merged, live, want)
 		}
 	}
 	if !chunked {
 		t.Error("no cell's log spans two recorder chunks: the in-place read of a chunk boundary went untested")
 	}
-	untraced := New(testConfig(ContGreedy, 2))
-	untraced.Serve(serveTrace(2, 100, 5), 0)
-	closedCfg := testConfig(ContGreedy, 2)
-	closedCfg.Trace = true
-	closed := New(closedCfg)
+	closed := New(testConfig(ContGreedy, 2))
 	closed.Run(fibTask(5))
-	for name, rt := range map[string]*Runtime{"untraced serve": untraced, "closed run": closed} {
-		if atts, err := rt.AttributeRequests(); err == nil || atts != nil {
-			t.Errorf("%s: AttributeRequests = %v, %v; want an error", name, atts, err)
+	if atts, err := closed.AttributeRequests(); err == nil || atts != nil {
+		t.Errorf("closed run: AttributeRequests = %v, %v; want an error", atts, err)
+	}
+}
+
+// TestRequestCloseRule: a request closes at the run span that follows its
+// serve.done, ending at End. A log with an event tagged with a request after
+// it closed, or with a second serve.done for one request, is refused with an
+// error naming the request and the event kind — by Trace.AttributeRequests,
+// VerifyRequests and Runtime.AttributeRequests alike — while the same log
+// without the stray event attributes cleanly.
+func TestRequestCloseRule(t *testing.T) {
+	ev := func(t sim.Time, dur sim.Time, k obs.Kind, req int64) obs.Event {
+		return obs.Event{T: t, Dur: dur, Kind: k, Task: 5, Peer: -1, Req: req}
+	}
+	request := func(req int64, at sim.Time) []obs.Event {
+		return []obs.Event{
+			ev(at, 0, obs.KindServeArrive, req), ev(at, 0, obs.KindServeAdmit, req), ev(at, 0, obs.KindServeStart, req),
+			ev(at, 30, obs.KindCompute, req), ev(at+40, 0, obs.KindServeDone, req), ev(at, 40, obs.KindRun, req),
+		}
+	}
+	serve := &ServeCheck{Admitted: 2, Injected: 2, Completed: 2, Done: []RequestDone{{ID: 2, At: 0, End: 40}, {ID: 6, At: 100, End: 140}}}
+	clean := slices.Concat(request(3, 0), request(7, 100))
+	if _, err := (&Trace{Serve: serve, Events: clean}).AttributeRequests(); err != nil {
+		t.Fatalf("clean log: %v", err)
+	}
+	for _, c := range []struct {
+		name   string
+		events []obs.Event
+		want   string
+	}{
+		{"late tagged event", slices.Concat(request(3, 0), []obs.Event{ev(50, 5, obs.KindRDMAGet, 3)}, request(7, 100)),
+			"request 2: rdma.get event is outside the request's window (it has closed, or it never arrived)"},
+		{"event before arrival", slices.Concat([]obs.Event{ev(0, 5, obs.KindCompute, 3)}, request(3, 0), request(7, 100)),
+			"request 2: compute event is outside the request's window (it has closed, or it never arrived)"},
+		{"duplicated serve.done", slices.Concat(request(3, 0)[:5], []obs.Event{ev(40, 0, obs.KindServeDone, 3)}, request(3, 0)[5:], request(7, 100)),
+			"request 2: serve.done event is the request's second"},
+		{"serve.done after close", slices.Concat(request(3, 0), request(7, 100), []obs.Event{ev(150, 0, obs.KindServeDone, 7)}),
+			"request 6: serve.done event is outside the request's window (it has closed, or it never arrived)"},
+	} {
+		tr := &Trace{Serve: serve, Events: c.events}
+		atts, err := tr.AttributeRequests()
+		if err == nil || err.Error() != c.want || atts != nil {
+			t.Errorf("%s: AttributeRequests = %v, %v; want the error %q", c.name, atts, err, c.want)
+		}
+		if err := tr.VerifyRequests(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: VerifyRequests = %v; want %q", c.name, err, c.want)
+		}
+		// The recorded log of a runtime is held to the same rule.
+		rt := &Runtime{rec: obs.NewRecorder(), lastServe: &ServeStats{Admitted: 2, Completed: 2, Done: serve.Done}}
+		for _, e := range c.events {
+			rt.rec.Event(e)
+		}
+		if _, err := rt.AttributeRequests(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Runtime.AttributeRequests = %v; want %q", c.name, err, c.want)
 		}
 	}
 }
 
-// synthServeTrace is a hand-built serve trace of n requests. Each has
-// `spans` compute, run and rdma spans of tasks that never suspend, and
-// `suspended` tasks that each suspend once and run again later.
+// synthServeTrace is a hand-built serve trace of n requests, one after
+// another. Each has `spans` compute, run and rdma spans of tasks that never
+// suspend, and `suspended` tasks that each suspend once and run again later,
+// and closes at its root's run span after its serve.done. The serve block
+// lists the completions, as a recorded trace's does.
 func synthServeTrace(n, spans, suspended int) *Trace {
 	var evs []obs.Event
+	ck := &ServeCheck{Admitted: uint64(n), Injected: uint64(n), Completed: uint64(n)}
 	for r := range n {
 		tag := int64(r + 1)
 		base := sim.Time(r) * 1000
@@ -606,16 +677,37 @@ func synthServeTrace(n, spans, suspended int) *Trace {
 		for i := range suspended {
 			evs = append(evs, ev(sim.Time(10+i), 0, obs.KindSuspend, int64(i)), ev(sim.Time(400+i), 20, obs.KindRun, int64(i)))
 		}
-		evs = append(evs, ev(900, 0, obs.KindServeDone, -1))
+		evs = append(evs, ev(900, 0, obs.KindServeDone, -1), ev(800, 100, obs.KindRun, 999))
+		ck.Done = append(ck.Done, RequestDone{ID: tag - 1, At: base, End: base + 900})
 	}
-	return &Trace{Events: evs}
+	return &Trace{Serve: ck, Events: evs}
 }
 
-// TestRequestAttributionAllocBound: one attribution allocates a fixed number
-// of times whatever the number of component intervals — they share one
-// exact-size array and one sweep scratch — and more only with suspended
-// tasks, whose join ends it looks up.
+// TestRequestAttributionAllocBound: the attribution holds only the requests
+// that are open, so one after another they reuse one request's buffers. 1,024
+// requests of 600 intervals, with no suspended task and with 8 a request,
+// allocate their output rows plus at most 256 KiB (one log of all their
+// intervals would be ~14 MiB), and 600 intervals a request cost at most 8
+// allocations more than 6 do: room for the buffers to grow, not one
+// allocation per request or per interval. Suspended tasks, whose join ends
+// it looks up, add some.
 func TestRequestAttributionAllocBound(t *testing.T) {
+	for _, suspended := range []int{0, 8} {
+		tr := synthServeTrace(1024, 600, suspended)
+		if got := tr.RequestAttribution(); len(got) != 1024 || got[0].Sum() != got[0].Sojourn() {
+			t.Fatalf("synthetic trace attributes to %d rows, the first %+v", len(got), got[0])
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		atts := tr.RequestAttribution()
+		runtime.ReadMemStats(&after)
+		rows := uint64(cap(atts)) * uint64(unsafe.Sizeof(atts[0]))
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d suspended tasks a request: 1,024 requests of 600 intervals allocate %d B, %d B of them output rows", suspended, bytes, rows)
+		if bytes > rows+256<<10 {
+			t.Errorf("%d suspended tasks a request: 1,024 requests of 600 intervals allocate %d B, want at most %d B of output rows + 256 KiB", suspended, bytes, rows)
+		}
+	}
 	allocs := func(spans, suspended int) float64 {
 		tr := synthServeTrace(16, spans, suspended)
 		if got := tr.RequestAttribution(); len(got) != 16 || got[0].Sum() != got[0].Sojourn() {
@@ -626,8 +718,8 @@ func TestRequestAttributionAllocBound(t *testing.T) {
 	for _, suspended := range []int{0, 8} {
 		few, many := allocs(6, suspended), allocs(600, suspended)
 		t.Logf("%d suspended tasks a request: %.0f allocations at 6 intervals a request, %.0f at 600", suspended, few, many)
-		if few != many {
-			t.Errorf("%d suspended tasks a request: %.0f allocations at 6 intervals a request, %.0f at 600; want the same", suspended, few, many)
+		if many > few+8 {
+			t.Errorf("%d suspended tasks a request: %.0f allocations at 6 intervals a request, %.0f at 600; want at most 8 more", suspended, few, many)
 		}
 	}
 	if none, some := allocs(6, 0), allocs(6, 64); some <= none {

@@ -149,7 +149,7 @@ func (w *Worker) look() {
 	switch {
 	case w.rt.done:
 		w.found.kind = foundDone
-	case len(w.inbox) > 0:
+	case w.inbox.len() > 0:
 		// 0. Newly arrived open-system requests (serve mode). The inbox is
 		//    fed by arrival timers and — unlike the deque — is invisible to
 		//    thieves, so it is served before stealable local work.
@@ -185,7 +185,7 @@ func (w *Worker) missed() {
 // idle is steps 3 and 4 of the scheduler loop, after a seek that missed.
 func (w *Worker) idle() {
 	switch {
-	case len(w.waitQ) > 0:
+	case w.waitQ.len() > 0:
 		// 3. Wait-queue round robin on failed steals.
 		w.found.kind = foundWaiter
 	case w.shouldCollect():
@@ -227,15 +227,13 @@ func (w *Worker) run(p *sim.Proc, f found) bool {
 	case foundRoot:
 		w.startRoot(p, w.rootTask, nil)
 	case foundRequest:
-		r := w.inbox[0]
-		w.inbox = w.inbox[1:]
+		r := w.inbox.pop()
 		// New work arrived from outside: leave the idle-backoff regime (work
 		// does not only ever shrink in an open system).
 		w.failStreak = 0
 		w.startRoot(p, r.Fn, r)
 	case foundWaiter:
-		t := w.waitQ[0]
-		w.waitQ = w.waitQ[1:]
+		t := w.waitQ.pop()
 		w.st.WaitQResumes++
 		// A resume is real work: reset the backoff streak so the worker
 		// re-enters the idle loop at the base delay. Without this, a
@@ -520,4 +518,32 @@ func (w *Worker) runInline(p *sim.Proc, ct *childTask, r *Request) {
 		rt.finish(ret)
 	}
 	w.pop()
+}
+
+// fifo is a first-in first-out queue that keeps its backing array. A pop
+// advances the head; a push onto a full array first moves the queued
+// entries down to the front when at least half of the array has been
+// popped, so the array grows only when more than half of it is queued.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	return v
 }

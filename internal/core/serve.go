@@ -98,7 +98,9 @@ func (rt *Runtime) wakeDozers() {
 // policy. Requests must be sorted by At. A positive horizon cuts the run at
 // that virtual time — remaining requests are reported as InFlight instead
 // of panicking; horizon 0 drains the system (subject to Config.MaxTime).
-// Call at most once per Runtime, instead of Run.
+// Call at most once per Runtime, instead of Run. AttributeRequests then
+// returns the per-request delay attribution: an untraced run makes it as it
+// goes, each request when it closes, and keeps no event log.
 func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 	if rt.serve != nil {
 		panic("core: Serve may be called at most once per Runtime")
@@ -116,8 +118,16 @@ func (rt *Runtime) Serve(reqs []Request, horizon sim.Time) ServeStats {
 		}
 		seen[reqs[i].ID] = true
 	}
-	s := &serveState{total: uint64(len(reqs))}
+	s := &serveState{total: uint64(len(reqs)), done: make([]RequestDone, 0, len(reqs))}
 	rt.serve = s
+	if rt.rec == nil {
+		// Untraced: attribute each request as its events happen. Deque,
+		// uniaddr and remobj keep nil tracers: their events carry no
+		// request tag.
+		rt.live = newAttributor(len(reqs))
+		rt.tr = rt.live
+		rt.fab.Tr = &reqTagger{rt: rt, inner: rt.live}
+	}
 	if rt.ob != nil {
 		rt.ob.sojourn = rt.ob.reg.Hist("serve.sojourn", obs.TimeBuckets())
 	}
@@ -166,7 +176,7 @@ func (rt *Runtime) scheduleArrivals(reqs []Request, horizon sim.Time) {
 		rt.traceEvent(ev)
 		ev.Kind = obs.KindServeAdmit
 		rt.traceEvent(ev)
-		w.inbox = append(w.inbox, r)
+		w.inbox.push(r)
 		rt.wakeDozers()
 	})
 }

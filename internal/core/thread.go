@@ -80,12 +80,12 @@ type Worker struct {
 
 	// waitQ is the FIFO wait queue of threads suspended at stalling joins
 	// (§III-A1). The scheduler resumes them round-robin on failed steals.
-	waitQ []*Thread
+	waitQ fifo[*Thread]
 
 	// inbox holds open-system requests injected by arrival timers (serve
 	// mode). Only the owning worker reads it; unlike deque entries, inbox
 	// requests are not stealable, so the scheduler serves it first.
-	inbox []*Request
+	inbox fifo[*Request]
 
 	// frames is what occupies the worker, innermost last: nothing while its
 	// scheduler runs, the one thread it was handed to, or (ChildRtC) the

@@ -62,11 +62,12 @@ type Trace struct {
 // traceEvent records e as the span [e.T, now) — an instant when e.T is now.
 // Every scheduler-level event whose window closes at the current virtual
 // time goes through here, so a span covers exactly the window its counter
-// was incremented over; an untraced runtime pays one branch.
+// was incremented over. An untraced Serve run hands the events to its live
+// request attribution; any other untraced run pays one branch.
 func (rt *Runtime) traceEvent(e obs.Event) {
-	if rt.rec != nil {
+	if rt.tr != nil {
 		e.Dur = rt.eng.Now() - e.T
-		rt.rec.Event(e)
+		rt.tr.Event(e)
 	}
 }
 

@@ -265,12 +265,8 @@ func ServeOnce(o Options, p ServeParams, system, process, admit string, load flo
 			}
 		}
 		var st core.ServeStats
-		rt := runCore(o, greedy, func(cfg *core.Config) {
-			// Request attribution needs the event trace; tracers only
-			// observe, so this cannot change a single simulated tick
-			// (core's TestServeTracingOnlyObserves).
-			cfg.Trace = true
-		}, func(rt *core.Runtime) core.RunStats {
+		// The runtime attributes each request as it closes, traced or not.
+		rt := runCore(o, greedy, nil, func(rt *core.Runtime) core.RunStats {
 			st = rt.Serve(coreReqs, p.Horizon)
 			return st.RunStats
 		})

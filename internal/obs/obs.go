@@ -17,7 +17,11 @@
 //     one-byte code), so the collector never scans a recorded log, and a
 //     Recorder appends into fixed-size chunks, so a growing log is never
 //     re-copied: an event is copied once into its chunk and once more when
-//     Events merges the chunks, and not again by a reader of Segments.
+//     Events merges the chunks, and not again by a reader of Segments. A
+//     Tracer need not keep what it is handed: an untraced core serve run
+//     gives its events to a tracer that attributes each request as it
+//     closes and keeps no log, so an open system pays for the requests it
+//     has open, not for every event it has emitted.
 //  3. Determinism. The simulation engine is sequential, so a Recorder's
 //     append order is the engine's dispatch order — identical across host
 //     parallelism settings. A runtime's metrics are one Registry recorded in

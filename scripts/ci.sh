@@ -45,8 +45,10 @@
 #          and a UTS subtree-memo hit (*AllocFree in internal/sim, rdma,
 #          uniaddr, deque, remobj, core, obs and workload; the race
 #          detector perturbs allocation counts), and the allocation bound of
-#          one request attribution (as many allocations for 600 component intervals a
-#          request as for 6; more only with suspended tasks:
+#          request attribution (1,024 requests of 600 component intervals,
+#          one after another, allocate their output rows plus at most
+#          256 KiB, and 600 intervals a request cost at most 8 allocations
+#          more than 6: only the open requests' buffers grow;
 #          TestRequestAttributionAllocBound in internal/core),
 #          one iteration of every
 #          per-package micro-benchmark, `go test -update` of the three
@@ -56,7 +58,7 @@
 #          are current and the writer rewrites them canonically), the four
 #          examples (globalsum, wavefront and treesearch exit non-zero when
 #          their results disagree with a plain serial computation or across
-#          policies), and nineteen
+#          policies), and twenty
 #          bad inputs that must each exit non-zero
 #          in one line without a goroutine dump: four experiments (a scale no
 #          size survives, a deque too small, an LCS size off its block grid,
@@ -65,7 +67,8 @@
 #          trace files analyze must refuse (negative workers, an event on a
 #          rank the trace does not have, a negative event time, a negated
 #          exec_time, an event kind no run records, a Chrome export), in both
-#          analyze modes, a run folder under a regular file, which
+#          analyze modes, a serve trace whose first serve.done appears twice
+#          (analyze -requests: the request close rule), a run folder under a regular file, which
 #          must fail before fig9 at its
 #          defaults simulates anything (timeout 5), a bad -perturb
 #          overlay on `repro run`, which must fail before the run folder
@@ -175,6 +178,8 @@ for tier in "${tiers[@]}"; do
       must_fail analyze "$out/$bad.json"
       must_fail analyze -requests "$out/$bad.json"
     done
+    sed -E 's/(\{[^{}]*"kind":"serve\.done"[^{}]*\})/\1,\1/' cmd/repro/testdata/trace_serve_micro.json >"$out/dup_done.json"
+    must_fail analyze -requests "$out/dup_done.json"
     # A run folder that cannot be made fails before the first entry runs:
     # fig9 at its defaults takes far longer than 5 s.
     within=5 must_fail fig9 -out /dev/null/runs
