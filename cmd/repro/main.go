@@ -256,7 +256,7 @@ func runManifest(cmd string, args []string, stdout, stderr io.Writer) error {
 	stamp := fs.String("stamp", "", "run folder name (default: UTC timestamp)")
 	trace := fs.String("trace", "", "also write each entry's first fork-join run's event trace to trace/<id>.json: json (for `repro analyze`) or chrome (for ui.perfetto.dev)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file, recording every allocation of the run")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -311,6 +311,9 @@ func runManifest(cmd string, args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 	if *memProfile != "" {
+		// Record every allocation of the run, not one per 512 KiB, so the
+		// profile's object and byte counts are exact.
+		runtime.MemProfileRate = 1
 		path := *memProfile
 		defer func() {
 			err := manifest.WriteFile(path, func(w io.Writer) error {

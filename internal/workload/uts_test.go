@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/binary"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -80,12 +81,29 @@ func TestDrawRowsMatchFloat(t *testing.T) {
 	}
 }
 
-// TestCountWalkAllocFree: a serial walk on prebuilt rows allocates nothing.
+// mallocs returns how many heap allocations runs calls of f make in all,
+// after one warm-up call, on one P as testing.AllocsPerRun counts them.
+// Unlike AllocsPerRun's average it cannot round a rare allocation — a
+// reused buffer that grows — down to 0.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCountWalkAllocFree: once a walker has walked a tree, walking it again
+// allocates nothing — the walker is reused and its stack is big enough.
 func TestCountWalkAllocFree(t *testing.T) {
 	tree := UTSTree{Name: "tiny", B0: 3, GenMx: 7, RootSeed: 5, MaxChildren: 50, NodeWork: 190}
 	rows, root := tree.drawRows(), tree.Root()
-	if allocs := testing.AllocsPerRun(10, func() { _ = countWalk(root, rows) }); allocs != 0 {
-		t.Errorf("countWalk allocated %v times per walk, want 0", allocs)
+	if m := mallocs(100, func() { _ = countSubtree(root, rows) }); m != 0 {
+		t.Errorf("100 walks allocated %d times, want 0", m)
 	}
 }
 
@@ -96,11 +114,77 @@ func TestSubtreeMemoHitAllocFree(t *testing.T) {
 	s, n := tree.state(), tree.Child(tree.Root(), 0)
 	want := s.subtree(n)
 	var got int64
-	if allocs := testing.AllocsPerRun(1000, func() { got = s.subtree(n) }); allocs != 0 {
-		t.Errorf("a subtree-memo hit allocated %v times, want 0", allocs)
+	if m := mallocs(1000, func() { got = s.subtree(n) }); m != 0 {
+		t.Errorf("1,000 subtree-memo hits allocated %d times, want 0", m)
 	}
 	if got != want {
 		t.Errorf("memo hit = %d, walk = %d", got, want)
+	}
+}
+
+// hashEachNode makes count walks hash one node at a time, as on a CPU
+// without the lane kernel, until restore is called.
+func hashEachNode() (restore func()) {
+	was := haveSHA1x16
+	haveSHA1x16 = false
+	return func() { haveSHA1x16 = was }
+}
+
+// hashPaths runs f once on each way a count walk can hash: sixteen nodes a
+// sha1x16 call, where the CPU has the kernel, and one childDesc a node.
+func hashPaths(t *testing.T, f func(t *testing.T)) {
+	t.Run("lanes", func(t *testing.T) {
+		if !haveSHA1x16 {
+			t.Skip("no SHA-1 lane kernel here: the CPU lacks AVX-512F, the operating system does not save the AVX-512 registers, or this is not amd64")
+		}
+		f(t)
+	})
+	t.Run("each", func(t *testing.T) {
+		defer hashEachNode()()
+		f(t)
+	})
+}
+
+// TestCountWalkHashPaths: both hash paths of the count walk give the
+// pinned preset sizes, and a traversal whose serial subtrees they count
+// memoizes the same count for every subtree, at the depth-9 subtrees of
+// T1WL' (as uts_fig9 memoizes them) and the depth-11 ones of T1XXL'.
+func TestCountWalkHashPaths(t *testing.T) {
+	memos := map[string][]map[nodeKey]int64{}
+	hashPaths(t, func(t *testing.T) {
+		for _, c := range []struct {
+			tree UTSTree
+			want int64
+		}{{T1LPrime(), 67_311}, {T1XXLPrime(), 1_445_354}, {T1WLPrime(), 5_409_181}} {
+			if got := countSubtree(c.tree.Root(), c.tree.state().rows); got != c.want {
+				t.Errorf("%s: walk counted %d nodes, want %d", c.tree.Name, got, c.want)
+			}
+		}
+		for _, c := range []struct {
+			tree UTSTree
+			seq  int
+		}{{T1WLPrime(), 10}, {T1XXLPrime(), 6}} {
+			u := &utsTraversal{t: c.tree, s: &shapeState{rows: c.tree.drawRows(), sub: map[nodeKey]int64{}}, seq: c.seq}
+			ret, _ := core.New(cfg(core.ContGreedy, 4)).Run(u.root)
+			if got, want := core.RetInt64(ret), c.tree.CountSerial(); got != want {
+				t.Errorf("UTS(%s, %d) = %d, CountSerial %d", c.tree.Name, c.seq, got, want)
+			}
+			memos[c.tree.Name] = append(memos[c.tree.Name], u.s.sub)
+		}
+	})
+	for name, m := range memos {
+		if len(m) < 2 {
+			continue
+		}
+		if len(m[0]) != len(m[1]) {
+			t.Errorf("%s: the paths memoized %d and %d subtrees", name, len(m[0]), len(m[1]))
+		}
+		for k, v := range m[0] {
+			if w, ok := m[1][k]; !ok || w != v {
+				t.Errorf("%s: subtree %x at depth %d: %d on the lane path, %d (present %v) one at a time", name, k.desc, k.depth, v, w, ok)
+				break
+			}
+		}
 	}
 }
 
@@ -147,3 +231,28 @@ func TestUTSMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkCountSerial: one serial count of T1XXL' per op, on each hash
+// path of the walk — sixteen nodes a sha1x16 call where the CPU has the
+// kernel, and one childDesc a node.
+func BenchmarkCountSerial(b *testing.B) {
+	tree := T1XXLPrime()
+	rows, root := tree.state().rows, tree.Root()
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkCount = countSubtree(root, rows)
+		}
+	}
+	b.Run("lanes", func(b *testing.B) {
+		if !haveSHA1x16 {
+			b.Skip("no SHA-1 lane kernel here")
+		}
+		run(b)
+	})
+	b.Run("each", func(b *testing.B) {
+		defer hashEachNode()()
+		run(b)
+	})
+}
+
+var sinkCount int64

@@ -11,3 +11,12 @@ const haveSHANI = false
 func childDescNI(dst, parent *[20]byte, i uint32) {
 	panic("workload: no SHA-1 kernel on this architecture")
 }
+
+// haveSHA1x16 is false off amd64; it is a variable, as on amd64, only so
+// that tests can set it.
+var haveSHA1x16 = false
+
+// sha1x16 is never called: see childDescNI.
+func sha1x16(h *[5][16]uint32, w *[16][16]uint32) {
+	panic("workload: no SHA-1 lane kernel on this architecture")
+}

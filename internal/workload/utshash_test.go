@@ -60,18 +60,66 @@ func TestChildMatchesSHA1(t *testing.T) {
 	})
 }
 
+// TestSHA1x16MatchesSHA1 holds every lane of the sixteen-lane kernel to
+// crypto/sha1.Sum of the child message, with 1 to 16 lanes filled and the
+// rest left as an earlier call had them: 1,000 seeded random parents, each
+// at every childIndices entry, at every live-lane count.
+func TestSHA1x16MatchesSHA1(t *testing.T) {
+	if !haveSHA1x16 {
+		t.Skip("no SHA-1 lane kernel here: the CPU lacks AVX-512F, the operating system does not save the AVX-512 registers, or this is not amd64")
+	}
+	rng := rand.New(rand.NewPCG(44, 16))
+	parents := make([][20]byte, 1000)
+	for p := range parents {
+		for j := range parents[p] {
+			parents[p][j] = byte(rng.Uint32())
+		}
+	}
+	msgs := len(parents) * len(childIndices)
+	w := getWalker()
+	defer putWalker(w)
+	for live := 1; live <= lanes; live++ {
+		for start := 0; start < msgs; start += live {
+			var want [lanes][20]byte
+			for l := 0; l < live; l++ {
+				m := (start + l) % msgs
+				parent, i := &parents[m%len(parents)], childIndices[m/len(parents)]
+				for j := range 5 {
+					w.w[j][l] = binary.BigEndian.Uint32(parent[4*j:])
+				}
+				w.w[5][l] = i
+				childDescSHA1(&want[l], parent, i)
+			}
+			w.h = sha1IVLanes
+			sha1x16(&w.h, &w.w)
+			for l := 0; l < live; l++ {
+				var got [20]byte
+				for j := range 5 {
+					binary.BigEndian.PutUint32(got[4*j:], w.h[j][l])
+				}
+				if got != want[l] {
+					t.Fatalf("%d live lanes, lane %d (parent word 0 %#x, child %d): got %x, want %x",
+						live, l, w.w[0][l], w.w[5][l], got, want[l])
+				}
+			}
+		}
+	}
+}
+
 // TestUTSChildAllocFree: deriving a child allocates nothing — the padded
 // block and the digest stay on the stack.
 func TestUTSChildAllocFree(t *testing.T) {
 	tree := T1LPrime()
 	n := tree.Root()
-	if allocs := testing.AllocsPerRun(1000, func() { n = tree.Child(n, 3) }); allocs != 0 {
-		t.Errorf("Child allocated %v times per call, want 0", allocs)
+	if m := mallocs(1000, func() { n = tree.Child(n, 3) }); m != 0 {
+		t.Errorf("1,000 Child calls allocated %d times, want 0", m)
 	}
 }
 
-// BenchmarkUTSChild: one child descriptor per op, each the parent of the
-// next, through Child and through the crypto/sha1 fallback.
+// BenchmarkUTSChild measures the latency of one child descriptor: each is
+// the parent of the next, so every hash waits for the one before it,
+// through Child and through the crypto/sha1 fallback. The count walk hashes
+// independent nodes instead (BenchmarkCountSerial).
 func BenchmarkUTSChild(b *testing.B) {
 	b.Run("Child", func(b *testing.B) {
 		tree := T1LPrime()

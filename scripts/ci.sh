@@ -17,7 +17,14 @@
 #          Then, without the race detector, the one test behind the
 #          exhaustive build tag: log(1 − v/2³²) is non-increasing over all
 #          2³² v, which makes internal/workload's threshold-row child-count
-#          draw exact (20–30 s on two 2.1 GHz Xeon vCPUs).
+#          draw exact (20–30 s on two 2.1 GHz Xeon vCPUs). Last, on a host
+#          whose /proc/cpuinfo lists avx512f, the sixteen-lane SHA-1 kernel
+#          of the UTS count walk (sha1x16 in internal/workload's
+#          utshash_amd64.s) must run against crypto/sha1 and pass, not skip:
+#          the walk picks the kernel by CPUID and XGETBV, so a detection bug
+#          (a wrong XCR0 mask) would quietly hash one node at a time while
+#          every test, including TestCountWalkHashPaths on both hash paths,
+#          still passed.
 #   cli    what `go test -race` cannot cover: the built binary driving the
 #          smoke manifest on a parallel pool (self-validating against every
 #          committed golden) and once more
@@ -41,8 +48,10 @@
 #          a task's spawn → join cycle and the worker's idle
 #          cycle, the allocation bound of a trace recorder's log (one
 #          per chunk appended, none for a repeated read), a UTS child
-#          descriptor's hash, a serial UTS walk on prebuilt threshold rows
-#          and a UTS subtree-memo hit (*AllocFree in internal/sim, rdma,
+#          descriptor's hash, a serial UTS count walk on prebuilt threshold
+#          rows with a reused walker and a UTS subtree-memo hit (their
+#          fences count every malloc over all runs, so a rare one fails;
+#          *AllocFree in internal/sim, rdma,
 #          uniaddr, deque, remobj, core, obs and workload; the race
 #          detector perturbs allocation counts), and the allocation bound of
 #          request attribution (1,024 requests of 600 component intervals,
@@ -102,6 +111,16 @@ for tier in "${tiers[@]}"; do
     go test -race -timeout 30m ./...
     go test -race -cpu 1,4 -count 3 ./internal/sim
     go test -tags exhaustive -run TestLogOneMinusUMonotone ./internal/workload
+    if grep -qw avx512f /proc/cpuinfo; then
+      # A failing run must reach the check below, which prints its output.
+      lanes=$(go test -count 1 -v -run '^TestSHA1x16MatchesSHA1$' ./internal/workload 2>&1) || true
+      if ! grep -q -- '^--- PASS: TestSHA1x16MatchesSHA1' <<<"$lanes"; then
+        echo "scripts/ci.sh: the CPU has AVX-512F but the SHA-1 lane kernel test did not pass (a SKIP means detection said no):" >&2
+        echo "$lanes" >&2
+        exit 1
+      fi
+      grep -- '^--- PASS' <<<"$lanes"
+    fi
     ;;
   cli)
     out=$(mktemp -d)
