@@ -1,56 +1,57 @@
 package sim
 
-// eventHeap is a binary min-heap of events ordered by (time, seq). It is
-// implemented directly on a slice (rather than via container/heap) to avoid
-// interface-call overhead on the simulator's hottest path.
+// eventHeap is a binary min-heap of events ordered by (time, seq): the event
+// queue's overflow (see eventQueue). It is implemented directly on a slice
+// (rather than via container/heap) to avoid interface-call overhead, and it
+// sifts a hole rather than swapping, so each moved event is written once.
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a dispatches before b.
+func (a *event) before(b *event) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
 func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
+	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !ev.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
+	*h = s
 }
-
-func (h eventHeap) peek() event { return h[0] }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = event{} // release references
-	*h = s[:n]
-	s = *h
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && s.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
+	s[i] = last
 	return top
 }

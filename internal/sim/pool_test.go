@@ -62,7 +62,7 @@ func TestRespawnOntoItself(t *testing.T) {
 	}
 }
 
-// TestSwitchAllocFree is the allocs/op gate of a switched resumption: two
+// TestSwitchAllocFree is the allocation gate of a switched resumption: two
 // procs alternating Sleep(1) always find the other one next, so once both
 // coroutines run every resumption is a switch, and switching allocates
 // nothing.
@@ -78,8 +78,8 @@ func TestSwitchAllocFree(t *testing.T) {
 	}
 	e.Run(100)
 	handoffs, kept := e.Stats().Handoffs, e.InPlace()+e.Inline()
-	if avg := testing.AllocsPerRun(50, func() { e.Run(e.Now() + 100) }); avg != 0 {
-		t.Errorf("50 windows of switches allocate %.1f times per Run, want 0", avg)
+	if m := mallocs(50, func() { e.Run(e.Now() + 100) }); m != 0 {
+		t.Errorf("50 windows of switches allocated %d times, want 0", m)
 	}
 	if e.Stats().Handoffs == handoffs || e.InPlace()+e.Inline() != kept {
 		t.Errorf("window: %d resumptions, %d in place or inline; want some, none",
@@ -191,8 +191,8 @@ func TestRunDrainsPool(t *testing.T) {
 	}
 }
 
-// TestSpawnExitAllocFree is the allocs/op gate of a task's host lifecycle:
-// once the pool and the heap are warm, a spawn, the new proc's start, sleep
+// TestSpawnExitAllocFree is the allocation gate of a task's host lifecycle:
+// once the pool and the queue are warm, a spawn, the new proc's start, sleep
 // and exit allocate nothing.
 func TestSpawnExitAllocFree(t *testing.T) {
 	e := NewEngine()
@@ -205,7 +205,7 @@ func TestSpawnExitAllocFree(t *testing.T) {
 		}
 	})
 	e.Run(100)
-	if avg := testing.AllocsPerRun(50, func() { e.Run(e.Now() + 100) }); avg != 0 {
-		t.Errorf("50 spawn/exit cycles allocate %.1f times per Run, want 0", avg)
+	if m := mallocs(50, func() { e.Run(e.Now() + 100) }); m != 0 {
+		t.Errorf("50 windows of spawn/exit cycles allocated %d times, want 0", m)
 	}
 }

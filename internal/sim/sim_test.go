@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTimeString(t *testing.T) {
@@ -421,28 +420,6 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at %d: %q vs %q", i, a[i], b[i])
 		}
-	}
-}
-
-func TestHeapProperty(t *testing.T) {
-	// Property: popping everything yields nondecreasing (time, seq).
-	check := func(times []uint16) bool {
-		var h eventHeap
-		for i, tm := range times {
-			h.push(event{t: Time(tm), seq: uint64(i)})
-		}
-		prevT, prevSeq := Time(-1), uint64(0)
-		for len(h) > 0 {
-			ev := h.pop()
-			if ev.t < prevT || (ev.t == prevT && ev.seq < prevSeq) {
-				return false
-			}
-			prevT, prevSeq = ev.t, ev.seq
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -933,9 +910,9 @@ func TestProcPanicRecoveredInBodyIsNotFatal(t *testing.T) {
 	}
 }
 
-// TestEventPathAllocFree is the allocs/op gate of the event path: once the
-// heap has grown, a proc sleeping and scheduling callbacks must not
-// allocate — scheduling, the heap and the in-place wake-up included.
+// TestEventPathAllocFree is the allocation gate of the event path: once the
+// queue has grown, a proc sleeping and scheduling callbacks must not
+// allocate — scheduling, the queue and the in-place wake-up included.
 func TestEventPathAllocFree(t *testing.T) {
 	e := NewEngine()
 	defer e.Shutdown()
@@ -947,9 +924,9 @@ func TestEventPathAllocFree(t *testing.T) {
 			e.After(2, cb)
 		}
 	})
-	e.Run(100) // start the proc and grow the heap
-	if avg := testing.AllocsPerRun(50, func() { e.Run(e.Now() + 100) }); avg != 0 {
-		t.Errorf("event path allocates %.1f times per Run, want 0", avg)
+	e.Run(100) // start the proc and grow the queue
+	if m := mallocs(50, func() { e.Run(e.Now() + 100) }); m != 0 {
+		t.Errorf("50 windows of the event path allocated %d times, want 0", m)
 	}
 }
 
@@ -1067,7 +1044,8 @@ func TestAtEachRefusesBadTimes(t *testing.T) {
 // one record and its bound callback — where one At per timer allocates a
 // closure each.
 func TestAtEachAllocFree(t *testing.T) {
-	allocs := func(n int) float64 {
+	const runs = 20
+	allocs := func(n int) uint64 {
 		e := NewEngine()
 		ts := make([]Time, n)
 		fired := 0
@@ -1079,11 +1057,11 @@ func TestAtEachAllocFree(t *testing.T) {
 			e.AtEach(ts, fn)
 			e.Run(Forever)
 		}
-		batch() // grow the heap
-		return testing.AllocsPerRun(20, batch)
+		return mallocs(runs, batch) // the warm-up grows the queue
 	}
 	small, large := allocs(16), allocs(4096)
-	if small != large || large > 2 {
-		t.Errorf("AtEach allocates %.1f times for 16 timers and %.1f for 4096, want the same, at most 2", small, large)
+	if small != large || large > 2*runs {
+		t.Errorf("%d AtEach batches allocate %d times for 16 timers and %d for 4096, want the same, at most %d",
+			runs, small, large, 2*runs)
 	}
 }

@@ -13,7 +13,11 @@
 #          internal/sim at one and four Ps, three times: the engine's baton
 #          passes between proc coroutines with no central driver, so the
 #          happens-before chain of their switches is the thing to keep
-#          race-clean at > 1 P.
+#          race-clean at > 1 P. Then 10 s of FuzzEventQueue, past its seed
+#          corpus: random programs of recurring, one-off and zero delays,
+#          AtEach batches and Run(until) windows must dispatch in exactly
+#          (time, seq) order, the order internal/sim's delay lanes must keep
+#          (a failing input lands in internal/sim/testdata/fuzz/).
 #          Then, without the race detector, the one test behind the
 #          exhaustive build tag: log(1 − v/2³²) is non-increasing over all
 #          2³² v, which makes internal/workload's threshold-row child-count
@@ -40,7 +44,9 @@
 #          observed cell is the first ours one, with a stolen stack in
 #          flight, and its trace must still agree with the counters), the
 #          allocation-free gates of the
-#          event path, a proc's spawn/exit cycle on the engine's proc pool,
+#          event path, a steady state over eight recurring delays in the
+#          event queue's lanes, a proc's spawn/exit cycle on the engine's
+#          proc pool,
 #          an AtEach timer batch (as many allocations for 4,096 timers as
 #          for 16), the fabric ops, the steal chain, a warm remote stack
 #          migration (reserve, get, stats), an owner's push → pop,
@@ -110,6 +116,9 @@ for tier in "${tiers[@]}"; do
     # small host that exceeds go test's default 10-minute package timeout.
     go test -race -timeout 30m ./...
     go test -race -cpu 1,4 -count 3 ./internal/sim
+    # A new coverage-expanding input is minimized for at most a second:
+    # the default minute stalls the 10 s run at a few thousand executions.
+    go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
     go test -tags exhaustive -run TestLogOneMinusUMonotone ./internal/workload
     if grep -qw avx512f /proc/cpuinfo; then
       # A failing run must reach the check below, which prints its output.
