@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"contsteal/internal/allocs"
 	"contsteal/internal/remobj"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
@@ -530,8 +531,8 @@ func TestIdleCycleAllocFree(t *testing.T) {
 	}
 	switches := func() uint64 { return rt.eng.Stats().Handoffs - rt.eng.InPlace() - rt.eng.Inline() }
 	fails0, switches0 := fails(), switches()
-	if avg := testing.AllocsPerRun(20, window); avg != 0 {
-		t.Errorf("a 50 µs window of idle cycles allocates %.1f times, want 0", avg)
+	if m := allocs.Count(20, window); m != 0 {
+		t.Errorf("20 windows of 50 µs of idle cycles allocated %d times, want 0", m)
 	}
 	if n := fails() - fails0; n < 1000 {
 		t.Errorf("only %d failed steals in the measured windows", n)
@@ -545,32 +546,34 @@ func TestIdleCycleAllocFree(t *testing.T) {
 // the Runtime, its thread entry's remote-object node on the remobj manager,
 // its join record on the Runtime, its popped descriptor in the deque's pop
 // buffer, and JoinInt64 reads the result into the worker's buffer — so under
-// the continuation-stealing policies a warm spawn → join cycle allocates
-// nothing, as a proc's spawn → exit does (sim's TestSpawnExitAllocFree). The
-// child-stealing baselines still allocate the child-task descriptor, and
-// ChildRtC its inline Ctx too; ChildFull's wait queue keeps its array.
+// the continuation-stealing policies warm spawn → join cycles allocate
+// nothing over all runs, as a proc's spawn → exit does (sim's
+// TestSpawnExitAllocFree). The child-stealing baselines still allocate the
+// child-task descriptor per cycle, and ChildRtC its inline Ctx too;
+// ChildFull's wait queue keeps its array.
 func TestSpawnJoinAllocFree(t *testing.T) {
+	const runs = 100
 	leaf := func(*Ctx) []byte { return nil }
 	for _, pol := range allPolicies {
 		rt := New(testConfig(pol, 1))
-		var avg float64
+		var m uint64
 		rt.Run(func(c *Ctx) []byte {
 			cycle := func() { c.Spawn(leaf).JoinInt64(c) }
 			for i := 0; i < 10; i++ {
 				cycle()
 			}
-			avg = testing.AllocsPerRun(100, cycle)
+			m = allocs.Count(runs, cycle)
 			return nil
 		})
-		want := 0.0
+		var want uint64
 		switch pol {
 		case ChildFull:
-			want = 1
+			want = runs
 		case ChildRtC:
-			want = 2
+			want = 2 * runs
 		}
-		if avg > want {
-			t.Errorf("%v: a spawn → join cycle allocates %.1f times, want at most %.0f", pol, avg, want)
+		if m > want {
+			t.Errorf("%v: %d spawn → join cycles allocated %d times, want at most %d", pol, runs, m, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"contsteal/internal/obs"
+	"contsteal/internal/rdma"
 	"contsteal/internal/sim"
 )
 
@@ -15,6 +16,11 @@ type Ctx struct {
 	t  *Thread // nil for ChildRtC inline tasks
 	w  *Worker // fixed worker for inline tasks
 	p  *sim.Proc
+
+	// spawned is the handle of the task's spawn in flight, which the spawn
+	// chain fills in: kept with the task, since a stolen parent resumes on
+	// another worker.
+	spawned Handle
 }
 
 // worker resolves the task's current worker. A continuation-stealing thread
@@ -87,44 +93,69 @@ func (c *Ctx) SpawnFuture(consumers int, fn TaskFunc) Handle {
 }
 
 func (c *Ctx) spawn(fn TaskFunc, consumers int) Handle {
-	rt, p := c.rt, c.p
 	w := c.worker()
 	w.st.Spawns++
-	p.Sleep(rt.cfg.Machine.SpawnCost)
-	h := w.allocEntry(p, consumers)
+	w.spawner, w.spawnFn = c, fn
+	c.spawned = Handle{Consumers: int32(consumers)}
+	c.p.SleepThen(c.rt.cfg.Machine.SpawnCost, w.onSpawnCharged)
+	c.p.Await()
+	// Resumed here: under child stealing once the child is queued; under
+	// continuation stealing by the child's die fast path (same worker) or by
+	// a thief after stack migration (t.w updated). The serial execution
+	// order is preserved whenever no steal happened.
+	return c.spawned
+}
 
+// The spawn chain runs its steps inside event dispatch, as the spawning
+// task's proc, on callbacks bound once per worker (bindCallbacks): the task
+// spawns on the worker it occupies, and nothing else runs there until the
+// chain ends. Its coroutine waits in spawn's Await throughout.
+
+// spawnCharged allocates the thread entry "to the memory where the joined
+// thread was originally spawned" (§III-A), i.e. on the spawning worker.
+func (w *Worker) spawnCharged() {
+	c := w.spawner
+	w.rt.objs.AllocThen(c.p, w.rank, w.rt.entrySize(int(c.spawned.Consumers)), w.onSpawnEntry)
+}
+
+// spawnEntry queues what a thief may take: the child (child stealing) or the
+// spawning task's continuation (continuation stealing, Fig. 1c / Fig. 2
+// step 1).
+func (w *Worker) spawnEntry(e rdma.Loc) {
+	c, rt := w.spawner, w.rt
+	c.spawned.E = e
 	if !rt.cfg.Policy.Continuation() {
-		// Child stealing: enqueue the child, keep running the parent.
 		rt.childSeq++
-		ct := &childTask{fn: fn, hdl: h, id: rt.childSeq, reqTag: w.top().req}
+		ct := &childTask{fn: w.spawnFn, hdl: c.spawned, id: rt.childSeq, reqTag: w.top().req}
 		var buf [childTaskBytes]byte
 		encodeChildEntry(buf[:], ct)
-		w.dq.Push(p, buf[:], ct)
-		if rt.ob != nil {
-			rt.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
-		}
-		return h
+		w.dq.PushThen(c.p, buf[:], ct, w.onSpawnQueued)
+		return
 	}
-
-	// Continuation stealing: make the caller's continuation stealable and
-	// run the child first (Fig. 1c / Fig. 2 step 1).
-	t := c.t
 	var buf [contEntrySize]byte
-	encodeContEntry(buf[:], entCont, t)
-	w.dq.Push(p, buf[:], t)
+	encodeContEntry(buf[:], entCont, c.t)
+	w.dq.PushThen(c.p, buf[:], c.t, w.onSpawnQueued)
+}
+
+// spawnQueued ends the chain. Under child stealing the parent keeps running:
+// its coroutine resumes and returns the handle. Under continuation stealing
+// the child runs first, on this worker, and the parent parks until the
+// child's die or a thief resumes it.
+func (w *Worker) spawnQueued() {
+	c, fn, rt := w.spawner, w.spawnFn, w.rt
+	w.spawner, w.spawnFn = nil, nil
 	if rt.ob != nil {
 		rt.ob.dequeOcc.Observe(sim.Time(w.dq.Len()))
 	}
-
-	child := newContThread(w, fn, h, t.id, false)
+	if !rt.cfg.Policy.Continuation() {
+		return
+	}
+	t := c.t
+	child := newContThread(w, fn, c.spawned, t.id, false)
 	child.reqTag = t.reqTag
 	w.setCurrent(child)
 	child.start()
-	t.parkSelf(p)
-	// Resumed here: by the child's die fast path (same worker) or by a
-	// thief after stack migration (t.w updated). The serial execution order
-	// is preserved whenever no steal happened.
-	return h
+	t.park(c.p)
 }
 
 // Join waits for the task behind h and returns its return value (padded to

@@ -91,14 +91,13 @@ func (rt *Runtime) retvalLoc(h Handle) rdma.Loc {
 	return field(h.E, meSlots+slotStride*int(h.Consumers), r)
 }
 
-// allocEntry allocates a thread entry "to the memory where the joined
-// thread was originally spawned" (§III-A), i.e. on the spawning worker.
-func (w *Worker) allocEntry(p *sim.Proc, consumers int) Handle {
-	size := singleEntrySize(w.rt.cfg.RetvalBytes)
+// entrySize is the size of the thread entry of a task joined by consumers
+// tasks.
+func (rt *Runtime) entrySize(consumers int) int {
 	if consumers > 1 {
-		size = multiEntrySize(consumers, w.rt.cfg.RetvalBytes)
+		return multiEntrySize(consumers, rt.cfg.RetvalBytes)
 	}
-	return Handle{E: w.rt.objs.Alloc(p, w.rank, size), Consumers: int32(consumers)}
+	return singleEntrySize(rt.cfg.RetvalBytes)
 }
 
 // ctxObjBytes is the size of a saved-context remote object: in the real

@@ -63,10 +63,12 @@ func (rt *Runtime) die(c *Ctx, ret []byte) {
 	case greedy && h.Consumers > 1:
 		rt.dieFutureGreedy(c)
 	case greedy:
-		rt.dieGreedy(c)
+		rt.dieGreedy(c) // recycles t at its end, which may come in dispatch
+		return
 	default:
 		w.passTo(p, w.popNext(p, t)) // Fig. 3 lines 7-11
 	}
+	t.recycle()
 }
 
 // putRetval writes the task's return value into its entry (Fig. 4 line 27).
@@ -125,18 +127,53 @@ func (rt *Runtime) freeEntry(c *Ctx, h Handle) {
 // here — under steal-half a requeued surplus continuation in our own deque
 // may have its stack at the original victim, and with futures the top may be
 // some other ready task (e.g. a resume descriptor): those are put back, to go
-// through the scheduler's normal resume path.
+// through the scheduler's normal resume path. The pop runs in continuation
+// form (diePopped), as it does for greedy join's single-consumer die, whose
+// body returns into it instead of waiting here (dieGreedy).
 func (w *Worker) popNext(p *sim.Proc, t *Thread) *Thread {
-	entry, obj, ok := w.dq.Pop(p)
-	if !ok {
-		return nil
-	}
-	next := obj.(*Thread)
-	if w.rt.cfg.Policy == ContGreedy && !(entryKind(entry) == entCont && next.id == t.parentID && next.w == w) {
-		w.dq.Push(p, entry, obj)
-		return nil
-	}
+	w.dq.PopThen(p, t.onPopped)
+	p.Await()
+	next := t.next
+	t.next = nil
 	return next
+}
+
+// diePopped is the pop of a dying thread t, run inside event dispatch as t,
+// which leaves what runs next in t.next. Greedy join puts anything but t's
+// own parent back (a blocking push's worth of time, in continuation form).
+// When the parent is there, t is a single-consumer task and its flag word is
+// on this rank, the die ends here: the work-first fast path (Fig. 4 lines
+// 29-31) and t's recycling, then the proc's end — its coroutine is not
+// resumed for the die at all (see dieGreedy).
+func (t *Thread) diePopped(entry []byte, obj any, ok bool) {
+	if !ok {
+		return
+	}
+	w, h, p, rt := t.w, t.hdl, t.proc, t.rt
+	next := obj.(*Thread)
+	if rt.cfg.Policy == ContGreedy {
+		if !w.ownParent(t, entry, next) {
+			w.dq.PushThen(p, entry, obj, nil)
+			return
+		}
+		if flag := flagWord(h.E); h.Consumers <= 1 && int(flag.Rank) == w.rank {
+			// The parent has not been stolen: the join is guaranteed to
+			// happen after this die, so a plain (non-atomic) put suffices —
+			// on this rank, so it completes at once and never suspends p.
+			rt.fab.PutInt64(p, w.rank, flag, 1) // line 30
+			rt.joinedFast(w, h, next)
+			t.recycle()
+			p.Exit()
+			return
+		}
+	}
+	t.next = next
+}
+
+// ownParent reports whether next, popped from w's deque as entry, is t's
+// parent with its stack on w: the one continuation greedy join's die takes.
+func (w *Worker) ownParent(t *Thread, entry []byte, next *Thread) bool {
+	return entryKind(entry) == entCont && next.id == t.parentID && next.w == w
 }
 
 // passTo ends the dying thread's tenure of w: the worker goes to next, a
@@ -175,33 +212,51 @@ func (rt *Runtime) fetchWaiter(c *Ctx, slot rdma.Loc) *Thread {
 // Greedy join (Fig. 4) and its multi-consumer extension (§V-D)
 // ---------------------------------------------------------------------------
 
-// dieGreedy is the DIE function of Fig. 4 from line 28 on.
+// dieGreedy is the DIE function of Fig. 4 from line 28 on, for a single
+// consumer. Work-first fast path (lines 28-31): try to pop the parent. The
+// thread's body returns into the pop (sim.Proc.AwaitThen): with the flag word
+// on this rank, diePopped ends the die there, inside dispatch; otherwise
+// dieRest runs on the thread's coroutine.
 func (rt *Runtime) dieGreedy(c *Ctx) {
 	t, p := c.t, c.p
-	w, h := t.w, t.hdl
-	// Work-first fast path (lines 28-31): try to pop the parent.
-	if parent := w.popNext(p, t); parent != nil {
-		// The parent has not been stolen: the join is guaranteed to happen
-		// after this die, so a plain (non-atomic) put suffices.
+	t.w.dq.PopThen(p, t.onPopped)
+	p.AwaitThen(t.onDieRest)
+}
+
+// dieRest is the rest of dieGreedy after a pop that did not end it, then t's
+// recycling.
+func (t *Thread) dieRest(p *sim.Proc) {
+	rt, w, h := t.rt, t.w, t.hdl
+	switch parent := t.next; {
+	case parent != nil:
+		// The parent has not been stolen, and the flag word is on another
+		// rank: a plain put still suffices, as the join must follow.
 		rt.fab.PutInt64(p, w.rank, flagWord(h.E), 1) // line 30
+		rt.joinedFast(w, h, parent)
+	default:
+		// Slow path (lines 32-40): the parent has been stolen.
+		w.st.JoinSlowPath++
+		f := rt.fab.FetchAdd(p, w.rank, flagWord(h.E), 1) // line 33
 		rt.joinCompleted(h.E)
-		w.st.JoinFastPath++
-		w.handoff(parent) // line 31: like an ordinary subroutine return
-		return
+		if f == 0 {
+			// The joined thread won the race (lines 34-35).
+			w.toScheduler()
+			break
+		}
+		// The joined thread lost: the joiner is already suspended. Fetch
+		// its context and resume its continuation here (lines 36-40) — this
+		// is the thread migration at a join that stalling join cannot do.
+		w.resume(p, rt.fetchWaiter(&t.ctx, h.E))
 	}
-	// Slow path (lines 32-40): the parent has been stolen.
-	w.st.JoinSlowPath++
-	f := rt.fab.FetchAdd(p, w.rank, flagWord(h.E), 1) // line 33
+	t.recycle()
+}
+
+// joinedFast ends the fast path once the flag is set: the worker goes to the
+// parent (line 31), like an ordinary subroutine return.
+func (rt *Runtime) joinedFast(w *Worker, h Handle, parent *Thread) {
 	rt.joinCompleted(h.E)
-	if f == 0 {
-		// The joined thread won the race (lines 34-35).
-		w.toScheduler()
-		return
-	}
-	// The joined thread lost: the joiner is already suspended. Fetch its
-	// context and resume its continuation here (lines 36-40) — this is the
-	// thread migration at a join that stalling join cannot do.
-	w.resume(p, rt.fetchWaiter(c, h.E))
+	w.st.JoinFastPath++
+	w.handoff(parent)
 }
 
 // joinGreedy is the JOIN function of Fig. 4 up to line 50, for the single

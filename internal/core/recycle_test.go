@@ -63,7 +63,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 }
 
 // TestRecycledThreadsAreZero: a dead Thread goes back to the runtime zeroed
-// but for its bound body, so nothing of a task — request tag and request,
+// but for its bound callbacks, so nothing of a task — request tag and request,
 // evacuation and join state, the park handshake, its kind — reaches the next
 // task that Thread carries, and Threads are in fact reused.
 func TestRecycledThreadsAreZero(t *testing.T) {
@@ -105,11 +105,14 @@ func checkRecycled(t *testing.T, pol Policy, what string, rt *Runtime) {
 		t.Errorf("%v %s: %d Threads carried %d tasks, want fewer Threads than tasks", pol, what, n, rt.threadID)
 	}
 	for i, th := range rt.freeThreads {
-		if th.body == nil {
-			t.Errorf("%v %s: recycled Thread %d lost its bound body", pol, what, i)
+		cb := reflect.ValueOf(th.threadCallbacks)
+		for j := 0; j < cb.NumField(); j++ {
+			if cb.Field(j).IsNil() {
+				t.Errorf("%v %s: recycled Thread %d lost its bound %s", pol, what, i, cb.Type().Field(j).Name)
+			}
 		}
 		rest := *th
-		rest.body = nil
+		rest.threadCallbacks = threadCallbacks{}
 		if !reflect.DeepEqual(rest, Thread{}) {
 			t.Errorf("%v %s: recycled Thread %d is not zero: %+v", pol, what, i, rest)
 		}

@@ -18,16 +18,21 @@ import (
 // The thread's control state is its proc (a sim.Proc, parked while the
 // thread is not running); its migratable data state is the stack bytes
 // managed through uniaddr. See DESIGN.md §1.1. A dead Thread is recycled:
-// main zeroes it and the runtime hands it, with its embedded Ctx and bound
-// body, to the next task (newThread), as the engine does with the proc.
+// it is zeroed (recycle) and the runtime hands it, with its embedded Ctx and
+// bound callbacks, to the next task (newThread), as the engine does with the
+// proc.
 type Thread struct {
 	rt *Runtime
 	id int64
 
 	proc *sim.Proc
-	body func(p *sim.Proc) // t.main, bound once: the proc body of every task t carries
-	ctx  Ctx               // the task's Ctx, set up by main
-	w    *Worker           // current location; updated on migration
+	threadCallbacks
+	ctx Ctx     // the task's Ctx, set up by main
+	w   *Worker // current location; updated on migration
+
+	// next is the thread a dying t's pop leaves to run after t (see popNext,
+	// dieGreedy).
+	next *Thread
 
 	fn    TaskFunc
 	entry rdma.Loc // thread entry this task reports to (zero for the root)
@@ -66,6 +71,16 @@ type Thread struct {
 
 	isChildTask bool // ChildFull task (tied; no uni-address stack)
 	isRoot      bool
+}
+
+// threadCallbacks are a Thread's methods as funcs, bound once when the Thread
+// is made (newThread) and kept when it is recycled: the proc body of every
+// task it carries (t.main), the pop of its dying deque (t.diePopped) and the
+// rest of greedy join's die (t.dieRest).
+type threadCallbacks struct {
+	body      func(p *sim.Proc)
+	onPopped  func(entry []byte, obj any, ok bool)
+	onDieRest func(p *sim.Proc)
 }
 
 // Worker is one simulated core: a scheduler proc plus the per-worker state
@@ -125,6 +140,13 @@ type Worker struct {
 	onPopped                func(entry []byte, obj any, ok bool)
 	onStole                 func(entries [][]byte, objs []any, ok bool)
 
+	// The spawn chain in flight on this worker (see Ctx.spawn): the spawning
+	// task, the child's function, and the chain's callbacks, bound once.
+	spawner                       *Ctx
+	spawnFn                       TaskFunc
+	onSpawnCharged, onSpawnQueued func()
+	onSpawnEntry                  func(e rdma.Loc)
+
 	rootTask TaskFunc
 	retBuf   []byte // JoinInt64's result buffer, RetvalBytes long
 	st       WorkerStats
@@ -133,6 +155,7 @@ type Worker struct {
 func (w *Worker) bindCallbacks() {
 	w.onLook, w.onIdle, w.onWoken = w.look, w.idle, w.woken
 	w.onPopped, w.onStole = w.popped, w.stole
+	w.onSpawnCharged, w.onSpawnEntry, w.onSpawnQueued = w.spawnCharged, w.spawnEntry, w.spawnQueued
 }
 
 // runFrame is one occupant of a worker and its open run span: a thread
@@ -187,8 +210,9 @@ func (w *Worker) setCurrent(t *Thread) {
 // scheduler — wakes the new occupant and must then suspend or exit before any
 // virtual time passes: the engine runs one proc at a time, so the new occupant
 // starts only once the old one is out of the way. The takers do that in one
-// place each: the scheduler parks at the end of run, a thread parks in
-// parkSelf (reached from release and from spawn) or exits at the end of main.
+// place each: the scheduler parks at the end of run, a thread parks in park
+// (reached from release and from spawn) or exits at the end of main — or in
+// dispatch, at the end of greedy join's die fast path.
 
 // handoff transfers the worker to thread t, whose stack must be here.
 func (w *Worker) handoff(t *Thread) {
@@ -205,15 +229,16 @@ func (w *Worker) handoff(t *Thread) {
 	}
 }
 
-// parkSelf suspends the thread's proc unless a resumer already claimed it
-// during the publish window.
-func (t *Thread) parkSelf(p *sim.Proc) {
+// park suspends the thread's proc unless a resumer already claimed it during
+// the publish window: sim.Proc.ParkThen with no continuation, so the wake-up
+// resumes the thread's coroutine, which must Await.
+func (t *Thread) park(p *sim.Proc) {
 	if t.pendingWake {
 		t.pendingWake = false
 		return
 	}
 	t.parked = true
-	p.Park()
+	p.ParkThen(nil)
 }
 
 // toScheduler returns the worker to its scheduler loop.
@@ -231,7 +256,8 @@ func (t *Thread) release(p *sim.Proc) {
 	w := t.w // before the switch: a resumer may claim t (and move t.w) during it
 	p.Sleep(t.rt.cfg.Machine.CtxSwitch)
 	w.toScheduler()
-	t.parkSelf(p)
+	t.park(p)
+	p.Await()
 }
 
 // suspended books thread t as suspended at the join of entry e.
@@ -270,8 +296,8 @@ func newContThread(w *Worker, fn TaskFunc, hdl Handle, parentID int64, isRoot bo
 
 // newThread registers a thread for a task running fn on w that reports to
 // hdl (zero for a root). It reuses a dead thread from the runtime's free
-// list, which main zeroed when that thread's task ended, or else allocates
-// a new one and binds its body.
+// list, zeroed when that thread's task ended, or else allocates a new one and
+// binds its callbacks.
 func (rt *Runtime) newThread(w *Worker, fn TaskFunc, hdl Handle) *Thread {
 	var t *Thread
 	if n := len(rt.freeThreads); n > 0 {
@@ -279,7 +305,7 @@ func (rt *Runtime) newThread(w *Worker, fn TaskFunc, hdl Handle) *Thread {
 		rt.freeThreads = rt.freeThreads[:n-1]
 	} else {
 		t = &Thread{}
-		t.body = t.main
+		t.threadCallbacks = threadCallbacks{t.main, t.diePopped, t.dieRest}
 	}
 	t.rt, t.w, t.fn, t.entry, t.hdl = rt, w, fn, hdl.E, hdl
 	t.id = rt.threadID
@@ -293,14 +319,18 @@ func (t *Thread) start() {
 	t.proc = t.rt.eng.GoID("thread", t.id, t.body)
 }
 
-// main is the thread body: run the task function, die according to the
-// policy, then recycle the Thread.
+// main is the thread body: run the task function, then die according to the
+// policy, which ends by recycling the Thread.
 func (t *Thread) main(p *sim.Proc) {
+	t.ctx = Ctx{rt: t.rt, t: t, p: p}
+	t.rt.die(&t.ctx, t.fn(&t.ctx))
+}
+
+// recycle zeroes the dead Thread but for its bound callbacks and puts it on
+// the runtime's free list.
+func (t *Thread) recycle() {
 	rt := t.rt
-	t.ctx = Ctx{rt: rt, t: t, p: p}
-	ret := t.fn(&t.ctx)
-	rt.die(&t.ctx, ret)
-	*t = Thread{body: t.body}
+	*t = Thread{threadCallbacks: t.threadCallbacks}
 	rt.freeThreads = append(rt.freeThreads, t)
 }
 

@@ -68,20 +68,22 @@ type Deque struct {
 	// position pos at pos mod len(objs). It starts empty and doubles, up to
 	// capacity, when a push would outgrow it (reserve), so a rank costs the
 	// host the payloads it has queued, not the ring it may queue.
-	objs   []any
-	popBuf []byte // the one buffer a pop copies its entry into (take)
-	steals *steal // free list of steal-chain records
+	objs    []any
+	popBuf  []byte // the one buffer a pop copies its entry into (take)
+	pushBuf []byte // the entry of the push in flight, copied when it starts
+	steals  *steal // free list of steal-chain records
 
 	// The owner-side operation in flight (there is at most one: the deque's
 	// bottom end belongs to whoever occupies the worker): the proc it runs
-	// as, what follows the lock and the pop (nil for a blocking caller, who
-	// picks a pop's result up from kept), and the callbacks that carry it
-	// across its sleeps, bound once.
-	owner                      *sim.Proc
-	locked                     func()
-	popped                     func(entry []byte, obj any, ok bool)
-	kept                       popResult
-	onSpin, onPop, onPopLocked func()
+	// as, what follows the lock, the pop and the push (nil for a blocking
+	// caller, who picks a pop's result up from kept), the payload being
+	// pushed, and the callbacks that carry it across its sleeps, bound once.
+	owner                              *sim.Proc
+	locked, pushed                     func()
+	popped                             func(entry []byte, obj any, ok bool)
+	kept                               popResult
+	pushObj                            any
+	onSpin, onPop, onPopLocked, onPush func()
 
 	St Stats
 
@@ -113,9 +115,10 @@ func New(fab *rdma.Fabric, rank, capacity, entrySize int) *Deque {
 		entrySize: entrySize,
 		capacity:  capacity,
 		popBuf:    make([]byte, entrySize),
+		pushBuf:   make([]byte, entrySize),
 	}
 	d.base = fab.AllocStatic(rank, headerLen+capacity*entrySize)
-	d.onSpin, d.onPop, d.onPopLocked = d.lockSpin, d.pop, d.popLocked
+	d.onSpin, d.onPop, d.onPopLocked, d.onPush = d.lockSpin, d.pop, d.popLocked, d.push
 	return d
 }
 
@@ -204,16 +207,25 @@ func (d *Deque) ownerUnlock() {
 	d.seg().WriteInt64(d.base+offLock, 0)
 }
 
-// Push appends an entry at the bottom (owner only). The descriptor bytes
-// must be exactly New's entrySize long; obj rides along for the simulator.
-func (d *Deque) Push(p *sim.Proc, entry []byte, obj any) {
+// PushThen appends an entry at the bottom (owner only) in continuation form
+// (see sim.Proc.SleepThen): it charges the push to p, then publishes the
+// entry and runs pushed inside event dispatch, with p running — a nil pushed
+// ends the push there, for a caller blocked in Await. The descriptor bytes
+// must be exactly New's entrySize long; they are copied at once, so entry may
+// be reused (it may be the pop buffer). obj rides along for the simulator.
+func (d *Deque) PushThen(p *sim.Proc, entry []byte, obj any, pushed func()) {
 	if len(entry) != d.entrySize {
 		panic(fmt.Sprintf("deque: push of %d-byte entry, want %d", len(entry), d.entrySize))
 	}
 	// Charge the cost first, publish second: the entry becomes visible to
 	// thieves atomically at the end of the push, so the owner cannot be
 	// interrupted between publishing and its next action.
-	p.Sleep(d.mach.LocalOp)
+	copy(d.pushBuf, entry)
+	d.pushObj, d.pushed = obj, pushed
+	p.SleepThen(d.mach.LocalOp, d.onPush)
+}
+
+func (d *Deque) push() {
 	b := d.bottom()
 	n := int(b-d.top()) + 1
 	if n > d.capacity {
@@ -221,9 +233,20 @@ func (d *Deque) Push(p *sim.Proc, entry []byte, obj any) {
 	}
 	d.reserve(n)
 	off := d.entryOff(b)
-	copy(d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize), entry)
-	d.objs[d.objIndex(b)] = obj
+	copy(d.seg().Bytes(d.base+rdma.Addr(off), d.entrySize), d.pushBuf)
+	d.objs[d.objIndex(b)] = d.pushObj
 	d.setBot(b + 1)
+	pushed := d.pushed
+	d.pushObj, d.pushed = nil, nil
+	if pushed != nil {
+		pushed()
+	}
+}
+
+// Push is PushThen for a blocking caller.
+func (d *Deque) Push(p *sim.Proc, entry []byte, obj any) {
+	d.PushThen(p, entry, obj, nil)
+	p.Await()
 }
 
 // PushTop inserts an entry at the top — the steal (FIFO) end — so it runs

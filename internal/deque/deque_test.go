@@ -2,7 +2,9 @@ package deque
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -291,18 +293,24 @@ func TestInterleavedOwnerAndThievesProperty(t *testing.T) {
 	}
 }
 
+// TestPushOverflowPanics: the push that finds the deque full fails the run,
+// as the owner's proc. It finds out when it publishes, at the end of its
+// charge, inside event dispatch (see PushThen), so the failure comes out of
+// Run as a *sim.ProcPanic rather than through the owner's own frames.
 func TestPushOverflowPanics(t *testing.T) {
 	eng, d := setup(1)
 	eng.Go("owner", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("deque overflow did not panic")
-			}
-		}()
 		for i := 0; i < 300; i++ {
 			d.Push(p, mk(uint64(i)), nil)
 		}
+		t.Error("300 pushes fit a deque of 256")
 	})
+	defer func() {
+		pp, ok := recover().(*sim.ProcPanic)
+		if !ok || pp.Proc != "owner" || !strings.Contains(fmt.Sprint(pp.Value), "queue overflow") {
+			t.Errorf("recovered %v, want the owner's queue overflow", pp)
+		}
+	}()
 	eng.Run(sim.Forever)
 }
 

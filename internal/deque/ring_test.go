@@ -199,27 +199,30 @@ func checkRingModel(t *testing.T, capacity int, batch bool, seed int64) {
 	}
 	t.Logf("%d payloads, %d stolen", len(got), stolen)
 
-	// Full again, one more of either kind of push overflows.
+	// Full again, one more of either kind of push overflows: PushTop in the
+	// owner's frames, Push when it publishes, inside event dispatch, which
+	// fails the run as the owner (see PushThen).
 	msg := fmt.Sprintf("deque: rank 0 queue overflow (cap %d)", capacity)
 	eng.Go("owner", func(p *sim.Proc) {
 		for d.Len() < capacity {
 			d.Push(p, mk(0), nil)
 		}
-		for _, top := range []bool{false, true} {
-			func() {
-				defer func() {
-					if r := recover(); r != msg {
-						t.Errorf("push (top %v) at capacity: recovered %v, want %q", top, r, msg)
-					}
-				}()
-				if top {
-					d.PushTop(p, mk(0), nil)
-				} else {
-					d.Push(p, mk(0), nil)
+		func() {
+			defer func() {
+				if r := recover(); r != msg {
+					t.Errorf("push at the top at capacity: recovered %v, want %q", r, msg)
 				}
 			}()
-		}
+			d.PushTop(p, mk(0), nil)
+		}()
+		d.Push(p, mk(0), nil)
+		t.Error("a push at capacity returned")
 	})
+	defer func() {
+		if pp, ok := recover().(*sim.ProcPanic); !ok || pp.Proc != "owner" || pp.Value != msg {
+			t.Errorf("push at the bottom at capacity: Run raised %v, want the owner's %q", pp, msg)
+		}
+	}()
 	eng.Run(sim.Forever)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -92,8 +93,12 @@ func TestEventIsPointerFree(t *testing.T) {
 		}
 	}
 	walk("Event", reflect.TypeOf(Event{}))
-	if size := unsafe.Sizeof(Event{}); size != 72 {
-		t.Errorf("Event is %d bytes, want 72", size)
+	// With 64-bit words each of the nine fields takes 8 bytes (Kind with its
+	// padding): 72. With 32-bit words Rank and Peer take 4, and an int64
+	// aligns to 4, so Kind pads to 4: 60.
+	want := map[int]uintptr{64: 72, 32: 60}[strconv.IntSize]
+	if size := unsafe.Sizeof(Event{}); size != want {
+		t.Errorf("Event is %d bytes with %d-bit words, want %d", size, strconv.IntSize, want)
 	}
 }
 

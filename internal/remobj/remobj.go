@@ -100,6 +100,15 @@ type Manager struct {
 	// lock-queue state: block = [lock | count | buf[cap] of encoded Locs]
 	lqBase rdma.Addr
 
+	// The allocation in flight (there is at most one: only the rank's owner
+	// allocates, one proc at a time): the proc it runs as, the object, what
+	// follows it (nil for a blocking caller, who reads allocated), and the
+	// callbacks that carry it across its sleeps, bound once.
+	proc                      *sim.Proc
+	allocated                 rdma.Loc
+	then                      func(loc rdma.Loc)
+	onAllocCharged, onAlloced func()
+
 	St Stats
 
 	// Tr, when non-nil, receives remote-free protocol spans issued *by*
@@ -117,6 +126,7 @@ func newManager(fab *rdma.Fabric, rank int, strategy Strategy) *Manager {
 		byHeader:   make(map[rdma.Addr]*node),
 		SweepLimit: DefaultSweepLimit,
 	}
+	m.onAllocCharged, m.onAlloced = m.allocCharged, m.alloced
 	if strategy == LockQueue {
 		m.lqBase = fab.AllocStatic(rank, 16+lockQueueCap*rdma.LocSize)
 	}
@@ -133,10 +143,13 @@ func (m *Manager) LiveBytes() int { return m.liveBytes }
 // LiveObjects returns the number of live objects owned by this rank.
 func (m *Manager) LiveObjects() int { return len(m.byHeader) }
 
-// Alloc allocates a remote object with a payload of size bytes in this
-// rank's segment and returns the payload location. Owner-local; charges the
-// machine's allocation cost.
-func (m *Manager) Alloc(p *sim.Proc, size int) rdma.Loc {
+// AllocThen allocates a remote object with a payload of size bytes in this
+// rank's segment, in continuation form (see sim.Proc.SleepThen): it charges
+// the machine's allocation cost to p — and a local-collection sweep, when the
+// allocation takes the rank over its limit — then hands the payload location
+// to then inside event dispatch, with p running. A nil then ends the
+// allocation there, for a caller blocked in Await. Owner-local.
+func (m *Manager) AllocThen(p *sim.Proc, size int, then func(loc rdma.Loc)) {
 	header := m.fab.Alloc(m.rank, headerLen+size)
 	n := m.free
 	if n == nil {
@@ -156,13 +169,34 @@ func (m *Manager) Alloc(p *sim.Proc, size int) rdma.Loc {
 	}
 	m.liveBytes += size
 	m.St.Allocs++
-	p.Sleep(m.mach.AllocCost)
+	m.proc, m.then = p, then
+	m.allocated = rdma.Loc{Rank: int32(m.rank), Addr: header + headerLen, Size: int32(size)}
+	p.SleepThen(m.mach.AllocCost, m.onAllocCharged)
+}
+
+func (m *Manager) allocCharged() {
 	// The local-collection sweep runs at allocation time, when the limit is
 	// exceeded — moving reclamation cost onto the owner.
 	if m.strategy == LocalCollection && m.liveBytes > m.SweepLimit {
-		m.sweep(p)
+		m.sweepThen(m.proc, m.onAlloced)
+		return
 	}
-	return rdma.Loc{Rank: int32(m.rank), Addr: header + headerLen, Size: int32(size)}
+	m.alloced()
+}
+
+func (m *Manager) alloced() {
+	then := m.then
+	m.proc, m.then = nil, nil
+	if then != nil {
+		then(m.allocated)
+	}
+}
+
+// Alloc is AllocThen for a blocking caller: it returns the payload location.
+func (m *Manager) Alloc(p *sim.Proc, size int) rdma.Loc {
+	m.AllocThen(p, size, nil)
+	p.Await()
+	return m.allocated
 }
 
 // unlink removes n from the list, releases its memory and puts n on the
@@ -198,9 +232,10 @@ func (m *Manager) freeLocal(p *sim.Proc, loc rdma.Loc) {
 	p.Sleep(m.mach.LocalOp)
 }
 
-// sweep walks the list and reclaims every object whose free bit was set by
-// a remote worker. Owner-local; cost is one local op per visited object.
-func (m *Manager) sweep(p *sim.Proc) {
+// sweepThen walks the list and reclaims every object whose free bit was set
+// by a remote worker, then charges p one local op per visited object and runs
+// then as p (see sim.Proc.SleepThen). Owner-local.
+func (m *Manager) sweepThen(p *sim.Proc, then func()) {
 	m.St.Sweeps++
 	seg := m.fab.Seg(m.rank)
 	visited := 0
@@ -222,7 +257,7 @@ func (m *Manager) sweep(p *sim.Proc) {
 			Task: -1, Peer: -1, Size: int64(swept),
 		})
 	}
-	p.Sleep(cost)
+	p.SleepThen(cost, then)
 }
 
 // drain empties this rank's lock-queue of incoming remote frees.
@@ -280,6 +315,11 @@ func (s *Space) SetTracer(tr obs.Tracer) {
 // Alloc allocates a remote object owned by rank `from`.
 func (s *Space) Alloc(p *sim.Proc, from, size int) rdma.Loc {
 	return s.Mgrs[from].Alloc(p, size)
+}
+
+// AllocThen is Alloc in continuation form (see Manager.AllocThen).
+func (s *Space) AllocThen(p *sim.Proc, from, size int, then func(loc rdma.Loc)) {
+	s.Mgrs[from].AllocThen(p, size, then)
 }
 
 // Free releases the object at loc on behalf of rank `from` — the paper's
@@ -372,7 +412,8 @@ func (s *Space) Collect(p *sim.Proc, rank int) {
 	case LockQueue:
 		m.drain(p)
 	case LocalCollection:
-		m.sweep(p)
+		m.sweepThen(p, nil)
+		p.Await()
 	}
 }
 

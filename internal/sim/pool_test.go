@@ -2,8 +2,11 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+
+	"contsteal/internal/allocs"
 )
 
 // The proc pool: a proc whose body returns keeps its coroutine and Proc for
@@ -78,7 +81,7 @@ func TestSwitchAllocFree(t *testing.T) {
 	}
 	e.Run(100)
 	handoffs, kept := e.Stats().Handoffs, e.InPlace()+e.Inline()
-	if m := mallocs(50, func() { e.Run(e.Now() + 100) }); m != 0 {
+	if m := allocs.Count(50, func() { e.Run(e.Now() + 100) }); m != 0 {
 		t.Errorf("50 windows of switches allocated %d times, want 0", m)
 	}
 	if e.Stats().Handoffs == handoffs || e.InPlace()+e.Inline() != kept {
@@ -205,7 +208,226 @@ func TestSpawnExitAllocFree(t *testing.T) {
 		}
 	})
 	e.Run(100)
-	if m := mallocs(50, func() { e.Run(e.Now() + 100) }); m != 0 {
+	if m := allocs.Count(50, func() { e.Run(e.Now() + 100) }); m != 0 {
 		t.Errorf("50 windows of spawn/exit cycles allocated %d times, want 0", m)
+	}
+}
+
+// AwaitThen and Exit: a body returns into its proc's wait; the wait's
+// continuations either end the proc (Exit), which pools it at once, or leave
+// the rest of the body to the coroutine.
+
+// exitAfter returns a body that sleeps d in continuation form, returns into
+// that wait, and ends the proc from the wake-up's continuation, failing t if
+// the rest of the body ever runs.
+func exitAfter(t *testing.T, d Time) func(p *Proc) {
+	return func(p *Proc) {
+		p.SleepThen(d, p.Exit)
+		p.AwaitThen(func(*Proc) { t.Error("an exited proc ran the rest of its body") })
+	}
+}
+
+// TestAwaitThenRunsTheRest: a continuation that leaves the proc running hands
+// the rest of the body to the coroutine, which may return into a wait again;
+// a proc already running runs the rest at once. The waits are the same events
+// as Await's, and the body ends when the last rest returns.
+func TestAwaitThenRunsTheRest(t *testing.T) {
+	e := NewEngine()
+	var steps []Time
+	step := func(p *Proc) { steps = append(steps, p.Now()) }
+	e.Go("tail", func(p *Proc) {
+		p.SleepThen(2, func() { step(p) })
+		p.AwaitThen(func(p *Proc) {
+			step(p)
+			p.SleepThen(3, nil)
+			p.AwaitThen(func(p *Proc) {
+				step(p)
+				p.AwaitThen(step) // running: at once
+			})
+		})
+	})
+	within(t, "Run", func() { e.Run(Forever) })
+	if want := []Time{2, 2, 5, 5}; !slices.Equal(steps, want) {
+		t.Errorf("steps at %v, want %v", steps, want)
+	}
+	if e.Live() != 0 || pooled(e) != 0 {
+		t.Errorf("live=%d pooled=%d after Run, want 0 and 0", e.Live(), pooled(e))
+	}
+	// The start is switched to from Run; both wake-ups find the dispatcher
+	// itself, the first after running its continuation.
+	if st := e.Stats(); st.Events != 3 || st.Handoffs != 3 || e.InPlace() != 2 || e.Inline() != 0 {
+		t.Errorf("Events=%d Handoffs=%d InPlace=%d Inline=%d, want 3, 3, 2 and 0",
+			st.Events, st.Handoffs, e.InPlace(), e.Inline())
+	}
+}
+
+// TestExitRespawnsInPlace: the continuation that ends the proc runs on the
+// proc's own coroutine, which goes on dispatching; a callback of that
+// dispatch spawns, gets the same proc back, and its start is the next event,
+// so the coroutine runs the new body itself.
+func TestExitRespawnsInPlace(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	var second *Proc
+	respawn := func() {
+		if e.Live() != 0 || pooled(e) != 1 {
+			t.Errorf("after Exit: live=%d pooled=%d, want 0 and 1", e.Live(), pooled(e))
+		}
+		second = e.Go("second", func(q *Proc) {
+			q.Sleep(1)
+			ran = true
+		})
+	}
+	first := e.Go("first", func(p *Proc) {
+		p.SleepThen(3, p.Exit)
+		e.After(3, respawn) // due right after the wake-up that exits
+		p.AwaitThen(func(*Proc) { t.Error("an exited proc ran the rest of its body") })
+	})
+	within(t, "Run", func() { e.Run(Forever) })
+	if second != first || !ran || e.Now() != 4 {
+		t.Errorf("same proc %v, ran %v, now %v; want true, true, 4", second == first, ran, e.Now())
+	}
+	// first's start is switched to from Run; the wake-up that exits is
+	// inline; second's start and wake-up find the dispatcher itself.
+	if st := e.Stats(); st.Handoffs != 4 || e.Inline() != 1 || e.InPlace() != 2 {
+		t.Errorf("Handoffs=%d Inline=%d InPlace=%d, want 4, 1 and 2", st.Handoffs, e.Inline(), e.InPlace())
+	}
+}
+
+// TestExitRespawnSwitched: the exiting continuation runs on another proc's
+// coroutine, and so does the Go that reuses the exited proc: its start is a
+// switch into the exited proc's coroutine, which runs the new body.
+func TestExitRespawnSwitched(t *testing.T) {
+	e := NewEngine()
+	ran := 0
+	first := e.Go("first", exitAfter(t, 1))
+	var reused *Proc
+	e.Go("spawner", func(p *Proc) {
+		p.Sleep(2) // dispatches first's exit at t=1
+		if e.Live() != 1 || pooled(e) != 1 {
+			t.Errorf("after Exit: live=%d pooled=%d, want 1 and 1", e.Live(), pooled(e))
+		}
+		reused = e.Go("second", func(q *Proc) { ran++ })
+		p.Sleep(1)
+		e.Go("third", func(q *Proc) { ran++ }) // a plain return's pooled coroutine
+	})
+	within(t, "Run", func() { e.Run(Forever) })
+	if reused != first || ran != 2 || e.Live() != 0 || pooled(e) != 0 {
+		t.Errorf("reused %v, ran %d, live %d, pooled %d; want true, 2, 0, 0",
+			reused == first, ran, e.Live(), pooled(e))
+	}
+	// first starts from Run and spawner from first's dispatch; first's exit
+	// is inline and spawner's first wake-up in place; second's start is a
+	// switch into first's coroutine, spawner's second wake-up a switch back,
+	// and third's start a switch into the coroutine second returned on.
+	if st := e.Stats(); st.Handoffs != 7 || e.Inline() != 1 || e.InPlace() != 1 {
+		t.Errorf("Handoffs=%d Inline=%d InPlace=%d, want 7, 1 and 1", st.Handoffs, e.Inline(), e.InPlace())
+	}
+}
+
+// TestExitedProcDrainsAndShutsDown: an exited proc's coroutine stops when the
+// pool is drained — by a Run that ends with nothing live, and by Shutdown,
+// which also kills an exited proc that was respawned and has not started
+// yet, and a proc whose body returned into a wait nobody ends — and no
+// goroutine is left behind.
+func TestExitedProcDrainsAndShutsDown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	for i := 0; i < 3; i++ {
+		e.GoID("exiter", int64(i), exitAfter(t, Time(1+i)))
+	}
+	within(t, "Run", func() { e.Run(Forever) })
+	if e.Live() != 0 || pooled(e) != 0 {
+		t.Errorf("drained by Run: live %d, pooled %d; want 0, 0", e.Live(), pooled(e))
+	}
+	if n := countGoroutines(base); n > base {
+		t.Errorf("goroutines leaked after Run: %d > %d baseline", n, base)
+	}
+
+	e = NewEngine()
+	e.Go("keeper", func(p *Proc) { // live, so Run keeps the pool
+		p.ParkThen(nil)
+		p.AwaitThen(func(*Proc) { t.Error("a killed proc ran the rest of its body") })
+	})
+	for i := 0; i < 3; i++ {
+		e.GoID("exiter", int64(i), exitAfter(t, 1))
+	}
+	e.Run(Forever)
+	e.GoAfter(Second, "respawned", func(p *Proc) { t.Error("a killed proc ran") })
+	if pooled(e) != 2 || e.Live() != 2 {
+		t.Fatalf("pooled=%d live=%d, want 2 and 2", pooled(e), e.Live())
+	}
+	within(t, "Shutdown", e.Shutdown)
+	if e.Live() != 0 || pooled(e) != 0 {
+		t.Errorf("after Shutdown: live %d, pooled %d; want 0, 0", e.Live(), pooled(e))
+	}
+	if n := countGoroutines(base); n > base {
+		t.Errorf("goroutines leaked after Shutdown: %d > %d baseline", n, base)
+	}
+}
+
+// TestExitOutsideAContinuationFails: only a continuation of a body that
+// returned into its wait may Exit — not the body itself, nor a continuation
+// that runs synchronously on its coroutine (a chain completed before
+// WaitThen), nor one whose body waits in Await, with frames to return to.
+// A body may not return suspended without AwaitThen either.
+func TestExitOutsideAContinuationFails(t *testing.T) {
+	for name, body := range map[string]func(p *Proc){
+		"body": func(p *Proc) { p.Exit() },
+		"synchronous continuation": func(p *Proc) {
+			c := p.Engine().NewChain(p)
+			c.Complete()
+			c.WaitThen(p.Exit)
+			p.Await()
+		},
+		"continuation of Await": func(p *Proc) {
+			p.SleepThen(1, p.Exit)
+			p.Await()
+		},
+		"return without AwaitThen": func(p *Proc) { p.SleepThen(1, nil) },
+	} {
+		e := NewEngine()
+		e.Go("exiter", body)
+		func() {
+			defer func() {
+				pp, ok := recover().(*ProcPanic)
+				if !ok || pp.Proc != "exiter" {
+					t.Errorf("%s: recovered %v, want a *ProcPanic of proc exiter", name, pp)
+				}
+			}()
+			e.Run(Forever)
+			t.Errorf("%s: Run returned normally", name)
+		}()
+	}
+}
+
+// TestSpawnExitFromContinuationAllocFree is the allocation gate of a body
+// that ends in a continuation: once warm, a spawn, the new proc's start (on
+// the coroutine of the last one), its continuation-form sleep, its return
+// into that wait and its Exit allocate nothing.
+func TestSpawnExitFromContinuationAllocFree(t *testing.T) {
+	e := NewEngine()
+	defer e.Shutdown()
+	var cur *Proc // one child lives at a time
+	exit := func() { cur.Exit() }
+	rest := func(*Proc) { t.Error("an exited proc ran the rest of its body") }
+	child := func(c *Proc) {
+		cur = c
+		c.SleepThen(1, exit)
+		c.AwaitThen(rest)
+	}
+	e.GoID("spawner", 0, func(p *Proc) {
+		for {
+			e.GoID("child", 0, child)
+			p.Sleep(2)
+		}
+	})
+	e.Run(100)
+	inline := e.Inline()
+	if m := allocs.Count(50, func() { e.Run(e.Now() + 100) }); m != 0 {
+		t.Errorf("50 windows of spawn/exit-from-continuation cycles allocated %d times, want 0", m)
+	}
+	if e.Inline() == inline {
+		t.Error("no child exited from its continuation in the measured windows")
 	}
 }

@@ -4,9 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
+
+	"contsteal/internal/allocs"
 )
 
 // stamp is an event's place in dispatch order.
@@ -187,22 +188,6 @@ func TestRunRefusesToRewindTheClock(t *testing.T) {
 	}
 }
 
-// mallocs runs f once to warm up, then runs times more and returns the total
-// number of heap allocations those runs made. Unlike testing.AllocsPerRun,
-// which rounds the mean down, it counts an allocation that only one run in
-// many makes (a ring or heap growing).
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
 // TestEventLanesAllocFree: once its lanes have grown, a steady state that
 // cycles a proc's sleeps and its callbacks through eight recurring delays
 // allocates nothing, over all runs.
@@ -219,7 +204,7 @@ func TestEventLanesAllocFree(t *testing.T) {
 		}
 	})
 	e.Run(20_000)
-	if m := mallocs(50, func() { e.Run(e.Now() + 10_000) }); m != 0 {
+	if m := allocs.Count(50, func() { e.Run(e.Now() + 10_000) }); m != 0 {
 		t.Errorf("50 windows over %d recurring delays allocated %d times, want 0", len(recurring), m)
 	}
 	for _, d := range recurring {

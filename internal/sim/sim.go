@@ -30,7 +30,9 @@
 // continuation may suspend its proc again, so a cycle that mostly waits — an
 // idle worker's pop miss, failed steal and backoff — is written as a chain of
 // them and reaches the proc's coroutine, suspended in Await, only when one
-// returns with something for it to do.
+// returns with something for it to do. A body may also end in such a wait
+// (AwaitThen): it returns at once, and its continuations either end the proc
+// (Exit) or leave the rest of the body to the coroutine.
 //
 // # Determinism
 //
@@ -70,18 +72,18 @@
 // returns — a clock advance, no switch (~29 ns). Switched: the dispatcher
 // names the other proc and yields to Run, whose trampoline resumes that
 // proc's coroutine — two coroutine switches that bypass the Go scheduler
-// (~230 ns together). benchmark/micro.go times the unit costs cold, as
-// sim.callback_ns, sim.sleep_ns, sim.handoff_ns and sim.chain5_ns; the
-// shapes it has no driver for yet stay here as BenchmarkSleepInPlace,
-// BenchmarkSleepInline and BenchmarkProcPingPong. Hot paths avoid switches:
-// multi-op protocols use completion chains (one resumption per protocol),
-// cycles that wait more than they work use continuations (no resumption
-// until there is work), live procs are kept on an intrusive list (no map
-// operations on spawn/death), spawn reuses a finished proc's coroutine and
-// Proc (a coroutine whose body returns joins the engine's pool instead of
-// exiting, keeping the stack it grew; Run drains the pool when it ends with
-// no proc live, Shutdown after killing the live ones, so no goroutine
-// outlives its simulation), proc names are formatted lazily (no fmt on the
+// (~230 ns together). Hot paths avoid switches: multi-op protocols use
+// completion chains (one resumption per protocol), cycles that wait more than
+// they work use continuations (no resumption until there is work), and a
+// body whose last steps are continuations returns into them (AwaitThen) and
+// ends from the last of them (Exit: the proc is pooled there, its coroutine
+// already back in its serve loop with no frame of the body left, so the end
+// costs no resumption and no unwinding). Live procs are kept on an intrusive
+// list (no map operations on spawn/death), spawn reuses a finished proc's
+// coroutine and Proc (a coroutine whose body returns joins the engine's pool
+// instead of exiting, keeping the stack it grew; Run drains the pool when it
+// ends with no proc live, Shutdown after killing the live ones, so no
+// goroutine outlives its simulation), proc names are formatted lazily (no fmt on the
 // spawn path; see GoID), events are plain values in reused rings and slices
 // (no per-event allocation), and a sorted batch of timers known in advance
 // — an open system's arrival trace — is one AtEach: it holds one queue entry,
@@ -90,8 +92,8 @@
 // the model's few fixed latencies: events scheduled with one recurring delay
 // are already in (time, seq) order, so each such delay queues its events in
 // a FIFO lane and a pop picks among the lanes' heads and a small overflow
-// heap — about 10 entries where one heap over every pending event held 72 on
-// the steal-bound benchmark workload (see eventQueue). A coroutine switch runs
+// heap — about 10 entries where one heap over every pending event held 72 in
+// a steal-bound run (see eventQueue). A coroutine switch runs
 // on the thread of the goroutine that calls Run, so GOMAXPROCS affects
 // neither an engine's event order nor its switch cost; when many engines
 // run concurrently (parallel experiment sweeps, one engine per host
@@ -376,8 +378,9 @@ func (e *Engine) After(d Time, fn func()) {
 
 // Go creates a new proc that will begin executing body at the current
 // virtual time (after already-queued events at this time). The name is used
-// in diagnostics only. The returned *Proc is valid until body returns; after
-// that the engine may hand the same *Proc to a later Go.
+// in diagnostics only. The returned *Proc is valid until the proc ends — its
+// body returns, other than into a wait (AwaitThen), or it Exits; after that
+// the engine may hand the same *Proc to a later Go.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	return e.spawn(0, name, "", 0, body)
 }
@@ -424,19 +427,32 @@ func (e *Engine) spawn(d Time, name, prefix string, id int64, body func(p *Proc)
 // returns only when stopped: by Shutdown, or by drain once nothing is live.
 // A body that recovers Shutdown's unwinding returns with the proc already
 // dead and unlinked, so that ends the coroutine too.
+//
+// A body that returned into a wait (AwaitThen) leaves the proc live: the
+// coroutine hands over all the same, and its next resumption, unless it is a
+// stop, runs p.body — the rest of that body, or, when a continuation ended
+// the proc (Exit), the body of the Go that popped it from the pool.
 func (p *Proc) serve(yield func(struct{}) bool) {
-	e := p.eng
 	p.yield = yield
 	for p.run() && p.state != StateDead {
-		p.state = StateDead
-		e.unlink(p)
-		p.body = nil
-		p.nextLive = e.free
-		e.free = p
+		if !p.tail {
+			p.pool()
+		}
 		if !p.handOver() {
 			return
 		}
 	}
+}
+
+// pool ends the proc whose body is over: it is dead, off the live list, and
+// first in line for the next Go.
+func (p *Proc) pool() {
+	e := p.eng
+	p.state = StateDead
+	e.unlink(p)
+	p.body = nil
+	p.nextLive = e.free
+	e.free = p
 }
 
 // drain stops the pooled procs' coroutines.
@@ -625,8 +641,8 @@ func (e *Engine) Shutdown() {
 
 // Proc is a simulated process: a coroutine whose execution is interleaved
 // with virtual time by the engine. All methods must be called from the
-// proc's own body. A *Proc is valid until its body returns; after that the
-// engine may hand it, coroutine and all, to a later Go.
+// proc's own body or continuations. A *Proc is valid until the proc ends (see
+// Go); after that the engine may hand it, coroutine and all, to a later Go.
 type Proc struct {
 	eng  *Engine
 	name string // explicit name, or "" when prefix+id is formatted lazily
@@ -648,6 +664,10 @@ type Proc struct {
 	// cont, when non-nil, is what the proc's next wake-up runs inside
 	// dispatch instead of resuming its coroutine (see SleepThen).
 	cont func()
+	// tail is set from a body's AwaitThen until the coroutine runs again: the
+	// body has returned into the proc's wait, which only Exit or the rest of
+	// the body ends.
+	tail bool
 }
 
 // Name returns the diagnostic name given at creation, formatting a lazy
@@ -668,8 +688,9 @@ func (p *Proc) Now() Time { return p.eng.now }
 // State returns the proc's lifecycle state.
 func (p *Proc) State() ProcState { return p.state }
 
-// run executes the body, reporting whether it ended by itself (returned or
-// panicked, the panic recorded for Run) rather than unwound by Shutdown.
+// run executes the body, reporting whether it ended by itself (returned,
+// possibly into a wait, or panicked, the panic recorded for Run) rather than
+// unwound by Shutdown.
 func (p *Proc) run() (finished bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -679,7 +700,11 @@ func (p *Proc) run() (finished bool) {
 			}
 		}
 	}()
+	p.tail = false
 	p.body(p)
+	if !p.tail && (p.state == StateScheduled || p.state == StateParked) {
+		panic(fmt.Sprintf("sim: body of proc %q returned suspended, without AwaitThen", p.Name()))
+	}
 	return true
 }
 
@@ -696,6 +721,33 @@ func (p *Proc) Await() {
 	if !p.handOver() {
 		panic(killed{})
 	}
+}
+
+// AwaitThen is Await in tail position: a body calls it as its last step and
+// returns at once, leaving no frame on the coroutine, and rest runs there as
+// the rest of the body when Await would have returned — at once if the proc
+// is running. Until then the proc's continuations may end the body instead
+// (Exit), so a body whose last steps are continuations ends without its
+// coroutine being resumed for them.
+func (p *Proc) AwaitThen(rest func(p *Proc)) {
+	if p.state == StateRunning {
+		rest(p)
+		return
+	}
+	p.body, p.tail = rest, true
+}
+
+// Exit ends the proc from one of its own continuations while its body waits
+// in AwaitThen: the proc is dead and pooled at once, as if the body had
+// returned now, and the continuation must leave it alone afterwards. Its
+// coroutine, already back in serve, next runs the body of a later Go, or
+// stops at drain or Shutdown.
+func (p *Proc) Exit() {
+	p.suspending("Exit")
+	if !p.tail {
+		panic(fmt.Sprintf("sim: Exit of proc %q outside a continuation of AwaitThen", p.Name()))
+	}
+	p.pool()
 }
 
 // handOver runs the event loop as the suspended (or exited) p. If the next

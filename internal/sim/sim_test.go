@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"contsteal/internal/allocs"
 )
 
 func TestTimeString(t *testing.T) {
@@ -925,7 +927,7 @@ func TestEventPathAllocFree(t *testing.T) {
 		}
 	})
 	e.Run(100) // start the proc and grow the queue
-	if m := mallocs(50, func() { e.Run(e.Now() + 100) }); m != 0 {
+	if m := allocs.Count(50, func() { e.Run(e.Now() + 100) }); m != 0 {
 		t.Errorf("50 windows of the event path allocated %d times, want 0", m)
 	}
 }
@@ -1045,7 +1047,7 @@ func TestAtEachRefusesBadTimes(t *testing.T) {
 // closure each.
 func TestAtEachAllocFree(t *testing.T) {
 	const runs = 20
-	allocs := func(n int) uint64 {
+	batches := func(n int) uint64 {
 		e := NewEngine()
 		ts := make([]Time, n)
 		fired := 0
@@ -1057,9 +1059,9 @@ func TestAtEachAllocFree(t *testing.T) {
 			e.AtEach(ts, fn)
 			e.Run(Forever)
 		}
-		return mallocs(runs, batch) // the warm-up grows the queue
+		return allocs.Count(runs, batch) // the warm-up grows the queue
 	}
-	small, large := allocs(16), allocs(4096)
+	small, large := batches(16), batches(4096)
 	if small != large || large > 2*runs {
 		t.Errorf("%d AtEach batches allocate %d times for 16 timers and %d for 4096, want the same, at most %d",
 			runs, small, large, 2*runs)

@@ -3,10 +3,10 @@ package workload
 import (
 	"encoding/binary"
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"testing"
 
+	"contsteal/internal/allocs"
 	"contsteal/internal/core"
 )
 
@@ -81,28 +81,12 @@ func TestDrawRowsMatchFloat(t *testing.T) {
 	}
 }
 
-// mallocs returns how many heap allocations runs calls of f make in all,
-// after one warm-up call, on one P as testing.AllocsPerRun counts them.
-// Unlike AllocsPerRun's average it cannot round a rare allocation — a
-// reused buffer that grows — down to 0.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
 // TestCountWalkAllocFree: once a walker has walked a tree, walking it again
 // allocates nothing — the walker is reused and its stack is big enough.
 func TestCountWalkAllocFree(t *testing.T) {
 	tree := UTSTree{Name: "tiny", B0: 3, GenMx: 7, RootSeed: 5, MaxChildren: 50, NodeWork: 190}
 	rows, root := tree.drawRows(), tree.Root()
-	if m := mallocs(100, func() { _ = countSubtree(root, rows) }); m != 0 {
+	if m := allocs.Count(100, func() { _ = countSubtree(root, rows) }); m != 0 {
 		t.Errorf("100 walks allocated %d times, want 0", m)
 	}
 }
@@ -114,7 +98,7 @@ func TestSubtreeMemoHitAllocFree(t *testing.T) {
 	s, n := tree.state(), tree.Child(tree.Root(), 0)
 	want := s.subtree(n)
 	var got int64
-	if m := mallocs(1000, func() { got = s.subtree(n) }); m != 0 {
+	if m := allocs.Count(1000, func() { got = s.subtree(n) }); m != 0 {
 		t.Errorf("1,000 subtree-memo hits allocated %d times, want 0", m)
 	}
 	if got != want {

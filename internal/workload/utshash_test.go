@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/rand/v2"
 	"testing"
+
+	"contsteal/internal/allocs"
 )
 
 // childIndices are the child numbers every descriptor is checked at: the
@@ -111,7 +113,7 @@ func TestSHA1x16MatchesSHA1(t *testing.T) {
 func TestUTSChildAllocFree(t *testing.T) {
 	tree := T1LPrime()
 	n := tree.Root()
-	if m := mallocs(1000, func() { n = tree.Child(n, 3) }); m != 0 {
+	if m := allocs.Count(1000, func() { n = tree.Child(n, 3) }); m != 0 {
 		t.Errorf("1,000 Child calls allocated %d times, want 0", m)
 	}
 }

@@ -13,7 +13,13 @@
 #          internal/sim at one and four Ps, three times: the engine's baton
 #          passes between proc coroutines with no central driver, so the
 #          happens-before chain of their switches is the thing to keep
-#          race-clean at > 1 P. Then 10 s of FuzzEventQueue, past its seed
+#          race-clean at > 1 P. Then the whole suite again, without the
+#          race detector, built for GOARCH=386 (which an amd64 host runs
+#          natively): 32-bit int through the runtime and the engine's
+#          dispatch, continuations included, and the crypto/sha1 UTS hash
+#          path end to end — every golden, digest and trace fixture must
+#          still match, since which host runs the simulator must not change
+#          a byte it writes. Then 10 s of FuzzEventQueue, past its seed
 #          corpus: random programs of recurring, one-off and zero delays,
 #          AtEach batches and Run(until) windows must dispatch in exactly
 #          (time, seq) order, the order internal/sim's delay lanes must keep
@@ -46,7 +52,7 @@
 #          allocation-free gates of the
 #          event path, a steady state over eight recurring delays in the
 #          event queue's lanes, a proc's spawn/exit cycle on the engine's
-#          proc pool,
+#          proc pool, one whose body ends from a continuation (Exit),
 #          an AtEach timer batch (as many allocations for 4,096 timers as
 #          for 16), the fabric ops, the steal chain, a warm remote stack
 #          migration (reserve, get, stats), an owner's push → pop,
@@ -116,6 +122,7 @@ for tier in "${tiers[@]}"; do
     # small host that exceeds go test's default 10-minute package timeout.
     go test -race -timeout 30m ./...
     go test -race -cpu 1,4 -count 3 ./internal/sim
+    GOARCH=386 go test ./...
     # A new coverage-expanding input is minimized for at most a second:
     # the default minute stalls the 10 s run at a few thousand executions.
     go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
