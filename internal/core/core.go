@@ -193,8 +193,8 @@ type Runtime struct {
 	childSeq int64             // child-task id sequence
 	done     bool
 	rootRet  []byte
-	readyOJ  int // gauge: resumable-but-not-resumed outstanding joins
-	joinInfo map[rdma.Loc]*joinInfo
+	readyOJ  int                    // gauge: resumable-but-not-resumed outstanding joins
+	joinInfo map[rdma.Loc]*joinInfo // by entry, for the joins that can suspend (not greedy's fast path)
 	jstats   JoinStats
 	series   []Sample
 

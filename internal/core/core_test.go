@@ -544,8 +544,9 @@ func TestIdleCycleAllocFree(t *testing.T) {
 
 // TestSpawnJoinAllocFree: a task's host objects are recycled — its Thread on
 // the Runtime, its thread entry's remote-object node on the remobj manager,
-// its join record on the Runtime, its popped descriptor in the deque's pop
-// buffer, and JoinInt64 reads the result into the worker's buffer — so under
+// its join record on the Runtime (stalling join's; greedy join's fast path
+// makes none), its popped descriptor in the deque's pop buffer, and
+// JoinInt64 reads the result into the worker's buffer — so under
 // the continuation-stealing policies warm spawn → join cycles allocate
 // nothing over all runs, as a proc's spawn → exit does (sim's
 // TestSpawnExitAllocFree). The child-stealing baselines still allocate the
@@ -574,6 +575,42 @@ func TestSpawnJoinAllocFree(t *testing.T) {
 		}
 		if m > want {
 			t.Errorf("%v: %d spawn → join cycles allocated %d times, want at most %d", pol, runs, m, want)
+		}
+	}
+}
+
+// TestJoinRecordsOnlyWhereJoinsCanSuspend: a die that pops its own parent
+// makes no join record, as no thread holds the handle yet and the join
+// cannot suspend. A one-worker greedy run steals nothing, so it makes none
+// at all. A 16-worker run makes records only for the entries whose parent
+// was stolen, frees every one, and keeps the JoinStats it had when every
+// fast-path die made a record too.
+func TestJoinRecordsOnlyWhereJoinsCanSuspend(t *testing.T) {
+	for _, c := range []struct {
+		workers int
+		join    JoinStats
+	}{
+		{1, JoinStats{}},
+		{16, JoinStats{Outstanding: 22, OutstandingTime: 30100, Resumed: 22}},
+	} {
+		rt := New(testConfig(ContGreedy, c.workers))
+		ret, st := rt.Run(fibTask(18))
+		if got := RetInt64(ret); got != fibSerial(18) {
+			t.Fatalf("%d workers: fib(18) = %d, want %d", c.workers, got, fibSerial(18))
+		}
+		if len(rt.joinInfo) != 0 {
+			t.Errorf("%d workers: %d join records left at the end", c.workers, len(rt.joinInfo))
+		}
+		if st.Join != c.join {
+			t.Errorf("%d workers: JoinStats %+v, want %+v", c.workers, st.Join, c.join)
+		}
+		// Every record is back on the free list: there are as many as
+		// were ever allocated.
+		if n := uint64(len(rt.freeJoins)); n > st.Work.JoinSlowPath {
+			t.Errorf("%d workers: %d join records allocated for %d slow-path dies", c.workers, n, st.Work.JoinSlowPath)
+		}
+		if c.workers == 1 && (len(rt.freeJoins) != 0 || st.Work.JoinFastPath == 0) {
+			t.Errorf("one worker: %d join records allocated, %d fast-path dies; want none and some", len(rt.freeJoins), st.Work.JoinFastPath)
 		}
 	}
 }

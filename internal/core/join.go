@@ -161,7 +161,7 @@ func (t *Thread) diePopped(entry []byte, obj any, ok bool) {
 			// happen after this die, so a plain (non-atomic) put suffices —
 			// on this rank, so it completes at once and never suspends p.
 			rt.fab.PutInt64(p, w.rank, flag, 1) // line 30
-			rt.joinedFast(w, h, next)
+			w.joinedFast(next)
 			t.recycle()
 			p.Exit()
 			return
@@ -232,7 +232,7 @@ func (t *Thread) dieRest(p *sim.Proc) {
 		// The parent has not been stolen, and the flag word is on another
 		// rank: a plain put still suffices, as the join must follow.
 		rt.fab.PutInt64(p, w.rank, flagWord(h.E), 1) // line 30
-		rt.joinedFast(w, h, parent)
+		w.joinedFast(parent)
 	default:
 		// Slow path (lines 32-40): the parent has been stolen.
 		w.st.JoinSlowPath++
@@ -252,9 +252,11 @@ func (t *Thread) dieRest(p *sim.Proc) {
 }
 
 // joinedFast ends the fast path once the flag is set: the worker goes to the
-// parent (line 31), like an ordinary subroutine return.
-func (rt *Runtime) joinedFast(w *Worker, h Handle, parent *Thread) {
-	rt.joinCompleted(h.E)
+// parent (line 31), like an ordinary subroutine return. It makes no join
+// record: the parent was popped before it returned from the spawn, so no
+// thread holds the handle yet, and every join of it will find the flag set
+// and never suspend.
+func (w *Worker) joinedFast(parent *Thread) {
 	w.st.JoinFastPath++
 	w.handoff(parent)
 }

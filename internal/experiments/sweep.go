@@ -153,7 +153,9 @@ func (ob *Observer) add(c Coord, jr *jobRun) {
 // carrying the diverging job's coordinates, its cause and the panicking
 // stack. That barrier holds at every pool width: a pool of 1 runs the jobs
 // one after another in grid order — the reference the wider pools must
-// match — and fails the same way.
+// match — and fails the same way. Of several failed jobs the lowest-index
+// one is reported: jobs are dispatched in grid order, so every job before it
+// ran, and it is the one a pool of 1 stops at.
 func RunJobs(o Options, jobs []Job) []any {
 	pool := o.Parallel
 	if pool <= 0 {
@@ -182,10 +184,11 @@ func RunJobs(o Options, jobs []Job) []any {
 		pool = len(jobs)
 	}
 	var (
-		mu     sync.Mutex // guards finish and failed
-		failed *JobError
-		next   = make(chan int)
-		wg     sync.WaitGroup
+		mu       sync.Mutex // guards finish, failed and failedAt
+		failed   *JobError
+		failedAt int // the index of failed's job
+		next     = make(chan int)
+		wg       sync.WaitGroup
 	)
 	for w := 0; w < pool; w++ {
 		wg.Add(1)
@@ -198,8 +201,8 @@ func RunJobs(o Options, jobs []Job) []any {
 				r, err := runOneRecover(jobs[i], oj)
 				mu.Lock()
 				if err != nil {
-					if failed == nil {
-						failed = err
+					if failed == nil || i < failedAt {
+						failed, failedAt = err, i
 					}
 				} else {
 					finish(i, r, start)

@@ -102,6 +102,32 @@ func TestRunJobsPanicBarrierReportsCoordinates(t *testing.T) {
 	}
 }
 
+// TestRunJobsReportsTheLowestFailure: of two failing jobs the sweep reports
+// the lower-index one, as a pool of 1 would, even when the other fails first.
+func TestRunJobsReportsTheLowestFailure(t *testing.T) {
+	first := Coord{Experiment: "fig9", Workers: 12}
+	jobs := []Job{
+		{Coord: Coord{Experiment: "fig9", Workers: 6}, Run: func(Options) any { return 0 }},
+		{Coord: first, Run: func(Options) any {
+			time.Sleep(5 * time.Millisecond) // job 2 fails meanwhile
+			panic("job 1")
+		}},
+		{Coord: Coord{Experiment: "fig9", Workers: 24}, Run: func(Options) any { panic("job 2") }},
+		{Coord: Coord{Experiment: "fig9", Workers: 48}, Run: func(Options) any { return 3 }},
+	}
+	for range 20 {
+		func() {
+			defer func() {
+				r := recover()
+				if je, ok := r.(*JobError); !ok || je.Coord != first {
+					t.Fatalf("pool=2: recovered %v, want the JobError of job 1 [%s]", r, first)
+				}
+			}()
+			RunJobs(Options{Parallel: 2}, jobs)
+		}()
+	}
+}
+
 // TestProgressHookSerializedAndComplete hands an Observer down on Options
 // and expects every job of the grid reported once, done counting 1..total,
 // and the observer's totals to cover every fork-join run of the grid. The

@@ -445,14 +445,33 @@ func (f *Fabric) CAS(p *sim.Proc, from int, loc Loc, old, new int64) int64 {
 type Segment struct {
 	mem   []byte // dynamic zone backing, grown to the highest touched address
 	bump  Addr
-	pools map[int][]Addr // size -> free addresses (exact-size reuse)
-	used  uint64         // bytes currently allocated
-	high  uint64         // high-water mark of allocated bytes
+	pools []pool // free addresses by size (exact-size reuse), in order of first free
+	used  uint64 // bytes currently allocated
+	high  uint64 // high-water mark of allocated bytes
 
 	// Static zone: bump-only allocations at StaticBase and above, in address
 	// order, each with its own backing.
 	statics []static
 	sbump   Addr
+}
+
+// pool is the free list of one allocation size. A rank frees a handful of
+// sizes (entries, contexts, objects), so a scan of its pools beats a map.
+type pool struct {
+	size int
+	free []Addr
+}
+
+// pool returns the free list of size, making it on the size's first
+// allocation.
+func (s *Segment) pool(size int) *pool {
+	for i := range s.pools {
+		if s.pools[i].size == size {
+			return &s.pools[i]
+		}
+	}
+	s.pools = append(s.pools, pool{size: size})
+	return &s.pools[len(s.pools)-1]
 }
 
 // static is one AllocStatic allocation: zone offsets [off, end) and the
@@ -473,9 +492,8 @@ func newSegment(size int) *Segment {
 	// simulations with very many ranks pay host memory only for what each
 	// rank actually uses.
 	return &Segment{
-		mem:   make([]byte, min(max(size, 64), 4*1024)),
-		bump:  8, // keep address 0..7 unused so Addr 0 is invalid
-		pools: make(map[int][]Addr),
+		mem:  make([]byte, min(max(size, 64), 4*1024)),
+		bump: 8, // keep address 0..7 unused so Addr 0 is invalid
 	}
 }
 
@@ -489,9 +507,9 @@ func (s *Segment) alloc(size int) Addr {
 	if s.used > s.high {
 		s.high = s.used
 	}
-	if list := s.pools[size]; len(list) > 0 {
-		a := list[len(list)-1]
-		s.pools[size] = list[:len(list)-1]
+	if p := s.pool(size); len(p.free) > 0 {
+		a := p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
 		clear(s.bytes(a, size)) // bytes grows the backing if still untouched
 		return a
 	}
@@ -520,7 +538,8 @@ func (s *Segment) free(addr Addr, size int) {
 	}
 	size = (size + 7) &^ 7
 	s.used -= uint64(size)
-	s.pools[size] = append(s.pools[size], addr)
+	p := s.pool(size)
+	p.free = append(p.free, addr)
 }
 
 // grown returns mem extended to cover end bytes: 1 KiB at least, then by

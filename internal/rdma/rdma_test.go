@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"contsteal/internal/allocs"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
 )
@@ -432,17 +433,18 @@ func TestChainReusesOneRecord(t *testing.T) {
 	}
 }
 
-// allocsInProc runs op under testing.AllocsPerRun on a proc of its own, after
-// a few warm-up calls have filled the pools (chains, records, event heap).
-func allocsInProc(eng *sim.Engine, op func(p *sim.Proc)) (avg float64) {
+// allocsInProc returns how many times 50 runs of op allocate in all, on a
+// proc of its own, after a few warm-up calls have filled the pools (chains,
+// records, event heap).
+func allocsInProc(eng *sim.Engine, op func(p *sim.Proc)) (mallocs uint64) {
 	eng.Go("w0", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			op(p)
 		}
-		avg = testing.AllocsPerRun(50, func() { op(p) })
+		mallocs = allocs.Count(50, func() { op(p) })
 	})
 	eng.Run(sim.Forever)
-	return avg
+	return mallocs
 }
 
 // TestLocalOpsAllocFree: a same-rank op completes inline — no chain, no
@@ -452,7 +454,7 @@ func TestLocalOpsAllocFree(t *testing.T) {
 	loc := Loc{Rank: 0, Addr: f.Alloc(0, 16), Size: 16}
 	word := Loc{Rank: 0, Addr: loc.Addr, Size: 8}
 	var buf [16]byte
-	avg := allocsInProc(eng, func(p *sim.Proc) {
+	m := allocsInProc(eng, func(p *sim.Proc) {
 		f.Put(p, 0, loc, buf[:])
 		f.Get(p, 0, loc, buf[:])
 		f.PutInt64(p, 0, word, 3)
@@ -461,8 +463,8 @@ func TestLocalOpsAllocFree(t *testing.T) {
 			t.Error("same-rank ops lost a value")
 		}
 	})
-	if avg != 0 {
-		t.Errorf("same-rank ops allocate %.1f times per run, want 0", avg)
+	if m != 0 {
+		t.Errorf("50 runs of same-rank ops allocated %d times, want 0", m)
 	}
 	if eng.Now() != 0 || eng.Stats().Events != 1 {
 		t.Errorf("same-rank ops cost time or events: now %v, %d events (want the proc's own start only)", eng.Now(), eng.Stats().Events)
@@ -481,7 +483,7 @@ func TestRemoteOpAllocFree(t *testing.T) {
 		seen int64
 	)
 	then := func(v int64) { seen = v; c.Complete() }
-	avg := allocsInProc(eng, func(p *sim.Proc) {
+	m := allocsInProc(eng, func(p *sim.Proc) {
 		f.Put(p, 0, loc, buf[:])
 		f.Get(p, 0, loc, buf[:])
 		f.PutInt64(p, 0, word, 3)
@@ -496,7 +498,40 @@ func TestRemoteOpAllocFree(t *testing.T) {
 			t.Errorf("split-phase fetch-add delivered %d, want 5", seen)
 		}
 	})
-	if avg != 0 {
-		t.Errorf("warmed remote ops allocate %.1f times per run, want 0", avg)
+	if m != 0 {
+		t.Errorf("50 runs of warmed remote ops allocated %d times, want 0", m)
+	}
+}
+
+// TestSegmentPoolsAllocFree: once each size has a free list, allocating and
+// freeing blocks of four sizes, each its own 8-byte class, reuses the freed
+// addresses and allocates nothing on the host.
+func TestSegmentPoolsAllocFree(t *testing.T) {
+	_, f := newTestFabric(0, 1)
+	sizes := []int{24, 48, 100, 136}
+	var addrs [4][3]Addr
+	cycle := func() {
+		for i, size := range sizes {
+			for j := range addrs[i] {
+				addrs[i][j] = f.Alloc(0, size)
+			}
+		}
+		for i, size := range sizes {
+			for _, a := range addrs[i] {
+				f.Free(0, a, size)
+			}
+		}
+	}
+	seg := f.Seg(0)
+	cycle()
+	bump := seg.bump
+	if m := allocs.Count(100, cycle); m != 0 {
+		t.Errorf("100 alloc/free cycles over %d size classes allocated %d times, want 0", len(sizes), m)
+	}
+	if seg.bump != bump || seg.InUse() != 0 {
+		t.Errorf("after the cycles the bump pointer is at %d (first cycle: %d) and %d bytes are in use: freed blocks were not reused", seg.bump, bump, seg.InUse())
+	}
+	if got := len(seg.pools); got != len(sizes) {
+		t.Errorf("%d free lists, want one a size: %d", got, len(sizes))
 	}
 }

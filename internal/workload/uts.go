@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"contsteal/internal/core"
 	"contsteal/internal/sim"
@@ -400,14 +401,41 @@ var shapes sync.Map // shapeKey -> *shapeState
 // T1WL') have equal descriptors at equal depths but different subtrees.
 type shapeState struct {
 	rows [][]uint32
-	mu   sync.Mutex // guards sub; it is held only around map operations
-	sub  map[nodeKey]int64
+	memo atomic.Pointer[memoTable] // read without a lock; replaced, never resized in place
+	mu   sync.Mutex                // serializes stores and growth
+}
+
+// memoTable is the subtree memo: an open-addressing table with linear
+// probing, at most 3/4 full. A slot's key is written before its count, and
+// the count is stored atomically, so a reader that loads a non-zero count
+// sees the whole key. A slot, once filled, never changes, and a published
+// table never grows: a larger copy replaces it.
+type memoTable struct {
+	slots []memoSlot // a power of two of them
+	used  int        // filled slots; read and written under shapeState.mu
+}
+
+type memoSlot struct {
+	count atomic.Int64 // 0 while the slot is free: every memoized subtree has ≥ 2 nodes
+	key   nodeKey
 }
 
 // nodeKey names a node within one shape.
 type nodeKey struct {
 	desc  [20]byte
 	depth int32
+}
+
+// home is the key's first probe slot in a table of mask+1 slots. The
+// descriptor is a SHA-1 digest, so its first bytes are already uniform.
+func (k *nodeKey) home(mask uint64) uint64 {
+	return (binary.LittleEndian.Uint64(k.desc[:8]) + uint64(k.depth)) & mask
+}
+
+func newShapeState(rows [][]uint32) *shapeState {
+	s := &shapeState{rows: rows}
+	s.memo.Store(&memoTable{slots: make([]memoSlot, 64)})
+	return s
 }
 
 // state returns the tree's shapeState, building it on the shape's first
@@ -417,25 +445,75 @@ func (t UTSTree) state() *shapeState {
 	if s, ok := shapes.Load(k); ok {
 		return s.(*shapeState)
 	}
-	s, _ := shapes.LoadOrStore(k, &shapeState{rows: t.drawRows(), sub: make(map[nodeKey]int64)})
+	s, _ := shapes.LoadOrStore(k, newShapeState(t.drawRows()))
 	return s.(*shapeState)
 }
 
-// subtree returns the node count of the subtree under n: memoized, or
-// walked and then recorded. The walk runs unlocked, so two goroutines that
-// miss on one node both walk it and store the same count.
+// subtree returns the node count of the subtree under n: 1 for a leaf,
+// otherwise memoized, or walked and then recorded. A hit takes no lock. The
+// walk runs unlocked, so two goroutines that miss on one node both walk it;
+// the second store finds the first and leaves it.
 func (s *shapeState) subtree(n UTSNode) int64 {
-	k := nodeKey{n.Desc, int32(n.Depth)}
-	s.mu.Lock()
-	count, ok := s.sub[k]
-	s.mu.Unlock()
-	if !ok {
-		count = countSubtree(n, s.rows)
-		s.mu.Lock()
-		s.sub[k] = count
-		s.mu.Unlock()
+	if childCount(n.Depth, drawBits(n), s.rows) == 0 {
+		return 1
 	}
+	k := nodeKey{n.Desc, int32(n.Depth)}
+	if count := s.memo.Load().lookup(&k); count != 0 {
+		return count
+	}
+	count := countSubtree(n, s.rows)
+	s.store(&k, count)
 	return count
+}
+
+// lookup returns k's count, or 0 if the table does not hold k.
+func (t *memoTable) lookup(k *nodeKey) int64 {
+	mask := uint64(len(t.slots) - 1)
+	for i := k.home(mask); ; i = (i + 1) & mask {
+		sl := &t.slots[i]
+		count := sl.count.Load()
+		if count == 0 || sl.key == *k {
+			return count
+		}
+	}
+}
+
+// store records k's count. If one more key would fill more than 3/4 of the
+// table, it fills a copy twice the size and publishes that.
+func (s *shapeState) store(k *nodeKey, count int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.memo.Load()
+	if 4*(t.used+1) <= 3*len(t.slots) {
+		t.put(k, count)
+		return
+	}
+	g := &memoTable{slots: make([]memoSlot, 2*len(t.slots))}
+	for i := range t.slots {
+		if sl := &t.slots[i]; sl.count.Load() != 0 {
+			g.put(&sl.key, sl.count.Load())
+		}
+	}
+	g.put(k, count)
+	s.memo.Store(g)
+}
+
+// put fills k's slot, unless k is already there. The caller holds
+// shapeState.mu.
+func (t *memoTable) put(k *nodeKey, count int64) {
+	mask := uint64(len(t.slots) - 1)
+	for i := k.home(mask); ; i = (i + 1) & mask {
+		sl := &t.slots[i]
+		switch {
+		case sl.count.Load() == 0:
+			sl.key = *k
+			sl.count.Store(count)
+			t.used++
+			return
+		case sl.key == *k:
+			return
+		}
+	}
 }
 
 // SerialTime returns the modelled single-core execution time of the tree on

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/binary"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -95,14 +96,60 @@ func TestCountWalkAllocFree(t *testing.T) {
 // key is a typed struct, not boxed in an interface.
 func TestSubtreeMemoHitAllocFree(t *testing.T) {
 	tree := UTSTree{Name: "tiny", B0: 3, GenMx: 7, RootSeed: 5, MaxChildren: 50, NodeWork: 190}
-	s, n := tree.state(), tree.Child(tree.Root(), 0)
+	s, n := tree.state(), tree.Child(tree.Root(), 1)
+	if tree.NumChildren(n) == 0 {
+		t.Fatal("the node is a leaf: subtree answers 1 without the memo, so there is no hit to measure")
+	}
 	want := s.subtree(n)
+	k := nodeKey{n.Desc, int32(n.Depth)}
+	if s.memo.Load().lookup(&k) != want {
+		t.Fatalf("the memo does not hold the node's count %d", want)
+	}
 	var got int64
 	if m := allocs.Count(1000, func() { got = s.subtree(n) }); m != 0 {
 		t.Errorf("1,000 subtree-memo hits allocated %d times, want 0", m)
 	}
 	if got != want {
 		t.Errorf("memo hit = %d, walk = %d", got, want)
+	}
+}
+
+// snapshot returns the memo's entries.
+func (s *shapeState) snapshot() map[nodeKey]int64 {
+	m := map[nodeKey]int64{}
+	t := s.memo.Load()
+	for i := range t.slots {
+		sl := &t.slots[i]
+		if c := sl.count.Load(); c != 0 {
+			m[sl.key] = c
+		}
+	}
+	return m
+}
+
+// TestUTSMemoHoldsNoLeaf: a traversal that counts serially below depth 6
+// memoizes only nodes with children, each with its walked count, and counts
+// the tree right.
+func TestUTSMemoHoldsNoLeaf(t *testing.T) {
+	tree := T1LPrime()
+	s := newShapeState(tree.drawRows())
+	u := &utsTraversal{t: tree, s: s, seq: tree.GenMx - 6}
+	ret, _ := core.New(cfg(core.ContGreedy, 4)).Run(u.root)
+	if got, want := core.RetInt64(ret), tree.CountSerial(); got != want {
+		t.Fatalf("UTS = %d, CountSerial %d", got, want)
+	}
+	memo := s.snapshot()
+	if len(memo) == 0 {
+		t.Fatal("the traversal memoized nothing")
+	}
+	for k, c := range memo {
+		n := UTSNode{Desc: k.desc, Depth: int(k.depth)}
+		if tree.NumChildren(n) == 0 || c < 2 {
+			t.Fatalf("the memo holds a leaf at depth %d (count %d)", k.depth, c)
+		}
+		if w := countSubtree(n, s.rows); c != w {
+			t.Fatalf("memoized count %d at depth %d, walk %d", c, k.depth, w)
+		}
 	}
 }
 
@@ -148,12 +195,12 @@ func TestCountWalkHashPaths(t *testing.T) {
 			tree UTSTree
 			seq  int
 		}{{T1WLPrime(), 10}, {T1XXLPrime(), 6}} {
-			u := &utsTraversal{t: c.tree, s: &shapeState{rows: c.tree.drawRows(), sub: map[nodeKey]int64{}}, seq: c.seq}
+			u := &utsTraversal{t: c.tree, s: newShapeState(c.tree.drawRows()), seq: c.seq}
 			ret, _ := core.New(cfg(core.ContGreedy, 4)).Run(u.root)
 			if got, want := core.RetInt64(ret), c.tree.CountSerial(); got != want {
 				t.Errorf("UTS(%s, %d) = %d, CountSerial %d", c.tree.Name, c.seq, got, want)
 			}
-			memos[c.tree.Name] = append(memos[c.tree.Name], u.s.sub)
+			memos[c.tree.Name] = append(memos[c.tree.Name], u.s.snapshot())
 		}
 	})
 	for name, m := range memos {
@@ -196,24 +243,70 @@ func TestUTSMemoPerShape(t *testing.T) {
 }
 
 // TestUTSMemoConcurrent runs the two shapes of TestUTSMemoPerShape on four
-// goroutines at once, at thresholds that memoize depth-5 nodes no other
-// test reaches, so concurrent misses, stores and hits all happen; the race
-// tier of scripts/ci.sh runs it under the race detector.
+// goroutines at once, two a shape, each pair on a fresh memo, at thresholds
+// that memoize depth-8 nodes (some 18 k and 23 k of them), so concurrent
+// misses, stores, hits and growths all happen. A fifth goroutine reads both
+// memos all the while and must see each replaced by a larger copy at least
+// once. The test tier of scripts/ci.sh runs it under the race detector at
+// one and four Ps.
 func TestUTSMemoConcurrent(t *testing.T) {
 	trees := []UTSTree{T1XXLPrime(), T1WLPrime()}
 	want := []int64{1_445_354, 5_409_181}
-	var wg sync.WaitGroup
+	states := []*shapeState{newShapeState(trees[0].drawRows()), newShapeState(trees[1].drawRows())}
+	var (
+		wg   sync.WaitGroup
+		done = make(chan struct{}) // closed when the traversals are
+		read = make(chan struct{}) // closed when the reader is
+		grew [2]int                // growths the reader saw, a shape
+	)
+	go func() {
+		defer close(read)
+		// The root is never memoized, so each lookup probes to a free slot,
+		// reading the keys of the slots in front of it.
+		var probe [2]nodeKey
+		tables := make([]*memoTable, len(states))
+		for i, s := range states {
+			probe[i] = nodeKey{trees[i].Root().Desc, 0}
+			tables[i] = s.memo.Load()
+		}
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for i, s := range states {
+				tab := s.memo.Load()
+				if tab.lookup(&probe[i]) != 0 {
+					t.Errorf("%s: the memo holds the root", trees[i].Name)
+				}
+				if len(tab.slots) > len(tables[i].slots) {
+					grew[i]++
+				}
+				tables[i] = tab
+			}
+			runtime.Gosched()
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tree := trees[i]
-			if got := runUTS(tree, tree.GenMx-5); got != want[i] {
-				t.Errorf("%s: concurrent UTS = %d, want %d", tree.Name, got, want[i])
+			u := &utsTraversal{t: trees[i], s: states[i], seq: trees[i].GenMx - 8}
+			ret, _ := core.New(cfg(core.ContGreedy, 4)).Run(u.root)
+			if got := core.RetInt64(ret); got != want[i] {
+				t.Errorf("%s: concurrent UTS = %d, want %d", trees[i].Name, got, want[i])
 			}
 		}(g % 2)
 	}
 	wg.Wait()
+	close(done)
+	<-read
+	for i, s := range states {
+		if grew[i] == 0 {
+			t.Errorf("%s: the memo (%d slots, %d keys) never grew while it was read", trees[i].Name, len(s.memo.Load().slots), len(s.snapshot()))
+		}
+	}
 }
 
 // BenchmarkCountSerial: one serial count of T1XXL' per op, on each hash

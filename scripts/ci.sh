@@ -13,7 +13,11 @@
 #          internal/sim at one and four Ps, three times: the engine's baton
 #          passes between proc coroutines with no central driver, so the
 #          happens-before chain of their switches is the thing to keep
-#          race-clean at > 1 P. Then the whole suite again, without the
+#          race-clean at > 1 P; and internal/workload's UTS subtree-memo
+#          tests the same way, whose hits read the table without a lock
+#          while other goroutines store into it and replace it with a
+#          larger copy, so the atomic count store must publish a slot's key
+#          on every interleaving. Then the whole suite again, without the
 #          race detector, built for GOARCH=386 (which an amd64 host runs
 #          natively): 32-bit int through the runtime and the engine's
 #          dispatch, continuations included, and the crypto/sha1 UTS hash
@@ -122,6 +126,7 @@ for tier in "${tiers[@]}"; do
     # small host that exceeds go test's default 10-minute package timeout.
     go test -race -timeout 30m ./...
     go test -race -cpu 1,4 -count 3 ./internal/sim
+    go test -race -cpu 1,4 -count 3 -run 'UTSMemo' ./internal/workload
     GOARCH=386 go test ./...
     # A new coverage-expanding input is minimized for at most a second:
     # the default minute stalls the 10 s run at a few thousand executions.
