@@ -14,6 +14,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"contsteal/internal/allocs"
 	"contsteal/internal/obs"
 	"contsteal/internal/remobj"
 	"contsteal/internal/sim"
@@ -688,9 +689,9 @@ func synthServeTrace(n, spans, suspended int) *Trace {
 // requests of 600 intervals, with no suspended task and with 8 a request,
 // allocate their output rows plus at most 256 KiB (one log of all their
 // intervals would be ~14 MiB), and 600 intervals a request cost at most 8
-// allocations more than 6 do: room for the buffers to grow, not one
-// allocation per request or per interval. Suspended tasks, whose join ends
-// it looks up, add some.
+// allocations a run more than 6 do, counted in all over 50 runs: room for the
+// buffers to grow, not one allocation per request or per interval.
+// Suspended tasks, whose join ends it looks up, add at least one a run.
 func TestRequestAttributionAllocBound(t *testing.T) {
 	for _, suspended := range []int{0, 8} {
 		tr := synthServeTrace(1024, 600, suspended)
@@ -708,21 +709,22 @@ func TestRequestAttributionAllocBound(t *testing.T) {
 			t.Errorf("%d suspended tasks a request: 1,024 requests of 600 intervals allocate %d B, want at most %d B of output rows + 256 KiB", suspended, bytes, rows)
 		}
 	}
-	allocs := func(spans, suspended int) float64 {
+	const runs = 50
+	mallocs := func(spans, suspended int) uint64 {
 		tr := synthServeTrace(16, spans, suspended)
 		if got := tr.RequestAttribution(); len(got) != 16 || got[0].Sum() != got[0].Sojourn() {
 			t.Fatalf("synthetic trace attributes to %+v", got)
 		}
-		return testing.AllocsPerRun(50, func() { tr.RequestAttribution() })
+		return allocs.Count(runs, func() { tr.RequestAttribution() })
 	}
 	for _, suspended := range []int{0, 8} {
-		few, many := allocs(6, suspended), allocs(600, suspended)
-		t.Logf("%d suspended tasks a request: %.0f allocations at 6 intervals a request, %.0f at 600", suspended, few, many)
-		if many > few+8 {
-			t.Errorf("%d suspended tasks a request: %.0f allocations at 6 intervals a request, %.0f at 600; want at most 8 more", suspended, few, many)
+		few, many := mallocs(6, suspended), mallocs(600, suspended)
+		t.Logf("%d suspended tasks a request: %d allocations in %d runs at 6 intervals a request, %d at 600", suspended, few, runs, many)
+		if many > few+8*runs {
+			t.Errorf("%d suspended tasks a request: %d allocations in %d runs at 6 intervals a request, %d at 600; want at most %d more", suspended, few, runs, many, 8*runs)
 		}
 	}
-	if none, some := allocs(6, 0), allocs(6, 64); some <= none {
-		t.Errorf("%.0f allocations with no suspended task, %.0f with 64 a request: the join lookup allocated nothing", none, some)
+	if none, some := mallocs(6, 0), mallocs(6, 64); some < none+runs {
+		t.Errorf("%d allocations in %d runs with no suspended task, %d with 64 a request: the join lookup allocated less than once a run", none, runs, some)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"contsteal/internal/allocs"
 	"contsteal/internal/sim"
 )
 
@@ -35,24 +36,24 @@ func TestRecorderOrderAndSeq(t *testing.T) {
 
 // TestRecorderAllocFree: appending n events allocates one chunk per
 // recordChunk events and nothing else, the merged log holds them in order
-// across the chunk boundaries, and a second Events call allocates nothing
-// and returns the same slice.
+// across the chunk boundaries, and ten more Events calls allocate nothing
+// in all and return the same slice.
 func TestRecorderAllocFree(t *testing.T) {
 	const n = 3*recordChunk + 5
-	recs := []*Recorder{NewRecorder(), NewRecorder()} // AllocsPerRun's warm-up run, then one
+	recs := []*Recorder{NewRecorder(), NewRecorder()} // allocs.Count's warm-up run, then one
 	used := 0
 	// A collection cycle started by the chunks would count its own
 	// allocations.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(1, func() {
+	m := allocs.Count(1, func() {
 		r := recs[used]
 		used++
 		for i := 0; i < n; i++ {
 			r.Event(Event{T: sim.Time(i), Kind: KindRun, Task: int64(i)})
 		}
 	})
-	if chunks := (n + recordChunk - 1) / recordChunk; allocs > float64(chunks) {
-		t.Errorf("appending %d events allocated %v times, want at most %d", n, allocs, chunks)
+	if chunks := uint64(n+recordChunk-1) / recordChunk; m > chunks {
+		t.Errorf("appending %d events allocated %d times, want at most %d", n, m, chunks)
 	}
 	r := recs[1]
 	ev := r.Events()
@@ -65,8 +66,8 @@ func TestRecorderAllocFree(t *testing.T) {
 		}
 	}
 	var again []Event
-	if allocs := testing.AllocsPerRun(10, func() { again = r.Events() }); allocs != 0 {
-		t.Errorf("a second Events call allocated %v times, want 0", allocs)
+	if m := allocs.Count(10, func() { again = r.Events() }); m != 0 {
+		t.Errorf("10 more Events calls allocated %d times in all, want 0", m)
 	}
 	if len(again) != n || &again[0] != &ev[0] {
 		t.Error("a second Events call returned a different slice")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"contsteal/internal/allocs"
 	"contsteal/internal/rdma"
 	"contsteal/internal/sim"
 	"contsteal/internal/topo"
@@ -273,7 +274,7 @@ func TestMigrateInCopiesAcrossRanks(t *testing.T) {
 }
 
 // TestMigrateInAllocFree: once warm, a remote stack migration — reserve,
-// get, release — allocates nothing.
+// get, release — allocates nothing: 0 mallocs in all over 50.
 func TestMigrateInAllocFree(t *testing.T) {
 	eng, _, ms := setup(2)
 	victim, thief := ms[0], ms[1]
@@ -285,16 +286,16 @@ func TestMigrateInAllocFree(t *testing.T) {
 		}
 		thief.PopStack(addr, 512)
 	}
-	var avg float64
+	var m uint64
 	eng.Go("thief", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			migrate(p)
 		}
-		avg = testing.AllocsPerRun(50, func() { migrate(p) })
+		m = allocs.Count(50, func() { migrate(p) })
 	})
 	eng.Run(sim.Forever)
-	if avg != 0 {
-		t.Errorf("warm remote MigrateIn allocates %.1f times per run, want 0", avg)
+	if m != 0 {
+		t.Errorf("50 warm remote MigrateIns allocated %d times, want 0", m)
 	}
 	if thief.St.MigrationsIn != 3+51 {
 		t.Errorf("MigrationsIn = %d, want %d", thief.St.MigrationsIn, 3+51)

@@ -145,6 +145,15 @@ func (t UTSTree) draw(v uint32, logQ float64) int {
 	return m
 }
 
+// drawRow is one depth's threshold row of the child-count draw (drawRows)
+// and a start table into it: start[b] is the number of entries ≤ b<<24,
+// capped at 255, so the count for draw bits whose top byte is b is at least
+// start[b].
+type drawRow struct {
+	th    []uint32
+	start [256]uint8
+}
+
 // drawRows builds the threshold rows of the child-count draw. Row d, for a
 // depth below GenMx, holds T[k−1] = the least v in [0, 2³²) with m(v) ≥ k,
 // for k = 1, 2, … up to MaxChildren or the first k no v reaches. m is
@@ -153,13 +162,16 @@ func (t UTSTree) draw(v uint32, logQ float64) int {
 // raise m by more than one, so adjacent entries may be equal. The rows come
 // from this architecture's math.Log, so they reproduce the float draw
 // exactly here.
-func (t UTSTree) drawRows() [][]uint32 {
-	rows := make([][]uint32, t.GenMx)
+func (t UTSTree) drawRows() []drawRow {
+	rows := make([]drawRow, t.GenMx)
+	var th []uint32 // each row is built here, then copied to its exact size
 	for d := range rows {
+		r := &rows[d]
 		logQ := t.logQ(d)
 		if logQ == 0 {
 			continue
 		}
+		th = th[:0]
 		lo := uint64(0) // T[k] ≥ T[k−1], so each search starts at the last
 		for k := 1; k <= t.MaxChildren; k++ {
 			hi := uint64(1) << 32 // 2³²: no v reaches k
@@ -174,7 +186,15 @@ func (t UTSTree) drawRows() [][]uint32 {
 			if lo == 1<<32 {
 				break
 			}
-			rows[d] = append(rows[d], uint32(lo))
+			th = append(th, uint32(lo))
+		}
+		r.th = slices.Clone(th)
+		k := 0
+		for b := range r.start {
+			for k < len(r.th) && r.th[k] <= uint32(b)<<24 {
+				k++
+			}
+			r.start[b] = uint8(min(k, 255))
 		}
 	}
 	return rows
@@ -183,19 +203,23 @@ func (t UTSTree) drawRows() [][]uint32 {
 // numChildren is the float draw read off the threshold rows (drawRows),
 // with the same result: the count of row entries at or below the node's
 // draw bits.
-func numChildren(n UTSNode, rows [][]uint32) int {
+func numChildren(n UTSNode, rows []drawRow) int {
 	return childCount(n.Depth, drawBits(n), rows)
 }
 
-// childCount is numChildren for a node at depth d whose draw bits are v.
-// A row is non-decreasing and about b(d)+1 entries are compared.
-func childCount(d int, v uint32, rows [][]uint32) int {
+// childCount is numChildren for a node at depth d whose draw bits are v. It
+// scans the row from the start table's entry for v's top byte. A row holds
+// about b(d)+1 entries spread over the 256 top bytes, so the scan nearly
+// always stops at its first compare, a branch the CPU predicts; a scan from
+// the row's start exits after a data-dependent number of compares and
+// mispredicts about once a node.
+func childCount(d int, v uint32, rows []drawRow) int {
 	if d >= len(rows) {
 		return 0
 	}
-	row := rows[d]
-	k := 0
-	for k < len(row) && row[k] <= v {
+	r := &rows[d]
+	k := int(r.start[v>>24])
+	for k < len(r.th) && r.th[k] <= v {
 		k++
 	}
 	return k
@@ -207,29 +231,47 @@ const lanes = 16
 
 // minLanes is the fewest nodes a count walk hands to sha1x16; fewer are
 // hashed one at a time through childDesc. A sha1x16 call costs the same
-// whatever the number of live lanes: 160-172 ns with its initial-value
-// copy on a 2.1 GHz Xeon with AVX-512 and SHA-NI, where one SHA-NI
-// childDesc of an independent node is 63-68 ns. Two nodes cost about
-// 130 ns one at a time, three about 195 ns, more than the call.
+// whatever the number of live lanes: 157-160 ns with its initial-value
+// copy on a 2.1 GHz Xeon with AVX-512 and SHA-NI, where hashing one lane
+// on its own (its words to bytes, a SHA-NI childDesc, the digest back to
+// words) costs 74-84 ns. Two lanes cost 146-148 ns that way, three
+// 217-225 ns, more than the call. CountSerial and the frontier walk both
+// count a whole tree, whose lanes run short only in its first and last few
+// rounds, so this decides a handful of rounds a walk.
 const minLanes = 3
 
 // walkRun is a run of children a count walk has yet to hash: children
 // next, next+1, …, end−1 of the node whose descriptor's big-endian words
-// are parent.
+// are parent. root indexes walker.roots: the open frontier subtree the
+// children belong to, or −1 above the frontier and in a walk without one.
 type walkRun struct {
 	parent    [5]uint32
 	depth     int32 // the children's depth
+	root      int32
 	next, end uint32
 }
 
+// openRoot is a frontier node whose subtree a walk is still counting.
+type openRoot struct {
+	key   nodeKey
+	count int64 // the subtree's nodes taken so far, the root included
+	live  int32 // the subtree's runs on the stack and nodes in the lanes
+}
+
 // walker is a count walk's working memory: the stack of runs still to
-// hash, and sha1x16's operands. Walkers are reused (walkers), so a walk
-// allocates only when its stack outgrows every earlier walk's.
+// hash, sha1x16's operands and the open frontier subtrees. Walkers are
+// reused (walkers), so a walk allocates only when its stack or its open
+// subtrees outgrow every earlier walk's.
 type walker struct {
-	stack []walkRun
-	h     [5][16]uint32  // digest word j of lane k in h[j][k]
-	w     [16][16]uint32 // message word t of lane k in w[t][k]
-	depth [lanes]int32   // the depth of the node in each lane
+	stack  []walkRun      // its whole capacity; a walk keeps its own top
+	h      [5][16]uint32  // digest word j of lane k in h[j][k]
+	w      [16][16]uint32 // message word t of lane k in w[t][k]
+	depth  [lanes]int32   // the depth of the node in each lane
+	root   [lanes]int32   // the open subtree of the node in each lane, or −1
+	roots  []openRoot     // the open subtrees, and unused entries listed in free
+	free   []int32
+	done   []openRoot // finished subtrees still to store, fewer than memoBatch+lanes
+	rounds int        // take calls in the last walk
 }
 
 // walkers holds the walkers no walk is using; walks on several goroutines
@@ -275,72 +317,146 @@ func putWalker(w *walker) {
 }
 
 // countSubtree counts the nodes of the subtree under n using the threshold
-// rows. The walk keeps each node's children that are still to hash as one
-// run on a stack, takes up to lanes children at a time from the runs on
-// top, hashes them together, and pushes their runs.
-func countSubtree(n UTSNode, rows [][]uint32) int64 {
+// rows.
+func countSubtree(n UTSNode, rows []drawRow) int64 {
 	w := getWalker()
 	defer putWalker(w)
-	stack := w.stack[:0]
-	if nc := childCount(n.Depth, drawBits(n), rows); nc > 0 {
-		var r *walkRun
-		stack, r = pushRun(stack, int32(n.Depth+1), nc)
-		for j := range r.parent {
-			r.parent[j] = binary.BigEndian.Uint32(n.Desc[4*j:])
-		}
-	}
-	count := int64(1)
+	return w.walk(n, rows, nil, -1)
+}
+
+// walk counts the nodes of the subtree under n. It keeps each node's
+// children that are still to hash as one run on a stack, takes up to lanes
+// children at a time from the runs on top, hashes them together, and pushes
+// their runs.
+//
+// Given a shapeState s, the walk also stores in s's memo the count of the
+// subtree under every node at depth fd that has children: the frontier. A
+// frontier node opens an entry of w.roots, which its subtree's runs and
+// lanes name. Once the subtree has no run on the stack and no node in the
+// lanes left to look at, the entry's count is final: it joins w.done,
+// stored memoBatch at a time, and the entry is reused. So the walk holds
+// one entry a subtree in progress, never one a frontier node, and its lanes
+// take runs of every subtree, full in all but its first and last few
+// rounds. A walk without a frontier passes s nil and fd −1.
+func (w *walker) walk(n UTSNode, rows []drawRow, s *shapeState, fd int) int64 {
+	w.rounds = 0
+	w.roots, w.free = w.roots[:0], w.free[:0]
+	stack, sp := w.stack, 0
+	// n enters as if it had just been hashed in lane 0.
 	h := &w.h
-	for len(stack) > 0 {
-		var k int
-		stack, k = w.take(stack)
-		w.hash(k)
-		count += int64(k)
+	for j := range h {
+		h[j][0] = binary.BigEndian.Uint32(n.Desc[4*j:])
+	}
+	w.depth[0], w.root[0] = int32(n.Depth), -1
+	count, k := int64(1), 1
+	for {
+		if len(stack)-sp < lanes { // room for a run from every lane
+			stack = slices.Grow(stack[:sp], lanes)
+			stack = stack[:cap(stack)]
+		}
 		for l := range k {
 			l &= lanes - 1 // l < k ≤ lanes; the mask drops the bounds checks
-			nc := childCount(int(w.depth[l]), h[4][l], rows)
-			if nc == 0 {
-				continue
+			d := w.depth[l]
+			nc := childCount(int(d), h[4][l], rows)
+			keep := 0
+			if nc > 0 {
+				keep = 1
 			}
-			var r *walkRun
-			stack, r = pushRun(stack, w.depth[l]+1, nc)
-			// Word by word: a [5]uint32 value would go through memory, and
-			// copying it whole reads across the narrower stores that built
-			// it, which the CPU cannot forward.
+			root := w.root[l]
+			if root >= 0 {
+				o := &w.roots[root]
+				if o.live += int32(keep) - 1; o.live == 0 {
+					w.done = append(w.done, *o)
+					w.free = append(w.free, root)
+				}
+			} else if int(d) == fd && nc > 0 {
+				key := nodeKey{depth: d}
+				for j := range 5 {
+					binary.BigEndian.PutUint32(key.desc[4*j:], h[j][l])
+				}
+				root = w.open(&key)
+			}
+			// The run is written at the top whether or not the node has
+			// children, and kept only if it has: a branch on that would
+			// mispredict about as often as not. Word by word: a [5]uint32
+			// value would go through memory, and copying it whole reads
+			// across the narrower stores that built it, which the CPU
+			// cannot forward.
+			r := &stack[sp]
 			r.parent[0], r.parent[1], r.parent[2], r.parent[3], r.parent[4] = h[0][l], h[1][l], h[2][l], h[3][l], h[4][l]
+			r.depth, r.root, r.next, r.end = d+1, root, 0, uint32(nc)
+			sp += keep
 		}
+		if len(w.done) >= memoBatch || sp == 0 && len(w.done) > 0 {
+			s.storeAll(w.done)
+			w.done = w.done[:0]
+		}
+		if sp == 0 {
+			break
+		}
+		sp, k = w.take(stack, sp)
+		w.hash(k)
+		count += int64(k)
 	}
 	w.stack = stack
 	return count
 }
 
-// pushRun pushes the run of nc children at the given depth and returns the
-// stack and the run, whose parent the caller fills in.
-func pushRun(stack []walkRun, depth int32, nc int) ([]walkRun, *walkRun) {
-	stack = slices.Grow(stack, 1)
-	stack = stack[:len(stack)+1]
-	r := &stack[len(stack)-1]
-	r.depth, r.next, r.end = depth, 0, uint32(nc)
-	return stack, r
+// memoBatch is how many finished subtrees a frontier walk stores at once. A
+// store misses the cache, as the table is megabytes wide and the keys land
+// at random in it; stores run back to back overlap their misses, where one
+// store between two rounds stalls the walk (T1XXL' at depth 11, 98,855
+// subtrees: 40 → 34 ns a node, BenchmarkFrontierWalk/lanes).
+const memoBatch = 64
+
+// open starts an open subtree whose root has key k, counting the root and
+// its one run, and returns its index in w.roots.
+func (w *walker) open(k *nodeKey) int32 {
+	var i int32
+	if n := len(w.free); n > 0 {
+		i, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		i = int32(len(w.roots))
+		w.roots = append(w.roots, openRoot{})
+	}
+	w.roots[i] = openRoot{key: *k, count: 1, live: 1}
+	return i
 }
 
-// take moves up to lanes children from the runs on top of the stack into
-// the lanes of w.w (words 0-5: parent ‖ i) and w.depth, and returns the
-// stack without the runs it used up and the number of lanes filled.
-func (w *walker) take(stack []walkRun) ([]walkRun, int) {
+// take moves up to lanes children from the runs on top of the stack
+// (stack[:sp]) into the lanes of w.w (words 0-5: parent ‖ i), w.depth and
+// w.root, and returns the new top and the number of lanes filled. It reads
+// each run's fields once and fills its lanes from them, and charges the
+// lanes to the run's open subtree.
+func (w *walker) take(stack []walkRun, sp int) (int, int) {
+	w.rounds++
 	m := &w.w
 	k := 0
-	for ; k < lanes && len(stack) > 0; k++ {
-		r := &stack[len(stack)-1]
-		m[0][k], m[1][k], m[2][k], m[3][k], m[4][k] = r.parent[0], r.parent[1], r.parent[2], r.parent[3], r.parent[4]
-		m[5][k] = r.next
-		w.depth[k] = r.depth
-		r.next++
-		if r.next == r.end {
-			stack = stack[:len(stack)-1]
+	for k < lanes && sp > 0 {
+		r := &stack[sp-1]
+		n := min(int(r.end-r.next), lanes-k)
+		p0, p1, p2, p3, p4 := r.parent[0], r.parent[1], r.parent[2], r.parent[3], r.parent[4]
+		d, root, i := r.depth, r.root, r.next
+		for l := k; l < k+n; l++ {
+			l := l & (lanes - 1) // l < k+n ≤ lanes; the mask drops the bounds checks
+			m[0][l], m[1][l], m[2][l], m[3][l], m[4][l], m[5][l] = p0, p1, p2, p3, p4, i
+			w.depth[l], w.root[l] = d, root
+			i++
+		}
+		k += n
+		r.next = i
+		gone := 0
+		if i == r.end {
+			sp--
+			gone = 1
+		}
+		if root >= 0 {
+			o := &w.roots[root]
+			o.count += int64(n)
+			o.live += int32(n - gone)
 		}
 	}
-	return stack, k
+	return sp, k
 }
 
 // hash writes the descriptors of the first k lanes of w.w into w.h: with
@@ -400,9 +516,12 @@ var shapes sync.Map // shapeKey -> *shapeState
 // The memo is per shape because trees with equal root seeds (T1XXL' and
 // T1WL') have equal descriptors at equal depths but different subtrees.
 type shapeState struct {
-	rows [][]uint32
-	memo atomic.Pointer[memoTable] // read without a lock; replaced, never resized in place
-	mu   sync.Mutex                // serializes stores and growth
+	rows   []drawRow
+	root   UTSNode
+	fronts []sync.Once               // fronts[d] runs depth d's frontier walk
+	walks  atomic.Int32              // frontier walks run: at most one a depth
+	memo   atomic.Pointer[memoTable] // read without a lock; replaced, never resized in place
+	mu     sync.Mutex                // serializes stores and growth
 }
 
 // memoTable is the subtree memo: an open-addressing table with linear
@@ -432,8 +551,10 @@ func (k *nodeKey) home(mask uint64) uint64 {
 	return (binary.LittleEndian.Uint64(k.desc[:8]) + uint64(k.depth)) & mask
 }
 
-func newShapeState(rows [][]uint32) *shapeState {
-	s := &shapeState{rows: rows}
+// newShapeState builds the state of t's shape. It walks nothing: the memo
+// fills on a traversal's first serial visit.
+func newShapeState(t UTSTree) *shapeState {
+	s := &shapeState{rows: t.drawRows(), root: t.Root(), fronts: make([]sync.Once, t.GenMx)}
 	s.memo.Store(&memoTable{slots: make([]memoSlot, 64)})
 	return s
 }
@@ -445,14 +566,14 @@ func (t UTSTree) state() *shapeState {
 	if s, ok := shapes.Load(k); ok {
 		return s.(*shapeState)
 	}
-	s, _ := shapes.LoadOrStore(k, newShapeState(t.drawRows()))
+	s, _ := shapes.LoadOrStore(k, newShapeState(t))
 	return s.(*shapeState)
 }
 
 // subtree returns the node count of the subtree under n: 1 for a leaf,
-// otherwise memoized, or walked and then recorded. A hit takes no lock. The
-// walk runs unlocked, so two goroutines that miss on one node both walk it;
-// the second store finds the first and leaves it.
+// otherwise memoized. A hit takes no lock. A miss walks n's depth as the
+// frontier (walkFrontier), which memoizes n's subtree with all the others
+// at that depth.
 func (s *shapeState) subtree(n UTSNode) int64 {
 	if childCount(n.Depth, drawBits(n), s.rows) == 0 {
 		return 1
@@ -461,9 +582,26 @@ func (s *shapeState) subtree(n UTSNode) int64 {
 	if count := s.memo.Load().lookup(&k); count != 0 {
 		return count
 	}
-	count := countSubtree(n, s.rows)
-	s.store(&k, count)
-	return count
+	s.walkFrontier(n.Depth)
+	if count := s.memo.Load().lookup(&k); count != 0 {
+		return count
+	}
+	panic("workload: a UTS node with children is missing from its depth's frontier walk: it is not a node of the tree")
+}
+
+// walkFrontier walks the whole tree once, the first time it is called for
+// depth d, and memoizes the subtree under every node at depth d that has
+// children. A traversal's serial visits are all at one depth, so the one
+// walk answers all of them, with the lanes full where a walk of each
+// subtree on its own would leave the lanes of its last rounds idle. A
+// caller that comes while the walk runs waits for it.
+func (s *shapeState) walkFrontier(d int) {
+	s.fronts[d].Do(func() {
+		s.walks.Add(1)
+		w := getWalker()
+		defer putWalker(w)
+		w.walk(s.root, s.rows, s, d)
+	})
 }
 
 // lookup returns k's count, or 0 if the table does not hold k.
@@ -478,24 +616,26 @@ func (t *memoTable) lookup(k *nodeKey) int64 {
 	}
 }
 
-// store records k's count. If one more key would fill more than 3/4 of the
-// table, it fills a copy twice the size and publishes that.
-func (s *shapeState) store(k *nodeKey, count int64) {
+// storeAll records the count of each finished subtree. If one more key
+// would fill more than 3/4 of the table, it fills a copy twice the size and
+// publishes that.
+func (s *shapeState) storeAll(done []openRoot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.memo.Load()
-	if 4*(t.used+1) <= 3*len(t.slots) {
-		t.put(k, count)
-		return
-	}
-	g := &memoTable{slots: make([]memoSlot, 2*len(t.slots))}
-	for i := range t.slots {
-		if sl := &t.slots[i]; sl.count.Load() != 0 {
-			g.put(&sl.key, sl.count.Load())
+	for i := range done {
+		if 4*(t.used+1) > 3*len(t.slots) {
+			g := &memoTable{slots: make([]memoSlot, 2*len(t.slots))}
+			for j := range t.slots {
+				if sl := &t.slots[j]; sl.count.Load() != 0 {
+					g.put(&sl.key, sl.count.Load())
+				}
+			}
+			s.memo.Store(g)
+			t = g
 		}
+		t.put(&done[i].key, done[i].count)
 	}
-	g.put(k, count)
-	s.memo.Store(g)
 }
 
 // put fills k's slot, unless k is already there. The caller holds
@@ -578,9 +718,10 @@ func (u *utsTraversal) visit(c *core.Ctx, n UTSNode) int64 {
 
 // visitSerial counts a whole subtree inside the current task, charging the
 // aggregate node work in one Compute call. The count comes from the shape's
-// memo: within one sweep the same serial subtrees are walked by every job,
-// and on a steal the thief's recount of an already-walked subtree is pure
-// recomputation.
+// memo, which the traversal's first serial visit fills for every subtree at
+// this depth (walkFrontier): within one sweep every job counts the same
+// serial subtrees, and on a steal the thief's recount of a counted subtree
+// is pure recomputation.
 func (u *utsTraversal) visitSerial(c *core.Ctx, n UTSNode) int64 {
 	count := u.s.subtree(n)
 	c.Compute(sim.Time(count) * u.t.NodeWork)

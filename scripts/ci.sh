@@ -14,10 +14,14 @@
 #          passes between proc coroutines with no central driver, so the
 #          happens-before chain of their switches is the thing to keep
 #          race-clean at > 1 P; and internal/workload's UTS subtree-memo
-#          tests the same way, whose hits read the table without a lock
-#          while other goroutines store into it and replace it with a
-#          larger copy, so the atomic count store must publish a slot's key
-#          on every interleaving. Then the whole suite again, without the
+#          tests (named UTSMemo*) the same way, whose hits read the table
+#          without a lock while a frontier walk stores into it and replaces
+#          it with a larger copy, so the atomic count store must publish a
+#          slot's key on every interleaving, and whose traversals of one
+#          fresh shape, started at once, must share one frontier walk (a
+#          sync.Once per depth) and all count right, and whose frontier walk
+#          into a memo with room for its keys must allocate nothing. Then
+#          the whole suite again, without the
 #          race detector, built for GOARCH=386 (which an amd64 host runs
 #          natively): 32-bit int through the runtime and the engine's
 #          dispatch, continuations included, and the crypto/sha1 UTS hash
@@ -65,16 +69,18 @@
 #          cycle, the allocation bound of a trace recorder's log (one
 #          per chunk appended, none for a repeated read), a UTS child
 #          descriptor's hash, a serial UTS count walk on prebuilt threshold
-#          rows with a reused walker and a UTS subtree-memo hit (their
-#          fences count every malloc over all runs, so a rare one fails;
-#          *AllocFree in internal/sim, rdma,
-#          uniaddr, deque, remobj, core, obs and workload; the race
-#          detector perturbs allocation counts), and the allocation bound of
-#          request attribution (1,024 requests of 600 component intervals,
-#          one after another, allocate their output rows plus at most
-#          256 KiB, and 600 intervals a request cost at most 8 allocations
-#          more than 6: only the open requests' buffers grow;
-#          TestRequestAttributionAllocBound in internal/core),
+#          rows with a reused walker, a UTS frontier walk into a memo with
+#          room for its keys and a UTS subtree-memo hit (*AllocFree in
+#          internal/sim, rdma, uniaddr, deque, remobj, core, obs and
+#          workload; the race detector perturbs allocation counts), and the
+#          allocation bound of request attribution (1,024 requests of 600
+#          component intervals, one after another, allocate their output
+#          rows plus at most 256 KiB, and 600 intervals a request cost at
+#          most 8 allocations a run more than 6: only the open requests'
+#          buffers grow; TestRequestAttributionAllocBound in internal/core)
+#          — every fence counts mallocs one way, with internal/allocs.Count:
+#          every malloc over all its runs after a warm-up, so a rare one
+#          fails where a rounded per-run mean would read 0,
 #          one iteration of every
 #          per-package micro-benchmark, `go test -update` of the three
 #          packages with digest fixtures or goldens (internal/core,
